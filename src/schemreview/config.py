@@ -15,9 +15,11 @@ Config file (JSON, version 1):
       "base_schematic": null,
       "pages_override": null,
       "trace_out": null,
-      "page_parallelism": 1,
-      "checklist_dir": null
+      "checklist_dir": null,
+      "max_attempts": 5
     }
+
+Unknown top-level keys are rejected with a ConfigError naming them.
 """
 
 from __future__ import annotations
@@ -51,7 +53,6 @@ class RunConfig:
     base_schematic: str | None = None
     pages_override: list[str] | None = None
     trace_out: str | None = None
-    page_parallelism: int = 1
     checklist_dir: str | None = None
     max_attempts: int = 5
 
@@ -62,8 +63,6 @@ class RunConfig:
             raise ConfigError("critic_threshold must be within [0, 10]")
         if self.time_budget_s is not None and self.time_budget_s <= 0:
             raise ConfigError("time_budget_secs must be positive when set")
-        if self.page_parallelism < 1:
-            raise ConfigError("page_parallelism must be >= 1")
         if self.mode is Mode.DESIGN_REVIEW and not (
                 self.base_schematic or self.pages_override):
             raise ConfigError(
@@ -71,6 +70,12 @@ class RunConfig:
         if not isinstance(self.sink, (FileSink, HttpSink)):
             raise ConfigError(f"unknown sink {self.sink!r}")
         self.backend.validate()
+
+
+_CONFIG_KEYS = frozenset({
+    "version", "mode", "k", "critic_threshold", "time_budget_secs", "cache_dir",
+    "backend", "libraries", "sink", "base_schematic", "pages_override",
+    "trace_out", "checklist_dir", "max_attempts"})
 
 
 def _backend_from_config(doc: dict) -> BackendConfig:
@@ -90,6 +95,9 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"config {path} is not valid JSON: {exc.msg}") from exc
     if doc.get("version") != 1:
         raise ConfigError(f"config {path}: unsupported version {doc.get('version')!r}")
+    unknown = set(doc) - _CONFIG_KEYS
+    if unknown:
+        raise ConfigError(f"config {path}: unknown fields: {sorted(unknown)}")
 
     cfg = RunConfig()
     if "mode" in doc:
@@ -97,7 +105,7 @@ def load_config(path) -> RunConfig:
             cfg.mode = Mode(doc["mode"])
         except ValueError:
             raise ConfigError(f"unknown mode {doc['mode']!r}") from None
-    for key in ("k", "page_parallelism", "max_attempts"):
+    for key in ("k", "max_attempts"):
         if key in doc:
             setattr(cfg, key, int(doc[key]))
     if "critic_threshold" in doc:

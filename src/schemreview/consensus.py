@@ -35,6 +35,7 @@ from .review import (
     split_pin_key,
 )
 from .tracing import TraceContext
+from .unionfind import UnionFind
 
 log = logging.getLogger(__name__)
 
@@ -120,34 +121,30 @@ def _collect(results: list[RunResult]):
 
 
 def _contested_clusters(occurrences, contradicted: set[tuple[str, str]]) -> list[_Cluster]:
-    """Group contradicted verdict keys per designator by shared pins."""
-    contested = [key for key in occurrences
-                 if any((key[0], pin) in contradicted for pin in key[1])]
-    by_designator: dict[str, list[_Key]] = {}
-    for key in contested:
-        by_designator.setdefault(key[0], []).append(key)
+    """Group contradicted verdict keys per designator by shared pins.
+
+    Clusters are ordered by designator, then by their first contested key
+    in ``occurrences`` order."""
+    keys = sorted((key for key in occurrences
+                   if any((key[0], pin) in contradicted for pin in key[1])),
+                  key=lambda key: key[0])
+    uf = UnionFind(len(keys))
+    first_with_pin: dict[tuple[str, str], int] = {}
+    for i, (designator, pins, _status) in enumerate(keys):
+        for pin in pins:
+            uf.union(first_with_pin.setdefault((designator, pin), i), i)
+    members: dict[int, list[int]] = {}
+    for i in range(len(keys)):
+        members.setdefault(uf.find(i), []).append(i)
 
     clusters: list[_Cluster] = []
-    for designator, keys in sorted(by_designator.items()):
-        remaining = list(keys)
-        while remaining:
-            pins = set(remaining[0][1])
-            members = [remaining.pop(0)]
-            changed = True
-            while changed:
-                changed = False
-                for key in list(remaining):
-                    if pins & key[1]:
-                        pins |= key[1]
-                        members.append(key)
-                        remaining.remove(key)
-                        changed = True
-            verdicts = []
-            for key in members:
-                verdicts.extend(occurrences[key])
-            verdicts.sort(key=lambda item: (item[0], canonical_pin_key(item[1].pins),
-                                            item[1].status.value))
-            clusters.append(_Cluster(designator, frozenset(pins), tuple(verdicts)))
+    for indices in members.values():
+        verdicts = sorted(
+            (hit for i in indices for hit in occurrences[keys[i]]),
+            key=lambda item: (item[0], canonical_pin_key(item[1].pins),
+                              item[1].status.value))
+        pins = frozenset().union(*(keys[i][1] for i in indices))
+        clusters.append(_Cluster(keys[indices[0]][0], pins, tuple(verdicts)))
     return clusters
 
 

@@ -35,9 +35,6 @@ class CacheEntry:
     score: CriticScore
     stored_at: float
 
-    def is_fresh(self, now: float) -> bool:
-        return now - self.stored_at < TTL_S
-
 
 class CacheStore:
     def __init__(self, root, now=time.time):

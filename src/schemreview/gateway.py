@@ -43,7 +43,6 @@ class AgentKind(enum.Enum):
     CRITIC = "critic"
     GROUP_REVIEW = "group_review"
     CONSENSUS = "consensus"
-    ERROR_GROUPING = "error_grouping"
 
 
 class ModelTier(enum.Enum):
@@ -55,7 +54,6 @@ _TIERS = {
     AgentKind.SELECTION: ModelTier.STRONG,
     AgentKind.GROUP_REVIEW: ModelTier.STRONG,
     AgentKind.CONSENSUS: ModelTier.STRONG,
-    AgentKind.ERROR_GROUPING: ModelTier.STRONG,
     AgentKind.HEAD_ANALYSIS: ModelTier.WEAK,
     AgentKind.EXTRACTION: ModelTier.WEAK,
     AgentKind.CRITIC: ModelTier.WEAK,
@@ -84,10 +82,6 @@ class AgentRequest:
     user_payload: str
     response_schema_id: str
     seed: int = 0
-
-    @property
-    def tier(self) -> ModelTier:
-        return route_tier(self.agent_kind)
 
 
 @dataclass(frozen=True)
@@ -413,16 +407,3 @@ class UsageLedger:
             }
         return out
 
-
-def record_usage(responses) -> UsageLedger:
-    """Build a ledger from an iterable of (agent_kind, AgentResponse)."""
-    ledger = UsageLedger()
-    for kind, resp in responses:
-        ledger.add(kind, resp.usage, resp.latency)
-    return ledger
-
-
-def complete_structured(cfg: BackendConfig, req: AgentRequest,
-                        post_validate=None) -> AgentResponse:
-    """One-shot form of Gateway.complete for callers without a shared gateway."""
-    return Gateway(cfg).complete(req, post_validate=post_validate)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .consensus import ConsensusAnalysis, ConsensusFinding
 from .model import Net
 from .review import VerdictStatus, canonical_pin_key
-from .wiretrace import UnionFind
+from .unionfind import UnionFind
 
 GROUPABLE = (VerdictStatus.INCORRECT, VerdictStatus.WARNING)
 

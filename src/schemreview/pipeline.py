@@ -4,9 +4,9 @@ Page set: full-analysis mode takes every page; design-review mode takes
 the pages whose canonical hash differs from the base plus any explicit
 page override. Per page: select groups, retrieve specs (parallel across
 parts), fan out k reviews per group, combine consensus, cluster errors,
-render comments. The time budget is checked at page boundaries only:
-pages not started by the deadline are skipped and the completed pages'
-comments are still posted.
+render comments. Pages run one after another and the time budget is
+checked before each: pages not started by the deadline are skipped and
+the completed pages' comments are still posted.
 """
 
 from __future__ import annotations
@@ -78,7 +78,6 @@ class RunReport:
 class _PageOutcome:
     page_id: str
     comments: list = field(default_factory=list)
-    progress: list = field(default_factory=list)
     cache_hits: int = 0
     cache_misses: int = 0
 
@@ -115,75 +114,59 @@ def _retrieve_all_specs(page: Page, groups, cfg: RunConfig, gateway: Gateway,
     designator -> DatasheetSpec | None."""
     retrieval_cfg = RetrievalConfig(threshold=cfg.critic_threshold,
                                     max_attempts=cfg.max_attempts)
-    part_for_designator: dict[str, str] = {}
+    part_keys: dict[str, str | None] = {}  # designator -> part key
     parts: dict[str, tuple] = {}  # part key -> (PartRef, schematic_url)
     for group in groups:
+        group_parts = {part.key: part for part in group.parts}
         for designator in group.designators:
             comp = page.component(designator)
-            if not (comp.mpn or comp.ipn):
-                continue
-            for part in group.parts:
-                if part.key == (comp.mpn or comp.ipn):
-                    part_for_designator[designator] = part.key
-                    if part.key not in parts:
-                        parts[part.key] = (part, group.datasheet_urls.get(designator))
-                    break
+            key = part_keys[designator] = comp.mpn or comp.ipn
+            if key and key not in parts:
+                parts[key] = (group_parts[key], group.datasheet_urls.get(designator))
 
-    results: dict[str, object] = {}
+    spec_for_key: dict[str, object] = {}
     if parts:
         def _one(item):
             key, (part, schematic_url) = item
             try:
-                with ctx.span(f"part:{key}", part=key):
+                with ctx.span(f"part:{key}", part=key) as part_ctx:
                     return key, retrieve_spec(
                         part, cfg.libraries, retrieval_cfg, gateway=gateway,
                         cache=cache, fetcher=default_fetcher,
                         schematic_url=schematic_url, flights=flights,
-                        trace=ctx.child(f"part:{key}"))
+                        trace=part_ctx)
             except SchemReviewError as exc:
                 log.warning("datasheet retrieval failed for %s: %s", key, exc)
                 return key, None
 
         with ThreadPoolExecutor(max_workers=min(PART_WORKERS, len(parts))) as pool:
             for key, result in pool.map(_one, sorted(parts.items())):
-                results[key] = result
                 if result is not None:
+                    spec_for_key[key] = result.spec
                     if result.cache_hit:
                         outcome.cache_hits += 1
                     else:
                         outcome.cache_misses += 1
 
-    specs: dict[str, object] = {}
-    for group in groups:
-        for designator in group.designators:
-            key = part_for_designator.get(designator)
-            result = results.get(key) if key else None
-            specs[designator] = result.spec if result is not None else None
-    return specs
+    return {designator: spec_for_key.get(key) for designator, key in part_keys.items()}
 
 
 def _analyze_page(page: Page, cfg: RunConfig, gateway: Gateway, cache: CacheStore,
-                  flights: SingleFlight, root: TraceContext) -> _PageOutcome:
+                  flights: SingleFlight, ctx: TraceContext) -> _PageOutcome:
     outcome = _PageOutcome(page.id)
-    ctx = root.child(f"page:{page.id}", page_id=page.id)
-
     groups = select_groups(page, gateway, trace=ctx)
-    outcome.progress.append(ProgressEvent(page.id, PipelineStage.SELECTED))
-
     specs = _retrieve_all_specs(page, groups, cfg, gateway, cache, flights,
                                 ctx, outcome)
-    outcome.progress.append(ProgressEvent(page.id, PipelineStage.SPECS_READY))
 
     netlist_xml = serialize_page_xml(page)
     analyses = []
     if groups:
         def _review_group(group):
-            gctx = ctx.child(f"group:{group.name}", group=group.name)
             review_ctx = GroupReviewContext(
                 group, netlist_xml,
                 {d: specs.get(d) for d in group.designators},
                 load_checklist(group.name, cfg.checklist_dir))
-            with ctx.span(f"group:{group.name}", group=group.name):
+            with ctx.span(f"group:{group.name}", group=group.name) as gctx:
                 runs, failures = fan_out_reviews(review_ctx, page, cfg.k, gateway,
                                                  trace=gctx)
                 if failures:
@@ -194,15 +177,9 @@ def _analyze_page(page: Page, cfg: RunConfig, gateway: Gateway, cache: CacheStor
         with ThreadPoolExecutor(max_workers=len(groups)) as pool:
             for group_analyses in pool.map(_review_group, groups):
                 analyses.extend(group_analyses)
-    outcome.progress.append(ProgressEvent(page.id, PipelineStage.REVIEWED))
-    outcome.progress.append(ProgressEvent(page.id, PipelineStage.CONSENSUS))
 
-    error_groups = group_errors(analyses, page.nets)
-    outcome.progress.append(ProgressEvent(page.id, PipelineStage.GROUPED))
-
-    for error_group in error_groups:
+    for error_group in group_errors(analyses, page.nets):
         outcome.comments.append(render_comment(error_group, specs, page))
-    outcome.progress.append(ProgressEvent(page.id, PipelineStage.RENDERED))
     return outcome
 
 
@@ -225,33 +202,16 @@ def run_pipeline(cfg: RunConfig, schematic_path) -> RunReport:
     outcomes: list[_PageOutcome] = []
     skipped: list[str] = []
 
-    def _timed_page(page: Page) -> _PageOutcome:
-        start = time.time()
-        t_page = time.perf_counter()
-        outcome = _analyze_page(page, cfg, gateway, cache, flights, root)
-        tracer.record(f"page:{page.id}", f"run/page:{page.id}", start,
-                      time.perf_counter() - t_page, {"page_id": page.id})
-        return outcome
-
-    if cfg.page_parallelism <= 1:
-        for page in pages:
-            if deadline is not None and time.perf_counter() >= deadline:
-                skipped.append(page.id)
-                continue
-            outcomes.append(_timed_page(page))
-    else:
-        with ThreadPoolExecutor(max_workers=cfg.page_parallelism) as pool:
-            futures = []
-            for page in pages:
-                if deadline is not None and time.perf_counter() >= deadline:
-                    skipped.append(page.id)
-                    continue
-                futures.append(pool.submit(_timed_page, page))
-            for future in futures:
-                outcomes.append(future.result())
+    for page in pages:
+        if deadline is not None and time.perf_counter() >= deadline:
+            skipped.append(page.id)
+            continue
+        with root.span(f"page:{page.id}", page_id=page.id) as ctx:
+            outcomes.append(_analyze_page(page, cfg, gateway, cache, flights, ctx))
 
     comments = [c for outcome in outcomes for c in outcome.comments]
-    progress = [e for outcome in outcomes for e in outcome.progress]
+    progress = [ProgressEvent(o.page_id, stage)
+                for o in outcomes for stage in PipelineStage]
     delivery = post_comments(cfg.sink, comments, progress)
 
     totals = gateway.ledger.totals()

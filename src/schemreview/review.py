@@ -269,9 +269,8 @@ def fan_out_reviews(ctx: GroupReviewContext, page: Page, k: int, gateway: Gatewa
     def _one_run(run_index: int) -> RunResult:
         if trace is None:
             return review_group_once(ctx, page, run_index, gateway, None)
-        with trace.span(f"review:{run_index}", run_index=run_index):
-            return review_group_once(ctx, page, run_index, gateway,
-                                     trace.child(f"review:{run_index}"))
+        with trace.span(f"review:{run_index}", run_index=run_index) as run_trace:
+            return review_group_once(ctx, page, run_index, gateway, run_trace)
 
     with ThreadPoolExecutor(max_workers=k) as pool:
         futures = {run_index: pool.submit(_one_run, run_index)

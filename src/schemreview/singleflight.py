@@ -42,7 +42,3 @@ class SingleFlight:
             self._flights.pop(key, None)
         fut.set_result(result)
         return result
-
-    def in_flight(self, key: str) -> bool:
-        with self._lock:
-            return key in self._flights

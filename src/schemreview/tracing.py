@@ -62,13 +62,17 @@ class TraceContext:
 
     @contextmanager
     def span(self, name: str, **attrs):
+        """Time the block as span ``name``; yields the child context that
+        spans opened inside the block record under. The span is recorded
+        even when the block raises."""
+        child = self.child(name, **attrs)
         start = time.time()
         t0 = time.perf_counter()
         try:
-            yield
+            yield child
         finally:
-            self.tracer.record(name, f"{self.path}/{name}", start,
-                               time.perf_counter() - t0, {**self.attrs, **attrs})
+            self.tracer.record(name, child.path, start,
+                               time.perf_counter() - t0, child.attrs)
 
     def record(self, name: str, start: float, duration: float, **attrs) -> None:
         self.tracer.record(name, f"{self.path}/{name}", start, duration,

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from .errors import InferenceFailed
 from .model import GraphicalAnnotation, Component, Net, Page
+from .unionfind import UnionFind
 
 _GRID = 1000
 
@@ -37,24 +38,6 @@ class _Segment:
             return False
         # collinearity via cross product; exact on integer grid keys
         return (x2 - x1) * (py - y1) == (y2 - y1) * (px - x1)
-
-
-class UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, i: int) -> int:
-        root = i
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[i] != root:
-            self.parent[i], i = root, self.parent[i]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
 
 
 def trace_nets(page_id: str, components: tuple[Component, ...],

@@ -3,12 +3,16 @@
 import random
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from helpers import consensus_responder, generate_fixtures
 from schemreview.consensus import (
     Confidence,
     ConsensusFinding,
     Provenance,
+    _Cluster,
+    _collect,
+    _contested_clusters,
     combine_consensus,
 )
 from schemreview.gateway import BackendConfig, Gateway
@@ -20,6 +24,7 @@ from schemreview.review import (
     PinVerdict,
     RunResult,
     VerdictStatus,
+    canonical_pin_key,
 )
 
 
@@ -141,6 +146,91 @@ class TestContradictions:
         pins = [p for _, f in found for p in f.pins]
         assert len(pins) == len(set(pins))
         assert any(f.provenance is Provenance.CONTRADICTION_RESOLVED for _, f in found)
+
+
+def fixpoint_clusters(occurrences, contradicted) -> list[_Cluster]:
+    """Reference: the quadratic fixpoint union that clustering used before
+    it moved onto the shared union-find."""
+    contested = [key for key in occurrences
+                 if any((key[0], pin) in contradicted for pin in key[1])]
+    by_designator: dict = {}
+    for key in contested:
+        by_designator.setdefault(key[0], []).append(key)
+
+    clusters = []
+    for designator, keys in sorted(by_designator.items()):
+        remaining = list(keys)
+        while remaining:
+            pins = set(remaining[0][1])
+            members = [remaining.pop(0)]
+            changed = True
+            while changed:
+                changed = False
+                for key in list(remaining):
+                    if pins & key[1]:
+                        pins |= key[1]
+                        members.append(key)
+                        remaining.remove(key)
+                        changed = True
+            verdicts = []
+            for key in members:
+                verdicts.extend(occurrences[key])
+            verdicts.sort(key=lambda item: (item[0], canonical_pin_key(item[1].pins),
+                                            item[1].status.value))
+            clusters.append(_Cluster(designator, frozenset(pins), tuple(verdicts)))
+    return clusters
+
+
+PINS = ("1", "2", "3", "4", "5")
+
+
+@st.composite
+def review_runs(draw) -> list[RunResult]:
+    """k runs over a few designators; each run splits a random subset of
+    the pins into disjoint keys, so keys overlap and chain across runs."""
+    results = []
+    for run_index in range(draw(st.integers(1, 4))):
+        analyses = []
+        for designator in draw(st.lists(st.sampled_from(("U1", "U2", "R1")),
+                                        unique=True, max_size=3)):
+            labels = draw(st.lists(st.sampled_from((None, 0, 1, 2)),
+                                   min_size=len(PINS), max_size=len(PINS)))
+            keys: dict = {}
+            for pin, label in zip(PINS, labels):
+                if label is not None:
+                    keys.setdefault(label, []).append(pin)
+            verdicts = tuple(
+                PinVerdict(", ".join(draw(st.permutations(pins))),
+                           draw(st.sampled_from(list(VerdictStatus))), "r")
+                for _label, pins in sorted(keys.items()))
+            if verdicts:
+                analyses.append(ComponentAnalysis(designator, verdicts))
+        results.append(RunResult(run_index, tuple(analyses)))
+    return results
+
+
+CHAIN = [  # U1 keys 1-2, 2-3, 3-4 chain into one cluster; R1 stays apart
+    run_result(0, {"U1": [("1, 2", "incorrect", ())], "R1": [("1", "correct", ())]}),
+    run_result(1, {"U1": [("2, 3", "correct", ())], "R1": [("1", "warning", ())]}),
+    run_result(2, {"U1": [("3, 4", "warning", ()), ("5", "correct", ())]}),
+]
+
+
+@given(review_runs())
+@example(CHAIN)
+def test_contested_clusters_match_fixpoint_oracle(results):
+    occurrences, pin_statuses = _collect(results)
+    contradicted = {pin for pin, statuses in pin_statuses.items() if len(statuses) > 1}
+    assert (_contested_clusters(occurrences, contradicted)
+            == fixpoint_clusters(occurrences, contradicted))
+
+
+def test_chained_keys_form_one_cluster():
+    occurrences, pin_statuses = _collect(CHAIN)
+    contradicted = {pin for pin, statuses in pin_statuses.items() if len(statuses) > 1}
+    clusters = _contested_clusters(occurrences, contradicted)
+    assert [(c.designator, sorted(c.pins)) for c in clusters] == [
+        ("R1", ["1"]), ("U1", ["1", "2", "3", "4"])]
 
 
 class TestDegenerateAndInvariants:

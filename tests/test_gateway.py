@@ -15,10 +15,9 @@ from schemreview.gateway import (
     Gateway,
     ModelTier,
     TokenUsage,
-    complete_structured,
+    UsageLedger,
     default_registry,
     fixture_relpath,
-    record_usage,
     repair_payload,
     resolve_model,
     route_tier,
@@ -45,7 +44,7 @@ class TestMockBackend:
         cfg = mock_cfg(tmp_path)
         write_fixture(tmp_path / "fixtures", AgentKind.HEAD_ANALYSIS,
                       "doc-pages", 0, '{"pages": [1, 2]}')
-        resp = complete_structured(cfg, head_request("doc-pages"))
+        resp = Gateway(cfg).complete(head_request("doc-pages"))
         assert resp.value == {"pages": [1, 2]}
         assert resp.attempts == 1
 
@@ -53,7 +52,7 @@ class TestMockBackend:
         cfg = mock_cfg(tmp_path)
         (tmp_path / "fixtures").mkdir()
         with pytest.raises(BackendUnavailable) as exc:
-            complete_structured(cfg, head_request("absent"))
+            Gateway(cfg).complete(head_request("absent"))
         assert fixture_relpath(AgentKind.HEAD_ANALYSIS, "absent", 0) in str(exc.value)
 
     def test_distinct_seeds_hit_distinct_fixtures(self, tmp_path):
@@ -79,7 +78,7 @@ class TestRepairLoop:
             error = str(exc)
         write_fixture(root, AgentKind.HEAD_ANALYSIS,
                       repair_payload(payload, error), 0, '{"pages": [0]}')
-        resp = complete_structured(cfg, head_request(payload))
+        resp = Gateway(cfg).complete(head_request(payload))
         assert resp.value == {"pages": [0]}
         assert resp.attempts == 2
 
@@ -93,7 +92,7 @@ class TestRepairLoop:
             write_fixture(root, AgentKind.HEAD_ANALYSIS, current, 0, bad)
             current = repair_payload(current, "invalid JSON: Expecting value at char 0")
         with pytest.raises(SchemaViolationAfterRetries) as exc:
-            complete_structured(cfg, head_request(payload))
+            Gateway(cfg).complete(head_request(payload))
         assert exc.value.last_raw == bad
 
     def test_post_validate_feeds_repair(self, tmp_path):
@@ -109,20 +108,19 @@ class TestRepairLoop:
         write_fixture(root, AgentKind.HEAD_ANALYSIS,
                       repair_payload(payload, "page 9 is out of range"), 0,
                       '{"pages": [1]}')
-        resp = complete_structured(cfg, head_request(payload), post_validate=reject_page_9)
+        resp = Gateway(cfg).complete(head_request(payload), post_validate=reject_page_9)
         assert resp.value == {"pages": [1]}
 
     def test_unregistered_schema_is_config_error(self, tmp_path):
         cfg = mock_cfg(tmp_path)
         req = AgentRequest(AgentKind.HEAD_ANALYSIS, "s", "p", "nonexistent-schema")
         with pytest.raises(ConfigError):
-            complete_structured(cfg, req)
+            Gateway(cfg).complete(req)
 
 
 class TestTierRouting:
     def test_review_and_combination_agents_are_strong(self):
-        for kind in (AgentKind.GROUP_REVIEW, AgentKind.CONSENSUS,
-                     AgentKind.SELECTION, AgentKind.ERROR_GROUPING):
+        for kind in (AgentKind.GROUP_REVIEW, AgentKind.CONSENSUS, AgentKind.SELECTION):
             assert route_tier(kind) is ModelTier.STRONG
 
     def test_mechanical_agents_are_weak(self):
@@ -141,9 +139,16 @@ class TestTierRouting:
         assert resolve_model(cfg, AgentKind.CONSENSUS) == "big"
 
 
+def ledger_of(responses) -> UsageLedger:
+    ledger = UsageLedger()
+    for kind, resp in responses:
+        ledger.add(kind, resp.usage, resp.latency)
+    return ledger
+
+
 class TestUsageLedger:
     def test_empty_stream_is_all_zero(self):
-        ledger = record_usage([])
+        ledger = UsageLedger()
         assert ledger.totals().tokens_in == 0
         assert ledger.totals().tokens_out == 0
         assert ledger.per_kind() == {}
@@ -153,7 +158,7 @@ class TestUsageLedger:
             (AgentKind.GROUP_REVIEW, AgentResponse({}, TokenUsage(10, 5), 0.1)),
             (AgentKind.GROUP_REVIEW, AgentResponse({}, TokenUsage(7, 3), 0.2)),
         ]
-        ledger = record_usage(responses)
+        ledger = ledger_of(responses)
         entry = ledger.per_kind()[AgentKind.GROUP_REVIEW]
         assert (entry.tokens_in, entry.tokens_out) == (17, 8)
 
@@ -166,7 +171,7 @@ class TestUsageLedger:
             responses.append((kind, AgentResponse(
                 {}, TokenUsage(rng.randint(0, 100), rng.randint(0, 100)),
                 rng.random())))
-        ledger = record_usage(responses)
+        ledger = ledger_of(responses)
         for kind in AgentKind:
             expect_in = sum(r.usage.tokens_in for k, r in responses if k is kind)
             expect_out = sum(r.usage.tokens_out for k, r in responses if k is kind)
@@ -235,7 +240,7 @@ class TestTimeout:
                                 endpoint=f"http://127.0.0.1:{server.server_port}/",
                                 timeout_s=0.1)
             with pytest.raises(BackendTimeout):
-                complete_structured(cfg, head_request("p"))
+                Gateway(cfg).complete(head_request("p"))
         finally:
             server.shutdown()
 
@@ -272,7 +277,7 @@ class TestLiveBackendRecordedExchange:
                 endpoint=f"http://127.0.0.1:{server.server_port}/v1/chat/completions",
                 strong_model="big", weak_model="small",
             )
-            resp = complete_structured(cfg, head_request("payload text", seed=3))
+            resp = Gateway(cfg).complete(head_request("payload text", seed=3))
             assert resp.value == {"pages": [2]}
             assert resp.usage == TokenUsage(11, 7)
             path, headers, body = _CannedHandler.captured[-1]

@@ -11,7 +11,7 @@ from schemreview.demo import generate_fixtures, write_demo_workspace
 from schemreview.errors import ConfigError, InputError
 from schemreview.gateway import BackendConfig
 from schemreview.pipeline import RunStatus, run_pipeline
-from schemreview.reporting import FileSink
+from schemreview.reporting import FileSink, PipelineStage
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +72,19 @@ class TestConfig:
         path = tmp_path / "cfg.json"
         path.write_text('{"version": 2}')
         with pytest.raises(ConfigError):
+            load_config(path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("time_budget_sec", 0.1),  # typo of time_budget_secs
+        ("page_parallelism", 2),  # removed option
+    ])
+    def test_unknown_top_level_key_rejected(self, demo, tmp_path, key, value):
+        work, _ = demo
+        doc = json.loads((work / "config.json").read_text())
+        doc[key] = value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match=key):
             load_config(path)
 
     def test_cli_overrides_win(self, demo):
@@ -143,6 +156,17 @@ class TestTimeBudget:
         pages_in_manifest = {c["page_id"] for c in manifest["comments"]}
         assert pages_in_manifest == {"P1"}
 
+    def test_budget_run_progress_has_six_stages_per_analyzed_page(self, demo):
+        work, paths = demo
+        clean_run_dirs(work)
+        cfg = fresh_cfg(work, time_budget_s=0.2)
+        cfg.backend.mock_delay_s = 0.05
+        report = run_pipeline(cfg, paths["schematic"])
+        assert report.pages_skipped == ["P2", "P3"]
+        events = json.loads((work / "out" / "progress.json").read_text())
+        assert [(e["page_id"], e["stage"]) for e in events] == [
+            ("P1", stage.value) for stage in PipelineStage]
+
     def test_no_budget_never_partial(self, demo):
         work, paths = demo
         clean_run_dirs(work)
@@ -190,6 +214,21 @@ class TestTraces:
             assert len(kind_spans) == entry["calls"]
             assert sum(s["attributes"]["tokens_in"] for s in kind_spans) == entry["tokens_in"]
             assert sum(s["attributes"]["tokens_out"] for s in kind_spans) == entry["tokens_out"]
+
+    def test_agent_spans_inherit_part_and_run_index(self, demo):
+        work, paths = demo
+        clean_run_dirs(work)
+        run_pipeline(fresh_cfg(work), paths["schematic"])
+        spans = [json.loads(line) for line
+                 in (work / "trace.jsonl").read_text().splitlines()]
+        retrieval = [s for s in spans
+                     if s["span"] in ("head_analysis", "extraction", "critic")]
+        reviews = [s for s in spans if s["span"] == "group_review"]
+        assert retrieval and reviews
+        for span in retrieval:
+            assert f"/part:{span['attributes']['part']}/" in span["path"]
+        for span in reviews:
+            assert f"/review:{span['attributes']['run_index']}/" in span["path"]
 
     def test_progress_fractions_nondecreasing_per_page(self, demo):
         work, paths = demo
