@@ -129,17 +129,9 @@ def decode_document(url: str, payload: bytes) -> DatasheetDocument:
     return DatasheetDocument(url, tuple(pages), toc)
 
 
-def fetch(url: str, fetcher=default_fetcher, *, key: str | None = None,
-          flights: SingleFlight | None = None) -> DatasheetDocument:
-    """Download and decode a datasheet. Concurrent calls with the same
-    ``key`` (defaults to the URL; retrieval passes the part number) share
-    a single in-flight fetch; the dedup window closes on completion."""
-    def _do() -> DatasheetDocument:
-        return decode_document(url, fetcher(url))
-
-    if flights is None:
-        return _do()
-    return flights.run(key or url, _do)
+def fetch(url: str, fetcher=default_fetcher) -> DatasheetDocument:
+    """Download and decode a datasheet."""
+    return decode_document(url, fetcher(url))
 
 
 # --- agent stages ---------------------------------------------------------------

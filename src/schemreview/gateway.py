@@ -35,6 +35,12 @@ from .tracing import TraceContext
 
 MAX_REPAIRS = 2
 
+_FAILURE_NAMES = {  # a failed call's span ``error`` attribute
+    SchemaViolationAfterRetries: "schema_violation",
+    BackendUnavailable: "backend_unavailable",
+    BackendTimeout: "backend_timeout",
+}
+
 
 class AgentKind(enum.Enum):
     SELECTION = "selection"
@@ -279,9 +285,10 @@ class LiveHttpBackend:
 class Gateway:
     """Shareable across concurrent agent invocations.
 
-    The live backend is throttled by ``max_in_flight``; the mock needs no
-    throttle. Every completed invocation records exactly one span (when a
-    trace context is given) and one usage ledger entry.
+    The gateway does not throttle: the pipeline bounds concurrent calls,
+    on every backend, by running them on its pool of ``max_in_flight``
+    workers. Every invocation, failed or not, records exactly one span
+    (when a trace context is given) and one usage ledger entry.
     """
 
     def __init__(self, cfg: BackendConfig, registry: SchemaRegistry | None = None):
@@ -290,8 +297,6 @@ class Gateway:
         self.registry = registry or default_registry()
         self.ledger = UsageLedger()
         self._backend = MockBackend(cfg) if cfg.kind == "mock" else LiveHttpBackend(cfg)
-        self._slots = (threading.Semaphore(cfg.max_in_flight)
-                       if cfg.kind == "live-http" else None)
 
     def complete(self, req: AgentRequest, post_validate=None,
                  trace: TraceContext | None = None) -> AgentResponse:
@@ -306,7 +311,7 @@ class Gateway:
         failure: str | None = None
         try:
             for attempts in range(1, MAX_REPAIRS + 2):
-                raw, attempt_usage = self._invoke(req, payload)
+                raw, attempt_usage = self._backend.complete(req, payload)
                 usage += attempt_usage
                 last_raw = raw
                 try:
@@ -330,17 +335,11 @@ class Gateway:
                 f"{req.agent_kind.value}: output failed schema "
                 f"{req.response_schema_id!r} after {attempts} attempts: {failure}",
                 last_raw=last_raw)
-        except SchemaViolationAfterRetries:
+        except tuple(_FAILURE_NAMES) as exc:
             # account for the spent tokens even though the call failed
             failed = AgentResponse(None, usage, time.perf_counter() - t0, attempts)
-            self._account(req, failed, trace, start, error="schema_violation")
+            self._account(req, failed, trace, start, error=_FAILURE_NAMES[type(exc)])
             raise
-
-    def _invoke(self, req: AgentRequest, payload: str) -> tuple[str, TokenUsage]:
-        if self._slots is None:
-            return self._backend.complete(req, payload)
-        with self._slots:
-            return self._backend.complete(req, payload)
 
     def _account(self, req: AgentRequest, resp: AgentResponse,
                  trace: TraceContext | None, start: float, error: str | None = None) -> None:

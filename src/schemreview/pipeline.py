@@ -4,9 +4,12 @@ Page set: full-analysis mode takes every page; design-review mode takes
 the pages whose canonical hash differs from the base plus any explicit
 page override. Per page: select groups, retrieve specs (parallel across
 parts), fan out k reviews per group, combine consensus, cluster errors,
-render comments. Pages run one after another and the time budget is
-checked before each: pages not started by the deadline are skipped and
-the completed pages' comments are still posted.
+render comments. Parts, groups and review runs share the run's one pool
+of ``backend.max_in_flight`` threads, which bounds its threads and its
+concurrent agent calls. Pages run one after another and the time budget
+is checked before each: pages not started by the deadline are skipped
+and the completed pages' comments are still posted. The trace file is
+written even when the run fails.
 """
 
 from __future__ import annotations
@@ -40,9 +43,6 @@ from .singleflight import SingleFlight
 from .tracing import TraceContext, Tracer, emit_traces
 
 log = logging.getLogger(__name__)
-
-PART_WORKERS = 8
-
 
 class RunStatus:
     COMPLETE = "complete"
@@ -109,7 +109,8 @@ def select_page_set(cfg: RunConfig, head: Schematic) -> list[str]:
 
 def _retrieve_all_specs(page: Page, groups, cfg: RunConfig, gateway: Gateway,
                         cache: CacheStore, flights: SingleFlight,
-                        ctx: TraceContext, outcome: _PageOutcome) -> dict:
+                        pool: ThreadPoolExecutor, ctx: TraceContext,
+                        outcome: _PageOutcome) -> dict:
     """Parallel retrieval across the page's unique parts; returns
     designator -> DatasheetSpec | None."""
     retrieval_cfg = RetrievalConfig(threshold=cfg.critic_threshold,
@@ -124,59 +125,56 @@ def _retrieve_all_specs(page: Page, groups, cfg: RunConfig, gateway: Gateway,
             if key and key not in parts:
                 parts[key] = (group_parts[key], group.datasheet_urls.get(designator))
 
-    spec_for_key: dict[str, object] = {}
-    if parts:
-        def _one(item):
-            key, (part, schematic_url) = item
-            try:
-                with ctx.span(f"part:{key}", part=key) as part_ctx:
-                    return key, retrieve_spec(
-                        part, cfg.libraries, retrieval_cfg, gateway=gateway,
-                        cache=cache, fetcher=default_fetcher,
-                        schematic_url=schematic_url, flights=flights,
-                        trace=part_ctx)
-            except SchemReviewError as exc:
-                log.warning("datasheet retrieval failed for %s: %s", key, exc)
-                return key, None
+    def _one(item):
+        key, (part, schematic_url) = item
+        try:
+            with ctx.span(f"part:{key}", part=key) as part_ctx:
+                return key, retrieve_spec(
+                    part, cfg.libraries, retrieval_cfg, gateway=gateway,
+                    cache=cache, fetcher=default_fetcher,
+                    schematic_url=schematic_url, flights=flights,
+                    trace=part_ctx)
+        except SchemReviewError as exc:
+            log.warning("datasheet retrieval failed for %s: %s", key, exc)
+            return key, None
 
-        with ThreadPoolExecutor(max_workers=min(PART_WORKERS, len(parts))) as pool:
-            for key, result in pool.map(_one, sorted(parts.items())):
-                if result is not None:
-                    spec_for_key[key] = result.spec
-                    if result.cache_hit:
-                        outcome.cache_hits += 1
-                    else:
-                        outcome.cache_misses += 1
+    spec_for_key: dict[str, object] = {}
+    for key, result in pool.map(_one, sorted(parts.items())):
+        if result is not None:
+            spec_for_key[key] = result.spec
+            if result.cache_hit:
+                outcome.cache_hits += 1
+            else:
+                outcome.cache_misses += 1
 
     return {designator: spec_for_key.get(key) for designator, key in part_keys.items()}
 
 
 def _analyze_page(page: Page, cfg: RunConfig, gateway: Gateway, cache: CacheStore,
-                  flights: SingleFlight, ctx: TraceContext) -> _PageOutcome:
+                  flights: SingleFlight, pool: ThreadPoolExecutor,
+                  ctx: TraceContext) -> _PageOutcome:
     outcome = _PageOutcome(page.id)
     groups = select_groups(page, gateway, trace=ctx)
     specs = _retrieve_all_specs(page, groups, cfg, gateway, cache, flights,
-                                ctx, outcome)
+                                pool, ctx, outcome)
 
     netlist_xml = serialize_page_xml(page)
-    analyses = []
-    if groups:
-        def _review_group(group):
-            review_ctx = GroupReviewContext(
-                group, netlist_xml,
-                {d: specs.get(d) for d in group.designators},
-                load_checklist(group.name, cfg.checklist_dir))
-            with ctx.span(f"group:{group.name}", group=group.name) as gctx:
-                runs, failures = fan_out_reviews(review_ctx, page, cfg.k, gateway,
-                                                 trace=gctx)
-                if failures:
-                    log.warning("page %s group %r: %d run(s) failed",
-                                page.id, group.name, len(failures))
-                return combine_consensus(runs, review_ctx, gateway, trace=gctx)
 
-        with ThreadPoolExecutor(max_workers=len(groups)) as pool:
-            for group_analyses in pool.map(_review_group, groups):
-                analyses.extend(group_analyses)
+    def _review_group(group):
+        review_ctx = GroupReviewContext(
+            group, netlist_xml,
+            {d: specs.get(d) for d in group.designators},
+            load_checklist(group.name, cfg.checklist_dir))
+        with ctx.span(f"group:{group.name}", group=group.name) as gctx:
+            runs, failures = fan_out_reviews(review_ctx, page, cfg.k, gateway,
+                                             pool, trace=gctx)
+            if failures:
+                log.warning("page %s group %r: %d run(s) failed",
+                            page.id, group.name, len(failures))
+            return combine_consensus(runs, review_ctx, gateway, trace=gctx)
+
+    analyses = [a for group_analyses in pool.map(_review_group, groups)
+                for a in group_analyses]
 
     for error_group in group_errors(analyses, page.nets):
         outcome.comments.append(render_comment(error_group, specs, page))
@@ -189,10 +187,6 @@ def run_pipeline(cfg: RunConfig, schematic_path) -> RunReport:
     t0 = time.perf_counter()
     deadline = t0 + cfg.time_budget_s if cfg.time_budget_s is not None else None
 
-    head = _read_schematic(schematic_path)
-    page_ids = select_page_set(cfg, head)
-    pages = [head.page(pid) for pid in page_ids]
-
     gateway = Gateway(cfg.backend)
     cache = CacheStore(cfg.cache_dir)
     flights = SingleFlight()
@@ -201,28 +195,38 @@ def run_pipeline(cfg: RunConfig, schematic_path) -> RunReport:
 
     outcomes: list[_PageOutcome] = []
     skipped: list[str] = []
+    error: dict = {}  # the root span's ``error`` when the run fails
 
-    for page in pages:
-        if deadline is not None and time.perf_counter() >= deadline:
-            skipped.append(page.id)
-            continue
-        with root.span(f"page:{page.id}", page_id=page.id) as ctx:
-            outcomes.append(_analyze_page(page, cfg, gateway, cache, flights, ctx))
+    try:
+        head = _read_schematic(schematic_path)
+        pages = [head.page(pid) for pid in select_page_set(cfg, head)]
+        with ThreadPoolExecutor(max_workers=cfg.backend.max_in_flight) as pool:
+            for page in pages:
+                if deadline is not None and time.perf_counter() >= deadline:
+                    skipped.append(page.id)
+                    continue
+                with root.span(f"page:{page.id}", page_id=page.id) as ctx:
+                    outcomes.append(_analyze_page(page, cfg, gateway, cache,
+                                                  flights, pool, ctx))
 
-    comments = [c for outcome in outcomes for c in outcome.comments]
-    progress = [ProgressEvent(o.page_id, stage)
-                for o in outcomes for stage in PipelineStage]
-    delivery = post_comments(cfg.sink, comments, progress)
-
-    totals = gateway.ledger.totals()
-    tracer.record("run", "run", run_start, time.perf_counter() - t0, {
-        "pages_analyzed": len(outcomes),
-        "pages_skipped": len(skipped),
-        "tokens_in": totals.tokens_in,
-        "tokens_out": totals.tokens_out,
-    })
-    if cfg.trace_out:
-        emit_traces(tracer.events(), cfg.trace_out)
+        comments = [c for outcome in outcomes for c in outcome.comments]
+        progress = [ProgressEvent(o.page_id, stage)
+                    for o in outcomes for stage in PipelineStage]
+        delivery = post_comments(cfg.sink, comments, progress)
+    except BaseException as exc:
+        error["error"] = type(exc).__name__
+        raise
+    finally:
+        totals = gateway.ledger.totals()
+        tracer.record("run", "run", run_start, time.perf_counter() - t0, {
+            "pages_analyzed": len(outcomes),
+            "pages_skipped": len(skipped),
+            "tokens_in": totals.tokens_in,
+            "tokens_out": totals.tokens_out,
+            **error,
+        })
+        if cfg.trace_out:
+            emit_traces(tracer.events(), cfg.trace_out)
 
     status = RunStatus.PARTIAL if skipped else RunStatus.COMPLETE
     return RunReport(

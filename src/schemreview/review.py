@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import json
 import logging
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -257,10 +257,12 @@ def review_group_once(ctx: GroupReviewContext, page: Page, run_index: int,
 
 
 def fan_out_reviews(ctx: GroupReviewContext, page: Page, k: int, gateway: Gateway,
-                    trace: TraceContext | None = None
+                    pool: Executor, trace: TraceContext | None = None
                     ) -> tuple[list[RunResult], list[RunFailure]]:
-    """k concurrent review runs differing only by seed. Failed runs are
-    recorded; consensus proceeds over the successes."""
+    """k review runs differing only by seed, submitted to ``pool``. Failed
+    runs are recorded; consensus proceeds over the successes. A run still
+    queued when awaited runs in the calling thread instead, so a caller
+    that is itself a task on ``pool`` cannot deadlock it at any size."""
     if k < 1:
         raise ValueError("k must be >= 1")
     results: list[RunResult] = []
@@ -272,16 +274,14 @@ def fan_out_reviews(ctx: GroupReviewContext, page: Page, k: int, gateway: Gatewa
         with trace.span(f"review:{run_index}", run_index=run_index) as run_trace:
             return review_group_once(ctx, page, run_index, gateway, run_trace)
 
-    with ThreadPoolExecutor(max_workers=k) as pool:
-        futures = {run_index: pool.submit(_one_run, run_index)
-                   for run_index in range(k)}
-        for run_index, future in futures.items():
-            try:
-                results.append(future.result())
-            except SchemReviewError as exc:
-                log.warning("review run %d for group %r failed: %s",
-                            run_index, ctx.group.name, exc)
-                failures.append(RunFailure(run_index, str(exc)))
+    futures = [pool.submit(_one_run, run_index) for run_index in range(k)]
+    for run_index, future in enumerate(futures):
+        try:
+            results.append(_one_run(run_index) if future.cancel() else future.result())
+        except SchemReviewError as exc:
+            log.warning("review run %d for group %r failed: %s",
+                        run_index, ctx.group.name, exc)
+            failures.append(RunFailure(run_index, str(exc)))
     if not results:
         raise AllRunsFailed(
             f"all {k} review runs failed for group {ctx.group.name!r}")

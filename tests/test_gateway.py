@@ -22,6 +22,7 @@ from schemreview.gateway import (
     resolve_model,
     route_tier,
 )
+from schemreview.tracing import TraceContext, Tracer
 
 
 def write_fixture(root, kind: AgentKind, payload: str, seed: int, text: str) -> None:
@@ -193,8 +194,6 @@ class TestUsageLedger:
 
 class TestTracing:
     def test_one_span_per_invocation_with_attempt_count(self, tmp_path):
-        from schemreview.tracing import TraceContext, Tracer
-
         cfg = mock_cfg(tmp_path)
         root = tmp_path / "fixtures"
         payload = "doc-pages"
@@ -216,6 +215,34 @@ class TestTracing:
         entry = gw.ledger.per_kind()[AgentKind.HEAD_ANALYSIS]
         assert events[0].attributes["tokens_in"] == entry.tokens_in
 
+    def test_mock_miss_recorded_as_one_failed_call(self, tmp_path):
+        tracer = Tracer()
+        gw = Gateway(mock_cfg(tmp_path))
+        with pytest.raises(BackendUnavailable):
+            gw.complete(head_request("absent"), trace=TraceContext(tracer, "run"))
+        entry = gw.ledger.per_kind()[AgentKind.HEAD_ANALYSIS]
+        assert entry.calls == 1
+        assert (entry.tokens_in, entry.tokens_out) == (0, 0)
+        [event] = tracer.events()
+        assert event.span_name == "head_analysis"
+        assert event.attributes["error"] == "backend_unavailable"
+
+    def test_miss_after_repair_keeps_earlier_tokens(self, tmp_path):
+        payload = "doc-pages"
+        bad = '{"pages": "bad"}'
+        write_fixture(tmp_path / "fixtures", AgentKind.HEAD_ANALYSIS, payload, 0, bad)
+        tracer = Tracer()
+        gw = Gateway(mock_cfg(tmp_path))
+        with pytest.raises(BackendUnavailable):  # the repair prompt has no fixture
+            gw.complete(head_request(payload), trace=TraceContext(tracer, "run"))
+        entry = gw.ledger.per_kind()[AgentKind.HEAD_ANALYSIS]
+        assert entry.calls == 1
+        assert (entry.tokens_in, entry.tokens_out) == (len(payload) // 4, len(bad) // 4)
+        [event] = tracer.events()
+        assert event.attributes["attempt"] == 2
+        assert event.attributes["tokens_in"] == entry.tokens_in
+        assert event.attributes["error"] == "backend_unavailable"
+
 
 class TestTimeout:
     def test_slow_backend_times_out(self):
@@ -232,17 +259,21 @@ class TestTimeout:
                 pass
 
         from schemreview.errors import BackendTimeout
-
         server = HTTPServer(("127.0.0.1", 0), SlowHandler)
         threading.Thread(target=server.serve_forever, daemon=True).start()
         try:
             cfg = BackendConfig(kind="live-http",
                                 endpoint=f"http://127.0.0.1:{server.server_port}/",
                                 timeout_s=0.1)
+            tracer = Tracer()
+            gw = Gateway(cfg)
             with pytest.raises(BackendTimeout):
-                Gateway(cfg).complete(head_request("p"))
+                gw.complete(head_request("p"), trace=TraceContext(tracer, "run"))
         finally:
             server.shutdown()
+        assert gw.ledger.per_kind()[AgentKind.HEAD_ANALYSIS].calls == 1
+        [event] = tracer.events()
+        assert event.attributes["error"] == "backend_timeout"
 
 
 class _CannedHandler(BaseHTTPRequestHandler):

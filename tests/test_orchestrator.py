@@ -2,14 +2,17 @@
 
 import json
 import shutil
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from schemreview import pipeline
 from schemreview.cli import main
 from schemreview.config import Mode, RunConfig, apply_cli_overrides, load_config
 from schemreview.demo import generate_fixtures, write_demo_workspace
-from schemreview.errors import ConfigError, InputError
-from schemreview.gateway import BackendConfig
+from schemreview.errors import BackendUnavailable, ConfigError, InputError
+from schemreview.gateway import BackendConfig, MockBackend
 from schemreview.pipeline import RunStatus, run_pipeline
 from schemreview.reporting import FileSink, PipelineStage
 
@@ -40,6 +43,27 @@ def fresh_cfg(work, **overrides) -> RunConfig:
 def clean_run_dirs(work):
     shutil.rmtree(work / "cache", ignore_errors=True)
     shutil.rmtree(work / "out", ignore_errors=True)
+
+
+def read_spans(path) -> list[dict]:
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+def copy_fixtures(paths, tmp_path):
+    """A private copy of the demo's fixtures, safe to delete from."""
+    root = tmp_path / "fixtures"
+    shutil.copytree(paths["fixtures"], root)
+    return root
+
+
+def assert_ledger_matches_trace(report, spans):
+    agent_spans = [s for s in spans
+                   if s["span"] in report.usage and "tokens_in" in s["attributes"]]
+    for kind, entry in report.usage.items():
+        kind_spans = [s for s in agent_spans if s["span"] == kind]
+        assert len(kind_spans) == entry["calls"]
+        assert sum(s["attributes"]["tokens_in"] for s in kind_spans) == entry["tokens_in"]
+        assert sum(s["attributes"]["tokens_out"] for s in kind_spans) == entry["tokens_out"]
 
 
 class TestConfig:
@@ -205,15 +229,46 @@ class TestTraces:
         work, paths = demo
         clean_run_dirs(work)
         report = run_pipeline(fresh_cfg(work), paths["schematic"])
-        spans = [json.loads(line) for line
-                 in (work / "trace.jsonl").read_text().splitlines()]
-        agent_spans = [s for s in spans
-                       if s["span"] in report.usage and "tokens_in" in s["attributes"]]
-        for kind, entry in report.usage.items():
-            kind_spans = [s for s in agent_spans if s["span"] == kind]
-            assert len(kind_spans) == entry["calls"]
-            assert sum(s["attributes"]["tokens_in"] for s in kind_spans) == entry["tokens_in"]
-            assert sum(s["attributes"]["tokens_out"] for s in kind_spans) == entry["tokens_out"]
+        assert_ledger_matches_trace(report, read_spans(work / "trace.jsonl"))
+
+    def test_ledger_matches_trace_with_a_failed_call(self, demo, tmp_path):
+        work, paths = demo
+        clean_run_dirs(work)
+        fixtures = copy_fixtures(paths, tmp_path)
+        # drop P1's "U1 network" review fixtures for seed 1 (earlier
+        # generation rounds left more than one payload for that group)
+        dropped = 0
+        for req in (fixtures / "group_review").glob("*-1.req"):
+            group = json.loads(req.read_text())["group"]
+            if group["name"] == "U1 network":
+                req.with_suffix(".resp").unlink()
+                dropped += 1
+        assert dropped
+        cfg = fresh_cfg(work, trace_out=str(tmp_path / "trace.jsonl"))
+        cfg.backend.fixture_path = str(fixtures)
+        report = run_pipeline(cfg, paths["schematic"])
+        assert report.status == RunStatus.COMPLETE
+        spans = read_spans(tmp_path / "trace.jsonl")
+        failed = [s for s in spans if "error" in s["attributes"]]
+        assert [(s["span"], s["attributes"]["error"], s["attributes"]["run_index"])
+                for s in failed] == [("group_review", "backend_unavailable", 1)]
+        assert_ledger_matches_trace(report, spans)
+
+    def test_failed_run_still_writes_trace(self, demo, tmp_path):
+        work, paths = demo
+        clean_run_dirs(work)
+        fixtures = copy_fixtures(paths, tmp_path)
+        for resp in (fixtures / "selection").glob("*.resp"):
+            resp.unlink()
+        cfg = fresh_cfg(work, trace_out=str(tmp_path / "trace.jsonl"))
+        cfg.backend.fixture_path = str(fixtures)
+        with pytest.raises(BackendUnavailable):
+            run_pipeline(cfg, paths["schematic"])
+        spans = read_spans(tmp_path / "trace.jsonl")
+        [root] = [s for s in spans if s["path"] == "run"]
+        assert root["attributes"]["error"] == "BackendUnavailable"
+        assert [s["attributes"]["error"] for s in spans if s["span"] == "selection"] == [
+            "backend_unavailable"]
 
     def test_agent_spans_inherit_part_and_run_index(self, demo):
         work, paths = demo
@@ -252,6 +307,96 @@ class TestTraces:
         spans = [json.loads(line) for line
                  in (tmp_path / "trace.jsonl").read_text().splitlines()]
         assert [s["path"] for s in spans] == ["run"]
+
+
+def out_bytes(work) -> dict:
+    out = work / "out"
+    return {str(p.relative_to(out)): p.read_bytes()
+            for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+def span_sequence(path) -> list:
+    return [(s["span"], s["path"], s["attributes"]) for s in read_spans(path)]
+
+
+def run_or_fail(cfg, schematic, monkeypatch, timeout_s=60.0):
+    """run_pipeline in a daemon thread, so that a deadlocked pool fails
+    the test instead of hanging the suite. On a timeout the run's pool is
+    shut down with its queued work cancelled, which frees workers blocked
+    on that work and lets the interpreter exit."""
+    pools = []
+
+    class RecordedPool(ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            pools.append(self)
+
+    monkeypatch.setattr(pipeline, "ThreadPoolExecutor", RecordedPool)
+    box = {}
+
+    def target():
+        try:
+            box["report"] = run_pipeline(cfg, schematic)
+        except BaseException as exc:
+            box["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout_s)
+    if thread.is_alive():
+        for pool in pools:
+            pool.shutdown(wait=False, cancel_futures=True)
+        pytest.fail(f"run did not finish within {timeout_s} s")
+    if "error" in box:
+        raise box["error"]
+    return box["report"]
+
+
+class TestWorkerPool:
+    @pytest.mark.parametrize("mode", ["full-analysis", "design-review"])
+    @pytest.mark.parametrize("max_in_flight", [1, 2])
+    def test_pool_size_does_not_change_results(self, demo, monkeypatch, mode,
+                                               max_in_flight):
+        work, paths = demo
+        overrides = ({"mode": Mode.DESIGN_REVIEW, "base_schematic": str(paths["base"])}
+                     if mode == "design-review" else {})
+        clean_run_dirs(work)
+        run_or_fail(fresh_cfg(work, **overrides), paths["schematic"], monkeypatch)
+        expected = out_bytes(work), span_sequence(work / "trace.jsonl")
+
+        clean_run_dirs(work)
+        cfg = fresh_cfg(work, **overrides)
+        cfg.backend.max_in_flight = max_in_flight
+        run_or_fail(cfg, paths["schematic"], monkeypatch)
+        assert (out_bytes(work), span_sequence(work / "trace.jsonl")) == expected
+
+    def test_max_in_flight_bounds_calls_and_threads(self, demo, monkeypatch):
+        work, paths = demo
+        clean_run_dirs(work)
+        cfg = fresh_cfg(work)
+        cfg.backend.mock_delay_s = 0.02
+        cfg.backend.max_in_flight = 2
+        lock = threading.Lock()
+        in_flight = peak = peak_threads = 0
+        original = MockBackend.complete
+
+        def counted(self, req, payload):
+            nonlocal in_flight, peak, peak_threads
+            with lock:
+                in_flight += 1
+                peak = max(peak, in_flight)
+                peak_threads = max(peak_threads, threading.active_count())
+            try:
+                return original(self, req, payload)
+            finally:
+                with lock:
+                    in_flight -= 1
+
+        monkeypatch.setattr(MockBackend, "complete", counted)
+        threads_before = threading.active_count()
+        run_pipeline(cfg, paths["schematic"])
+        assert peak == 2
+        assert peak_threads <= threads_before + 2
 
 
 class TestCli:

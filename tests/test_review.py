@@ -2,6 +2,7 @@
 
 import json
 import logging
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -45,6 +46,12 @@ def swapped_pin_response() -> str:
              "referenced_nets": ["REG_OUT"]},
         ]},
     ]})
+
+
+@pytest.fixture
+def pool():
+    with ThreadPoolExecutor(max_workers=2) as executor:
+        yield executor
 
 
 def script_review(tmp_path, ctx, seed, response_text):
@@ -119,36 +126,55 @@ class TestReviewGroupOnce:
 
 
 class TestFanOut:
-    def test_k_runs_with_distinct_indices(self, tmp_path):
+    def test_k_runs_with_distinct_indices(self, tmp_path, pool):
         page = regulator_page()
         ctx = make_ctx(page, with_spec_for=("U1", "R1"))
         for seed in range(3):
             script_review(tmp_path, ctx, seed, swapped_pin_response())
-        results, failures = fan_out_reviews(ctx, page, 3, make_gateway(tmp_path))
+        results, failures = fan_out_reviews(ctx, page, 3, make_gateway(tmp_path), pool)
         assert sorted(r.run_index for r in results) == [0, 1, 2]
         assert failures == []
 
-    def test_single_failed_run_tolerated(self, tmp_path, caplog):
+    def test_single_failed_run_tolerated(self, tmp_path, pool, caplog):
         page = regulator_page()
         ctx = make_ctx(page, with_spec_for=("U1", "R1"))
         for seed in (0, 2):  # seed 1 has no fixture and will fail
             script_review(tmp_path, ctx, seed, swapped_pin_response())
         with caplog.at_level(logging.WARNING):
-            results, failures = fan_out_reviews(ctx, page, 3, make_gateway(tmp_path))
+            results, failures = fan_out_reviews(ctx, page, 3, make_gateway(tmp_path),
+                                                pool)
         assert sorted(r.run_index for r in results) == [0, 2]
         assert [f.run_index for f in failures] == [1]
 
-    def test_all_runs_failed_raises(self, tmp_path):
+    def test_all_runs_failed_raises(self, tmp_path, pool):
         page = regulator_page()
         ctx = make_ctx(page, with_spec_for=("U1", "R1"))
         with pytest.raises(AllRunsFailed):
-            fan_out_reviews(ctx, page, 2, make_gateway(tmp_path))
+            fan_out_reviews(ctx, page, 2, make_gateway(tmp_path), pool)
 
-    def test_k_must_be_positive(self, tmp_path):
+    def test_k_must_be_positive(self, tmp_path, pool):
         page = regulator_page()
         ctx = make_ctx(page)
         with pytest.raises(ValueError):
-            fan_out_reviews(ctx, page, 0, make_gateway(tmp_path))
+            fan_out_reviews(ctx, page, 0, make_gateway(tmp_path), pool)
+
+    def test_task_on_one_worker_pool_gets_all_runs(self, tmp_path):
+        # the only worker runs the caller, so the k runs it submits can
+        # only complete if the caller takes them back
+        page = regulator_page()
+        ctx = make_ctx(page, with_spec_for=("U1", "R1"))
+        for seed in range(3):
+            script_review(tmp_path, ctx, seed, swapped_pin_response())
+        single = ThreadPoolExecutor(max_workers=1)
+        try:
+            task = single.submit(fan_out_reviews, ctx, page, 3,
+                                 make_gateway(tmp_path), single)
+            results, failures = task.result(timeout=10)
+        finally:
+            # on a deadlock, cancelling the queued runs frees the worker
+            single.shutdown(wait=False, cancel_futures=True)
+        assert sorted(r.run_index for r in results) == [0, 1, 2]
+        assert failures == []
 
 
 def test_checklist_loading_prefers_group_kind():
