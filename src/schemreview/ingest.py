@@ -12,6 +12,7 @@ Format is detected from the content signature unless a hint is given.
 
 from __future__ import annotations
 
+import functools
 import json
 from importlib import resources
 
@@ -38,12 +39,17 @@ _HINTS = {
 }
 
 
-def _load_schema() -> dict:
+@functools.cache
+def _document_validator():
+    """The shipped document schema, checked on first use, as a reusable
+    validator (checking it costs about as much as validating a small
+    document, so it is not repeated per document)."""
     text = resources.files("schemreview.schemas").joinpath(
         "structured_pages.schema.json").read_text()
-    return json.loads(text)
-
-_DOCUMENT_SCHEMA = _load_schema()
+    schema = json.loads(text)
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
 
 
 def detect_format(text: str) -> SourceFormat:
@@ -91,11 +97,11 @@ def _ingest_structured(text: str, fmt: SourceFormat) -> Schematic:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MalformedInput(f"invalid JSON: {exc.msg}", exc.pos) from exc
-    try:
-        jsonschema.validate(doc, _DOCUMENT_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise MalformedInput(f"document schema violation at {path}: {exc.message}") from exc
+    # the error jsonschema.validate would raise, without re-checking the schema
+    error = jsonschema.exceptions.best_match(_document_validator().iter_errors(doc))
+    if error is not None:
+        path = "/".join(str(p) for p in error.absolute_path) or "<root>"
+        raise MalformedInput(f"document schema violation at {path}: {error.message}") from error
 
     declared = doc.get("format")
     if declared == "de-hdl":

@@ -180,8 +180,13 @@ def parse_kicad_page(text: str) -> Page:
         xys = list(_forms(pts, "xy"))
         if len(xys) < 2:
             raise MalformedInput("wire needs at least two (xy ...) points")
+        if any(len(p) < 3 for p in xys):
+            raise MalformedInput("(xy ...) in wire needs x y")
         coords = [(_num(p[1], "wire"), _num(p[2], "wire")) for p in xys]
         for (x1, y1), (x2, y2) in zip(coords, coords[1:]):
+            if x1 != x2 and y1 != y2:
+                raise MalformedInput(f"wire from ({x1:g} {y1:g}) to ({x2:g} {y2:g}) "
+                                     "is neither horizontal nor vertical")
             annotations.append(GraphicalAnnotation(
                 text="",
                 bbox=BBox(min(x1, x2), min(y1, y2), abs(x2 - x1), abs(y2 - y1)),

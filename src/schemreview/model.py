@@ -69,9 +69,11 @@ def union_bboxes(boxes: list[BBox]) -> BBox | None:
 class GraphicalAnnotation:
     """Page graphics relevant to connectivity inference.
 
-    kind "label" carries a net name in ``text``; "wire" is an orthogonal
-    segment whose endpoints are the bbox corners (x, y) and (x2, y2);
-    "junction" is a point (zero-extent bbox); "text" is free annotation.
+    kind "label" carries a net name in ``text``; "wire" is a horizontal or
+    vertical segment whose endpoints are the bbox corners (x, y) and
+    (x2, y2), so its bbox has zero width or zero height (ValueError
+    otherwise); "junction" is a point (zero-extent bbox); "text" is free
+    annotation.
     """
 
     text: str
@@ -83,6 +85,8 @@ class GraphicalAnnotation:
     def __post_init__(self):
         if self.kind not in self._KINDS:
             raise ValueError(f"unknown annotation kind {self.kind!r}")
+        if self.kind == "wire" and self.bbox.w > 0 and self.bbox.h > 0:
+            raise ValueError(f"wire {self.bbox} is neither horizontal nor vertical")
 
 
 @dataclass(frozen=True)

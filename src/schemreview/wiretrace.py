@@ -9,11 +9,21 @@ clusters get fallback names ``N$<counter>`` in deterministic scan order
 
 Coordinates are snapped to a 1/1000-unit grid before comparison, so
 inputs only need to agree to three decimals.
+
+Wires are horizontal or vertical (``GraphicalAnnotation`` rejects any
+other), so a point lies on a wire exactly when it sits on the wire's row
+or column within its span. The tracer indexes the points it asks about
+(wire endpoints, junctions, label anchors, pin coordinates) by row and
+by column, bisects each wire's span on its own row or column, and
+derives unions, label and pin attachment and dangling endpoints from the
+resulting point -> wires incidence map. With S wires and P points that
+costs O((S + P) log P + I), where I is the number of (point, wire)
+incidences found, instead of testing every point against every wire.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
 
 from .errors import InferenceFailed
 from .model import GraphicalAnnotation, Component, Net, Page
@@ -21,41 +31,54 @@ from .unionfind import UnionFind
 
 _GRID = 1000
 
+Point = tuple[int, int]
 
-def _key(x: float, y: float) -> tuple[int, int]:
+
+def _key(x: float, y: float) -> Point:
     return (round(x * _GRID), round(y * _GRID))
 
 
-@dataclass
-class _Segment:
-    p1: tuple[int, int]
-    p2: tuple[int, int]
-
-    def contains(self, pt: tuple[int, int]) -> bool:
-        (x1, y1), (x2, y2) = self.p1, self.p2
-        px, py = pt
-        if not (min(x1, x2) <= px <= max(x1, x2) and min(y1, y2) <= py <= max(y1, y2)):
-            return False
-        # collinearity via cross product; exact on integer grid keys
-        return (x2 - x1) * (py - y1) == (y2 - y1) * (px - x1)
+def _incidence(segments: list[tuple[Point, Point]],
+               points: set[Point]) -> dict[Point, list[int]]:
+    """Point -> ascending indices of the segments it lies on, for every
+    point of ``points`` that lies on at least one. Segment endpoints must
+    be among ``points``."""
+    rows: dict[int, list[int]] = {}
+    cols: dict[int, list[int]] = {}
+    for x, y in points:
+        rows.setdefault(y, []).append(x)
+        cols.setdefault(x, []).append(y)
+    for line in (*rows.values(), *cols.values()):
+        line.sort()
+    on: dict[Point, list[int]] = {}
+    for i, ((x1, y1), (x2, y2)) in enumerate(segments):
+        if y1 == y2:  # horizontal, or a single point
+            xs = rows[y1]
+            for x in xs[bisect_left(xs, x1):bisect_right(xs, x2)]:
+                on.setdefault((x, y1), []).append(i)
+        else:
+            ys = cols[x1]
+            for y in ys[bisect_left(ys, y1):bisect_right(ys, y2)]:
+                on.setdefault((x1, y), []).append(i)
+    return on
 
 
 def trace_nets(page_id: str, components: tuple[Component, ...],
                annotations: tuple[GraphicalAnnotation, ...]) -> list[Net]:
     """Infer nets for one page; raises InferenceFailed on dangling endpoints."""
-    segments: list[_Segment] = []
-    junctions: list[tuple[int, int]] = []
-    labels: list[tuple[str, tuple[int, int]]] = []
+    segments: list[tuple[Point, Point]] = []
+    junctions: set[Point] = set()
+    labels: list[tuple[str, Point]] = []
     for ann in annotations:
         b = ann.bbox
         if ann.kind == "wire":
-            segments.append(_Segment(_key(b.x, b.y), _key(b.x2, b.y2)))
+            segments.append((_key(b.x, b.y), _key(b.x2, b.y2)))
         elif ann.kind == "junction":
-            junctions.append(_key(b.x, b.y))
+            junctions.add(_key(b.x, b.y))
         elif ann.kind == "label":
             labels.append((ann.text, _key(b.x, b.y)))
 
-    pins: list[tuple[str, str, tuple[int, int]]] = []
+    pins: list[tuple[str, str, Point]] = []
     for comp in components:
         for pin in comp.pins:
             if pin.x is not None and pin.y is not None:
@@ -64,59 +87,43 @@ def trace_nets(page_id: str, components: tuple[Component, ...],
     if not segments:
         return []
 
+    endpoints = {pt for seg in segments for pt in seg}
+    label_points = {pt for _, pt in labels}
+    pin_points = {pt for _, _, pt in pins}
+    on = _incidence(segments, endpoints | junctions | label_points | pin_points)
+
     # Wires connect where an endpoint of one lies anywhere on another
     # (shared endpoints and T-joints alike) and wherever a junction dot
     # touches both. Mid-segment crossings without a junction stay apart.
+    joins = endpoints | junctions
     uf = UnionFind(len(segments))
-    for i, seg in enumerate(segments):
-        for pt in (seg.p1, seg.p2):
-            for j, other in enumerate(segments):
-                if i != j and other.contains(pt):
-                    uf.union(i, j)
-    for pt in junctions:
-        touching = [i for i, s in enumerate(segments) if s.contains(pt)]
-        for i in touching[1:]:
-            uf.union(touching[0], i)
+    for pt, listed in on.items():
+        if pt in joins:
+            for i in listed[1:]:
+                uf.union(listed[0], i)
 
+    # labels and pins attach to the first segment they lie on
     cluster_names: dict[int, set[str]] = {}
     for name, pt in labels:
-        for i, seg in enumerate(segments):
-            if seg.contains(pt):
-                cluster_names.setdefault(uf.find(i), set()).add(name)
-                break
+        if pt in on:
+            cluster_names.setdefault(uf.find(on[pt][0]), set()).add(name)
 
     cluster_nodes: dict[int, set[tuple[str, str]]] = {}
-    pin_points = set()
     for comp_des, pin_des, pt in pins:
-        for i, seg in enumerate(segments):
-            if seg.contains(pt):
-                cluster_nodes.setdefault(uf.find(i), set()).add((comp_des, pin_des))
-                pin_points.add(pt)
-                break
+        if pt in on:
+            cluster_nodes.setdefault(uf.find(on[pt][0]), set()).add((comp_des, pin_des))
 
-    label_points = {pt for _, pt in labels}
-    junction_points = set(junctions)
-    dangling: list[tuple[float, float]] = []
-    seen_pts: set[tuple[int, int]] = set()
-    for i, seg in enumerate(segments):
-        for pt in (seg.p1, seg.p2):
-            if pt in seen_pts:
-                continue
-            seen_pts.add(pt)
-            if pt in pin_points or pt in label_points or pt in junction_points:
-                continue
-            if any(j != i and other.contains(pt) for j, other in enumerate(segments)):
-                continue
-            dangling.append((pt[0] / _GRID, pt[1] / _GRID))
+    terminals = pin_points | label_points | junctions
+    dangling = sorted((x / _GRID, y / _GRID) for x, y in endpoints
+                      if (x, y) not in terminals and len(on[(x, y)]) < 2)
     if dangling:
-        dangling.sort()
         raise InferenceFailed(page_id, dangling)
 
     # deterministic scan order: clusters sorted by their minimal endpoint
-    cluster_min: dict[int, tuple[int, int]] = {}
+    cluster_min: dict[int, Point] = {}
     for i, seg in enumerate(segments):
         root = uf.find(i)
-        low = min(seg.p1, seg.p2)
+        low = min(seg)
         if root not in cluster_min or low < cluster_min[root]:
             cluster_min[root] = low
 

@@ -1,9 +1,12 @@
 """Ingestion: format detection and structured-document decoding."""
 
 import json
+from pathlib import Path
 
+import jsonschema
 import pytest
 
+import schemreview
 from schemreview.errors import MalformedInput, UnknownFormat
 from schemreview.ingest import ingest_schematic
 from schemreview.model import Net, SourceFormat
@@ -89,6 +92,29 @@ def test_schema_violation_is_malformed_input():
     bad = {"version": 1, "pages": [{"id": "P1"}]}  # missing components
     with pytest.raises(MalformedInput, match="components"):
         ingest_schematic(doc_bytes(bad))
+
+
+def test_schema_violation_message_is_the_best_match():
+    # several violations at once: the message must name the error that
+    # jsonschema.validate itself would raise
+    bad = {"version": 2, "pages": [{"id": 7, "components": [{"pins": "x"}]}],
+           "extra": True}
+    schema = json.loads((Path(schemreview.__file__).parent / "schemas"
+                         / "structured_pages.schema.json").read_text())
+    with pytest.raises(jsonschema.ValidationError) as expected:
+        jsonschema.validate(bad, schema)
+    path = "/".join(str(p) for p in expected.value.absolute_path) or "<root>"
+    with pytest.raises(MalformedInput) as exc:
+        ingest_schematic(doc_bytes(bad), format_hint="structured-pages")
+    assert str(exc.value) == f"document schema violation at {path}: {expected.value.message}"
+
+
+def test_diagonal_wire_is_malformed_input():
+    doc = json.loads(json.dumps(BASIC_DOC))
+    doc["pages"][0]["annotations"] = [
+        {"kind": "wire", "text": "", "bbox": {"x": 0, "y": 0, "w": 10, "h": 10}}]
+    with pytest.raises(MalformedInput, match="neither horizontal nor vertical"):
+        ingest_schematic(doc_bytes(doc))
 
 
 def test_duplicate_designator_is_malformed_input():

@@ -92,6 +92,37 @@ def test_dangling_endpoint_raises_inference_failed():
     assert (10.0, 0.0) in exc.value.points
 
 
+def test_diagonal_wire_rejected_with_its_points():
+    # drawn between pins at (0, 10) and (10, 0); its bbox corners (0, 0)
+    # and (10, 10) lie on no drawn wire
+    text = """
+(kicad_sch
+  (symbol (property "Reference" "R1") (pin (number "1") (at 0 10)))
+  (symbol (property "Reference" "R2") (pin (number "1") (at 10 0)))
+  (wire (pts (xy 0 10) (xy 10 0)))
+)
+"""
+    with pytest.raises(MalformedInput) as exc:
+        parse_kicad_page(text)
+    assert str(exc.value) == "wire from (0 10) to (10 0) is neither horizontal nor vertical"
+
+
+def test_polyline_wire_splits_into_orthogonal_segments():
+    text = """
+(kicad_sch
+  (symbol (property "Reference" "R1") (pin (number "1") (at 0 10)))
+  (symbol (property "Reference" "R2") (pin (number "1") (at 10 0)))
+  (wire (pts (xy 0 10) (xy 0 0) (xy 10 0)))
+)
+"""
+    assert parse_kicad_page(text).nets == (Net("N$1", (("R1", "1"), ("R2", "1"))),)
+
+
+def test_wire_point_without_y_rejected():
+    with pytest.raises(MalformedInput, match="needs x y"):
+        parse_kicad_page("(kicad_sch (wire (pts (xy 1) (xy 2 3))))")
+
+
 def test_symbol_without_reference_rejected():
     with pytest.raises(MalformedInput):
         parse_kicad_page('(kicad_sch (symbol (pin (number "1"))))')

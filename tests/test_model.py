@@ -54,6 +54,15 @@ def test_annotation_kind_checked():
         GraphicalAnnotation("x", BBox(0, 0, 1, 1), kind="squiggle")
 
 
+def test_wire_must_be_horizontal_or_vertical():
+    with pytest.raises(ValueError, match="neither horizontal nor vertical"):
+        GraphicalAnnotation("", BBox(0, 0, 10, 10), kind="wire")
+    for bbox in (BBox(0, 0, 10, 0), BBox(0, 0, 0, 10), BBox(3, 3, 0, 0)):
+        assert GraphicalAnnotation("", bbox, kind="wire").bbox == bbox
+    # only wires are segments; other kinds may span an area
+    GraphicalAnnotation("PSU", BBox(0, 0, 5, 2), kind="label")
+
+
 def test_lists_coerced_to_tuples():
     page = Page("P1", components=[Component("U1", pins=[Pin("1")])])
     assert isinstance(page.components, tuple)
