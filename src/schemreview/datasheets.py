@@ -238,7 +238,13 @@ def retrieve_spec(part: PartRef, libraries: list[LibrarySource],
         cache.put(CacheEntry((part.key, url), spec, score, stored_at=cache.now()))
         return RetrievalResult(spec, score, cache_hit=False, attempts=attempts)
 
-    result = flights.run(part.key, _run)
+    try:
+        result = flights.run(part.key, _run)
+    except SchemReviewError as exc:
+        if trace is not None:
+            trace.record("retrieve", start, time.perf_counter() - t0,
+                         part=part.key, error=type(exc).__name__)
+        raise
     if trace is not None:
         trace.record("retrieve", start, time.perf_counter() - t0,
                      part=part.key, cache_hit=result.cache_hit,

@@ -23,14 +23,13 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-import jsonschema
-
 from .errors import (
     BackendTimeout,
     BackendUnavailable,
     ConfigError,
     SchemaViolationAfterRetries,
 )
+from .schemacheck import Check, compile_schema
 from .tracing import TraceContext
 
 MAX_REPAIRS = 2
@@ -148,8 +147,12 @@ class SchemaViolation(ValueError):
 
 
 class SchemaRegistry:
+    """Schemas by id, each compiled once into a check. A rejected value's
+    error is worded by jsonschema, as ``sorted(iter_errors, key=str)[0]``."""
+
     def __init__(self):
-        self._schemas: dict[str, dict] = {}
+        self._schemas: dict[str, tuple[dict, Check]] = {}
+        self._validators: dict[str, object] = {}  # jsonschema, built on first failure
 
     @classmethod
     def bundled(cls) -> "SchemaRegistry":
@@ -160,22 +163,31 @@ class SchemaRegistry:
         return reg
 
     def register(self, schema_id: str, schema: dict) -> None:
-        self._schemas[schema_id] = schema
+        self._schemas[schema_id] = (schema, compile_schema(schema))
+        self._validators.pop(schema_id, None)
 
     def __contains__(self, schema_id: str) -> bool:
         return schema_id in self._schemas
 
     def validate(self, schema_id: str, value) -> None:
         try:
-            schema = self._schemas[schema_id]
+            schema, valid = self._schemas[schema_id]
         except KeyError:
             raise ConfigError(f"schema {schema_id!r} is not registered") from None
-        validator = jsonschema.Draft202012Validator(schema)
+        if valid(value):
+            return
+        validator = self._validators.get(schema_id)
+        if validator is None:
+            import jsonschema
+
+            validator = self._validators[schema_id] = jsonschema.Draft202012Validator(schema)
         errors = sorted(validator.iter_errors(value), key=str)
-        if errors:
-            err = errors[0]
-            where = "/".join(str(p) for p in err.absolute_path) or "<root>"
-            raise SchemaViolation(f"{where}: {err.message}")
+        if not errors:
+            raise RuntimeError(f"schema {schema_id!r}: the compiled check rejected a "
+                               "value that jsonschema accepts")
+        err = errors[0]
+        where = "/".join(str(p) for p in err.absolute_path) or "<root>"
+        raise SchemaViolation(f"{where}: {err.message}")
 
 
 _DEFAULT_REGISTRY: SchemaRegistry | None = None

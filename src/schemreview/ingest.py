@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from importlib import resources
-
-import jsonschema
 
 from .errors import MalformedInput, UnknownFormat
 from .kicad import parse_kicad_page
@@ -30,6 +29,7 @@ from .model import (
     Schematic,
     SourceFormat,
 )
+from .schemacheck import compile_schema
 
 _HINTS = {
     "structured-pages": SourceFormat.STRUCTURED_PAGES,
@@ -39,17 +39,38 @@ _HINTS = {
 }
 
 
+_DOCUMENT_SCHEMA = "structured_pages.schema.json"
+
+
 @functools.cache
-def _document_validator():
-    """The shipped document schema, checked on first use, as a reusable
-    validator (checking it costs about as much as validating a small
-    document, so it is not repeated per document)."""
-    text = resources.files("schemreview.schemas").joinpath(
-        "structured_pages.schema.json").read_text()
-    schema = json.loads(text)
-    cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
+def _document_schema() -> dict:
+    text = resources.files("schemreview.schemas").joinpath(_DOCUMENT_SCHEMA).read_text()
+    return json.loads(text)
+
+
+@functools.cache
+def _document_check():
+    """The document schema compiled once, on first use, into a validity check."""
+    return compile_schema(_document_schema())
+
+
+def _finite(token: str) -> float:
+    value = float(token)
+    if not math.isfinite(value):
+        raise MalformedInput(f"invalid JSON: non-finite number {token}")
+    return value
+
+
+def _loads(text: str):
+    """JSON whose numbers are all finite: the NaN, Infinity and -Infinity
+    tokens that ``json.loads`` accepts, and floats such as ``1e400`` that
+    overflow to infinity, are MalformedInput."""
+    try:
+        return json.loads(text, parse_constant=_finite, parse_float=_finite)
+    except json.JSONDecodeError as exc:
+        raise MalformedInput(f"invalid JSON: {exc.msg}", exc.pos) from exc
+    except ValueError as exc:  # an integer past the interpreter's digit limit
+        raise MalformedInput(f"invalid JSON: {exc}") from exc
 
 
 def detect_format(text: str) -> SourceFormat:
@@ -57,10 +78,7 @@ def detect_format(text: str) -> SourceFormat:
     if stripped.startswith("(kicad_sch"):
         return SourceFormat.KICAD_SUBSET
     if stripped.startswith("{"):
-        try:
-            doc = json.loads(stripped)
-        except json.JSONDecodeError as exc:
-            raise MalformedInput(f"invalid JSON: {exc.msg}", exc.pos) from exc
+        doc = _loads(stripped)
         if isinstance(doc, dict) and doc.get("version") == 1 and "pages" in doc:
             if doc.get("format") == "de-hdl":
                 return SourceFormat.DE_HDL
@@ -93,15 +111,9 @@ def ingest_schematic(raw: bytes, format_hint: str | SourceFormat | None = None) 
 
 
 def _ingest_structured(text: str, fmt: SourceFormat) -> Schematic:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MalformedInput(f"invalid JSON: {exc.msg}", exc.pos) from exc
-    # the error jsonschema.validate would raise, without re-checking the schema
-    error = jsonschema.exceptions.best_match(_document_validator().iter_errors(doc))
-    if error is not None:
-        path = "/".join(str(p) for p in error.absolute_path) or "<root>"
-        raise MalformedInput(f"document schema violation at {path}: {error.message}") from error
+    doc = _loads(text)
+    if not _document_check()(doc):
+        _raise_schema_violation(doc)
 
     declared = doc.get("format")
     if declared == "de-hdl":
@@ -118,6 +130,27 @@ def _ingest_structured(text: str, fmt: SourceFormat) -> Schematic:
     except ValueError as exc:
         raise MalformedInput(str(exc)) from exc
     return schematic
+
+
+@functools.cache
+def _document_validator():
+    """jsonschema's validator for the document schema, built on the first
+    rejected document: it only words the error."""
+    import jsonschema
+
+    return jsonschema.Draft202012Validator(_document_schema())
+
+
+def _raise_schema_violation(doc) -> None:
+    """Raise the error ``jsonschema.validate`` would raise for ``doc``."""
+    from jsonschema.exceptions import best_match
+
+    error = best_match(_document_validator().iter_errors(doc))
+    if error is None:
+        raise RuntimeError(f"{_DOCUMENT_SCHEMA}: the compiled check rejected a "
+                           "document that jsonschema accepts")
+    path = "/".join(str(p) for p in error.absolute_path) or "<root>"
+    raise MalformedInput(f"document schema violation at {path}: {error.message}") from error
 
 
 def _decode_bbox(doc: dict | None) -> BBox | None:

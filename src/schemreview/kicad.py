@@ -23,6 +23,8 @@ so the returned page already carries embedded connectivity.
 
 from __future__ import annotations
 
+import math
+
 from .errors import MalformedInput
 from .model import BBox, Component, GraphicalAnnotation, Page, Pin
 from .wiretrace import trace_nets
@@ -107,9 +109,12 @@ def _first(sexpr: Sexpr, name: str) -> Sexpr | None:
 
 def _num(atom, context: str) -> float:
     try:
-        return float(atom)
+        value = float(atom)
+        if math.isfinite(value):  # float() also reads "nan", "inf" and "1e400"
+            return value
     except (TypeError, ValueError):
-        raise MalformedInput(f"expected a number in {context}, got {atom!r}") from None
+        pass
+    raise MalformedInput(f"expected a number in {context}, got {atom!r}")
 
 
 def _at_point(form: Sexpr, context: str) -> tuple[float, float] | None:

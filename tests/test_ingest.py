@@ -7,6 +7,7 @@ import jsonschema
 import pytest
 
 import schemreview
+from schemreview.augment import augment_netlist
 from schemreview.errors import MalformedInput, UnknownFormat
 from schemreview.ingest import ingest_schematic
 from schemreview.model import Net, SourceFormat
@@ -115,6 +116,30 @@ def test_diagonal_wire_is_malformed_input():
         {"kind": "wire", "text": "", "bbox": {"x": 0, "y": 0, "w": 10, "h": 10}}]
     with pytest.raises(MalformedInput, match="neither horizontal nor vertical"):
         ingest_schematic(doc_bytes(doc))
+
+
+@pytest.mark.parametrize("hint", [None, "structured-pages"])
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400", "-1e400"])
+def test_non_finite_number_is_malformed_input(token, hint):
+    # json.loads accepts these; no document may carry them to the model
+    text = json.dumps(BASIC_DOC).replace('"version": 1', f'"version": 1, "x": {token}')
+    with pytest.raises(MalformedInput) as exc:
+        ingest_schematic(text.encode(), format_hint=hint)
+    assert str(exc.value) == f"invalid JSON: non-finite number {token}"
+
+
+def test_non_finite_wire_coordinate_is_malformed_input():
+    doc = json.dumps(BASIC_DOC).replace('"nets": [', (
+        '"annotations": [{"kind": "wire", "text": "", '
+        '"bbox": {"x": Infinity, "y": 0, "w": 10, "h": 0}}], "nets": ['))
+    with pytest.raises(MalformedInput, match="non-finite number Infinity"):
+        augment_netlist(ingest_schematic(doc.encode()))
+
+
+def test_integer_past_the_digit_limit_is_malformed_input():
+    text = json.dumps(BASIC_DOC).replace('"version": 1', '"version": 1' + "0" * 5000)
+    with pytest.raises(MalformedInput):  # was a bare ValueError from json.loads
+        ingest_schematic(text.encode())
 
 
 def test_duplicate_designator_is_malformed_input():

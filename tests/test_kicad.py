@@ -3,6 +3,7 @@
 import pytest
 
 from schemreview.errors import InferenceFailed, MalformedInput
+from schemreview.ingest import ingest_schematic
 from schemreview.kicad import parse_kicad_page, parse_sexpr
 from schemreview.model import Net
 
@@ -121,6 +122,20 @@ def test_polyline_wire_splits_into_orthogonal_segments():
 def test_wire_point_without_y_rejected():
     with pytest.raises(MalformedInput, match="needs x y"):
         parse_kicad_page("(kicad_sch (wire (pts (xy 1) (xy 2 3))))")
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e400", "NaN", "Infinity"])
+@pytest.mark.parametrize("where", ["wire", "pin", "bbox"])
+def test_non_finite_coordinate_is_malformed_input(token, where):
+    forms = {
+        "wire": f"(wire (pts (xy {token} 0) (xy 10 0)))",
+        "pin": f'(symbol (property "Reference" "R1") (pin (number "1") (at {token} 0)))',
+        "bbox": f'(symbol (property "Reference" "R1") (bbox 0 0 {token} 5))',
+    }
+    with pytest.raises(MalformedInput) as exc:
+        ingest_schematic(f"(kicad_sch {forms[where]})".encode())
+    assert "expected a number in" in str(exc.value)
+    assert str(exc.value).endswith(f"got {token!r}")
 
 
 def test_symbol_without_reference_rejected():

@@ -10,7 +10,7 @@ import pytest
 from schemreview import pipeline
 from schemreview.cli import main
 from schemreview.config import Mode, RunConfig, apply_cli_overrides, load_config
-from schemreview.demo import generate_fixtures, write_demo_workspace
+from schemreview.demo import demo_responder, generate_fixtures, write_demo_workspace
 from schemreview.errors import BackendUnavailable, ConfigError, InputError
 from schemreview.gateway import BackendConfig, MockBackend
 from schemreview.pipeline import RunStatus, run_pipeline
@@ -269,6 +269,30 @@ class TestTraces:
         assert root["attributes"]["error"] == "BackendUnavailable"
         assert [s["attributes"]["error"] for s in spans if s["span"] == "selection"] == [
             "backend_unavailable"]
+
+    def test_failed_retrieval_records_one_span(self, tmp_path):
+        paths = write_demo_workspace(tmp_path)
+        cfg = fresh_cfg(tmp_path, trace_out=str(tmp_path / "trace.jsonl"))
+
+        def responder(kind_name, payload, seed):
+            if kind_name == "head_analysis" and "/CAP-100N.txt" in payload:
+                return json.dumps({"pages": "none"})  # fails its schema every attempt
+            return demo_responder(kind_name, payload, seed)
+
+        def run():
+            clean_run_dirs(tmp_path)
+            return run_pipeline(cfg, paths["schematic"])
+
+        report = generate_fixtures(run, paths["fixtures"], responder=responder)
+        assert report.status == RunStatus.COMPLETE
+        spans = read_spans(tmp_path / "trace.jsonl")
+        failed = [s for s in spans if "error" in s["attributes"]]
+        assert {s["span"] for s in failed} == {"head_analysis", "retrieve"}
+        [retrieve] = [s for s in failed if s["span"] == "retrieve"]
+        assert retrieve["path"] == "run/page:P2/part:CAP-100N/retrieve"
+        assert retrieve["attributes"] == {"error": "AllAttemptsFailed", "page_id": "P2",
+                                          "part": "CAP-100N"}
+        assert_ledger_matches_trace(report, spans)
 
     def test_agent_spans_inherit_part_and_run_index(self, demo):
         work, paths = demo

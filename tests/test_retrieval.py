@@ -12,6 +12,7 @@ from schemreview.errors import AllAttemptsFailed, NoCandidates
 from schemreview.gateway import BackendConfig, Gateway
 from schemreview.libraries import LibraryKind, LibrarySource, PartRef
 from schemreview.singleflight import SingleFlight
+from schemreview.tracing import TraceContext, Tracer
 
 PART = PartRef(mpn="LM317")
 
@@ -126,6 +127,22 @@ def test_all_attempts_failed_collects_causes(tmp_path):
         retrieve_spec(PART, [csv_library(tmp_path, urls)], RetrievalConfig(),
                       gateway=gateway, cache=cache)
     assert len(exc.value.causes) == 2
+
+
+def test_failed_retrieval_records_its_span(tmp_path):
+    urls = make_candidate_files(tmp_path, 2)
+    for i in range(2):
+        (tmp_path / f"sheet{i}.txt").unlink()
+    gateway = Gateway(BackendConfig(kind="mock", fixture_path=str(tmp_path / "fx")))
+    (tmp_path / "fx").mkdir()
+    tracer = Tracer()
+    with pytest.raises(AllAttemptsFailed):
+        retrieve_spec(PART, [csv_library(tmp_path, urls)], RetrievalConfig(),
+                      gateway=gateway, cache=CacheStore(tmp_path / "cache"),
+                      trace=TraceContext(tracer, "run"))
+    [span] = tracer.events()
+    assert (span.span_name, span.path) == ("retrieve", "run/retrieve")
+    assert span.attributes == {"part": PART.key, "error": "AllAttemptsFailed"}
 
 
 def test_no_candidates_propagates(tmp_path):

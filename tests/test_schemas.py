@@ -1,13 +1,27 @@
 """The shipped schema files: present, versioned, and well-formed."""
 
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from importlib import resources
+from pathlib import Path
 
+import jsonschema
 import pytest
+
+import schemreview
+from schemreview.schemacheck import compile_schema
 
 AGENT_SCHEMAS = ["selection", "head_analysis", "extraction", "critic",
                  "group_review", "consensus"]
+JSON_SCHEMA_FILES = [f"{name}.json" for name in AGENT_SCHEMAS] + [
+    "structured_pages.schema.json"]
+
+
+def shipped(filename: str) -> dict:
+    return json.loads(resources.files("schemreview.schemas").joinpath(filename).read_text())
 
 
 @pytest.mark.parametrize("name", AGENT_SCHEMAS)
@@ -45,3 +59,28 @@ def test_bundled_demo_schematic_is_valid_input():
 
     schematic = ingest_schematic(demo_schematic_text().encode())
     assert [p.id for p in schematic.pages] == ["P1", "P2", "P3"]
+
+
+@pytest.mark.parametrize("filename", JSON_SCHEMA_FILES)
+def test_json_schema_is_valid_against_its_metaschema_and_compiles(filename):
+    schema = shipped(filename)
+    jsonschema.validators.validator_for(schema).check_schema(schema)
+    assert jsonschema.validators.validator_for(schema) is jsonschema.Draft202012Validator
+    assert callable(compile_schema(schema))
+
+
+def test_startup_does_not_import_jsonschema(tmp_path):
+    # jsonschema is needed only to word the error for a rejected value
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"version": 1, "backend": {
+        "kind": "mock", "fixture_path": str(tmp_path / "fixtures")}}))
+    code = ("import sys\n"
+            "import schemreview.cli\n"
+            "from schemreview.config import load_config\n"
+            "from schemreview.gateway import Gateway\n"
+            "Gateway(load_config(sys.argv[1]).backend)\n"
+            "print('jsonschema' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(schemreview.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code, str(config)], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "False"
