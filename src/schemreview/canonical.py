@@ -5,11 +5,17 @@ runs: every list is emitted in canonical order (components and pins by
 designator, nets by name, nodes by (component, pin), annotations by
 their full value) regardless of input order. Page order itself is
 meaningful and preserved. The schema ships as ``schemas/schematic.xsd``.
+
+A page serialized for a set of member designators is that page's slice
+for one functional group: the same ``<page>`` root holding only the
+member components, every net with a node on a member (all of its nodes
+kept), and no annotations.
 """
 
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Iterable
 
 from .model import BBox, Component, GraphicalAnnotation, Net, Page, Schematic
 from .xmlutil import Elem, fmt_num, render
@@ -22,9 +28,10 @@ def serialize_xml(schematic: Schematic) -> str:
     return render(root)
 
 
-def serialize_page_xml(page: Page) -> str:
-    """One page as a standalone canonical document (used for hashing)."""
-    return render(_page_elem(page))
+def serialize_page_xml(page: Page, members: Iterable[str] | None = None) -> str:
+    """One page as a standalone canonical document (used for hashing), or,
+    given ``members``, the slice of it those designators see."""
+    return render(_page_elem(page, members))
 
 
 def page_hash(page: Page) -> str:
@@ -42,18 +49,23 @@ def diff_pages(base: Schematic, head: Schematic) -> set[str]:
     return changed
 
 
-def _page_elem(page: Page) -> Elem:
+def _page_elem(page: Page, members: Iterable[str] | None = None) -> Elem:
     attrs = {"id": page.id}
     if page.strategy is not None:
         attrs["strategy"] = page.strategy.value
     e = Elem("page", attrs)
+    components, nets = page.components, page.nets
+    if members is not None:
+        members = set(members)
+        components = [c for c in components if c.designator in members]
+        nets = [n for n in nets if any(comp in members for comp, _pin in n.nodes)]
     comps = e.child("components")
-    for comp in sorted(page.components, key=lambda c: c.designator):
+    for comp in sorted(components, key=lambda c: c.designator):
         comps.children.append(_component_elem(comp))
-    nets = e.child("nets")
-    for net in sorted(page.nets, key=lambda n: n.name):
-        nets.children.append(_net_elem(net))
-    if page.annotations:
+    nets_elem = e.child("nets")
+    for net in sorted(nets, key=lambda n: n.name):
+        nets_elem.children.append(_net_elem(net))
+    if page.annotations and members is None:
         anns = e.child("annotations")
         for ann in sorted(page.annotations, key=_annotation_key):
             anns.children.append(_annotation_elem(ann))

@@ -5,8 +5,9 @@ Findings are matched across runs by (designator, pin set, status).
 * Matched in two or more runs: retained as MultiRun, confidence High on
   a strict majority of runs, else Medium.
 * Present in a single run: adjudicated keep/drop by the consensus agent
-  (dedicated model) against the same schematic and datasheet context the
-  review runs saw; kept findings carry SingleRunVerified / Low.
+  (dedicated model) against the context the review runs saw: the group's
+  slice of the netlist and its members' datasheet specs; kept findings
+  carry SingleRunVerified / Low.
 * Same (designator, pin) with conflicting statuses across runs: the
   touched verdicts are pulled into a contradiction cluster which the
   consensus agent re-examines, emitting exactly one ContradictionResolved
@@ -155,8 +156,7 @@ def build_consensus_payload(ctx: GroupReviewContext,
     return json.dumps({
         "group": {"name": ctx.group.name, "designators": list(ctx.group.designators)},
         "netlist_xml": ctx.netlist_xml,
-        "specs": {d: (spec.to_xml() if spec is not None else None)
-                  for d, spec in sorted(ctx.specs.items())},
+        "specs": ctx.spec_xml,
         "checklist": ctx.checklist,
         "singles": [
             {"designator": designator,

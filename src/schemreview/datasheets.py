@@ -21,7 +21,6 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 from urllib.parse import urlparse, unquote
-from urllib.request import url2pathname
 
 from .dscache import CacheEntry, CacheStore
 from .dsmodel import (
@@ -72,6 +71,10 @@ def local_file_fetcher(url: str) -> bytes:
     """Fetch a ``file://`` URL or plain path from the local filesystem."""
     parsed = urlparse(url)
     if parsed.scheme == "file":
+        # imported here: urllib.request pulls http.client, ssl and email
+        # into every start-up
+        from urllib.request import url2pathname
+
         path = url2pathname(parsed.path)
     elif parsed.scheme == "":
         path = unquote(url)

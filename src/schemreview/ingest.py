@@ -73,16 +73,18 @@ def _loads(text: str):
         raise MalformedInput(f"invalid JSON: {exc}") from exc
 
 
-def detect_format(text: str) -> SourceFormat:
+def detect_format(text: str) -> tuple[SourceFormat, object]:
+    """The format of ``text`` and, for a structured document, the decoded
+    JSON (None for KiCad text), so that it is decoded only once."""
     stripped = text.lstrip()
     if stripped.startswith("(kicad_sch"):
-        return SourceFormat.KICAD_SUBSET
+        return SourceFormat.KICAD_SUBSET, None
     if stripped.startswith("{"):
         doc = _loads(stripped)
         if isinstance(doc, dict) and doc.get("version") == 1 and "pages" in doc:
             if doc.get("format") == "de-hdl":
-                return SourceFormat.DE_HDL
-            return SourceFormat.STRUCTURED_PAGES
+                return SourceFormat.DE_HDL, doc
+            return SourceFormat.STRUCTURED_PAGES, doc
     raise UnknownFormat("no format hint given and no format signature matched")
 
 
@@ -94,8 +96,9 @@ def ingest_schematic(raw: bytes, format_hint: str | SourceFormat | None = None) 
     except UnicodeDecodeError as exc:
         raise MalformedInput("input is not valid UTF-8", exc.start) from exc
 
+    doc = None
     if format_hint is None:
-        fmt = detect_format(text)
+        fmt, doc = detect_format(text)
     elif isinstance(format_hint, SourceFormat):
         fmt = format_hint
     else:
@@ -107,11 +110,10 @@ def ingest_schematic(raw: bytes, format_hint: str | SourceFormat | None = None) 
     if fmt is SourceFormat.KICAD_SUBSET:
         page = parse_kicad_page(text)
         return Schematic(format=fmt, pages=(page,))
-    return _ingest_structured(text, fmt)
+    return _ingest_structured(_loads(text) if doc is None else doc, fmt)
 
 
-def _ingest_structured(text: str, fmt: SourceFormat) -> Schematic:
-    doc = _loads(text)
+def _ingest_structured(doc, fmt: SourceFormat) -> Schematic:
     if not _document_check()(doc):
         _raise_schema_violation(doc)
 

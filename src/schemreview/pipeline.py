@@ -158,11 +158,9 @@ def _analyze_page(page: Page, cfg: RunConfig, gateway: Gateway, cache: CacheStor
     specs = _retrieve_all_specs(page, groups, cfg, gateway, cache, flights,
                                 pool, ctx, outcome)
 
-    netlist_xml = serialize_page_xml(page)
-
     def _review_group(group):
         review_ctx = GroupReviewContext(
-            group, netlist_xml,
+            group, serialize_page_xml(page, group.designators),
             {d: specs.get(d) for d in group.designators},
             load_checklist(group.name, cfg.checklist_dir))
         with ctx.span(f"group:{group.name}", group=group.name) as gctx:

@@ -19,7 +19,6 @@ from importlib import resources
 from pathlib import Path
 
 from .canonical import serialize_page_xml
-from .dsmodel import DatasheetSpec
 from .errors import AllRunsFailed, SchemReviewError
 from .gateway import AgentKind, AgentRequest, Gateway
 from .libraries import PartRef
@@ -123,13 +122,23 @@ class FunctionalGroup:
 
 @dataclass(frozen=True)
 class GroupReviewContext:
-    """Everything one group review needs: the group, the page netlist XML,
-    per-designator specs (None where retrieval failed), and the checklist."""
+    """Everything one group review needs: the group, its slice of the page
+    netlist as canonical XML (``serialize_page_xml(page, members)``: the
+    members with their pins and every net touching a member, without
+    annotations), per-designator specs (None where retrieval failed), and
+    the checklist. ``spec_xml`` holds each spec rendered once, for the
+    review and consensus payloads."""
 
     group: FunctionalGroup
     netlist_xml: str
     specs: dict
     checklist: str
+    spec_xml: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "spec_xml", {
+            d: (spec.to_xml() if spec is not None else None)
+            for d, spec in self.specs.items()})
 
 
 # --- selection ----------------------------------------------------------------
@@ -188,24 +197,25 @@ def select_groups(page: Page, gateway: Gateway,
 # --- group review ----------------------------------------------------------------
 
 def build_review_payload(ctx: GroupReviewContext) -> str:
+    """The review payload; the same for all k runs, which differ by seed."""
     return json.dumps({
         "group": {"name": ctx.group.name, "designators": list(ctx.group.designators)},
         "netlist_xml": ctx.netlist_xml,
-        "specs": {d: (spec.to_xml() if isinstance(spec, DatasheetSpec) else None)
-                  for d, spec in sorted(ctx.specs.items())},
+        "specs": ctx.spec_xml,
         "checklist": ctx.checklist,
     }, sort_keys=True)
 
 
-def review_group_once(ctx: GroupReviewContext, page: Page, run_index: int,
-                      gateway: Gateway,
+def review_group_once(ctx: GroupReviewContext, payload: str, page: Page,
+                      run_index: int, gateway: Gateway,
                       trace: TraceContext | None = None) -> RunResult:
-    """One review run. Output is validated: analyses for components outside
-    the group and verdicts naming pins the component does not have are
-    dropped with a warning; components with no datasheet spec and no agent
-    verdicts default to a single Unverifiable verdict."""
-    req = AgentRequest(AgentKind.GROUP_REVIEW, REVIEW_PROMPT,
-                       build_review_payload(ctx), "group_review", seed=run_index)
+    """One review run of ``payload`` (``build_review_payload(ctx)``). Output
+    is validated: analyses for components outside the group and verdicts
+    naming pins the component does not have are dropped with a warning;
+    components with no datasheet spec and no agent verdicts default to a
+    single Unverifiable verdict."""
+    req = AgentRequest(AgentKind.GROUP_REVIEW, REVIEW_PROMPT, payload,
+                       "group_review", seed=run_index)
     resp = gateway.complete(req, trace=trace)
 
     members = set(ctx.group.designators)
@@ -267,12 +277,14 @@ def fan_out_reviews(ctx: GroupReviewContext, page: Page, k: int, gateway: Gatewa
         raise ValueError("k must be >= 1")
     results: list[RunResult] = []
     failures: list[RunFailure] = []
+    payload = build_review_payload(ctx)
 
     def _one_run(run_index: int) -> RunResult:
         if trace is None:
-            return review_group_once(ctx, page, run_index, gateway, None)
+            return review_group_once(ctx, payload, page, run_index, gateway, None)
         with trace.span(f"review:{run_index}", run_index=run_index) as run_trace:
-            return review_group_once(ctx, page, run_index, gateway, run_trace)
+            return review_group_once(ctx, payload, page, run_index, gateway,
+                                     run_trace)
 
     futures = [pool.submit(_one_run, run_index) for run_index in range(k)]
     for run_index, future in enumerate(futures):

@@ -78,6 +78,23 @@ def test_bad_hint_rejected():
         ingest_schematic(doc_bytes(BASIC_DOC), format_hint="altium")
 
 
+@pytest.mark.parametrize("hint", [None, "structured-pages"])
+@pytest.mark.parametrize("doc", [BASIC_DOC, {**BASIC_DOC, "format": "de-hdl"}])
+def test_document_is_decoded_once(monkeypatch, hint, doc):
+    text = json.dumps(doc)
+    loads = json.loads
+    decoded = []
+
+    def counting_loads(s, *args, **kwargs):
+        if s.strip() == text:
+            decoded.append(s)
+        return loads(s, *args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", counting_loads)
+    ingest_schematic(("  \n" + text).encode(), format_hint=hint)
+    assert len(decoded) == 1
+
+
 def test_explicit_hint_accepted():
     s = ingest_schematic(doc_bytes(BASIC_DOC), format_hint="structured-pages")
     assert s.format is SourceFormat.STRUCTURED_PAGES

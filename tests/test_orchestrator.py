@@ -3,6 +3,7 @@
 import json
 import shutil
 import threading
+import xml.etree.ElementTree as ET
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -13,6 +14,7 @@ from schemreview.config import Mode, RunConfig, apply_cli_overrides, load_config
 from schemreview.demo import demo_responder, generate_fixtures, write_demo_workspace
 from schemreview.errors import BackendUnavailable, ConfigError, InputError
 from schemreview.gateway import BackendConfig, MockBackend
+from schemreview.ingest import ingest_schematic
 from schemreview.pipeline import RunStatus, run_pipeline
 from schemreview.reporting import FileSink, PipelineStage
 
@@ -374,6 +376,26 @@ def run_or_fail(cfg, schematic, monkeypatch, timeout_s=60.0):
     if "error" in box:
         raise box["error"]
     return box["report"]
+
+
+class TestReviewPayloads:
+    def test_group_payloads_name_only_the_groups_components(self, demo):
+        _, paths = demo
+        head = ingest_schematic(paths["schematic"].read_bytes())
+        captures = sorted(paths["fixtures"].glob("group_review/*.req")) + sorted(
+            paths["fixtures"].glob("consensus/*.req"))
+        assert {p.parent.name for p in captures} == {"group_review", "consensus"}
+        for path in captures:
+            doc = json.loads(path.read_text(encoding="utf-8"))
+            members = set(doc["group"]["designators"])
+            scoped = ET.fromstring(doc["netlist_xml"])
+            nets = {n.name: n.nodes for n in head.page(scoped.get("id")).nets
+                    if any(comp in members for comp, _pin in n.nodes)}
+            assert {c.get("designator") for c in scoped.iter("component")} == members
+            assert {net.get("name"): tuple((n.get("component"), n.get("pin"))
+                                           for n in net)
+                    for net in scoped.iter("net")} == nets
+            assert scoped.find("annotations") is None
 
 
 class TestWorkerPool:

@@ -64,7 +64,8 @@ class TestReviewGroupOnce:
         page = regulator_page()
         ctx = make_ctx(page, with_spec_for=("U1", "R1"))
         script_review(tmp_path, ctx, 0, swapped_pin_response())
-        result = review_group_once(ctx, page, 0, make_gateway(tmp_path))
+        result = review_group_once(ctx, build_review_payload(ctx), page, 0,
+                                   make_gateway(tmp_path))
         u1 = next(a for a in result.analyses if a.designator == "U1")
         swapped = next(v for v in u1.verdicts if v.status is VerdictStatus.INCORRECT)
         assert swapped.pin_key == "1, 3"
@@ -74,7 +75,8 @@ class TestReviewGroupOnce:
         page = regulator_page()
         ctx = make_ctx(page, with_spec_for=("U1",))  # R1 has no spec
         script_review(tmp_path, ctx, 0, swapped_pin_response())
-        result = review_group_once(ctx, page, 0, make_gateway(tmp_path))
+        result = review_group_once(ctx, build_review_payload(ctx), page, 0,
+                                   make_gateway(tmp_path))
         r1 = next(a for a in result.analyses if a.designator == "R1")
         assert len(r1.verdicts) == 1
         assert r1.verdicts[0].status is VerdictStatus.UNVERIFIABLE
@@ -92,7 +94,8 @@ class TestReviewGroupOnce:
         ]})
         script_review(tmp_path, ctx, 0, response)
         with caplog.at_level(logging.WARNING):
-            result = review_group_once(ctx, page, 0, make_gateway(tmp_path))
+            result = review_group_once(ctx, build_review_payload(ctx), page, 0,
+                                       make_gateway(tmp_path))
         assert "99" in caplog.text
         u1 = next(a for a in result.analyses if a.designator == "U1")
         assert [v.pin_key for v in u1.verdicts] == ["2"]
@@ -106,7 +109,8 @@ class TestReviewGroupOnce:
         ]})
         script_review(tmp_path, ctx, 0, response)
         with caplog.at_level(logging.WARNING):
-            result = review_group_once(ctx, page, 0, make_gateway(tmp_path))
+            result = review_group_once(ctx, build_review_payload(ctx), page, 0,
+                                       make_gateway(tmp_path))
         assert all(a.designator != "D5" for a in result.analyses)
 
     def test_overlapping_pin_keys_keep_first(self, tmp_path, caplog):
@@ -120,7 +124,8 @@ class TestReviewGroupOnce:
         ]})
         script_review(tmp_path, ctx, 0, response)
         with caplog.at_level(logging.WARNING):
-            result = review_group_once(ctx, page, 0, make_gateway(tmp_path))
+            result = review_group_once(ctx, build_review_payload(ctx), page, 0,
+                                       make_gateway(tmp_path))
         u1 = next(a for a in result.analyses if a.designator == "U1")
         assert [v.pin_key for v in u1.verdicts] == ["1, 3"]
 

@@ -84,3 +84,14 @@ def test_startup_does_not_import_jsonschema(tmp_path):
     done = subprocess.run([sys.executable, "-c", code, str(config)], env=env,
                           capture_output=True, text=True, timeout=60, check=True)
     assert done.stdout.strip() == "False"
+
+
+def test_startup_does_not_import_the_http_stack():
+    # urllib.request is needed only to resolve a file:// datasheet URL
+    code = ("import sys\n"
+            "import schemreview.cli\n"
+            "print(sorted(m for m in ('http.client', 'ssl') if m in sys.modules))\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(schemreview.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "[]"
