@@ -54,7 +54,6 @@ _CRITIC_PROMPT = ("Score this datasheet extraction from 0 to 10 on feature "
 class RetrievalConfig:
     threshold: float = 7.0
     max_attempts: int = 5
-    head_budget: int = HEAD_PAGE_BUDGET
 
 
 @dataclass(frozen=True)
@@ -149,18 +148,18 @@ def build_head_payload(doc: DatasheetDocument) -> str:
 
 
 def analyze_head(doc: DatasheetDocument, gateway: Gateway,
-                 budget: int = HEAD_PAGE_BUDGET,
                  trace: TraceContext | None = None) -> list[int]:
     """Pick the pages worth extracting: agent indices are deduplicated,
     out-of-range ones dropped, the rest sorted ascending and capped at
-    ``budget``. An empty selection falls back to the leading pages."""
+    ``HEAD_PAGE_BUDGET``. An empty selection falls back to the leading
+    pages."""
     req = AgentRequest(AgentKind.HEAD_ANALYSIS, _HEAD_PROMPT,
                        build_head_payload(doc), "head_analysis")
     resp = gateway.complete(req, trace=trace)
     valid = sorted({i for i in resp.value["pages"] if 0 <= i < len(doc.pages)})
-    selected = valid[:budget]
+    selected = valid[:HEAD_PAGE_BUDGET]
     if not selected:
-        selected = list(range(min(len(doc.pages), budget)))
+        selected = list(range(min(len(doc.pages), HEAD_PAGE_BUDGET)))
     return selected
 
 
@@ -221,7 +220,7 @@ def retrieve_spec(part: PartRef, libraries: list[LibrarySource],
             attempts += 1
             try:
                 doc = fetch(url, fetcher)
-                pages = analyze_head(doc, gateway, cfg.head_budget, trace)
+                pages = analyze_head(doc, gateway, trace)
                 spec = extract_spec(doc, pages, part, gateway, trace)
                 score = critique(spec, gateway, trace)
             except SchemReviewError as exc:

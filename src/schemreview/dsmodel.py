@@ -44,11 +44,6 @@ class CriticScore:
                 + 20 * self.application_information
                 + 15 * self.typical_application_circuits) / 100
 
-    def as_dict(self) -> dict:
-        d = {name: getattr(self, name) for name in CRITIC_WEIGHTS}
-        d["weighted"] = self.weighted
-        return d
-
 
 @dataclass(frozen=True)
 class DatasheetDocument:

@@ -20,6 +20,12 @@ class MalformedInput(SchemReviewError):
         super().__init__(f"{message}{loc}")
         self.offset = offset
 
+    @classmethod
+    def at(cls, message: str, text: str, pos: int) -> "MalformedInput":
+        """The problem at character ``pos`` of ``text``, reported at its
+        UTF-8 byte offset."""
+        return cls(message, len(text[:pos].encode()))
+
 class UnknownFormat(SchemReviewError):
     """No format hint was given and no format signature matched."""
 

@@ -68,7 +68,7 @@ def _loads(text: str):
     try:
         return json.loads(text, parse_constant=_finite, parse_float=_finite)
     except json.JSONDecodeError as exc:
-        raise MalformedInput(f"invalid JSON: {exc.msg}", exc.pos) from exc
+        raise MalformedInput.at(f"invalid JSON: {exc.msg}", text, exc.pos) from exc
     except ValueError as exc:  # an integer past the interpreter's digit limit
         raise MalformedInput(f"invalid JSON: {exc}") from exc
 
@@ -80,7 +80,7 @@ def detect_format(text: str) -> tuple[SourceFormat, object]:
     if stripped.startswith("(kicad_sch"):
         return SourceFormat.KICAD_SUBSET, None
     if stripped.startswith("{"):
-        doc = _loads(stripped)
+        doc = _loads(text)
         if isinstance(doc, dict) and doc.get("version") == 1 and "pages" in doc:
             if doc.get("format") == "de-hdl":
                 return SourceFormat.DE_HDL, doc

@@ -52,7 +52,7 @@ def parse_sexpr(text: str) -> Sexpr:
         nonlocal pos
         skip_ws()
         if pos >= n:
-            raise MalformedInput("unexpected end of input", pos)
+            raise MalformedInput.at("unexpected end of input", text, pos)
         ch = text[pos]
         if ch == "(":
             start = pos
@@ -61,13 +61,13 @@ def parse_sexpr(text: str) -> Sexpr:
             while True:
                 skip_ws()
                 if pos >= n:
-                    raise MalformedInput("unclosed '('", start)
+                    raise MalformedInput.at("unclosed '('", text, start)
                 if text[pos] == ")":
                     pos += 1
                     return items
                 items.append(read_form())
         if ch == ")":
-            raise MalformedInput("unbalanced ')'", pos)
+            raise MalformedInput.at("unbalanced ')'", text, pos)
         if ch == '"':
             start = pos
             pos += 1
@@ -78,7 +78,7 @@ def parse_sexpr(text: str) -> Sexpr:
                 out.append(text[pos])
                 pos += 1
             if pos >= n:
-                raise MalformedInput("unclosed string literal", start)
+                raise MalformedInput.at("unclosed string literal", text, start)
             pos += 1
             return "".join(out)
         start = pos
@@ -89,7 +89,7 @@ def parse_sexpr(text: str) -> Sexpr:
     form = read_form()
     skip_ws()
     if pos < n:
-        raise MalformedInput("trailing content after top-level form", pos)
+        raise MalformedInput.at("trailing content after top-level form", text, pos)
     if not isinstance(form, list):
         raise MalformedInput("expected a parenthesized form", 0)
     return form

@@ -4,12 +4,14 @@ Page set: full-analysis mode takes every page; design-review mode takes
 the pages whose canonical hash differs from the base plus any explicit
 page override. Per page: select groups, retrieve specs (parallel across
 parts), fan out k reviews per group, combine consensus, cluster errors,
-render comments. Parts, groups and review runs share the run's one pool
-of ``backend.max_in_flight`` threads, which bounds its threads and its
-concurrent agent calls. Pages run one after another and the time budget
-is checked before each: pages not started by the deadline are skipped
-and the completed pages' comments are still posted. The trace file is
-written even when the run fails.
+render comments. Pages, parts, groups and review runs are all tasks on
+the run's one pool of ``backend.max_in_flight`` threads, which bounds
+its threads and its concurrent agent calls; every wait on the pool goes
+through ``review.map_on_pool``. The calling thread only admits pages and
+waits: pages run one after another and the time budget is checked
+before each, so pages not started by the deadline are skipped and the
+completed pages' comments are still posted. The trace file is written
+even when the run fails.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .errors import InputError, SchemReviewError
 from .gateway import Gateway
 from .grouping import group_errors
 from .ingest import ingest_schematic
+from .libraries import PartRef
 from .model import Page, Schematic
 from .reporting import (
     DeliveryReport,
@@ -38,7 +41,13 @@ from .reporting import (
     post_comments,
     render_comment,
 )
-from .review import GroupReviewContext, fan_out_reviews, load_checklist, select_groups
+from .review import (
+    GroupReviewContext,
+    fan_out_reviews,
+    load_checklist,
+    map_on_pool,
+    select_groups,
+)
 from .singleflight import SingleFlight
 from .tracing import TraceContext, Tracer, emit_traces
 
@@ -47,7 +56,6 @@ log = logging.getLogger(__name__)
 class RunStatus:
     COMPLETE = "complete"
     PARTIAL = "partial"
-    FAILED = "failed"
 
 
 @dataclass
@@ -118,12 +126,11 @@ def _retrieve_all_specs(page: Page, groups, cfg: RunConfig, gateway: Gateway,
     part_keys: dict[str, str | None] = {}  # designator -> part key
     parts: dict[str, tuple] = {}  # part key -> (PartRef, schematic_url)
     for group in groups:
-        group_parts = {part.key: part for part in group.parts}
         for designator in group.designators:
             comp = page.component(designator)
             key = part_keys[designator] = comp.mpn or comp.ipn
             if key and key not in parts:
-                parts[key] = (group_parts[key], group.datasheet_urls.get(designator))
+                parts[key] = (PartRef(comp.mpn, comp.ipn), comp.datasheet_url or None)
 
     def _one(item):
         key, (part, schematic_url) = item
@@ -139,7 +146,7 @@ def _retrieve_all_specs(page: Page, groups, cfg: RunConfig, gateway: Gateway,
             return key, None
 
     spec_for_key: dict[str, object] = {}
-    for key, result in pool.map(_one, sorted(parts.items())):
+    for key, result in map_on_pool(pool, _one, sorted(parts.items())):
         if result is not None:
             spec_for_key[key] = result.spec
             if result.cache_hit:
@@ -171,7 +178,7 @@ def _analyze_page(page: Page, cfg: RunConfig, gateway: Gateway, cache: CacheStor
                             page.id, group.name, len(failures))
             return combine_consensus(runs, review_ctx, gateway, trace=gctx)
 
-    analyses = [a for group_analyses in pool.map(_review_group, groups)
+    analyses = [a for group_analyses in map_on_pool(pool, _review_group, groups)
                 for a in group_analyses]
 
     for error_group in group_errors(analyses, page.nets):
@@ -204,8 +211,8 @@ def run_pipeline(cfg: RunConfig, schematic_path) -> RunReport:
                     skipped.append(page.id)
                     continue
                 with root.span(f"page:{page.id}", page_id=page.id) as ctx:
-                    outcomes.append(_analyze_page(page, cfg, gateway, cache,
-                                                  flights, pool, ctx))
+                    outcomes.append(pool.submit(_analyze_page, page, cfg, gateway, cache,
+                                                flights, pool, ctx).result())
 
         comments = [c for outcome in outcomes for c in outcome.comments]
         progress = [ProgressEvent(o.page_id, stage)

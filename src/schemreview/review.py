@@ -21,7 +21,6 @@ from pathlib import Path
 from .canonical import serialize_page_xml
 from .errors import AllRunsFailed, SchemReviewError
 from .gateway import AgentKind, AgentRequest, Gateway
-from .libraries import PartRef
 from .model import Page
 from .tracing import TraceContext
 
@@ -110,12 +109,9 @@ class RunFailure:
 class FunctionalGroup:
     name: str
     designators: tuple[str, ...]
-    parts: tuple[PartRef, ...] = ()
-    datasheet_urls: dict = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "designators", tuple(self.designators))
-        object.__setattr__(self, "parts", tuple(self.parts))
         if not self.designators:
             raise ValueError(f"group {self.name!r} has no members")
 
@@ -143,22 +139,6 @@ class GroupReviewContext:
 
 # --- selection ----------------------------------------------------------------
 
-def _group_from_members(page: Page, name: str, designators: list[str]) -> FunctionalGroup:
-    parts: list[PartRef] = []
-    seen_keys: set[str] = set()
-    urls: dict[str, str] = {}
-    for designator in designators:
-        comp = page.component(designator)
-        if comp.datasheet_url:
-            urls[designator] = comp.datasheet_url
-        if comp.mpn or comp.ipn:
-            part = PartRef(mpn=comp.mpn, ipn=comp.ipn)
-            if part.key not in seen_keys:
-                seen_keys.add(part.key)
-                parts.append(part)
-    return FunctionalGroup(name, tuple(designators), tuple(parts), urls)
-
-
 def select_groups(page: Page, gateway: Gateway,
                   trace: TraceContext | None = None) -> list[FunctionalGroup]:
     if not page.components:
@@ -184,13 +164,13 @@ def select_groups(page: Page, gateway: Gateway,
             claimed.add(designator)
             members.append(designator)
         if members:
-            groups.append(_group_from_members(page, group_doc["name"], members))
+            groups.append(FunctionalGroup(group_doc["name"], members))
         else:
             log.warning("page %s: group %r had no valid members; dropped",
                         page.id, group_doc["name"])
     residual = [c.designator for c in page.components if c.designator not in claimed]
     if residual:
-        groups.append(_group_from_members(page, UNGROUPED, residual))
+        groups.append(FunctionalGroup(UNGROUPED, residual))
     return groups
 
 
@@ -266,34 +246,47 @@ def review_group_once(ctx: GroupReviewContext, payload: str, page: Page,
     return RunResult(run_index, analyses)
 
 
+def map_on_pool(pool: Executor, fn, items) -> list:
+    """``[fn(item) for item in items]`` with every item submitted to ``pool``
+    and the results collected in order. An item still queued when its turn
+    comes runs in the calling thread instead, so a caller that is itself a
+    task on ``pool`` cannot deadlock it at any size. On the first exception
+    the items not yet started are cancelled and the exception re-raised."""
+    items = list(items)
+    futures = [pool.submit(fn, item) for item in items]
+    try:
+        return [fn(item) if future.cancel() else future.result()
+                for item, future in zip(items, futures)]
+    finally:
+        for future in futures:
+            future.cancel()
+
+
 def fan_out_reviews(ctx: GroupReviewContext, page: Page, k: int, gateway: Gateway,
                     pool: Executor, trace: TraceContext | None = None
                     ) -> tuple[list[RunResult], list[RunFailure]]:
-    """k review runs differing only by seed, submitted to ``pool``. Failed
-    runs are recorded; consensus proceeds over the successes. A run still
-    queued when awaited runs in the calling thread instead, so a caller
-    that is itself a task on ``pool`` cannot deadlock it at any size."""
+    """k review runs differing only by seed, as tasks on ``pool`` next to
+    the run's pages, parts and groups (``map_on_pool``). Failed runs are
+    recorded; consensus proceeds over the successes."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    results: list[RunResult] = []
-    failures: list[RunFailure] = []
     payload = build_review_payload(ctx)
 
-    def _one_run(run_index: int) -> RunResult:
-        if trace is None:
-            return review_group_once(ctx, payload, page, run_index, gateway, None)
-        with trace.span(f"review:{run_index}", run_index=run_index) as run_trace:
-            return review_group_once(ctx, payload, page, run_index, gateway,
-                                     run_trace)
-
-    futures = [pool.submit(_one_run, run_index) for run_index in range(k)]
-    for run_index, future in enumerate(futures):
+    def _one_run(run_index: int) -> RunResult | RunFailure:
         try:
-            results.append(_one_run(run_index) if future.cancel() else future.result())
+            if trace is None:
+                return review_group_once(ctx, payload, page, run_index, gateway, None)
+            with trace.span(f"review:{run_index}", run_index=run_index) as run_trace:
+                return review_group_once(ctx, payload, page, run_index, gateway,
+                                         run_trace)
         except SchemReviewError as exc:
             log.warning("review run %d for group %r failed: %s",
                         run_index, ctx.group.name, exc)
-            failures.append(RunFailure(run_index, str(exc)))
+            return RunFailure(run_index, str(exc))
+
+    runs = map_on_pool(pool, _one_run, range(k))
+    results = [r for r in runs if isinstance(r, RunResult)]
+    failures = [r for r in runs if isinstance(r, RunFailure)]
     if not results:
         raise AllRunsFailed(
             f"all {k} review runs failed for group {ctx.group.name!r}")

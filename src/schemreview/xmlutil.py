@@ -40,10 +40,8 @@ class Elem:
         return e
 
 
-def render(root: Elem, declaration: bool = True) -> str:
-    lines: list[str] = []
-    if declaration:
-        lines.append('<?xml version="1.0" encoding="UTF-8"?>')
+def render(root: Elem) -> str:
+    lines = ['<?xml version="1.0" encoding="UTF-8"?>']
     _render_into(root, lines, 0)
     return "\n".join(lines) + "\n"
 

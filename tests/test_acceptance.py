@@ -244,7 +244,7 @@ def _random_run(rng, idx) -> RunResult:
 
 
 def _consensus_ctx() -> GroupReviewContext:
-    group = FunctionalGroup("g", ("U1", "R1"), (), {})
+    group = FunctionalGroup("g", ("U1", "R1"))
     return GroupReviewContext(group, "<page id=\"PX\"/>", {"U1": None, "R1": None}, "")
 
 

@@ -16,7 +16,6 @@ from schemreview.consensus import (
     combine_consensus,
 )
 from schemreview.gateway import BackendConfig, Gateway
-from schemreview.libraries import PartRef
 from schemreview.review import (
     ComponentAnalysis,
     FunctionalGroup,
@@ -29,7 +28,7 @@ from schemreview.review import (
 
 
 def make_ctx() -> GroupReviewContext:
-    group = FunctionalGroup("power stage", ("U1", "R1"), (PartRef(mpn="LM317"),), {})
+    group = FunctionalGroup("power stage", ("U1", "R1"))
     return GroupReviewContext(group, "<page id=\"P1\"/>", {"U1": None, "R1": None},
                               "checklist text")
 

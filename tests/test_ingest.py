@@ -100,10 +100,18 @@ def test_explicit_hint_accepted():
     assert s.format is SourceFormat.STRUCTURED_PAGES
 
 
-def test_invalid_json_reports_byte_offset():
+@pytest.mark.parametrize("hint", [None, "structured-pages"])
+@pytest.mark.parametrize("raw", [
+    b'{"version": 1, "pages": [}',
+    b'  \n{"version": 1, "pages": [}',
+    '{"version": 1, "note": "\u00e9", "pages": [}'.encode(),
+], ids=["plain", "leading-whitespace", "non-ascii"])
+def test_invalid_json_reports_byte_offset(raw, hint):
     with pytest.raises(MalformedInput) as exc:
-        ingest_schematic(b'{"version": 1, "pages": [}')
-    assert exc.value.offset == 25
+        ingest_schematic(raw, format_hint=hint)
+    at = raw.rindex(b"}")  # the stray brace, counted in bytes of the input
+    assert exc.value.offset == at
+    assert str(exc.value).endswith(f"(byte {at})")
 
 
 def test_schema_violation_is_malformed_input():

@@ -43,6 +43,21 @@ def test_sexpr_trailing_content_rejected():
         parse_sexpr("(a) (b)")
 
 
+@pytest.mark.parametrize("text, message, offset", [
+    ("(a) (b)", "trailing content", 4),
+    ('(kicad_sch (label "\u00e9" (at 0 0))) )', "trailing content", 34),
+    ('(a "\u00e9" "b', "unclosed string literal", 8),
+    ('(a "\u00e9" (b', "unclosed '\\('", 8),
+    ('(a "\u00e9"', "unclosed '\\('", 0),
+], ids=["trailing", "trailing-after-non-ascii", "string-after-non-ascii",
+        "paren-after-non-ascii", "paren-before-non-ascii"])
+def test_sexpr_error_offset_counts_utf8_bytes(text, message, offset):
+    # the offset indexes the UTF-8 encoding of the text, where "\u00e9" is 2 bytes
+    with pytest.raises(MalformedInput, match=message) as exc:
+        parse_sexpr(text)
+    assert exc.value.offset == offset
+
+
 def test_symbol_and_labeled_wire_recovered():
     page = parse_kicad_page(ONE_SYMBOL_ONE_WIRE)
     assert page.id == "P1"

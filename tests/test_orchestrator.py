@@ -444,6 +444,29 @@ class TestWorkerPool:
         assert peak == 2
         assert peak_threads <= threads_before + 2
 
+    @pytest.mark.parametrize("max_in_flight", [None, 1, 2])
+    def test_no_agent_call_runs_on_the_calling_thread(self, demo, monkeypatch,
+                                                      max_in_flight):
+        # the calling thread only admits pages and waits; an agent call on
+        # it would be a worker beyond max_in_flight
+        work, paths = demo
+        clean_run_dirs(work)
+        cfg = fresh_cfg(work)
+        if max_in_flight is not None:
+            cfg.backend.max_in_flight = max_in_flight
+        caller = threading.get_ident()
+        on_caller = []
+        original = MockBackend.complete
+
+        def recorded(self, req, payload):
+            if threading.get_ident() == caller:
+                on_caller.append(req.agent_kind.value)
+            return original(self, req, payload)
+
+        monkeypatch.setattr(MockBackend, "complete", recorded)
+        run_pipeline(cfg, paths["schematic"])
+        assert on_caller == []
+
 
 class TestCli:
     def test_complete_run_exits_zero(self, demo, capsys):

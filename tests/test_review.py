@@ -2,6 +2,8 @@
 
 import json
 import logging
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -19,6 +21,7 @@ from schemreview.review import (
     build_review_payload,
     fan_out_reviews,
     load_checklist,
+    map_on_pool,
     review_group_once,
 )
 
@@ -28,8 +31,7 @@ def make_gateway(tmp_path) -> Gateway:
 
 
 def make_ctx(page, with_spec_for=("U1",)) -> GroupReviewContext:
-    group = FunctionalGroup("power stage", ("U1", "R1"),
-                            (PartRef(mpn="LM317"), PartRef(mpn="RES-1K")), {})
+    group = FunctionalGroup("power stage", ("U1", "R1"))
     spec = spec_from_agent_value(BASE_SPEC_VALUE, PartRef(mpn="LM317"), "file:///u1")
     specs = {d: (spec if d in with_spec_for else None) for d in group.designators}
     return GroupReviewContext(group, serialize_page_xml(page), specs,
@@ -180,6 +182,51 @@ class TestFanOut:
             single.shutdown(wait=False, cancel_futures=True)
         assert sorted(r.run_index for r in results) == [0, 1, 2]
         assert failures == []
+
+
+class TestMapOnPool:
+    def test_results_come_back_in_order(self, pool):
+        # later items finish first
+        def slow_first(i):
+            time.sleep(0.01 * (4 - i))
+            return i * i
+
+        assert map_on_pool(pool, slow_first, range(5)) == [0, 1, 4, 9, 16]
+
+    def test_task_on_one_worker_pool_runs_queued_items_inline(self):
+        single = ThreadPoolExecutor(max_workers=1)
+        try:
+            def task():
+                caller = threading.get_ident()
+                return map_on_pool(single, lambda i: (i, threading.get_ident() == caller),
+                                   range(4))
+
+            results = single.submit(task).result(timeout=10)
+        finally:
+            # on a deadlock, cancelling the queued items frees the worker
+            single.shutdown(wait=False, cancel_futures=True)
+        assert results == [(i, True) for i in range(4)]
+
+    def test_first_exception_cancels_items_not_started(self):
+        ran = []
+
+        def fail_on_two(i):
+            ran.append(i)
+            if i == 2:
+                raise ValueError("item 2")
+            return i
+
+        gate = threading.Event()
+        single = ThreadPoolExecutor(max_workers=1)
+        try:
+            single.submit(gate.wait)  # the worker stays busy: every item queues
+            with pytest.raises(ValueError, match="item 2"):
+                map_on_pool(single, fail_on_two, range(5))
+            assert ran == [0, 1, 2]
+        finally:
+            gate.set()
+            single.shutdown(wait=True)
+        assert ran == [0, 1, 2]  # items 3 and 4 were cancelled, not run
 
 
 def test_checklist_loading_prefers_group_kind():

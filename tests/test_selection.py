@@ -1,12 +1,25 @@
-"""Selection: grouping validation, residual group, ghost designators."""
+"""Selection: grouping validation, residual group, ghost designators, and the
+parts that retrieval takes from each group's members."""
 
 import json
 import logging
 
-from helpers import connected_components_excluding_power, regulator_page, write_fixture
+from helpers import (
+    connected_components_excluding_power,
+    generate_fixtures,
+    regulator_page,
+    write_fixture,
+)
+from schemreview import pipeline
 from schemreview.canonical import serialize_page_xml
+from schemreview.config import RunConfig
+from schemreview.demo import demo_responder
+from schemreview.errors import NoCandidates
 from schemreview.gateway import AgentKind, BackendConfig, Gateway
+from schemreview.libraries import PartRef
 from schemreview.model import Page
+from schemreview.pipeline import run_pipeline
+from schemreview.reporting import FileSink
 from schemreview.review import UNGROUPED, select_groups
 
 
@@ -39,16 +52,45 @@ def test_heuristic_grouping_fixture(tmp_path):
     assert sorted(groups[0].designators) == ["C1", "R1", "R2", "U1"]
 
 
-def test_parts_and_urls_extracted(tmp_path):
-    page = regulator_page()
-    script_selection(tmp_path, page, [
-        {"name": "power stage", "designators": ["U1", "R1", "R2", "C1"]},
-        {"name": "clamp", "designators": ["D5"]},
-    ])
-    groups = select_groups(page, make_gateway(tmp_path))
-    power = groups[0]
-    assert [p.key for p in power.parts] == ["LM317", "RES-1K", "RES-4K7"]
-    assert power.datasheet_urls == {}  # none embedded on this page
+def test_retrieval_takes_part_and_url_from_first_listed_member(tmp_path, monkeypatch):
+    # R1 and R2 share an MPN but differ in IPN and datasheet URL; selection
+    # lists R2 first, so R2 decides the part that is retrieved and its URL
+    def resistor(designator, ipn):
+        return {"designator": designator, "mpn": "RES-1K", "ipn": ipn,
+                "datasheet_url": f"file:///{designator}.pdf",
+                "pins": [{"designator": "1"}, {"designator": "2"}]}
+
+    doc = {"version": 1, "pages": [{
+        "id": "P1",
+        "components": [resistor("R1", "IPN-A"), resistor("R2", "IPN-B")],
+        "nets": [{"name": "MID", "nodes": [["R1", "2"], ["R2", "1"]]}],
+    }]}
+    schematic = tmp_path / "schematic.json"
+    schematic.write_text(json.dumps(doc))
+    cfg = RunConfig(backend=BackendConfig(kind="mock",
+                                          fixture_path=str(tmp_path / "fixtures")),
+                    sink=FileSink(str(tmp_path / "out")),
+                    cache_dir=str(tmp_path / "cache"))
+    calls = []
+
+    def recording_retrieve(part, libraries, retrieval_cfg, *, schematic_url=None,
+                           **kwargs):
+        calls.append((part, schematic_url))
+        raise NoCandidates(f"recorded {part.key}")
+
+    def responder(kind_name, payload, seed=0):
+        if kind_name == "selection":
+            return json.dumps({"groups": [{"name": "divider",
+                                           "designators": ["R2", "R1"]}]})
+        return demo_responder(kind_name, payload, seed)
+
+    def run():
+        calls.clear()
+        return run_pipeline(cfg, schematic)
+
+    monkeypatch.setattr(pipeline, "retrieve_spec", recording_retrieve)
+    generate_fixtures(run, tmp_path / "fixtures", responder)
+    assert calls == [(PartRef(mpn="RES-1K", ipn="IPN-B"), "file:///R2.pdf")]
 
 
 def test_ghost_designator_dropped_with_warning(tmp_path, caplog):
