@@ -19,7 +19,8 @@ Config file (JSON, version 1):
       "max_attempts": 5
     }
 
-Unknown top-level keys are rejected with a ConfigError naming them.
+Unknown top-level keys, and values of the wrong type, are rejected with
+a ConfigError naming them.
 """
 
 from __future__ import annotations
@@ -63,6 +64,8 @@ class RunConfig:
             raise ConfigError("critic_threshold must be within [0, 10]")
         if self.time_budget_s is not None and self.time_budget_s <= 0:
             raise ConfigError("time_budget_secs must be positive when set")
+        if self.max_attempts < 1:
+            raise ConfigError("max_attempts must be >= 1")
         if self.mode is Mode.DESIGN_REVIEW and not (
                 self.base_schematic or self.pages_override):
             raise ConfigError(
@@ -76,6 +79,20 @@ _CONFIG_KEYS = frozenset({
     "version", "mode", "k", "critic_threshold", "time_budget_secs", "cache_dir",
     "backend", "libraries", "sink", "base_schematic", "pages_override",
     "trace_out", "checklist_dir", "max_attempts"})
+
+
+_JSON_TYPES = {int: "an integer", float: "a number", str: "a string",
+               dict: "an object", list: "an array"}
+
+
+def _field(doc: dict, key: str, kind: type):
+    """``doc[key]`` if it has the JSON type ``kind``; a float field also
+    takes an integer, and no number field takes a boolean."""
+    value = doc[key]
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ConfigError(f"{key} must be {_JSON_TYPES[kind]}, got {value!r}")
+    return float(value) if kind is float else value
 
 
 def _backend_from_config(doc: dict) -> BackendConfig:
@@ -93,6 +110,8 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc.msg}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config {path}: the top level must be a JSON object")
     if doc.get("version") != 1:
         raise ConfigError(f"config {path}: unsupported version {doc.get('version')!r}")
     unknown = set(doc) - _CONFIG_KEYS
@@ -107,22 +126,22 @@ def load_config(path) -> RunConfig:
             raise ConfigError(f"unknown mode {doc['mode']!r}") from None
     for key in ("k", "max_attempts"):
         if key in doc:
-            setattr(cfg, key, int(doc[key]))
+            setattr(cfg, key, _field(doc, key, int))
     if "critic_threshold" in doc:
-        cfg.critic_threshold = float(doc["critic_threshold"])
+        cfg.critic_threshold = _field(doc, "critic_threshold", float)
     if doc.get("time_budget_secs") is not None:
-        cfg.time_budget_s = float(doc["time_budget_secs"])
+        cfg.time_budget_s = _field(doc, "time_budget_secs", float)
     if "backend" in doc:
-        cfg.backend = _backend_from_config(doc["backend"])
+        cfg.backend = _backend_from_config(_field(doc, "backend", dict))
     if "libraries" in doc:
-        cfg.libraries = [library_from_config(lib) for lib in doc["libraries"]]
+        cfg.libraries = [library_from_config(lib) for lib in _field(doc, "libraries", list)]
     if "sink" in doc:
-        cfg.sink = sink_from_config(doc["sink"])
+        cfg.sink = sink_from_config(_field(doc, "sink", dict))
     for key in ("cache_dir", "base_schematic", "trace_out", "checklist_dir"):
         if doc.get(key) is not None:
-            setattr(cfg, key, doc[key])
+            setattr(cfg, key, _field(doc, key, str))
     if doc.get("pages_override") is not None:
-        cfg.pages_override = [str(p) for p in doc["pages_override"]]
+        cfg.pages_override = [str(p) for p in _field(doc, "pages_override", list)]
     return cfg
 
 

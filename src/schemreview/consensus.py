@@ -35,7 +35,7 @@ from .review import (
     canonical_pin_key,
     split_pin_key,
 )
-from .tracing import TraceContext
+from .tracing import UNTRACED, TraceContext
 from .unionfind import UnionFind
 
 log = logging.getLogger(__name__)
@@ -184,7 +184,7 @@ def build_consensus_payload(ctx: GroupReviewContext,
 
 def combine_consensus(results: list[RunResult], ctx: GroupReviewContext,
                       gateway: Gateway,
-                      trace: TraceContext | None = None) -> list[ConsensusAnalysis]:
+                      trace: TraceContext = UNTRACED) -> list[ConsensusAnalysis]:
     if not results:
         raise ValueError("consensus needs at least one run result")
     k = len(results)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import logging
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from urllib.parse import urlparse, unquote
@@ -33,7 +32,7 @@ from .errors import AllAttemptsFailed, FetchFailed, NotADatasheet, SchemReviewEr
 from .gateway import AgentKind, AgentRequest, Gateway
 from .libraries import LibrarySource, PartRef, locate
 from .singleflight import SingleFlight
-from .tracing import TraceContext
+from .tracing import UNTRACED, TraceContext
 
 log = logging.getLogger(__name__)
 
@@ -148,7 +147,7 @@ def build_head_payload(doc: DatasheetDocument) -> str:
 
 
 def analyze_head(doc: DatasheetDocument, gateway: Gateway,
-                 trace: TraceContext | None = None) -> list[int]:
+                 trace: TraceContext = UNTRACED) -> list[int]:
     """Pick the pages worth extracting: agent indices are deduplicated,
     out-of-range ones dropped, the rest sorted ascending and capped at
     ``HEAD_PAGE_BUDGET``. An empty selection falls back to the leading
@@ -171,7 +170,7 @@ def build_extract_payload(doc: DatasheetDocument, selected: list[int]) -> str:
 
 
 def extract_spec(doc: DatasheetDocument, selected: list[int], part: PartRef,
-                 gateway: Gateway, trace: TraceContext | None = None) -> DatasheetSpec:
+                 gateway: Gateway, trace: TraceContext = UNTRACED) -> DatasheetSpec:
     if not selected:
         raise ValueError("extract_spec needs a non-empty page selection")
 
@@ -185,7 +184,7 @@ def extract_spec(doc: DatasheetDocument, selected: list[int], part: PartRef,
 
 
 def critique(spec: DatasheetSpec, gateway: Gateway,
-             trace: TraceContext | None = None) -> CriticScore:
+             trace: TraceContext = UNTRACED) -> CriticScore:
     req = AgentRequest(AgentKind.CRITIC, _CRITIC_PROMPT, spec.to_xml(), "critic")
     resp = gateway.complete(req, trace=trace)
     return CriticScore(**resp.value)
@@ -197,10 +196,8 @@ def retrieve_spec(part: PartRef, libraries: list[LibrarySource],
                   cfg: RetrievalConfig, *, gateway: Gateway, cache: CacheStore,
                   fetcher=default_fetcher, schematic_url: str | None = None,
                   flights: SingleFlight | None = None,
-                  trace: TraceContext | None = None) -> RetrievalResult:
+                  trace: TraceContext = UNTRACED) -> RetrievalResult:
     flights = flights if flights is not None else SingleFlight()
-    start = time.time()
-    t0 = time.perf_counter()
 
     def _run() -> RetrievalResult:
         candidates = locate(part, libraries, schematic_url)
@@ -240,15 +237,11 @@ def retrieve_spec(part: PartRef, libraries: list[LibrarySource],
         cache.put(CacheEntry((part.key, url), spec, score, stored_at=cache.now()))
         return RetrievalResult(spec, score, cache_hit=False, attempts=attempts)
 
-    try:
-        result = flights.run(part.key, _run)
-    except SchemReviewError as exc:
-        if trace is not None:
-            trace.record("retrieve", start, time.perf_counter() - t0,
-                         part=part.key, error=type(exc).__name__)
-        raise
-    if trace is not None:
-        trace.record("retrieve", start, time.perf_counter() - t0,
-                     part=part.key, cache_hit=result.cache_hit,
-                     attempt=result.attempts)
-    return result
+    with trace.span("retrieve", part=part.key) as span:
+        try:
+            result = flights.run(part.key, _run)
+        except SchemReviewError as exc:
+            span.attrs["error"] = type(exc).__name__
+            raise
+        span.attrs.update(cache_hit=result.cache_hit, attempt=result.attempts)
+        return result

@@ -9,6 +9,9 @@ appended, at most ``MAX_REPAIRS`` times.
 Mock fixtures live under ``<fixture_path>/<agent_kind>/<digest>-<seed>.resp``
 where ``digest`` is the first 16 hex chars of the SHA-256 of the user
 payload. The mock is thus a pure function of (agent kind, payload, seed).
+
+Every call, failed or not, records one span named after its agent kind;
+``usage_by_kind`` sums those spans into the run's usage.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ import enum
 import hashlib
 import json
 import os
-import threading
 import time
 from dataclasses import dataclass
 from importlib import resources
@@ -30,7 +32,7 @@ from .errors import (
     SchemaViolationAfterRetries,
 )
 from .schemacheck import Check, compile_schema
-from .tracing import TraceContext
+from .tracing import UNTRACED, TraceContext, TraceEvent
 
 MAX_REPAIRS = 2
 
@@ -93,7 +95,6 @@ class AgentRequest:
 class AgentResponse:
     value: object
     usage: TokenUsage
-    latency: float
     attempts: int = 1
 
 
@@ -117,8 +118,14 @@ class BackendConfig:
             raise ConfigError("live-http backend requires an endpoint")
         if self.kind == "mock" and not self.fixture_path:
             raise ConfigError("mock backend requires a fixture_path")
-        if self.max_in_flight < 1:
-            raise ConfigError("max_in_flight must be >= 1")
+        if not isinstance(self.max_in_flight, int) or self.max_in_flight < 1:
+            raise ConfigError(f"max_in_flight must be an integer >= 1, "
+                              f"got {self.max_in_flight!r}")
+        if not isinstance(self.timeout_s, (int, float)) or self.timeout_s <= 0:
+            raise ConfigError(f"timeout_s must be a positive number, got {self.timeout_s!r}")
+        if not isinstance(self.mock_delay_s, (int, float)) or self.mock_delay_s < 0:
+            raise ConfigError("mock_delay_s must be a nonnegative number, "
+                              f"got {self.mock_delay_s!r}")
 
 
 def resolve_model(cfg: BackendConfig, agent_kind: AgentKind) -> str:
@@ -282,14 +289,18 @@ class LiveHttpBackend:
             raise BackendUnavailable(str(exc)) from exc
         if resp.status_code != 200:
             raise BackendUnavailable(f"backend returned HTTP {resp.status_code}")
-        doc = resp.json()
         try:
+            doc = resp.json()
             text = doc["choices"][0]["message"]["content"]
-        except (KeyError, IndexError, TypeError) as exc:
+            if not isinstance(text, str):
+                raise TypeError(f"message content is {type(text).__name__}, not str")
+            usage = doc.get("usage", {})
+            return text, TokenUsage(int(usage.get("prompt_tokens", 0)),
+                                    int(usage.get("completion_tokens", 0)))
+        except (ValueError, LookupError, TypeError, AttributeError) as exc:
+            # ValueError covers a body that is not JSON and a token count
+            # that is not a number; AttributeError a non-object "usage"
             raise BackendUnavailable(f"malformed backend response: {exc}") from exc
-        usage = doc.get("usage", {})
-        return text, TokenUsage(int(usage.get("prompt_tokens", 0)),
-                                int(usage.get("completion_tokens", 0)))
 
 
 # --- gateway -------------------------------------------------------------------
@@ -300,121 +311,70 @@ class Gateway:
     The gateway does not throttle: the pipeline bounds concurrent calls,
     on every backend, by running them on its pool of ``max_in_flight``
     workers. Every invocation, failed or not, records exactly one span
-    (when a trace context is given) and one usage ledger entry.
+    under ``trace`` with its ``tokens_in``, ``tokens_out``, ``attempt``
+    and ``seed``, plus ``error`` when it failed.
     """
 
     def __init__(self, cfg: BackendConfig, registry: SchemaRegistry | None = None):
         cfg.validate()
         self.cfg = cfg
         self.registry = registry or default_registry()
-        self.ledger = UsageLedger()
         self._backend = MockBackend(cfg) if cfg.kind == "mock" else LiveHttpBackend(cfg)
 
     def complete(self, req: AgentRequest, post_validate=None,
-                 trace: TraceContext | None = None) -> AgentResponse:
+                 trace: TraceContext = UNTRACED) -> AgentResponse:
         if req.response_schema_id not in self.registry:
             raise ConfigError(f"schema {req.response_schema_id!r} is not registered")
-        start = time.time()
-        t0 = time.perf_counter()
         payload = req.user_payload
         usage = TokenUsage()
         attempts = 0
         last_raw = ""
         failure: str | None = None
-        try:
-            for attempts in range(1, MAX_REPAIRS + 2):
-                raw, attempt_usage = self._backend.complete(req, payload)
-                usage += attempt_usage
-                last_raw = raw
-                try:
-                    value = json.loads(raw)
-                except json.JSONDecodeError as exc:
-                    failure = f"invalid JSON: {exc.msg} at char {exc.pos}"
-                else:
+        with trace.span(req.agent_kind.value, seed=req.seed) as span:
+            try:
+                for attempts in range(1, MAX_REPAIRS + 2):
+                    raw, attempt_usage = self._backend.complete(req, payload)
+                    usage += attempt_usage
+                    last_raw = raw
                     try:
-                        self.registry.validate(req.response_schema_id, value)
-                        if post_validate is not None:
-                            post_validate(value)
-                    except (SchemaViolation, ValueError) as exc:
-                        failure = str(exc)
+                        value = json.loads(raw)
+                    except json.JSONDecodeError as exc:
+                        failure = f"invalid JSON: {exc.msg} at char {exc.pos}"
                     else:
-                        latency = time.perf_counter() - t0
-                        resp = AgentResponse(value, usage, latency, attempts)
-                        self._account(req, resp, trace, start)
-                        return resp
-                payload = repair_payload(payload, failure)
-            raise SchemaViolationAfterRetries(
-                f"{req.agent_kind.value}: output failed schema "
-                f"{req.response_schema_id!r} after {attempts} attempts: {failure}",
-                last_raw=last_raw)
-        except tuple(_FAILURE_NAMES) as exc:
-            # account for the spent tokens even though the call failed
-            failed = AgentResponse(None, usage, time.perf_counter() - t0, attempts)
-            self._account(req, failed, trace, start, error=_FAILURE_NAMES[type(exc)])
-            raise
-
-    def _account(self, req: AgentRequest, resp: AgentResponse,
-                 trace: TraceContext | None, start: float, error: str | None = None) -> None:
-        self.ledger.add(req.agent_kind, resp.usage, resp.latency)
-        if trace is not None:
-            attrs = {
-                "tokens_in": resp.usage.tokens_in,
-                "tokens_out": resp.usage.tokens_out,
-                "attempt": resp.attempts,
-                "seed": req.seed,
-            }
-            if error:
-                attrs["error"] = error
-            trace.record(req.agent_kind.value, start, resp.latency, **attrs)
+                        try:
+                            self.registry.validate(req.response_schema_id, value)
+                            if post_validate is not None:
+                                post_validate(value)
+                        except (SchemaViolation, ValueError) as exc:
+                            failure = str(exc)
+                        else:
+                            return AgentResponse(value, usage, attempts)
+                    payload = repair_payload(payload, failure)
+                raise SchemaViolationAfterRetries(
+                    f"{req.agent_kind.value}: output failed schema "
+                    f"{req.response_schema_id!r} after {attempts} attempts: {failure}",
+                    last_raw=last_raw)
+            except tuple(_FAILURE_NAMES) as exc:
+                span.attrs["error"] = _FAILURE_NAMES[type(exc)]
+                raise
+            finally:
+                # the spent tokens count even when the call failed
+                span.attrs.update(tokens_in=usage.tokens_in,
+                                  tokens_out=usage.tokens_out, attempt=attempts)
 
 
-# --- usage ledger ---------------------------------------------------------------
-
-@dataclass
-class KindUsage:
-    tokens_in: int = 0
-    tokens_out: int = 0
-    latency: float = 0.0
-    calls: int = 0
-
-
-class UsageLedger:
-    """Per-agent-kind token and latency sums; additive only."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._by_kind: dict[AgentKind, KindUsage] = {}
-
-    def add(self, kind: AgentKind, usage: TokenUsage, latency: float) -> None:
-        with self._lock:
-            entry = self._by_kind.setdefault(kind, KindUsage())
-            entry.tokens_in += usage.tokens_in
-            entry.tokens_out += usage.tokens_out
-            entry.latency += latency
-            entry.calls += 1
-
-    def per_kind(self) -> dict[AgentKind, KindUsage]:
-        with self._lock:
-            return {k: KindUsage(v.tokens_in, v.tokens_out, v.latency, v.calls)
-                    for k, v in self._by_kind.items()}
-
-    def totals(self) -> KindUsage:
-        total = KindUsage()
-        for entry in self.per_kind().values():
-            total.tokens_in += entry.tokens_in
-            total.tokens_out += entry.tokens_out
-            total.latency += entry.latency
-            total.calls += entry.calls
-        return total
-
-    def as_dict(self) -> dict:
-        out = {}
-        for kind, entry in sorted(self.per_kind().items(), key=lambda kv: kv[0].value):
-            out[kind.value] = {
-                "tokens_in": entry.tokens_in,
-                "tokens_out": entry.tokens_out,
-                "latency_s": entry.latency,
-                "calls": entry.calls,
-            }
-        return out
-
+def usage_by_kind(events: list[TraceEvent]) -> dict:
+    """Per-agent-kind sums over the agent spans among ``events``: tokens
+    in and out, span durations as ``latency_s``, and the call count;
+    kinds sorted by name."""
+    kinds = {kind.value for kind in AgentKind}
+    out: dict[str, dict] = {}
+    for e in events:
+        if e.span_name in kinds:
+            entry = out.setdefault(e.span_name, {
+                "tokens_in": 0, "tokens_out": 0, "latency_s": 0.0, "calls": 0})
+            entry["tokens_in"] += e.attributes["tokens_in"]
+            entry["tokens_out"] += e.attributes["tokens_out"]
+            entry["latency_s"] += e.duration
+            entry["calls"] += 1
+    return dict(sorted(out.items()))

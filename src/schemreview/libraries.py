@@ -133,7 +133,7 @@ def library_from_config(doc: dict) -> LibrarySource:
             directory=doc.get("directory"),
             api_key_env=doc.get("api_key_env"),
         )
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, TypeError) as exc:  # TypeError: not an object
         raise ConfigError(f"bad library config {doc!r}: {exc}") from exc
 
 

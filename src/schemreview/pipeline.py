@@ -10,8 +10,10 @@ its threads and its concurrent agent calls; every wait on the pool goes
 through ``review.map_on_pool``. The calling thread only admits pages and
 waits: pages run one after another and the time budget is checked
 before each, so pages not started by the deadline are skipped and the
-completed pages' comments are still posted. The trace file is written
-even when the run fails.
+completed pages' comments are still posted. The run's spans are its
+one record: the report's usage and cache counts and the root span's
+token totals are sums over them, and the trace file is written even
+when the run fails.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .augment import augment_netlist
@@ -29,7 +31,7 @@ from .consensus import combine_consensus
 from .datasheets import RetrievalConfig, default_fetcher, retrieve_spec
 from .dscache import CacheStore
 from .errors import InputError, SchemReviewError
-from .gateway import Gateway
+from .gateway import Gateway, usage_by_kind
 from .grouping import group_errors
 from .ingest import ingest_schematic
 from .libraries import PartRef
@@ -82,14 +84,6 @@ class RunReport:
         }
 
 
-@dataclass
-class _PageOutcome:
-    page_id: str
-    comments: list = field(default_factory=list)
-    cache_hits: int = 0
-    cache_misses: int = 0
-
-
 def _read_schematic(path) -> Schematic:
     try:
         raw = Path(path).read_bytes()
@@ -117,8 +111,7 @@ def select_page_set(cfg: RunConfig, head: Schematic) -> list[str]:
 
 def _retrieve_all_specs(page: Page, groups, cfg: RunConfig, gateway: Gateway,
                         cache: CacheStore, flights: SingleFlight,
-                        pool: ThreadPoolExecutor, ctx: TraceContext,
-                        outcome: _PageOutcome) -> dict:
+                        pool: ThreadPoolExecutor, ctx: TraceContext) -> dict:
     """Parallel retrieval across the page's unique parts; returns
     designator -> DatasheetSpec | None."""
     retrieval_cfg = RetrievalConfig(threshold=cfg.critic_threshold,
@@ -145,25 +138,19 @@ def _retrieve_all_specs(page: Page, groups, cfg: RunConfig, gateway: Gateway,
             log.warning("datasheet retrieval failed for %s: %s", key, exc)
             return key, None
 
-    spec_for_key: dict[str, object] = {}
-    for key, result in map_on_pool(pool, _one, sorted(parts.items())):
-        if result is not None:
-            spec_for_key[key] = result.spec
-            if result.cache_hit:
-                outcome.cache_hits += 1
-            else:
-                outcome.cache_misses += 1
-
+    spec_for_key = {key: result.spec
+                    for key, result in map_on_pool(pool, _one, sorted(parts.items()))
+                    if result is not None}
     return {designator: spec_for_key.get(key) for designator, key in part_keys.items()}
 
 
 def _analyze_page(page: Page, cfg: RunConfig, gateway: Gateway, cache: CacheStore,
                   flights: SingleFlight, pool: ThreadPoolExecutor,
-                  ctx: TraceContext) -> _PageOutcome:
-    outcome = _PageOutcome(page.id)
+                  ctx: TraceContext) -> list:
+    """The page's rendered comments."""
     groups = select_groups(page, gateway, trace=ctx)
     specs = _retrieve_all_specs(page, groups, cfg, gateway, cache, flights,
-                                pool, ctx, outcome)
+                                pool, ctx)
 
     def _review_group(group):
         review_ctx = GroupReviewContext(
@@ -181,9 +168,8 @@ def _analyze_page(page: Page, cfg: RunConfig, gateway: Gateway, cache: CacheStor
     analyses = [a for group_analyses in map_on_pool(pool, _review_group, groups)
                 for a in group_analyses]
 
-    for error_group in group_errors(analyses, page.nets):
-        outcome.comments.append(render_comment(error_group, specs, page))
-    return outcome
+    return [render_comment(error_group, specs, page)
+            for error_group in group_errors(analyses, page.nets)]
 
 
 def run_pipeline(cfg: RunConfig, schematic_path) -> RunReport:
@@ -198,7 +184,8 @@ def run_pipeline(cfg: RunConfig, schematic_path) -> RunReport:
     tracer = Tracer()
     root = TraceContext(tracer, "run")
 
-    outcomes: list[_PageOutcome] = []
+    analyzed: list[str] = []
+    comments: list = []
     skipped: list[str] = []
     error: dict = {}  # the root span's ``error`` when the run fails
 
@@ -211,37 +198,40 @@ def run_pipeline(cfg: RunConfig, schematic_path) -> RunReport:
                     skipped.append(page.id)
                     continue
                 with root.span(f"page:{page.id}", page_id=page.id) as ctx:
-                    outcomes.append(pool.submit(_analyze_page, page, cfg, gateway, cache,
-                                                flights, pool, ctx).result())
+                    comments += pool.submit(_analyze_page, page, cfg, gateway, cache,
+                                            flights, pool, ctx).result()
+                analyzed.append(page.id)
 
-        comments = [c for outcome in outcomes for c in outcome.comments]
-        progress = [ProgressEvent(o.page_id, stage)
-                    for o in outcomes for stage in PipelineStage]
+        progress = [ProgressEvent(pid, stage)
+                    for pid in analyzed for stage in PipelineStage]
         delivery = post_comments(cfg.sink, comments, progress)
     except BaseException as exc:
         error["error"] = type(exc).__name__
         raise
     finally:
-        totals = gateway.ledger.totals()
+        usage = usage_by_kind(tracer.events())
         tracer.record("run", "run", run_start, time.perf_counter() - t0, {
-            "pages_analyzed": len(outcomes),
+            "pages_analyzed": len(analyzed),
             "pages_skipped": len(skipped),
-            "tokens_in": totals.tokens_in,
-            "tokens_out": totals.tokens_out,
+            "tokens_in": sum(u["tokens_in"] for u in usage.values()),
+            "tokens_out": sum(u["tokens_out"] for u in usage.values()),
             **error,
         })
+        events = tracer.events()
         if cfg.trace_out:
-            emit_traces(tracer.events(), cfg.trace_out)
+            emit_traces(events, cfg.trace_out)
+
+    cache_hit = [e.attributes.get("cache_hit") for e in events if e.span_name == "retrieve"]
 
     status = RunStatus.PARTIAL if skipped else RunStatus.COMPLETE
     return RunReport(
         status=status,
-        pages_analyzed=[o.page_id for o in outcomes],
+        pages_analyzed=analyzed,
         pages_skipped=skipped,
         comments_emitted=len(comments),
-        usage=gateway.ledger.as_dict(),
-        cache_hits=sum(o.cache_hits for o in outcomes),
-        cache_misses=sum(o.cache_misses for o in outcomes),
+        usage=usage,
+        cache_hits=cache_hit.count(True),
+        cache_misses=cache_hit.count(False),
         wall_time_s=time.perf_counter() - t0,
         delivery=delivery,
     )

@@ -22,7 +22,7 @@ from .canonical import serialize_page_xml
 from .errors import AllRunsFailed, SchemReviewError
 from .gateway import AgentKind, AgentRequest, Gateway
 from .model import Page
-from .tracing import TraceContext
+from .tracing import UNTRACED, TraceContext
 
 log = logging.getLogger(__name__)
 
@@ -140,7 +140,7 @@ class GroupReviewContext:
 # --- selection ----------------------------------------------------------------
 
 def select_groups(page: Page, gateway: Gateway,
-                  trace: TraceContext | None = None) -> list[FunctionalGroup]:
+                  trace: TraceContext = UNTRACED) -> list[FunctionalGroup]:
     if not page.components:
         return []
     req = AgentRequest(AgentKind.SELECTION, SELECTION_PROMPT,
@@ -188,7 +188,7 @@ def build_review_payload(ctx: GroupReviewContext) -> str:
 
 def review_group_once(ctx: GroupReviewContext, payload: str, page: Page,
                       run_index: int, gateway: Gateway,
-                      trace: TraceContext | None = None) -> RunResult:
+                      trace: TraceContext = UNTRACED) -> RunResult:
     """One review run of ``payload`` (``build_review_payload(ctx)``). Output
     is validated: analyses for components outside the group and verdicts
     naming pins the component does not have are dropped with a warning;
@@ -263,7 +263,7 @@ def map_on_pool(pool: Executor, fn, items) -> list:
 
 
 def fan_out_reviews(ctx: GroupReviewContext, page: Page, k: int, gateway: Gateway,
-                    pool: Executor, trace: TraceContext | None = None
+                    pool: Executor, trace: TraceContext = UNTRACED
                     ) -> tuple[list[RunResult], list[RunFailure]]:
     """k review runs differing only by seed, as tasks on ``pool`` next to
     the run's pages, parts and groups (``map_on_pool``). Failed runs are
@@ -274,8 +274,6 @@ def fan_out_reviews(ctx: GroupReviewContext, page: Page, k: int, gateway: Gatewa
 
     def _one_run(run_index: int) -> RunResult | RunFailure:
         try:
-            if trace is None:
-                return review_group_once(ctx, payload, page, run_index, gateway, None)
             with trace.span(f"review:{run_index}", run_index=run_index) as run_trace:
                 return review_group_once(ctx, payload, page, run_index, gateway,
                                          run_trace)

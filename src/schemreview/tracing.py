@@ -1,9 +1,13 @@
 """Span collection and trace emission.
 
+A run's spans are its one record: the report's usage and cache counts
+are sums over them. Every span is opened with ``TraceContext.span``.
 A span's position in the tree is its slash-separated ``path``; the parent
-is the path minus its last segment. Emission sorts spans by path so two
-runs over the same inputs produce the same record sequence regardless of
-thread scheduling (wall-clock fields still differ).
+is the path minus its last segment. ``Tracer.events`` sorts spans by
+path so two runs over the same inputs produce the same record sequence
+regardless of thread scheduling (wall-clock fields still differ).
+``UNTRACED`` is the context of a call made outside any run: its spans
+are discarded.
 """
 
 from __future__ import annotations
@@ -63,8 +67,9 @@ class TraceContext:
     @contextmanager
     def span(self, name: str, **attrs):
         """Time the block as span ``name``; yields the child context that
-        spans opened inside the block record under. The span is recorded
-        even when the block raises."""
+        spans opened inside the block record under. Attributes the block
+        sets on the child's ``attrs`` are recorded with the span, which is
+        recorded even when the block raises."""
         child = self.child(name, **attrs)
         start = time.time()
         t0 = time.perf_counter()
@@ -74,16 +79,22 @@ class TraceContext:
             self.tracer.record(name, child.path, start,
                                time.perf_counter() - t0, child.attrs)
 
-    def record(self, name: str, start: float, duration: float, **attrs) -> None:
-        self.tracer.record(name, f"{self.path}/{name}", start, duration,
-                           {**self.attrs, **attrs})
+
+class _DiscardingTracer(Tracer):
+    def record(self, span_name: str, path: str, start: float, duration: float,
+               attributes: dict | None = None) -> None:
+        pass
+
+
+UNTRACED = TraceContext(_DiscardingTracer())
 
 
 def emit_traces(events: list[TraceEvent], path) -> None:
-    """Write newline-delimited span records (one JSON object per span)."""
+    """Write newline-delimited span records (one JSON object per span), in
+    the order given (``Tracer.events`` order)."""
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            for e in sorted(events, key=lambda ev: (ev.path, ev.span_name)):
+            for e in events:
                 fh.write(json.dumps({
                     "span": e.span_name,
                     "path": e.path,

@@ -1,4 +1,4 @@
-"""Gateway: mock fixtures, schema repair, tier routing, usage ledger."""
+"""Gateway: mock fixtures, schema repair, tier routing, usage summed from spans."""
 
 import json
 import threading
@@ -10,19 +10,18 @@ from schemreview.errors import BackendUnavailable, ConfigError, SchemaViolationA
 from schemreview.gateway import (
     AgentKind,
     AgentRequest,
-    AgentResponse,
     BackendConfig,
     Gateway,
     ModelTier,
     TokenUsage,
-    UsageLedger,
     default_registry,
     fixture_relpath,
     repair_payload,
     resolve_model,
     route_tier,
+    usage_by_kind,
 )
-from schemreview.tracing import TraceContext, Tracer
+from schemreview.tracing import UNTRACED, TraceContext, TraceEvent, Tracer
 
 
 def write_fixture(root, kind: AgentKind, payload: str, seed: int, text: str) -> None:
@@ -140,56 +139,73 @@ class TestTierRouting:
         assert resolve_model(cfg, AgentKind.CONSENSUS) == "big"
 
 
-def ledger_of(responses) -> UsageLedger:
-    ledger = UsageLedger()
-    for kind, resp in responses:
-        ledger.add(kind, resp.usage, resp.latency)
-    return ledger
+def agent_span(kind: AgentKind, tokens_in: int, tokens_out: int,
+               duration: float) -> TraceEvent:
+    return TraceEvent(kind.value, f"run/{kind.value}", 0.0, duration,
+                      {"tokens_in": tokens_in, "tokens_out": tokens_out})
+
+
+def traced_gateway(cfg):
+    tracer = Tracer()
+    return Gateway(cfg), tracer, TraceContext(tracer, "run")
 
 
 class TestUsageLedger:
+    """``usage_by_kind``: the run's usage, summed from its agent spans."""
+
     def test_empty_stream_is_all_zero(self):
-        ledger = UsageLedger()
-        assert ledger.totals().tokens_in == 0
-        assert ledger.totals().tokens_out == 0
-        assert ledger.per_kind() == {}
+        assert usage_by_kind([]) == {}
 
     def test_two_responses_sum(self):
-        responses = [
-            (AgentKind.GROUP_REVIEW, AgentResponse({}, TokenUsage(10, 5), 0.1)),
-            (AgentKind.GROUP_REVIEW, AgentResponse({}, TokenUsage(7, 3), 0.2)),
+        events = [
+            agent_span(AgentKind.GROUP_REVIEW, 10, 5, 0.1),
+            agent_span(AgentKind.GROUP_REVIEW, 7, 3, 0.2),
         ]
-        ledger = ledger_of(responses)
-        entry = ledger.per_kind()[AgentKind.GROUP_REVIEW]
-        assert (entry.tokens_in, entry.tokens_out) == (17, 8)
+        entry = usage_by_kind(events)["group_review"]
+        assert (entry["tokens_in"], entry["tokens_out"]) == (17, 8)
+        assert entry["calls"] == 2
+        assert entry["latency_s"] == pytest.approx(0.3)
 
     def test_interleaved_kinds_match_brute_force(self):
         import random
         rng = random.Random(42)
-        responses = []
+        events = []
         for _ in range(50):
             kind = rng.choice(list(AgentKind))
-            responses.append((kind, AgentResponse(
-                {}, TokenUsage(rng.randint(0, 100), rng.randint(0, 100)),
-                rng.random())))
-        ledger = ledger_of(responses)
+            events.append(agent_span(kind, rng.randint(0, 100), rng.randint(0, 100),
+                                     rng.random()))
+        events.append(TraceEvent("retrieve", "run/retrieve", 0.0, 1.0,
+                                 {"cache_hit": True}))  # not an agent span
+        usage = usage_by_kind(events)
+        assert list(usage) == sorted(usage)
         for kind in AgentKind:
-            expect_in = sum(r.usage.tokens_in for k, r in responses if k is kind)
-            expect_out = sum(r.usage.tokens_out for k, r in responses if k is kind)
-            entry = ledger.per_kind().get(kind)
-            got = (entry.tokens_in, entry.tokens_out) if entry else (0, 0)
-            assert got == (expect_in, expect_out)
+            mine = [e for e in events if e.span_name == kind.value]
+            entry = usage.get(kind.value, {"tokens_in": 0, "tokens_out": 0, "calls": 0})
+            assert (entry["tokens_in"], entry["tokens_out"], entry["calls"]) == (
+                sum(e.attributes["tokens_in"] for e in mine),
+                sum(e.attributes["tokens_out"] for e in mine), len(mine))
 
     def test_gateway_ledger_accumulates(self, tmp_path):
         cfg = mock_cfg(tmp_path)
         write_fixture(tmp_path / "fixtures", AgentKind.HEAD_ANALYSIS,
                       "pp", 0, '{"pages": [0]}')
+        gw, tracer, trace = traced_gateway(cfg)
+        gw.complete(head_request("pp"), trace=trace)
+        gw.complete(head_request("pp"), trace=trace)
+        entry = usage_by_kind(tracer.events())["head_analysis"]
+        assert entry["calls"] == 2
+        assert entry["tokens_in"] == 2 * (len("pp") // 4)
+
+    def test_untraced_call_leaves_nothing_behind(self, tmp_path):
+        cfg = mock_cfg(tmp_path)
+        write_fixture(tmp_path / "fixtures", AgentKind.HEAD_ANALYSIS,
+                      "pp", 0, '{"pages": [0]}')
         gw = Gateway(cfg)
-        gw.complete(head_request("pp"))
-        gw.complete(head_request("pp"))
-        entry = gw.ledger.per_kind()[AgentKind.HEAD_ANALYSIS]
-        assert entry.calls == 2
-        assert entry.tokens_in == 2 * (len("pp") // 4)
+        state = dict(vars(gw))
+        assert gw.complete(head_request("pp")).value == {"pages": [0]}
+        assert UNTRACED.tracer.events() == []
+        assert (UNTRACED.path, UNTRACED.attrs) == ("run", {})
+        assert vars(gw) == state  # the gateway keeps no per-call record
 
 
 class TestTracing:
@@ -205,24 +221,23 @@ class TestTracing:
         write_fixture(root, AgentKind.HEAD_ANALYSIS,
                       repair_payload(payload, error), 0, '{"pages": [0]}')
 
-        tracer = Tracer()
-        gw = Gateway(cfg)
-        gw.complete(head_request(payload), trace=TraceContext(tracer, "run"))
+        gw, tracer, trace = traced_gateway(cfg)
+        resp = gw.complete(head_request(payload), trace=trace)
         events = tracer.events()
         assert len(events) == 1
         assert events[0].span_name == "head_analysis"
         assert events[0].attributes["attempt"] == 2  # repair attempts observable
-        entry = gw.ledger.per_kind()[AgentKind.HEAD_ANALYSIS]
-        assert events[0].attributes["tokens_in"] == entry.tokens_in
+        assert events[0].attributes["tokens_in"] == resp.usage.tokens_in
+        assert events[0].attributes["seed"] == 0
+        assert "error" not in events[0].attributes
 
     def test_mock_miss_recorded_as_one_failed_call(self, tmp_path):
-        tracer = Tracer()
-        gw = Gateway(mock_cfg(tmp_path))
+        gw, tracer, trace = traced_gateway(mock_cfg(tmp_path))
         with pytest.raises(BackendUnavailable):
-            gw.complete(head_request("absent"), trace=TraceContext(tracer, "run"))
-        entry = gw.ledger.per_kind()[AgentKind.HEAD_ANALYSIS]
-        assert entry.calls == 1
-        assert (entry.tokens_in, entry.tokens_out) == (0, 0)
+            gw.complete(head_request("absent"), trace=trace)
+        entry = usage_by_kind(tracer.events())["head_analysis"]
+        assert entry["calls"] == 1
+        assert (entry["tokens_in"], entry["tokens_out"]) == (0, 0)
         [event] = tracer.events()
         assert event.span_name == "head_analysis"
         assert event.attributes["error"] == "backend_unavailable"
@@ -231,16 +246,15 @@ class TestTracing:
         payload = "doc-pages"
         bad = '{"pages": "bad"}'
         write_fixture(tmp_path / "fixtures", AgentKind.HEAD_ANALYSIS, payload, 0, bad)
-        tracer = Tracer()
-        gw = Gateway(mock_cfg(tmp_path))
+        gw, tracer, trace = traced_gateway(mock_cfg(tmp_path))
         with pytest.raises(BackendUnavailable):  # the repair prompt has no fixture
-            gw.complete(head_request(payload), trace=TraceContext(tracer, "run"))
-        entry = gw.ledger.per_kind()[AgentKind.HEAD_ANALYSIS]
-        assert entry.calls == 1
-        assert (entry.tokens_in, entry.tokens_out) == (len(payload) // 4, len(bad) // 4)
+            gw.complete(head_request(payload), trace=trace)
+        entry = usage_by_kind(tracer.events())["head_analysis"]
+        assert entry["calls"] == 1
+        assert (entry["tokens_in"], entry["tokens_out"]) == (len(payload) // 4, len(bad) // 4)
         [event] = tracer.events()
         assert event.attributes["attempt"] == 2
-        assert event.attributes["tokens_in"] == entry.tokens_in
+        assert event.attributes["tokens_in"] == entry["tokens_in"]
         assert event.attributes["error"] == "backend_unavailable"
 
 
@@ -265,13 +279,12 @@ class TestTimeout:
             cfg = BackendConfig(kind="live-http",
                                 endpoint=f"http://127.0.0.1:{server.server_port}/",
                                 timeout_s=0.1)
-            tracer = Tracer()
-            gw = Gateway(cfg)
+            gw, tracer, trace = traced_gateway(cfg)
             with pytest.raises(BackendTimeout):
-                gw.complete(head_request("p"), trace=TraceContext(tracer, "run"))
+                gw.complete(head_request("p"), trace=trace)
         finally:
             server.shutdown()
-        assert gw.ledger.per_kind()[AgentKind.HEAD_ANALYSIS].calls == 1
+        assert usage_by_kind(tracer.events())["head_analysis"]["calls"] == 1
         [event] = tracer.events()
         assert event.attributes["error"] == "backend_timeout"
 
@@ -326,3 +339,43 @@ class TestLiveBackendRecordedExchange:
             Gateway(BackendConfig(kind="live-http"))
         with pytest.raises(ConfigError):
             Gateway(BackendConfig(kind="mock", fixture_path=None))
+
+
+_CHOICES = [{"message": {"content": '{"pages": [2]}'}}]
+
+
+@pytest.mark.parametrize("body", [
+    b"<html>bad gateway</html>",  # HTTP 200, but not JSON
+    json.dumps({"choices": _CHOICES, "usage": None}).encode(),
+    json.dumps({"choices": _CHOICES,
+                "usage": {"prompt_tokens": "many", "completion_tokens": 7}}).encode(),
+    json.dumps({"choices": [{"message": {"content": None}}]}).encode(),
+], ids=["not-json", "null-usage", "non-integer-tokens", "null-content"])
+def test_malformed_live_reply_is_backend_unavailable(body):
+    class Handler(BaseHTTPRequestHandler):
+        def do_POST(self):
+            self.rfile.read(int(self.headers["Content-Length"]))
+            self.send_response(200)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+        def log_message(self, *args):
+            pass
+
+    server = HTTPServer(("127.0.0.1", 0), Handler)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    try:
+        cfg = BackendConfig(kind="live-http",
+                            endpoint=f"http://127.0.0.1:{server.server_port}/")
+        gw, tracer, trace = traced_gateway(cfg)
+        with pytest.raises(BackendUnavailable, match="malformed backend response"):
+            gw.complete(head_request("p"), trace=trace)
+    finally:
+        server.shutdown()
+        server.server_close()
+    [event] = tracer.events()
+    assert event.span_name == "head_analysis"
+    assert event.attributes["error"] == "backend_unavailable"
+    assert (event.attributes["tokens_in"], event.attributes["tokens_out"]) == (0, 0)

@@ -68,6 +68,30 @@ def assert_ledger_matches_trace(report, spans):
         assert sum(s["attributes"]["tokens_out"] for s in kind_spans) == entry["tokens_out"]
 
 
+_MALFORMED_CONFIGS = [  # each turns the demo's config document into a bad one
+    pytest.param(lambda doc: {**doc, "k": "abc"}, id="k"),
+    pytest.param(lambda doc: {**doc, "k": 2.7}, id="k-fraction"),
+    pytest.param(lambda doc: {**doc, "k": True}, id="k-boolean"),
+    pytest.param(lambda doc: {**doc, "critic_threshold": "high"}, id="critic_threshold"),
+    pytest.param(lambda doc: {**doc, "time_budget_secs": "soon"}, id="time_budget_secs"),
+    pytest.param(lambda doc: [1], id="top-level-array"),
+    pytest.param(lambda doc: {**doc, "sink": "out"}, id="sink"),
+    pytest.param(lambda doc: {**doc, "libraries": ["parts.csv"]}, id="library-entry"),
+    pytest.param(lambda doc: {**doc, "cache_dir": 5}, id="cache_dir"),
+    pytest.param(lambda doc: {**doc, "backend": {**doc["backend"], "max_in_flight": "8"}},
+                 id="max_in_flight"),
+    pytest.param(lambda doc: {**doc, "backend": {**doc["backend"], "mock_delay_s": "x"}},
+                 id="mock_delay_s"),
+    pytest.param(lambda doc: {**doc, "max_attempts": 0}, id="max_attempts"),
+]
+
+
+def write_malformed_config(work, tmp_path, malform):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(malform(json.loads((work / "config.json").read_text()))))
+    return path
+
+
 class TestConfig:
     def test_load_round_trip(self, demo):
         work, _ = demo
@@ -112,6 +136,12 @@ class TestConfig:
         path.write_text(json.dumps(doc))
         with pytest.raises(ConfigError, match=key):
             load_config(path)
+
+    @pytest.mark.parametrize("malform", _MALFORMED_CONFIGS)
+    def test_malformed_value_is_config_error(self, demo, tmp_path, malform):
+        work, _ = demo
+        with pytest.raises(ConfigError):
+            load_config(write_malformed_config(work, tmp_path, malform)).validate()
 
     def test_cli_overrides_win(self, demo):
         work, _ = demo
@@ -496,6 +526,16 @@ class TestCli:
                      "--config", str(paths["config"])])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("malform", _MALFORMED_CONFIGS)
+    def test_malformed_config_exits_one_with_an_error_line(self, demo, tmp_path, capsys,
+                                                           malform):
+        work, paths = demo
+        code = main(["--schematic", str(paths["schematic"]),
+                     "--config", str(write_malformed_config(work, tmp_path, malform))])
+        assert code == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ")
 
     def test_design_review_flags(self, demo, capsys):
         work, paths = demo
