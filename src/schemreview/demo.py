@@ -10,7 +10,8 @@ run config pointing at a mock backend.
 payload alone, and ``generate_fixtures`` drives a run function until the
 fixture directory satisfies it: the mock backend drops a ``.req``
 capture for each miss, each round scripts responses for the captures,
-and the loop converges because fixtures only accumulate.
+and the loop converges because fixtures only accumulate; what the
+converged round did not read is then deleted.
 """
 
 from __future__ import annotations
@@ -18,10 +19,12 @@ from __future__ import annotations
 import json
 import re
 import xml.etree.ElementTree as ET
+from contextlib import contextmanager
 from importlib import resources
 from pathlib import Path
 
 from .errors import SchemReviewError
+from .gateway import MockBackend, fixture_relpath
 
 POWER_NET = re.compile(r"^(GND|VCC.*|VDD.*|[+-]?[0-9]+V.*)$")
 
@@ -297,25 +300,53 @@ def demo_responder(kind_name: str, payload: str, seed: int = 0) -> str:
 
 # --- fixture generation ----------------------------------------------------------
 
+@contextmanager
+def _served_fixtures():
+    """The resolved paths of the fixtures ``MockBackend`` serves inside the
+    block, from any thread."""
+    served: set[Path] = set()
+    original = MockBackend.complete
+
+    def complete(backend, req, payload):
+        result = original(backend, req, payload)
+        served.add(backend.root / fixture_relpath(req.agent_kind, payload, req.seed))
+        return result
+
+    MockBackend.complete = complete
+    try:
+        yield served
+    finally:
+        MockBackend.complete = original
+
+
 def generate_fixtures(run_fn, fixture_root, responder=demo_responder,
                       max_rounds: int = 60):
     """Run ``run_fn`` repeatedly, scripting responses for every ``.req``
     capture the mock backend leaves behind, until a round needs nothing
-    new; returns that round's result."""
+    new; returns that round's result. Only the fixtures that round read
+    are kept: earlier rounds capture payloads built from answers still
+    missing (a review of a group whose retrieval failed), which a
+    converged run never sends."""
     root = Path(fixture_root)
     root.mkdir(parents=True, exist_ok=True)
     for _ in range(max_rounds):
         failure = None
         result = None
-        try:
-            result = run_fn()
-        except SchemReviewError as exc:
-            failure = exc
+        with _served_fixtures() as served:
+            try:
+                result = run_fn()
+            except SchemReviewError as exc:
+                failure = exc
         missing = [p for p in sorted(root.rglob("*.req"))
                    if not p.with_suffix(".resp").exists()]
         if not missing:
             if failure is not None:
                 raise failure
+            read = {path.resolve() for path in served}
+            for resp in root.rglob("*.resp"):
+                if resp.resolve() not in read:
+                    resp.unlink()
+                    resp.with_suffix(".req").unlink(missing_ok=True)
             return result
         for req_path in missing:
             kind_name = req_path.parent.name

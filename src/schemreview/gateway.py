@@ -112,6 +112,13 @@ class BackendConfig:
     mock_delay_s: float = 0.0
 
     def validate(self) -> None:
+        for name in ("kind", "strong_model", "weak_model", "api_key_env"):
+            if not isinstance(getattr(self, name), str):
+                raise ConfigError(f"{name} must be a string, got {getattr(self, name)!r}")
+        for name in ("endpoint", "consensus_model", "fixture_path"):
+            if not isinstance(getattr(self, name), (str, type(None))):
+                raise ConfigError(f"{name} must be a string or null, "
+                                  f"got {getattr(self, name)!r}")
         if self.kind not in ("mock", "live-http"):
             raise ConfigError(f"unknown backend kind {self.kind!r}")
         if self.kind == "live-http" and not self.endpoint:

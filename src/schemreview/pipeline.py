@@ -1,25 +1,39 @@
-"""The per-page pipeline under a time budget.
+"""The pipeline over a run's pages under a time budget.
 
 Page set: full-analysis mode takes every page; design-review mode takes
 the pages whose canonical hash differs from the base plus any explicit
-page override. Per page: select groups, retrieve specs (parallel across
-parts), fan out k reviews per group, combine consensus, cluster errors,
-render comments. Pages, parts, groups and review runs are all tasks on
-the run's one pool of ``backend.max_in_flight`` threads, which bounds
-its threads and its concurrent agent calls; every wait on the pool goes
-through ``review.map_on_pool``. The calling thread only admits pages and
-waits: pages run one after another and the time budget is checked
-before each, so pages not started by the deadline are skipped and the
-completed pages' comments are still posted. The run's spans are its
-one record: the report's usage and cache counts and the root span's
-token totals are sums over them, and the trace file is written even
-when the run fails.
+page override. Admission: with no time budget every page of the set
+forms one batch; with a budget each page is its own batch, admitted
+once the page before it has finished and only if the deadline has not
+passed, so pages not started by the deadline are skipped and the
+completed pages' comments are still posted. Within a batch each stage
+runs for all its pages together before the next starts:
+
+1. select groups on every page;
+2. retrieve each part under the first page, in document order, that
+   lists it (parallel across parts);
+3. retrieve the later pages' listings of those parts, which hit the
+   cache as they would after the earlier page (or retry a failed first
+   retrieval);
+4. fan out k reviews per group and combine consensus, for every group
+   of every page;
+5. cluster errors and render comments page by page, in document order.
+
+Batches, parts, groups and review runs are all tasks on the run's one
+pool of ``backend.max_in_flight`` threads, which bounds its threads and
+its concurrent agent calls; every wait on the pool goes through
+``review.map_on_pool``. The calling thread only admits batches and
+waits. Each page records its own ``page:<id>`` span. The run's spans
+are its one record: the report's usage and cache counts and the root
+span's token totals are sums over them, and the trace file is written
+even when the run fails.
 """
 
 from __future__ import annotations
 
 import logging
 import time
+from contextlib import ExitStack
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -109,53 +123,89 @@ def select_page_set(cfg: RunConfig, head: Schematic) -> list[str]:
     return [pid for pid in all_ids if pid in wanted]
 
 
-def _retrieve_all_specs(page: Page, groups, cfg: RunConfig, gateway: Gateway,
-                        cache: CacheStore, flights: SingleFlight,
-                        pool: ThreadPoolExecutor, ctx: TraceContext) -> dict:
-    """Parallel retrieval across the page's unique parts; returns
-    designator -> DatasheetSpec | None."""
+def _retrieve_all_specs(pages: list[tuple[Page, TraceContext]], groups: list,
+                        cfg: RunConfig, gateway: Gateway, cache: CacheStore,
+                        flights: SingleFlight, pool: ThreadPoolExecutor) -> list[dict]:
+    """Per page, designator -> DatasheetSpec | None. Each part key is
+    retrieved under the first page, in document order, that lists it, all
+    such parts in parallel; then every later listing is retrieved under its
+    own page, hitting the cache as it would after the earlier page ran (or
+    retrying a failed first retrieval)."""
     retrieval_cfg = RetrievalConfig(threshold=cfg.critic_threshold,
                                     max_attempts=cfg.max_attempts)
-    part_keys: dict[str, str | None] = {}  # designator -> part key
-    parts: dict[str, tuple] = {}  # part key -> (PartRef, schematic_url)
-    for group in groups:
-        for designator in group.designators:
-            comp = page.component(designator)
-            key = part_keys[designator] = comp.mpn or comp.ipn
-            if key and key not in parts:
-                parts[key] = (PartRef(comp.mpn, comp.ipn), comp.datasheet_url or None)
+    part_keys: list[dict[str, str | None]] = []  # per page: designator -> part key
+    first, repeats = [], []  # (page index, context, part key, (PartRef, schematic_url))
+    listed: set[str] = set()
+    for index, ((page, ctx), page_groups) in enumerate(zip(pages, groups)):
+        keys: dict[str, str | None] = {}
+        parts: dict[str, tuple] = {}
+        for group in page_groups:
+            for designator in group.designators:
+                comp = page.component(designator)
+                key = keys[designator] = comp.mpn or comp.ipn
+                if key and key not in parts:
+                    parts[key] = (PartRef(comp.mpn, comp.ipn), comp.datasheet_url or None)
+        part_keys.append(keys)
+        for key, listing in sorted(parts.items()):
+            (repeats if key in listed else first).append((index, ctx, key, listing))
+            listed.add(key)
 
-    def _one(item):
-        key, (part, schematic_url) = item
+    def _one(job):
+        _, ctx, key, (part, schematic_url) = job
         try:
             with ctx.span(f"part:{key}", part=key) as part_ctx:
-                return key, retrieve_spec(
+                return retrieve_spec(
                     part, cfg.libraries, retrieval_cfg, gateway=gateway,
                     cache=cache, fetcher=default_fetcher,
                     schematic_url=schematic_url, flights=flights,
-                    trace=part_ctx)
+                    trace=part_ctx).spec
         except SchemReviewError as exc:
             log.warning("datasheet retrieval failed for %s: %s", key, exc)
-            return key, None
+            return None
 
-    spec_for_key = {key: result.spec
-                    for key, result in map_on_pool(pool, _one, sorted(parts.items()))
-                    if result is not None}
-    return {designator: spec_for_key.get(key) for designator, key in part_keys.items()}
+    specs: dict[tuple[int, str], object] = {}  # (page index, part key) -> spec
+    for jobs in (first, repeats):
+        for (index, _, key, _), spec in zip(jobs, map_on_pool(pool, _one, jobs)):
+            specs[index, key] = spec
+    return [{designator: specs.get((index, key)) for designator, key in keys.items()}
+            for index, keys in enumerate(part_keys)]
 
 
-def _analyze_page(page: Page, cfg: RunConfig, gateway: Gateway, cache: CacheStore,
-                  flights: SingleFlight, pool: ThreadPoolExecutor,
-                  ctx: TraceContext) -> list:
-    """The page's rendered comments."""
-    groups = select_groups(page, gateway, trace=ctx)
-    specs = _retrieve_all_specs(page, groups, cfg, gateway, cache, flights,
-                                pool, ctx)
+def _map_settled(pool: ThreadPoolExecutor, fn, items) -> list:
+    """``map_on_pool`` for one stage of a batch: every item runs to its end
+    even when another fails, so a failed run's trace holds the stage for
+    every admitted page; the first failure in item order is then raised."""
+    def settled(item):
+        try:
+            return fn(item), None
+        except Exception as exc:
+            return None, exc
 
-    def _review_group(group):
+    outcomes = map_on_pool(pool, settled, items)
+    for _, exc in outcomes:
+        if exc is not None:
+            raise exc
+    return [value for value, _ in outcomes]
+
+
+def _analyze_pages(pages: list[tuple[Page, TraceContext]], cfg: RunConfig,
+                   gateway: Gateway, cache: CacheStore, flights: SingleFlight,
+                   pool: ThreadPoolExecutor) -> list:
+    """The batch's rendered comments, page by page in document order; each
+    page's spans record under its own context. Each stage runs for every
+    page of the batch together before the next starts: selection,
+    retrieval (``_retrieve_all_specs``), then every page's group reviews
+    and consensus; grouping and rendering follow per page."""
+    groups = _map_settled(pool, lambda pc: select_groups(pc[0], gateway, trace=pc[1]),
+                          pages)
+    specs = _retrieve_all_specs(pages, groups, cfg, gateway, cache, flights, pool)
+
+    def _review_group(job):
+        index, group = job
+        page, ctx = pages[index]
         review_ctx = GroupReviewContext(
             group, serialize_page_xml(page, group.designators),
-            {d: specs.get(d) for d in group.designators},
+            {d: specs[index].get(d) for d in group.designators},
             load_checklist(group.name, cfg.checklist_dir))
         with ctx.span(f"group:{group.name}", group=group.name) as gctx:
             runs, failures = fan_out_reviews(review_ctx, page, cfg.k, gateway,
@@ -165,11 +215,15 @@ def _analyze_page(page: Page, cfg: RunConfig, gateway: Gateway, cache: CacheStor
                             page.id, group.name, len(failures))
             return combine_consensus(runs, review_ctx, gateway, trace=gctx)
 
-    analyses = [a for group_analyses in map_on_pool(pool, _review_group, groups)
-                for a in group_analyses]
+    jobs = [(index, group) for index, page_groups in enumerate(groups)
+            for group in page_groups]
+    analyses: list[list] = [[] for _ in pages]
+    for (index, _), group_analyses in zip(jobs, _map_settled(pool, _review_group, jobs)):
+        analyses[index] += group_analyses
 
-    return [render_comment(error_group, specs, page)
-            for error_group in group_errors(analyses, page.nets)]
+    return [render_comment(error_group, specs[index], page)
+            for index, (page, _) in enumerate(pages)
+            for error_group in group_errors(analyses[index], page.nets)]
 
 
 def run_pipeline(cfg: RunConfig, schematic_path) -> RunReport:
@@ -192,15 +246,24 @@ def run_pipeline(cfg: RunConfig, schematic_path) -> RunReport:
     try:
         head = _read_schematic(schematic_path)
         pages = [head.page(pid) for pid in select_page_set(cfg, head)]
+        # with a budget each page is admitted on its own, once the page
+        # before it has finished and only while the deadline has not passed
+        if deadline is not None:
+            batches = [[page] for page in pages]
+        else:
+            batches = [pages] if pages else []
         with ThreadPoolExecutor(max_workers=cfg.backend.max_in_flight) as pool:
-            for page in pages:
+            for batch in batches:
                 if deadline is not None and time.perf_counter() >= deadline:
-                    skipped.append(page.id)
+                    skipped += [page.id for page in batch]
                     continue
-                with root.span(f"page:{page.id}", page_id=page.id) as ctx:
-                    comments += pool.submit(_analyze_page, page, cfg, gateway, cache,
-                                            flights, pool, ctx).result()
-                analyzed.append(page.id)
+                with ExitStack() as stack:
+                    traced = [(page, stack.enter_context(
+                                  root.span(f"page:{page.id}", page_id=page.id)))
+                              for page in batch]
+                    comments += pool.submit(_analyze_pages, traced, cfg, gateway,
+                                            cache, flights, pool).result()
+                analyzed += [page.id for page in batch]
 
         progress = [ProgressEvent(pid, stage)
                     for pid in analyzed for stage in PipelineStage]

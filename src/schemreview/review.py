@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import json
 import logging
-from concurrent.futures import Executor
+from concurrent.futures import Executor, Future
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -250,13 +250,35 @@ def map_on_pool(pool: Executor, fn, items) -> list:
     """``[fn(item) for item in items]`` with every item submitted to ``pool``
     and the results collected in order. An item still queued when its turn
     comes runs in the calling thread instead, so a caller that is itself a
-    task on ``pool`` cannot deadlock it at any size. On the first exception
-    the items not yet started are cancelled and the exception re-raised."""
+    task on ``pool`` cannot deadlock it at any size. While the awaited item
+    runs on another worker, the calling thread runs later items still
+    queued, from the back, until the awaited item is done, so a waiting
+    task does not idle a worker. Exceptions surface in item order: on the
+    first one the items not yet started are cancelled and it is re-raised."""
     items = list(items)
     futures = [pool.submit(fn, item) for item in items]
+
+    def run_here(index: int) -> Future:
+        """Item ``index``, run in the calling thread; its outcome as a done future."""
+        outcome = Future()
+        try:
+            outcome.set_result(fn(items[index]))
+        except Exception as exc:
+            outcome.set_exception(exc)
+        return outcome
+
     try:
-        return [fn(item) if future.cancel() else future.result()
-                for item, future in zip(items, futures)]
+        results = []
+        later = len(futures) - 1  # every item after it was taken over or started
+        for index, future in enumerate(futures):
+            if future.cancel():
+                future = run_here(index)
+            while later > index and not future.done():
+                if futures[later].cancel():
+                    futures[later] = run_here(later)
+                later -= 1
+            results.append(future.result())
+        return results
     finally:
         for future in futures:
             future.cancel()

@@ -13,7 +13,7 @@ from schemreview.cli import main
 from schemreview.config import Mode, RunConfig, apply_cli_overrides, load_config
 from schemreview.demo import demo_responder, generate_fixtures, write_demo_workspace
 from schemreview.errors import BackendUnavailable, ConfigError, InputError
-from schemreview.gateway import BackendConfig, MockBackend
+from schemreview.gateway import BackendConfig, MockBackend, fixture_relpath
 from schemreview.ingest import ingest_schematic
 from schemreview.pipeline import RunStatus, run_pipeline
 from schemreview.reporting import FileSink, PipelineStage
@@ -83,6 +83,10 @@ _MALFORMED_CONFIGS = [  # each turns the demo's config document into a bad one
     pytest.param(lambda doc: {**doc, "backend": {**doc["backend"], "mock_delay_s": "x"}},
                  id="mock_delay_s"),
     pytest.param(lambda doc: {**doc, "max_attempts": 0}, id="max_attempts"),
+    *(pytest.param(lambda doc, name=name: {**doc, "backend": {**doc["backend"], name: 5}},
+                   id=name)
+      for name in ("kind", "endpoint", "strong_model", "weak_model", "consensus_model",
+                   "fixture_path", "api_key_env")),
 ]
 
 
@@ -267,8 +271,7 @@ class TestTraces:
         work, paths = demo
         clean_run_dirs(work)
         fixtures = copy_fixtures(paths, tmp_path)
-        # drop P1's "U1 network" review fixtures for seed 1 (earlier
-        # generation rounds left more than one payload for that group)
+        # drop P1's "U1 network" review fixture for seed 1
         dropped = 0
         for req in (fixtures / "group_review").glob("*-1.req"):
             group = json.loads(req.read_text())["group"]
@@ -299,8 +302,11 @@ class TestTraces:
         spans = read_spans(tmp_path / "trace.jsonl")
         [root] = [s for s in spans if s["path"] == "run"]
         assert root["attributes"]["error"] == "BackendUnavailable"
-        assert [s["attributes"]["error"] for s in spans if s["span"] == "selection"] == [
-            "backend_unavailable"]
+        # the admitted pages are selected together, so each one's selection fails
+        assert [(s["path"], s["attributes"]["error"])
+                for s in spans if s["span"] == "selection"] == [
+            (f"run/page:{pid}/selection", "backend_unavailable")
+            for pid in ("P1", "P2", "P3")]
 
     def test_failed_retrieval_records_one_span(self, tmp_path):
         paths = write_demo_workspace(tmp_path)
@@ -496,6 +502,60 @@ class TestWorkerPool:
         monkeypatch.setattr(MockBackend, "complete", recorded)
         run_pipeline(cfg, paths["schematic"])
         assert on_caller == []
+
+
+class TestPageBatch:
+    @pytest.mark.parametrize("max_in_flight", [1, 2, 8])
+    def test_shared_part_is_retrieved_under_its_first_page(self, demo, max_in_flight):
+        # CAP-10U is listed on P1 and P3, which are analyzed together
+        work, paths = demo
+        cfg = fresh_cfg(work)
+        cfg.backend.max_in_flight = max_in_flight
+        cfg.backend.mock_delay_s = 0.002
+        first = None
+        for _ in range(10):
+            clean_run_dirs(work)
+            run_pipeline(cfg, paths["schematic"])
+            spans = span_sequence(work / "trace.jsonl")
+            agent_paths = [path for span, path, _ in spans
+                           if span in ("head_analysis", "extraction", "critic")
+                           and "/part:CAP-10U/" in path]
+            assert len(agent_paths) == 3
+            assert all(path.startswith("run/page:P1/") for path in agent_paths)
+            [p3_retrieve] = [attrs for span, path, attrs in spans
+                             if path == "run/page:P3/part:CAP-10U/retrieve"]
+            assert p3_retrieve["cache_hit"] is True
+            first = first or spans
+            assert spans == first
+
+
+class TestFixtureGeneration:
+    def test_a_fresh_run_reads_every_fixture_and_misses_none(self, tmp_path, monkeypatch):
+        paths = write_demo_workspace(tmp_path)
+        cfg = fresh_cfg(tmp_path)
+
+        def run():
+            clean_run_dirs(tmp_path)
+            return run_pipeline(cfg, paths["schematic"])
+
+        generate_fixtures(run, paths["fixtures"])
+        read = set()
+        original = MockBackend.complete
+
+        def recorded(self, req, payload):
+            result = original(self, req, payload)
+            read.add(fixture_relpath(req.agent_kind, payload, req.seed))
+            return result
+
+        monkeypatch.setattr(MockBackend, "complete", recorded)
+        run()
+        fixtures = paths["fixtures"]
+        responses = {p.relative_to(fixtures).as_posix() for p in fixtures.rglob("*.resp")}
+        captures = {p.relative_to(fixtures).as_posix() for p in fixtures.rglob("*.req")}
+        assert responses == read
+        assert captures == {r.removesuffix(".resp") + ".req" for r in responses}
+        # one review request per group and seed: five groups, k = 3
+        assert len(list((fixtures / "group_review").glob("*.resp"))) == 15
 
 
 class TestCli:

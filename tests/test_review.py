@@ -7,6 +7,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import BASE_SPEC_VALUE, regulator_page, write_fixture
 from schemreview.canonical import serialize_page_xml
@@ -227,6 +228,108 @@ class TestMapOnPool:
             gate.set()
             single.shutdown(wait=True)
         assert ran == [0, 1, 2]  # items 3 and 4 were cancelled, not run
+
+    @pytest.mark.parametrize("failing", [(), (1, 3)])
+    def test_waiting_task_runs_later_queued_items_itself(self, failing):
+        # item 0 holds the one worker until items 1-3 have run; only the
+        # waiting thread can run them, taking them from the back, and a
+        # failure among them surfaces in item order
+        release = threading.Event()
+        order = []
+
+        class Item0StartedPool(ThreadPoolExecutor):
+            def submit(self, fn, /, *args):
+                started = threading.Event()
+
+                def run(*a):
+                    started.set()
+                    return fn(*a)
+
+                future = super().submit(run, *args)
+                if args == (0,):
+                    started.wait(timeout=10)  # items 1-3 queue behind item 0
+                return future
+
+        def item(i):
+            if i == 0:
+                return release.wait(timeout=5)
+            order.append((i, threading.get_ident()))
+            if len(order) == 3:
+                release.set()
+            if i in failing:
+                raise ValueError(f"item {i}")
+            return i
+
+        single = Item0StartedPool(max_workers=1)
+        try:
+            if failing:
+                with pytest.raises(ValueError, match="item 1"):
+                    map_on_pool(single, item, range(4))
+            else:
+                # item 0 was released, not timed out
+                assert map_on_pool(single, item, range(4)) == [True, 1, 2, 3]
+        finally:
+            release.set()
+            single.shutdown(wait=True)
+        assert order == [(i, threading.get_ident()) for i in (3, 2, 1)]
+
+
+class Boom(Exception):
+    pass
+
+
+def _nested(depth: int, fanout: int, fails: frozenset):
+    """An item function over index paths: a path longer than ``depth`` is
+    a leaf, a shorter one maps the function over its ``fanout`` sub-paths
+    (on ``pool`` when given); every path in ``fails`` raises Boom."""
+    def fn(path, pool=None):
+        if path in fails:
+            raise Boom(path)
+        if len(path) > depth:
+            time.sleep(0.001)  # long enough for waiting threads to take over items
+            return path
+        subitems = [path + (i,) for i in range(fanout)]
+        if pool is None:
+            return [fn(sub) for sub in subitems]
+        return map_on_pool(pool, lambda sub: fn(sub, pool), subitems)
+    return fn
+
+
+def _outcome(call):
+    try:
+        return "ok", call()
+    except Boom as exc:
+        return "raised", exc.args[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(items=st.integers(0, 5), fanout=st.integers(0, 3), depth=st.integers(0, 2),
+       workers=st.integers(1, 4), on_pool=st.booleans(),
+       fails=st.frozensets(st.lists(st.integers(0, 2), min_size=1, max_size=3)
+                           .map(tuple), max_size=4))
+def test_map_on_pool_matches_the_sequential_oracle(items, fanout, depth, workers,
+                                                    on_pool, fails):
+    # nesting 1-3 deep, called from a task on the pool or from outside it;
+    # the first failure in item order is the one raised
+    fn = _nested(depth, fanout, fails)
+    top = [(i,) for i in range(items)]
+    expected = _outcome(lambda: [fn(item) for item in top])
+    pool = ThreadPoolExecutor(max_workers=workers)
+    got = []
+
+    def call():
+        if on_pool:
+            return pool.submit(map_on_pool, pool, lambda x: fn(x, pool), top).result()
+        return map_on_pool(pool, lambda x: fn(x, pool), top)
+
+    caller = threading.Thread(target=lambda: got.append(_outcome(call)), daemon=True)
+    try:
+        caller.start()
+        caller.join(timeout=20)
+        assert not caller.is_alive(), "map_on_pool deadlocked"
+    finally:
+        pool.shutdown(wait=not caller.is_alive(), cancel_futures=True)
+    assert got == [expected]
 
 
 def test_checklist_loading_prefers_group_kind():
