@@ -10,6 +10,11 @@ A page serialized for a set of member designators is that page's slice
 for one functional group: the same ``<page>`` root holding only the
 member components, every net with a node on a member (all of its nodes
 kept), and no annotations.
+
+Each element of a page (a component with its bbox and pins, a net with
+its nodes, the annotations) is rendered to text once per page object, the
+first time the page is serialized or hashed, and kept on the page; its
+hash, its full document and every group's slice only join those blocks.
 """
 
 from __future__ import annotations
@@ -18,20 +23,31 @@ import hashlib
 from collections.abc import Iterable
 
 from .model import BBox, Component, GraphicalAnnotation, Net, Page, Schematic
-from .xmlutil import Elem, fmt_num, render
+from .xmlutil import esc, fmt_num
+
+_DECLARATION = '<?xml version="1.0" encoding="UTF-8"?>'
 
 
 def serialize_xml(schematic: Schematic) -> str:
-    root = Elem("schematic", {"format": schematic.format.value})
+    fmt = esc(schematic.format.value)
+    if not schematic.pages:
+        return f'{_DECLARATION}\n<schematic format="{fmt}"/>\n'
+    lines = [_DECLARATION, f'<schematic format="{fmt}">']
     for page in schematic.pages:
-        root.children.append(_page_elem(page))
-    return render(root)
+        _join_page(_render_page(page, "  "), None, lines)
+    return "\n".join(lines) + "\n</schematic>\n"
 
 
 def serialize_page_xml(page: Page, members: Iterable[str] | None = None) -> str:
     """One page as a standalone canonical document (used for hashing), or,
     given ``members``, the slice of it those designators see."""
-    return render(_page_elem(page, members))
+    blocks = page.__dict__.get("_canonical_blocks")
+    if blocks is None:  # kept on the (immutable) page for its later documents
+        blocks = _render_page(page, "")
+        object.__setattr__(page, "_canonical_blocks", blocks)
+    lines = [_DECLARATION]
+    _join_page(blocks, members, lines)
+    return "\n".join(lines) + "\n"
 
 
 def page_hash(page: Page) -> str:
@@ -49,71 +65,90 @@ def diff_pages(base: Schematic, head: Schematic) -> set[str]:
     return changed
 
 
-def _page_elem(page: Page, members: Iterable[str] | None = None) -> Elem:
-    attrs = {"id": page.id}
+def _render_page(page: Page, pad: str) -> tuple:
+    """The blocks of a page element indented by ``pad``: the pad, its open
+    tag, (designator, component) and (net, net element) pairs in canonical
+    order, and the annotations element ("" when there are none)."""
+    open_tag = f'{pad}<page id="{esc(page.id)}"'
     if page.strategy is not None:
-        attrs["strategy"] = page.strategy.value
-    e = Elem("page", attrs)
-    components, nets = page.components, page.nets
+        open_tag += f' strategy="{esc(page.strategy.value)}"'
+    inner = pad + "    "
+    components = tuple((c.designator, _component_xml(c, inner))
+                       for c in sorted(page.components, key=lambda c: c.designator))
+    nets = tuple((n, _net_xml(n, inner)) for n in sorted(page.nets, key=lambda n: n.name))
+    annotations = "\n".join((
+        f"{pad}  <annotations>",
+        *(_annotation_xml(a, inner) for a in sorted(page.annotations, key=_annotation_key)),
+        f"{pad}  </annotations>")) if page.annotations else ""
+    return pad, open_tag + ">", components, nets, annotations
+
+
+def _join_page(blocks: tuple, members: Iterable[str] | None, lines: list[str]) -> None:
+    """Append the page element's lines: the whole page, or its slice for
+    ``members``."""
+    pad, open_tag, components, nets, annotations = blocks
     if members is not None:
         members = set(members)
-        components = [c for c in components if c.designator in members]
-        nets = [n for n in nets if any(comp in members for comp, _pin in n.nodes)]
-    comps = e.child("components")
-    for comp in sorted(components, key=lambda c: c.designator):
-        comps.children.append(_component_elem(comp))
-    nets_elem = e.child("nets")
-    for net in sorted(nets, key=lambda n: n.name):
-        nets_elem.children.append(_net_elem(net))
-    if page.annotations and members is None:
-        anns = e.child("annotations")
-        for ann in sorted(page.annotations, key=_annotation_key):
-            anns.children.append(_annotation_elem(ann))
-    return e
+        components = [(d, block) for d, block in components if d in members]
+        nets = [(net, block) for net, block in nets
+                if any(comp in members for comp, _pin in net.nodes)]
+        annotations = ""
+    lines.append(open_tag)
+    for tag, children in (("components", components), ("nets", nets)):
+        if children:
+            lines.append(f"{pad}  <{tag}>")
+            lines += [block for _, block in children]
+            lines.append(f"{pad}  </{tag}>")
+        else:
+            lines.append(f"{pad}  <{tag}/>")
+    if annotations:
+        lines.append(annotations)
+    lines.append(f"{pad}</page>")
 
 
-def _component_elem(comp: Component) -> Elem:
-    attrs = {"designator": comp.designator}
-    if comp.mpn:
-        attrs["mpn"] = comp.mpn
-    if comp.ipn:
-        attrs["ipn"] = comp.ipn
+def _component_xml(comp: Component, pad: str) -> str:
+    head = f"{pad}<component"
     if comp.datasheet_url:
-        attrs["datasheet_url"] = comp.datasheet_url
-    e = Elem("component", attrs)
+        head += f' datasheet_url="{esc(comp.datasheet_url)}"'
+    head += f' designator="{esc(comp.designator)}"'
+    if comp.ipn:
+        head += f' ipn="{esc(comp.ipn)}"'
+    if comp.mpn:
+        head += f' mpn="{esc(comp.mpn)}"'
+    lines = [head + ">"]
     if comp.bbox:
-        e.children.append(_bbox_elem(comp.bbox))
+        lines.append(_bbox_xml(comp.bbox, pad + "  "))
     for pin in sorted(comp.pins, key=lambda p: p.designator):
-        pin_attrs = {"designator": pin.designator}
+        line = f'{pad}  <pin designator="{esc(pin.designator)}"'
         if pin.name:
-            pin_attrs["name"] = pin.name
+            line += f' name="{esc(pin.name)}"'
         if pin.x is not None:
-            pin_attrs["x"] = fmt_num(pin.x)
+            line += f' x="{fmt_num(pin.x)}"'
         if pin.y is not None:
-            pin_attrs["y"] = fmt_num(pin.y)
-        e.child("pin", pin_attrs)
-    return e
+            line += f' y="{fmt_num(pin.y)}"'
+        lines.append(line + "/>")
+    if len(lines) == 1:
+        return head + "/>"
+    return "\n".join(lines) + f"\n{pad}</component>"
 
 
-def _net_elem(net: Net) -> Elem:
-    e = Elem("net", {"name": net.name})
-    for comp, pin in net.nodes:
-        e.child("node", {"component": comp, "pin": pin})
-    return e
+def _net_xml(net: Net, pad: str) -> str:
+    head = f'{pad}<net name="{esc(net.name)}"'
+    if not net.nodes:
+        return head + "/>"
+    return "\n".join((head + ">", *(f'{pad}  <node component="{esc(comp)}" pin="{esc(pin)}"/>'
+                                    for comp, pin in net.nodes), f"{pad}</net>"))
 
 
-def _bbox_elem(bbox: BBox) -> Elem:
-    return Elem("bbox", {
-        "x": fmt_num(bbox.x), "y": fmt_num(bbox.y),
-        "w": fmt_num(bbox.w), "h": fmt_num(bbox.h),
-    })
+def _bbox_xml(bbox: BBox, pad: str) -> str:
+    return (f'{pad}<bbox h="{fmt_num(bbox.h)}" w="{fmt_num(bbox.w)}" '
+            f'x="{fmt_num(bbox.x)}" y="{fmt_num(bbox.y)}"/>')
 
 
 def _annotation_key(ann: GraphicalAnnotation):
     return (ann.kind, ann.text, ann.bbox.x, ann.bbox.y, ann.bbox.w, ann.bbox.h)
 
 
-def _annotation_elem(ann: GraphicalAnnotation) -> Elem:
-    e = Elem("annotation", {"kind": ann.kind, "text": ann.text})
-    e.children.append(_bbox_elem(ann.bbox))
-    return e
+def _annotation_xml(ann: GraphicalAnnotation, pad: str) -> str:
+    return (f'{pad}<annotation kind="{esc(ann.kind)}" text="{esc(ann.text)}">\n'
+            f'{_bbox_xml(ann.bbox, pad + "  ")}\n{pad}</annotation>')

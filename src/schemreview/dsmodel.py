@@ -6,7 +6,7 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 
 from .libraries import PartRef
-from .xmlutil import Elem, render
+from .xmlutil import esc
 
 # Critic dimension weights; they sum to 1.
 CRITIC_WEIGHTS = {
@@ -106,35 +106,39 @@ class DatasheetSpec:
         return None
 
     def to_xml(self) -> str:
-        """Compact canonical XML; byte-stable for equal specs."""
-        attrs = {"source_url": self.source_url}
-        if self.part.mpn:
-            attrs["mpn"] = self.part.mpn
-        if self.part.ipn:
-            attrs["ipn"] = self.part.ipn
-        root = Elem("datasheet", attrs)
-        pins = root.child("pins")
+        """Compact canonical XML; byte-stable for equal specs. Rendered on
+        the first call and kept on the (immutable) spec for later ones."""
+        if "_xml" in self.__dict__:
+            return self.__dict__["_xml"]
+        part = self.part
+        pins = []
         for pin in sorted(self.pins, key=lambda p: p.designator):
-            e = pins.child("pin", {"designator": pin.designator, "function": pin.function})
-            for key, value in sorted(pin.metadata):
-                e.child("meta", {"key": key, "value": value})
-        ratings = root.child("abs_max_ratings")
-        for r in self.abs_max_ratings:
-            ratings.child("rating", {"limit": r.limit, "parameter": r.parameter, "unit": r.unit})
-        ranges = root.child("rec_operating")
-        for r in self.rec_operating:
-            attrs = {"parameter": r.parameter, "unit": r.unit}
-            for bound in ("min", "typ", "max"):
-                if getattr(r, bound) is not None:
-                    attrs[bound] = getattr(r, bound)
-            ranges.child("range", attrs)
-        blocks = root.child("blocks")
-        for text in self.blocks:
-            blocks.child("block", text=text)
-        circuits = root.child("app_circuits")
-        for text in self.app_circuits:
-            circuits.child("circuit", text=text)
-        return render(root)
+            line = f'    <pin designator="{esc(pin.designator)}" function="{esc(pin.function)}"'
+            meta = [f'      <meta key="{esc(key)}" value="{esc(value)}"/>'
+                    for key, value in sorted(pin.metadata)]
+            pins += [line + ">", *meta, "    </pin>"] if meta else [line + "/>"]
+        ranges = ["    <range" + "".join(
+            f' {name}="{esc(value)}"' for name, value in (
+                ("max", r.max), ("min", r.min), ("parameter", r.parameter),
+                ("typ", r.typ), ("unit", r.unit)) if value is not None) + "/>"
+            for r in self.rec_operating]
+        lines = ['<?xml version="1.0" encoding="UTF-8"?>', "<datasheet"
+                 + (f' ipn="{esc(part.ipn)}"' if part.ipn else "")
+                 + (f' mpn="{esc(part.mpn)}"' if part.mpn else "")
+                 + f' source_url="{esc(self.source_url)}">']
+        for tag, children in (
+                ("pins", pins),
+                ("abs_max_ratings", [f'    <rating limit="{esc(r.limit)}" parameter='
+                                     f'"{esc(r.parameter)}" unit="{esc(r.unit)}"/>'
+                                     for r in self.abs_max_ratings]),
+                ("rec_operating", ranges),
+                ("blocks", [f"    <block>{esc(text)}</block>" for text in self.blocks]),
+                ("app_circuits",
+                 [f"    <circuit>{esc(text)}</circuit>" for text in self.app_circuits])):
+            lines += [f"  <{tag}>", *children, f"  </{tag}>"] if children else [f"  <{tag}/>"]
+        xml = "\n".join(lines) + "\n</datasheet>\n"
+        object.__setattr__(self, "_xml", xml)
+        return xml
 
     @classmethod
     def from_xml(cls, xml_text: str) -> "DatasheetSpec":

@@ -59,8 +59,8 @@ from .reporting import (
 )
 from .review import (
     GroupReviewContext,
+    checklist_loader,
     fan_out_reviews,
-    load_checklist,
     map_on_pool,
     select_groups,
 )
@@ -190,15 +190,18 @@ def _map_settled(pool: ThreadPoolExecutor, fn, items) -> list:
 
 def _analyze_pages(pages: list[tuple[Page, TraceContext]], cfg: RunConfig,
                    gateway: Gateway, cache: CacheStore, flights: SingleFlight,
-                   pool: ThreadPoolExecutor) -> list:
+                   pool: ThreadPoolExecutor, checklist) -> list:
     """The batch's rendered comments, page by page in document order; each
     page's spans record under its own context. Each stage runs for every
     page of the batch together before the next starts: selection,
     retrieval (``_retrieve_all_specs``), then every page's group reviews
-    and consensus; grouping and rendering follow per page."""
+    and consensus; grouping and rendering follow per page. ``checklist``
+    is the run's ``review.checklist_loader``."""
     groups = _map_settled(pool, lambda pc: select_groups(pc[0], gateway, trace=pc[1]),
                           pages)
     specs = _retrieve_all_specs(pages, groups, cfg, gateway, cache, flights, pool)
+    checklists = {group.name: checklist(group.name)
+                  for page_groups in groups for group in page_groups}
 
     def _review_group(job):
         index, group = job
@@ -206,7 +209,7 @@ def _analyze_pages(pages: list[tuple[Page, TraceContext]], cfg: RunConfig,
         review_ctx = GroupReviewContext(
             group, serialize_page_xml(page, group.designators),
             {d: specs[index].get(d) for d in group.designators},
-            load_checklist(group.name, cfg.checklist_dir))
+            checklists[group.name])
         with ctx.span(f"group:{group.name}", group=group.name) as gctx:
             runs, failures = fan_out_reviews(review_ctx, page, cfg.k, gateway,
                                              pool, trace=gctx)
@@ -235,6 +238,7 @@ def run_pipeline(cfg: RunConfig, schematic_path) -> RunReport:
     gateway = Gateway(cfg.backend)
     cache = CacheStore(cfg.cache_dir)
     flights = SingleFlight()
+    checklist = checklist_loader(cfg.checklist_dir)
     tracer = Tracer()
     root = TraceContext(tracer, "run")
 
@@ -262,7 +266,7 @@ def run_pipeline(cfg: RunConfig, schematic_path) -> RunReport:
                                   root.span(f"page:{page.id}", page_id=page.id)))
                               for page in batch]
                     comments += pool.submit(_analyze_pages, traced, cfg, gateway,
-                                            cache, flights, pool).result()
+                                            cache, flights, pool, checklist).result()
                 analyzed += [page.id for page in batch]
 
         progress = [ProgressEvent(pid, stage)

@@ -11,10 +11,11 @@ individual run failures are tolerated while at least one run succeeds.
 from __future__ import annotations
 
 import enum
+import functools
 import json
 import logging
 from concurrent.futures import Executor, Future
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -122,19 +123,18 @@ class GroupReviewContext:
     netlist as canonical XML (``serialize_page_xml(page, members)``: the
     members with their pins and every net touching a member, without
     annotations), per-designator specs (None where retrieval failed), and
-    the checklist. ``spec_xml`` holds each spec rendered once, for the
-    review and consensus payloads."""
+    the checklist. ``spec_xml`` is each spec's XML (None where it failed),
+    for the review and consensus payloads."""
 
     group: FunctionalGroup
     netlist_xml: str
     specs: dict
     checklist: str
-    spec_xml: dict = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "spec_xml", {
-            d: (spec.to_xml() if spec is not None else None)
-            for d, spec in self.specs.items()})
+    @property
+    def spec_xml(self) -> dict:
+        return {d: spec.to_xml() if spec is not None else None
+                for d, spec in self.specs.items()}
 
 
 # --- selection ----------------------------------------------------------------
@@ -254,9 +254,19 @@ def map_on_pool(pool: Executor, fn, items) -> list:
     runs on another worker, the calling thread runs later items still
     queued, from the back, until the awaited item is done, so a waiting
     task does not idle a worker. Exceptions surface in item order: on the
-    first one the items not yet started are cancelled and it is re-raised."""
+    first one the items not yet started are cancelled and it is re-raised.
+    Each queued task reaches ``fn`` through its own slot, emptied when the
+    task is cancelled: the executor keeps a cancelled task queued until a
+    worker dequeues it, and it must not keep ``fn`` alive that long."""
     items = list(items)
-    futures = [pool.submit(fn, item) for item in items]
+    slots = [_Slot(fn) for _ in items]
+    futures = [pool.submit(slot, item) for slot, item in zip(slots, items)]
+
+    def cancel(index: int) -> bool:
+        if not futures[index].cancel():
+            return False
+        slots[index].fn = None
+        return True
 
     def run_here(index: int) -> Future:
         """Item ``index``, run in the calling thread; its outcome as a done future."""
@@ -271,17 +281,29 @@ def map_on_pool(pool: Executor, fn, items) -> list:
         results = []
         later = len(futures) - 1  # every item after it was taken over or started
         for index, future in enumerate(futures):
-            if future.cancel():
+            if cancel(index):
                 future = run_here(index)
             while later > index and not future.done():
-                if futures[later].cancel():
+                if cancel(later):
                     futures[later] = run_here(later)
                 later -= 1
             results.append(future.result())
         return results
     finally:
-        for future in futures:
-            future.cancel()
+        for index in range(len(futures)):
+            cancel(index)
+
+
+class _Slot:
+    """``fn`` for one task queued by ``map_on_pool``."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __call__(self, item):
+        return self.fn(item)
 
 
 def fan_out_reviews(ctx: GroupReviewContext, page: Page, k: int, gateway: Gateway,
@@ -318,17 +340,24 @@ def fan_out_reviews(ctx: GroupReviewContext, page: Page, k: int, gateway: Gatewa
 def load_checklist(group_name: str, directory: str | None = None) -> str:
     """Checklist for a group kind: <slug>.txt in the checklist directory,
     else the generic default. Content is configuration, not code."""
-    slug = "".join(ch if ch.isalnum() else "_" for ch in group_name.lower())
-    if directory is not None:
-        root = Path(directory)
+    return checklist_loader(directory)(group_name)
+
+
+def checklist_loader(directory: str | None = None):
+    """``load_checklist`` for one run: group name -> checklist, reading
+    each file of ``directory`` (the bundled set when None) at most once."""
+    root = Path(directory) if directory is not None else resources.files(
+        "schemreview.checklists")
+
+    @functools.cache
+    def read(name: str) -> str | None:
+        path = root.joinpath(name)
+        return path.read_text(encoding="utf-8") if path.is_file() else None
+
+    def load(group_name: str) -> str:
+        slug = "".join(ch if ch.isalnum() else "_" for ch in group_name.lower())
         for name in (f"{slug}.txt", "default.txt"):
-            path = root / name
-            if path.is_file():
-                return path.read_text(encoding="utf-8")
+            if read(name) is not None:
+                return read(name)
         return ""
-    files = resources.files("schemreview.checklists")
-    for name in (f"{slug}.txt", "default.txt"):
-        candidate = files.joinpath(name)
-        if candidate.is_file():
-            return candidate.read_text()
-    return ""
+    return load

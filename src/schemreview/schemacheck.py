@@ -26,6 +26,8 @@ _DEFS = "#/$defs/"
 
 
 def _is_number(v) -> bool:
+    if type(v) is int or type(v) is float:  # what JSON decodes to; skips the ABC check
+        return True
     return isinstance(v, numbers.Number) and not isinstance(v, bool)
 
 

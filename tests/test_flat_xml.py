@@ -1,0 +1,166 @@
+"""The flat XML emitters against the tree renderer they replaced.
+
+``tree_xml`` holds the ``Elem`` tree renderer and the page and spec
+builders as they were; every page document (whole, sliced, hashed, inside
+a schematic) and every spec document must come out byte for byte the
+same, whatever order a page's documents are asked for in.
+"""
+
+import hashlib
+import xml.etree.ElementTree as ET
+
+from hypothesis import given, settings, strategies as st
+
+from schemreview import canonical
+from schemreview.canonical import page_hash, serialize_page_xml, serialize_xml
+from schemreview.dsmodel import DatasheetSpec, OperatingRange, PinFunction, Rating
+from schemreview.libraries import PartRef
+from schemreview.model import (
+    AugmentationStrategy,
+    BBox,
+    Component,
+    GraphicalAnnotation,
+    Net,
+    Page,
+    Pin,
+    Schematic,
+    SourceFormat,
+)
+from tree_xml import tree_serialize_page_xml, tree_serialize_xml, tree_spec_xml
+
+# escapable characters, a quote the emitters leave alone, and non-ASCII
+ALPHABET = "aZ1_ &<>\"'é–"
+# page text may also break lines: the bytes must match, indentation included
+PAGE_ALPHABET = ALPHABET + "\n"
+NAMES = st.text(PAGE_ALPHABET, min_size=1, max_size=4)
+OPTIONAL = st.none() | st.text(PAGE_ALPHABET, max_size=4)
+NUMBERS = (st.integers(-10**6, 10**6)
+           | st.floats(allow_nan=False, allow_infinity=False, width=32)
+           | st.sampled_from((0.0, -0.0, 2.54, 0.1, 1e21, 1e-7)))
+EXTENTS = st.integers(0, 100) | st.floats(0, 1e6) | st.just(-0.0)
+
+
+@st.composite
+def bboxes(draw):
+    return BBox(draw(NUMBERS), draw(NUMBERS), draw(EXTENTS), draw(EXTENTS))
+
+
+@st.composite
+def components(draw, designator):
+    pins = tuple(Pin(d, draw(OPTIONAL), draw(st.none() | NUMBERS), draw(st.none() | NUMBERS))
+                 for d in draw(st.lists(NAMES, max_size=4, unique=True)))
+    return Component(designator, draw(OPTIONAL), draw(OPTIONAL), draw(OPTIONAL),
+                     pins, draw(st.none() | bboxes()))
+
+
+@st.composite
+def annotations(draw):
+    kind = draw(st.sampled_from(GraphicalAnnotation._KINDS))
+    box = draw(bboxes())
+    if kind == "wire":
+        box = BBox(box.x, box.y, box.w, 0)
+    return GraphicalAnnotation(draw(st.text(PAGE_ALPHABET, max_size=5)), box, kind)
+
+
+@st.composite
+def pages(draw, page_id=NAMES):
+    comps = [draw(components(d)) for d in draw(st.lists(NAMES, max_size=5, unique=True))]
+    terminals = [(c.designator, p.designator) for c in comps for p in c.pins]
+    terminals += [("X9", "1"), ("&", "<")]  # nodes on components not on the page
+    nets = [Net(name, draw(st.lists(st.sampled_from(terminals), max_size=4)))
+            for name in draw(st.lists(NAMES, max_size=5))]  # names may repeat
+    return Page(draw(page_id), tuple(comps), tuple(nets),
+                tuple(draw(st.lists(annotations(), max_size=4))),
+                draw(st.none() | st.sampled_from(AugmentationStrategy)))
+
+
+@st.composite
+def member_sets(draw, page):
+    known = [c.designator for c in page.components]
+    return draw(st.lists(st.sampled_from(known + ["Z9", "&amp;", ""]), max_size=6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_page_documents_match_the_tree_renderer(data):
+    page = data.draw(pages())
+    slices = data.draw(st.lists(member_sets(page), max_size=4))
+    full_first = data.draw(st.booleans())
+    # the page's blocks are kept from the first document asked for; the
+    # order must not change any of them
+    if full_first:
+        assert serialize_page_xml(page) == tree_serialize_page_xml(page)
+    for members in slices:
+        assert (serialize_page_xml(page, members)
+                == tree_serialize_page_xml(page, members))
+        assert serialize_page_xml(page, set(members)) == serialize_page_xml(page, members)
+    assert page_hash(page) == hashlib.sha256(
+        tree_serialize_page_xml(page).encode("utf-8")).hexdigest()
+    assert serialize_page_xml(page) == tree_serialize_page_xml(page)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(pages(), max_size=3, unique_by=lambda p: p.id),
+       st.sampled_from(SourceFormat), st.booleans())
+def test_schematic_document_matches_the_tree_renderer(page_list, fmt, hashed_first):
+    schematic = Schematic(fmt, tuple(page_list))
+    if hashed_first:
+        for page in page_list:
+            page_hash(page)
+    assert serialize_xml(schematic) == tree_serialize_xml(schematic)
+
+
+def test_blocks_are_rendered_once_per_page(monkeypatch):
+    page = Page("P1", (Component("U1", pins=(Pin("1"),)),), (Net("N", (("U1", "1"),)),))
+    calls = []
+    original = canonical._render_page
+    monkeypatch.setattr(canonical, "_render_page",
+                        lambda *args: calls.append(args) or original(*args))
+    page_hash(page)
+    serialize_page_xml(page)
+    serialize_page_xml(page, ["U1"])
+    assert len(calls) == 1
+    # a page built anew, even an equal one, renders its own
+    serialize_page_xml(Page("P1", page.components, page.nets))
+    assert len(calls) == 2
+
+
+# --- datasheet specs -----------------------------------------------------------------
+
+# attribute values that survive an XML parse unchanged: no line breaks or tabs
+SPEC_TEXT = st.text(ALPHABET, max_size=5)
+SPEC_NAMES = st.text(ALPHABET, min_size=1, max_size=4)
+
+
+@st.composite
+def specs(draw, text=SPEC_TEXT):
+    part = draw(st.builds(PartRef, SPEC_NAMES, st.none() | SPEC_NAMES)
+                | st.builds(PartRef, st.none(), SPEC_NAMES))
+    pins = tuple(
+        PinFunction(d, draw(text), tuple(sorted(draw(st.dictionaries(
+            SPEC_NAMES, text, max_size=3)).items())))
+        for d in sorted(draw(st.lists(SPEC_NAMES, max_size=4, unique=True))))
+    ratings = tuple(draw(st.lists(st.builds(Rating, text, text, text), max_size=3)))
+    ranges = tuple(draw(st.lists(st.builds(
+        OperatingRange, text, text, st.none() | text, st.none() | text, st.none() | text),
+        max_size=3)))
+    return DatasheetSpec(part, draw(text), pins, ratings, ranges,
+                         tuple(draw(st.lists(text, max_size=3))),
+                         tuple(draw(st.lists(text, max_size=3))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(specs())
+def test_spec_xml_matches_the_tree_renderer_and_round_trips(spec):
+    xml = spec.to_xml()
+    assert xml == tree_spec_xml(spec)
+    assert DatasheetSpec.from_xml(xml) == spec
+    assert spec.to_xml() is xml  # rendered once per spec object
+
+
+@settings(max_examples=50, deadline=None)
+@given(specs(text=st.text(ALPHABET + "\n\t", max_size=5)))
+def test_spec_xml_with_line_breaks_matches_the_tree_renderer(spec):
+    # line breaks do not survive an attribute parse; the bytes must still match
+    assert spec.to_xml() == tree_spec_xml(spec)
+    ET.fromstring(spec.to_xml())

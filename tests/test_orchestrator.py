@@ -5,6 +5,7 @@ import shutil
 import threading
 import xml.etree.ElementTree as ET
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
@@ -13,10 +14,11 @@ from schemreview.cli import main
 from schemreview.config import Mode, RunConfig, apply_cli_overrides, load_config
 from schemreview.demo import demo_responder, generate_fixtures, write_demo_workspace
 from schemreview.errors import BackendUnavailable, ConfigError, InputError
-from schemreview.gateway import BackendConfig, MockBackend, fixture_relpath
+from schemreview.gateway import BackendConfig, MockBackend, TokenUsage, fixture_relpath
 from schemreview.ingest import ingest_schematic
 from schemreview.pipeline import RunStatus, run_pipeline
 from schemreview.reporting import FileSink, PipelineStage
+from schemreview.review import load_checklist
 
 
 @pytest.fixture(scope="module")
@@ -432,6 +434,36 @@ class TestReviewPayloads:
                                            for n in net)
                     for net in scoped.iter("net")} == nets
             assert scoped.find("annotations") is None
+
+
+    def test_checklist_dir_files_are_read_once_per_run(self, demo, tmp_path, monkeypatch):
+        work, paths = demo
+        checklists = tmp_path / "checklists"
+        checklists.mkdir()
+        (checklists / "default.txt").write_text("default checklist", encoding="utf-8")
+        (checklists / "power_stage.txt").write_text("power checklist", encoding="utf-8")
+        reads, payloads = [], []
+        read_text = Path.read_text
+
+        def counted(self, *args, **kwargs):
+            if self.parent == checklists:
+                reads.append(self.name)
+            return read_text(self, *args, **kwargs)
+
+        def recorded(self, req, payload):
+            if req.agent_kind.value == "group_review":
+                payloads.append(json.loads(payload))
+            raw = demo_responder(req.agent_kind.value, payload, req.seed)
+            return raw, TokenUsage(len(payload) // 4, len(raw) // 4)
+
+        monkeypatch.setattr(Path, "read_text", counted)
+        monkeypatch.setattr(MockBackend, "complete", recorded)
+        clean_run_dirs(work)
+        run_pipeline(fresh_cfg(work, checklist_dir=str(checklists)), paths["schematic"])
+        groups = {doc["group"]["name"] for doc in payloads}
+        assert len(groups) > len(set(reads)) == len(reads)
+        for doc in payloads:
+            assert doc["checklist"] == load_checklist(doc["group"]["name"], str(checklists))
 
 
 class TestWorkerPool:

@@ -1,9 +1,11 @@
 """Group review runs: validation rules, defaults, fan-out tolerance."""
 
+import gc
 import json
 import logging
 import threading
 import time
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -272,6 +274,30 @@ class TestMapOnPool:
             release.set()
             single.shutdown(wait=True)
         assert order == [(i, threading.get_ident()) for i in (3, 2, 1)]
+
+    def test_taken_over_items_do_not_keep_fn_alive(self):
+        # the one worker is held until map_on_pool has returned, so every
+        # item is taken over while its cancelled task is still queued
+        class Payload:
+            pass
+
+        def make_fn():
+            payload = Payload()
+            return (lambda i: (payload, i)[1]), weakref.ref(payload)
+
+        gate = threading.Event()
+        single = ThreadPoolExecutor(max_workers=1)
+        try:
+            single.submit(gate.wait)
+            fn, payload_ref = make_fn()
+            assert map_on_pool(single, fn, range(4)) == [0, 1, 2, 3]
+            del fn
+            gc.collect()
+            assert single._work_queue.qsize() == 4
+            assert payload_ref() is None
+        finally:
+            gate.set()
+            single.shutdown(wait=True)
 
 
 class Boom(Exception):

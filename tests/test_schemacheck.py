@@ -8,6 +8,9 @@ the gateway's and ingest's error texts must equal what the jsonschema-only
 validation worded before the checks were compiled.
 """
 
+import decimal
+import enum
+import fractions
 import functools
 import json
 import logging
@@ -271,6 +274,11 @@ def test_document_schema_single_edits_agree_with_jsonschema():
 
 # --- keyword semantics, case by case -------------------------------------------------
 
+# past the exact int/float fast path: bool, an int subclass, a non-float Number
+EDGE_NUMBERS = (True, False, 10**30, -10**30, -0.0, math.nan, math.inf, -math.inf,
+                enum.IntEnum("Level", "HIGH").HIGH, fractions.Fraction(1, 2),
+                decimal.Decimal("12"))
+
 CASES = [
     ({"type": "number"}, v) for v in (1, 1.5, True, False, None, "1", math.nan, math.inf)
 ] + [
@@ -316,6 +324,10 @@ CASES = [
                                                   "items": {"$ref": "#/$defs/node"}}},
         "additionalProperties": False}}}, v)
     for v in ({}, {"kids": [{}, {"kids": []}]}, {"kids": [{"kids": [1]}]}, {"x": 1})
+] + [
+    (schema, v) for schema in ({"type": "number"}, {"type": "integer"},
+                               {"minimum": 0}, {"maximum": 0}, {"minimum": -1, "maximum": 1})
+    for v in EDGE_NUMBERS
 ]
 
 
