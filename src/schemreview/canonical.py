@@ -15,6 +15,9 @@ Each element of a page (a component with its bbox and pins, a net with
 its nodes, the annotations) is rendered to text once per page object, the
 first time the page is serialized or hashed, and kept on the page; its
 hash, its full document and every group's slice only join those blocks.
+A page diff hashes only pairs of distinct page objects, so the unchanged
+pages of a design review, read once and shared by base and head, are not
+rendered for the diff.
 """
 
 from __future__ import annotations
@@ -56,11 +59,14 @@ def page_hash(page: Page) -> str:
 
 
 def diff_pages(base: Schematic, head: Schematic) -> set[str]:
-    """Page ids whose canonical content differs, plus pages new in head."""
-    base_hashes = {p.id: page_hash(p) for p in base.pages}
+    """Page ids whose canonical content differs, plus pages new in head. A
+    base page that is head's page object (a base read against its head
+    reuses head's equal pages) is unchanged without being hashed."""
+    base_pages = {p.id: p for p in base.pages}
     changed = set()
     for page in head.pages:
-        if base_hashes.get(page.id) != page_hash(page):
+        old = base_pages.get(page.id)
+        if old is not page and (old is None or page_hash(old) != page_hash(page)):
             changed.add(page.id)
     return changed
 

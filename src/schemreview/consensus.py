@@ -22,6 +22,7 @@ then multi-run findings by support, then verified singles.
 from __future__ import annotations
 
 import enum
+import functools
 import json
 import logging
 from dataclasses import dataclass
@@ -75,7 +76,7 @@ class ConsensusFinding:
         if self.support_count < 1:
             raise ValueError("support_count must be at least 1")
 
-    @property
+    @functools.cached_property
     def pins(self) -> tuple[str, ...]:
         return split_pin_key(self.pin_key)
 

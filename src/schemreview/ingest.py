@@ -8,12 +8,20 @@ Accepted inputs:
 * KiCad-subset s-expression text (see ``kicad``).
 
 Format is detected from the content signature unless a hint is given.
+
+A structured document can be read against a schematic already read from
+another one (a design review reads its base against its head): each page
+equal to one of that schematic's pages, in a document whose other
+top-level keys (``version``, ``format``, ``sidecars``) are equal too, is
+that schematic's checked, decoded and augmented ``Page`` object, and only
+the remaining pages are checked and decoded.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import marshal
 import math
 from importlib import resources
 
@@ -88,9 +96,11 @@ def detect_format(text: str) -> tuple[SourceFormat, object]:
     raise UnknownFormat("no format hint given and no format signature matched")
 
 
-def ingest_schematic(raw: bytes, format_hint: str | SourceFormat | None = None) -> Schematic:
+def ingest_schematic(raw: bytes, format_hint: str | SourceFormat | None = None, *,
+                     reuse: Schematic | None = None) -> Schematic:
     """Decode raw schematic bytes into a Schematic. Nets may be empty for
-    DE-HDL input; run augmentation to populate them."""
+    DE-HDL input; run augmentation to populate them. Pages equal to pages
+    of ``reuse`` (see the module docstring) are ``reuse``'s Page objects."""
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -110,28 +120,65 @@ def ingest_schematic(raw: bytes, format_hint: str | SourceFormat | None = None) 
     if fmt is SourceFormat.KICAD_SUBSET:
         page = parse_kicad_page(text)
         return Schematic(format=fmt, pages=(page,))
-    return _ingest_structured(_loads(text) if doc is None else doc, fmt)
+    return _ingest_structured(_loads(text) if doc is None else doc, fmt, reuse)
 
 
-def _ingest_structured(doc, fmt: SourceFormat) -> Schematic:
-    if not _document_check()(doc):
+def _ingest_structured(doc, fmt: SourceFormat, reuse: Schematic | None) -> Schematic:
+    if isinstance(doc, dict) and doc.get("format") == "de-hdl":
+        fmt = SourceFormat.DE_HDL
+    reused = _reused_pages(doc, fmt, reuse)
+    # each page item is checked on its own, and a reused page equals one
+    # that passed, so checking the rest decides the whole document
+    checked = doc if not reused else {
+        **doc, "pages": [p for i, p in enumerate(doc["pages"]) if i not in reused]}
+    if not _document_check()(checked):
         _raise_schema_violation(doc)
 
-    declared = doc.get("format")
-    if declared == "de-hdl":
-        fmt = SourceFormat.DE_HDL
-    pages = []
     try:
-        for page_doc in doc["pages"]:
-            pages.append(_decode_page(page_doc))
+        pages = [reused[i] if i in reused else _decode_page(page_doc)
+                 for i, page_doc in enumerate(doc["pages"])]
         schematic = Schematic(
             format=fmt,
             pages=tuple(pages),
             sidecars=dict(doc.get("sidecars", {})),
+            source=doc,
         )
     except ValueError as exc:
         raise MalformedInput(str(exc)) from exc
     return schematic
+
+
+def _reused_pages(doc, fmt: SourceFormat, reuse: Schematic | None) -> dict[int, Page]:
+    """Index in ``doc["pages"]`` -> the page of ``reuse`` that stands in for
+    that item: same id and an equal document, in a document whose format
+    and other top-level keys equal those ``reuse`` was read from. ``doc``
+    may still be invalid."""
+    source = reuse.source if reuse is not None else None
+    if (source is None or reuse.format is not fmt or not isinstance(doc, dict)
+            or not isinstance(doc.get("pages"), list)):
+        return {}
+    keys = doc.keys() - {"pages"}
+    if keys != source.keys() - {"pages"} or not all(
+            _same_json(doc[key], source[key]) for key in keys):
+        return {}
+    known = {page.id: (page_doc, page)
+             for page_doc, page in zip(source["pages"], reuse.pages)
+             if page_doc["id"] == page.id}
+    reused = {}
+    for i, page_doc in enumerate(doc["pages"]):
+        page_id = page_doc.get("id") if isinstance(page_doc, dict) else None
+        if type(page_id) is str and page_id in known and _same_json(
+                page_doc, known[page_id][0]):
+            reused[i] = known[page_id][1]
+    return reused
+
+
+def _same_json(a, b) -> bool:
+    """Decoded JSON values equal with the same types and key order. ``==``
+    alone takes ``true`` for ``1`` and ``1`` for ``1.0``; their marshal
+    dumps differ. Format 2 marks neither interned nor shared objects, so
+    equal values of equal types dump alike."""
+    return a == b and marshal.dumps(a, 2) == marshal.dumps(b, 2)
 
 
 @functools.cache

@@ -180,9 +180,15 @@ class Page:
 
 @dataclass(frozen=True)
 class Schematic:
+    """``source`` is the decoded structured document the schematic was
+    ingested from (None for KiCad text or a schematic built in code). It
+    takes no part in equality; ``ingest`` reads a second document against
+    it, reusing this schematic's pages for equal pages of that document."""
+
     format: SourceFormat
     pages: tuple[Page, ...] = ()
     sidecars: dict[str, str] = field(default_factory=dict)
+    source: dict | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "pages", tuple(self.pages))

@@ -2,12 +2,15 @@
 
 Page set: full-analysis mode takes every page; design-review mode takes
 the pages whose canonical hash differs from the base plus any explicit
-page override. Admission: with no time budget every page of the set
-forms one batch; with a budget each page is its own batch, admitted
-once the page before it has finished and only if the deadline has not
-passed, so pages not started by the deadline are skipped and the
-completed pages' comments are still posted. Within a batch each stage
-runs for all its pages together before the next starts:
+page override. The head is read in full first and the base against it,
+so each unchanged page (its JSON equal in both, with equal format and
+sidecars) is read once, as head's page, and is not hashed. Admission:
+with no time budget every page of the set forms one batch; with a
+budget each page is its own batch, admitted once the page before it has
+finished and only if the deadline has not passed, so pages not started
+by the deadline are skipped and the completed pages' comments are still
+posted. Within a batch each stage runs for all its pages together
+before the next starts:
 
 1. select groups on every page;
 2. retrieve each part under the first page, in document order, that
@@ -98,12 +101,14 @@ class RunReport:
         }
 
 
-def _read_schematic(path) -> Schematic:
+def _read_schematic(path, reuse: Schematic | None = None) -> Schematic:
+    """The augmented schematic at ``path``; its pages equal to pages of
+    ``reuse`` are ``reuse``'s Page objects (``ingest_schematic``)."""
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:
         raise InputError(f"cannot read schematic {path}: {exc}") from exc
-    return augment_netlist(ingest_schematic(raw))
+    return augment_netlist(ingest_schematic(raw, reuse=reuse))
 
 
 def select_page_set(cfg: RunConfig, head: Schematic) -> list[str]:
@@ -113,7 +118,7 @@ def select_page_set(cfg: RunConfig, head: Schematic) -> list[str]:
         return all_ids
     wanted: set[str] = set()
     if cfg.base_schematic:
-        base = _read_schematic(cfg.base_schematic)
+        base = _read_schematic(cfg.base_schematic, reuse=head)
         wanted |= diff_pages(base, head)
     if cfg.pages_override:
         unknown = set(cfg.pages_override) - set(all_ids)
@@ -250,6 +255,7 @@ def run_pipeline(cfg: RunConfig, schematic_path) -> RunReport:
     try:
         head = _read_schematic(schematic_path)
         pages = [head.page(pid) for pid in select_page_set(cfg, head)]
+        del head  # and its decoded JSON (``source``), needed only to read the base
         # with a budget each page is admitted on its own, once the page
         # before it has finished and only while the deadline has not passed
         if deadline is not None:

@@ -66,11 +66,11 @@ class PinVerdict:
         if not self.pins:
             raise ValueError(f"pin key {self.pin_key!r} names no pins")
 
-    @property
+    @functools.cached_property
     def pins(self) -> tuple[str, ...]:
         return split_pin_key(self.pin_key)
 
-    @property
+    @functools.cached_property
     def pin_set(self) -> frozenset[str]:
         return frozenset(self.pins)
 
@@ -337,15 +337,11 @@ def fan_out_reviews(ctx: GroupReviewContext, page: Page, k: int, gateway: Gatewa
 
 # --- checklists ------------------------------------------------------------------
 
-def load_checklist(group_name: str, directory: str | None = None) -> str:
-    """Checklist for a group kind: <slug>.txt in the checklist directory,
-    else the generic default. Content is configuration, not code."""
-    return checklist_loader(directory)(group_name)
-
-
 def checklist_loader(directory: str | None = None):
-    """``load_checklist`` for one run: group name -> checklist, reading
-    each file of ``directory`` (the bundled set when None) at most once."""
+    """The checklists for one run: group name -> checklist, which is
+    <slug>.txt in ``directory`` (the bundled set when None), else its
+    default.txt, else empty. Each file is read at most once. Content is
+    configuration, not code."""
     root = Path(directory) if directory is not None else resources.files(
         "schemreview.checklists")
 

@@ -147,7 +147,9 @@ def _bounds(node, root, defs) -> Check:
 
 def _enum(node, root, defs) -> Check:
     options = node["enum"]
-    return lambda v: any(json_equal(v, o) for o in options)
+    strings = frozenset(o for o in options if type(o) is str)  # a str JSON-equals only a str
+    return lambda v: (v in strings if type(v) is str
+                      else any(json_equal(v, o) for o in options))
 
 
 def _const(node, root, defs) -> Check:

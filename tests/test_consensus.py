@@ -296,3 +296,15 @@ class TestDegenerateAndInvariants:
                                             and v.status is finding.status):
                                         count += 1
                         assert count == finding.support_count >= 2
+
+
+def test_pins_are_parsed_once_and_stay_out_of_equality_and_hashing():
+    verdicts = [PinVerdict("3, 1", VerdictStatus.INCORRECT, "swapped") for _ in range(2)]
+    findings = [ConsensusFinding("3, 1", VerdictStatus.INCORRECT, "swapped", (), 2,
+                                 Confidence.HIGH, Provenance.MULTI_RUN) for _ in range(2)]
+    assert verdicts[0].pin_set == {"1", "3"}
+    assert verdicts[0].pins == findings[0].pins == ("3", "1")
+    for used, fresh in (verdicts, findings):
+        assert used.pins is used.pins
+        assert "pins" in used.__dict__ and "pins" not in repr(used)
+        assert used == fresh and hash(used) == hash(fresh)

@@ -18,7 +18,7 @@ from schemreview.gateway import BackendConfig, MockBackend, TokenUsage, fixture_
 from schemreview.ingest import ingest_schematic
 from schemreview.pipeline import RunStatus, run_pipeline
 from schemreview.reporting import FileSink, PipelineStage
-from schemreview.review import load_checklist
+from schemreview.review import checklist_loader
 
 
 @pytest.fixture(scope="module")
@@ -462,8 +462,9 @@ class TestReviewPayloads:
         run_pipeline(fresh_cfg(work, checklist_dir=str(checklists)), paths["schematic"])
         groups = {doc["group"]["name"] for doc in payloads}
         assert len(groups) > len(set(reads)) == len(reads)
+        checklist = checklist_loader(str(checklists))
         for doc in payloads:
-            assert doc["checklist"] == load_checklist(doc["group"]["name"], str(checklists))
+            assert doc["checklist"] == checklist(doc["group"]["name"])
 
 
 class TestWorkerPool:

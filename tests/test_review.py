@@ -22,8 +22,8 @@ from schemreview.review import (
     GroupReviewContext,
     VerdictStatus,
     build_review_payload,
+    checklist_loader,
     fan_out_reviews,
-    load_checklist,
     map_on_pool,
     review_group_once,
 )
@@ -38,7 +38,7 @@ def make_ctx(page, with_spec_for=("U1",)) -> GroupReviewContext:
     spec = spec_from_agent_value(BASE_SPEC_VALUE, PartRef(mpn="LM317"), "file:///u1")
     specs = {d: (spec if d in with_spec_for else None) for d in group.designators}
     return GroupReviewContext(group, serialize_page_xml(page), specs,
-                              load_checklist("power stage"))
+                              checklist_loader()("power stage"))
 
 
 def swapped_pin_response() -> str:
@@ -359,14 +359,14 @@ def test_map_on_pool_matches_the_sequential_oracle(items, fanout, depth, workers
 
 
 def test_checklist_loading_prefers_group_kind():
-    power = load_checklist("power stage")
-    generic = load_checklist("anything else")
+    power = checklist_loader()("power stage")
+    generic = checklist_loader()("anything else")
     assert "Power stage" in power
     assert "General connection" in generic
 
 
 def test_checklist_from_custom_directory(tmp_path):
     (tmp_path / "io_group.txt").write_text("custom io checklist")
-    assert load_checklist("IO Group", str(tmp_path)) == "custom io checklist"
+    assert checklist_loader(str(tmp_path))("IO Group") == "custom io checklist"
     (tmp_path / "default.txt").write_text("fallback")
-    assert load_checklist("other", str(tmp_path)) == "fallback"
+    assert checklist_loader(str(tmp_path))("other") == "fallback"

@@ -328,6 +328,10 @@ CASES = [
     (schema, v) for schema in ({"type": "number"}, {"type": "integer"},
                                {"minimum": 0}, {"maximum": 0}, {"minimum": -1, "maximum": 1})
     for v in EDGE_NUMBERS
+] + [
+    # past the str fast path of a string enum, and a mixed one
+    (schema, v) for schema in ({"enum": ["label", "wire"]}, {"enum": ["1", 1, None]})
+    for v in (True, False, 1, 1.0, 0, None, ["label"], ["1"], {"label": 1}, "1", "label")
 ]
 
 
