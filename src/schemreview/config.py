@@ -70,6 +70,9 @@ class RunConfig:
                 self.base_schematic or self.pages_override):
             raise ConfigError(
                 "design-review mode needs base_schematic or pages_override")
+        priorities = [lib.priority for lib in self.libraries]
+        if len(set(priorities)) != len(priorities):
+            raise ConfigError(f"library priorities must be unique, got {priorities}")
         if not isinstance(self.sink, (FileSink, HttpSink)):
             raise ConfigError(f"unknown sink {self.sink!r}")
         self.backend.validate()

@@ -34,6 +34,7 @@ from .review import (
     RunResult,
     VerdictStatus,
     canonical_pin_key,
+    spec_fields,
     split_pin_key,
 )
 from .tracing import UNTRACED, TraceContext
@@ -157,7 +158,7 @@ def build_consensus_payload(ctx: GroupReviewContext,
     return json.dumps({
         "group": {"name": ctx.group.name, "designators": list(ctx.group.designators)},
         "netlist_xml": ctx.netlist_xml,
-        "specs": ctx.spec_xml,
+        **spec_fields(ctx),
         "checklist": ctx.checklist,
         "singles": [
             {"designator": designator,

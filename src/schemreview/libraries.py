@@ -7,7 +7,10 @@ Four source kinds are supported:
   ``{"datasheet_url": ...}`` or ``{"datasheet_urls": [...]}``.
 * ``json-template-api`` — GET the ``url_template`` with ``{part}``
   substituted; answers ``{"datasheet_url": ...}``.
-* ``csv-table``       — file with header ``part_number,datasheet_url``.
+* ``csv-table``       — file with header ``part_number,datasheet_url``,
+  read on a source's first lookup and kept for its later ones; a run
+  looks up through its own copies (``for_run``), so it reads each file
+  once and sees edits made before it started.
 * ``local-directory`` — files whose stem is the part number, as file:// URLs.
 
 A source that errors (down API, missing file) contributes nothing; the
@@ -21,7 +24,8 @@ import csv
 import enum
 import logging
 import os
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from urllib.parse import quote
 
@@ -61,6 +65,10 @@ class LibrarySource:
     path: str | None = None
     directory: str | None = None
     api_key_env: str | None = None
+    # a csv-table's part number -> datasheet URLs, filled by its first lookup
+    _table: dict | None = field(default=None, init=False, repr=False, compare=False)
+    _table_lock: threading.Lock = field(default_factory=threading.Lock, init=False,
+                                        repr=False, compare=False)
 
     def lookup(self, part: PartRef) -> list[str]:
         try:
@@ -77,12 +85,16 @@ class LibrarySource:
             return []
 
     def _lookup_csv(self, part: PartRef) -> list[str]:
-        urls = []
-        with open(self.path, newline="", encoding="utf-8") as fh:
-            for row in csv.DictReader(fh):
-                if row.get("part_number") == part.key and row.get("datasheet_url"):
-                    urls.append(row["datasheet_url"])
-        return urls
+        with self._table_lock:
+            if self._table is None:
+                table: dict[str, list[str]] = {}
+                with open(self.path, newline="", encoding="utf-8") as fh:
+                    for row in csv.DictReader(fh):
+                        if row.get("datasheet_url"):
+                            table.setdefault(row.get("part_number"), []).append(
+                                row["datasheet_url"])
+                object.__setattr__(self, "_table", table)
+        return list(self._table.get(part.key, ()))
 
     def _lookup_directory(self, part: PartRef) -> list[str]:
         root = Path(self.directory)
@@ -135,6 +147,12 @@ def library_from_config(doc: dict) -> LibrarySource:
         )
     except (KeyError, ValueError, TypeError) as exc:  # TypeError: not an object
         raise ConfigError(f"bad library config {doc!r}: {exc}") from exc
+
+
+def for_run(sources: list[LibrarySource]) -> list[LibrarySource]:
+    """Fresh copies of ``sources`` for one run, holding no table read by
+    an earlier run."""
+    return [replace(source) for source in sources]
 
 
 def locate(part: PartRef, libraries: list[LibrarySource],

@@ -38,7 +38,7 @@ import logging
 import time
 from contextlib import ExitStack
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .augment import augment_netlist
@@ -51,7 +51,7 @@ from .errors import InputError, SchemReviewError
 from .gateway import Gateway, usage_by_kind
 from .grouping import group_errors
 from .ingest import ingest_schematic
-from .libraries import PartRef
+from .libraries import PartRef, for_run
 from .model import Page, Schematic
 from .reporting import (
     DeliveryReport,
@@ -116,22 +116,22 @@ def select_page_set(cfg: RunConfig, head: Schematic) -> list[str]:
     all_ids = [p.id for p in head.pages]
     if cfg.mode is Mode.FULL_ANALYSIS:
         return all_ids
-    wanted: set[str] = set()
+    wanted = set(cfg.pages_override or ())
+    unknown = wanted - set(all_ids)
+    if unknown:  # before the base is read: a bad override fails fast
+        raise InputError(f"pages_override names unknown pages: {sorted(unknown)}")
     if cfg.base_schematic:
         base = _read_schematic(cfg.base_schematic, reuse=head)
         wanted |= diff_pages(base, head)
-    if cfg.pages_override:
-        unknown = set(cfg.pages_override) - set(all_ids)
-        if unknown:
-            raise InputError(f"pages_override names unknown pages: {sorted(unknown)}")
-        wanted |= set(cfg.pages_override)
     return [pid for pid in all_ids if pid in wanted]
 
 
 def _retrieve_all_specs(pages: list[tuple[Page, TraceContext]], groups: list,
                         cfg: RunConfig, gateway: Gateway, cache: CacheStore,
-                        flights: SingleFlight, pool: ThreadPoolExecutor) -> list[dict]:
-    """Per page, designator -> DatasheetSpec | None. Each part key is
+                        flights: SingleFlight, pool: ThreadPoolExecutor
+                        ) -> tuple[list[dict], list[dict]]:
+    """Per page, designator -> part key (None for none), and per page,
+    designator -> DatasheetSpec | None. Each part key is
     retrieved under the first page, in document order, that lists it, all
     such parts in parallel; then every later listing is retrieved under its
     own page, hitting the cache as it would after the earlier page ran (or
@@ -172,8 +172,9 @@ def _retrieve_all_specs(pages: list[tuple[Page, TraceContext]], groups: list,
     for jobs in (first, repeats):
         for (index, _, key, _), spec in zip(jobs, map_on_pool(pool, _one, jobs)):
             specs[index, key] = spec
-    return [{designator: specs.get((index, key)) for designator, key in keys.items()}
-            for index, keys in enumerate(part_keys)]
+    return part_keys, [{designator: specs.get((index, key))
+                        for designator, key in keys.items()}
+                       for index, keys in enumerate(part_keys)]
 
 
 def _map_settled(pool: ThreadPoolExecutor, fn, items) -> list:
@@ -204,7 +205,8 @@ def _analyze_pages(pages: list[tuple[Page, TraceContext]], cfg: RunConfig,
     is the run's ``review.checklist_loader``."""
     groups = _map_settled(pool, lambda pc: select_groups(pc[0], gateway, trace=pc[1]),
                           pages)
-    specs = _retrieve_all_specs(pages, groups, cfg, gateway, cache, flights, pool)
+    part_keys, specs = _retrieve_all_specs(pages, groups, cfg, gateway, cache,
+                                           flights, pool)
     checklists = {group.name: checklist(group.name)
                   for page_groups in groups for group in page_groups}
 
@@ -213,8 +215,9 @@ def _analyze_pages(pages: list[tuple[Page, TraceContext]], cfg: RunConfig,
         page, ctx = pages[index]
         review_ctx = GroupReviewContext(
             group, serialize_page_xml(page, group.designators),
-            {d: specs[index].get(d) for d in group.designators},
-            checklists[group.name])
+            {d: specs[index][d] for d in group.designators},
+            checklists[group.name],
+            {d: part_keys[index][d] for d in group.designators})
         with ctx.span(f"group:{group.name}", group=group.name) as gctx:
             runs, failures = fan_out_reviews(review_ctx, page, cfg.k, gateway,
                                              pool, trace=gctx)
@@ -236,6 +239,7 @@ def _analyze_pages(pages: list[tuple[Page, TraceContext]], cfg: RunConfig,
 
 def run_pipeline(cfg: RunConfig, schematic_path) -> RunReport:
     cfg.validate()
+    cfg = replace(cfg, libraries=for_run(cfg.libraries))
     run_start = time.time()
     t0 = time.perf_counter()
     deadline = t0 + cfg.time_budget_s if cfg.time_budget_s is not None else None

@@ -122,19 +122,42 @@ class GroupReviewContext:
     """Everything one group review needs: the group, its slice of the page
     netlist as canonical XML (``serialize_page_xml(page, members)``: the
     members with their pins and every net touching a member, without
-    annotations), per-designator specs (None where retrieval failed), and
-    the checklist. ``spec_xml`` is each spec's XML (None where it failed),
-    for the review and consensus payloads."""
+    annotations), per-designator specs (None where retrieval failed), the
+    checklist, and per-designator part keys (``mpn or ipn``, None for a
+    component with neither). Without ``parts`` each member's key is its
+    spec's part key, None where the spec is None."""
 
     group: FunctionalGroup
     netlist_xml: str
     specs: dict
     checklist: str
+    parts: dict | None = None
 
-    @property
-    def spec_xml(self) -> dict:
-        return {d: spec.to_xml() if spec is not None else None
-                for d, spec in self.specs.items()}
+    def __post_init__(self):
+        if self.parts is None:
+            object.__setattr__(self, "parts", {
+                d: spec.part.key if spec is not None else None
+                for d, spec in self.specs.items()})
+        elif self.parts.keys() != self.specs.keys():
+            raise ValueError("parts and specs must name the same designators")
+
+
+def spec_fields(ctx: GroupReviewContext) -> dict:
+    """The ``parts`` and ``specs`` of the review and consensus payloads:
+    member -> part key (None for none), and part key -> its spec's XML
+    (None where retrieval failed), so each spec is sent once however many
+    members share its part."""
+    specs: dict[str, str | None] = {}
+    for designator, key in ctx.parts.items():
+        spec = ctx.specs[designator]
+        if key is None:
+            if spec is not None:
+                raise ValueError(f"{designator} has a spec but no part key")
+            continue
+        xml = spec.to_xml() if spec is not None else None
+        if specs.setdefault(key, xml) != xml:
+            raise ValueError(f"members sharing part {key!r} carry different specs")
+    return {"parts": ctx.parts, "specs": specs}
 
 
 # --- selection ----------------------------------------------------------------
@@ -181,7 +204,7 @@ def build_review_payload(ctx: GroupReviewContext) -> str:
     return json.dumps({
         "group": {"name": ctx.group.name, "designators": list(ctx.group.designators)},
         "netlist_xml": ctx.netlist_xml,
-        "specs": ctx.spec_xml,
+        **spec_fields(ctx),
         "checklist": ctx.checklist,
     }, sort_keys=True)
 

@@ -11,6 +11,7 @@ from schemreview.libraries import (
     LibraryKind,
     LibrarySource,
     PartRef,
+    for_run,
     library_from_config,
     locate,
 )
@@ -46,6 +47,16 @@ def test_csv_lookup_matches_part_key(tmp_path):
     lib = csv_library(tmp_path, [("LM317", "http://x/u1.pdf"), ("NE555", "http://x/u2.pdf")])
     assert lib.lookup(PartRef(mpn="LM317")) == ["http://x/u1.pdf"]
     assert lib.lookup(PartRef(mpn="UNKNOWN")) == []
+
+
+def test_csv_table_is_read_once_per_run(tmp_path):
+    lib = csv_library(tmp_path, [("LM317", "http://x/u1.pdf")])
+    first = for_run([lib])[0]
+    assert first == lib and first is not lib
+    assert first.lookup(PartRef(mpn="LM317")) == ["http://x/u1.pdf"]
+    csv_library(tmp_path, [("LM317", "http://x/u2.pdf")])
+    assert first.lookup(PartRef(mpn="LM317")) == ["http://x/u1.pdf"]
+    assert for_run([lib])[0].lookup(PartRef(mpn="LM317")) == ["http://x/u2.pdf"]
 
 
 def test_local_directory_matches_stem(tmp_path):

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from schemreview import pipeline
+from schemreview import libraries, pipeline
 from schemreview.cli import main
 from schemreview.config import Mode, RunConfig, apply_cli_overrides, load_config
 from schemreview.demo import demo_responder, generate_fixtures, write_demo_workspace
@@ -79,6 +79,8 @@ _MALFORMED_CONFIGS = [  # each turns the demo's config document into a bad one
     pytest.param(lambda doc: [1], id="top-level-array"),
     pytest.param(lambda doc: {**doc, "sink": "out"}, id="sink"),
     pytest.param(lambda doc: {**doc, "libraries": ["parts.csv"]}, id="library-entry"),
+    pytest.param(lambda doc: {**doc, "libraries": doc["libraries"] * 2},
+                 id="library-priorities"),
     pytest.param(lambda doc: {**doc, "cache_dir": 5}, id="cache_dir"),
     pytest.param(lambda doc: {**doc, "backend": {**doc["backend"], "max_in_flight": "8"}},
                  id="max_in_flight"),
@@ -202,6 +204,23 @@ class TestPageSets:
         cfg = fresh_cfg(work, mode=Mode.DESIGN_REVIEW, pages_override=["P9"])
         with pytest.raises(InputError):
             run_pipeline(cfg, paths["schematic"])
+
+    def test_unknown_override_page_fails_before_the_base_is_read(self, demo, tmp_path,
+                                                                 monkeypatch):
+        work, paths = demo
+        reads = []
+        ingest = pipeline.ingest_schematic
+
+        def counted(raw, reuse=None):
+            reads.append(reuse)
+            return ingest(raw, reuse=reuse)
+
+        monkeypatch.setattr(pipeline, "ingest_schematic", counted)
+        cfg = fresh_cfg(work, mode=Mode.DESIGN_REVIEW, pages_override=["P9"],
+                        base_schematic=str(tmp_path / "missing.json"))
+        with pytest.raises(InputError, match=r"pages_override names unknown pages: \['P9'\]"):
+            run_pipeline(cfg, paths["schematic"])
+        assert reads == [None]  # the head only
 
 
 class TestTimeBudget:
@@ -434,6 +453,38 @@ class TestReviewPayloads:
                                            for n in net)
                     for net in scoped.iter("net")} == nets
             assert scoped.find("annotations") is None
+
+    def test_group_payloads_send_each_spec_once(self, demo):
+        _, paths = demo
+        captures = sorted(paths["fixtures"].glob("group_review/*.req")) + sorted(
+            paths["fixtures"].glob("consensus/*.req"))
+        shared = 0
+        for path in captures:
+            payload = path.read_text(encoding="utf-8")
+            doc = json.loads(payload)
+            assert set(doc["parts"]) == set(doc["group"]["designators"])
+            keys = [key for key in doc["parts"].values() if key is not None]
+            assert set(doc["specs"]) == set(keys)
+            shared += len(keys) - len(set(keys))
+            for xml in filter(None, doc["specs"].values()):
+                assert payload.count(json.dumps(xml)) == 1
+        assert shared  # the demo's groups do share parts
+
+    def test_csv_library_is_read_once_per_run(self, demo, monkeypatch):
+        work, paths = demo
+        opened = []
+
+        def counted(path, *args, **kwargs):
+            opened.append(Path(path).name)
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(libraries, "open", counted, raising=False)
+        cfg = fresh_cfg(work)
+        for run in (1, 2):  # one config object, two runs: one read each
+            clean_run_dirs(work)
+            report = run_pipeline(cfg, paths["schematic"])
+            assert report.cache_hits + report.cache_misses > 1
+            assert opened == ["parts.csv"] * run
 
 
     def test_checklist_dir_files_are_read_once_per_run(self, demo, tmp_path, monkeypatch):
