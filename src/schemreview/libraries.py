@@ -9,8 +9,8 @@ Four source kinds are supported:
   substituted; answers ``{"datasheet_url": ...}``.
 * ``csv-table``       — file with header ``part_number,datasheet_url``,
   read on a source's first lookup and kept for its later ones; a run
-  looks up through its own copies (``for_run``), so it reads each file
-  once and sees edits made before it started.
+  looks up through its own copies of the config's sources, so it reads
+  each file once and sees edits made before it started.
 * ``local-directory`` — files whose stem is the part number, as file:// URLs.
 
 A source that errors (down API, missing file) contributes nothing; the
@@ -25,7 +25,7 @@ import enum
 import logging
 import os
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from urllib.parse import quote
 
@@ -147,12 +147,6 @@ def library_from_config(doc: dict) -> LibrarySource:
         )
     except (KeyError, ValueError, TypeError) as exc:  # TypeError: not an object
         raise ConfigError(f"bad library config {doc!r}: {exc}") from exc
-
-
-def for_run(sources: list[LibrarySource]) -> list[LibrarySource]:
-    """Fresh copies of ``sources`` for one run, holding no table read by
-    an earlier run."""
-    return [replace(source) for source in sources]
 
 
 def locate(part: PartRef, libraries: list[LibrarySource],

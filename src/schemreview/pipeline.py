@@ -51,7 +51,7 @@ from .errors import InputError, SchemReviewError
 from .gateway import Gateway, usage_by_kind
 from .grouping import group_errors
 from .ingest import ingest_schematic
-from .libraries import PartRef, for_run
+from .libraries import PartRef
 from .model import Page, Schematic
 from .reporting import (
     DeliveryReport,
@@ -128,10 +128,8 @@ def select_page_set(cfg: RunConfig, head: Schematic) -> list[str]:
 
 def _retrieve_all_specs(pages: list[tuple[Page, TraceContext]], groups: list,
                         cfg: RunConfig, gateway: Gateway, cache: CacheStore,
-                        flights: SingleFlight, pool: ThreadPoolExecutor
-                        ) -> tuple[list[dict], list[dict]]:
-    """Per page, designator -> part key (None for none), and per page,
-    designator -> DatasheetSpec | None. Each part key is
+                        flights: SingleFlight, pool: ThreadPoolExecutor) -> list[dict]:
+    """Per page, designator -> DatasheetSpec | None. Each part key is
     retrieved under the first page, in document order, that lists it, all
     such parts in parallel; then every later listing is retrieved under its
     own page, hitting the cache as it would after the earlier page ran (or
@@ -172,9 +170,8 @@ def _retrieve_all_specs(pages: list[tuple[Page, TraceContext]], groups: list,
     for jobs in (first, repeats):
         for (index, _, key, _), spec in zip(jobs, map_on_pool(pool, _one, jobs)):
             specs[index, key] = spec
-    return part_keys, [{designator: specs.get((index, key))
-                        for designator, key in keys.items()}
-                       for index, keys in enumerate(part_keys)]
+    return [{designator: specs.get((index, key)) for designator, key in keys.items()}
+            for index, keys in enumerate(part_keys)]
 
 
 def _map_settled(pool: ThreadPoolExecutor, fn, items) -> list:
@@ -205,8 +202,7 @@ def _analyze_pages(pages: list[tuple[Page, TraceContext]], cfg: RunConfig,
     is the run's ``review.checklist_loader``."""
     groups = _map_settled(pool, lambda pc: select_groups(pc[0], gateway, trace=pc[1]),
                           pages)
-    part_keys, specs = _retrieve_all_specs(pages, groups, cfg, gateway, cache,
-                                           flights, pool)
+    specs = _retrieve_all_specs(pages, groups, cfg, gateway, cache, flights, pool)
     checklists = {group.name: checklist(group.name)
                   for page_groups in groups for group in page_groups}
 
@@ -215,9 +211,8 @@ def _analyze_pages(pages: list[tuple[Page, TraceContext]], cfg: RunConfig,
         page, ctx = pages[index]
         review_ctx = GroupReviewContext(
             group, serialize_page_xml(page, group.designators),
-            {d: specs[index][d] for d in group.designators},
-            checklists[group.name],
-            {d: part_keys[index][d] for d in group.designators})
+            {d: specs[index].get(d) for d in group.designators},
+            checklists[group.name])
         with ctx.span(f"group:{group.name}", group=group.name) as gctx:
             runs, failures = fan_out_reviews(review_ctx, page, cfg.k, gateway,
                                              pool, trace=gctx)
@@ -239,7 +234,8 @@ def _analyze_pages(pages: list[tuple[Page, TraceContext]], cfg: RunConfig,
 
 def run_pipeline(cfg: RunConfig, schematic_path) -> RunReport:
     cfg.validate()
-    cfg = replace(cfg, libraries=for_run(cfg.libraries))
+    # fresh sources hold no csv-table read by an earlier run
+    cfg = replace(cfg, libraries=[replace(lib) for lib in cfg.libraries])
     run_start = time.time()
     t0 = time.perf_counter()
     deadline = t0 + cfg.time_budget_s if cfg.time_budget_s is not None else None

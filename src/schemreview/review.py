@@ -122,42 +122,31 @@ class GroupReviewContext:
     """Everything one group review needs: the group, its slice of the page
     netlist as canonical XML (``serialize_page_xml(page, members)``: the
     members with their pins and every net touching a member, without
-    annotations), per-designator specs (None where retrieval failed), the
-    checklist, and per-designator part keys (``mpn or ipn``, None for a
-    component with neither). Without ``parts`` each member's key is its
-    spec's part key, None where the spec is None."""
+    annotations), per-designator specs (None where retrieval failed), and
+    the checklist."""
 
     group: FunctionalGroup
     netlist_xml: str
     specs: dict
     checklist: str
-    parts: dict | None = None
-
-    def __post_init__(self):
-        if self.parts is None:
-            object.__setattr__(self, "parts", {
-                d: spec.part.key if spec is not None else None
-                for d, spec in self.specs.items()})
-        elif self.parts.keys() != self.specs.keys():
-            raise ValueError("parts and specs must name the same designators")
 
 
 def spec_fields(ctx: GroupReviewContext) -> dict:
     """The ``parts`` and ``specs`` of the review and consensus payloads:
-    member -> part key (None for none), and part key -> its spec's XML
-    (None where retrieval failed), so each spec is sent once however many
-    members share its part."""
-    specs: dict[str, str | None] = {}
-    for designator, key in ctx.parts.items():
-        spec = ctx.specs[designator]
-        if key is None:
-            if spec is not None:
-                raise ValueError(f"{designator} has a spec but no part key")
+    member -> its spec's part key (None where it has no spec), and part
+    key -> that spec's XML, so each spec is sent once however many members
+    share its part. Specs are retrieved per part key, so a spec's
+    ``part.key`` is its member's ``mpn or ipn``."""
+    parts: dict[str, str | None] = {}
+    specs: dict[str, str] = {}
+    for designator, spec in ctx.specs.items():
+        if spec is None:
+            parts[designator] = None
             continue
-        xml = spec.to_xml() if spec is not None else None
-        if specs.setdefault(key, xml) != xml:
+        key = parts[designator] = spec.part.key
+        if specs.setdefault(key, spec.to_xml()) != spec.to_xml():
             raise ValueError(f"members sharing part {key!r} carry different specs")
-    return {"parts": ctx.parts, "specs": specs}
+    return {"parts": parts, "specs": specs}
 
 
 # --- selection ----------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import json
 import threading
+from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
@@ -11,7 +12,6 @@ from schemreview.libraries import (
     LibraryKind,
     LibrarySource,
     PartRef,
-    for_run,
     library_from_config,
     locate,
 )
@@ -51,12 +51,12 @@ def test_csv_lookup_matches_part_key(tmp_path):
 
 def test_csv_table_is_read_once_per_run(tmp_path):
     lib = csv_library(tmp_path, [("LM317", "http://x/u1.pdf")])
-    first = for_run([lib])[0]
+    first = replace(lib)  # as run_pipeline copies its sources
     assert first == lib and first is not lib
     assert first.lookup(PartRef(mpn="LM317")) == ["http://x/u1.pdf"]
     csv_library(tmp_path, [("LM317", "http://x/u2.pdf")])
     assert first.lookup(PartRef(mpn="LM317")) == ["http://x/u1.pdf"]
-    assert for_run([lib])[0].lookup(PartRef(mpn="LM317")) == ["http://x/u2.pdf"]
+    assert replace(lib).lookup(PartRef(mpn="LM317")) == ["http://x/u2.pdf"]
 
 
 def test_local_directory_matches_stem(tmp_path):

@@ -27,16 +27,15 @@ TEXT = st.text("abc<>&\"' \n", max_size=6)
 @st.composite
 def contexts(draw):
     """A group and its context as the pipeline builds it: members sharing
-    parts share one spec object; a part whose retrieval failed has a None
-    spec; a member with neither mpn nor ipn has no part key. Also returns
-    the same context built without ``parts``."""
+    a part key share one spec object; a part whose retrieval failed, and a
+    member with neither mpn nor ipn, have a None spec."""
     members = [f"X{i}" for i in range(draw(st.integers(1, 8)))]
     ident = st.sampled_from((None, *PART_NUMBERS))
     failed = draw(st.sets(st.sampled_from(PART_NUMBERS)))
-    parts, specs, by_key = {}, {}, {}
+    specs, by_key = {}, {}
     for designator in members:
         mpn, ipn = draw(ident), draw(ident)
-        key = parts[designator] = mpn or ipn
+        key = mpn or ipn
         if key and key not in failed and key not in by_key:
             by_key[key] = DatasheetSpec(
                 PartRef(mpn, ipn), f"file:///sheets/{key}.pdf",
@@ -45,10 +44,8 @@ def contexts(draw):
                 blocks=tuple(draw(st.lists(TEXT, max_size=2))))
         specs[designator] = by_key.get(key)
     group = FunctionalGroup(draw(st.sampled_from(("power stage", "ungrouped"))), members)
-    netlist_xml = f'<page id="P1">{draw(TEXT)}</page>'
-    checklist = draw(TEXT)
-    return (GroupReviewContext(group, netlist_xml, specs, checklist, parts),
-            GroupReviewContext(group, netlist_xml, specs, checklist))
+    return GroupReviewContext(group, f'<page id="P1">{draw(TEXT)}</page>', specs,
+                              draw(TEXT))
 
 
 @st.composite
@@ -76,52 +73,35 @@ def assert_lossless(payload: str, oracle: str, ctx: GroupReviewContext):
     assert resolved(doc) == old.pop("specs")
     assert set(doc.pop("parts")) == set(ctx.group.designators)
     specs = doc.pop("specs")
-    assert set(specs) == {key for key in ctx.parts.values() if key is not None}
+    assert set(specs) == {spec.part.key for spec in ctx.specs.values() if spec}
     assert doc == old
-    for xml in filter(None, specs.values()):
+    for xml in specs.values():
         assert payload.count(json.dumps(xml)) == 1
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_payloads_resolve_to_the_designator_keyed_specs(data):
-    for ctx in data.draw(contexts()):
-        singles, clusters = data.draw(findings(list(ctx.group.designators)))
-        assert_lossless(build_review_payload(ctx), designator_review_payload(ctx), ctx)
-        assert_lossless(build_consensus_payload(ctx, singles, clusters),
-                        designator_consensus_payload(ctx, singles, clusters), ctx)
+    ctx = data.draw(contexts())
+    singles, clusters = data.draw(findings(list(ctx.group.designators)))
+    assert_lossless(build_review_payload(ctx), designator_review_payload(ctx), ctx)
+    assert_lossless(build_consensus_payload(ctx, singles, clusters),
+                    designator_consensus_payload(ctx, singles, clusters), ctx)
 
 
-def test_shared_part_is_sent_once_and_a_failed_one_as_null():
+def test_shared_part_is_sent_once_and_a_member_without_spec_maps_to_null():
     spec = DatasheetSpec(PartRef(mpn="CAP-100N"), "file:///c.pdf")
-    group = FunctionalGroup("bypass", ("C1", "C2", "C3", "U1", "TP1"))
+    group = FunctionalGroup("bypass", ("C1", "C2", "C3", "U1"))
     ctx = GroupReviewContext(
-        group, "<page/>", {"C1": spec, "C2": spec, "C3": spec, "U1": None, "TP1": None},
-        "", {"C1": "CAP-100N", "C2": "CAP-100N", "C3": "CAP-100N", "U1": "LM317",
-             "TP1": None})
+        group, "<page/>", {"C1": spec, "C2": spec, "C3": spec, "U1": None}, "")
     doc = json.loads(build_review_payload(ctx))
-    assert doc["specs"] == {"CAP-100N": spec.to_xml(), "LM317": None}
-    assert doc["parts"] == ctx.parts
+    assert doc["specs"] == {"CAP-100N": spec.to_xml()}
+    assert doc["parts"] == {"C1": "CAP-100N", "C2": "CAP-100N", "C3": "CAP-100N",
+                            "U1": None}
 
 
-@pytest.mark.parametrize("specs, parts, message", [
-    pytest.param({"C1": "a", "C2": "b"}, {"C1": "CAP", "C2": "CAP"}, "different specs",
-                 id="shared-part-two-specs"),
-    pytest.param({"C1": "a", "C2": None}, {"C1": "CAP", "C2": "CAP"}, "different specs",
-                 id="shared-part-one-failed"),
-    pytest.param({"C1": "a", "C2": None}, {"C1": None, "C2": None}, "no part key",
-                 id="spec-without-key"),
-])
-def test_inconsistent_parts_are_rejected(specs, parts, message):
-    sheets = {name: DatasheetSpec(PartRef(mpn="CAP"), f"file:///{name}.pdf")
-              for name in "ab"}
-    ctx = GroupReviewContext(FunctionalGroup("g", ("C1", "C2")), "<page/>",
-                             {d: sheets.get(s) for d, s in specs.items()}, "", parts)
-    with pytest.raises(ValueError, match=message):
+def test_members_sharing_a_part_key_with_different_specs_are_rejected():
+    specs = {d: DatasheetSpec(PartRef(mpn="CAP"), f"file:///{d}.pdf") for d in ("C1", "C2")}
+    ctx = GroupReviewContext(FunctionalGroup("g", ("C1", "C2")), "<page/>", specs, "")
+    with pytest.raises(ValueError, match="different specs"):
         build_review_payload(ctx)
-
-
-def test_parts_must_name_the_specs_designators():
-    with pytest.raises(ValueError, match="same designators"):
-        GroupReviewContext(FunctionalGroup("g", ("C1", "C2")), "<page/>",
-                           {"C1": None, "C2": None}, "", {"C1": None})
