@@ -18,6 +18,12 @@ hash, its full document and every group's slice only join those blocks.
 A page diff hashes only pairs of distinct page objects, so the unchanged
 pages of a design review, read once and shared by base and head, are not
 rendered for the diff.
+
+Agents are sent a page, or a group's slice of it, in the payload layout
+(``serialize_page_xml(..., payload=True)``): the same elements without
+the declaration, indentation and line breaks. Its blocks are derived
+from the canonical ones the first time a page goes into a payload, and
+kept on the page too, so a page that is only hashed never pays for them.
 """
 
 from __future__ import annotations
@@ -26,30 +32,30 @@ import hashlib
 from collections.abc import Iterable
 
 from .model import BBox, Component, GraphicalAnnotation, Net, Page, Schematic
-from .xmlutil import esc, fmt_num
-
-_DECLARATION = '<?xml version="1.0" encoding="UTF-8"?>'
+from .xmlutil import DECLARATION, compact, esc, fmt_num
 
 
 def serialize_xml(schematic: Schematic) -> str:
     fmt = esc(schematic.format.value)
     if not schematic.pages:
-        return f'{_DECLARATION}\n<schematic format="{fmt}"/>\n'
-    lines = [_DECLARATION, f'<schematic format="{fmt}">']
+        return f'{DECLARATION}\n<schematic format="{fmt}"/>\n'
+    lines = [DECLARATION, f'<schematic format="{fmt}">']
     for page in schematic.pages:
         _join_page(_render_page(page, "  "), None, lines)
     return "\n".join(lines) + "\n</schematic>\n"
 
 
-def serialize_page_xml(page: Page, members: Iterable[str] | None = None) -> str:
+def serialize_page_xml(page: Page, members: Iterable[str] | None = None, *,
+                       payload: bool = False) -> str:
     """One page as a standalone canonical document (used for hashing), or,
-    given ``members``, the slice of it those designators see."""
-    blocks = page.__dict__.get("_canonical_blocks")
-    if blocks is None:  # kept on the (immutable) page for its later documents
-        blocks = _render_page(page, "")
-        object.__setattr__(page, "_canonical_blocks", blocks)
-    lines = [_DECLARATION]
-    _join_page(blocks, members, lines)
+    given ``members``, the slice of it those designators see; with
+    ``payload``, the same elements in the payload layout."""
+    if payload:
+        lines: list[str] = []
+        _join_page(_page_blocks(page, payload=True), members, lines)
+        return "".join(lines)
+    lines = [DECLARATION]
+    _join_page(_page_blocks(page), members, lines)
     return "\n".join(lines) + "\n"
 
 
@@ -71,10 +77,31 @@ def diff_pages(base: Schematic, head: Schematic) -> set[str]:
     return changed
 
 
+def _page_blocks(page: Page, payload: bool = False) -> tuple:
+    """The page element's blocks in the canonical or the payload layout,
+    made on first use and kept on the (immutable) page for its later
+    documents."""
+    name = "_payload_blocks" if payload else "_canonical_blocks"
+    blocks = page.__dict__.get(name)
+    if blocks is None:
+        blocks = _compact_blocks(_page_blocks(page)) if payload else _render_page(page, "")
+        object.__setattr__(page, name, blocks)
+    return blocks
+
+
+def _compact_blocks(blocks: tuple) -> tuple:
+    """Canonical page blocks in the payload layout."""
+    _inner, open_tag, components, nets, annotations, close_tag = blocks
+    return ("", compact(open_tag), tuple((d, compact(block)) for d, block in components),
+            tuple((net, compact(block)) for net, block in nets), compact(annotations),
+            compact(close_tag))
+
+
 def _render_page(page: Page, pad: str) -> tuple:
-    """The blocks of a page element indented by ``pad``: the pad, its open
-    tag, (designator, component) and (net, net element) pairs in canonical
-    order, and the annotations element ("" when there are none)."""
+    """The blocks of a page element indented by ``pad``: the indentation of
+    its container elements, its open tag, (designator, component) and (net,
+    net element) pairs in canonical order, the annotations element ("" when
+    there are none), and its close tag."""
     open_tag = f'{pad}<page id="{esc(page.id)}"'
     if page.strategy is not None:
         open_tag += f' strategy="{esc(page.strategy.value)}"'
@@ -86,13 +113,13 @@ def _render_page(page: Page, pad: str) -> tuple:
         f"{pad}  <annotations>",
         *(_annotation_xml(a, inner) for a in sorted(page.annotations, key=_annotation_key)),
         f"{pad}  </annotations>")) if page.annotations else ""
-    return pad, open_tag + ">", components, nets, annotations
+    return pad + "  ", open_tag + ">", components, nets, annotations, f"{pad}</page>"
 
 
 def _join_page(blocks: tuple, members: Iterable[str] | None, lines: list[str]) -> None:
     """Append the page element's lines: the whole page, or its slice for
     ``members``."""
-    pad, open_tag, components, nets, annotations = blocks
+    inner, open_tag, components, nets, annotations, close_tag = blocks
     if members is not None:
         members = set(members)
         components = [(d, block) for d, block in components if d in members]
@@ -102,14 +129,14 @@ def _join_page(blocks: tuple, members: Iterable[str] | None, lines: list[str]) -
     lines.append(open_tag)
     for tag, children in (("components", components), ("nets", nets)):
         if children:
-            lines.append(f"{pad}  <{tag}>")
+            lines.append(f"{inner}<{tag}>")
             lines += [block for _, block in children]
-            lines.append(f"{pad}  </{tag}>")
+            lines.append(f"{inner}</{tag}>")
         else:
-            lines.append(f"{pad}  <{tag}/>")
+            lines.append(f"{inner}<{tag}/>")
     if annotations:
         lines.append(annotations)
-    lines.append(f"{pad}</page>")
+    lines.append(close_tag)
 
 
 def _component_xml(comp: Component, pad: str) -> str:

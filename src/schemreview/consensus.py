@@ -34,7 +34,7 @@ from .review import (
     RunResult,
     VerdictStatus,
     canonical_pin_key,
-    spec_fields,
+    payload_specs,
     split_pin_key,
 )
 from .tracing import UNTRACED, TraceContext
@@ -158,7 +158,7 @@ def build_consensus_payload(ctx: GroupReviewContext,
     return json.dumps({
         "group": {"name": ctx.group.name, "designators": list(ctx.group.designators)},
         "netlist_xml": ctx.netlist_xml,
-        **spec_fields(ctx),
+        "specs": payload_specs(ctx),
         "checklist": ctx.checklist,
         "singles": [
             {"designator": designator,

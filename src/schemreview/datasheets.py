@@ -185,7 +185,7 @@ def extract_spec(doc: DatasheetDocument, selected: list[int], part: PartRef,
 
 def critique(spec: DatasheetSpec, gateway: Gateway,
              trace: TraceContext = UNTRACED) -> CriticScore:
-    req = AgentRequest(AgentKind.CRITIC, _CRITIC_PROMPT, spec.to_xml(), "critic")
+    req = AgentRequest(AgentKind.CRITIC, _CRITIC_PROMPT, spec.payload_xml(), "critic")
     resp = gateway.complete(req, trace=trace)
     return CriticScore(**resp.value)
 

@@ -5,6 +5,13 @@ One JSON file per entry under the store root, named by the SHA-256 of the
 less than ``TTL_S`` (7 days); expired entries are deleted lazily on
 lookup. Writes go through a temp file + rename so concurrent readers
 never see a torn entry.
+
+A store keeps each entry a lookup has read, for its lifetime (one run),
+and serves that key's later lookups from memory; each still applies the
+TTL to the entry's ``stored_at``, and a kept entry that has expired is
+forgotten and its file looked up again (and deleted if still expired).
+A written entry is kept only once a lookup has read it back: its file
+is what later lookups must see.
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ import logging
 import os
 import threading
 import time
+import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -44,12 +52,18 @@ class CacheStore:
             self.root.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise StoreIo(f"cannot create cache dir {root}: {exc}") from exc
+        self._kept: dict[CacheKey, CacheEntry] = {}
 
     def _path(self, key: CacheKey) -> Path:
         digest = hashlib.sha256(f"{key[0]}\n{key[1]}".encode("utf-8")).hexdigest()
         return self.root / f"{digest}.json"
 
     def lookup(self, key: CacheKey) -> tuple[DatasheetSpec, CriticScore] | None:
+        kept = self._kept.get(key)
+        if kept is not None:
+            if self.now() - kept.stored_at < TTL_S:
+                return kept.spec, kept.score
+            self._kept.pop(key, None)
         path = self._path(key)
         try:
             text = path.read_text(encoding="utf-8")
@@ -59,16 +73,17 @@ class CacheStore:
             raise StoreIo(f"cannot read cache entry {path}: {exc}") from exc
         try:
             doc = json.loads(text)
-            entry_age = self.now() - float(doc["stored_at"])
-            if entry_age >= TTL_S:
+            stored_at = float(doc["stored_at"])
+            if self.now() - stored_at >= TTL_S:
                 path.unlink(missing_ok=True)
                 return None
             spec = DatasheetSpec.from_xml(doc["spec_xml"])
             score = CriticScore(**doc["score"])
-        except (KeyError, ValueError, json.JSONDecodeError) as exc:
+        except (KeyError, ValueError, json.JSONDecodeError, ET.ParseError) as exc:
             log.warning("dropping corrupt cache entry %s: %s", path, exc)
             path.unlink(missing_ok=True)
             return None
+        self._kept[key] = CacheEntry(key, spec, score, stored_at)
         return spec, score
 
     def put(self, entry: CacheEntry) -> None:
@@ -89,3 +104,5 @@ class CacheStore:
             os.replace(tmp, path)
         except OSError as exc:
             raise StoreIo(f"cannot write cache entry {path}: {exc}") from exc
+        finally:
+            self._kept.pop(entry.key, None)

@@ -6,7 +6,7 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 
 from .libraries import PartRef
-from .xmlutil import esc
+from .xmlutil import DECLARATION, compact, esc
 
 # Critic dimension weights; they sum to 1.
 CRITIC_WEIGHTS = {
@@ -122,7 +122,7 @@ class DatasheetSpec:
                 ("max", r.max), ("min", r.min), ("parameter", r.parameter),
                 ("typ", r.typ), ("unit", r.unit)) if value is not None) + "/>"
             for r in self.rec_operating]
-        lines = ['<?xml version="1.0" encoding="UTF-8"?>', "<datasheet"
+        lines = [DECLARATION, "<datasheet"
                  + (f' ipn="{esc(part.ipn)}"' if part.ipn else "")
                  + (f' mpn="{esc(part.mpn)}"' if part.mpn else "")
                  + f' source_url="{esc(self.source_url)}">']
@@ -139,6 +139,15 @@ class DatasheetSpec:
         xml = "\n".join(lines) + "\n</datasheet>\n"
         object.__setattr__(self, "_xml", xml)
         return xml
+
+    def payload_xml(self) -> str:
+        """``to_xml`` in the payload layout agents are sent: no declaration,
+        indentation or line breaks. Made on the first call and kept on the
+        spec for later ones."""
+        if "_payload_xml" not in self.__dict__:
+            object.__setattr__(self, "_payload_xml",
+                               compact(self.to_xml()[len(DECLARATION) + 1:]))
+        return self.__dict__["_payload_xml"]
 
     @classmethod
     def from_xml(cls, xml_text: str) -> "DatasheetSpec":

@@ -210,7 +210,7 @@ def _analyze_pages(pages: list[tuple[Page, TraceContext]], cfg: RunConfig,
         index, group = job
         page, ctx = pages[index]
         review_ctx = GroupReviewContext(
-            group, serialize_page_xml(page, group.designators),
+            group, serialize_page_xml(page, group.designators, payload=True),
             {d: specs[index].get(d) for d in group.designators},
             checklists[group.name])
         with ctx.span(f"group:{group.name}", group=group.name) as gctx:

@@ -120,10 +120,10 @@ class FunctionalGroup:
 @dataclass(frozen=True)
 class GroupReviewContext:
     """Everything one group review needs: the group, its slice of the page
-    netlist as canonical XML (``serialize_page_xml(page, members)``: the
-    members with their pins and every net touching a member, without
-    annotations), per-designator specs (None where retrieval failed), and
-    the checklist."""
+    netlist in the payload layout (``serialize_page_xml(page, members,
+    payload=True)``: the members with their pins and every net touching a
+    member, without annotations), per-designator specs (None where
+    retrieval failed), and the checklist."""
 
     group: FunctionalGroup
     netlist_xml: str
@@ -131,22 +131,20 @@ class GroupReviewContext:
     checklist: str
 
 
-def spec_fields(ctx: GroupReviewContext) -> dict:
-    """The ``parts`` and ``specs`` of the review and consensus payloads:
-    member -> its spec's part key (None where it has no spec), and part
-    key -> that spec's XML, so each spec is sent once however many members
+def payload_specs(ctx: GroupReviewContext) -> dict[str, str]:
+    """The ``specs`` of the review and consensus payloads: part key -> that
+    spec's payload XML, so each spec is sent once however many members
     share its part. Specs are retrieved per part key, so a spec's
-    ``part.key`` is its member's ``mpn or ipn``."""
-    parts: dict[str, str | None] = {}
+    ``part.key`` is its member's ``mpn or ipn``, which the member's entry
+    in ``netlist_xml`` carries."""
     specs: dict[str, str] = {}
-    for designator, spec in ctx.specs.items():
+    for spec in ctx.specs.values():
         if spec is None:
-            parts[designator] = None
             continue
-        key = parts[designator] = spec.part.key
-        if specs.setdefault(key, spec.to_xml()) != spec.to_xml():
-            raise ValueError(f"members sharing part {key!r} carry different specs")
-    return {"parts": parts, "specs": specs}
+        xml = spec.payload_xml()
+        if specs.setdefault(spec.part.key, xml) != xml:
+            raise ValueError(f"members sharing part {spec.part.key!r} carry different specs")
+    return specs
 
 
 # --- selection ----------------------------------------------------------------
@@ -156,7 +154,7 @@ def select_groups(page: Page, gateway: Gateway,
     if not page.components:
         return []
     req = AgentRequest(AgentKind.SELECTION, SELECTION_PROMPT,
-                       serialize_page_xml(page), "selection")
+                       serialize_page_xml(page, payload=True), "selection")
     resp = gateway.complete(req, trace=trace)
 
     known = {c.designator for c in page.components}
@@ -193,7 +191,7 @@ def build_review_payload(ctx: GroupReviewContext) -> str:
     return json.dumps({
         "group": {"name": ctx.group.name, "designators": list(ctx.group.designators)},
         "netlist_xml": ctx.netlist_xml,
-        **spec_fields(ctx),
+        "specs": payload_specs(ctx),
         "checklist": ctx.checklist,
     }, sort_keys=True)
 

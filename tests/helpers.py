@@ -62,7 +62,8 @@ def script_retrieval_attempt(fixture_root, url: str, doc_bytes: bytes,
     write_fixture(fixture_root, AgentKind.EXTRACTION,
                   build_extract_payload(doc, [0]), 0, json.dumps(spec_value))
     spec = spec_from_agent_value(spec_value, part, url)
-    write_fixture(fixture_root, AgentKind.CRITIC, spec.to_xml(), 0, json.dumps(quad))
+    write_fixture(fixture_root, AgentKind.CRITIC, spec.payload_xml(), 0,
+                  json.dumps(quad))
     return spec
 
 

@@ -155,7 +155,7 @@ class TestExtractAndCritic:
 
     def test_critique_computes_weighted_locally(self, tmp_path):
         spec = spec_from_agent_value(SPEC_VALUE, PartRef(mpn="LM317"), "u")
-        write_fixture(tmp_path / "fixtures", AgentKind.CRITIC, spec.to_xml(), 0,
+        write_fixture(tmp_path / "fixtures", AgentKind.CRITIC, spec.payload_xml(), 0,
                       json.dumps({"feature_completeness": 8, "pin_function_coverage": 6,
                                   "application_information": 10,
                                   "typical_application_circuits": 4}))
@@ -169,7 +169,7 @@ class TestExtractAndCritic:
         smuggled = {"feature_completeness": 8, "pin_function_coverage": 6,
                     "application_information": 10, "typical_application_circuits": 4,
                     "weighted": 9.9}
-        payload = spec.to_xml()
+        payload = spec.payload_xml()
         root = tmp_path / "fixtures"
         current = payload
         # all three attempts return the smuggled field; schema rejects each

@@ -91,6 +91,17 @@ def test_corrupt_entry_dropped(tmp_path):
     assert not path.exists()
 
 
+def test_entry_with_malformed_spec_xml_dropped(tmp_path):
+    clock = FakeClock()
+    store = CacheStore(tmp_path / "cache", now=clock)
+    put_entry(store, clock)
+    path = next((tmp_path / "cache").glob("*.json"))
+    doc = json.loads(path.read_text())
+    path.write_text(json.dumps({**doc, "spec_xml": doc["spec_xml"][:-20]}))
+    assert store.lookup(("LM317", "http://x/u1.pdf")) is None
+    assert not path.exists()
+
+
 def test_distinct_urls_are_distinct_keys(tmp_path):
     clock = FakeClock()
     store = CacheStore(tmp_path / "cache", now=clock)
@@ -110,3 +121,41 @@ def test_entry_file_schema(tmp_path):
     assert set(doc["score"]) == {"feature_completeness", "pin_function_coverage",
                                  "application_information", "typical_application_circuits"}
     assert doc["spec_xml"].startswith("<?xml")
+
+
+# --- entries kept for the store's lifetime ------------------------------------------
+
+KEY = ("LM317", "http://x/u1.pdf")
+
+
+def test_an_entry_read_once_is_served_from_memory(tmp_path):
+    clock = FakeClock()
+    store = CacheStore(tmp_path / "cache", now=clock)
+    put_entry(store, clock)
+    first = store.lookup(KEY)
+    next((tmp_path / "cache").glob("*.json")).unlink()
+    spec, score = store.lookup(KEY)
+    assert spec is first[0] and score is first[1]
+    # a new store (a new run) reads the file, which is gone
+    assert CacheStore(tmp_path / "cache", now=clock).lookup(KEY) is None
+
+
+def test_a_kept_entry_expires_at_the_ttl_and_its_file_is_removed(tmp_path):
+    clock = FakeClock()
+    store = CacheStore(tmp_path / "cache", now=clock)
+    put_entry(store, clock)
+    assert store.lookup(KEY) is not None
+    clock.t += TTL_S - 1
+    assert store.lookup(KEY) is not None
+    clock.t += 1
+    assert store.lookup(KEY) is None
+    assert list((tmp_path / "cache").glob("*.json")) == []
+
+
+def test_a_write_replaces_the_kept_entry(tmp_path):
+    clock = FakeClock()
+    store = CacheStore(tmp_path / "cache", now=clock)
+    put_entry(store, clock)
+    assert store.lookup(KEY)[1].weighted == sample_score().weighted
+    store.put(CacheEntry(KEY, sample_spec(), CriticScore(10, 10, 10, 10), stored_at=clock.t))
+    assert store.lookup(KEY)[1].weighted == 10.0

@@ -30,8 +30,9 @@ from tree_xml import tree_serialize_page_xml, tree_serialize_xml, tree_spec_xml
 
 # escapable characters, a quote the emitters leave alone, and non-ASCII
 ALPHABET = "aZ1_ &<>\"'é–"
-# page text may also break lines: the bytes must match, indentation included
-PAGE_ALPHABET = ALPHABET + "\n"
+# page text may also hold line breaks and tabs, which ``esc`` writes as
+# character references: the bytes must match, indentation included
+PAGE_ALPHABET = ALPHABET + "\n\r\t"
 NAMES = st.text(PAGE_ALPHABET, min_size=1, max_size=4)
 OPTIONAL = st.none() | st.text(PAGE_ALPHABET, max_size=4)
 NUMBERS = (st.integers(-10**6, 10**6)
@@ -127,8 +128,9 @@ def test_blocks_are_rendered_once_per_page(monkeypatch):
 
 # --- datasheet specs -----------------------------------------------------------------
 
-# attribute values that survive an XML parse unchanged: no line breaks or tabs
 SPEC_TEXT = st.text(ALPHABET, max_size=5)
+# line breaks and tabs survive a parse only as character references
+LAYOUT_TEXT = st.text(ALPHABET + "\n\r\t", max_size=5)
 SPEC_NAMES = st.text(ALPHABET, min_size=1, max_size=4)
 
 
@@ -159,8 +161,59 @@ def test_spec_xml_matches_the_tree_renderer_and_round_trips(spec):
 
 
 @settings(max_examples=50, deadline=None)
-@given(specs(text=st.text(ALPHABET + "\n\t", max_size=5)))
+@given(specs(text=LAYOUT_TEXT))
 def test_spec_xml_with_line_breaks_matches_the_tree_renderer(spec):
-    # line breaks do not survive an attribute parse; the bytes must still match
     assert spec.to_xml() == tree_spec_xml(spec)
-    ET.fromstring(spec.to_xml())
+    # escaped, a line break or tab in a value comes back from a parse as it was
+    assert DatasheetSpec.from_xml(spec.to_xml()) == spec
+
+
+# --- payload layout -------------------------------------------------------------------
+
+def tree(xml: str):
+    """The document's root as (tag, attributes, text, tail, children), with
+    whitespace-only text and tails, the layout between elements, dropped."""
+    def node(e):
+        text = e.text if e.text and e.text.strip() else None
+        tail = e.tail if e.tail and e.tail.strip() else None
+        return e.tag, e.attrib, text, tail, [node(child) for child in e]
+    return node(ET.fromstring(xml))
+
+
+def assert_payload_layout(payload: str, canonical_xml: str):
+    assert "<?xml" not in payload
+    assert "\n" not in payload and "\r" not in payload
+    assert tree(payload) == tree(canonical_xml)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_page_payloads_are_the_canonical_trees_without_layout(data):
+    page = data.draw(pages())
+    assert_payload_layout(serialize_page_xml(page, payload=True), serialize_page_xml(page))
+    for members in data.draw(st.lists(member_sets(page), max_size=3)):
+        assert_payload_layout(serialize_page_xml(page, members, payload=True),
+                              serialize_page_xml(page, members))
+
+
+@settings(max_examples=200, deadline=None)
+@given(specs(text=LAYOUT_TEXT))
+def test_spec_payload_is_the_canonical_tree_without_layout(spec):
+    payload = spec.payload_xml()
+    assert_payload_layout(payload, spec.to_xml())
+    assert DatasheetSpec.from_xml(payload) == spec
+    assert spec.payload_xml() is payload  # made once per spec object
+
+
+def test_payload_blocks_are_made_once_per_page_and_not_for_hashing(monkeypatch):
+    page = Page("P1", (Component("U1", pins=(Pin("1"),)),), (Net("N", (("U1", "1"),)),))
+    calls = []
+    original = canonical._compact_blocks
+    monkeypatch.setattr(canonical, "_compact_blocks",
+                        lambda blocks: calls.append(blocks) or original(blocks))
+    page_hash(page)
+    serialize_page_xml(page, ["U1"])
+    assert calls == []
+    serialize_page_xml(page, payload=True)
+    serialize_page_xml(page, ["U1"], payload=True)
+    assert len(calls) == 1

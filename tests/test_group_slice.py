@@ -168,6 +168,7 @@ def test_scripted_reviewers_answer_the_slice_as_the_full_page(data):
 
     full = payload(serialize_page_xml(page))
     scoped = payload(serialize_page_xml(page, members))
+    sent = payload(serialize_page_xml(page, members, payload=True))
     # the comparison means something only if the scoped payload is the
     # group's own: no other component, no annotation
     scoped_page = ET.fromstring(json.loads(scoped)["netlist_xml"])
@@ -175,10 +176,16 @@ def test_scripted_reviewers_answer_the_slice_as_the_full_page(data):
     assert scoped_page.find("annotations") is None
     board_responder = perfbench_responder.make_responder(manifest)
     for seed in range(3):
-        assert (demo_responder("group_review", scoped, seed)
-                == demo_responder("group_review", full, seed))
-        assert (board_responder("group_review", scoped, seed)
-                == board_responder("group_review", full, seed))
+        for answer in (demo_responder, board_responder):
+            assert (answer("group_review", scoped, seed)
+                    == answer("group_review", full, seed)
+                    == answer("group_review", sent, seed))
+    # the selection agent is sent the whole page, in the payload layout (the
+    # demo's selection script knows only nodes on the page's components)
+    on_page = {c.designator for c in page.components}
+    if all(comp in on_page for net in page.nets for comp, _pin in net.nodes):
+        assert (demo_responder("selection", serialize_page_xml(page, payload=True))
+                == demo_responder("selection", serialize_page_xml(page)))
 
 
 def test_slice_of_a_wired_page_drops_the_geometry():

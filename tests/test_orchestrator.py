@@ -462,13 +462,37 @@ class TestReviewPayloads:
         for path in captures:
             payload = path.read_text(encoding="utf-8")
             doc = json.loads(payload)
-            assert set(doc["parts"]) == set(doc["group"]["designators"])
-            keys = [key for key in doc["parts"].values() if key is not None]
-            assert set(doc["specs"]) == set(keys)
+            assert "parts" not in doc
+            # each member's spec is found by the mpn or ipn in its slice entry
+            keys = [comp.get("mpn") or comp.get("ipn")
+                    for comp in ET.fromstring(doc["netlist_xml"]).iter("component")]
+            assert set(doc["specs"]) == set(filter(None, keys))
             shared += len(keys) - len(set(keys))
-            for xml in filter(None, doc["specs"].values()):
+            for key, xml in doc["specs"].items():
+                spec = ET.fromstring(xml)
+                assert (spec.get("mpn") or spec.get("ipn")) == key
                 assert payload.count(json.dumps(xml)) == 1
         assert shared  # the demo's groups do share parts
+
+    def test_payloads_carry_no_xml_declaration_or_line_break(self, demo):
+        _, paths = demo
+        captures = sorted(paths["fixtures"].glob("*/*.req"))
+        assert {p.parent.name for p in captures} >= {"selection", "critic",
+                                                     "group_review", "consensus"}
+        for path in captures:
+            payload = path.read_text(encoding="utf-8")
+            assert "<?xml" not in payload
+            kind = path.parent.name
+            if kind in ("selection", "critic"):
+                documents = [payload]
+            elif kind in ("group_review", "consensus"):
+                doc = json.loads(payload)
+                documents = [doc["netlist_xml"], *doc["specs"].values()]
+            else:
+                continue
+            for xml in documents:
+                assert "\n" not in xml and "\r" not in xml
+                ET.fromstring(xml)
 
     def test_csv_library_is_read_once_per_run(self, demo, monkeypatch):
         work, paths = demo

@@ -29,7 +29,8 @@ def make_gateway(tmp_path) -> Gateway:
 
 def script_selection(tmp_path, page, groups):
     write_fixture(tmp_path / "fixtures", AgentKind.SELECTION,
-                  serialize_page_xml(page), 0, json.dumps({"groups": groups}))
+                  serialize_page_xml(page, payload=True), 0,
+                  json.dumps({"groups": groups}))
 
 
 def test_empty_page_no_agent_call(tmp_path):

@@ -1,17 +1,20 @@
 """Review and consensus payloads carry each datasheet spec once, keyed by
-part key, with a member -> part key map; resolving that map gives exactly
-the designator-keyed specs the payloads used to carry
-(``designator_payload.py``)."""
+part key; resolving each member through the ``mpn``/``ipn`` its entry in
+``netlist_xml`` carries gives exactly the designator-keyed specs the
+payloads used to carry (``designator_payload.py``), layout aside."""
 
 import json
+import xml.etree.ElementTree as ET
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from designator_payload import designator_consensus_payload, designator_review_payload
+from schemreview.canonical import serialize_page_xml
 from schemreview.consensus import _Cluster, build_consensus_payload
 from schemreview.dsmodel import DatasheetSpec, PinFunction
 from schemreview.libraries import PartRef
+from schemreview.model import Component, Page, Pin
 from schemreview.review import (
     FunctionalGroup,
     GroupReviewContext,
@@ -32,9 +35,10 @@ def contexts(draw):
     members = [f"X{i}" for i in range(draw(st.integers(1, 8)))]
     ident = st.sampled_from((None, *PART_NUMBERS))
     failed = draw(st.sets(st.sampled_from(PART_NUMBERS)))
-    specs, by_key = {}, {}
+    specs, by_key, components = {}, {}, []
     for designator in members:
         mpn, ipn = draw(ident), draw(ident)
+        components.append(Component(designator, mpn, ipn, pins=(Pin("1"),)))
         key = mpn or ipn
         if key and key not in failed and key not in by_key:
             by_key[key] = DatasheetSpec(
@@ -43,9 +47,11 @@ def contexts(draw):
                            for n in range(1, draw(st.integers(0, 3)) + 1)),
                 blocks=tuple(draw(st.lists(TEXT, max_size=2))))
         specs[designator] = by_key.get(key)
+    # a component outside the group shares a part with no member
+    page = Page("P1", (*components, Component("Z1", "LM317", pins=(Pin("1"),))))
     group = FunctionalGroup(draw(st.sampled_from(("power stage", "ungrouped"))), members)
-    return GroupReviewContext(group, f'<page id="P1">{draw(TEXT)}</page>', specs,
-                              draw(TEXT))
+    return GroupReviewContext(group, serialize_page_xml(page, members, payload=True),
+                              specs, draw(TEXT))
 
 
 @st.composite
@@ -63,15 +69,21 @@ def findings(draw, members):
 
 
 def resolved(doc: dict) -> dict:
-    """Member -> spec XML, through ``parts`` and the part-keyed ``specs``."""
-    return {d: doc["specs"][key] if key is not None else None
-            for d, key in doc["parts"].items()}
+    """Member -> its spec, found in the part-keyed ``specs`` by the ``mpn
+    or ipn`` of its component in ``netlist_xml``."""
+    members = set(doc["group"]["designators"])
+    found = {}
+    for comp in ET.fromstring(doc["netlist_xml"]).iter("component"):
+        if comp.get("designator") in members:
+            xml = doc["specs"].get(comp.get("mpn") or comp.get("ipn"))
+            found[comp.get("designator")] = DatasheetSpec.from_xml(xml) if xml else None
+    return found
 
 
 def assert_lossless(payload: str, oracle: str, ctx: GroupReviewContext):
     doc, old = json.loads(payload), json.loads(oracle)
-    assert resolved(doc) == old.pop("specs")
-    assert set(doc.pop("parts")) == set(ctx.group.designators)
+    assert resolved(doc) == {d: DatasheetSpec.from_xml(xml) if xml else None
+                             for d, xml in old.pop("specs").items()}
     specs = doc.pop("specs")
     assert set(specs) == {spec.part.key for spec in ctx.specs.values() if spec}
     assert doc == old
@@ -92,12 +104,15 @@ def test_payloads_resolve_to_the_designator_keyed_specs(data):
 def test_shared_part_is_sent_once_and_a_member_without_spec_maps_to_null():
     spec = DatasheetSpec(PartRef(mpn="CAP-100N"), "file:///c.pdf")
     group = FunctionalGroup("bypass", ("C1", "C2", "C3", "U1"))
+    page = Page("P1", (*(Component(d, "CAP-100N") for d in ("C1", "C2", "C3")),
+                       Component("U1", "LM317")))
     ctx = GroupReviewContext(
-        group, "<page/>", {"C1": spec, "C2": spec, "C3": spec, "U1": None}, "")
+        group, serialize_page_xml(page, group.designators, payload=True),
+        {"C1": spec, "C2": spec, "C3": spec, "U1": None}, "")
     doc = json.loads(build_review_payload(ctx))
-    assert doc["specs"] == {"CAP-100N": spec.to_xml()}
-    assert doc["parts"] == {"C1": "CAP-100N", "C2": "CAP-100N", "C3": "CAP-100N",
-                            "U1": None}
+    assert doc["specs"] == {"CAP-100N": spec.payload_xml()}
+    assert "parts" not in doc
+    assert resolved(doc) == {"C1": spec, "C2": spec, "C3": spec, "U1": None}
 
 
 def test_members_sharing_a_part_key_with_different_specs_are_rejected():
