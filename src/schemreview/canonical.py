@@ -12,18 +12,26 @@ member components, every net with a node on a member (all of its nodes
 kept), and no annotations.
 
 Each element of a page (a component with its bbox and pins, a net with
-its nodes, the annotations) is rendered to text once per page object, the
-first time the page is serialized or hashed, and kept on the page; its
-hash, its full document and every group's slice only join those blocks.
+its nodes, the annotations) is rendered to text once per page object and
+layout, the first time the page is serialized or hashed, and kept on the
+page; its hash, its full document and every group's slice only join those
+blocks.
 A page diff hashes only pairs of distinct page objects, so the unchanged
 pages of a design review, read once and shared by base and head, are not
 rendered for the diff.
 
 Agents are sent a page, or a group's slice of it, in the payload layout
-(``serialize_page_xml(..., payload=True)``): the same elements without
-the declaration, indentation and line breaks. Its blocks are derived
-from the canonical ones the first time a page goes into a payload, and
-kept on the page too, so a page that is only hashed never pays for them.
+(``serialize_page_xml(..., payload=True)``): connectivity without
+geometry, and without the declaration, indentation and line breaks. It
+has the canonical elements and attributes except every ``<bbox>``, each
+pin's ``x`` and ``y``, and every wire, junction and label annotation;
+free ``text`` notes are kept without their bbox, and a page without any
+has no ``<annotations>``. Wire tracing has already turned the geometry
+into the ``<nets>`` the payload carries, a label only repeats a net's
+name, and comments are placed from the ``Page``, never from a reply. The
+payload blocks are rendered the first time a page goes into a payload,
+and kept on the page too, so a page that is only hashed never pays for
+them.
 """
 
 from __future__ import annotations
@@ -84,35 +92,39 @@ def _page_blocks(page: Page, payload: bool = False) -> tuple:
     name = "_payload_blocks" if payload else "_canonical_blocks"
     blocks = page.__dict__.get(name)
     if blocks is None:
-        blocks = _compact_blocks(_page_blocks(page)) if payload else _render_page(page, "")
+        blocks = (_compact_blocks(_render_page(page, "", geometry=False)) if payload
+                  else _render_page(page, ""))
         object.__setattr__(page, name, blocks)
     return blocks
 
 
 def _compact_blocks(blocks: tuple) -> tuple:
-    """Canonical page blocks in the payload layout."""
+    """Rendered page blocks in the payload layout."""
     _inner, open_tag, components, nets, annotations, close_tag = blocks
     return ("", compact(open_tag), tuple((d, compact(block)) for d, block in components),
             tuple((net, compact(block)) for net, block in nets), compact(annotations),
             compact(close_tag))
 
 
-def _render_page(page: Page, pad: str) -> tuple:
+def _render_page(page: Page, pad: str, geometry: bool = True) -> tuple:
     """The blocks of a page element indented by ``pad``: the indentation of
     its container elements, its open tag, (designator, component) and (net,
     net element) pairs in canonical order, the annotations element ("" when
-    there are none), and its close tag."""
+    there are none), and its close tag. Without ``geometry``, bboxes, pin
+    coordinates and every annotation but free text are left out."""
     open_tag = f'{pad}<page id="{esc(page.id)}"'
     if page.strategy is not None:
         open_tag += f' strategy="{esc(page.strategy.value)}"'
     inner = pad + "    "
-    components = tuple((c.designator, _component_xml(c, inner))
+    components = tuple((c.designator, _component_xml(c, inner, geometry))
                        for c in sorted(page.components, key=lambda c: c.designator))
     nets = tuple((n, _net_xml(n, inner)) for n in sorted(page.nets, key=lambda n: n.name))
+    kept = sorted((a for a in page.annotations if geometry or a.kind == "text"),
+                  key=_annotation_key)
     annotations = "\n".join((
         f"{pad}  <annotations>",
-        *(_annotation_xml(a, inner) for a in sorted(page.annotations, key=_annotation_key)),
-        f"{pad}  </annotations>")) if page.annotations else ""
+        *(_annotation_xml(a, inner, geometry) for a in kept),
+        f"{pad}  </annotations>")) if kept else ""
     return pad + "  ", open_tag + ">", components, nets, annotations, f"{pad}</page>"
 
 
@@ -139,7 +151,7 @@ def _join_page(blocks: tuple, members: Iterable[str] | None, lines: list[str]) -
     lines.append(close_tag)
 
 
-def _component_xml(comp: Component, pad: str) -> str:
+def _component_xml(comp: Component, pad: str, geometry: bool = True) -> str:
     head = f"{pad}<component"
     if comp.datasheet_url:
         head += f' datasheet_url="{esc(comp.datasheet_url)}"'
@@ -149,15 +161,15 @@ def _component_xml(comp: Component, pad: str) -> str:
     if comp.mpn:
         head += f' mpn="{esc(comp.mpn)}"'
     lines = [head + ">"]
-    if comp.bbox:
+    if geometry and comp.bbox:
         lines.append(_bbox_xml(comp.bbox, pad + "  "))
     for pin in sorted(comp.pins, key=lambda p: p.designator):
         line = f'{pad}  <pin designator="{esc(pin.designator)}"'
         if pin.name:
             line += f' name="{esc(pin.name)}"'
-        if pin.x is not None:
+        if geometry and pin.x is not None:
             line += f' x="{fmt_num(pin.x)}"'
-        if pin.y is not None:
+        if geometry and pin.y is not None:
             line += f' y="{fmt_num(pin.y)}"'
         lines.append(line + "/>")
     if len(lines) == 1:
@@ -182,6 +194,8 @@ def _annotation_key(ann: GraphicalAnnotation):
     return (ann.kind, ann.text, ann.bbox.x, ann.bbox.y, ann.bbox.w, ann.bbox.h)
 
 
-def _annotation_xml(ann: GraphicalAnnotation, pad: str) -> str:
-    return (f'{pad}<annotation kind="{esc(ann.kind)}" text="{esc(ann.text)}">\n'
-            f'{_bbox_xml(ann.bbox, pad + "  ")}\n{pad}</annotation>')
+def _annotation_xml(ann: GraphicalAnnotation, pad: str, geometry: bool = True) -> str:
+    head = f'{pad}<annotation kind="{esc(ann.kind)}" text="{esc(ann.text)}"'
+    if not geometry:
+        return head + "/>"
+    return f'{head}>\n{_bbox_xml(ann.bbox, pad + "  ")}\n{pad}</annotation>'

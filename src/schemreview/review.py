@@ -122,8 +122,9 @@ class GroupReviewContext:
     """Everything one group review needs: the group, its slice of the page
     netlist in the payload layout (``serialize_page_xml(page, members,
     payload=True)``: the members with their pins and every net touching a
-    member, without annotations), per-designator specs (None where
-    retrieval failed), and the checklist."""
+    member; connectivity only, without bboxes, pin coordinates or
+    annotations), per-designator specs (None where retrieval failed; sent
+    with their ``source_url``), and the checklist."""
 
     group: FunctionalGroup
     netlist_xml: str

@@ -5,8 +5,8 @@ Those emitters write attributes in lexicographic order, indent by two
 spaces, and escape attribute values and text with ``esc``. Numbers are
 formatted with ``fmt_num``. ``esc`` writes line breaks and tabs as
 character references, so every raw line break in emitted XML is layout:
-``compact`` turns the canonical layout into the payload layout agents
-are sent, which differs from it only in whitespace between elements.
+``compact`` drops it, with the indentation after it, for the payload
+layout agents are sent (pages are also rendered without geometry there).
 """
 
 from __future__ import annotations

@@ -7,13 +7,16 @@ same, whatever order a page's documents are asked for in.
 """
 
 import hashlib
+import json
 import xml.etree.ElementTree as ET
 
 from hypothesis import given, settings, strategies as st
 
 from schemreview import canonical
+from schemreview.augment import augment_netlist
 from schemreview.canonical import page_hash, serialize_page_xml, serialize_xml
 from schemreview.dsmodel import DatasheetSpec, OperatingRange, PinFunction, Rating
+from schemreview.ingest import ingest_schematic
 from schemreview.libraries import PartRef
 from schemreview.model import (
     AugmentationStrategy,
@@ -170,37 +173,61 @@ def test_spec_xml_with_line_breaks_matches_the_tree_renderer(spec):
 
 # --- payload layout -------------------------------------------------------------------
 
-def tree(xml: str):
-    """The document's root as (tag, attributes, text, tail, children), with
+def node(e):
+    """An element as (tag, attributes, text, tail, children), with
     whitespace-only text and tails, the layout between elements, dropped."""
-    def node(e):
-        text = e.text if e.text and e.text.strip() else None
-        tail = e.tail if e.tail and e.tail.strip() else None
-        return e.tag, e.attrib, text, tail, [node(child) for child in e]
+    text = e.text if e.text and e.text.strip() else None
+    tail = e.tail if e.tail and e.tail.strip() else None
+    return e.tag, e.attrib, text, tail, [node(child) for child in e]
+
+
+def tree(xml: str):
     return node(ET.fromstring(xml))
 
 
-def assert_payload_layout(payload: str, canonical_xml: str):
+def without_geometry(xml: str):
+    """The canonical page document's root with its geometry removed: every
+    ``bbox``, each pin's ``x`` and ``y``, every annotation but free text,
+    and ``annotations`` once it is empty."""
+    root = ET.fromstring(xml)
+    for parent in list(root.iter()):
+        for child in list(parent):
+            if child.tag == "bbox" or (child.tag == "annotation"
+                                       and child.get("kind") != "text"):
+                parent.remove(child)
+    for pin in root.iter("pin"):
+        pin.attrib.pop("x", None)
+        pin.attrib.pop("y", None)
+    for annotations in root.findall("annotations"):
+        if not len(annotations):
+            root.remove(annotations)
+    return root
+
+
+def assert_payload_layout(payload: str, expected):
+    """``payload`` has no declaration and no line break, and its tree is
+    the ``expected`` element's."""
     assert "<?xml" not in payload
     assert "\n" not in payload and "\r" not in payload
-    assert tree(payload) == tree(canonical_xml)
+    assert tree(payload) == node(expected)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_page_payloads_are_the_canonical_trees_without_layout(data):
     page = data.draw(pages())
-    assert_payload_layout(serialize_page_xml(page, payload=True), serialize_page_xml(page))
+    assert_payload_layout(serialize_page_xml(page, payload=True),
+                          without_geometry(serialize_page_xml(page)))
     for members in data.draw(st.lists(member_sets(page), max_size=3)):
         assert_payload_layout(serialize_page_xml(page, members, payload=True),
-                              serialize_page_xml(page, members))
+                              without_geometry(serialize_page_xml(page, members)))
 
 
 @settings(max_examples=200, deadline=None)
 @given(specs(text=LAYOUT_TEXT))
 def test_spec_payload_is_the_canonical_tree_without_layout(spec):
     payload = spec.payload_xml()
-    assert_payload_layout(payload, spec.to_xml())
+    assert_payload_layout(payload, ET.fromstring(spec.to_xml()))
     assert DatasheetSpec.from_xml(payload) == spec
     assert spec.payload_xml() is payload  # made once per spec object
 
@@ -217,3 +244,74 @@ def test_payload_blocks_are_made_once_per_page_and_not_for_hashing(monkeypatch):
     serialize_page_xml(page, payload=True)
     serialize_page_xml(page, ["U1"], payload=True)
     assert len(calls) == 1
+
+
+def _wired_document() -> bytes:
+    """One page drawn with wires in the structured format: U1.2 runs to a
+    T-joint with R1.1 and C1.1 whose junction is labelled VOUT, U1.1 runs
+    to an unnamed net with R1.2, and one free text note."""
+    def pin(d, x, name=None):
+        return {"designator": d, "x": x, "y": 0, **({"name": name} if name else {})}
+
+    def box(x, y, w=0, h=0):
+        return {"x": x, "y": y, "w": w, "h": h}
+
+    def wire(x1, y1, x2, y2):
+        return {"kind": "wire", "text": "",
+                "bbox": box(min(x1, x2), min(y1, y2), abs(x2 - x1), abs(y2 - y1))}
+
+    components = [
+        {"designator": "U1", "mpn": "LM317", "bbox": box(-2, -10, 14, 10),
+         "pins": [pin("1", 0, "VIN"), pin("2", 10, "VOUT")]},
+        {"designator": "R1", "bbox": box(18, -10, 14, 10), "pins": [pin("1", 20), pin("2", 30)]},
+        {"designator": "C1", "bbox": box(38, -10, 4, 10), "pins": [pin("1", 40)]},
+    ]
+    annotations = [
+        wire(10, 0, 10, 20), wire(20, 0, 20, 20), wire(40, 0, 40, 20),
+        wire(10, 20, 20, 20), wire(20, 20, 40, 20),
+        {"kind": "junction", "text": "", "bbox": box(20, 20)},
+        {"kind": "label", "text": "VOUT", "bbox": box(20, 20)},
+        wire(0, 0, 0, 30), wire(30, 0, 30, 30), wire(0, 30, 30, 30),
+        {"kind": "text", "text": "R1 & C1 <fit> \"low ESR\"", "bbox": box(0, 50, 40, 5)},
+    ]
+    page = {"id": "P1", "components": components, "annotations": annotations}
+    return json.dumps({"version": 1, "pages": [page]}).encode()
+
+
+def _wired_page() -> Page:
+    return augment_netlist(ingest_schematic(_wired_document())).pages[0]
+
+
+def test_wired_page_payloads_carry_connectivity_not_geometry():
+    page = _wired_page()
+    assert page.strategy is AugmentationStrategy.WIRE_TRACE_INFERENCE
+    assert {n.name: n.nodes for n in page.nets}["VOUT"] == (
+        ("C1", "1"), ("R1", "1"), ("U1", "2"))
+    assert {a.kind for a in page.annotations} == {"wire", "junction", "label", "text"}
+
+    selection = serialize_page_xml(page, payload=True)
+    group = serialize_page_xml(page, ("U1", "R1"), payload=True)
+    for payload in (selection, group):
+        assert "<bbox" not in payload
+        assert " x=" not in payload and " y=" not in payload
+        for kind in ("wire", "junction", "label"):
+            assert f'kind="{kind}"' not in payload
+    # the nets, the labelled one by its name, and every pin are still sent
+    root = ET.fromstring(selection)
+    assert [n.get("name") for n in root.iter("net")] == sorted(n.name for n in page.nets)
+    assert [(c.get("designator"), [p.attrib for p in c]) for c in root.iter("component")] == [
+        ("C1", [{"designator": "1"}]),
+        ("R1", [{"designator": "1"}, {"designator": "2"}]),
+        ("U1", [{"designator": "1", "name": "VIN"}, {"designator": "2", "name": "VOUT"}])]
+    # the free text note is kept, without its bbox; a group's slice has none
+    assert selection.endswith('<annotations><annotation kind="text" '
+                              'text="R1 &amp; C1 &lt;fit&gt; &quot;low ESR&quot;"/>'
+                              '</annotations></page>')
+    assert "<annotations" not in group
+    # the canonical document and hash, made after the payloads, are those of
+    # an equal page that never went into a payload, geometry included
+    fresh = _wired_page()
+    assert page_hash(page) == page_hash(fresh)
+    assert serialize_page_xml(page) == serialize_page_xml(fresh)
+    assert serialize_page_xml(page).count("<bbox") == (
+        len(page.components) + len(page.annotations))
