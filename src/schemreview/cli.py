@@ -42,16 +42,13 @@ def build_parser() -> argparse.ArgumentParser:
                         help="datasheet spec cache directory")
     parser.add_argument("--trace-out", dest="trace_out",
                         help="write newline-delimited trace spans to this file")
-    parser.add_argument("-v", "--verbose", action="store_true",
-                        help="log pipeline warnings and progress to stderr")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.WARNING if not args.verbose else logging.INFO,
-        stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s")
+    logging.basicConfig(level=logging.WARNING, stream=sys.stderr,
+                        format="%(levelname)s %(name)s: %(message)s")
     try:
         cfg = load_config(args.config) if args.config else RunConfig()
         cfg = apply_cli_overrides(cfg, args)

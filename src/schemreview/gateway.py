@@ -98,6 +98,11 @@ class AgentResponse:
     attempts: int = 1
 
 
+def _is_number(value, kinds=(int, float)) -> bool:
+    """A JSON boolean is a Python int, but no number field takes one."""
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
 @dataclass
 class BackendConfig:
     kind: str = "mock"  # "mock" | "live-http"
@@ -125,12 +130,12 @@ class BackendConfig:
             raise ConfigError("live-http backend requires an endpoint")
         if self.kind == "mock" and not self.fixture_path:
             raise ConfigError("mock backend requires a fixture_path")
-        if not isinstance(self.max_in_flight, int) or self.max_in_flight < 1:
+        if not _is_number(self.max_in_flight, int) or self.max_in_flight < 1:
             raise ConfigError(f"max_in_flight must be an integer >= 1, "
                               f"got {self.max_in_flight!r}")
-        if not isinstance(self.timeout_s, (int, float)) or self.timeout_s <= 0:
+        if not _is_number(self.timeout_s) or self.timeout_s <= 0:
             raise ConfigError(f"timeout_s must be a positive number, got {self.timeout_s!r}")
-        if not isinstance(self.mock_delay_s, (int, float)) or self.mock_delay_s < 0:
+        if not _is_number(self.mock_delay_s) or self.mock_delay_s < 0:
             raise ConfigError("mock_delay_s must be a nonnegative number, "
                               f"got {self.mock_delay_s!r}")
 

@@ -53,13 +53,7 @@ from .grouping import group_errors
 from .ingest import ingest_schematic
 from .libraries import PartRef
 from .model import Page, Schematic
-from .reporting import (
-    DeliveryReport,
-    PipelineStage,
-    ProgressEvent,
-    post_comments,
-    render_comment,
-)
+from .reporting import DeliveryReport, post_comments, render_comment
 from .review import (
     GroupReviewContext,
     checklist_loader,
@@ -275,9 +269,7 @@ def run_pipeline(cfg: RunConfig, schematic_path) -> RunReport:
                                             cache, flights, pool, checklist).result()
                 analyzed += [page.id for page in batch]
 
-        progress = [ProgressEvent(pid, stage)
-                    for pid in analyzed for stage in PipelineStage]
-        delivery = post_comments(cfg.sink, comments, progress)
+        delivery = post_comments(cfg.sink, comments)
     except BaseException as exc:
         error["error"] = type(exc).__name__
         raise

@@ -7,17 +7,14 @@ that has a spec, and an SVG overlay highlighting the affected region
 function of its inputs; delivery is sequential per sink so comment order
 is preserved.
 
-FileSink layout: ``comments/<group_id>.md``, ``overlays/<group_id>.svg``,
-``manifest.json``, ``progress.json``. HttpSink POSTs one JSON body per
-comment to ``{base_url}/comments`` with 3 attempts and exponential
-backoff, then the progress events to ``{base_url}/progress``.
+FileSink layout: ``comments/<group_id>.md``, ``overlays/<group_id>.svg``
+and ``manifest.json``. HttpSink POSTs one JSON body per comment to
+``{base_url}/comments`` with 3 attempts and exponential backoff.
 """
 
 from __future__ import annotations
 
-import enum
 import json
-import logging
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,42 +26,11 @@ from .grouping import ErrorGroup
 from .model import BBox, Page, union_bboxes
 from .xmlutil import fmt_num
 
-log = logging.getLogger(__name__)
-
 HTTP_ATTEMPTS = 3
 BACKOFF_BASE_S = 0.2
 
 OVERLAY_MARGIN = 10.0
 DEFAULT_PAGE_EXTENT = BBox(0, 0, 100, 100)
-
-
-class PipelineStage(enum.Enum):
-    SELECTED = "selected"
-    SPECS_READY = "specs-ready"
-    REVIEWED = "reviewed"
-    CONSENSUS = "consensus"
-    GROUPED = "grouped"
-    RENDERED = "rendered"
-
-
-_STAGE_FRACTION = {
-    PipelineStage.SELECTED: 0.2,
-    PipelineStage.SPECS_READY: 0.4,
-    PipelineStage.REVIEWED: 0.7,
-    PipelineStage.CONSENSUS: 0.85,
-    PipelineStage.GROUPED: 0.95,
-    PipelineStage.RENDERED: 1.0,
-}
-
-
-@dataclass(frozen=True)
-class ProgressEvent:
-    page_id: str
-    stage: PipelineStage
-
-    @property
-    def fraction(self) -> float:
-        return _STAGE_FRACTION[self.stage]
 
 
 @dataclass(frozen=True)
@@ -231,20 +197,18 @@ def comment_doc(comment: ReviewComment) -> dict:
 
 
 def post_comments(sink, comments: list[ReviewComment],
-                  progress: list[ProgressEvent] | None = None,
                   sleep=time.sleep) -> DeliveryReport:
-    """Deliver comments (and progress events) to the sink. Partial delivery
-    is valid and reported per comment; SinkUnreachable is raised only when
-    nothing could be delivered at all."""
-    progress = progress or []
+    """Deliver comments to the sink. Partial delivery is valid and reported
+    per comment; SinkUnreachable is raised only when nothing could be
+    delivered at all."""
     if isinstance(sink, FileSink):
-        return _post_to_files(sink, comments, progress)
+        return _post_to_files(sink, comments)
     if isinstance(sink, HttpSink):
-        return _post_to_http(sink, comments, progress, sleep)
+        return _post_to_http(sink, comments, sleep)
     raise ConfigError(f"unknown sink type {type(sink).__name__}")
 
 
-def _post_to_files(sink: FileSink, comments, progress) -> DeliveryReport:
+def _post_to_files(sink: FileSink, comments) -> DeliveryReport:
     out = Path(sink.out_dir)
     (out / "comments").mkdir(parents=True, exist_ok=True)
     (out / "overlays").mkdir(parents=True, exist_ok=True)
@@ -270,14 +234,10 @@ def _post_to_files(sink: FileSink, comments, progress) -> DeliveryReport:
     }
     (out / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    (out / "progress.json").write_text(
-        json.dumps([{"page_id": e.page_id, "stage": e.stage.value,
-                     "fraction": e.fraction} for e in progress],
-                   indent=2) + "\n", encoding="utf-8")
     return DeliveryReport(tuple(records))
 
 
-def _post_to_http(sink: HttpSink, comments, progress, sleep) -> DeliveryReport:
+def _post_to_http(sink: HttpSink, comments, sleep) -> DeliveryReport:
     import os
 
     import requests
@@ -287,12 +247,13 @@ def _post_to_http(sink: HttpSink, comments, progress, sleep) -> DeliveryReport:
     if token:
         headers["Authorization"] = f"Bearer {token}"
 
-    def attempt_post(path: str, body: dict) -> tuple[bool, int, str | None]:
+    url = f"{sink.base_url.rstrip('/')}/comments"
+
+    def attempt_post(body: dict) -> tuple[bool, int, str | None]:
         error = None
         for attempt in range(1, HTTP_ATTEMPTS + 1):
             try:
-                resp = requests.post(f"{sink.base_url.rstrip('/')}{path}",
-                                     json=body, headers=headers, timeout=30)
+                resp = requests.post(url, json=body, headers=headers, timeout=30)
                 if resp.status_code < 300:
                     return True, attempt, None
                 error = f"HTTP {resp.status_code}"
@@ -307,14 +268,8 @@ def _post_to_http(sink: HttpSink, comments, progress, sleep) -> DeliveryReport:
         body = comment_doc(comment)
         body["markdown"] = comment.markdown
         body["overlay_svg"] = comment.overlay_svg
-        ok, attempts, error = attempt_post("/comments", body)
+        ok, attempts, error = attempt_post(body)
         records.append(DeliveryRecord(comment.error_group_id, ok, attempts, error))
-    for event in progress:
-        ok, _attempts, error = attempt_post(
-            "/progress", {"page_id": event.page_id, "stage": event.stage.value,
-                          "fraction": event.fraction})
-        if not ok:
-            log.warning("progress event delivery failed: %s", error)
     report = DeliveryReport(tuple(records))
     if comments and report.delivered == 0:
         raise SinkUnreachable(

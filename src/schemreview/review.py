@@ -160,8 +160,11 @@ def select_groups(page: Page, gateway: Gateway,
 
     known = {c.designator for c in page.components}
     claimed: set[str] = set()
-    groups: list[FunctionalGroup] = []
+    # name -> members, in selection order; a name given twice is one group,
+    # so that every group has its own span path
+    groups: dict[str, list[str]] = {}
     for group_doc in resp.value["groups"]:
+        name = group_doc["name"]
         members: list[str] = []
         for designator in group_doc["designators"]:
             if designator not in known:
@@ -174,15 +177,20 @@ def select_groups(page: Page, gateway: Gateway,
                 continue
             claimed.add(designator)
             members.append(designator)
-        if members:
-            groups.append(FunctionalGroup(group_doc["name"], members))
-        else:
-            log.warning("page %s: group %r had no valid members; dropped",
-                        page.id, group_doc["name"])
+        if not members:
+            log.warning("page %s: group %r had no valid members; dropped", page.id, name)
+            continue
+        if name in groups:
+            log.warning("page %s: group %r named again; members merged into the first",
+                        page.id, name)
+        groups.setdefault(name, []).extend(members)
     residual = [c.designator for c in page.components if c.designator not in claimed]
     if residual:
-        groups.append(FunctionalGroup(UNGROUPED, residual))
-    return groups
+        if UNGROUPED in groups:
+            log.warning("page %s: selection named a group %r; the unclaimed components"
+                        " join it", page.id, UNGROUPED)
+        groups.setdefault(UNGROUPED, []).extend(residual)
+    return [FunctionalGroup(name, members) for name, members in groups.items()]
 
 
 # --- group review ----------------------------------------------------------------

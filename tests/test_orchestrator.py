@@ -17,7 +17,7 @@ from schemreview.errors import BackendUnavailable, ConfigError, InputError
 from schemreview.gateway import BackendConfig, MockBackend, TokenUsage, fixture_relpath
 from schemreview.ingest import ingest_schematic
 from schemreview.pipeline import RunStatus, run_pipeline
-from schemreview.reporting import FileSink, PipelineStage
+from schemreview.reporting import FileSink
 from schemreview.review import checklist_loader
 
 
@@ -87,6 +87,9 @@ _MALFORMED_CONFIGS = [  # each turns the demo's config document into a bad one
     pytest.param(lambda doc: {**doc, "backend": {**doc["backend"], "mock_delay_s": "x"}},
                  id="mock_delay_s"),
     pytest.param(lambda doc: {**doc, "max_attempts": 0}, id="max_attempts"),
+    *(pytest.param(lambda doc, name=name: {**doc, "backend": {**doc["backend"], name: True}},
+                   id=f"{name}-boolean")
+      for name in ("max_in_flight", "timeout_s", "mock_delay_s")),
     *(pytest.param(lambda doc, name=name: {**doc, "backend": {**doc["backend"], name: 5}},
                    id=name)
       for name in ("kind", "endpoint", "strong_model", "weak_model", "consensus_model",
@@ -237,17 +240,6 @@ class TestTimeBudget:
         pages_in_manifest = {c["page_id"] for c in manifest["comments"]}
         assert pages_in_manifest == {"P1"}
 
-    def test_budget_run_progress_has_six_stages_per_analyzed_page(self, demo):
-        work, paths = demo
-        clean_run_dirs(work)
-        cfg = fresh_cfg(work, time_budget_s=0.2)
-        cfg.backend.mock_delay_s = 0.05
-        report = run_pipeline(cfg, paths["schematic"])
-        assert report.pages_skipped == ["P2", "P3"]
-        events = json.loads((work / "out" / "progress.json").read_text())
-        assert [(e["page_id"], e["stage"]) for e in events] == [
-            ("P1", stage.value) for stage in PipelineStage]
-
     def test_no_budget_never_partial(self, demo):
         work, paths = demo
         clean_run_dirs(work)
@@ -353,6 +345,32 @@ class TestTraces:
                                           "part": "CAP-100N"}
         assert_ledger_matches_trace(report, spans)
 
+    def test_repeated_group_names_give_each_span_its_own_path(self, tmp_path):
+        # a selection reply that names every group "power": merged into one
+        # group per page, no two spans share a path, so the trace's order
+        # cannot depend on which thread finished first
+        paths = write_demo_workspace(tmp_path)
+        cfg = fresh_cfg(tmp_path, trace_out=str(tmp_path / "trace.jsonl"))
+
+        def responder(kind_name, payload, seed):
+            answer = demo_responder(kind_name, payload, seed)
+            if kind_name == "selection":
+                answer = json.dumps({"groups": [{**g, "name": "power"}
+                                                for g in json.loads(answer)["groups"]]})
+            return answer
+
+        def run():
+            clean_run_dirs(tmp_path)
+            return run_pipeline(cfg, paths["schematic"])
+
+        assert generate_fixtures(run, paths["fixtures"], responder=responder).status \
+            == RunStatus.COMPLETE
+        spans = read_spans(tmp_path / "trace.jsonl")
+        keys = [(s["span"], s["path"]) for s in spans]
+        assert len(keys) == len(set(keys))
+        assert [s["path"] for s in spans if s["span"].startswith("group:")] == [
+            f"run/page:{pid}/group:power" for pid in ("P1", "P2", "P3")]
+
     def test_agent_spans_inherit_part_and_run_index(self, demo):
         work, paths = demo
         clean_run_dirs(work)
@@ -367,19 +385,6 @@ class TestTraces:
             assert f"/part:{span['attributes']['part']}/" in span["path"]
         for span in reviews:
             assert f"/review:{span['attributes']['run_index']}/" in span["path"]
-
-    def test_progress_fractions_nondecreasing_per_page(self, demo):
-        work, paths = demo
-        clean_run_dirs(work)
-        run_pipeline(fresh_cfg(work), paths["schematic"])
-        events = json.loads((work / "out" / "progress.json").read_text())
-        by_page = {}
-        for event in events:
-            by_page.setdefault(event["page_id"], []).append(event["fraction"])
-        assert set(by_page) == {"P1", "P2", "P3"}
-        for fractions in by_page.values():
-            assert fractions == sorted(fractions)
-            assert fractions[-1] == 1.0
 
     def test_empty_run_has_only_root_span(self, demo, tmp_path):
         work, _ = demo

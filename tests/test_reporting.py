@@ -17,8 +17,6 @@ from schemreview.model import BBox, Component, Page, Pin
 from schemreview.reporting import (
     FileSink,
     HttpSink,
-    PipelineStage,
-    ProgressEvent,
     post_comments,
     render_comment,
     render_overlay,
@@ -126,9 +124,7 @@ class TestFileSink:
     def test_layout_and_manifest(self, tmp_path):
         page = demo_page()
         comment = render_comment(one_group(page), specs_for(page), page)
-        report = post_comments(
-            FileSink(str(tmp_path / "out")), [comment],
-            [ProgressEvent("P1", PipelineStage.RENDERED)])
+        report = post_comments(FileSink(str(tmp_path / "out")), [comment])
         assert report.all_ok
         gid = comment.error_group_id
         assert (tmp_path / "out" / "comments" / f"{gid}.md").is_file()
@@ -137,11 +133,11 @@ class TestFileSink:
         assert manifest["version"] == 1
         assert [c["group_id"] for c in manifest["comments"]] == [gid]
         assert manifest["comments"][0]["markdown_path"] == f"comments/{gid}.md"
-        progress = json.loads((tmp_path / "out" / "progress.json").read_text())
-        assert progress == [{"page_id": "P1", "stage": "rendered", "fraction": 1.0}]
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            "comments", "manifest.json", "overlays"]
 
     def test_zero_comments_still_writes_manifest(self, tmp_path):
-        report = post_comments(FileSink(str(tmp_path / "out")), [], [])
+        report = post_comments(FileSink(str(tmp_path / "out")), [])
         assert report.records == ()
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["comments"] == []
@@ -149,7 +145,7 @@ class TestFileSink:
     def test_comment_without_overlay_writes_no_svg(self, tmp_path):
         page = demo_page(with_bbox=False)
         comment = render_comment(one_group(page), specs_for(page), page)
-        post_comments(FileSink(str(tmp_path / "out")), [comment], [])
+        post_comments(FileSink(str(tmp_path / "out")), [comment])
         assert list((tmp_path / "out" / "overlays").iterdir()) == []
 
 
@@ -187,19 +183,16 @@ class TestHttpSink:
     def test_retry_then_success_records_attempts(self, server):
         page = demo_page()
         comment = render_comment(one_group(page), specs_for(page), page)
-        report = post_comments(HttpSink(server), [comment],
-                               [ProgressEvent("P1", PipelineStage.RENDERED)],
-                               sleep=lambda s: None)
+        report = post_comments(HttpSink(server), [comment], sleep=lambda s: None)
         assert report.all_ok
         assert report.records[0].attempts == 2
-        paths = [p for p, _ in _FlakyHandler.bodies]
-        assert "/comments" in paths and "/progress" in paths
+        assert [p for p, _ in _FlakyHandler.bodies] == ["/comments"]
 
     def test_unreachable_sink_raises_after_retries(self):
         page = demo_page()
         comment = render_comment(one_group(page), specs_for(page), page)
         with pytest.raises(SinkUnreachable):
-            post_comments(HttpSink("http://127.0.0.1:9"), [comment], [],
+            post_comments(HttpSink("http://127.0.0.1:9"), [comment],
                           sleep=lambda s: None)
 
 

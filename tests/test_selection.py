@@ -117,6 +117,33 @@ def test_duplicate_membership_first_group_wins(tmp_path, caplog):
     assert groups[1].designators == ("R2",)
 
 
+def test_repeated_group_name_merged_into_first_group(tmp_path, caplog):
+    page = regulator_page()
+    script_selection(tmp_path, page, [
+        {"name": "a", "designators": ["U1", "R1"]},
+        {"name": "b", "designators": ["R2"]},
+        {"name": "a", "designators": ["C1"]},
+    ])
+    with caplog.at_level(logging.WARNING):
+        groups = select_groups(page, make_gateway(tmp_path))
+    assert [(g.name, g.designators) for g in groups] == [
+        ("a", ("U1", "R1", "C1")), ("b", ("R2",)), (UNGROUPED, ("D5",))]
+    assert "'a' named again" in caplog.text
+
+
+def test_group_named_ungrouped_takes_the_unclaimed_components(tmp_path, caplog):
+    page = regulator_page()
+    script_selection(tmp_path, page, [
+        {"name": UNGROUPED, "designators": ["R2"]},
+        {"name": "power stage", "designators": ["U1"]},
+    ])
+    with caplog.at_level(logging.WARNING):
+        groups = select_groups(page, make_gateway(tmp_path))
+    assert [(g.name, g.designators) for g in groups] == [
+        (UNGROUPED, ("R2", "R1", "C1", "D5")), ("power stage", ("U1",))]
+    assert UNGROUPED in caplog.text
+
+
 def test_uncovered_components_collected_into_residual(tmp_path):
     page = regulator_page()
     script_selection(tmp_path, page, [
