@@ -4,8 +4,9 @@ benchmark workload, from the run's own trace, and write them as JSON.
 
 Each workload's workspace is laid out and its mock fixtures generated as
 the benchmark does it (``perfbench/measure.py``, imported read-only), in
-a fresh temporary directory whose path has the same length on every run:
-payloads embed ``file://`` datasheet URLs, so token counts depend on it.
+a fresh temporary directory. Payloads carry no path under it, datasheet
+URLs included, so the counts do not depend on where it is; for older
+code that sent the URLs, every run's directory path has the same length.
 One invocation then runs with ``trace_out`` set, and the per-kind sums
 are ``gateway.usage_by_kind`` over the spans read back from that file.
 Under the mock backend the counts are exact.

@@ -105,7 +105,8 @@ def default_fetcher(url: str) -> bytes:
 def decode_document(url: str, payload: bytes) -> DatasheetDocument:
     """Pages split on form-feed; an optional leading table of contents
     block (lines between ``%TOC%`` and ``%END%``, ``title | page``) is
-    lifted out of the first page."""
+    lifted out of the first page; a line of it that is not ``title | page``
+    raises ``NotADatasheet``."""
     try:
         text = payload.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -123,11 +124,20 @@ def decode_document(url: str, payload: bytes) -> DatasheetDocument:
             if line.strip() == "%END%":
                 rest_index = i + 1
                 break
-            title, _, idx = line.rpartition("|")
-            entries.append((title.strip(), int(idx.strip())))
+            entries.append(_toc_entry(url, line))
         toc = tuple(entries)
         pages[0] = "\n".join(lines[rest_index:])
     return DatasheetDocument(url, tuple(pages), toc)
+
+
+def _toc_entry(url: str, line: str) -> tuple[str, int]:
+    title, bar, idx = line.rpartition("|")
+    try:
+        if bar:
+            return title.strip(), int(idx)
+    except ValueError:
+        pass
+    raise NotADatasheet(f"{url}: table of contents line {line!r} is not 'title | page'")
 
 
 def fetch(url: str, fetcher=default_fetcher) -> DatasheetDocument:
@@ -138,8 +148,10 @@ def fetch(url: str, fetcher=default_fetcher) -> DatasheetDocument:
 # --- agent stages ---------------------------------------------------------------
 
 def build_head_payload(doc: DatasheetDocument) -> str:
+    """The head-analysis payload: the page count, the table of contents
+    (null without one) and each page's first ``PAGE_EXCERPT_CHARS``
+    characters. The document's URL is left out."""
     return json.dumps({
-        "source_url": doc.source_url,
         "page_count": len(doc.pages),
         "toc": [[t, i] for t, i in doc.toc] if doc.toc else None,
         "excerpts": [p[:PAGE_EXCERPT_CHARS] for p in doc.pages],
@@ -163,8 +175,9 @@ def analyze_head(doc: DatasheetDocument, gateway: Gateway,
 
 
 def build_extract_payload(doc: DatasheetDocument, selected: list[int]) -> str:
+    """The extraction payload: the text of each selected page, keyed by its
+    index. The document's URL is left out."""
     return json.dumps({
-        "source_url": doc.source_url,
         "pages": {str(i): doc.pages[i] for i in selected},
     }, sort_keys=True)
 

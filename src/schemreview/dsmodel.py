@@ -108,8 +108,24 @@ class DatasheetSpec:
     def to_xml(self) -> str:
         """Compact canonical XML; byte-stable for equal specs. Rendered on
         the first call and kept on the (immutable) spec for later ones."""
-        if "_xml" in self.__dict__:
-            return self.__dict__["_xml"]
+        if "_xml" not in self.__dict__:
+            object.__setattr__(self, "_xml", self._render())
+        return self.__dict__["_xml"]
+
+    def payload_xml(self) -> str:
+        """The spec in the payload layout agents are sent: ``to_xml``
+        without ``source_url``, declaration, indentation or line breaks.
+        The URL is where the document was fetched from and says nothing its
+        content does not; comments still link it. Made on the first call
+        and kept on the spec for later ones."""
+        if "_payload_xml" not in self.__dict__:
+            object.__setattr__(self, "_payload_xml", compact(
+                self._render(source_url=False)[len(DECLARATION) + 1:]))
+        return self.__dict__["_payload_xml"]
+
+    def _render(self, source_url: bool = True) -> str:
+        """``to_xml``'s document; without ``source_url`` the datasheet
+        element leaves that attribute out."""
         part = self.part
         pins = []
         for pin in sorted(self.pins, key=lambda p: p.designator):
@@ -125,7 +141,8 @@ class DatasheetSpec:
         lines = [DECLARATION, "<datasheet"
                  + (f' ipn="{esc(part.ipn)}"' if part.ipn else "")
                  + (f' mpn="{esc(part.mpn)}"' if part.mpn else "")
-                 + f' source_url="{esc(self.source_url)}">']
+                 + (f' source_url="{esc(self.source_url)}"' if source_url else "")
+                 + ">"]
         for tag, children in (
                 ("pins", pins),
                 ("abs_max_ratings", [f'    <rating limit="{esc(r.limit)}" parameter='
@@ -136,18 +153,7 @@ class DatasheetSpec:
                 ("app_circuits",
                  [f"    <circuit>{esc(text)}</circuit>" for text in self.app_circuits])):
             lines += [f"  <{tag}>", *children, f"  </{tag}>"] if children else [f"  <{tag}/>"]
-        xml = "\n".join(lines) + "\n</datasheet>\n"
-        object.__setattr__(self, "_xml", xml)
-        return xml
-
-    def payload_xml(self) -> str:
-        """``to_xml`` in the payload layout agents are sent: no declaration,
-        indentation or line breaks. Made on the first call and kept on the
-        spec for later ones."""
-        if "_payload_xml" not in self.__dict__:
-            object.__setattr__(self, "_payload_xml",
-                               compact(self.to_xml()[len(DECLARATION) + 1:]))
-        return self.__dict__["_payload_xml"]
+        return "\n".join(lines) + "\n</datasheet>\n"
 
     @classmethod
     def from_xml(cls, xml_text: str) -> "DatasheetSpec":

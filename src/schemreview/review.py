@@ -20,6 +20,7 @@ from importlib import resources
 from pathlib import Path
 
 from .canonical import serialize_page_xml
+from .dsmodel import DatasheetSpec
 from .errors import AllRunsFailed, SchemReviewError
 from .gateway import AgentKind, AgentRequest, Gateway
 from .model import Page
@@ -124,7 +125,7 @@ class GroupReviewContext:
     payload=True)``: the members with their pins and every net touching a
     member; connectivity only, without bboxes, pin coordinates or
     annotations), per-designator specs (None where retrieval failed; sent
-    with their ``source_url``), and the checklist."""
+    without their ``source_url``), and the checklist."""
 
     group: FunctionalGroup
     netlist_xml: str
@@ -137,15 +138,13 @@ def payload_specs(ctx: GroupReviewContext) -> dict[str, str]:
     spec's payload XML, so each spec is sent once however many members
     share its part. Specs are retrieved per part key, so a spec's
     ``part.key`` is its member's ``mpn or ipn``, which the member's entry
-    in ``netlist_xml`` carries."""
-    specs: dict[str, str] = {}
+    in ``netlist_xml`` carries. Members sharing a part key must hold equal
+    specs, ``source_url`` included, though the payload XML leaves it out."""
+    specs: dict[str, DatasheetSpec] = {}
     for spec in ctx.specs.values():
-        if spec is None:
-            continue
-        xml = spec.payload_xml()
-        if specs.setdefault(spec.part.key, xml) != xml:
+        if spec is not None and specs.setdefault(spec.part.key, spec) != spec:
             raise ValueError(f"members sharing part {spec.part.key!r} carry different specs")
-    return specs
+    return {key: spec.payload_xml() for key, spec in specs.items()}
 
 
 # --- selection ----------------------------------------------------------------

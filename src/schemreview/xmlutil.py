@@ -6,7 +6,8 @@ spaces, and escape attribute values and text with ``esc``. Numbers are
 formatted with ``fmt_num``. ``esc`` writes line breaks and tabs as
 character references, so every raw line break in emitted XML is layout:
 ``compact`` drops it, with the indentation after it, for the payload
-layout agents are sent (pages are also rendered without geometry there).
+layout agents are sent (pages are also rendered without geometry there,
+and specs without ``source_url``).
 """
 
 from __future__ import annotations

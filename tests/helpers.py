@@ -52,10 +52,14 @@ def script_retrieval_attempt(fixture_root, url: str, doc_bytes: bytes,
                              part: PartRef, quad: dict, spec_value=None):
     """Write the head/extract/critic fixtures one retrieval attempt will use.
 
-    Returns the spec that extraction will produce (distinct per URL since
-    the source URL is embedded in it).
+    Returns the spec that extraction will produce. Payloads carry no URL,
+    so the scripted extraction gets a block naming the candidate's file:
+    each candidate's spec, and with it its critic payload and score, stays
+    distinct.
     """
     spec_value = spec_value or BASE_SPEC_VALUE
+    spec_value = {**spec_value,
+                  "blocks": [*spec_value["blocks"], f"from {url.rsplit('/', 1)[-1]}"]}
     doc = decode_document(url, doc_bytes)
     write_fixture(fixture_root, AgentKind.HEAD_ANALYSIS,
                   build_head_payload(doc), 0, '{"pages": [0]}')

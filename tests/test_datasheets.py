@@ -56,6 +56,18 @@ class TestDecodeDocument:
         assert doc.toc == (("Pin Functions", 2), ("Ratings", 4))
         assert doc.pages[0] == "intro text"
 
+    @pytest.mark.parametrize("raw, line", [
+        ("%TOC%\nPins | x\n%END%\nintro", "Pins | x"),
+        ("%TOC%\nPins | 2\nRatings\n%END%\nintro", "Ratings"),
+        ("%TOC%\nPins |\n%END%\nintro", "Pins |"),
+        ("%TOC%\nPins | 2\nno end marker\fpage 1", "no end marker"),
+    ], ids=["page-not-a-number", "no-bar", "no-page", "unterminated"])
+    def test_malformed_toc_line_rejected(self, raw, line):
+        with pytest.raises(NotADatasheet) as exc:
+            decode_document("file:///sheet.txt", raw.encode())
+        assert str(exc.value).startswith(
+            f"file:///sheet.txt: table of contents line {line!r}")
+
     def test_binary_payload_rejected(self):
         with pytest.raises(NotADatasheet):
             decode_document("u", b"\x89PNG\x0d\x0a\x1a\x0a\x00")

@@ -326,7 +326,7 @@ class TestTraces:
         cfg = fresh_cfg(tmp_path, trace_out=str(tmp_path / "trace.jsonl"))
 
         def responder(kind_name, payload, seed):
-            if kind_name == "head_analysis" and "/CAP-100N.txt" in payload:
+            if kind_name == "head_analysis" and "CAP-100N DATASHEET" in payload:
                 return json.dumps({"pages": "none"})  # fails its schema every attempt
             return demo_responder(kind_name, payload, seed)
 
@@ -344,6 +344,29 @@ class TestTraces:
         assert retrieve["attributes"] == {"error": "AllAttemptsFailed", "page_id": "P2",
                                           "part": "CAP-100N"}
         assert_ledger_matches_trace(report, spans)
+
+    def test_malformed_datasheet_toc_fails_only_that_parts_retrieval(self, tmp_path):
+        paths = write_demo_workspace(tmp_path)
+        sheet = tmp_path / "datasheets" / "CAP-100N.txt"  # the part's only candidate
+        sheet.write_text("%TOC%\nPins | x\n%END%\n" + sheet.read_text())
+        cfg = fresh_cfg(tmp_path, trace_out=str(tmp_path / "trace.jsonl"))
+
+        def run():
+            clean_run_dirs(tmp_path)
+            return run_pipeline(cfg, paths["schematic"])
+
+        report = generate_fixtures(run, paths["fixtures"])
+        assert report.status == RunStatus.COMPLETE
+        spans = read_spans(tmp_path / "trace.jsonl")
+        assert [(s["span"], s["path"], s["attributes"]["error"]) for s in spans
+                if "error" in s["attributes"]] == [
+            ("retrieve", "run/page:P2/part:CAP-100N/retrieve", "AllAttemptsFailed")]
+        # the part's members are reviewed with a None spec: no payload sends one
+        reviews = [json.loads(p.read_text(encoding="utf-8"))
+                   for p in paths["fixtures"].glob("group_review/*.req")]
+        assert any(comp.get("mpn") == "CAP-100N" for doc in reviews
+                   for comp in ET.fromstring(doc["netlist_xml"]).iter("component"))
+        assert all("CAP-100N" not in doc["specs"] for doc in reviews)
 
     def test_repeated_group_names_give_each_span_its_own_path(self, tmp_path):
         # a selection reply that names every group "power": merged into one
@@ -669,6 +692,27 @@ class TestFixtureGeneration:
         assert captures == {r.removesuffix(".resp") + ".req" for r in responses}
         # one review request per group and seed: five groups, k = 3
         assert len(list((fixtures / "group_review").glob("*.resp"))) == 15
+
+
+    def test_payloads_do_not_depend_on_the_workspace_path(self, tmp_path):
+        # datasheets live under the workspace, so their file:// URLs differ
+        # in length; no payload may carry them
+        seen = []
+        for work in (tmp_path / "a", tmp_path / ("a" * 60)):
+            paths = write_demo_workspace(work)
+            cfg = fresh_cfg(work)
+
+            def run():
+                clean_run_dirs(work)
+                return run_pipeline(cfg, paths["schematic"])
+
+            report = generate_fixtures(run, paths["fixtures"])
+            usage = {kind: {k: v for k, v in entry.items() if k != "latency_s"}
+                     for kind, entry in report.usage.items()}
+            names = sorted(p.relative_to(paths["fixtures"]).as_posix()
+                           for p in paths["fixtures"].rglob("*") if p.is_file())
+            seen.append((usage, names))
+        assert seen[0] == seen[1]
 
 
 class TestCli:

@@ -116,6 +116,21 @@ def test_failed_fetch_consumes_an_attempt(tmp_path):
     assert result.score.weighted == 9.0
 
 
+def test_malformed_toc_consumes_an_attempt(tmp_path):
+    urls = make_candidate_files(tmp_path, 2)
+    script_retrieval_attempt(tmp_path / "fixtures", urls[1],
+                             (tmp_path / "sheet1.txt").read_bytes(), PART, quad_for(9.0))
+    (tmp_path / "sheet0.txt").write_text("%TOC%\nPins | x\n%END%\npin table")
+    gateway = Gateway(BackendConfig(kind="mock", fixture_path=str(tmp_path / "fixtures")))
+    fetcher = CountingLocalFetcher()
+    result = retrieve_spec(PART, [csv_library(tmp_path, urls)], RetrievalConfig(),
+                           gateway=gateway, cache=CacheStore(tmp_path / "cache"),
+                           fetcher=fetcher)
+    assert (result.attempts, fetcher.calls) == (2, 2)
+    assert result.spec.source_url == urls[1]
+    assert result.score.weighted == 9.0
+
+
 def test_all_attempts_failed_collects_causes(tmp_path):
     urls = make_candidate_files(tmp_path, 2)
     for i in range(2):
