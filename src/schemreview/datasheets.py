@@ -33,6 +33,7 @@ from .gateway import AgentKind, AgentRequest, Gateway
 from .libraries import LibrarySource, PartRef, locate
 from .singleflight import SingleFlight
 from .tracing import UNTRACED, TraceContext
+from .workfirst import before_wait
 
 log = logging.getLogger(__name__)
 
@@ -87,6 +88,7 @@ def local_file_fetcher(url: str) -> bytes:
 def http_fetcher(url: str) -> bytes:
     import requests
 
+    before_wait()
     try:
         resp = requests.get(url, timeout=60)
     except requests.RequestException as exc:
@@ -104,9 +106,10 @@ def default_fetcher(url: str) -> bytes:
 
 def decode_document(url: str, payload: bytes) -> DatasheetDocument:
     """Pages split on form-feed; an optional leading table of contents
-    block (lines between ``%TOC%`` and ``%END%``, ``title | page``) is
-    lifted out of the first page; a line of it that is not ``title | page``
-    raises ``NotADatasheet``."""
+    block (lines between ``%TOC%`` and ``%END%``, ``title | page`` with a
+    0-based page index) is lifted out of the first page. A line of it that
+    is not ``title | page``, a block without ``%END%`` and a page outside
+    the document raise ``NotADatasheet``."""
     try:
         text = payload.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -119,14 +122,18 @@ def decode_document(url: str, payload: bytes) -> DatasheetDocument:
     if first.lstrip().startswith("%TOC%"):
         lines = first.lstrip().splitlines()
         entries = []
-        rest_index = len(lines)
         for i, line in enumerate(lines[1:], start=1):
             if line.strip() == "%END%":
-                rest_index = i + 1
                 break
             entries.append(_toc_entry(url, line))
+        else:
+            raise NotADatasheet(f"{url}: table of contents has no %END% line")
+        for title, index in entries:
+            if not 0 <= index < len(pages):
+                raise NotADatasheet(f"{url}: table of contents entry {title!r} names "
+                                    f"page {index}, outside pages 0-{len(pages) - 1}")
         toc = tuple(entries)
-        pages[0] = "\n".join(lines[rest_index:])
+        pages[0] = "\n".join(lines[i + 1:])
     return DatasheetDocument(url, tuple(pages), toc)
 
 

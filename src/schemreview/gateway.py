@@ -33,6 +33,7 @@ from .errors import (
 )
 from .schemacheck import Check, compile_schema
 from .tracing import UNTRACED, TraceContext, TraceEvent
+from .workfirst import before_wait
 
 MAX_REPAIRS = 2
 
@@ -259,6 +260,7 @@ class MockBackend:
                 pass
             raise BackendUnavailable(f"no mock fixture for key {rel}")
         if self.delay_s:
+            before_wait()
             time.sleep(self.delay_s)
         raw = path.read_text(encoding="utf-8")
         # deterministic, length-proportional token accounting
@@ -292,6 +294,7 @@ class LiveHttpBackend:
             "temperature": 0.0,
             "seed": req.seed,
         }
+        before_wait()
         try:
             resp = requests.post(self.cfg.endpoint, json=body, headers=headers,
                                  timeout=self.cfg.timeout_s)

@@ -23,10 +23,12 @@ before the next starts:
 5. cluster errors and render comments page by page, in document order.
 
 Batches, parts, groups and review runs are all tasks on the run's one
-pool of ``backend.max_in_flight`` threads, which bounds its threads and
-its concurrent agent calls; every wait on the pool goes through
-``review.map_on_pool``. The calling thread only admits batches and
-waits. Each page records its own ``page:<id>`` span. The run's spans
+pool of ``backend.max_in_flight`` threads, which still bounds its
+threads and its concurrent agent calls; every wait on the pool goes
+through ``review.map_on_pool``. Its items run on the thread that
+reaches them and spill to the pool only when that thread is about to
+wait (``review.before_wait``), so a run whose calls never block uses
+one worker thread. The calling thread only admits batches and waits. Each page records its own ``page:<id>`` span. The run's spans
 are its one record: the report's usage and cache counts and the root
 span's token totals are sums over them, and the trace file is written
 even when the run fails.

@@ -14,7 +14,7 @@ import enum
 import functools
 import json
 import logging
-from concurrent.futures import Executor, Future
+from concurrent.futures import Executor
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -25,6 +25,7 @@ from .errors import AllRunsFailed, SchemReviewError
 from .gateway import AgentKind, AgentRequest, Gateway
 from .model import Page
 from .tracing import UNTRACED, TraceContext
+from .workfirst import before_wait, map_on_pool  # the pipeline schedules through review
 
 log = logging.getLogger(__name__)
 
@@ -264,72 +265,15 @@ def review_group_once(ctx: GroupReviewContext, payload: str, page: Page,
     return RunResult(run_index, analyses)
 
 
-def map_on_pool(pool: Executor, fn, items) -> list:
-    """``[fn(item) for item in items]`` with every item submitted to ``pool``
-    and the results collected in order. An item still queued when its turn
-    comes runs in the calling thread instead, so a caller that is itself a
-    task on ``pool`` cannot deadlock it at any size. While the awaited item
-    runs on another worker, the calling thread runs later items still
-    queued, from the back, until the awaited item is done, so a waiting
-    task does not idle a worker. Exceptions surface in item order: on the
-    first one the items not yet started are cancelled and it is re-raised.
-    Each queued task reaches ``fn`` through its own slot, emptied when the
-    task is cancelled: the executor keeps a cancelled task queued until a
-    worker dequeues it, and it must not keep ``fn`` alive that long."""
-    items = list(items)
-    slots = [_Slot(fn) for _ in items]
-    futures = [pool.submit(slot, item) for slot, item in zip(slots, items)]
-
-    def cancel(index: int) -> bool:
-        if not futures[index].cancel():
-            return False
-        slots[index].fn = None
-        return True
-
-    def run_here(index: int) -> Future:
-        """Item ``index``, run in the calling thread; its outcome as a done future."""
-        outcome = Future()
-        try:
-            outcome.set_result(fn(items[index]))
-        except Exception as exc:
-            outcome.set_exception(exc)
-        return outcome
-
-    try:
-        results = []
-        later = len(futures) - 1  # every item after it was taken over or started
-        for index, future in enumerate(futures):
-            if cancel(index):
-                future = run_here(index)
-            while later > index and not future.done():
-                if cancel(later):
-                    futures[later] = run_here(later)
-                later -= 1
-            results.append(future.result())
-        return results
-    finally:
-        for index in range(len(futures)):
-            cancel(index)
-
-
-class _Slot:
-    """``fn`` for one task queued by ``map_on_pool``."""
-
-    __slots__ = ("fn",)
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def __call__(self, item):
-        return self.fn(item)
-
-
 def fan_out_reviews(ctx: GroupReviewContext, page: Page, k: int, gateway: Gateway,
                     pool: Executor, trace: TraceContext = UNTRACED
                     ) -> tuple[list[RunResult], list[RunFailure]]:
     """k review runs differing only by seed, as tasks on ``pool`` next to
-    the run's pages, parts and groups (``map_on_pool``). Failed runs are
-    recorded; consensus proceeds over the successes."""
+    the run's pages, parts and groups (``map_on_pool``): they run in
+    order on this thread, and those not yet started spill to the pool
+    when a run's call is about to wait, so at most ``pool``'s size run
+    at once. Failed runs are recorded; consensus proceeds over the
+    successes."""
     if k < 1:
         raise ValueError("k must be >= 1")
     payload = build_review_payload(ctx)

@@ -12,6 +12,8 @@ import threading
 from concurrent.futures import Future
 from typing import Callable, TypeVar
 
+from .workfirst import before_wait
+
 T = TypeVar("T")
 
 
@@ -30,6 +32,8 @@ class SingleFlight:
                 self._flights[key] = fut
                 leader = True
         if not leader:
+            if not fut.done():
+                before_wait()
             return fut.result()
         try:
             result = fn()

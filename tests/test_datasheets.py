@@ -51,7 +51,8 @@ class TestDecodeDocument:
         assert doc.toc is None
 
     def test_toc_block_lifted_from_first_page(self):
-        raw = "%TOC%\nPin Functions | 2\nRatings | 4\n%END%\nintro text\fpage 1"
+        raw = ("%TOC%\nPin Functions | 2\nRatings | 4\n%END%\nintro text"
+               "\fpage 1\fpage 2\fpage 3\fpage 4")
         doc = decode_document("u", raw.encode())
         assert doc.toc == (("Pin Functions", 2), ("Ratings", 4))
         assert doc.pages[0] == "intro text"
@@ -67,6 +68,20 @@ class TestDecodeDocument:
             decode_document("file:///sheet.txt", raw.encode())
         assert str(exc.value).startswith(
             f"file:///sheet.txt: table of contents line {line!r}")
+
+    def test_toc_without_end_line_rejected(self):
+        # every line reads as 'title | page', so only the missing %END%
+        # tells the block from the page text
+        with pytest.raises(NotADatasheet, match="has no %END% line"):
+            decode_document("u", b"%TOC%\nPins | 1\nRatings | 2\fpage one text")
+
+    @pytest.mark.parametrize("page", [-4, 2, 99])
+    def test_toc_page_outside_the_document_rejected(self, page):
+        # pages are 0-based indices: a 2-page document has pages 0 and 1
+        raw = f"%TOC%\nPins | 1\nRatings | {page}\n%END%\nintro\fpins".encode()
+        with pytest.raises(NotADatasheet, match=f"'Ratings' names page {page}, "
+                                                "outside pages 0-1"):
+            decode_document("u", raw)
 
     def test_binary_payload_rejected(self):
         with pytest.raises(NotADatasheet):

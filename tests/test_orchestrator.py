@@ -19,6 +19,7 @@ from schemreview.ingest import ingest_schematic
 from schemreview.pipeline import RunStatus, run_pipeline
 from schemreview.reporting import FileSink
 from schemreview.review import checklist_loader
+from schemreview.workfirst import cancel_queued
 
 
 @pytest.fixture(scope="module")
@@ -433,8 +434,9 @@ def span_sequence(path) -> list:
 def run_or_fail(cfg, schematic, monkeypatch, timeout_s=60.0):
     """run_pipeline in a daemon thread, so that a deadlocked pool fails
     the test instead of hanging the suite. On a timeout the run's pool is
-    shut down with its queued work cancelled, which frees workers blocked
-    on that work and lets the interpreter exit."""
+    shut down with its queued work cancelled, both the executor's and the
+    run queue's, which frees workers blocked on that work and lets the
+    interpreter exit."""
     pools = []
 
     class RecordedPool(ThreadPoolExecutor):
@@ -457,6 +459,7 @@ def run_or_fail(cfg, schematic, monkeypatch, timeout_s=60.0):
     if thread.is_alive():
         for pool in pools:
             pool.shutdown(wait=False, cancel_futures=True)
+            cancel_queued(pool)
         pytest.fail(f"run did not finish within {timeout_s} s")
     if "error" in box:
         raise box["error"]
@@ -638,6 +641,58 @@ class TestWorkerPool:
         monkeypatch.setattr(MockBackend, "complete", recorded)
         run_pipeline(cfg, paths["schematic"])
         assert on_caller == []
+
+
+class TestWorkFirst:
+    """Items run on the thread that reaches them and spill to the pool
+    only when a call is about to wait."""
+
+    @staticmethod
+    def count_calls(monkeypatch) -> dict:
+        """Counts MockBackend calls: the peak in flight and the threads
+        that made them."""
+        lock = threading.Lock()
+        seen = {"in_flight": 0, "peak": 0, "threads": set()}
+        original = MockBackend.complete
+
+        def counted(self, req, payload):
+            with lock:
+                seen["in_flight"] += 1
+                seen["peak"] = max(seen["peak"], seen["in_flight"])
+                seen["threads"].add(threading.get_ident())
+            try:
+                return original(self, req, payload)
+            finally:
+                with lock:
+                    seen["in_flight"] -= 1
+
+        monkeypatch.setattr(MockBackend, "complete", counted)
+        return seen
+
+    def test_calls_that_never_wait_run_on_one_thread(self, demo, monkeypatch):
+        # at mock delay 0 no call blocks, so nothing spills to the pool
+        work, paths = demo
+        clean_run_dirs(work)
+        cfg = fresh_cfg(work)
+        cfg.backend.mock_delay_s = 0
+        cfg.backend.max_in_flight = 8
+        seen = self.count_calls(monkeypatch)
+        run_pipeline(cfg, paths["schematic"])
+        assert len(seen["threads"]) == 1
+        assert seen["peak"] == 1
+
+    def test_calls_that_wait_overlap_up_to_max_in_flight(self, demo, monkeypatch):
+        # the demo's widest stages have more than 8 calls ready at once;
+        # once they wait, the pool fills as a pool given every item at
+        # once did
+        work, paths = demo
+        clean_run_dirs(work)
+        cfg = fresh_cfg(work)
+        cfg.backend.mock_delay_s = 0.02
+        cfg.backend.max_in_flight = 8
+        seen = self.count_calls(monkeypatch)
+        run_pipeline(cfg, paths["schematic"])
+        assert seen["peak"] == 8
 
 
 class TestPageBatch:

@@ -3,6 +3,7 @@
 import gc
 import json
 import logging
+import sys
 import threading
 import time
 import weakref
@@ -21,6 +22,7 @@ from schemreview.review import (
     FunctionalGroup,
     GroupReviewContext,
     VerdictStatus,
+    before_wait,
     build_review_payload,
     checklist_loader,
     fan_out_reviews,
@@ -231,29 +233,22 @@ class TestMapOnPool:
             single.shutdown(wait=True)
         assert ran == [0, 1, 2]  # items 3 and 4 were cancelled, not run
 
-    @pytest.mark.parametrize("failing", [(), (1, 3)])
+    @pytest.mark.parametrize("failing", [(), (2, 4)])
     def test_waiting_task_runs_later_queued_items_itself(self, failing):
-        # item 0 holds the one worker until items 1-3 have run; only the
-        # waiting thread can run them, taking them from the back, and a
-        # failure among them surfaces in item order
+        # item 0 hands items 1-4 to the pool, whose one worker takes item 1
+        # and holds it until items 2-4 have run; only the waiting thread
+        # can run them, taking them from the back, and a failure among
+        # them surfaces in item order
+        item1_started = threading.Event()
         release = threading.Event()
         order = []
 
-        class Item0StartedPool(ThreadPoolExecutor):
-            def submit(self, fn, /, *args):
-                started = threading.Event()
-
-                def run(*a):
-                    started.set()
-                    return fn(*a)
-
-                future = super().submit(run, *args)
-                if args == (0,):
-                    started.wait(timeout=10)  # items 1-3 queue behind item 0
-                return future
-
         def item(i):
             if i == 0:
+                before_wait()
+                return item1_started.wait(timeout=10)
+            if i == 1:
+                item1_started.set()
                 return release.wait(timeout=5)
             order.append((i, threading.get_ident()))
             if len(order) == 3:
@@ -262,38 +257,58 @@ class TestMapOnPool:
                 raise ValueError(f"item {i}")
             return i
 
-        single = Item0StartedPool(max_workers=1)
+        single = ThreadPoolExecutor(max_workers=1)
         try:
             if failing:
-                with pytest.raises(ValueError, match="item 1"):
-                    map_on_pool(single, item, range(4))
+                with pytest.raises(ValueError, match="item 2"):
+                    map_on_pool(single, item, range(5))
             else:
-                # item 0 was released, not timed out
-                assert map_on_pool(single, item, range(4)) == [True, 1, 2, 3]
+                # item 1 was released, not timed out
+                assert map_on_pool(single, item, range(5)) == [True, True, 2, 3, 4]
         finally:
             release.set()
             single.shutdown(wait=True)
-        assert order == [(i, threading.get_ident()) for i in (3, 2, 1)]
+        assert order == [(i, threading.get_ident()) for i in (4, 3, 2)]
 
     def test_taken_over_items_do_not_keep_fn_alive(self):
-        # the one worker is held until map_on_pool has returned, so every
-        # item is taken over while its cancelled task is still queued
+        # the one worker is held until map_on_pool has returned, so each
+        # item that item 0 hands over is taken back (or, once item 2 has
+        # failed, cancelled) while the worker's call for it is still queued
         class Payload:
             pass
 
-        def make_fn():
+        def make_fn(failing):
             payload = Payload()
-            return (lambda i: (payload, i)[1]), weakref.ref(payload)
+
+            def fn(i):
+                if i == 0:
+                    before_wait()
+                if i == failing:
+                    raise ValueError(f"item {i}")
+                return (payload, i)[1]
+            return fn, weakref.ref(payload)
 
         gate = threading.Event()
         single = ThreadPoolExecutor(max_workers=1)
         try:
             single.submit(gate.wait)
-            fn, payload_ref = make_fn()
+            fn, payload_ref = make_fn(failing=None)
             assert map_on_pool(single, fn, range(4)) == [0, 1, 2, 3]
             del fn
             gc.collect()
-            assert single._work_queue.qsize() == 4
+            assert single._work_queue.qsize() == 3
+            assert payload_ref() is None
+
+            fn, payload_ref = make_fn(failing=2)
+            try:
+                map_on_pool(single, fn, range(4))
+            except ValueError as exc:
+                assert str(exc) == "item 2"
+            else:
+                pytest.fail("item 2 did not raise")
+            del fn
+            gc.collect()
+            assert single._work_queue.qsize() == 6
             assert payload_ref() is None
         finally:
             gate.set()
@@ -312,6 +327,7 @@ def _nested(depth: int, fanout: int, fails: frozenset):
         if path in fails:
             raise Boom(path)
         if len(path) > depth:
+            before_wait()  # hands the items not yet started to the pool
             time.sleep(0.001)  # long enough for waiting threads to take over items
             return path
         subitems = [path + (i,) for i in range(fanout)]
@@ -356,6 +372,42 @@ def test_map_on_pool_matches_the_sequential_oracle(items, fanout, depth, workers
     finally:
         pool.shutdown(wait=not caller.is_alive(), cancel_futures=True)
     assert got == [expected]
+
+
+def test_map_on_pool_runs_each_item_once_under_contention():
+    # three levels of four items, every leaf about to wait, on more workers
+    # than cores and a short switch interval: a lost update in the run
+    # queue would run a leaf twice or never
+    ran = []
+
+    def node(path, pool):
+        if len(path) == 3:
+            before_wait()
+            ran.append(path)
+            return path
+        return map_on_pool(pool, lambda sub: node(sub, pool),
+                           [path + (i,) for i in range(4)])
+
+    leaves = [(a, b, c) for a in range(4) for b in range(4) for c in range(4)]
+    expected = [[[(a, b, c) for c in range(4)] for b in range(4)] for a in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    pool = ThreadPoolExecutor(max_workers=6)
+    try:
+        for _ in range(20):
+            ran.clear()
+            got = []
+            caller = threading.Thread(
+                target=lambda: got.append(pool.submit(node, (), pool).result()),
+                daemon=True)
+            caller.start()
+            caller.join(timeout=20)
+            assert not caller.is_alive(), "map_on_pool deadlocked"
+            assert got == [expected]
+            assert sorted(ran) == leaves
+    finally:
+        sys.setswitchinterval(interval)
+        pool.shutdown(wait=False, cancel_futures=True)
 
 
 def test_checklist_loading_prefers_group_kind():
