@@ -98,6 +98,22 @@ def _field(doc: dict, key: str, kind: type):
     return float(value) if kind is float else value
 
 
+# the JSON type of each field a library or sink entry may set
+_ENTRY_FIELDS = {"priority": int, "out_dir": str, "base_url": str, "token_env": str,
+                 "url_template": str, "path": str, "directory": str, "api_key_env": str}
+
+
+def _typed_entry(entry):
+    """A library or sink entry without its null fields, which stay unset,
+    once each other field of ``_ENTRY_FIELDS`` has its JSON type."""
+    if isinstance(entry, dict):
+        entry = {key: value for key, value in entry.items() if value is not None}
+        for key, kind in _ENTRY_FIELDS.items():
+            if key in entry:
+                _field(entry, key, kind)
+    return entry  # if not an object, rejected by the entry's own reader
+
+
 def _backend_from_config(doc: dict) -> BackendConfig:
     known = {f for f in BackendConfig.__dataclass_fields__}
     unknown = set(doc) - known
@@ -137,9 +153,10 @@ def load_config(path) -> RunConfig:
     if "backend" in doc:
         cfg.backend = _backend_from_config(_field(doc, "backend", dict))
     if "libraries" in doc:
-        cfg.libraries = [library_from_config(lib) for lib in _field(doc, "libraries", list)]
+        cfg.libraries = [library_from_config(_typed_entry(lib))
+                         for lib in _field(doc, "libraries", list)]
     if "sink" in doc:
-        cfg.sink = sink_from_config(_field(doc, "sink", dict))
+        cfg.sink = sink_from_config(_typed_entry(_field(doc, "sink", dict)))
     for key in ("cache_dir", "base_schematic", "trace_out", "checklist_dir"):
         if doc.get(key) is not None:
             setattr(cfg, key, _field(doc, key, str))

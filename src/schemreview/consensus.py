@@ -229,8 +229,7 @@ def combine_consensus(results: list[RunResult], ctx: GroupReviewContext,
     resolved: list[tuple[str, ConsensusFinding]] = []
     if singles or clusters:
         req = AgentRequest(AgentKind.CONSENSUS, CONSENSUS_PROMPT,
-                           build_consensus_payload(ctx, singles, clusters),
-                           "consensus")
+                           build_consensus_payload(ctx, singles, clusters))
         decision = gateway.complete(req, trace=trace).value
         keep_map = {(v["designator"], v["pins"]): v["keep"]
                     for v in decision["verifications"]}

@@ -172,7 +172,7 @@ def analyze_head(doc: DatasheetDocument, gateway: Gateway,
     ``HEAD_PAGE_BUDGET``. An empty selection falls back to the leading
     pages."""
     req = AgentRequest(AgentKind.HEAD_ANALYSIS, _HEAD_PROMPT,
-                       build_head_payload(doc), "head_analysis")
+                       build_head_payload(doc))
     resp = gateway.complete(req, trace=trace)
     valid = sorted({i for i in resp.value["pages"] if 0 <= i < len(doc.pages)})
     selected = valid[:HEAD_PAGE_BUDGET]
@@ -198,14 +198,14 @@ def extract_spec(doc: DatasheetDocument, selected: list[int], part: PartRef,
         spec_from_agent_value(value, part, doc.source_url)
 
     req = AgentRequest(AgentKind.EXTRACTION, _EXTRACT_PROMPT,
-                       build_extract_payload(doc, selected), "extraction")
+                       build_extract_payload(doc, selected))
     resp = gateway.complete(req, post_validate=check_domain, trace=trace)
     return spec_from_agent_value(resp.value, part, doc.source_url)
 
 
 def critique(spec: DatasheetSpec, gateway: Gateway,
              trace: TraceContext = UNTRACED) -> CriticScore:
-    req = AgentRequest(AgentKind.CRITIC, _CRITIC_PROMPT, spec.payload_xml(), "critic")
+    req = AgentRequest(AgentKind.CRITIC, _CRITIC_PROMPT, spec.payload_xml())
     resp = gateway.complete(req, trace=trace)
     return CriticScore(**resp.value)
 

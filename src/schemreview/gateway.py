@@ -2,9 +2,10 @@
 
 Two backends share one contract: a live HTTP backend speaking the common
 chat-completions wire format, and a fixture-driven mock that makes every
-pipeline run reproducible. Responses must validate against a registered
-JSON schema; malformed output is re-prompted with the validation error
-appended, at most ``MAX_REPAIRS`` times.
+pipeline run reproducible. Responses must validate against their agent
+kind's JSON schema, ``schemas/<kind>.json``; malformed output is
+re-prompted with the validation error appended, at most ``MAX_REPAIRS``
+times.
 
 Mock fixtures live under ``<fixture_path>/<agent_kind>/<digest>-<seed>.resp``
 where ``digest`` is the first 16 hex chars of the SHA-256 of the user
@@ -22,7 +23,6 @@ import json
 import os
 import time
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 
 from .errors import (
@@ -31,7 +31,7 @@ from .errors import (
     ConfigError,
     SchemaViolationAfterRetries,
 )
-from .schemacheck import Check, compile_schema
+from .schemacheck import error_path, shipped
 from .tracing import UNTRACED, TraceContext, TraceEvent
 from .workfirst import before_wait
 
@@ -88,7 +88,6 @@ class AgentRequest:
     agent_kind: AgentKind
     system_prompt: str
     user_payload: str
-    response_schema_id: str
     seed: int = 0
 
 
@@ -150,74 +149,19 @@ def resolve_model(cfg: BackendConfig, agent_kind: AgentKind) -> str:
     return cfg.weak_model
 
 
-# --- schema registry ---------------------------------------------------------
-
-_BUNDLED_SCHEMAS = {
-    "selection": "selection.json",
-    "head_analysis": "head_analysis.json",
-    "extraction": "extraction.json",
-    "critic": "critic.json",
-    "group_review": "group_review.json",
-    "consensus": "consensus.json",
-}
-
-
-class SchemaViolation(ValueError):
-    """Internal: one validation failure, with a deterministic message."""
-
+# --- response schemas ----------------------------------------------------------
 
 class SchemaRegistry:
-    """Schemas by id, each compiled once into a check. A rejected value's
-    error is worded by jsonschema, as ``sorted(iter_errors, key=str)[0]``."""
+    """An agent kind's response schema is ``schemas/<kind>.json``. A
+    rejected value's error is worded by jsonschema: the first of its
+    errors by text."""
 
-    def __init__(self):
-        self._schemas: dict[str, tuple[dict, Check]] = {}
-        self._validators: dict[str, object] = {}  # jsonschema, built on first failure
-
-    @classmethod
-    def bundled(cls) -> "SchemaRegistry":
-        reg = cls()
-        for schema_id, filename in _BUNDLED_SCHEMAS.items():
-            text = resources.files("schemreview.schemas").joinpath(filename).read_text()
-            reg.register(schema_id, json.loads(text))
-        return reg
-
-    def register(self, schema_id: str, schema: dict) -> None:
-        self._schemas[schema_id] = (schema, compile_schema(schema))
-        self._validators.pop(schema_id, None)
-
-    def __contains__(self, schema_id: str) -> bool:
-        return schema_id in self._schemas
-
-    def validate(self, schema_id: str, value) -> None:
-        try:
-            schema, valid = self._schemas[schema_id]
-        except KeyError:
-            raise ConfigError(f"schema {schema_id!r} is not registered") from None
-        if valid(value):
+    def validate(self, agent_kind: AgentKind, value) -> None:
+        schema = shipped(f"{agent_kind.value}.json")
+        if schema.check(value):
             return
-        validator = self._validators.get(schema_id)
-        if validator is None:
-            import jsonschema
-
-            validator = self._validators[schema_id] = jsonschema.Draft202012Validator(schema)
-        errors = sorted(validator.iter_errors(value), key=str)
-        if not errors:
-            raise RuntimeError(f"schema {schema_id!r}: the compiled check rejected a "
-                               "value that jsonschema accepts")
-        err = errors[0]
-        where = "/".join(str(p) for p in err.absolute_path) or "<root>"
-        raise SchemaViolation(f"{where}: {err.message}")
-
-
-_DEFAULT_REGISTRY: SchemaRegistry | None = None
-
-
-def default_registry() -> SchemaRegistry:
-    global _DEFAULT_REGISTRY
-    if _DEFAULT_REGISTRY is None:
-        _DEFAULT_REGISTRY = SchemaRegistry.bundled()
-    return _DEFAULT_REGISTRY
+        err = min(schema.errors(value), key=str)
+        raise ValueError(f"{error_path(err)}: {err.message}")
 
 
 # --- payload identity and repair ---------------------------------------------
@@ -330,16 +274,14 @@ class Gateway:
     and ``seed``, plus ``error`` when it failed.
     """
 
-    def __init__(self, cfg: BackendConfig, registry: SchemaRegistry | None = None):
+    def __init__(self, cfg: BackendConfig):
         cfg.validate()
         self.cfg = cfg
-        self.registry = registry or default_registry()
+        self.registry = SchemaRegistry()
         self._backend = MockBackend(cfg) if cfg.kind == "mock" else LiveHttpBackend(cfg)
 
     def complete(self, req: AgentRequest, post_validate=None,
                  trace: TraceContext = UNTRACED) -> AgentResponse:
-        if req.response_schema_id not in self.registry:
-            raise ConfigError(f"schema {req.response_schema_id!r} is not registered")
         payload = req.user_payload
         usage = TokenUsage()
         attempts = 0
@@ -357,17 +299,17 @@ class Gateway:
                         failure = f"invalid JSON: {exc.msg} at char {exc.pos}"
                     else:
                         try:
-                            self.registry.validate(req.response_schema_id, value)
+                            self.registry.validate(req.agent_kind, value)
                             if post_validate is not None:
                                 post_validate(value)
-                        except (SchemaViolation, ValueError) as exc:
+                        except ValueError as exc:
                             failure = str(exc)
                         else:
                             return AgentResponse(value, usage, attempts)
                     payload = repair_payload(payload, failure)
                 raise SchemaViolationAfterRetries(
                     f"{req.agent_kind.value}: output failed schema "
-                    f"{req.response_schema_id!r} after {attempts} attempts: {failure}",
+                    f"{req.agent_kind.value!r} after {attempts} attempts: {failure}",
                     last_raw=last_raw)
             except tuple(_FAILURE_NAMES) as exc:
                 span.attrs["error"] = _FAILURE_NAMES[type(exc)]

@@ -19,11 +19,9 @@ the remaining pages are checked and decoded.
 
 from __future__ import annotations
 
-import functools
 import json
 import marshal
 import math
-from importlib import resources
 
 from .errors import MalformedInput, UnknownFormat
 from .kicad import parse_kicad_page
@@ -37,7 +35,7 @@ from .model import (
     Schematic,
     SourceFormat,
 )
-from .schemacheck import compile_schema
+from .schemacheck import error_path, shipped
 
 _HINTS = {
     "structured-pages": SourceFormat.STRUCTURED_PAGES,
@@ -48,18 +46,6 @@ _HINTS = {
 
 
 _DOCUMENT_SCHEMA = "structured_pages.schema.json"
-
-
-@functools.cache
-def _document_schema() -> dict:
-    text = resources.files("schemreview.schemas").joinpath(_DOCUMENT_SCHEMA).read_text()
-    return json.loads(text)
-
-
-@functools.cache
-def _document_check():
-    """The document schema compiled once, on first use, into a validity check."""
-    return compile_schema(_document_schema())
 
 
 def _finite(token: str) -> float:
@@ -131,7 +117,7 @@ def _ingest_structured(doc, fmt: SourceFormat, reuse: Schematic | None) -> Schem
     # that passed, so checking the rest decides the whole document
     checked = doc if not reused else {
         **doc, "pages": [p for i, p in enumerate(doc["pages"]) if i not in reused]}
-    if not _document_check()(checked):
+    if not shipped(_DOCUMENT_SCHEMA).check(checked):
         _raise_schema_violation(doc)
 
     try:
@@ -181,25 +167,13 @@ def _same_json(a, b) -> bool:
     return a == b and marshal.dumps(a, 2) == marshal.dumps(b, 2)
 
 
-@functools.cache
-def _document_validator():
-    """jsonschema's validator for the document schema, built on the first
-    rejected document: it only words the error."""
-    import jsonschema
-
-    return jsonschema.Draft202012Validator(_document_schema())
-
-
 def _raise_schema_violation(doc) -> None:
     """Raise the error ``jsonschema.validate`` would raise for ``doc``."""
     from jsonschema.exceptions import best_match
 
-    error = best_match(_document_validator().iter_errors(doc))
-    if error is None:
-        raise RuntimeError(f"{_DOCUMENT_SCHEMA}: the compiled check rejected a "
-                           "document that jsonschema accepts")
-    path = "/".join(str(p) for p in error.absolute_path) or "<root>"
-    raise MalformedInput(f"document schema violation at {path}: {error.message}") from error
+    error = best_match(shipped(_DOCUMENT_SCHEMA).errors(doc))
+    raise MalformedInput(f"document schema violation at {error_path(error)}: "
+                         f"{error.message}") from error
 
 
 def _decode_bbox(doc: dict | None) -> BBox | None:

@@ -24,14 +24,15 @@ before the next starts:
 
 Batches, parts, groups and review runs are all tasks on the run's one
 pool of ``backend.max_in_flight`` threads, which still bounds its
-threads and its concurrent agent calls; every wait on the pool goes
-through ``review.map_on_pool``. Its items run on the thread that
-reaches them and spill to the pool only when that thread is about to
-wait (``review.before_wait``), so a run whose calls never block uses
-one worker thread. The calling thread only admits batches and waits. Each page records its own ``page:<id>`` span. The run's spans
-are its one record: the report's usage and cache counts and the root
-span's token totals are sums over them, and the trace file is written
-even when the run fails.
+threads and its concurrent agent calls. The calling thread only admits
+batches, submitting each to the pool and waiting for its result; every
+wait inside a batch goes through ``workfirst.map_on_pool``. Its items
+run on the thread that reaches them and spill to the pool only when
+that thread is about to wait (``workfirst.before_wait``), so a run whose
+calls never block uses one worker thread. Each page records its own
+``page:<id>`` span. The run's spans are its one record: the report's
+usage and cache counts and the root span's token totals are sums over
+them, and the trace file is written even when the run fails.
 """
 
 from __future__ import annotations
@@ -56,15 +57,10 @@ from .ingest import ingest_schematic
 from .libraries import PartRef
 from .model import Page, Schematic
 from .reporting import DeliveryReport, post_comments, render_comment
-from .review import (
-    GroupReviewContext,
-    checklist_loader,
-    fan_out_reviews,
-    map_on_pool,
-    select_groups,
-)
+from .review import GroupReviewContext, checklist_loader, fan_out_reviews, select_groups
 from .singleflight import SingleFlight
 from .tracing import TraceContext, Tracer, emit_traces
+from .workfirst import map_on_pool
 
 log = logging.getLogger(__name__)
 
@@ -232,7 +228,6 @@ def run_pipeline(cfg: RunConfig, schematic_path) -> RunReport:
     cfg.validate()
     # fresh sources hold no csv-table read by an earlier run
     cfg = replace(cfg, libraries=[replace(lib) for lib in cfg.libraries])
-    run_start = time.time()
     t0 = time.perf_counter()
     deadline = t0 + cfg.time_budget_s if cfg.time_budget_s is not None else None
 
@@ -241,12 +236,12 @@ def run_pipeline(cfg: RunConfig, schematic_path) -> RunReport:
     flights = SingleFlight()
     checklist = checklist_loader(cfg.checklist_dir)
     tracer = Tracer()
-    root = TraceContext(tracer, "run")
+    run_span = ExitStack()  # closed once the root span's attributes are set
+    root = run_span.enter_context(TraceContext(tracer, "").span("run"))
 
     analyzed: list[str] = []
     comments: list = []
     skipped: list[str] = []
-    error: dict = {}  # the root span's ``error`` when the run fails
 
     try:
         head = _read_schematic(schematic_path)
@@ -273,17 +268,14 @@ def run_pipeline(cfg: RunConfig, schematic_path) -> RunReport:
 
         delivery = post_comments(cfg.sink, comments)
     except BaseException as exc:
-        error["error"] = type(exc).__name__
+        root.attrs["error"] = type(exc).__name__
         raise
     finally:
         usage = usage_by_kind(tracer.events())
-        tracer.record("run", "run", run_start, time.perf_counter() - t0, {
-            "pages_analyzed": len(analyzed),
-            "pages_skipped": len(skipped),
-            "tokens_in": sum(u["tokens_in"] for u in usage.values()),
-            "tokens_out": sum(u["tokens_out"] for u in usage.values()),
-            **error,
-        })
+        root.attrs.update(pages_analyzed=len(analyzed), pages_skipped=len(skipped),
+                          tokens_in=sum(u["tokens_in"] for u in usage.values()),
+                          tokens_out=sum(u["tokens_out"] for u in usage.values()))
+        run_span.close()
         events = tracer.events()
         if cfg.trace_out:
             emit_traces(events, cfg.trace_out)

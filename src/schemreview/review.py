@@ -25,7 +25,7 @@ from .errors import AllRunsFailed, SchemReviewError
 from .gateway import AgentKind, AgentRequest, Gateway
 from .model import Page
 from .tracing import UNTRACED, TraceContext
-from .workfirst import before_wait, map_on_pool  # the pipeline schedules through review
+from .workfirst import map_on_pool
 
 log = logging.getLogger(__name__)
 
@@ -155,7 +155,7 @@ def select_groups(page: Page, gateway: Gateway,
     if not page.components:
         return []
     req = AgentRequest(AgentKind.SELECTION, SELECTION_PROMPT,
-                       serialize_page_xml(page, payload=True), "selection")
+                       serialize_page_xml(page, payload=True))
     resp = gateway.complete(req, trace=trace)
 
     known = {c.designator for c in page.components}
@@ -213,8 +213,7 @@ def review_group_once(ctx: GroupReviewContext, payload: str, page: Page,
     naming pins the component does not have are dropped with a warning;
     components with no datasheet spec and no agent verdicts default to a
     single Unverifiable verdict."""
-    req = AgentRequest(AgentKind.GROUP_REVIEW, REVIEW_PROMPT, payload,
-                       "group_review", seed=run_index)
+    req = AgentRequest(AgentKind.GROUP_REVIEW, REVIEW_PROMPT, payload, seed=run_index)
     resp = gateway.complete(req, trace=trace)
 
     members = set(ctx.group.designators)

@@ -4,9 +4,10 @@
 that agrees with ``jsonschema.Draft202012Validator(schema).is_valid`` on
 JSON values, for the keywords the shipped schemas use. Any other keyword
 raises ``ValueError``, so a schema edit that needs more fails at compile
-time instead of going unchecked. The predicate only decides validity;
-callers word the error for a rejected value with jsonschema, which is
-imported on that path alone.
+time instead of going unchecked. ``shipped(filename)`` loads a schema
+file under ``schemas/`` with its check, once per process; the error for
+a value the check rejects is worded by jsonschema, imported on that path
+alone.
 
 Draft 2020-12 semantics kept here: ``number`` and ``integer`` exclude
 ``bool``, ``integer`` accepts integral floats (``1.0``), ``enum`` and
@@ -16,7 +17,10 @@ bound fails only when ``x < minimum`` or ``x > maximum`` (so NaN passes).
 
 from __future__ import annotations
 
+import functools
+import json
 import numbers
+from importlib import resources
 from typing import Callable
 
 Check = Callable[[object], bool]
@@ -169,3 +173,34 @@ _KEYWORD_GROUPS = (
     (("minimum", "maximum"), _bounds),
 )
 _KEYWORDS = frozenset(k for keywords, _ in _KEYWORD_GROUPS for k in keywords)
+
+
+class ShippedSchema:
+    """A schema file under ``schemas/`` and its compiled check."""
+
+    def __init__(self, filename: str):
+        self.filename = filename
+        self.schema = json.loads(
+            resources.files("schemreview.schemas").joinpath(filename).read_text())
+        self.check = compile_schema(self.schema)
+
+    def errors(self, value) -> list:
+        """jsonschema's errors for a value ``check`` rejected; finding none
+        is an internal error (a check stricter than jsonschema)."""
+        import jsonschema
+
+        errors = list(jsonschema.Draft202012Validator(self.schema).iter_errors(value))
+        if not errors:
+            raise RuntimeError(f"{self.filename}: the compiled check rejected a "
+                               "value that jsonschema accepts")
+        return errors
+
+
+@functools.cache
+def shipped(filename: str) -> ShippedSchema:
+    return ShippedSchema(filename)
+
+
+def error_path(error) -> str:
+    """A jsonschema error's place in the value, ``/``-joined."""
+    return "/".join(str(p) for p in error.absolute_path) or "<root>"

@@ -61,8 +61,10 @@ class TraceContext:
     attrs: dict = field(default_factory=dict)
 
     def child(self, segment: str, **attrs) -> "TraceContext":
+        """The context one ``segment`` below this one (below the empty path, at ``segment``)."""
         merged = {**self.attrs, **attrs}
-        return replace(self, path=f"{self.path}/{segment}", attrs=merged)
+        path = f"{self.path}/{segment}" if self.path else segment
+        return replace(self, path=path, attrs=merged)
 
     @contextmanager
     def span(self, name: str, **attrs):

@@ -200,11 +200,11 @@ class TestExtractAndCritic:
         root = tmp_path / "fixtures"
         current = payload
         # all three attempts return the smuggled field; schema rejects each
-        from schemreview.gateway import repair_payload, default_registry
+        from schemreview.gateway import SchemaRegistry, repair_payload
         for _ in range(3):
             write_fixture(root, AgentKind.CRITIC, current, 0, json.dumps(smuggled))
             try:
-                default_registry().validate("critic", smuggled)
+                SchemaRegistry().validate(AgentKind.CRITIC, smuggled)
             except ValueError as exc:
                 current = repair_payload(current, str(exc))
         with pytest.raises(SchemaViolationAfterRetries):

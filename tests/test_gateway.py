@@ -13,8 +13,8 @@ from schemreview.gateway import (
     BackendConfig,
     Gateway,
     ModelTier,
+    SchemaRegistry,
     TokenUsage,
-    default_registry,
     fixture_relpath,
     repair_payload,
     resolve_model,
@@ -35,8 +35,7 @@ def mock_cfg(tmp_path, **kwargs) -> BackendConfig:
 
 
 def head_request(payload: str, seed: int = 0) -> AgentRequest:
-    return AgentRequest(AgentKind.HEAD_ANALYSIS, "select pages", payload,
-                        "head_analysis", seed=seed)
+    return AgentRequest(AgentKind.HEAD_ANALYSIS, "select pages", payload, seed=seed)
 
 
 class TestMockBackend:
@@ -73,7 +72,7 @@ class TestRepairLoop:
         write_fixture(root, AgentKind.HEAD_ANALYSIS, payload, 0, '{"pages": "nope"}')
         # compute the exact repair payload the gateway will send
         try:
-            default_registry().validate("head_analysis", {"pages": "nope"})
+            SchemaRegistry().validate(AgentKind.HEAD_ANALYSIS, {"pages": "nope"})
         except ValueError as exc:
             error = str(exc)
         write_fixture(root, AgentKind.HEAD_ANALYSIS,
@@ -110,12 +109,6 @@ class TestRepairLoop:
                       '{"pages": [1]}')
         resp = Gateway(cfg).complete(head_request(payload), post_validate=reject_page_9)
         assert resp.value == {"pages": [1]}
-
-    def test_unregistered_schema_is_config_error(self, tmp_path):
-        cfg = mock_cfg(tmp_path)
-        req = AgentRequest(AgentKind.HEAD_ANALYSIS, "s", "p", "nonexistent-schema")
-        with pytest.raises(ConfigError):
-            Gateway(cfg).complete(req)
 
 
 class TestTierRouting:
@@ -215,7 +208,7 @@ class TestTracing:
         payload = "doc-pages"
         write_fixture(root, AgentKind.HEAD_ANALYSIS, payload, 0, '{"pages": "bad"}')
         try:
-            default_registry().validate("head_analysis", {"pages": "bad"})
+            SchemaRegistry().validate(AgentKind.HEAD_ANALYSIS, {"pages": "bad"})
         except ValueError as exc:
             error = str(exc)
         write_fixture(root, AgentKind.HEAD_ANALYSIS,

@@ -82,6 +82,15 @@ _MALFORMED_CONFIGS = [  # each turns the demo's config document into a bad one
     pytest.param(lambda doc: {**doc, "libraries": ["parts.csv"]}, id="library-entry"),
     pytest.param(lambda doc: {**doc, "libraries": doc["libraries"] * 2},
                  id="library-priorities"),
+    # entry fields of the wrong type, which a run would spend its agent calls on
+    *(pytest.param(lambda doc, value=value: {
+        **doc, "libraries": [{**doc["libraries"][0], "priority": value}]},
+        id=f"library-priority-{value}") for value in (1.7, True)),
+    pytest.param(lambda doc: {**doc, "libraries": [{**doc["libraries"][0], "path": 5}]},
+                 id="library-path"),
+    pytest.param(lambda doc: {**doc, "sink": {**doc["sink"], "out_dir": 5}}, id="out_dir"),
+    pytest.param(lambda doc: {**doc, "sink": {**doc["sink"], "out_dir": None}},
+                 id="out_dir-null"),
     pytest.param(lambda doc: {**doc, "cache_dir": 5}, id="cache_dir"),
     pytest.param(lambda doc: {**doc, "backend": {**doc["backend"], "max_in_flight": "8"}},
                  id="max_in_flight"),
@@ -105,6 +114,12 @@ def write_malformed_config(work, tmp_path, malform):
 
 
 class TestConfig:
+    def test_null_library_fields_are_unset(self, demo, tmp_path):
+        work, _ = demo
+        cfg = load_config(write_malformed_config(work, tmp_path, lambda doc: {
+            **doc, "libraries": [{**doc["libraries"][0], "api_key_env": None}]}))
+        assert cfg.libraries[0].api_key_env is None
+
     def test_load_round_trip(self, demo):
         work, _ = demo
         cfg = load_config(work / "config.json")

@@ -19,8 +19,9 @@ from schemreview.canonical import diff_pages, page_hash
 from schemreview.config import Mode, RunConfig
 from schemreview.errors import InferenceFailed, InputError, MalformedInput
 from schemreview.gateway import BackendConfig
-from schemreview.ingest import _document_schema, ingest_schematic
+from schemreview.ingest import _DOCUMENT_SCHEMA, ingest_schematic
 from schemreview.reporting import FileSink
+from schemreview.schemacheck import shipped
 
 PSTXNET = "NET_NAME\n'VIN'\nNODE_NAME U1 1\nNODE_NAME C1 1\n\n" \
           "NET_NAME\n'GND'\nNODE_NAME U1 2\nNODE_NAME C1 2\n"
@@ -331,5 +332,5 @@ def test_base_with_true_for_one_is_still_rejected_with_the_full_documents_error(
 
 def test_checking_without_reused_pages_decides_the_document():
     # true only while nothing in the schema constrains pages across items
-    assert _document_schema()["properties"]["pages"] == {
+    assert shipped(_DOCUMENT_SCHEMA).schema["properties"]["pages"] == {
         "type": "array", "items": {"$ref": "#/$defs/page"}}

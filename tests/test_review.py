@@ -22,13 +22,12 @@ from schemreview.review import (
     FunctionalGroup,
     GroupReviewContext,
     VerdictStatus,
-    before_wait,
     build_review_payload,
     checklist_loader,
     fan_out_reviews,
-    map_on_pool,
     review_group_once,
 )
+from schemreview.workfirst import before_wait, map_on_pool
 
 
 def make_gateway(tmp_path) -> Gateway:

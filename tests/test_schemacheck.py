@@ -22,11 +22,11 @@ import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from schemreview import ingest
+from schemreview import schemacheck
 from schemreview.config import load_config
 from schemreview.demo import demo_schematic_text, generate_fixtures, write_demo_workspace
 from schemreview.errors import MalformedInput
-from schemreview.gateway import SchemaRegistry, SchemaViolation
+from schemreview.gateway import AgentKind, SchemaRegistry
 from schemreview.ingest import ingest_schematic
 from schemreview.pipeline import run_pipeline
 from schemreview.schemacheck import compile_schema, json_equal
@@ -215,7 +215,7 @@ def has_non_finite(value) -> bool:
 
 # --- the predicate and the error texts against the oracle ------------------------
 
-REGISTRY = SchemaRegistry.bundled()
+REGISTRY = SchemaRegistry()
 CHECKS = {name: compile_schema(shipped(f"{name}.json")) for name in AGENT_SCHEMAS}
 DOCUMENT_CHECK = compile_schema(shipped(DOCUMENT_SCHEMA))
 
@@ -224,8 +224,8 @@ def assert_agent_value_agrees(kind, value):
     expected = gateway_text(kind, value)
     assert CHECKS[kind](value) == (expected is None), value
     try:
-        REGISTRY.validate(kind, value)
-    except SchemaViolation as exc:
+        REGISTRY.validate(AgentKind(kind), value)
+    except ValueError as exc:
         assert str(exc) == expected
     else:
         assert expected is None
@@ -369,20 +369,16 @@ def test_annotations_are_ignored():
     assert check({"anything": [1]})
 
 
-def test_registry_never_accepts_a_rejected_value(monkeypatch):
+@pytest.mark.parametrize("validate,filename", [
+    (lambda: REGISTRY.validate(AgentKind.HEAD_ANALYSIS, {"pages": [0]}), "head_analysis.json"),
+    (lambda: ingest_schematic(demo_schematic_text().encode()), DOCUMENT_SCHEMA),
+], ids=["gateway", "ingest"])
+def test_never_accepts_a_rejected_value(monkeypatch, validate, filename):
     # a compiled check stricter than jsonschema is an internal error, not a pass
-    monkeypatch.setattr("schemreview.gateway.compile_schema", lambda schema: lambda v: False)
-    registry = SchemaRegistry()
-    registry.register("anything", {"type": "object"})
-    with pytest.raises(RuntimeError, match="'anything'"):
-        registry.validate("anything", {})
-
-
-def test_ingest_never_accepts_a_rejected_document(monkeypatch):
-    monkeypatch.setattr("schemreview.ingest.compile_schema", lambda schema: lambda v: False)
-    ingest._document_check.cache_clear()
+    monkeypatch.setattr(schemacheck, "compile_schema", lambda schema: lambda v: False)
+    schemacheck.shipped.cache_clear()
     try:
-        with pytest.raises(RuntimeError, match=DOCUMENT_SCHEMA):
-            ingest_schematic(demo_schematic_text().encode())
+        with pytest.raises(RuntimeError, match=filename):
+            validate()
     finally:
-        ingest._document_check.cache_clear()
+        schemacheck.shipped.cache_clear()

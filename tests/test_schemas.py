@@ -12,10 +12,10 @@ import jsonschema
 import pytest
 
 import schemreview
+from schemreview.gateway import AgentKind
 from schemreview.schemacheck import compile_schema
 
-AGENT_SCHEMAS = ["selection", "head_analysis", "extraction", "critic",
-                 "group_review", "consensus"]
+AGENT_SCHEMAS = [kind.value for kind in AgentKind]  # each kind's response schema
 JSON_SCHEMA_FILES = [f"{name}.json" for name in AGENT_SCHEMAS] + [
     "structured_pages.schema.json"]
 
