@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from urllib.parse import urlparse, unquote
 
+from . import httpreq
 from .dscache import CacheEntry, CacheStore
 from .dsmodel import (
     CriticScore,
@@ -33,11 +34,11 @@ from .gateway import AgentKind, AgentRequest, Gateway
 from .libraries import LibrarySource, PartRef, locate
 from .singleflight import SingleFlight
 from .tracing import UNTRACED, TraceContext
-from .workfirst import before_wait
 
 log = logging.getLogger(__name__)
 
 HEAD_PAGE_BUDGET = 12
+DOWNLOAD_TIMEOUT_S = 60
 PAGE_EXCERPT_CHARS = 240
 
 _HEAD_PROMPT = ("Select the datasheet pages that contain pin descriptions, "
@@ -86,12 +87,9 @@ def local_file_fetcher(url: str) -> bytes:
 
 
 def http_fetcher(url: str) -> bytes:
-    import requests
-
-    before_wait()
     try:
-        resp = requests.get(url, timeout=60)
-    except requests.RequestException as exc:
+        resp = httpreq.send("GET", url, timeout_s=DOWNLOAD_TIMEOUT_S)
+    except httpreq.RequestFailed as exc:
         raise FetchFailed(f"{url}: {exc}") from exc
     if resp.status_code != 200:
         raise FetchFailed(f"{url}: HTTP {resp.status_code}")

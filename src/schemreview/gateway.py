@@ -20,11 +20,11 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
-import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
 
+from . import httpreq
 from .errors import (
     BackendTimeout,
     BackendUnavailable,
@@ -223,12 +223,6 @@ class LiveHttpBackend:
         self.cfg = cfg
 
     def complete(self, req: AgentRequest, payload: str) -> tuple[str, TokenUsage]:
-        import requests
-
-        headers = {"Content-Type": "application/json"}
-        token = os.environ.get(self.cfg.api_key_env, "")
-        if token:
-            headers["Authorization"] = f"Bearer {token}"
         body = {
             "model": resolve_model(self.cfg, req.agent_kind),
             "messages": [
@@ -238,13 +232,12 @@ class LiveHttpBackend:
             "temperature": 0.0,
             "seed": req.seed,
         }
-        before_wait()
         try:
-            resp = requests.post(self.cfg.endpoint, json=body, headers=headers,
-                                 timeout=self.cfg.timeout_s)
-        except requests.Timeout as exc:
+            resp = httpreq.send("POST", self.cfg.endpoint, json=body,
+                                timeout_s=self.cfg.timeout_s, token_env=self.cfg.api_key_env)
+        except httpreq.RequestTimedOut as exc:
             raise BackendTimeout(f"backend timed out after {self.cfg.timeout_s}s") from exc
-        except requests.RequestException as exc:
+        except httpreq.RequestFailed as exc:
             raise BackendUnavailable(str(exc)) from exc
         if resp.status_code != 200:
             raise BackendUnavailable(f"backend returned HTTP {resp.status_code}")

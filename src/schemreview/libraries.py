@@ -23,15 +23,17 @@ from __future__ import annotations
 import csv
 import enum
 import logging
-import os
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from urllib.parse import quote
 
+from . import httpreq
 from .errors import ConfigError, NoCandidates
 
 log = logging.getLogger(__name__)
+
+LOOKUP_TIMEOUT_S = 10
 
 
 @dataclass(frozen=True)
@@ -76,9 +78,7 @@ class LibrarySource:
                 return self._lookup_csv(part)
             if self.kind is LibraryKind.LOCAL_DIRECTORY:
                 return self._lookup_directory(part)
-            if self.kind is LibraryKind.HTTP_PART_API:
-                return self._lookup_http(part)
-            return self._lookup_template(part)
+            return self._lookup_api(part)
         except Exception as exc:
             log.warning("library %s lookup failed for %s: %s",
                         self.kind.value, part.key, exc)
@@ -104,32 +104,19 @@ class LibrarySource:
                 for p in sorted(root.iterdir())
                 if p.is_file() and p.stem == part.key]
 
-    def _headers(self) -> dict[str, str]:
-        token = os.environ.get(self.api_key_env, "") if self.api_key_env else ""
-        return {"Authorization": f"Bearer {token}"} if token else {}
-
-    def _lookup_http(self, part: PartRef) -> list[str]:
-        import requests
-
-        url = f"{self.base_url.rstrip('/')}/parts/{quote(part.key, safe='')}/datasheet"
-        resp = requests.get(url, headers=self._headers(), timeout=10)
+    def _lookup_api(self, part: PartRef) -> list[str]:
+        key = quote(part.key, safe="")
+        if self.kind is LibraryKind.HTTP_PART_API:
+            url = f"{self.base_url.rstrip('/')}/parts/{key}/datasheet"
+        else:
+            url = self.url_template.replace("{part}", key)
+        resp = httpreq.send("GET", url, timeout_s=LOOKUP_TIMEOUT_S, token_env=self.api_key_env)
         if resp.status_code == 404:
             return []
         resp.raise_for_status()
         doc = resp.json()
-        if doc.get("datasheet_urls"):
+        if self.kind is LibraryKind.HTTP_PART_API and doc.get("datasheet_urls"):
             return list(doc["datasheet_urls"])
-        return [doc["datasheet_url"]] if doc.get("datasheet_url") else []
-
-    def _lookup_template(self, part: PartRef) -> list[str]:
-        import requests
-
-        url = self.url_template.replace("{part}", quote(part.key, safe=""))
-        resp = requests.get(url, headers=self._headers(), timeout=10)
-        if resp.status_code == 404:
-            return []
-        resp.raise_for_status()
-        doc = resp.json()
         return [doc["datasheet_url"]] if doc.get("datasheet_url") else []
 
 

@@ -41,7 +41,7 @@ import logging
 import time
 from contextlib import ExitStack
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from .augment import augment_netlist
@@ -90,6 +90,7 @@ class RunReport:
             "usage": self.usage,
             "cache": {"hits": self.cache_hits, "misses": self.cache_misses},
             "wall_time_s": round(self.wall_time_s, 3),
+            "delivery": [asdict(r) for r in (self.delivery.records if self.delivery else ())],
         }
 
 

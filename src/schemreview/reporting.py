@@ -9,7 +9,8 @@ is preserved.
 
 FileSink layout: ``comments/<group_id>.md``, ``overlays/<group_id>.svg``
 and ``manifest.json``. HttpSink POSTs one JSON body per comment to
-``{base_url}/comments`` with 3 attempts and exponential backoff.
+``{base_url}/comments`` with 3 attempts and exponential backoff; a 4xx
+answer other than 408 and 429 is final.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
+from . import httpreq
 from .consensus import ConsensusFinding
 from .dsmodel import DatasheetSpec
 from .errors import ConfigError, SinkUnreachable
@@ -27,6 +29,7 @@ from .model import BBox, Page, union_bboxes
 from .xmlutil import fmt_num
 
 HTTP_ATTEMPTS = 3
+HTTP_TIMEOUT_S = 30
 BACKOFF_BASE_S = 0.2
 
 OVERLAY_MARGIN = 10.0
@@ -212,67 +215,49 @@ def _post_to_files(sink: FileSink, comments) -> DeliveryReport:
     out = Path(sink.out_dir)
     (out / "comments").mkdir(parents=True, exist_ok=True)
     (out / "overlays").mkdir(parents=True, exist_ok=True)
-    records = []
-    manifest_entries = []
+    entries = []
     for comment in comments:
-        md_path = out / "comments" / f"{comment.error_group_id}.md"
-        md_path.write_text(comment.markdown, encoding="utf-8")
-        overlay_path = None
-        if comment.overlay_svg is not None:
-            overlay_path = out / "overlays" / f"{comment.error_group_id}.svg"
-            overlay_path.write_text(comment.overlay_svg, encoding="utf-8")
         entry = comment_doc(comment)
-        entry["markdown_path"] = str(md_path.relative_to(out))
-        entry["overlay_path"] = (str(overlay_path.relative_to(out))
-                                 if overlay_path else None)
-        del entry["markdown"]
-        manifest_entries.append(entry)
-        records.append(DeliveryRecord(comment.error_group_id, True, 1))
-    manifest = {
-        "version": 1,
-        "comments": manifest_entries,
-    }
+        entry["markdown_path"] = f"comments/{comment.error_group_id}.md"
+        (out / entry["markdown_path"]).write_text(entry.pop("markdown"), encoding="utf-8")
+        entry["overlay_path"] = None
+        if comment.overlay_svg is not None:
+            entry["overlay_path"] = f"overlays/{comment.error_group_id}.svg"
+            (out / entry["overlay_path"]).write_text(comment.overlay_svg, encoding="utf-8")
+        entries.append(entry)
     (out / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    return DeliveryReport(tuple(records))
+        json.dumps({"version": 1, "comments": entries}, indent=2, sort_keys=True) + "\n",
+        encoding="utf-8")
+    return DeliveryReport(tuple(DeliveryRecord(c.error_group_id, True, 1) for c in comments))
 
 
 def _post_to_http(sink: HttpSink, comments, sleep) -> DeliveryReport:
-    import os
-
-    import requests
-
-    headers = {"Content-Type": "application/json"}
-    token = os.environ.get(sink.token_env, "")
-    if token:
-        headers["Authorization"] = f"Bearer {token}"
-
     url = f"{sink.base_url.rstrip('/')}/comments"
-
-    def attempt_post(body: dict) -> tuple[bool, int, str | None]:
-        error = None
-        for attempt in range(1, HTTP_ATTEMPTS + 1):
-            try:
-                resp = requests.post(url, json=body, headers=headers, timeout=30)
-                if resp.status_code < 300:
-                    return True, attempt, None
-                error = f"HTTP {resp.status_code}"
-            except requests.RequestException as exc:
-                error = str(exc)
-            if attempt < HTTP_ATTEMPTS:
-                sleep(BACKOFF_BASE_S * (2 ** (attempt - 1)))
-        return False, HTTP_ATTEMPTS, error
-
-    records = []
-    for comment in comments:
-        body = comment_doc(comment)
-        body["markdown"] = comment.markdown
-        body["overlay_svg"] = comment.overlay_svg
-        ok, attempts, error = attempt_post(body)
-        records.append(DeliveryRecord(comment.error_group_id, ok, attempts, error))
-    report = DeliveryReport(tuple(records))
+    report = DeliveryReport(tuple(_post_one(url, sink.token_env, comment, sleep)
+                                  for comment in comments))
     if comments and report.delivered == 0:
         raise SinkUnreachable(
             f"no comment could be delivered to {sink.base_url}: "
-            f"{records[0].error}")
+            f"{report.records[0].error}")
     return report
+
+
+def _post_one(url: str, token_env: str, comment: ReviewComment, sleep) -> DeliveryRecord:
+    """Up to ``HTTP_ATTEMPTS`` POSTs of one comment, with backoff between
+    them; a 4xx answer other than 408 and 429 is final."""
+    body = {**comment_doc(comment), "overlay_svg": comment.overlay_svg}
+    for attempt in range(1, HTTP_ATTEMPTS + 1):
+        try:
+            resp = httpreq.send("POST", url, json=body, timeout_s=HTTP_TIMEOUT_S,
+                                token_env=token_env)
+        except httpreq.RequestFailed as exc:
+            error = str(exc)
+        else:
+            if resp.status_code < 300:
+                return DeliveryRecord(comment.error_group_id, True, attempt)
+            error = f"HTTP {resp.status_code}"
+            if 400 <= resp.status_code < 500 and resp.status_code not in (408, 429):
+                return DeliveryRecord(comment.error_group_id, False, attempt, error)
+        if attempt < HTTP_ATTEMPTS:
+            sleep(BACKOFF_BASE_S * (2 ** (attempt - 1)))
+    return DeliveryRecord(comment.error_group_id, False, HTTP_ATTEMPTS, error)

@@ -1,8 +1,8 @@
 """Work-first scheduling of a run's tasks on its thread pool.
 
 ``map_on_pool(pool, fn, items)`` is ``[fn(item) for item in items]``, run
-in order on the thread that reaches it. Code about to block (an agent
-call's delay or request, a datasheet download, a single-flight
+in order on the thread that reaches it. Code about to block (the mock
+agent's delay, any HTTP request through ``httpreq.send``, a single-flight
 follower's wait, ``map_on_pool``'s own wait on an item running
 elsewhere) first calls ``before_wait()``. That hands every item not yet
 started, from every map open on this thread, to the pool's run queue,

@@ -1,8 +1,12 @@
-"""Shared test scaffolding: mock fixture scripting for pipeline stages."""
+"""Shared test scaffolding: mock fixture scripting for pipeline stages
+and a loopback HTTP server."""
 
+import contextlib
 import itertools
 import json
 import re
+import threading
+from http.server import ThreadingHTTPServer
 from pathlib import Path
 
 from schemreview import demo
@@ -161,3 +165,18 @@ def consensus_responder(keep=lambda single: True, resolve=majority_status):
 
 
 generate_fixtures = demo.generate_fixtures
+
+
+@contextlib.contextmanager
+def loopback_server(handler):
+    """Serve ``handler`` (a ``BaseHTTPRequestHandler`` class) on a free
+    127.0.0.1 port, one thread per request; yields the base URL. On exit
+    the server is shut down and closed, which waits for its requests."""
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    server.daemon_threads = False  # so server_close() joins them
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    try:
+        yield f"http://127.0.0.1:{server.server_port}"
+    finally:
+        server.shutdown()
+        server.server_close()

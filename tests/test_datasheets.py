@@ -1,10 +1,15 @@
 """Document decoding, in-flight fetch dedup, and the agent stages."""
 
 import json
+import socket
 import threading
+import time
+from http.server import BaseHTTPRequestHandler
 
 import pytest
 
+from helpers import loopback_server
+from schemreview import datasheets
 from schemreview.dsmodel import CriticScore, DatasheetSpec, spec_from_agent_value
 from schemreview.datasheets import (
     analyze_head,
@@ -14,8 +19,9 @@ from schemreview.datasheets import (
     decode_document,
     extract_spec,
     fetch,
+    http_fetcher,
 )
-from schemreview.errors import NotADatasheet
+from schemreview.errors import FetchFailed, NotADatasheet
 from schemreview.gateway import AgentKind, BackendConfig, Gateway, fixture_relpath
 from schemreview.libraries import PartRef
 from schemreview.singleflight import SingleFlight
@@ -117,6 +123,51 @@ class TestFetchDedup:
         path.write_text("alpha\fbeta")
         doc = fetch(path.resolve().as_uri())
         assert doc.pages == ("alpha", "beta")
+
+
+class _SheetHandler(BaseHTTPRequestHandler):
+    def do_GET(self):
+        if self.path == "/slow.txt":
+            time.sleep(0.5)
+        if self.path in ("/sheet.txt", "/slow.txt"):
+            out = b"pin table\fratings"
+            self.send_response(200)
+        else:
+            out = b"not here"
+            self.send_response(404)
+        self.send_header("Content-Length", str(len(out)))
+        self.end_headers()
+        self.wfile.write(out)
+
+    def log_message(self, *args):
+        pass
+
+
+class TestHttpFetcher:
+    def test_ok_returns_the_body(self):
+        with loopback_server(_SheetHandler) as base:
+            assert http_fetcher(base + "/sheet.txt") == b"pin table\fratings"
+
+    def test_http_error_names_url_and_status(self):
+        with loopback_server(_SheetHandler) as base:
+            with pytest.raises(FetchFailed) as info:
+                http_fetcher(base + "/missing.txt")
+        assert str(info.value) == f"{base}/missing.txt: HTTP 404"
+
+    def test_closed_port_fails(self):
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            url = f"http://127.0.0.1:{sock.getsockname()[1]}/sheet.txt"
+        with pytest.raises(FetchFailed) as info:
+            http_fetcher(url)
+        assert str(info.value).startswith(f"{url}: ")
+
+    def test_slow_server_times_out(self, monkeypatch):
+        monkeypatch.setattr(datasheets, "DOWNLOAD_TIMEOUT_S", 0.1)
+        with loopback_server(_SheetHandler) as base:
+            with pytest.raises(FetchFailed) as info:
+                http_fetcher(base + "/slow.txt")
+        assert str(info.value).startswith(f"{base}/slow.txt: ")
 
 
 def doc_with_pages(n) -> "DatasheetDocument":

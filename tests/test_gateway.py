@@ -1,11 +1,11 @@
 """Gateway: mock fixtures, schema repair, tier routing, usage summed from spans."""
 
 import json
-import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
+from http.server import BaseHTTPRequestHandler
 
 import pytest
 
+from helpers import loopback_server
 from schemreview.errors import BackendUnavailable, ConfigError, SchemaViolationAfterRetries
 from schemreview.gateway import (
     AgentKind,
@@ -266,17 +266,11 @@ class TestTimeout:
                 pass
 
         from schemreview.errors import BackendTimeout
-        server = HTTPServer(("127.0.0.1", 0), SlowHandler)
-        threading.Thread(target=server.serve_forever, daemon=True).start()
-        try:
-            cfg = BackendConfig(kind="live-http",
-                                endpoint=f"http://127.0.0.1:{server.server_port}/",
-                                timeout_s=0.1)
+        with loopback_server(SlowHandler) as url:
+            cfg = BackendConfig(kind="live-http", endpoint=url + "/", timeout_s=0.1)
             gw, tracer, trace = traced_gateway(cfg)
             with pytest.raises(BackendTimeout):
                 gw.complete(head_request("p"), trace=trace)
-        finally:
-            server.shutdown()
         assert usage_by_kind(tracer.events())["head_analysis"]["calls"] == 1
         [event] = tracer.events()
         assert event.attributes["error"] == "backend_timeout"
@@ -304,14 +298,11 @@ class _CannedHandler(BaseHTTPRequestHandler):
 
 class TestLiveBackendRecordedExchange:
     def test_wire_format(self, monkeypatch):
-        server = HTTPServer(("127.0.0.1", 0), _CannedHandler)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
+        with loopback_server(_CannedHandler) as url:
             monkeypatch.setenv("SCHEMREVIEW_API_KEY", "sekrit")
             cfg = BackendConfig(
                 kind="live-http",
-                endpoint=f"http://127.0.0.1:{server.server_port}/v1/chat/completions",
+                endpoint=url + "/v1/chat/completions",
                 strong_model="big", weak_model="small",
             )
             resp = Gateway(cfg).complete(head_request("payload text", seed=3))
@@ -324,8 +315,6 @@ class TestLiveBackendRecordedExchange:
             assert body["seed"] == 3
             assert [m["role"] for m in body["messages"]] == ["system", "user"]
             assert body["messages"][1]["content"] == "payload text"
-        finally:
-            server.shutdown()
 
     def test_config_invariants(self):
         with pytest.raises(ConfigError):
@@ -357,17 +346,10 @@ def test_malformed_live_reply_is_backend_unavailable(body):
         def log_message(self, *args):
             pass
 
-    server = HTTPServer(("127.0.0.1", 0), Handler)
-    threading.Thread(target=server.serve_forever, daemon=True).start()
-    try:
-        cfg = BackendConfig(kind="live-http",
-                            endpoint=f"http://127.0.0.1:{server.server_port}/")
-        gw, tracer, trace = traced_gateway(cfg)
+    with loopback_server(Handler) as url:
+        gw, tracer, trace = traced_gateway(BackendConfig(kind="live-http", endpoint=url + "/"))
         with pytest.raises(BackendUnavailable, match="malformed backend response"):
             gw.complete(head_request("p"), trace=trace)
-    finally:
-        server.shutdown()
-        server.server_close()
     [event] = tracer.events()
     assert event.span_name == "head_analysis"
     assert event.attributes["error"] == "backend_unavailable"

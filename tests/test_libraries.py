@@ -2,11 +2,13 @@
 
 import json
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
-from http.server import BaseHTTPRequestHandler, HTTPServer
+from http.server import BaseHTTPRequestHandler
 
 import pytest
 
+from helpers import loopback_server
 from schemreview.errors import ConfigError, NoCandidates
 from schemreview.libraries import (
     LibraryKind,
@@ -15,6 +17,7 @@ from schemreview.libraries import (
     library_from_config,
     locate,
 )
+from schemreview.workfirst import map_on_pool
 
 
 def test_part_ref_needs_identity():
@@ -133,10 +136,8 @@ class _PartApiHandler(BaseHTTPRequestHandler):
 
 @pytest.fixture
 def part_api_server():
-    server = HTTPServer(("127.0.0.1", 0), _PartApiHandler)
-    threading.Thread(target=server.serve_forever, daemon=True).start()
-    yield f"http://127.0.0.1:{server.server_port}"
-    server.shutdown()
+    with loopback_server(_PartApiHandler) as url:
+        yield url
 
 
 def test_http_part_api(part_api_server):
@@ -149,6 +150,33 @@ def test_json_template_api(part_api_server):
     lib = LibrarySource(LibraryKind.JSON_TEMPLATE_API, priority=1,
                         url_template=part_api_server + "/tpl/{part}")
     assert lib.lookup(PartRef(mpn="LM317")) == ["http://tpl/lm317.pdf"]
+
+
+def test_api_lookups_wait_together_under_map_on_pool():
+    """Each lookup spills the run's queued items before it blocks, so n
+    lookups on a pool of n are all in flight at once: the server answers
+    none of them until all n have arrived."""
+    n = 4
+    barrier = threading.Barrier(n, timeout=5)
+
+    class Handler(BaseHTTPRequestHandler):
+        def do_GET(self):
+            barrier.wait()
+            part = self.path.split("/")[2]
+            out = json.dumps({"datasheet_url": f"http://api/{part}.pdf"}).encode()
+            self.send_response(200)
+            self.send_header("Content-Length", str(len(out)))
+            self.end_headers()
+            self.wfile.write(out)
+
+        def log_message(self, *args):
+            pass
+
+    parts = [PartRef(mpn=f"P{i}") for i in range(n)]
+    with loopback_server(Handler) as url, ThreadPoolExecutor(n) as pool:
+        lib = LibrarySource(LibraryKind.HTTP_PART_API, priority=1, base_url=url)
+        found = map_on_pool(pool, lib.lookup, parts)
+    assert found == [[f"http://api/P{i}.pdf"] for i in range(n)]
 
 
 def test_library_from_config_roundtrip():

@@ -796,6 +796,10 @@ class TestCli:
         assert report["status"] == "complete"
         assert report["comments_emitted"] == 3
         assert report["cache"] == {"hits": 1, "misses": 8}
+        manifest = json.loads((work / "out" / "manifest.json").read_text())
+        assert report["delivery"] == [
+            {"group_id": c["group_id"], "ok": True, "attempts": 1, "error": None}
+            for c in manifest["comments"]]
 
     def test_partial_run_exits_three(self, demo, capsys):
         work, paths = demo

@@ -1,13 +1,13 @@
 """Comment rendering, overlays, and sink delivery."""
 
 import json
-import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
+from dataclasses import replace
+from http.server import BaseHTTPRequestHandler
 from pathlib import Path
 
 import pytest
 
-from helpers import BASE_SPEC_VALUE
+from helpers import BASE_SPEC_VALUE, loopback_server
 from schemreview.consensus import Confidence, ConsensusAnalysis, ConsensusFinding, Provenance
 from schemreview.dsmodel import spec_from_agent_value
 from schemreview.errors import SinkUnreachable
@@ -151,13 +151,14 @@ class TestFileSink:
 
 class _FlakyHandler(BaseHTTPRequestHandler):
     failures_left = 1
+    failure_status = 500
     bodies = []
 
     def do_POST(self):
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
         if self.path == "/comments" and type(self).failures_left > 0:
             type(self).failures_left -= 1
-            self.send_response(500)
+            self.send_response(type(self).failure_status)
             self.send_header("Content-Length", "0")
             self.end_headers()
             return
@@ -174,11 +175,10 @@ class TestHttpSink:
     @pytest.fixture
     def server(self):
         _FlakyHandler.failures_left = 1
+        _FlakyHandler.failure_status = 500
         _FlakyHandler.bodies = []
-        server = HTTPServer(("127.0.0.1", 0), _FlakyHandler)
-        threading.Thread(target=server.serve_forever, daemon=True).start()
-        yield f"http://127.0.0.1:{server.server_port}"
-        server.shutdown()
+        with loopback_server(_FlakyHandler) as url:
+            yield url
 
     def test_retry_then_success_records_attempts(self, server):
         page = demo_page()
@@ -187,6 +187,21 @@ class TestHttpSink:
         assert report.all_ok
         assert report.records[0].attempts == 2
         assert [p for p, _ in _FlakyHandler.bodies] == ["/comments"]
+
+    @pytest.mark.parametrize("status, attempts", [(401, 1), (404, 1), (408, 2), (429, 2),
+                                                  (503, 2)])
+    def test_a_4xx_other_than_408_and_429_is_final(self, server, status, attempts):
+        _FlakyHandler.failure_status = status
+        page = demo_page()
+        first = render_comment(one_group(page), specs_for(page), page)
+        second = replace(first, error_group_id="G2")
+        slept = []
+        report = post_comments(HttpSink(server), [first, second], sleep=slept.append)
+        assert [(r.ok, r.attempts) for r in report.records] == [(attempts > 1, attempts),
+                                                                (True, 1)]
+        assert len(slept) == attempts - 1
+        if attempts == 1:
+            assert report.records[0].error == f"HTTP {status}"
 
     def test_unreachable_sink_raises_after_retries(self):
         page = demo_page()
