@@ -1,10 +1,12 @@
 """Netlist augmentation: populate page connectivity before analysis.
 
 The strategy is selected per page from the source format and available
-data: pages that already carry nets keep them (embedded); DE-HDL pages
-take theirs from the pstxnet sidecar; anything else falls back to
-wire-trace inference over annotation geometry. Augmenting an already
-augmented schematic is a no-op.
+data: a page that arrives with one keeps it (a KiCad page, whose nets
+were traced from its wires when it was read); pages that already carry
+nets keep them (embedded); DE-HDL pages take theirs from the pstxnet
+sidecar; anything else falls back to wire-trace inference over
+annotation geometry. Augmenting an already augmented schematic is a
+no-op.
 """
 
 from __future__ import annotations

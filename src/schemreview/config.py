@@ -20,7 +20,8 @@ Config file (JSON, version 1):
     }
 
 Unknown top-level keys, and values of the wrong type, are rejected with
-a ConfigError naming them.
+a ConfigError naming them; so are unknown fields of a library or sink
+entry, and a library entry without the field its kind reads.
 """
 
 from __future__ import annotations

@@ -9,8 +9,9 @@ first score meeting the threshold; failing that, the best-scoring
 attempt wins (earliest on ties). The winner is cached under
 (part number, winning URL).
 
-Concurrent retrievals of the same part number share a single in-flight
-computation, so the underlying fetch happens once.
+Concurrent retrievals of the same part number given one ``flights``
+share a single in-flight computation, so the underlying fetch happens
+once.
 """
 
 from __future__ import annotations

@@ -17,8 +17,9 @@ coordinates are absolute page coordinates. One file is one page.
       (junction (at 50 20))
       (label "VCC_3V3" (at 30 20)))
 
-Nets are recovered from the wire/junction/label geometry at parse time,
-so the returned page already carries embedded connectivity.
+Nets are traced from the wire/junction/label geometry at parse time, so
+the returned page already carries its connectivity, labelled with the
+wire-trace-inference strategy that augmentation keeps.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 import math
 
 from .errors import MalformedInput
-from .model import BBox, Component, GraphicalAnnotation, Page, Pin
+from .model import AugmentationStrategy, BBox, Component, GraphicalAnnotation, Page, Pin
 from .wiretrace import trace_nets
 
 Sexpr = list  # nested lists of str atoms
@@ -212,4 +213,5 @@ def parse_kicad_page(text: str) -> Page:
 
     nets = trace_nets(page_id, components, tuple(annotations))
     return Page(id=page_id, components=components, nets=tuple(nets),
-                annotations=tuple(annotations))
+                annotations=tuple(annotations),
+                strategy=AugmentationStrategy.WIRE_TRACE_INFERENCE)

@@ -24,7 +24,7 @@ import csv
 import enum
 import logging
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from urllib.parse import quote
 
@@ -120,20 +120,30 @@ class LibrarySource:
         return [doc["datasheet_url"]] if doc.get("datasheet_url") else []
 
 
+# the field each kind of source reads its parts from
+_SOURCE_FIELD = {LibraryKind.HTTP_PART_API: "base_url",
+                 LibraryKind.JSON_TEMPLATE_API: "url_template",
+                 LibraryKind.CSV_TABLE: "path",
+                 LibraryKind.LOCAL_DIRECTORY: "directory"}
+
+
 def library_from_config(doc: dict) -> LibrarySource:
+    """The source a config entry describes. An entry with a field that no
+    source has, or without the field its kind reads, is rejected here:
+    its source would fail every lookup."""
     try:
         kind = LibraryKind(doc["kind"])
-        return LibrarySource(
-            kind=kind,
-            priority=int(doc["priority"]),
-            base_url=doc.get("base_url"),
-            url_template=doc.get("url_template"),
-            path=doc.get("path"),
-            directory=doc.get("directory"),
-            api_key_env=doc.get("api_key_env"),
-        )
+        priority = int(doc["priority"])
     except (KeyError, ValueError, TypeError) as exc:  # TypeError: not an object
         raise ConfigError(f"bad library config {doc!r}: {exc}") from exc
+    entry = {key: value for key, value in doc.items() if key not in ("kind", "priority")}
+    unknown = set(entry) - {f.name for f in fields(LibrarySource) if f.init}
+    if unknown:
+        raise ConfigError(f"bad library config {doc!r}: unknown fields {sorted(unknown)}")
+    if _SOURCE_FIELD[kind] not in entry:
+        raise ConfigError(f"bad library config {doc!r}: a {kind.value} library "
+                          f"needs {_SOURCE_FIELD[kind]}")
+    return LibrarySource(kind=kind, priority=priority, **entry)
 
 
 def locate(part: PartRef, libraries: list[LibrarySource],

@@ -13,14 +13,13 @@ posted. Within a batch each stage runs for all its pages together
 before the next starts:
 
 1. select groups on every page;
-2. retrieve each part under the first page, in document order, that
-   lists it (parallel across parts);
-3. retrieve the later pages' listings of those parts, which hit the
-   cache as they would after the earlier page (or retry a failed first
-   retrieval);
-4. fan out k reviews per group and combine consensus, for every group
+2. retrieve each part under every page that lists it, one page after
+   another in document order (parallel across parts): the first listing
+   fetches the datasheet or hits the cache, each later one hits the
+   cache (or retries a retrieval that failed);
+3. fan out k reviews per group and combine consensus, for every group
    of every page;
-5. cluster errors and render comments page by page, in document order.
+4. cluster errors and render comments page by page, in document order.
 
 Batches, parts, groups and review runs are all tasks on the run's one
 pool of ``backend.max_in_flight`` threads, which still bounds its
@@ -58,7 +57,6 @@ from .libraries import PartRef
 from .model import Page, Schematic
 from .reporting import DeliveryReport, post_comments, render_comment
 from .review import GroupReviewContext, checklist_loader, fan_out_reviews, select_groups
-from .singleflight import SingleFlight
 from .tracing import TraceContext, Tracer, emit_traces
 from .workfirst import map_on_pool
 
@@ -121,17 +119,18 @@ def select_page_set(cfg: RunConfig, head: Schematic) -> list[str]:
 
 def _retrieve_all_specs(pages: list[tuple[Page, TraceContext]], groups: list,
                         cfg: RunConfig, gateway: Gateway, cache: CacheStore,
-                        flights: SingleFlight, pool: ThreadPoolExecutor) -> list[dict]:
-    """Per page, designator -> DatasheetSpec | None. Each part key is
-    retrieved under the first page, in document order, that lists it, all
-    such parts in parallel; then every later listing is retrieved under its
-    own page, hitting the cache as it would after the earlier page ran (or
-    retrying a failed first retrieval)."""
+                        pool: ThreadPoolExecutor) -> list[dict]:
+    """Per page, designator -> DatasheetSpec | None. Each part key is one
+    task (ordered by the first page that lists it, then by key) that
+    retrieves the part under every page that lists it, one page after
+    another in document order: the first listing fetches the datasheet or
+    hits the cache, each later one hits the cache as it would after the
+    earlier page ran (or retries a retrieval that failed)."""
     retrieval_cfg = RetrievalConfig(threshold=cfg.critic_threshold,
                                     max_attempts=cfg.max_attempts)
     part_keys: list[dict[str, str | None]] = []  # per page: designator -> part key
-    first, repeats = [], []  # (page index, context, part key, (PartRef, schematic_url))
-    listed: set[str] = set()
+    # part key -> its listings: (page index, context, (PartRef, schematic_url))
+    listings: dict[str, list[tuple]] = {}
     for index, ((page, ctx), page_groups) in enumerate(zip(pages, groups)):
         keys: dict[str, str | None] = {}
         parts: dict[str, tuple] = {}
@@ -143,26 +142,26 @@ def _retrieve_all_specs(pages: list[tuple[Page, TraceContext]], groups: list,
                     parts[key] = (PartRef(comp.mpn, comp.ipn), comp.datasheet_url or None)
         part_keys.append(keys)
         for key, listing in sorted(parts.items()):
-            (repeats if key in listed else first).append((index, ctx, key, listing))
-            listed.add(key)
+            listings.setdefault(key, []).append((index, ctx, listing))
 
-    def _one(job):
-        _, ctx, key, (part, schematic_url) = job
+    def _one(ctx, key, part, schematic_url):
         try:
             with ctx.span(f"part:{key}", part=key) as part_ctx:
                 return retrieve_spec(
                     part, cfg.libraries, retrieval_cfg, gateway=gateway,
                     cache=cache, fetcher=default_fetcher,
-                    schematic_url=schematic_url, flights=flights,
-                    trace=part_ctx).spec
+                    schematic_url=schematic_url, trace=part_ctx).spec
         except SchemReviewError as exc:
             log.warning("datasheet retrieval failed for %s: %s", key, exc)
             return None
 
-    specs: dict[tuple[int, str], object] = {}  # (page index, part key) -> spec
-    for jobs in (first, repeats):
-        for (index, _, key, _), spec in zip(jobs, map_on_pool(pool, _one, jobs)):
-            specs[index, key] = spec
+    def _part(key):
+        return [((index, key), _one(ctx, key, *listing))
+                for index, ctx, listing in listings[key]]
+
+    # (page index, part key) -> spec
+    specs = dict(pair for pairs in map_on_pool(pool, _part, list(listings))
+                 for pair in pairs)
     return [{designator: specs.get((index, key)) for designator, key in keys.items()}
             for index, keys in enumerate(part_keys)]
 
@@ -185,8 +184,8 @@ def _map_settled(pool: ThreadPoolExecutor, fn, items) -> list:
 
 
 def _analyze_pages(pages: list[tuple[Page, TraceContext]], cfg: RunConfig,
-                   gateway: Gateway, cache: CacheStore, flights: SingleFlight,
-                   pool: ThreadPoolExecutor, checklist) -> list:
+                   gateway: Gateway, cache: CacheStore, pool: ThreadPoolExecutor,
+                   checklist) -> list:
     """The batch's rendered comments, page by page in document order; each
     page's spans record under its own context. Each stage runs for every
     page of the batch together before the next starts: selection,
@@ -195,7 +194,7 @@ def _analyze_pages(pages: list[tuple[Page, TraceContext]], cfg: RunConfig,
     is the run's ``review.checklist_loader``."""
     groups = _map_settled(pool, lambda pc: select_groups(pc[0], gateway, trace=pc[1]),
                           pages)
-    specs = _retrieve_all_specs(pages, groups, cfg, gateway, cache, flights, pool)
+    specs = _retrieve_all_specs(pages, groups, cfg, gateway, cache, pool)
     checklists = {group.name: checklist(group.name)
                   for page_groups in groups for group in page_groups}
 
@@ -234,7 +233,6 @@ def run_pipeline(cfg: RunConfig, schematic_path) -> RunReport:
 
     gateway = Gateway(cfg.backend)
     cache = CacheStore(cfg.cache_dir)
-    flights = SingleFlight()
     checklist = checklist_loader(cfg.checklist_dir)
     tracer = Tracer()
     run_span = ExitStack()  # closed once the root span's attributes are set
@@ -264,7 +262,7 @@ def run_pipeline(cfg: RunConfig, schematic_path) -> RunReport:
                                   root.span(f"page:{page.id}", page_id=page.id)))
                               for page in batch]
                     comments += pool.submit(_analyze_pages, traced, cfg, gateway,
-                                            cache, flights, pool, checklist).result()
+                                            cache, pool, checklist).result()
                 analyzed += [page.id for page in batch]
 
         delivery = post_comments(cfg.sink, comments)

@@ -170,16 +170,22 @@ class HttpSink:
 
 
 def sink_from_config(doc: dict):
+    """The sink a config entry describes; a field its kind of sink does
+    not have is rejected."""
     kind = doc.get("kind")
     if kind == "file":
-        if "out_dir" not in doc:
-            raise ConfigError("file sink needs out_dir")
-        return FileSink(doc["out_dir"])
-    if kind == "http":
-        if "base_url" not in doc:
-            raise ConfigError("http sink needs base_url")
-        return HttpSink(doc["base_url"], doc.get("token_env", "SCHEMREVIEW_SINK_TOKEN"))
-    raise ConfigError(f"unknown sink kind {kind!r}")
+        sink, needed = FileSink, "out_dir"
+    elif kind == "http":
+        sink, needed = HttpSink, "base_url"
+    else:
+        raise ConfigError(f"unknown sink kind {kind!r}")
+    entry = {key: value for key, value in doc.items() if key != "kind"}
+    unknown = set(entry) - set(sink.__dataclass_fields__)
+    if unknown:
+        raise ConfigError(f"unknown {kind} sink fields: {sorted(unknown)}")
+    if needed not in entry:
+        raise ConfigError(f"{kind} sink needs {needed}")
+    return sink(**entry)
 
 
 def _bbox_doc(b: BBox | None):

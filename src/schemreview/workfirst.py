@@ -2,9 +2,9 @@
 
 ``map_on_pool(pool, fn, items)`` is ``[fn(item) for item in items]``, run
 in order on the thread that reaches it. Code about to block (the mock
-agent's delay, any HTTP request through ``httpreq.send``, a single-flight
-follower's wait, ``map_on_pool``'s own wait on an item running
-elsewhere) first calls ``before_wait()``. That hands every item not yet
+agent's delay, any HTTP request through ``httpreq.send``, or
+``map_on_pool``'s own wait on an item running elsewhere) first calls
+``before_wait()``. That hands every item not yet
 started, from every map open on this thread, to the pool's run queue,
 and asks the pool for one worker per item. A worker runs the oldest
 queued task. A map whose next item is still queued takes it back and
@@ -20,9 +20,7 @@ otherwise sit idle.
 A thread blocks only on an item that another thread has started. A task
 waits only for the items of its own maps and for the tasks it helps
 while it waits, all started after it, so the waits cannot form a cycle
-and no pool size deadlocks. That holds as long as a single-flight
-computation does not wait on the pool itself: a helper could then run a
-follower of its own flight.
+and no pool size deadlocks.
 """
 
 from __future__ import annotations

@@ -106,7 +106,7 @@ def test_every_node_resolves_after_augmentation(caplog):
     assert "U9" in caplog.text
 
 
-def test_kicad_ingest_counts_as_embedded_nets():
+def test_kicad_ingest_keeps_wire_trace_inference():
     raw = b"""
 (kicad_sch
   (symbol (property "Reference" "R1") (pin (number "1") (at 0 0)))
@@ -117,8 +117,9 @@ def test_kicad_ingest_counts_as_embedded_nets():
 """
     s = augment_netlist(ingest_schematic(raw))
     assert s.format is SourceFormat.KICAD_SUBSET
-    # connectivity was recovered at ingest, so augmentation sees it embedded
-    assert s.pages[0].strategy is AugmentationStrategy.EMBEDDED_NETS
+    # connectivity was traced from the wires at ingest; augmentation keeps
+    # that strategy rather than calling the nets embedded
+    assert s.pages[0].strategy is AugmentationStrategy.WIRE_TRACE_INFERENCE
     assert s.pages[0].nets == (Net("SIG", (("R1", "1"), ("R2", "1"))),)
 
 

@@ -2,10 +2,11 @@
 
 import pytest
 
+from schemreview.canonical import serialize_page_xml
 from schemreview.errors import InferenceFailed, MalformedInput
 from schemreview.ingest import ingest_schematic
 from schemreview.kicad import parse_kicad_page, parse_sexpr
-from schemreview.model import Net
+from schemreview.model import AugmentationStrategy, Net
 
 ONE_SYMBOL_ONE_WIRE = """
 (kicad_sch
@@ -67,6 +68,15 @@ def test_symbol_and_labeled_wire_recovered():
     # pins sitting on its endpoints
     assert Net("VCC_3V3", (("C1", "1"), ("U1", "1"))) in page.nets
     assert Net("VOUT_RAIL", (("C1", "2"), ("U1", "2"))) in page.nets
+
+
+def test_parsed_page_is_labelled_wire_trace_inference():
+    # its nets were traced from wire geometry, so a page payload must not
+    # call them embedded
+    page = parse_kicad_page(ONE_SYMBOL_ONE_WIRE)
+    assert page.strategy is AugmentationStrategy.WIRE_TRACE_INFERENCE
+    assert '<page id="P1" strategy="wire-trace-inference">' in serialize_page_xml(
+        page, payload=True)
 
 
 def test_wire_chain_and_junction_merge():

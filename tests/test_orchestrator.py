@@ -88,6 +88,23 @@ _MALFORMED_CONFIGS = [  # each turns the demo's config document into a bad one
         id=f"library-priority-{value}") for value in (1.7, True)),
     pytest.param(lambda doc: {**doc, "libraries": [{**doc["libraries"][0], "path": 5}]},
                  id="library-path"),
+    # entries whose source would fail every lookup, leaving each part Unverifiable
+    pytest.param(lambda doc: {**doc, "libraries": [{**doc["libraries"][0], "pth": "x.csv"}]},
+                 id="library-unknown-field"),
+    pytest.param(lambda doc: {**doc, "libraries": [{
+        "kind": "json-template-api", "priority": 1,
+        "url_templat": "http://parts.example/{part}"}]}, id="library-url_templat"),
+    pytest.param(lambda doc: {**doc, "libraries": [{
+        "kind": "local-directory", "priority": 1, "dir": "datasheets"}]},
+        id="library-dir"),
+    *(pytest.param(lambda doc, kind=kind: {**doc, "libraries": [{"kind": kind, "priority": 1}]},
+                   id=f"library-{kind}-without-source")
+      for kind in ("http-part-api", "json-template-api", "csv-table", "local-directory")),
+    pytest.param(lambda doc: {**doc, "sink": {**doc["sink"], "outdir": "out"}},
+                 id="sink-unknown-field"),
+    pytest.param(lambda doc: {**doc, "sink": {"kind": "http", "base_url": "http://h",
+                                              "out_dir": "out"}},
+                 id="http-sink-out_dir"),
     pytest.param(lambda doc: {**doc, "sink": {**doc["sink"], "out_dir": 5}}, id="out_dir"),
     pytest.param(lambda doc: {**doc, "sink": {**doc["sink"], "out_dir": None}},
                  id="out_dir-null"),
@@ -588,23 +605,68 @@ class TestReviewPayloads:
             assert doc["checklist"] == checklist(doc["group"]["name"])
 
 
-class TestWorkerPool:
-    @pytest.mark.parametrize("mode", ["full-analysis", "design-review"])
-    @pytest.mark.parametrize("max_in_flight", [1, 2])
-    def test_pool_size_does_not_change_results(self, demo, monkeypatch, mode,
-                                               max_in_flight):
-        work, paths = demo
-        overrides = ({"mode": Mode.DESIGN_REVIEW, "base_schematic": str(paths["base"])}
-                     if mode == "design-review" else {})
+def usage_counts(report) -> dict:
+    """The report's calls and tokens per agent kind, without latencies."""
+    return {kind: {k: v for k, v in entry.items() if k != "latency_s"}
+            for kind, entry in report.usage.items()}
+
+
+@pytest.fixture(scope="module")
+def failing_shared_part(tmp_path_factory):
+    """The demo with a CAP-10U member added to P2, and fixtures in which
+    no CAP-10U extraction parses: the part, listed on P1, P2 and P3,
+    fails under P1 and is retried under P2 and under P3."""
+    work = tmp_path_factory.mktemp("failing-shared-part")
+    paths = write_demo_workspace(work)
+    doc = json.loads(paths["schematic"].read_text(encoding="utf-8"))
+    [p2] = [page for page in doc["pages"] if page["id"] == "P2"]
+    p2["components"].append({"designator": "C9", "mpn": "CAP-10U",
+                             "pins": [{"designator": "1"}, {"designator": "2"}],
+                             "bbox": {"x": 20, "y": 60, "w": 8, "h": 12}})
+    for net in p2["nets"]:
+        if net["name"] in ("VCC_3V3", "GND"):
+            net["nodes"].append(["C9", "1" if net["name"] == "VCC_3V3" else "2"])
+    paths["schematic"].write_text(json.dumps(doc, indent=2), encoding="utf-8")
+    cfg = fresh_cfg(work)
+
+    def responder(kind_name, payload, seed):
+        if kind_name == "extraction" and "CAP-10U" in payload:
+            return "not json"
+        return demo_responder(kind_name, payload, seed)
+
+    def run():
         clean_run_dirs(work)
-        run_or_fail(fresh_cfg(work, **overrides), paths["schematic"], monkeypatch)
-        expected = out_bytes(work), span_sequence(work / "trace.jsonl")
+        return run_pipeline(cfg, paths["schematic"])
+
+    generate_fixtures(run, paths["fixtures"], responder=responder)
+    return work, paths
+
+
+class TestWorkerPool:
+    @pytest.mark.parametrize("case", ["full-analysis", "design-review",
+                                      "failing-shared-part"])
+    @pytest.mark.parametrize("max_in_flight", [1, 2, 8])
+    def test_pool_size_does_not_change_results(self, request, monkeypatch, case,
+                                               max_in_flight):
+        # the reference run's calls never wait, so it runs on one thread;
+        # the compared run's calls wait, so its items spill to the pool
+        work, paths = request.getfixturevalue(
+            "failing_shared_part" if case == "failing-shared-part" else "demo")
+        overrides = ({"mode": Mode.DESIGN_REVIEW, "base_schematic": str(paths["base"])}
+                     if case == "design-review" else {})
+        clean_run_dirs(work)
+        report = run_or_fail(fresh_cfg(work, **overrides), paths["schematic"],
+                             monkeypatch)
+        expected = (out_bytes(work), span_sequence(work / "trace.jsonl"),
+                    usage_counts(report))
 
         clean_run_dirs(work)
         cfg = fresh_cfg(work, **overrides)
         cfg.backend.max_in_flight = max_in_flight
-        run_or_fail(cfg, paths["schematic"], monkeypatch)
-        assert (out_bytes(work), span_sequence(work / "trace.jsonl")) == expected
+        cfg.backend.mock_delay_s = 0.01
+        report = run_or_fail(cfg, paths["schematic"], monkeypatch)
+        assert (out_bytes(work), span_sequence(work / "trace.jsonl"),
+                usage_counts(report)) == expected
 
     def test_max_in_flight_bounds_calls_and_threads(self, demo, monkeypatch):
         work, paths = demo
@@ -777,8 +839,7 @@ class TestFixtureGeneration:
                 return run_pipeline(cfg, paths["schematic"])
 
             report = generate_fixtures(run, paths["fixtures"])
-            usage = {kind: {k: v for k, v in entry.items() if k != "latency_s"}
-                     for kind, entry in report.usage.items()}
+            usage = usage_counts(report)
             names = sorted(p.relative_to(paths["fixtures"]).as_posix()
                            for p in paths["fixtures"].rglob("*") if p.is_file())
             seen.append((usage, names))
