@@ -24,7 +24,7 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import SchemReviewError
-from .gateway import MockBackend, fixture_relpath
+from .gateway import MockBackend, fixture_relpaths
 
 POWER_NET = re.compile(r"^(GND|VCC.*|VDD.*|[+-]?[0-9]+V.*)$")
 
@@ -303,14 +303,15 @@ def demo_responder(kind_name: str, payload: str, seed: int = 0) -> str:
 @contextmanager
 def _served_fixtures():
     """The resolved paths of the fixtures ``MockBackend`` serves inside the
-    block, from any thread."""
+    block, from any thread: every choice of a request that it served."""
     served: set[Path] = set()
     original = MockBackend.complete
 
     def complete(backend, req, payload):
-        result = original(backend, req, payload)
-        served.add(backend.root / fixture_relpath(req.agent_kind, payload, req.seed))
-        return result
+        choices, usage = original(backend, req, payload)
+        served.update(backend.root / rel for rel, raw
+                      in zip(fixture_relpaths(req, payload), choices) if raw is not None)
+        return choices, usage
 
     MockBackend.complete = complete
     try:

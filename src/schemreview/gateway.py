@@ -7,9 +7,16 @@ kind's JSON schema, ``schemas/<kind>.json``; malformed output is
 re-prompted with the validation error appended, at most ``MAX_REPAIRS``
 times.
 
+A request may ask for n completions of one payload (``AgentRequest.n``,
+the chat-completions ``n``): the k runs of a group review are the k
+choices of one request, sampled at ``REVIEW_TEMPERATURE``. Each choice
+is validated alone and returned unrepaired; the caller remakes a choice
+that is missing or fails its schema as a one-completion call.
+
 Mock fixtures live under ``<fixture_path>/<agent_kind>/<digest>-<seed>.resp``
 where ``digest`` is the first 16 hex chars of the SHA-256 of the user
-payload. The mock is thus a pure function of (agent kind, payload, seed).
+payload; choice i of a request seeded s is the fixture of seed s + i.
+The mock is thus a pure function of (agent kind, payload, seed).
 
 Every call, failed or not, records one span named after its agent kind;
 ``usage_by_kind`` sums those spans into the run's usage.
@@ -36,6 +43,12 @@ from .tracing import UNTRACED, TraceContext, TraceEvent
 from .workfirst import before_wait
 
 MAX_REPAIRS = 2
+
+REVIEW_TEMPERATURE = 0.7
+"""The live backend's sampling temperature for ``group_review``, whose k
+choices must differ for the multi-run consensus to compare independent
+reviews; every other agent kind is sent at 0.0. How diverse the choices
+are at this temperature on a hosted model cannot be measured offline."""
 
 _FAILURE_NAMES = {  # a failed call's span ``error`` attribute
     SchemaViolationAfterRetries: "schema_violation",
@@ -85,10 +98,22 @@ class TokenUsage:
 
 @dataclass(frozen=True)
 class AgentRequest:
+    """``n`` None asks for one completion, repaired until it validates;
+    ``n`` = k asks for k choices, choice i standing in for seed
+    ``seed + i``, each validated alone (``AgentResponse.choices``)."""
     agent_kind: AgentKind
     system_prompt: str
     user_payload: str
     seed: int = 0
+    n: int | None = None
+
+
+@dataclass(frozen=True)
+class Choice:
+    """One choice of an n-choice response: its validated value, or why
+    it failed its schema (``failure``)."""
+    value: object = None
+    failure: str | None = None
 
 
 @dataclass(frozen=True)
@@ -96,6 +121,8 @@ class AgentResponse:
     value: object
     usage: TokenUsage
     attempts: int = 1
+    # an n-choice request's choices in index order; None where missing
+    choices: tuple[Choice | None, ...] = ()
 
 
 def _is_number(value, kinds=(int, float)) -> bool:
@@ -179,59 +206,87 @@ def fixture_relpath(agent_kind: AgentKind, payload: str, seed: int) -> str:
     return f"{agent_kind.value}/{payload_digest(payload)}-{seed}.resp"
 
 
+def fixture_relpaths(req: AgentRequest, payload: str) -> list[str]:
+    """The fixture of each choice ``req`` asks for, when sent ``payload``."""
+    return [fixture_relpath(req.agent_kind, payload, req.seed + i)
+            for i in range(req.n or 1)]
+
+
 # --- backends -----------------------------------------------------------------
 
 class MockBackend:
     """Reads canned responses from the fixture directory; contention-free.
 
-    A miss raises BackendUnavailable naming the missing key and drops the
-    offending payload next to it as ``<digest>-<seed>.req``, so a fixture
-    author can script the response without re-deriving the payload.
+    Choice i is read from the fixture of seed ``req.seed + i``. A missing
+    fixture leaves its choice out (None) and drops the offending payload
+    next to it as ``<digest>-<seed>.req``, so a fixture author can script
+    the response without re-deriving the payload; a request none of whose
+    choices exists raises BackendUnavailable naming the missing keys. A
+    request is one round trip: it waits ``mock_delay_s`` once, however
+    many choices it asks for.
     """
 
     def __init__(self, cfg: BackendConfig):
         self.root = Path(cfg.fixture_path)
         self.delay_s = cfg.mock_delay_s
 
-    def complete(self, req: AgentRequest, payload: str) -> tuple[str, TokenUsage]:
-        rel = fixture_relpath(req.agent_kind, payload, req.seed)
+    def _read(self, rel: str, payload: str) -> str | None:
         path = self.root / rel
-        if not path.is_file():
-            try:
-                path.parent.mkdir(parents=True, exist_ok=True)
-                path.with_suffix(".req").write_text(payload, encoding="utf-8")
-            except OSError:
-                pass
-            raise BackendUnavailable(f"no mock fixture for key {rel}")
+        if path.is_file():
+            return path.read_text(encoding="utf-8")
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.with_suffix(".req").write_text(payload, encoding="utf-8")
+        except OSError:
+            pass
+        return None
+
+    def complete(self, req: AgentRequest, payload: str
+                 ) -> tuple[list[str | None], TokenUsage]:
+        rels = fixture_relpaths(req, payload)
+        choices = [self._read(rel, payload) for rel in rels]
+        if all(raw is None for raw in choices):
+            raise BackendUnavailable(f"no mock fixture for key {', '.join(rels)}")
         if self.delay_s:
             before_wait()
             time.sleep(self.delay_s)
-        raw = path.read_text(encoding="utf-8")
-        # deterministic, length-proportional token accounting
-        return raw, TokenUsage(len(payload) // 4, len(raw) // 4)
+        # deterministic, length-proportional token accounting: the payload
+        # is sent once, whatever the number of choices
+        return choices, TokenUsage(len(payload) // 4, sum(
+            len(raw) // 4 for raw in choices if raw is not None))
 
 
 class LiveHttpBackend:
     """Chat-completions wire format:
 
-    request  {"model", "messages": [{"role","content"}...], "temperature", "seed"}
-    response {"choices": [{"message": {"content": str}}],
+    request  {"model", "messages": [{"role","content"}...], "temperature",
+              "seed", "n" (only when the request asks for choices)}
+    response {"choices": [{"index": int, "message": {"content": str}}],
               "usage": {"prompt_tokens": int, "completion_tokens": int}}
+
+    ``group_review`` is sent at ``REVIEW_TEMPERATURE``, every other kind
+    at 0.0. Choices are placed by ``index`` (by position when it is
+    absent); one that is absent, out of range or without string content
+    is missing. A reply with no choice at all is malformed.
     """
 
     def __init__(self, cfg: BackendConfig):
         self.cfg = cfg
 
-    def complete(self, req: AgentRequest, payload: str) -> tuple[str, TokenUsage]:
+    def complete(self, req: AgentRequest, payload: str
+                 ) -> tuple[list[str | None], TokenUsage]:
         body = {
             "model": resolve_model(self.cfg, req.agent_kind),
             "messages": [
                 {"role": "system", "content": req.system_prompt},
                 {"role": "user", "content": payload},
             ],
-            "temperature": 0.0,
+            "temperature": (REVIEW_TEMPERATURE if req.agent_kind is AgentKind.GROUP_REVIEW
+                            else 0.0),
             "seed": req.seed,
         }
+        if req.n is not None:
+            body["n"] = req.n
         try:
             resp = httpreq.send("POST", self.cfg.endpoint, json=body,
                                 timeout_s=self.cfg.timeout_s, token_env=self.cfg.api_key_env)
@@ -243,15 +298,22 @@ class LiveHttpBackend:
             raise BackendUnavailable(f"backend returned HTTP {resp.status_code}")
         try:
             doc = resp.json()
-            text = doc["choices"][0]["message"]["content"]
-            if not isinstance(text, str):
-                raise TypeError(f"message content is {type(text).__name__}, not str")
+            choices: list[str | None] = [None] * (req.n or 1)
+            for position, choice in enumerate(doc["choices"]):
+                index = choice.get("index", position)
+                text = (choice.get("message") or {}).get("content")
+                if (_is_number(index, int) and 0 <= index < len(choices)
+                        and choices[index] is None and isinstance(text, str)):
+                    choices[index] = text
+            if all(text is None for text in choices):
+                raise LookupError("no choice has string message content")
             usage = doc.get("usage", {})
-            return text, TokenUsage(int(usage.get("prompt_tokens", 0)),
-                                    int(usage.get("completion_tokens", 0)))
+            return choices, TokenUsage(int(usage.get("prompt_tokens", 0)),
+                                       int(usage.get("completion_tokens", 0)))
         except (ValueError, LookupError, TypeError, AttributeError) as exc:
             # ValueError covers a body that is not JSON and a token count
-            # that is not a number; AttributeError a non-object "usage"
+            # that is not a number; AttributeError a non-object "usage",
+            # choice or message
             raise BackendUnavailable(f"malformed backend response: {exc}") from exc
 
 
@@ -264,7 +326,8 @@ class Gateway:
     on every backend, by running them on its pool of ``max_in_flight``
     workers. Every invocation, failed or not, records exactly one span
     under ``trace`` with its ``tokens_in``, ``tokens_out``, ``attempt``
-    and ``seed``, plus ``error`` when it failed.
+    and ``seed``, plus ``choices`` (n) for an n-choice request and
+    ``error`` when it failed.
     """
 
     def __init__(self, cfg: BackendConfig):
@@ -273,33 +336,54 @@ class Gateway:
         self.registry = SchemaRegistry()
         self._backend = MockBackend(cfg) if cfg.kind == "mock" else LiveHttpBackend(cfg)
 
+    def _check(self, agent_kind: AgentKind, raw: str, post_validate):
+        """(value, None) for an answer that validates, else (None, why)."""
+        try:
+            value = json.loads(raw)
+        except json.JSONDecodeError as exc:
+            return None, f"invalid JSON: {exc.msg} at char {exc.pos}"
+        try:
+            self.registry.validate(agent_kind, value)
+            if post_validate is not None:
+                post_validate(value)
+        except ValueError as exc:
+            return None, str(exc)
+        return value, None
+
     def complete(self, req: AgentRequest, post_validate=None,
-                 trace: TraceContext = UNTRACED) -> AgentResponse:
+                 trace: TraceContext = UNTRACED, failure: str | None = None
+                 ) -> AgentResponse:
+        """One call of ``req``. With ``req.n`` set: one request for n
+        choices, each validated alone and none repaired. Otherwise one
+        completion, re-prompted with the validation error appended at
+        most ``MAX_REPAIRS`` times; ``failure`` says that the payload's
+        first answer, got elsewhere (a choice of an n-choice call), failed
+        its schema so, and the call starts with that answer's repair."""
         payload = req.user_payload
         usage = TokenUsage()
-        attempts = 0
+        attempts = 0 if failure is None else 1
         last_raw = ""
-        failure: str | None = None
         with trace.span(req.agent_kind.value, seed=req.seed) as span:
+            if req.n is not None:
+                span.attrs["choices"] = req.n
             try:
-                for attempts in range(1, MAX_REPAIRS + 2):
-                    raw, attempt_usage = self._backend.complete(req, payload)
+                if req.n is not None:
+                    attempts = 1
+                    texts, usage = self._backend.complete(req, payload)
+                    return AgentResponse(None, usage, attempts, tuple(
+                        None if raw is None else Choice(*self._check(
+                            req.agent_kind, raw, post_validate))
+                        for raw in texts))
+                while attempts <= MAX_REPAIRS:
+                    if failure is not None:
+                        payload = repair_payload(payload, failure)
+                    attempts += 1
+                    [raw], attempt_usage = self._backend.complete(req, payload)
                     usage += attempt_usage
                     last_raw = raw
-                    try:
-                        value = json.loads(raw)
-                    except json.JSONDecodeError as exc:
-                        failure = f"invalid JSON: {exc.msg} at char {exc.pos}"
-                    else:
-                        try:
-                            self.registry.validate(req.agent_kind, value)
-                            if post_validate is not None:
-                                post_validate(value)
-                        except ValueError as exc:
-                            failure = str(exc)
-                        else:
-                            return AgentResponse(value, usage, attempts)
-                    payload = repair_payload(payload, failure)
+                    value, failure = self._check(req.agent_kind, raw, post_validate)
+                    if failure is None:
+                        return AgentResponse(value, usage, attempts)
                 raise SchemaViolationAfterRetries(
                     f"{req.agent_kind.value}: output failed schema "
                     f"{req.agent_kind.value!r} after {attempts} attempts: {failure}",

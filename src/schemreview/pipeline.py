@@ -17,12 +17,14 @@ before the next starts:
    another in document order (parallel across parts): the first listing
    fetches the datasheet or hits the cache, each later one hits the
    cache (or retries a retrieval that failed);
-3. fan out k reviews per group and combine consensus, for every group
-   of every page;
+3. review every group of every page and combine consensus: one
+   ``group_review`` request asks for the group's k runs as k choices,
+   and only a choice that is missing or fails its schema costs a
+   one-completion call of its own;
 4. cluster errors and render comments page by page, in document order.
 
-Batches, parts, groups and review runs are all tasks on the run's one
-pool of ``backend.max_in_flight`` threads, which still bounds its
+Batches, parts, groups and remade review runs are all tasks on the
+run's one pool of ``backend.max_in_flight`` threads, which bounds its
 threads and its concurrent agent calls. The calling thread only admits
 batches, submitting each to the pool and waiting for its result; every
 wait inside a batch goes through ``workfirst.map_on_pool``. Its items

@@ -4,8 +4,10 @@ The selection agent partitions a page's components into functional
 groups; its output is repaired deterministically (ghost designators
 dropped, duplicate members kept in their first group, uncovered
 components collected into a residual "ungrouped" group). Each group is
-then reviewed by k concurrent agent runs that differ only by seed;
-individual run failures are tolerated while at least one run succeeds.
+then reviewed by k runs: the k choices of one ``group_review`` request,
+sampled independently. A choice that is missing or fails its schema is
+remade as a one-completion call seeded with its run index; individual
+run failures are tolerated while at least one run succeeds.
 """
 
 from __future__ import annotations
@@ -196,7 +198,7 @@ def select_groups(page: Page, gateway: Gateway,
 # --- group review ----------------------------------------------------------------
 
 def build_review_payload(ctx: GroupReviewContext) -> str:
-    """The review payload; the same for all k runs, which differ by seed."""
+    """The review payload; sent once for all k runs, which are its k choices."""
     return json.dumps({
         "group": {"name": ctx.group.name, "designators": list(ctx.group.designators)},
         "netlist_xml": ctx.netlist_xml,
@@ -207,19 +209,29 @@ def build_review_payload(ctx: GroupReviewContext) -> str:
 
 def review_group_once(ctx: GroupReviewContext, payload: str, page: Page,
                       run_index: int, gateway: Gateway,
-                      trace: TraceContext = UNTRACED) -> RunResult:
-    """One review run of ``payload`` (``build_review_payload(ctx)``). Output
-    is validated: analyses for components outside the group and verdicts
-    naming pins the component does not have are dropped with a warning;
-    components with no datasheet spec and no agent verdicts default to a
-    single Unverifiable verdict."""
+                      trace: TraceContext = UNTRACED,
+                      failure: str | None = None) -> RunResult:
+    """One review run of ``payload`` (``build_review_payload(ctx)``) as a
+    one-completion call seeded ``run_index``; with ``failure``, the run's
+    first answer (a choice) failed its schema so, and the call starts with
+    its repair (``Gateway.complete``). The answer is read by
+    ``_run_result``."""
     req = AgentRequest(AgentKind.GROUP_REVIEW, REVIEW_PROMPT, payload, seed=run_index)
-    resp = gateway.complete(req, trace=trace)
+    resp = gateway.complete(req, trace=trace, failure=failure)
+    return _run_result(ctx, page, run_index, resp.value)
 
+
+def _run_result(ctx: GroupReviewContext, page: Page, run_index: int,
+                value) -> RunResult:
+    """Run ``run_index``'s validated answer as a RunResult: analyses for
+    components outside the group and verdicts naming pins the component
+    does not have are dropped with a warning; components with no
+    datasheet spec and no agent verdicts default to a single Unverifiable
+    verdict."""
     members = set(ctx.group.designators)
     verdicts_by_designator: dict[str, list[PinVerdict]] = {}
     claimed_pins: dict[str, set[str]] = {}
-    for analysis_doc in resp.value["analyses"]:
+    for analysis_doc in value["analyses"]:
         designator = analysis_doc["designator"]
         if designator not in members:
             log.warning("run %d: analysis for %s outside group %r; dropped",
@@ -267,21 +279,34 @@ def review_group_once(ctx: GroupReviewContext, payload: str, page: Page,
 def fan_out_reviews(ctx: GroupReviewContext, page: Page, k: int, gateway: Gateway,
                     pool: Executor, trace: TraceContext = UNTRACED
                     ) -> tuple[list[RunResult], list[RunFailure]]:
-    """k review runs differing only by seed, as tasks on ``pool`` next to
-    the run's pages, parts and groups (``map_on_pool``): they run in
-    order on this thread, and those not yet started spill to the pool
-    when a run's call is about to wait, so at most ``pool``'s size run
-    at once. Failed runs are recorded; consensus proceeds over the
+    """k review runs as the k choices of one ``group_review`` request
+    (``AgentRequest.n``), whose span records under ``trace``. A choice
+    that is missing, or every choice when the request fails, is remade
+    as ``review_group_once``; one that fails its schema as its repair,
+    seeded with its run index as well. Those calls record under
+    ``review:<i>`` and are tasks on ``pool`` next to the run's pages,
+    parts and groups (``map_on_pool``): they run in order on this
+    thread, and those not yet started spill to the pool when a call is
+    about to wait. Failed runs are recorded; consensus proceeds over the
     successes."""
     if k < 1:
         raise ValueError("k must be >= 1")
     payload = build_review_payload(ctx)
+    req = AgentRequest(AgentKind.GROUP_REVIEW, REVIEW_PROMPT, payload, n=k)
+    try:
+        choices = gateway.complete(req, trace=trace).choices
+    except SchemReviewError as exc:
+        log.warning("review request for group %r failed: %s", ctx.group.name, exc)
+        choices = (None,) * k
 
     def _one_run(run_index: int) -> RunResult | RunFailure:
+        choice = choices[run_index]
         try:
+            if choice is not None and choice.failure is None:
+                return _run_result(ctx, page, run_index, choice.value)
             with trace.span(f"review:{run_index}", run_index=run_index) as run_trace:
-                return review_group_once(ctx, payload, page, run_index, gateway,
-                                         run_trace)
+                return review_group_once(ctx, payload, page, run_index, gateway, run_trace,
+                                         failure=None if choice is None else choice.failure)
         except SchemReviewError as exc:
             log.warning("review run %d for group %r failed: %s",
                         run_index, ctx.group.name, exc)

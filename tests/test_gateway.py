@@ -6,11 +6,13 @@ from http.server import BaseHTTPRequestHandler
 import pytest
 
 from helpers import loopback_server
+from schemreview import gateway
 from schemreview.errors import BackendUnavailable, ConfigError, SchemaViolationAfterRetries
 from schemreview.gateway import (
     AgentKind,
     AgentRequest,
     BackendConfig,
+    Choice,
     Gateway,
     ModelTier,
     SchemaRegistry,
@@ -62,6 +64,79 @@ class TestMockBackend:
         gw = Gateway(cfg)
         assert gw.complete(head_request("p", seed=0)).value == {"pages": [0]}
         assert gw.complete(head_request("p", seed=1)).value == {"pages": [1]}
+
+
+def review_request(payload: str, n: int) -> AgentRequest:
+    return AgentRequest(AgentKind.GROUP_REVIEW, "review", payload, n=n)
+
+
+REVIEW = '{"analyses": []}'
+
+
+class TestChoices:
+    """A request for n choices: choice i is the fixture of seed i."""
+
+    def test_each_choice_reads_its_seed_and_a_missing_one_is_captured(self, tmp_path):
+        root = tmp_path / "fixtures"
+        for seed in (0, 2):
+            write_fixture(root, AgentKind.GROUP_REVIEW, "group", seed, REVIEW + " " * seed)
+        gw, tracer, trace = traced_gateway(mock_cfg(tmp_path))
+        resp = gw.complete(review_request("group", 3), trace=trace)
+        assert resp.choices == (Choice({"analyses": []}), None, Choice({"analyses": []}))
+        # the payload is sent once; every returned choice is counted
+        assert resp.usage == TokenUsage(len("group") // 4,
+                                        len(REVIEW) // 4 + len(REVIEW + "  ") // 4)
+        assert (root / fixture_relpath(AgentKind.GROUP_REVIEW, "group", 1)).with_suffix(
+            ".req").read_text() == "group"
+        [event] = tracer.events()
+        assert event.attributes == {"seed": 0, "choices": 3, "attempt": 1,
+                                    "tokens_in": resp.usage.tokens_in,
+                                    "tokens_out": resp.usage.tokens_out}
+
+    def test_a_choice_failing_its_schema_is_returned_unrepaired(self, tmp_path):
+        root = tmp_path / "fixtures"
+        write_fixture(root, AgentKind.GROUP_REVIEW, "group", 0, "not json")
+        write_fixture(root, AgentKind.GROUP_REVIEW, "group", 1, REVIEW)
+        resp = Gateway(mock_cfg(tmp_path)).complete(review_request("group", 2))
+        assert resp.choices == (Choice(failure="invalid JSON: Expecting value at char 0"),
+                                Choice({"analyses": []}))
+        assert resp.attempts == 1
+
+    def test_a_request_with_no_choice_fails_naming_every_key(self, tmp_path):
+        gw, tracer, trace = traced_gateway(mock_cfg(tmp_path))
+        with pytest.raises(BackendUnavailable) as exc:
+            gw.complete(review_request("absent", 2), trace=trace)
+        for seed in (0, 1):
+            assert fixture_relpath(AgentKind.GROUP_REVIEW, "absent", seed) in str(exc.value)
+        [event] = tracer.events()
+        assert event.attributes["error"] == "backend_unavailable"
+        assert (event.attributes["tokens_in"], event.attributes["tokens_out"]) == (0, 0)
+
+    def test_the_mock_waits_once_per_request(self, tmp_path, monkeypatch):
+        for seed in range(3):
+            write_fixture(tmp_path / "fixtures", AgentKind.GROUP_REVIEW, "group", seed, REVIEW)
+        waits = []
+        monkeypatch.setattr(gateway.time, "sleep", waits.append)
+        Gateway(mock_cfg(tmp_path, mock_delay_s=0.05)).complete(review_request("group", 3))
+        assert waits == [0.05]
+
+    def test_a_repair_started_elsewhere_counts_the_first_attempt(self, tmp_path):
+        # the choice that failed was the run's first attempt; its repairs
+        # send the prompts a one-completion run would have sent
+        root = tmp_path / "fixtures"
+        failure = "invalid JSON: Expecting value at char 0"
+        repair = repair_payload("group", failure)
+        write_fixture(root, AgentKind.GROUP_REVIEW, repair, 1, "not json")
+        write_fixture(root, AgentKind.GROUP_REVIEW, repair_payload(repair, failure), 1,
+                      "still not json")
+        gw, tracer, trace = traced_gateway(mock_cfg(tmp_path))
+        with pytest.raises(SchemaViolationAfterRetries, match="after 3 attempts"):
+            gw.complete(AgentRequest(AgentKind.GROUP_REVIEW, "review", "group", seed=1),
+                        trace=trace, failure=failure)
+        [event] = tracer.events()
+        assert event.attributes["attempt"] == 3
+        assert event.attributes["tokens_in"] == (
+            len(repair) // 4 + len(repair_payload(repair, failure)) // 4)
 
 
 class TestRepairLoop:

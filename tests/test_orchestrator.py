@@ -14,7 +14,7 @@ from schemreview.cli import main
 from schemreview.config import Mode, RunConfig, apply_cli_overrides, load_config
 from schemreview.demo import demo_responder, generate_fixtures, write_demo_workspace
 from schemreview.errors import BackendUnavailable, ConfigError, InputError
-from schemreview.gateway import BackendConfig, MockBackend, TokenUsage, fixture_relpath
+from schemreview.gateway import BackendConfig, MockBackend, TokenUsage, fixture_relpaths
 from schemreview.ingest import ingest_schematic
 from schemreview.pipeline import RunStatus, run_pipeline
 from schemreview.reporting import FileSink
@@ -439,8 +439,12 @@ class TestTraces:
         assert retrieval and reviews
         for span in retrieval:
             assert f"/part:{span['attributes']['part']}/" in span["path"]
+        # each group's k runs are the choices of one request, recorded
+        # directly under the group; a run remade alone records under review:<i>
         for span in reviews:
-            assert f"/review:{span['attributes']['run_index']}/" in span["path"]
+            assert span["path"].endswith(f"/group:{span['attributes']['group']}/group_review")
+            assert span["attributes"]["choices"] == 3
+            assert "run_index" not in span["attributes"]
 
     def test_empty_run_has_only_root_span(self, demo, tmp_path):
         work, _ = demo
@@ -591,8 +595,10 @@ class TestReviewPayloads:
         def recorded(self, req, payload):
             if req.agent_kind.value == "group_review":
                 payloads.append(json.loads(payload))
-            raw = demo_responder(req.agent_kind.value, payload, req.seed)
-            return raw, TokenUsage(len(payload) // 4, len(raw) // 4)
+            choices = [demo_responder(req.agent_kind.value, payload, req.seed + i)
+                       for i in range(req.n or 1)]
+            return choices, TokenUsage(len(payload) // 4,
+                                       sum(len(raw) // 4 for raw in choices))
 
         monkeypatch.setattr(Path, "read_text", counted)
         monkeypatch.setattr(MockBackend, "complete", recorded)
@@ -811,9 +817,10 @@ class TestFixtureGeneration:
         original = MockBackend.complete
 
         def recorded(self, req, payload):
-            result = original(self, req, payload)
-            read.add(fixture_relpath(req.agent_kind, payload, req.seed))
-            return result
+            choices, usage = original(self, req, payload)
+            read.update(rel for rel, raw in zip(fixture_relpaths(req, payload), choices)
+                        if raw is not None)
+            return choices, usage
 
         monkeypatch.setattr(MockBackend, "complete", recorded)
         run()
@@ -822,7 +829,7 @@ class TestFixtureGeneration:
         captures = {p.relative_to(fixtures).as_posix() for p in fixtures.rglob("*.req")}
         assert responses == read
         assert captures == {r.removesuffix(".resp") + ".req" for r in responses}
-        # one review request per group and seed: five groups, k = 3
+        # one review choice per group and seed: five groups, k = 3
         assert len(list((fixtures / "group_review").glob("*.resp"))) == 15
 
 
@@ -882,12 +889,20 @@ class TestCli:
     @pytest.mark.parametrize("malform", _MALFORMED_CONFIGS)
     def test_malformed_config_exits_one_with_an_error_line(self, demo, tmp_path, capsys,
                                                            malform):
+        # the config's line, not a later failure of the run: its mock backend
+        # reads an empty fixture directory, where any agent call leaves a
+        # .req capture
         work, paths = demo
-        code = main(["--schematic", str(paths["schematic"]),
-                     "--config", str(write_malformed_config(work, tmp_path, malform))])
+        fixtures = tmp_path / "fixtures"
+        config = write_malformed_config(work, tmp_path, lambda doc: malform(
+            {**doc, "backend": {**doc["backend"], "fixture_path": str(fixtures)}}))
+        with pytest.raises(ConfigError) as expected:
+            load_config(config).validate()
+        code = main(["--schematic", str(paths["schematic"]), "--config", str(config)])
         assert code == 1
         [line] = capsys.readouterr().err.splitlines()
-        assert line.startswith("error: ")
+        assert line == f"error: {expected.value}"
+        assert list(fixtures.rglob("*.req")) == []
 
     def test_design_review_flags(self, demo, capsys):
         work, paths = demo

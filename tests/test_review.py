@@ -4,19 +4,35 @@ import gc
 import json
 import logging
 import sys
+import tempfile
 import threading
 import time
 import weakref
 from concurrent.futures import ThreadPoolExecutor
+from http.server import BaseHTTPRequestHandler
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import BASE_SPEC_VALUE, regulator_page, write_fixture
+from helpers import BASE_SPEC_VALUE, loopback_server, regulator_page, write_fixture
 from schemreview.canonical import serialize_page_xml
 from schemreview.dsmodel import spec_from_agent_value
-from schemreview.errors import AllRunsFailed
-from schemreview.gateway import AgentKind, BackendConfig, Gateway
+from schemreview.errors import AllRunsFailed, BackendUnavailable, SchemReviewError
+from schemreview.gateway import (
+    REVIEW_TEMPERATURE,
+    AgentKind,
+    AgentRequest,
+    BackendConfig,
+    Gateway,
+    LiveHttpBackend,
+    MockBackend,
+    SchemaRegistry,
+    TokenUsage,
+    repair_payload,
+    usage_by_kind,
+)
 from schemreview.libraries import PartRef
 from schemreview.review import (
     FunctionalGroup,
@@ -24,9 +40,12 @@ from schemreview.review import (
     VerdictStatus,
     build_review_payload,
     checklist_loader,
+    RunFailure,
+    RunResult,
     fan_out_reviews,
     review_group_once,
 )
+from schemreview.tracing import TraceContext, Tracer
 from schemreview.workfirst import before_wait, map_on_pool
 
 
@@ -186,6 +205,245 @@ class TestFanOut:
             single.shutdown(wait=False, cancel_futures=True)
         assert sorted(r.run_index for r in results) == [0, 1, 2]
         assert failures == []
+
+
+def per_seed_fan_out(ctx, page, k, gateway, trace):
+    """The fan-out before one request asked for k choices: k one-completion
+    runs of the same payload, differing only by seed, each under
+    ``review:<i>``."""
+    payload = build_review_payload(ctx)
+    results, failures = [], []
+    for run_index in range(k):
+        try:
+            with trace.span(f"review:{run_index}", run_index=run_index) as run_trace:
+                results.append(review_group_once(ctx, payload, page, run_index, gateway,
+                                                 run_trace))
+        except SchemReviewError as exc:
+            failures.append(RunFailure(run_index, str(exc)))
+    if not results:
+        raise AllRunsFailed(f"all {k} review runs failed for group {ctx.group.name!r}")
+    return results, failures
+
+
+def seed_answer(seed: int) -> str:
+    """A valid review that differs from seed to seed."""
+    return json.dumps({"analyses": [{"designator": "U1", "verdicts": [
+        {"pins": "1, 3", "status": ("incorrect", "warning", "correct")[seed % 3],
+         "reasoning": f"run {seed} on the ADJ/VIN pair", "referenced_nets": ["ADJ_NODE"]},
+        {"pins": "2", "status": "correct", "reasoning": "output on REG_OUT"}]}]})
+
+
+NOT_JSON = "no review today"
+OFF_SCHEMA = json.dumps({"analyses": [{"designator": "U1"}]})
+
+
+def schema_failure(raw: str) -> str:
+    """The error that the gateway appends to the repair of ``raw``."""
+    try:
+        SchemaRegistry().validate(AgentKind.GROUP_REVIEW, json.loads(raw))
+    except json.JSONDecodeError as exc:
+        return f"invalid JSON: {exc.msg} at char {exc.pos}"
+    except ValueError as exc:
+        return str(exc)
+    raise AssertionError(f"{raw!r} is valid")
+
+
+# the answer to run i, and the prompts beyond the k-choice request's one
+# that the new path sends for it: "valid" none; "repaired" (off-schema,
+# then valid) its repair; "invalid" (never JSON) its two repairs; "missing"
+# (no fixture) a one-completion call, which misses at no cost; "dropped"
+# (left out of the k-choice reply, served to a one-completion call) the
+# payload again
+ANSWERS = ("valid", "repaired", "invalid", "missing", "dropped")
+
+
+def script_answers(root: Path, payload: str, answers) -> int:
+    """Write each run's fixtures; returns the tokens the new path spends
+    on prompts beyond the k-choice request's one."""
+    extra = 0
+    for seed, answer in enumerate(answers):
+        if answer in ("valid", "dropped"):
+            write_fixture(root, AgentKind.GROUP_REVIEW, payload, seed, seed_answer(seed))
+            extra += len(payload) // 4 if answer == "dropped" else 0
+        elif answer == "repaired":
+            write_fixture(root, AgentKind.GROUP_REVIEW, payload, seed, OFF_SCHEMA)
+            repair = repair_payload(payload, schema_failure(OFF_SCHEMA))
+            write_fixture(root, AgentKind.GROUP_REVIEW, repair, seed, seed_answer(seed))
+            extra += len(repair) // 4
+        elif answer == "invalid":
+            prompt = payload
+            for attempt in range(3):
+                write_fixture(root, AgentKind.GROUP_REVIEW, prompt, seed, NOT_JSON)
+                prompt = repair_payload(prompt, schema_failure(NOT_JSON))
+                extra += len(prompt) // 4 if attempt < 2 else 0
+    return extra
+
+
+def dropping(answers):
+    """MockBackend.complete, leaving the "dropped" runs out of every
+    k-choice reply as a hosted backend may; a reply left with no choice
+    fails as the mock's does."""
+    original = MockBackend.complete
+
+    def complete(backend, req, payload):
+        choices, usage = original(backend, req, payload)
+        if req.n is None:
+            return choices, usage
+        dropped = sum(len(raw) // 4 for answer, raw in zip(answers, choices)
+                      if answer == "dropped")
+        choices = [None if answer == "dropped" else raw
+                   for answer, raw in zip(answers, choices)]
+        if all(raw is None for raw in choices):
+            raise BackendUnavailable("no choice")
+        return choices, TokenUsage(usage.tokens_in, usage.tokens_out - dropped)
+    return complete
+
+
+def traced_outcome(call, k: int):
+    """(results, failed run indices, group_review usage, spans) of a
+    fan-out; AllRunsFailed fails every run."""
+    tracer = Tracer()
+    try:
+        results, failures = call(TraceContext(tracer, "group:power stage"))
+        failed = [f.run_index for f in failures]
+    except AllRunsFailed:
+        results, failed = [], list(range(k))
+    usage = usage_by_kind(tracer.events()).get("group_review", {})
+    return results, failed, usage, tracer.events()
+
+
+@settings(max_examples=80, deadline=None)
+@given(answers=st.integers(1, 4).flatmap(
+    lambda k: st.lists(st.sampled_from(ANSWERS), min_size=k, max_size=k)))
+def test_one_k_choice_request_matches_the_per_seed_fan_out(answers):
+    k = len(answers)
+    page = regulator_page()
+    ctx = make_ctx(page, with_spec_for=("U1", "R1"))
+    payload = build_review_payload(ctx)
+    with tempfile.TemporaryDirectory() as work, ThreadPoolExecutor(max_workers=2) as pool:
+        extra = script_answers(Path(work) / "fixtures", payload, answers)
+        gateway = make_gateway(Path(work))
+        expected, expected_failed, expected_usage, _ = traced_outcome(
+            lambda trace: per_seed_fan_out(ctx, page, k, gateway, trace), k)
+        with mock.patch.object(MockBackend, "complete", dropping(answers)):
+            results, failed, usage, events = traced_outcome(
+                lambda trace: fan_out_reviews(ctx, page, k, gateway, pool, trace), k)
+
+    assert failed == expected_failed
+    assert results == expected
+    assert usage.get("tokens_out") == expected_usage.get("tokens_out")
+    served = any(answer not in ("missing", "dropped") for answer in answers)
+    assert usage["tokens_in"] == (len(payload) // 4 if served else 0) + extra
+    # the request records directly under the group; remade runs under review:<i>
+    assert [e.path for e in events if e.span_name.startswith("review:")] == [
+        f"group:power stage/review:{i}" for i, answer in enumerate(answers)
+        if answer != "valid"]
+
+
+def chat_server(reply):
+    """A chat-completions handler whose reply to a request body is
+    ``{"choices": reply(body)}``, and the bodies it received."""
+    bodies = []
+
+    class Handler(BaseHTTPRequestHandler):
+        def do_POST(self):
+            body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+            bodies.append(body)
+            out = json.dumps({"choices": reply(body),
+                              "usage": {"prompt_tokens": 9, "completion_tokens": 4}}).encode()
+            self.send_response(200)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(out)))
+            self.end_headers()
+            self.wfile.write(out)
+
+        def log_message(self, *args):
+            pass
+
+    return Handler, bodies
+
+
+def choice(index, content):
+    return {"index": index, "message": {"role": "assistant", "content": content}}
+
+
+def live_cfg(url) -> BackendConfig:
+    return BackendConfig(kind="live-http", endpoint=url + "/v1/chat/completions")
+
+
+def review_answer(ctx, page, seed, answer) -> RunResult:
+    """Run ``seed``'s RunResult when the mock serves ``answer`` to it."""
+    with tempfile.TemporaryDirectory() as work:
+        write_fixture(Path(work) / "fixtures", AgentKind.GROUP_REVIEW,
+                      build_review_payload(ctx), seed, answer)
+        return review_group_once(ctx, build_review_payload(ctx), page, seed,
+                                 make_gateway(Path(work)))
+
+
+class TestLiveChoices:
+    """One ``group_review`` request for k sampled choices over the wire."""
+
+    @pytest.mark.parametrize("kind", list(AgentKind), ids=lambda kind: kind.value)
+    def test_only_a_review_asks_for_n_sampled_choices(self, kind):
+        handler, bodies = chat_server(
+            lambda body: [choice(i, f"answer {i}") for i in range(body.get("n", 1))])
+        n = 3 if kind is AgentKind.GROUP_REVIEW else None
+        with loopback_server(handler) as url:
+            choices, usage = LiveHttpBackend(live_cfg(url)).complete(
+                AgentRequest(kind, "prompt", "payload", seed=0, n=n), "payload")
+        [body] = bodies
+        if kind is AgentKind.GROUP_REVIEW:
+            assert (body["n"], body["temperature"]) == (3, REVIEW_TEMPERATURE)
+            assert choices == ["answer 0", "answer 1", "answer 2"]
+        else:
+            assert "n" not in body
+            assert body["temperature"] == 0.0
+            assert choices == ["answer 0"]
+        assert body["seed"] == 0
+        assert usage == TokenUsage(9, 4)
+
+    def test_choices_are_placed_by_index(self):
+        handler, _ = chat_server(lambda body: [choice(i, f"answer {i}") for i in (2, 0, 1)])
+        with loopback_server(handler) as url:
+            choices, _ = LiveHttpBackend(live_cfg(url)).complete(
+                AgentRequest(AgentKind.GROUP_REVIEW, "prompt", "payload", n=3), "payload")
+        assert choices == ["answer 0", "answer 1", "answer 2"]
+
+    @pytest.mark.parametrize("reply", [
+        # a backend that returns one choice, whatever n asks for
+        lambda answers: [choice(0, answers[0])],
+        # choices out of index order, two of them without string content
+        lambda answers: [choice(2, {"text": answers[2]}), choice(0, answers[0]),
+                         choice(1, None)],
+    ], ids=["one-choice", "non-string-content"])
+    def test_missing_choices_become_one_completion_calls(self, pool, reply):
+        page = regulator_page()
+        ctx = make_ctx(page, with_spec_for=("U1", "R1"))
+        answers = [seed_answer(seed) for seed in range(3)]
+
+        def respond(body):
+            if "n" in body:
+                return reply(answers)
+            return [choice(0, answers[body["seed"]])]
+
+        handler, bodies = chat_server(respond)
+        tracer = Tracer()
+        with loopback_server(handler) as url:
+            results, failures = fan_out_reviews(
+                ctx, page, 3, Gateway(live_cfg(url)), pool, TraceContext(tracer, "group:g"))
+        assert failures == []
+        # each run reads its own seed's answer, whichever call brought it
+        assert results == [review_answer(ctx, page, seed, answers[seed]) for seed in range(3)]
+        payload = build_review_payload(ctx)
+        [request, *calls] = bodies
+        assert (request["n"], request["seed"]) == (3, 0)
+        assert sorted(body["seed"] for body in calls) == [1, 2]
+        assert all("n" not in body and body["messages"][1]["content"] == payload
+                   and body["temperature"] == REVIEW_TEMPERATURE for body in calls)
+        assert [(e.path, e.attributes.get("choices")) for e in tracer.events()
+                if e.span_name == "group_review"] == [
+            ("group:g/group_review", 3), ("group:g/review:1/group_review", None),
+            ("group:g/review:2/group_review", None)]
 
 
 class TestMapOnPool:
