@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Time one schema validation, jsonschema against the compiled check, and
+"""Time one schema validation, jsonschema against the checkout's check
+(``schemacheck.compile_schema``), and compiling each shipped schema, and
 write the result as JSON.
 
 Documents are the bundled demo schematic and 3-page boards of wire
@@ -9,12 +10,14 @@ are the largest response per agent kind that the demo's scripted agents
 give. "jsonschema" is the call each value used to cost: a prebuilt
 validator's ``best_match(iter_errors(doc))`` for a document, a fresh
 ``Draft202012Validator`` and ``sorted(iter_errors)`` for a response.
-"compiled" is ``schemacheck.compile_schema(schema)(value)``. The two must
-agree that every value is valid. Each time is the median of ``--repeat``
-runs.
+"check" is ``compile_schema(schema)(value)``. The two must agree that
+every value is valid. Each time is the median of ``--repeat`` runs.
 
-    PYTHONPATH=src python scripts/bench_validate.py [--repeat 9] [--seed 5] \
-        [--out BENCH_validate.json]
+Run it in two checkouts and pass the first one's output as ``--before``
+to record both, with the change in each check's time:
+
+    PYTHONPATH=src python scripts/bench_validate.py [--repeat 9] [--seed 5] \\
+        [--before OLD.json] [--out BENCH_validate.json]
 """
 
 import argparse
@@ -90,7 +93,7 @@ def row(name: str, schema: dict, text: str, before, repeat: int) -> dict:
     if not (before_ok and after_ok):
         raise SystemExit(f"{name}: not valid under both validations")
     return {"value": name, "bytes": len(text.encode()),
-            "jsonschema_ms": round(before_ms, 3), "compiled_ms": round(after_ms, 3),
+            "jsonschema_ms": round(before_ms, 3), "check_ms": round(after_ms, 3),
             "speedup": round(before_ms / after_ms, 1)}
 
 
@@ -98,6 +101,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeat", type=int, default=9)
     parser.add_argument("--seed", type=int, default=5)
+    parser.add_argument("--before", help="this script's output for the old code")
     parser.add_argument("--out", default=str(ROOT / "BENCH_validate.json"))
     args = parser.parse_args()
 
@@ -112,6 +116,13 @@ def main() -> int:
         board = boardgen.generate_board(args.seed, pages=3, blocks=blocks, wires=True)
         documents.append((f"wired board, 3 pages x {blocks} blocks",
                           boardgen.dumps(board["head"]).decode()))
+
+    compile_ms = {}
+    for filename in ("structured_pages.schema.json",
+                     *(f"{kind}.json" for kind in AGENT_KINDS)):
+        compile_ms[filename] = round(median_ms(compile_schema, shipped(filename),
+                                               args.repeat)[0], 3)
+        print(json.dumps({"compile": filename, "ms": compile_ms[filename]}), flush=True)
 
     rows = []
     for name, text in documents:
@@ -128,16 +139,24 @@ def main() -> int:
         print(json.dumps(rows[-1]), flush=True)
 
     report = {
-        "what": "one validation of a valid value: jsonschema as each value used to "
-                "be validated (before) and the compiled check (after)",
+        "what": "one validation of a valid value, by jsonschema as each value used "
+                "to be validated and by compile_schema's check; compile_schema's time "
+                "for each shipped schema",
         "command": "PYTHONPATH=src python scripts/bench_validate.py "
                    f"--repeat {args.repeat} --seed {args.seed}",
         "statistic": f"median of {args.repeat} runs, milliseconds",
         "host": {"machine": platform.machine(), "cpus": os.cpu_count(),
                  "python": platform.python_version(),
                  "jsonschema": version("jsonschema")},
+        "compile_ms": compile_ms,
         "values": rows,
     }
+    if args.before:
+        before = json.loads(Path(args.before).read_text(encoding="utf-8"))
+        report["before"] = {key: before[key] for key in ("compile_ms", "values")}
+        old = {r["value"]: r["check_ms"] for r in before["values"]}
+        for r in rows:
+            r["check_change"] = round(r["check_ms"] / old[r["value"]] - 1, 3)
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
     return 0
 

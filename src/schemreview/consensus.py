@@ -22,7 +22,6 @@ then multi-run findings by support, then verified singles.
 from __future__ import annotations
 
 import enum
-import functools
 import json
 import logging
 from dataclasses import dataclass
@@ -62,6 +61,8 @@ class Provenance(enum.Enum):
 
 @dataclass(frozen=True)
 class ConsensusFinding:
+    """``pins`` (in key order) is derived from ``pin_key``."""
+
     pin_key: str
     status: VerdictStatus
     reasoning: str
@@ -76,10 +77,8 @@ class ConsensusFinding:
             raise ValueError("support from multiple runs implies multi-run provenance")
         if self.support_count < 1:
             raise ValueError("support_count must be at least 1")
-
-    @functools.cached_property
-    def pins(self) -> tuple[str, ...]:
-        return split_pin_key(self.pin_key)
+        # derived from pin_key, so outside the fields (eq, hash, repr)
+        object.__setattr__(self, "pins", split_pin_key(self.pin_key))
 
 
 @dataclass(frozen=True)
@@ -192,7 +191,7 @@ def combine_consensus(results: list[RunResult], ctx: GroupReviewContext,
     k = len(results)
     occurrences, pin_statuses = _collect(results)
     contradicted = {pin for pin, statuses in pin_statuses.items() if len(statuses) > 1}
-    clusters = _contested_clusters(occurrences, contradicted)
+    clusters = _contested_clusters(occurrences, contradicted) if contradicted else []
 
     contested_key_set: set[_Key] = set()
     for cluster in clusters:

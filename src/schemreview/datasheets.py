@@ -11,7 +11,7 @@ attempt wins (earliest on ties). The winner is cached under
 
 Concurrent retrievals of the same part number given one ``flights``
 share a single in-flight computation, so the underlying fetch happens
-once.
+once; a retrieval without ``flights`` runs on its own.
 """
 
 from __future__ import annotations
@@ -216,8 +216,6 @@ def retrieve_spec(part: PartRef, libraries: list[LibrarySource],
                   fetcher=default_fetcher, schematic_url: str | None = None,
                   flights: SingleFlight | None = None,
                   trace: TraceContext = UNTRACED) -> RetrievalResult:
-    flights = flights if flights is not None else SingleFlight()
-
     def _run() -> RetrievalResult:
         candidates = locate(part, libraries, schematic_url)
 
@@ -258,7 +256,7 @@ def retrieve_spec(part: PartRef, libraries: list[LibrarySource],
 
     with trace.span("retrieve", part=part.key) as span:
         try:
-            result = flights.run(part.key, _run)
+            result = _run() if flights is None else flights.run(part.key, _run)
         except SchemReviewError as exc:
             span.attrs["error"] = type(exc).__name__
             raise

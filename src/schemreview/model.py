@@ -165,17 +165,16 @@ class Page:
         object.__setattr__(self, "components", tuple(self.components))
         object.__setattr__(self, "nets", tuple(self.nets))
         object.__setattr__(self, "annotations", tuple(self.annotations))
-        seen = set()
+        by_designator: dict[str, Component] = {}
         for c in self.components:
-            if c.designator in seen:
+            if c.designator in by_designator:
                 raise ValueError(f"page {self.id}: duplicate designator {c.designator!r}")
-            seen.add(c.designator)
+            by_designator[c.designator] = c
+        # derived from components, so outside the fields (eq, hash, repr)
+        object.__setattr__(self, "_by_designator", by_designator)
 
     def component(self, designator: str) -> Component | None:
-        for c in self.components:
-            if c.designator == designator:
-                return c
-        return None
+        return self._by_designator.get(designator)
 
 
 @dataclass(frozen=True)

@@ -104,8 +104,8 @@ def render_comment(group: ErrorGroup, specs: dict, page: Page) -> ReviewComment:
     lines.append(f"_group `{group.group_id}`_")
     markdown = "\n".join(lines) + "\n"
 
-    boxes = [page.component(d).bbox for d in designators
-             if page.component(d) is not None and page.component(d).bbox is not None]
+    components = [page.component(d) for d in designators]
+    boxes = [c.bbox for c in components if c is not None and c.bbox is not None]
     anchor = union_bboxes(boxes)
     overlay = render_overlay(page, anchor) if anchor is not None else None
     return ReviewComment(
@@ -119,13 +119,19 @@ def render_comment(group: ErrorGroup, specs: dict, page: Page) -> ReviewComment:
 
 
 def page_extents(page: Page) -> BBox:
-    boxes = [c.bbox for c in page.components if c.bbox is not None]
-    boxes.extend(a.bbox for a in page.annotations)
-    union = union_bboxes(boxes)
-    if union is None:
-        return DEFAULT_PAGE_EXTENT
-    return BBox(union.x - OVERLAY_MARGIN, union.y - OVERLAY_MARGIN,
-                union.w + 2 * OVERLAY_MARGIN, union.h + 2 * OVERLAY_MARGIN)
+    """The page's components and annotations with a margin around them;
+    made on first use and kept on the (immutable) page for its later
+    comments."""
+    extents = page.__dict__.get("_extents")
+    if extents is None:
+        boxes = [c.bbox for c in page.components if c.bbox is not None]
+        boxes.extend(a.bbox for a in page.annotations)
+        union = union_bboxes(boxes)
+        extents = DEFAULT_PAGE_EXTENT if union is None else BBox(
+            union.x - OVERLAY_MARGIN, union.y - OVERLAY_MARGIN,
+            union.w + 2 * OVERLAY_MARGIN, union.h + 2 * OVERLAY_MARGIN)
+        object.__setattr__(page, "_extents", extents)
+    return extents
 
 
 def _rect(b: BBox, cls: str) -> str:

@@ -50,6 +50,9 @@ class VerdictStatus(enum.Enum):
     UNVERIFIABLE = "unverifiable"
 
 
+_STATUSES = {status.value: status for status in VerdictStatus}
+
+
 def split_pin_key(pin_key: str) -> tuple[str, ...]:
     return tuple(p.strip() for p in pin_key.split(",") if p.strip())
 
@@ -60,6 +63,9 @@ def canonical_pin_key(pins) -> str:
 
 @dataclass(frozen=True)
 class PinVerdict:
+    """A verdict on the pins ``pin_key`` names; ``pins`` (in key order)
+    and ``pin_set`` are derived from it."""
+
     pin_key: str
     status: VerdictStatus
     reasoning: str
@@ -67,16 +73,12 @@ class PinVerdict:
 
     def __post_init__(self):
         object.__setattr__(self, "referenced_nets", tuple(self.referenced_nets))
-        if not self.pins:
+        # derived from pin_key, so outside the fields (eq, hash, repr)
+        pins = split_pin_key(self.pin_key)
+        if not pins:
             raise ValueError(f"pin key {self.pin_key!r} names no pins")
-
-    @functools.cached_property
-    def pins(self) -> tuple[str, ...]:
-        return split_pin_key(self.pin_key)
-
-    @functools.cached_property
-    def pin_set(self) -> frozenset[str]:
-        return frozenset(self.pins)
+        object.__setattr__(self, "pins", pins)
+        object.__setattr__(self, "pin_set", frozenset(pins))
 
 
 @dataclass(frozen=True)
@@ -240,24 +242,27 @@ def _run_result(ctx: GroupReviewContext, page: Page, run_index: int,
         comp = page.component(designator)
         valid_pins = {p.designator for p in comp.pins}
         for verdict_doc in analysis_doc["verdicts"]:
-            pins = split_pin_key(verdict_doc["pins"])
-            unknown = [p for p in pins if p not in valid_pins]
-            if unknown or not pins:
+            try:
+                verdict = PinVerdict(
+                    pin_key=verdict_doc["pins"],
+                    status=_STATUSES[verdict_doc["status"]],
+                    reasoning=verdict_doc["reasoning"],
+                    referenced_nets=tuple(verdict_doc.get("referenced_nets", ())),
+                )
+            except ValueError:  # the key names no pins
+                verdict = None
+            unknown = [p for p in verdict.pins if p not in valid_pins] if verdict else []
+            if unknown or verdict is None:
                 log.warning("run %d: %s verdict names pin(s) %s not on the component; dropped",
                             run_index, designator, unknown or "<none>")
                 continue
             already = claimed_pins.setdefault(designator, set())
-            if already & set(pins):
+            if not already.isdisjoint(verdict.pin_set):
                 log.warning("run %d: %s pins %s appear in two pin keys; later verdict dropped",
-                            run_index, designator, sorted(already & set(pins)))
+                            run_index, designator, sorted(already & verdict.pin_set))
                 continue
-            already |= set(pins)
-            verdicts_by_designator.setdefault(designator, []).append(PinVerdict(
-                pin_key=verdict_doc["pins"],
-                status=VerdictStatus(verdict_doc["status"]),
-                reasoning=verdict_doc["reasoning"],
-                referenced_nets=tuple(verdict_doc.get("referenced_nets", [])),
-            ))
+            already |= verdict.pin_set
+            verdicts_by_designator.setdefault(designator, []).append(verdict)
 
     for designator in ctx.group.designators:
         if ctx.specs.get(designator) is None and designator not in verdicts_by_designator:

@@ -16,7 +16,7 @@ import json
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .errors import StoreIo
 
@@ -62,9 +62,8 @@ class TraceContext:
 
     def child(self, segment: str, **attrs) -> "TraceContext":
         """The context one ``segment`` below this one (below the empty path, at ``segment``)."""
-        merged = {**self.attrs, **attrs}
         path = f"{self.path}/{segment}" if self.path else segment
-        return replace(self, path=path, attrs=merged)
+        return TraceContext(self.tracer, path, {**self.attrs, **attrs})
 
     @contextmanager
     def span(self, name: str, **attrs):
@@ -94,15 +93,15 @@ UNTRACED = TraceContext(_DiscardingTracer())
 def emit_traces(events: list[TraceEvent], path) -> None:
     """Write newline-delimited span records (one JSON object per span), in
     the order given (``Tracer.events`` order)."""
+    text = "".join(json.dumps({
+        "span": e.span_name,
+        "path": e.path,
+        "start": e.start,
+        "duration": e.duration,
+        "attributes": dict(sorted(e.attributes.items())),
+    }) + "\n" for e in events)
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            for e in events:
-                fh.write(json.dumps({
-                    "span": e.span_name,
-                    "path": e.path,
-                    "start": e.start,
-                    "duration": e.duration,
-                    "attributes": dict(sorted(e.attributes.items())),
-                }, sort_keys=False) + "\n")
+            fh.write(text)
     except OSError as exc:
         raise StoreIo(f"cannot write trace file {path}: {exc}") from exc

@@ -1,6 +1,9 @@
 """Domain type invariants."""
 
+from dataclasses import replace
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from schemreview.model import (
     BBox,
@@ -67,3 +70,30 @@ def test_lists_coerced_to_tuples():
     page = Page("P1", components=[Component("U1", pins=[Pin("1")])])
     assert isinstance(page.components, tuple)
     assert isinstance(page.components[0].pins, tuple)
+
+
+def _scanned_component(page: Page, designator: str):
+    """``Page.component`` as a scan of the components: the reference."""
+    for c in page.components:
+        if c.designator == designator:
+            return c
+    return None
+
+
+_DESIGNATORS = st.sampled_from(["U1", "U2", "R1", "C10", "", "u1", "U1 "])
+
+
+@settings(max_examples=200, deadline=None)
+@given(designators=st.lists(_DESIGNATORS, unique=True),
+       replacement=st.lists(_DESIGNATORS, unique=True),
+       asked=st.lists(_DESIGNATORS, min_size=1))
+def test_component_lookup_matches_a_scan(designators, replacement, asked):
+    page = Page("P1", components=[Component(d, mpn="M") for d in designators])
+    rebuilt = replace(page, components=[Component(d, ipn="I") for d in replacement])
+    for p in (page, rebuilt, replace(rebuilt, id="P2")):
+        for designator in asked:  # absent designators included
+            assert p.component(designator) is _scanned_component(p, designator)
+    assert page == Page("P1", components=page.components)
+    assert repr(page) == repr(Page("P1", components=page.components))
+    assert hash(page) == hash(Page("P1", components=page.components))
+    assert "_by_designator" not in repr(page)

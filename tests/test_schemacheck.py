@@ -340,6 +340,75 @@ def test_keyword_semantics_match_jsonschema(schema, value):
     assert compile_schema(schema)(value) == jsonschema.Draft202012Validator(schema).is_valid(value)
 
 
+# names and shapes the generated source must carry as data: property names
+# holding quotes, backslashes and newlines, or naming a keyword, a builtin or
+# the generated code's own locals; boolean subschemas; no properties at all
+AWKWARD_NAMES = ["a'b", 'a"b', "a\\b", "a\nb", "'''", "\\'", '"""\n', "v", "return",
+                 "__import__", "__import__('os').getcwd()", "n", "k", "x", "i", "True", ""]
+
+CODEGEN_CASES = [
+    ({"type": "object", "properties": {name: {"type": "string"} for name in AWKWARD_NAMES},
+      "required": AWKWARD_NAMES[:4], "additionalProperties": False}, v)
+    for v in ({name: "s" for name in AWKWARD_NAMES},
+              {name: "s" for name in AWKWARD_NAMES[:4]},
+              {name: "s" for name in AWKWARD_NAMES[1:]},
+              {**{name: "s" for name in AWKWARD_NAMES}, "y": "s"},
+              {**{name: "s" for name in AWKWARD_NAMES}, "v": 1},
+              {**{name: "s" for name in AWKWARD_NAMES}, "": 1})
+] + [
+    ({"required": [name], "properties": {name: {"const": name}}}, v)
+    for name in AWKWARD_NAMES for v in ({name: name}, {name: "other"}, {}, {"x": name})
+] + [
+    ({"properties": {"a": {"$ref": "#/$defs/" + name}}, "$defs": {name: {"type": "integer"}}}, v)
+    for name in AWKWARD_NAMES for v in ({"a": 1}, {"a": "1"}, {})
+] + [
+    (schema, v) for schema in (True, False, {}, {"$defs": {"x": False}})
+    for v in (None, 0, "", [], {}, {"a": []})
+] + [
+    ({"properties": {"yes": True, "no": False}}, v)
+    for v in ({}, {"yes": 1}, {"no": 1}, {"no": None}, {"other": 1}, [])
+] + [
+    ({"properties": {"a": True}, "required": ["a", "b"], "additionalProperties": False}, v)
+    for v in ({"a": 1, "b": 1}, {"a": 1}, {"b": 1}, {"a": 1, "b": 1, "c": 1})
+] + [
+    ({"properties": {"a": True, "b": {}, "c": False}, "additionalProperties": False}, v)
+    for v in ({}, {"a": 1, "b": 1}, {"c": 1}, {"a": 1, "d": 1})
+] + [
+    ({"properties": {"a": {"type": "null"}}, "additionalProperties": True}, v)
+    for v in ({"a": None, "b": 1}, {"a": 1})
+] + [
+    ({"properties": {"a": {"type": "null"}}, "additionalProperties": {"type": "integer"}}, v)
+    for v in ({"a": None, "b": 1}, {"a": None, "b": "1"}, {"b": None}, {"a": 1})
+] + [
+    ({"prefixItems": [True, False], "items": False}, v) for v in ([], [1], [1, 2], [1, 2, 3])
+] + [
+    ({"prefixItems": [False]}, v) for v in ([], [None], "not an array")
+] + [
+    ({"items": True, "minItems": 1}, v) for v in ([], [None])
+] + [
+    ({"additionalProperties": False}, v) for v in ({}, {"a": 1}, {"": None}, [], "a", None)
+] + [
+    ({"additionalProperties": False, "required": ["a"]}, v) for v in ({}, {"a": 1})
+] + [
+    ({"type": "object", "additionalProperties": False}, v) for v in ({}, {"a": 1}, [])
+] + [
+    ({"$ref": "#/$defs/yes", "$defs": {"yes": True}}, v) for v in (None, 1)
+] + [
+    ({"items": {"$ref": "#/$defs/no"}, "$defs": {"no": False}}, v) for v in ([], [None])
+] + [
+    # equal subschemas: one with an annotation, one a definition's own
+    ({"properties": {"a": {"type": "string", "title": "A"}, "b": {"type": "string"},
+                     "c": {"$ref": "#/$defs/s"}},
+      "$defs": {"s": {"type": "string", "description": "d"}}}, v)
+    for v in ({"a": "", "b": "", "c": ""}, {"a": 1}, {"b": 1}, {"c": 1})
+]
+
+
+@pytest.mark.parametrize("schema,value", CODEGEN_CASES)
+def test_generated_check_matches_jsonschema(schema, value):
+    assert compile_schema(schema)(value) == jsonschema.Draft202012Validator(schema).is_valid(value)
+
+
 @pytest.mark.parametrize("a,b,equal", [
     (1, 1.0, True), (True, 1, False), (False, 0, False), (True, True, True),
     ([1, 2], [1.0, 2.0], True), ([True], [1], False), ({"a": 1}, {"a": 1.0}, True),
