@@ -153,7 +153,8 @@ def main() -> int:
     }
     if args.before:
         before = json.loads(Path(args.before).read_text(encoding="utf-8"))
-        report["before"] = {key: before[key] for key in ("compile_ms", "values")}
+        report["before"] = {key: before[key] for key in ("compile_ms", "values")
+                            if key in before}
         old = {r["value"]: r["check_ms"] for r in before["values"]}
         for r in rows:
             r["check_change"] = round(r["check_ms"] / old[r["value"]] - 1, 3)

@@ -1,20 +1,17 @@
 """Compile a shipped JSON schema once into a plain-Python validity check.
 
-``compile_schema(schema)`` writes the schema's check as Python source,
-one function per subschema (equal subschemas share one) and per
-``$defs`` entry it reaches, and ``exec``s that source once. It returns the root's function, a predicate
-``check(value) -> bool`` that agrees with
-``jsonschema.Draft202012Validator(schema).is_valid`` on JSON values, for
-the keywords the shipped schemas use. Any other keyword raises
-``ValueError``, so a schema edit that needs more fails at compile time
-instead of going unchecked. A ``$defs`` entry is compiled when a
-``$ref`` first reaches it, and functions call each other by name, so a
-definition may refer back to itself. Schema strings enter the source
-only as ``repr()`` literals, and every other constant only as a name
-bound in the namespace the source runs in. ``shipped(filename)`` loads a
-schema file under ``schemas/`` with its check, once per process; the
-error for a value the check rejects is worded by jsonschema, imported on
-that path alone.
+``compile_schema(schema)`` returns a predicate ``check(value) -> bool``
+that agrees with ``jsonschema.Draft202012Validator(schema).is_valid`` on
+JSON values, for the keywords the shipped schemas use. Any other keyword
+raises ``ValueError``, so a schema edit that needs more fails at compile
+time instead of going unchecked. The check is a tree of closures, one
+per subschema and keyword group; each tests a value's exact JSON type
+(what ``json.loads`` makes) before the ``isinstance`` rules, and a group
+of the subschema's own type makes its type test too. A ``$defs`` entry is
+compiled when a ``$ref`` first reaches it, so a definition may refer back
+to itself. ``shipped(filename)`` loads a schema file under ``schemas/``
+with its check, once per process; the error for a value the check
+rejects is worded by jsonschema, imported on that path alone.
 
 Draft 2020-12 semantics kept here: ``number`` and ``integer`` exclude
 ``bool``, ``integer`` accepts integral floats (``1.0``), ``enum`` and
@@ -28,42 +25,44 @@ import functools
 import json
 import numbers
 from importlib import resources
+from itertools import islice
 from typing import Callable
 
 Check = Callable[[object], bool]
 
 _ANNOTATIONS = frozenset({"$schema", "$id", "title", "description", "$defs"})
-_KEYWORDS = frozenset({"type", "$ref", "enum", "const",
-                       "properties", "required", "additionalProperties",
-                       "prefixItems", "items", "minItems", "maxItems",
-                       "minLength", "minimum", "maximum"})
 _DEFS = "#/$defs/"
 
 
-def _number(v) -> bool:
-    """``number`` past the exact int/float test the generated code makes first."""
+def _valid(v) -> bool:
+    return True
+
+
+def _invalid(v) -> bool:
+    return False
+
+
+def _is_number(v) -> bool:
+    if type(v) is int or type(v) is float:  # what JSON decodes to; skips the ABC check
+        return True
     return isinstance(v, numbers.Number) and not isinstance(v, bool)
 
 
-def _integer(v) -> bool:
-    """``integer`` past the exact int test the generated code makes first."""
+def _is_integer(v) -> bool:
+    if type(v) is int:
+        return True
     return (isinstance(v, int) and not isinstance(v, bool)
             or isinstance(v, float) and v.is_integer())
 
 
-def _in_enum(v, options) -> bool:
-    return any(json_equal(v, o) for o in options)
-
-
-# type -> a test of ``v``, exact JSON types (what json.loads makes) first
-_TYPES = {
-    "object": "type(v) is dict or isinstance(v, dict)",
-    "array": "type(v) is list or isinstance(v, list)",
-    "string": "type(v) is str or isinstance(v, str)",
-    "number": "type(v) is int or type(v) is float or _number(v)",
-    "integer": "type(v) is int or _integer(v)",
-    "boolean": "v is True or v is False",
-    "null": "v is None",
+_TYPES: dict[str, Check] = {
+    "object": lambda v: type(v) is dict or isinstance(v, dict),
+    "array": lambda v: type(v) is list or isinstance(v, list),
+    "string": lambda v: type(v) is str or isinstance(v, str),
+    "number": _is_number,
+    "integer": _is_integer,
+    "boolean": lambda v: v is True or v is False,
+    "null": lambda v: v is None,
 }
 
 
@@ -82,179 +81,159 @@ def json_equal(a, b) -> bool:
 
 def compile_schema(schema: dict | bool) -> Check:
     """The schema as a predicate; raises ValueError on an unsupported keyword."""
-    source = _Source(schema)
-    root = source.function(schema)
-    namespace = dict(source.names)
-    exec(compile("\n".join(source.lines), "<schemacheck>", "exec"), namespace)
-    return namespace[root]
+    return _compile(schema, schema, {}) or _valid
 
 
-def _indent(lines: list[str]) -> list[str]:
-    return ["    " + line for line in lines]
+def _compile(node, root, defs: dict) -> Check | None:
+    """``node``'s check, or None when every value is valid under it."""
+    if node is True:
+        return None
+    if node is False:
+        return _invalid
+    unknown = set(node) - _ANNOTATIONS - _KEYWORDS
+    if unknown:
+        raise ValueError(f"unsupported schema keyword(s): {', '.join(sorted(unknown))}")
+    kind = node.get("type")
+    if "type" in node and not (type(kind) is str and kind in _TYPES):
+        raise ValueError(f"unsupported type {kind!r}")
+    groups = [(types, make) for keywords, types, make in _KEYWORD_GROUPS
+              if not node.keys().isdisjoint(keywords)]
+    # a group of the node's own type makes the type test itself
+    typed = "type" in node and not any(kind in types for types, _ in groups)
+    checks = [_TYPES[kind]] if typed else []
+    checks += [make(node, root, defs) for _, make in groups]
+    if len(checks) <= 1:
+        return checks[0] if checks else None
+
+    def check(v) -> bool:
+        for c in checks:
+            if not c(v):
+                return False
+        return True
+    return check
 
 
-def _fail_unless(condition: str) -> list[str]:
-    return [f"if not ({condition}): return False"]
+def _ref(node, root, defs) -> Check:
+    ref = node["$ref"]
+    name = ref[len(_DEFS):]
+    if not ref.startswith(_DEFS) or name not in root.get("$defs", {}):
+        raise ValueError(f"unsupported $ref {ref!r}: only local #/$defs/<name>")
+    if name not in defs:
+        defs[name] = None  # a reference back into this definition resolves lazily
+        defs[name] = _compile(root["$defs"][name], root, defs) or _valid
+    return defs[name] or (lambda v: defs[name](v))
 
 
-class _Source:
-    """The source of one schema's check, being written, and the names it
-    runs with."""
+def _object(node, root, defs) -> Check:
+    props = node.get("properties", {})
+    required = node.get("required", ())
+    checks = {k: _compile(s, root, defs) for k, s in props.items()}
+    # (name, check or None, required) for each property that has either
+    entries = tuple((k, c, k in required) for k, c in checks.items()
+                    if c is not None or k in required)
+    absent = tuple(k for k in required if k not in props)  # required, no property schema
+    names = frozenset(props)
+    closed = node.get("additionalProperties") is False
+    extra = None if closed else _compile(node.get("additionalProperties", True), root, defs)
+    # a closed object as large as its required properties holds no other
+    size = len(set(required)) if closed and not absent else -1
+    typed = node.get("type") == "object"
 
-    def __init__(self, root):
-        self.root = root
-        self.lines: list[str] = []
-        self.names: dict = {"_number": _number, "_integer": _integer,
-                            "_in_enum": _in_enum, "json_equal": json_equal}
-        self.defs: dict[str, str] = {}  # $defs name -> its function's name
-        self.seen: dict[str, str] = {}  # repr of a subschema's keywords -> its function's name
-        self.count = 0
+    def check(v) -> bool:
+        if type(v) is not dict and not isinstance(v, dict):
+            return not typed
+        for key in absent:
+            if key not in v:
+                return False
+        for key, c, needed in entries:
+            if key in v:
+                if c is not None and not c(v[key]):
+                    return False
+            elif needed:
+                return False
+        if closed:
+            return len(v) == size or v.keys() <= names
+        if extra is not None:
+            for key, item in v.items():
+                if key not in names and not extra(item):
+                    return False
+        return True
+    return check
 
-    def _new(self, prefix: str) -> str:
-        self.count += 1
-        return f"{prefix}{self.count}"
 
-    def bind(self, value) -> str:
-        """A name bound to ``value`` in the namespace."""
-        name = self._new("_c")
-        self.names[name] = value
-        return name
+def _array(node, root, defs) -> Check:
+    prefix = [_compile(s, root, defs) or _valid for s in node.get("prefixItems", ())]
+    rest = _compile(node["items"], root, defs) if "items" in node else None
+    low, high = node.get("minItems", 0), node.get("maxItems")
+    typed = node.get("type") == "array"
 
-    def key(self, value) -> str:
-        """A property name as source: its literal, or a bound name."""
-        return repr(value) if type(value) is str else self.bind(value)
+    def check(v) -> bool:
+        if type(v) is not list and not isinstance(v, list):
+            return not typed
+        if len(v) < low or high is not None and len(v) > high:
+            return False
+        if prefix:
+            for c, item in zip(prefix, v):
+                if not c(item):
+                    return False
+            return rest is None or all(map(rest, islice(v, len(prefix), None)))
+        if rest is not None:
+            for item in v:
+                if not rest(item):
+                    return False
+        return True
+    return check
 
-    def function(self, node) -> str:
-        """The name of a function that checks ``node``; a ``$ref`` alone
-        is its definition's function."""
-        if isinstance(node, dict) and node.keys() - _ANNOTATIONS == {"$ref"}:
-            return self.ref(node["$ref"])
-        key = repr({k: v for k, v in node.items() if k not in _ANNOTATIONS}
-                   if isinstance(node, dict) else node)
-        if key not in self.seen:
-            self.seen[key] = self.define(self._new("_s"), node)
-        return self.seen[key]
 
-    def define(self, name: str, node) -> str:
-        checks = [] if node is True else ["False"] if node is False else self.checks(node)
-        if all(type(check) is str for check in checks):
-            body = [f"return {' and '.join(f'({c})' for c in checks) or 'True'}"]
-        else:
-            body = [line for check in checks
-                    for line in (_fail_unless(check) if type(check) is str else check)]
-            body.append("return True")
-        self.lines += [f"def {name}(v):", *_indent(body)]
-        return name
+def _min_length(node, root, defs) -> Check:
+    low = node["minLength"]
+    typed = node.get("type") == "string"
 
-    def test(self, node, arg: str) -> str | None:
-        """A test that ``arg`` is valid under ``node``; None when every
-        value is."""
-        if node is False:
-            return "False"
-        if node is True or not set(node) - _ANNOTATIONS:
-            return None
-        return f"{self.function(node)}({arg})"
+    def check(v) -> bool:
+        if type(v) is not str and not isinstance(v, str):
+            return not typed
+        return len(v) >= low
+    return check
 
-    def ref(self, ref: str) -> str:
-        name = ref[len(_DEFS):]
-        if not ref.startswith(_DEFS) or name not in self.root.get("$defs", {}):
-            raise ValueError(f"unsupported $ref {ref!r}: only local #/$defs/<name>")
-        if name not in self.defs:
-            # named before its body is written: a reference back into it calls it
-            self.defs[name] = self._new("_d")
-            self.define(self.defs[name], self.root["$defs"][name])
-        return self.defs[name]
 
-    def checks(self, node: dict) -> list:
-        """The checks of ``node``'s keywords in this order: type, $ref,
-        enum, const, object, array, string and number keywords. A check is
-        an expression that a valid ``v`` makes true, or lines of
-        statements that return False for an invalid ``v``."""
-        unknown = set(node) - _ANNOTATIONS - _KEYWORDS
-        if unknown:
-            raise ValueError(f"unsupported schema keyword(s): {', '.join(sorted(unknown))}")
-        checks: list = []
-        kind = node.get("type")
-        if "type" in node:
-            try:
-                checks.append(_TYPES[kind])
-            except (KeyError, TypeError):  # TypeError: a list of types, unhashable
-                raise ValueError(f"unsupported type {kind!r}") from None
-        if "$ref" in node:
-            checks.append(f"{self.ref(node['$ref'])}(v)")
-        if "enum" in node:
-            options = node["enum"]
-            strings = frozenset(o for o in options if type(o) is str)  # a str JSON-equals only a str
-            checks.append(f"v in {self.bind(strings)} if type(v) is str "
-                          f"else _in_enum(v, {self.bind(options)})")
-        if "const" in node:
-            checks.append(f"json_equal(v, {self.bind(node['const'])})")
-        for block, of in ((self._object(node), "object"), (self._array(node), "array")):
-            if block:
-                checks.append(block if kind == of else [f"if {_TYPES[of]}:", *_indent(block)])
-        string = ([f"not len(v) < {self.bind(node['minLength'])}"]
-                  if "minLength" in node else [])
-        number = [f"not v {op} {self.bind(node[word])}"
-                  for word, op in (("minimum", "<"), ("maximum", ">"))
-                  if node.get(word) is not None]
-        for conditions, of, known in ((string, "string", kind == "string"),
-                                      (number, "number", kind in ("number", "integer"))):
-            if known:
-                checks += conditions
-            elif conditions:
-                checks.append([f"if {_TYPES[of]}:",
-                               *_indent([line for c in conditions for line in _fail_unless(c)])])
-        return checks
+def _bounds(node, root, defs) -> Check:
+    low, high = node.get("minimum"), node.get("maximum")
+    typed = node.get("type") in ("number", "integer")
+    is_kind = _TYPES[node["type"]] if typed else _is_number
 
-    def _object(self, node: dict) -> list[str]:
-        props = node.get("properties", {})
-        required = dict.fromkeys(node.get("required", ()))
-        keys = {name: self.key(name) for name in props}
-        tests = {name: self.test(sub, f"v[{keys[name]}]") for name, sub in props.items()}
-        extra = node.get("additionalProperties", True)
-        # no additional property: the value has only properties, so its
-        # size is the count of those present
-        counted = extra is False
-        present = sum(1 for name in props if name in required)
-        optional = counted and any(name not in required for name in props)
+    def check(v) -> bool:
+        if not is_kind(v):
+            return not typed
+        return not (low is not None and v < low or high is not None and v > high)
+    return check
 
-        lines = [f"if {self.key(name)} not in v: return False"
-                 for name in required if name not in props]
-        if optional:
-            lines.append(f"n = {present}")
-        for name, test in tests.items():
-            if name in required:
-                lines.append(f"if {keys[name]} not in v"
-                             f"{f' or not {test}' if test else ''}: return False")
-            elif optional or test:
-                lines += [f"if {keys[name]} in v:", *_indent(
-                    (["n += 1"] if optional else []) + (_fail_unless(test) if test else []))]
-        if counted:
-            lines.append(f"if len(v) != {'n' if optional else present}: return False")
-            return lines
-        test = self.test(extra, "v[k]" if props else "x")
-        if test and props:
-            lines += ["for k in v:", f"    if k not in {self.bind(frozenset(props))} "
-                      f"and not {test}: return False"]
-        elif test:
-            lines += ["for x in v.values():", f"    if not {test}: return False"]
-        return lines
 
-    def _array(self, node: dict) -> list[str]:
-        prefix = [self.test(sub, f"v[{i}]") for i, sub in enumerate(node.get("prefixItems", ()))]
-        rest = self.test(node["items"], "v[i]" if prefix else "x") if "items" in node else None
-        lines = []
-        if "minItems" in node:
-            lines.append(f"if len(v) < {self.bind(node['minItems'])}: return False")
-        if node.get("maxItems") is not None:
-            lines.append(f"if len(v) > {self.bind(node['maxItems'])}: return False")
-        lines += [f"if len(v) > {i} and not {test}: return False"
-                  for i, test in enumerate(prefix) if test]
-        if rest and prefix:
-            lines += [f"for i in range({len(prefix)}, len(v)):", f"    if not {rest}: return False"]
-        elif rest:
-            lines += ["for x in v:", f"    if not {rest}: return False"]
-        return lines
+def _enum(node, root, defs) -> Check:
+    options = node["enum"]
+    strings = frozenset(o for o in options if type(o) is str)  # a str JSON-equals only a str
+    return lambda v: (v in strings if type(v) is str
+                      else any(json_equal(v, o) for o in options))
+
+
+def _const(node, root, defs) -> Check:
+    const = node["const"]
+    return lambda v: json_equal(v, const)
+
+
+# keywords checked together, by the function that compiles them, in this
+# order, and the node types whose test the group makes itself: for a value
+# of another type it returns False when the node has such a type, else
+# True (the keywords apply to that type alone)
+_KEYWORD_GROUPS = (
+    (("$ref",), (), _ref),
+    (("enum",), (), _enum),
+    (("const",), (), _const),
+    (("properties", "required", "additionalProperties"), ("object",), _object),
+    (("prefixItems", "items", "minItems", "maxItems"), ("array",), _array),
+    (("minLength",), ("string",), _min_length),
+    (("minimum", "maximum"), ("number", "integer"), _bounds),
+)
+_KEYWORDS = frozenset({"type"}).union(*(keywords for keywords, _, _ in _KEYWORD_GROUPS))
 
 
 class ShippedSchema:

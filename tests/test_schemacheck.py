@@ -340,13 +340,13 @@ def test_keyword_semantics_match_jsonschema(schema, value):
     assert compile_schema(schema)(value) == jsonschema.Draft202012Validator(schema).is_valid(value)
 
 
-# names and shapes the generated source must carry as data: property names
-# holding quotes, backslashes and newlines, or naming a keyword, a builtin or
-# the generated code's own locals; boolean subschemas; no properties at all
+# awkward names and shapes: property names holding quotes, backslashes and
+# newlines, or naming a keyword or a builtin; boolean subschemas; no
+# properties at all; a type that a keyword group tests next to other keywords
 AWKWARD_NAMES = ["a'b", 'a"b', "a\\b", "a\nb", "'''", "\\'", '"""\n', "v", "return",
                  "__import__", "__import__('os').getcwd()", "n", "k", "x", "i", "True", ""]
 
-CODEGEN_CASES = [
+EDGE_CASES = [
     ({"type": "object", "properties": {name: {"type": "string"} for name in AWKWARD_NAMES},
       "required": AWKWARD_NAMES[:4], "additionalProperties": False}, v)
     for v in ({name: "s" for name in AWKWARD_NAMES},
@@ -401,11 +401,23 @@ CODEGEN_CASES = [
                      "c": {"$ref": "#/$defs/s"}},
       "$defs": {"s": {"type": "string", "description": "d"}}}, v)
     for v in ({"a": "", "b": "", "c": ""}, {"a": 1}, {"b": 1}, {"c": 1})
+] + [
+    (schema, v) for schema in (
+        {"type": "object", "const": {"a": 1}, "properties": {"a": {"type": "integer"}}},
+        {"type": "object", "$ref": "#/$defs/a", "required": ["b"],
+         "$defs": {"a": {"required": ["a"]}}},
+        {"type": "array", "enum": [[1], ["x"]], "items": {"type": "string"}},
+        {"type": "string", "enum": ["a", "bb"], "minLength": 2},
+        {"type": "integer", "const": 2, "minimum": 0},
+        {"type": "number", "maximum": 1, "minLength": 1, "items": False},
+    )
+    for v in ({"a": 1}, {"a": 2}, {"a": 1, "b": 1}, {"b": 1}, [1], ["x"], [],
+              "a", "bb", "cc", 2, 2.0, 1, 0.5, 3, -1, True, None)
 ]
 
 
-@pytest.mark.parametrize("schema,value", CODEGEN_CASES)
-def test_generated_check_matches_jsonschema(schema, value):
+@pytest.mark.parametrize("schema,value", EDGE_CASES)
+def test_edge_cases_match_jsonschema(schema, value):
     assert compile_schema(schema)(value) == jsonschema.Draft202012Validator(schema).is_valid(value)
 
 
