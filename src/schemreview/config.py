@@ -19,22 +19,34 @@ Config file (JSON, version 1):
       "max_attempts": 5
     }
 
-Unknown top-level keys, and values of the wrong type, are rejected with
-a ConfigError naming them; so are unknown fields of a library or sink
-entry, and a library entry without the field its kind reads.
+Each object of the file (the top level, ``backend``, a library, a
+``file`` or an ``http`` sink) is read through one table that maps each
+of its fields to its JSON type, by the same rules:
+
+* an unknown field, or a value of another JSON type, is a ConfigError
+  naming the object and the field; a float field also takes an integer,
+  and no number field takes a boolean;
+* a null field is unset, and keeps its default;
+* each kind of library or sink needs one field (``_LIBRARY_NEEDS``,
+  ``_SINKS``), and a library its ``priority``.
+
+``RunConfig.validate`` and ``BackendConfig.validate`` hold the range and
+cross-field rules, numbers being finite among them, for a loaded config,
+one changed by CLI flags and one that code builds alike.
 """
 
 from __future__ import annotations
 
 import enum
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError
 from .gateway import BackendConfig
-from .libraries import LibrarySource, library_from_config
-from .reporting import FileSink, HttpSink, sink_from_config
+from .libraries import LibraryKind, LibrarySource
+from .reporting import FileSink, HttpSink
 
 
 class Mode(enum.Enum):
@@ -63,8 +75,9 @@ class RunConfig:
             raise ConfigError("k (review run count) must be >= 1")
         if not 0 <= self.critic_threshold <= 10:
             raise ConfigError("critic_threshold must be within [0, 10]")
-        if self.time_budget_s is not None and self.time_budget_s <= 0:
-            raise ConfigError("time_budget_secs must be positive when set")
+        if self.time_budget_s is not None and not 0 < self.time_budget_s < math.inf:
+            raise ConfigError("time_budget_secs must be finite and positive when set, "
+                              f"got {self.time_budget_s!r}")
         if self.max_attempts < 1:
             raise ConfigError("max_attempts must be >= 1")
         if self.mode is Mode.DESIGN_REVIEW and not (
@@ -79,48 +92,79 @@ class RunConfig:
         self.backend.validate()
 
 
-_CONFIG_KEYS = frozenset({
-    "version", "mode", "k", "critic_threshold", "time_budget_secs", "cache_dir",
-    "backend", "libraries", "sink", "base_schematic", "pages_override",
-    "trace_out", "checklist_dir", "max_attempts"})
+# the JSON type of each field of a config object; a float field also takes
+# an integer, and a null field is unset
+_CONFIG_FIELDS = {
+    "version": int, "mode": str, "k": int, "critic_threshold": float,
+    "time_budget_secs": float, "cache_dir": str, "backend": dict, "libraries": list,
+    "sink": dict, "base_schematic": str, "pages_override": list, "trace_out": str,
+    "checklist_dir": str, "max_attempts": int}
+_BACKEND_FIELDS = {
+    "kind": str, "endpoint": str, "strong_model": str, "weak_model": str,
+    "consensus_model": str, "fixture_path": str, "api_key_env": str,
+    "timeout_s": float, "max_in_flight": int, "mock_delay_s": float}
+_LIBRARY_FIELDS = {
+    "kind": str, "priority": int, "base_url": str, "url_template": str, "path": str,
+    "directory": str, "api_key_env": str}
+_FILE_SINK_FIELDS = {"kind": str, "out_dir": str}
+_HTTP_SINK_FIELDS = {"kind": str, "base_url": str, "token_env": str}
 
+# the one field each kind of library or sink needs, without which a
+# library would fail every lookup
+_LIBRARY_NEEDS = {
+    LibraryKind.HTTP_PART_API: "base_url", LibraryKind.JSON_TEMPLATE_API: "url_template",
+    LibraryKind.CSV_TABLE: "path", LibraryKind.LOCAL_DIRECTORY: "directory"}
+_SINKS = {"file": (FileSink, _FILE_SINK_FIELDS, "out_dir"),
+          "http": (HttpSink, _HTTP_SINK_FIELDS, "base_url")}
 
 _JSON_TYPES = {int: "an integer", float: "a number", str: "a string",
                dict: "an object", list: "an array"}
 
 
-def _field(doc: dict, key: str, kind: type):
-    """``doc[key]`` if it has the JSON type ``kind``; a float field also
-    takes an integer, and no number field takes a boolean."""
-    value = doc[key]
-    accepted = (int, float) if kind is float else kind
-    if isinstance(value, bool) or not isinstance(value, accepted):
-        raise ConfigError(f"{key} must be {_JSON_TYPES[kind]}, got {value!r}")
-    return float(value) if kind is float else value
+def _read(doc, table: dict, name: str) -> dict:
+    """The fields of the config object ``doc`` that are not null, once
+    each is in ``table`` and has its JSON type there; a float field's
+    value is made a float. ``name`` names the object in a ConfigError."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{name} must be an object, got {doc!r}")
+    fields = {}
+    for key, value in doc.items():
+        kind = table.get(key)
+        if kind is None:
+            raise ConfigError(f"{name}: unknown field {key!r}")
+        if value is None:
+            continue
+        if isinstance(value, bool) or not isinstance(
+                value, (int, float) if kind is float else kind):
+            raise ConfigError(f"{name}: {key} must be {_JSON_TYPES[kind]}, got {value!r}")
+        fields[key] = float(value) if kind is float else value
+    return fields
 
 
-# the JSON type of each field a library or sink entry may set
-_ENTRY_FIELDS = {"priority": int, "out_dir": str, "base_url": str, "token_env": str,
-                 "url_template": str, "path": str, "directory": str, "api_key_env": str}
+def library_from_config(doc, name: str = "library") -> LibrarySource:
+    """The library source a config entry describes."""
+    fields = _read(doc, _LIBRARY_FIELDS, name)
+    try:
+        kind = LibraryKind(fields.pop("kind", None))
+    except ValueError:
+        raise ConfigError(f"{name}: unknown kind {doc.get('kind')!r}") from None
+    for needed in ("priority", _LIBRARY_NEEDS[kind]):
+        if needed not in fields:
+            raise ConfigError(f"{name}: a {kind.value} library needs {needed}")
+    return LibrarySource(kind=kind, **fields)
 
 
-def _typed_entry(entry):
-    """A library or sink entry without its null fields, which stay unset,
-    once each other field of ``_ENTRY_FIELDS`` has its JSON type."""
-    if isinstance(entry, dict):
-        entry = {key: value for key, value in entry.items() if value is not None}
-        for key, kind in _ENTRY_FIELDS.items():
-            if key in entry:
-                _field(entry, key, kind)
-    return entry  # if not an object, rejected by the entry's own reader
-
-
-def _backend_from_config(doc: dict) -> BackendConfig:
-    known = {f for f in BackendConfig.__dataclass_fields__}
-    unknown = set(doc) - known
-    if unknown:
-        raise ConfigError(f"unknown backend fields: {sorted(unknown)}")
-    return BackendConfig(**doc)
+def sink_from_config(doc: dict):
+    """The sink a config entry describes."""
+    kind = doc.get("kind")
+    if not isinstance(kind, str) or kind not in _SINKS:
+        raise ConfigError(f"sink: unknown kind {kind!r}")
+    sink, table, needed = _SINKS[kind]
+    fields = _read(doc, table, f"{kind} sink")
+    del fields["kind"]
+    if needed not in fields:
+        raise ConfigError(f"{kind} sink needs {needed}")
+    return sink(**fields)
 
 
 def load_config(path) -> RunConfig:
@@ -130,40 +174,28 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc.msg}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"config {path}: the top level must be a JSON object")
-    if doc.get("version") != 1:
-        raise ConfigError(f"config {path}: unsupported version {doc.get('version')!r}")
-    unknown = set(doc) - _CONFIG_KEYS
-    if unknown:
-        raise ConfigError(f"config {path}: unknown fields: {sorted(unknown)}")
-
-    cfg = RunConfig()
-    if "mode" in doc:
+    fields = _read(doc, _CONFIG_FIELDS, f"config {path}")
+    version = fields.pop("version", None)
+    if version != 1:
+        raise ConfigError(f"config {path}: unsupported version {version!r}")
+    if "mode" in fields:
         try:
-            cfg.mode = Mode(doc["mode"])
+            fields["mode"] = Mode(fields["mode"])
         except ValueError:
-            raise ConfigError(f"unknown mode {doc['mode']!r}") from None
-    for key in ("k", "max_attempts"):
-        if key in doc:
-            setattr(cfg, key, _field(doc, key, int))
-    if "critic_threshold" in doc:
-        cfg.critic_threshold = _field(doc, "critic_threshold", float)
-    if doc.get("time_budget_secs") is not None:
-        cfg.time_budget_s = _field(doc, "time_budget_secs", float)
-    if "backend" in doc:
-        cfg.backend = _backend_from_config(_field(doc, "backend", dict))
-    if "libraries" in doc:
-        cfg.libraries = [library_from_config(_typed_entry(lib))
-                         for lib in _field(doc, "libraries", list)]
-    if "sink" in doc:
-        cfg.sink = sink_from_config(_typed_entry(_field(doc, "sink", dict)))
-    for key in ("cache_dir", "base_schematic", "trace_out", "checklist_dir"):
-        if doc.get(key) is not None:
-            setattr(cfg, key, _field(doc, key, str))
-    if doc.get("pages_override") is not None:
-        cfg.pages_override = [str(p) for p in _field(doc, "pages_override", list)]
-    return cfg
+            raise ConfigError(f"unknown mode {fields['mode']!r}") from None
+    if "time_budget_secs" in fields:
+        fields["time_budget_s"] = fields.pop("time_budget_secs")
+    if "backend" in fields:
+        fields["backend"] = BackendConfig(**_read(fields["backend"], _BACKEND_FIELDS,
+                                                  "backend"))
+    if "libraries" in fields:
+        fields["libraries"] = [library_from_config(lib, f"libraries[{i}]")
+                               for i, lib in enumerate(fields["libraries"])]
+    if "sink" in fields:
+        fields["sink"] = sink_from_config(fields["sink"])
+    if "pages_override" in fields:
+        fields["pages_override"] = [str(p) for p in fields["pages_override"]]
+    return RunConfig(**fields)
 
 
 def apply_cli_overrides(cfg: RunConfig, args) -> RunConfig:

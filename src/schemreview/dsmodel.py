@@ -99,12 +99,6 @@ class DatasheetSpec:
                 raise ValueError(f"duplicate pin designator {pin.designator!r}")
             seen.add(pin.designator)
 
-    def pin(self, designator: str) -> PinFunction | None:
-        for p in self.pins:
-            if p.designator == designator:
-                return p
-        return None
-
     def to_xml(self) -> str:
         """Compact canonical XML; byte-stable for equal specs. Rendered on
         the first call and kept on the (immutable) spec for later ones."""

@@ -24,12 +24,12 @@ import csv
 import enum
 import logging
 import threading
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 from urllib.parse import quote
 
 from . import httpreq
-from .errors import ConfigError, NoCandidates
+from .errors import NoCandidates
 
 log = logging.getLogger(__name__)
 
@@ -120,41 +120,12 @@ class LibrarySource:
         return [doc["datasheet_url"]] if doc.get("datasheet_url") else []
 
 
-# the field each kind of source reads its parts from
-_SOURCE_FIELD = {LibraryKind.HTTP_PART_API: "base_url",
-                 LibraryKind.JSON_TEMPLATE_API: "url_template",
-                 LibraryKind.CSV_TABLE: "path",
-                 LibraryKind.LOCAL_DIRECTORY: "directory"}
-
-
-def library_from_config(doc: dict) -> LibrarySource:
-    """The source a config entry describes. An entry with a field that no
-    source has, or without the field its kind reads, is rejected here:
-    its source would fail every lookup."""
-    try:
-        kind = LibraryKind(doc["kind"])
-        priority = int(doc["priority"])
-    except (KeyError, ValueError, TypeError) as exc:  # TypeError: not an object
-        raise ConfigError(f"bad library config {doc!r}: {exc}") from exc
-    entry = {key: value for key, value in doc.items() if key not in ("kind", "priority")}
-    unknown = set(entry) - {f.name for f in fields(LibrarySource) if f.init}
-    if unknown:
-        raise ConfigError(f"bad library config {doc!r}: unknown fields {sorted(unknown)}")
-    if _SOURCE_FIELD[kind] not in entry:
-        raise ConfigError(f"bad library config {doc!r}: a {kind.value} library "
-                          f"needs {_SOURCE_FIELD[kind]}")
-    return LibrarySource(kind=kind, priority=priority, **entry)
-
-
 def locate(part: PartRef, libraries: list[LibrarySource],
            schematic_url: str | None = None) -> list[str]:
     """Candidate datasheet URLs: schematic-embedded URL first, then library
     results in priority order, duplicates dropped (first occurrence kept)."""
     if not libraries and schematic_url is None:
         raise NoCandidates(f"no libraries configured and no schematic URL for {part.key}")
-    if any(a.priority == b.priority
-           for i, a in enumerate(libraries) for b in libraries[i + 1:]):
-        raise ConfigError("library priorities must be unique")
     candidates: list[str] = []
     if schematic_url:
         candidates.append(schematic_url)

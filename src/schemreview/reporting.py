@@ -66,10 +66,6 @@ class DeliveryReport:
     def delivered(self) -> int:
         return sum(1 for r in self.records if r.ok)
 
-    @property
-    def all_ok(self) -> bool:
-        return all(r.ok for r in self.records)
-
 
 def _md_escape(text: str) -> str:
     return text.replace("|", "\\|").replace("\n", " ")
@@ -173,25 +169,6 @@ class FileSink:
 class HttpSink:
     base_url: str
     token_env: str = "SCHEMREVIEW_SINK_TOKEN"
-
-
-def sink_from_config(doc: dict):
-    """The sink a config entry describes; a field its kind of sink does
-    not have is rejected."""
-    kind = doc.get("kind")
-    if kind == "file":
-        sink, needed = FileSink, "out_dir"
-    elif kind == "http":
-        sink, needed = HttpSink, "base_url"
-    else:
-        raise ConfigError(f"unknown sink kind {kind!r}")
-    entry = {key: value for key, value in doc.items() if key != "kind"}
-    unknown = set(entry) - set(sink.__dataclass_fields__)
-    if unknown:
-        raise ConfigError(f"unknown {kind} sink fields: {sorted(unknown)}")
-    if needed not in entry:
-        raise ConfigError(f"{kind} sink needs {needed}")
-    return sink(**entry)
 
 
 def _bbox_doc(b: BBox | None):

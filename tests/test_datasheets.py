@@ -204,7 +204,7 @@ class TestExtractAndCritic:
         spec = extract_spec(doc, [0, 2], PartRef(mpn="LM317"), make_gateway(tmp_path))
         assert len(spec.pins) == 3
         assert spec.source_url == "file:///doc"
-        assert spec.pin("2").metadata == (("type", "power"),)
+        assert {p.designator: p.metadata for p in spec.pins}["2"] == (("type", "power"),)
 
     def test_duplicate_pins_take_repair_path(self, tmp_path):
         from schemreview.gateway import repair_payload

@@ -9,14 +9,10 @@ from http.server import BaseHTTPRequestHandler
 import pytest
 
 from helpers import loopback_server
+from schemreview.config import RunConfig, library_from_config
 from schemreview.errors import ConfigError, NoCandidates
-from schemreview.libraries import (
-    LibraryKind,
-    LibrarySource,
-    PartRef,
-    library_from_config,
-    locate,
-)
+from schemreview.gateway import BackendConfig
+from schemreview.libraries import LibraryKind, LibrarySource, PartRef, locate
 from schemreview.workfirst import map_on_pool
 
 
@@ -110,8 +106,9 @@ def test_no_candidates_raised(tmp_path):
 def test_duplicate_priorities_rejected(tmp_path):
     lib1 = csv_library(tmp_path, [], priority=1, name="a.csv")
     lib2 = csv_library(tmp_path, [], priority=1, name="b.csv")
-    with pytest.raises(ConfigError):
-        locate(PartRef(mpn="X"), [lib1, lib2])
+    cfg = RunConfig(backend=BackendConfig(fixture_path="fx"), libraries=[lib1, lib2])
+    with pytest.raises(ConfigError, match="priorities"):
+        cfg.validate()
 
 
 class _PartApiHandler(BaseHTTPRequestHandler):

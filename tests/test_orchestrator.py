@@ -1,6 +1,7 @@
 """Config handling, mode page sets, time budget, traces, CLI exit codes."""
 
 import json
+import math
 import shutil
 import threading
 import xml.etree.ElementTree as ET
@@ -121,6 +122,12 @@ _MALFORMED_CONFIGS = [  # each turns the demo's config document into a bad one
                    id=name)
       for name in ("kind", "endpoint", "strong_model", "weak_model", "consensus_model",
                    "fixture_path", "api_key_env")),
+    # numbers that json.loads reads from NaN and Infinity
+    *(pytest.param(lambda doc, name=name, value=value: {
+        **doc, "backend": {**doc["backend"], name: value}}, id=f"{name}-{value}")
+      for name in ("timeout_s", "mock_delay_s") for value in (math.nan, math.inf)),
+    *(pytest.param(lambda doc, value=value: {**doc, "time_budget_secs": value},
+                   id=f"time_budget_secs-{value}") for value in (math.nan, math.inf)),
 ]
 
 
@@ -885,6 +892,16 @@ class TestCli:
                      "--config", str(paths["config"])])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_time_limit_exits_one(self, demo, capsys, value):
+        work, paths = demo
+        code = main(["--schematic", str(paths["schematic"]),
+                     "--config", str(paths["config"]),
+                     "--time-limit-secs", value])
+        assert code == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: time_budget_secs must be finite")
 
     @pytest.mark.parametrize("malform", _MALFORMED_CONFIGS)
     def test_malformed_config_exits_one_with_an_error_line(self, demo, tmp_path, capsys,

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from helpers import BASE_SPEC_VALUE, loopback_server
+from schemreview.config import sink_from_config
 from schemreview.consensus import Confidence, ConsensusAnalysis, ConsensusFinding, Provenance
 from schemreview.dsmodel import spec_from_agent_value
 from schemreview.errors import SinkUnreachable
@@ -20,7 +21,6 @@ from schemreview.reporting import (
     post_comments,
     render_comment,
     render_overlay,
-    sink_from_config,
 )
 from schemreview.review import VerdictStatus
 
@@ -125,7 +125,7 @@ class TestFileSink:
         page = demo_page()
         comment = render_comment(one_group(page), specs_for(page), page)
         report = post_comments(FileSink(str(tmp_path / "out")), [comment])
-        assert report.all_ok
+        assert [r.ok for r in report.records] == [True]
         gid = comment.error_group_id
         assert (tmp_path / "out" / "comments" / f"{gid}.md").is_file()
         assert (tmp_path / "out" / "overlays" / f"{gid}.svg").is_file()
@@ -184,7 +184,7 @@ class TestHttpSink:
         page = demo_page()
         comment = render_comment(one_group(page), specs_for(page), page)
         report = post_comments(HttpSink(server), [comment], sleep=lambda s: None)
-        assert report.all_ok
+        assert [r.ok for r in report.records] == [True]
         assert report.records[0].attempts == 2
         assert [p for p, _ in _FlakyHandler.bodies] == ["/comments"]
 
