@@ -20,7 +20,6 @@ to record both, with the change in ``tokens_in`` per workload:
 
 import argparse
 import json
-import logging
 import platform
 import shutil
 import sys
@@ -72,7 +71,6 @@ def main() -> int:
     parser.add_argument("--before", help="this script's output for the old code")
     parser.add_argument("--out", default="BENCH_specs.json")
     args = parser.parse_args()
-    logging.getLogger("schemreview").setLevel(logging.ERROR)
 
     workloads = {name: count(name, args.seed) for name in sorted(measure.SPEC["workloads"])}
     doc = {"what": "agent calls and tokens of one invocation per workload, "

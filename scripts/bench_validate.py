@@ -22,7 +22,6 @@ to record both, with the change in each check's time:
 
 import argparse
 import json
-import logging
 import os
 import platform
 import shutil
@@ -76,7 +75,6 @@ def demo_responses() -> dict:
             shutil.rmtree(work / "out", ignore_errors=True)
             return run_pipeline(cfg, paths["schematic"])
 
-        logging.getLogger("schemreview").setLevel(logging.ERROR)
         generate_fixtures(run, paths["fixtures"])
         return {kind: max((p.read_text() for p in (paths["fixtures"] / kind).glob("*.resp")),
                           key=lambda t: (len(t), t))

@@ -193,8 +193,10 @@ def load_config(path) -> RunConfig:
                                for i, lib in enumerate(fields["libraries"])]
     if "sink" in fields:
         fields["sink"] = sink_from_config(fields["sink"])
-    if "pages_override" in fields:
-        fields["pages_override"] = [str(p) for p in fields["pages_override"]]
+    pages = fields.get("pages_override", ())
+    if not all(isinstance(page, str) for page in pages):
+        raise ConfigError(f"config {path}: pages_override must be an array of strings, "
+                          f"got {pages!r}")
     return RunConfig(**fields)
 
 

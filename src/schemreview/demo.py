@@ -7,24 +7,23 @@ only on page P2, synthetic datasheet files, a CSV part library, and a
 run config pointing at a mock backend.
 
 ``demo_responder`` answers every agent call deterministically from the
-payload alone, and ``generate_fixtures`` drives a run function until the
-fixture directory satisfies it: the mock backend drops a ``.req``
-capture for each miss, each round scripts responses for the captures,
-and the loop converges because fixtures only accumulate; what the
-converged round did not read is then deleted.
+payload alone, and ``generate_fixtures`` runs a run function once with
+every mock fixture it misses scripted on the spot: the mock backend
+drops its ``.req`` capture, the responder's answer is written beside it
+as the ``.resp`` and served, so an empty directory ends up holding
+exactly what that run read.
 """
 
 from __future__ import annotations
 
 import json
 import re
+import threading
 import xml.etree.ElementTree as ET
-from contextlib import contextmanager
 from importlib import resources
 from pathlib import Path
 
-from .errors import SchemReviewError
-from .gateway import MockBackend, fixture_relpaths
+from .gateway import MockBackend
 
 POWER_NET = re.compile(r"^(GND|VCC.*|VDD.*|[+-]?[0-9]+V.*)$")
 
@@ -300,59 +299,30 @@ def demo_responder(kind_name: str, payload: str, seed: int = 0) -> str:
 
 # --- fixture generation ----------------------------------------------------------
 
-@contextmanager
-def _served_fixtures():
-    """The resolved paths of the fixtures ``MockBackend`` serves inside the
-    block, from any thread: every choice of a request that it served."""
-    served: set[Path] = set()
-    original = MockBackend.complete
+def generate_fixtures(run_fn, fixture_root, responder=demo_responder):
+    """Run ``run_fn`` once against the mock fixture directory
+    ``fixture_root``, scripting each fixture it misses: the miss leaves
+    its ``.req`` capture, the responder's answer is written beside it as
+    the ``.resp`` and served from there. One lock covers every read, so
+    the responder is never entered by two threads at once. Returns
+    ``run_fn``'s result; its exception propagates."""
+    Path(fixture_root).mkdir(parents=True, exist_ok=True)
+    original = MockBackend._read
+    lock = threading.Lock()
 
-    def complete(backend, req, payload):
-        choices, usage = original(backend, req, payload)
-        served.update(backend.root / rel for rel, raw
-                      in zip(fixture_relpaths(req, payload), choices) if raw is not None)
-        return choices, usage
+    def read(backend, rel, payload):
+        with lock:
+            raw = original(backend, rel, payload)
+            if raw is None:
+                path = Path(rel)
+                seed = int(path.stem.rsplit("-", 1)[1])
+                (backend.root / rel).write_text(
+                    responder(path.parent.name, payload, seed), encoding="utf-8")
+                raw = original(backend, rel, payload)
+            return raw
 
-    MockBackend.complete = complete
+    MockBackend._read = read
     try:
-        yield served
+        return run_fn()
     finally:
-        MockBackend.complete = original
-
-
-def generate_fixtures(run_fn, fixture_root, responder=demo_responder,
-                      max_rounds: int = 60):
-    """Run ``run_fn`` repeatedly, scripting responses for every ``.req``
-    capture the mock backend leaves behind, until a round needs nothing
-    new; returns that round's result. Only the fixtures that round read
-    are kept: earlier rounds capture payloads built from answers still
-    missing (a review of a group whose retrieval failed), which a
-    converged run never sends."""
-    root = Path(fixture_root)
-    root.mkdir(parents=True, exist_ok=True)
-    for _ in range(max_rounds):
-        failure = None
-        result = None
-        with _served_fixtures() as served:
-            try:
-                result = run_fn()
-            except SchemReviewError as exc:
-                failure = exc
-        missing = [p for p in sorted(root.rglob("*.req"))
-                   if not p.with_suffix(".resp").exists()]
-        if not missing:
-            if failure is not None:
-                raise failure
-            read = {path.resolve() for path in served}
-            for resp in root.rglob("*.resp"):
-                if resp.resolve() not in read:
-                    resp.unlink()
-                    resp.with_suffix(".req").unlink(missing_ok=True)
-            return result
-        for req_path in missing:
-            kind_name = req_path.parent.name
-            seed = int(req_path.stem.rsplit("-", 1)[1])
-            payload = req_path.read_text(encoding="utf-8")
-            req_path.with_suffix(".resp").write_text(
-                responder(kind_name, payload, seed), encoding="utf-8")
-    raise RuntimeError("fixture generation did not converge")
+        MockBackend._read = original

@@ -118,6 +118,14 @@ def _num(atom, context: str) -> float:
     raise MalformedInput(f"expected a number in {context}, got {atom!r}")
 
 
+def _name(atom, what: str) -> str:
+    """``atom`` when it is a non-empty string; a nested form or an empty
+    string names nothing that a pin or net could be keyed by."""
+    if isinstance(atom, str) and atom:
+        return atom
+    raise MalformedInput(f"{what} must be a non-empty string, got {atom!r}")
+
+
 def _at_point(form: Sexpr, context: str) -> tuple[float, float] | None:
     at = _first(form, "at")
     if at is None:
@@ -136,21 +144,25 @@ def _property(symbol: Sexpr, key: str) -> str | None:
 
 def _parse_symbol(form: Sexpr) -> Component:
     ref = _property(form, "Reference")
-    if not ref:
+    if ref is None:
         raise MalformedInput("symbol without a Reference property")
-    pins = []
+    ref = _name(ref, "symbol Reference")
+    pins = {}
     for pin_form in _forms(form, "pin"):
         number = _first(pin_form, "number")
         if number is None or len(number) < 2:
             raise MalformedInput(f"pin of {ref} without a number")
+        designator = _name(number[1], f"pin number of {ref}")
+        if designator in pins:
+            raise MalformedInput(f"symbol {ref}: duplicate pin {designator!r}")
         name = _first(pin_form, "name")
         pt = _at_point(pin_form, f"pin of {ref}")
-        pins.append(Pin(
-            designator=number[1],
+        pins[designator] = Pin(
+            designator=designator,
             name=name[1] if name and len(name) >= 2 else None,
             x=pt[0] if pt else None,
             y=pt[1] if pt else None,
-        ))
+        )
     bbox = None
     bbox_form = _first(form, "bbox")
     if bbox_form is not None:
@@ -163,7 +175,7 @@ def _parse_symbol(form: Sexpr) -> Component:
         mpn=_property(form, "MPN"),
         ipn=_property(form, "IPN"),
         datasheet_url=_property(form, "Datasheet"),
-        pins=tuple(pins),
+        pins=tuple(pins.values()),
         bbox=bbox,
     )
 
@@ -209,7 +221,8 @@ def parse_kicad_page(text: str) -> Page:
         pt = _at_point(label, "label")
         if pt is None:
             raise MalformedInput(f"label {label[1]!r} without (at ...)")
-        annotations.append(GraphicalAnnotation(label[1], BBox(pt[0], pt[1], 0, 0), kind="label"))
+        net_name = _name(label[1], f"text of the label at ({pt[0]:g} {pt[1]:g})")
+        annotations.append(GraphicalAnnotation(net_name, BBox(pt[0], pt[1], 0, 0), kind="label"))
 
     nets = trace_nets(page_id, components, tuple(annotations))
     return Page(id=page_id, components=components, nets=tuple(nets),

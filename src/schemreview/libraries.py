@@ -4,7 +4,8 @@ Four source kinds are supported:
 
 * ``http-part-api``  — GET {base_url}/parts/{part}/datasheet, bearer token
   from the env var named by ``api_key_env``; answers
-  ``{"datasheet_url": ...}`` or ``{"datasheet_urls": [...]}``.
+  ``{"datasheet_url": ...}`` or ``{"datasheet_urls": [...]}``; any other
+  ``datasheet_urls`` than an array of strings is a failed lookup.
 * ``json-template-api`` — GET the ``url_template`` with ``{part}``
   substituted; answers ``{"datasheet_url": ...}``.
 * ``csv-table``       — file with header ``part_number,datasheet_url``,
@@ -115,8 +116,11 @@ class LibrarySource:
             return []
         resp.raise_for_status()
         doc = resp.json()
-        if self.kind is LibraryKind.HTTP_PART_API and doc.get("datasheet_urls"):
-            return list(doc["datasheet_urls"])
+        urls = doc.get("datasheet_urls") if self.kind is LibraryKind.HTTP_PART_API else None
+        if urls:
+            if not isinstance(urls, list) or not all(isinstance(u, str) for u in urls):
+                raise ValueError(f"datasheet_urls is not an array of strings: {urls!r}")
+            return urls
         return [doc["datasheet_url"]] if doc.get("datasheet_url") else []
 
 

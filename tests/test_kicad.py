@@ -163,6 +163,25 @@ def test_non_finite_coordinate_is_malformed_input(token, where):
     assert str(exc.value).endswith(f"got {token!r}")
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ('(label "VCC_3V3" (at 30 20))', "(label (x) (at 10 0))",
+     "text of the label at (10 0) must be a non-empty string, got ['x']"),
+    ('(label "VCC_3V3" (at 30 20))', '(label "" (at 30 20))',
+     "text of the label at (30 20) must be a non-empty string, got ''"),
+    ('(pin (number "1") (name "VIN") (at 10 20))', '(pin (number (x)) (at 10 20))',
+     "pin number of U1 must be a non-empty string, got ['x']"),
+    ('(pin (number "2") (name "VOUT") (at 10 30))', '(pin (number "1") (at 10 30))',
+     "symbol U1: duplicate pin '1'"),
+], ids=["label-form", "label-empty", "pin-number-form", "duplicate-pin"])
+def test_unkeyable_name_is_malformed_input_at_read(old, new, message):
+    # each would otherwise escape as a bare TypeError or ValueError from
+    # wire tracing or the model
+    assert old in ONE_SYMBOL_ONE_WIRE
+    with pytest.raises(MalformedInput) as exc:
+        ingest_schematic(ONE_SYMBOL_ONE_WIRE.replace(old, new).encode())
+    assert str(exc.value) == message
+
+
 def test_symbol_without_reference_rejected():
     with pytest.raises(MalformedInput):
         parse_kicad_page('(kicad_sch (symbol (pin (number "1"))))')

@@ -1,6 +1,7 @@
 """Library chain: per-kind lookup and candidate ordering."""
 
 import json
+import logging
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -141,6 +142,27 @@ def test_http_part_api(part_api_server):
     lib = LibrarySource(LibraryKind.HTTP_PART_API, priority=1, base_url=part_api_server)
     assert lib.lookup(PartRef(mpn="LM317")) == ["http://api/lm317.pdf"]
     assert lib.lookup(PartRef(mpn="NOPE")) == []
+
+
+@pytest.mark.parametrize("urls", ["http://x/a.pdf", [1]], ids=["string", "number"])
+def test_http_part_api_malformed_urls_give_no_candidates(urls, caplog):
+    # a string would otherwise give one candidate per character
+    class Handler(BaseHTTPRequestHandler):
+        def do_GET(self):
+            out = json.dumps({"datasheet_urls": urls}).encode()
+            self.send_response(200)
+            self.send_header("Content-Length", str(len(out)))
+            self.end_headers()
+            self.wfile.write(out)
+
+        def log_message(self, *args):
+            pass
+
+    with loopback_server(Handler) as url:
+        lib = LibrarySource(LibraryKind.HTTP_PART_API, priority=1, base_url=url)
+        with caplog.at_level(logging.WARNING, logger="schemreview.libraries"):
+            assert lib.lookup(PartRef(mpn="LM317")) == []
+    assert "datasheet_urls" in caplog.text
 
 
 def test_json_template_api(part_api_server):

@@ -4,6 +4,7 @@ import json
 import math
 import shutil
 import threading
+import time
 import xml.etree.ElementTree as ET
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -110,6 +111,8 @@ _MALFORMED_CONFIGS = [  # each turns the demo's config document into a bad one
     pytest.param(lambda doc: {**doc, "sink": {**doc["sink"], "out_dir": None}},
                  id="out_dir-null"),
     pytest.param(lambda doc: {**doc, "cache_dir": 5}, id="cache_dir"),
+    pytest.param(lambda doc: {**doc, "pages_override": [{"id": "P1"}]},
+                 id="pages_override-element"),
     pytest.param(lambda doc: {**doc, "backend": {**doc["backend"], "max_in_flight": "8"}},
                  id="max_in_flight"),
     pytest.param(lambda doc: {**doc, "backend": {**doc["backend"], "mock_delay_s": "x"}},
@@ -838,6 +841,61 @@ class TestFixtureGeneration:
         assert captures == {r.removesuffix(".resp") + ".req" for r in responses}
         # one review choice per group and seed: five groups, k = 3
         assert len(list((fixtures / "group_review").glob("*.resp"))) == 15
+
+    def test_the_run_is_called_once(self, tmp_path):
+        paths = write_demo_workspace(tmp_path)
+        cfg = fresh_cfg(tmp_path)
+        calls = []
+
+        def run():
+            calls.append(1)
+            clean_run_dirs(tmp_path)
+            return run_pipeline(cfg, paths["schematic"])
+
+        assert generate_fixtures(run, paths["fixtures"]).status == RunStatus.COMPLETE
+        assert len(calls) == 1
+
+    def test_the_responder_is_never_entered_twice_at_once(self, tmp_path):
+        paths = write_demo_workspace(tmp_path)
+        cfg = fresh_cfg(tmp_path)
+        cfg.backend.mock_delay_s = 0.01
+        cfg.backend.max_in_flight = 8
+        lock = threading.Lock()
+        inside = peak = 0
+        threads = set()
+
+        def responder(kind_name, payload, seed):
+            nonlocal inside, peak
+            with lock:
+                inside += 1
+                peak = max(peak, inside)
+                threads.add(threading.get_ident())
+            try:
+                time.sleep(0.002)  # widens the window in which a second caller would enter
+                return demo_responder(kind_name, payload, seed)
+            finally:
+                with lock:
+                    inside -= 1
+
+        def run():
+            clean_run_dirs(tmp_path)
+            return run_pipeline(cfg, paths["schematic"])
+
+        assert generate_fixtures(run, paths["fixtures"], responder=responder).status \
+            == RunStatus.COMPLETE
+        assert len(threads) > 1  # the misses did come from several threads
+        assert peak == 1
+
+    def test_the_mock_read_is_restored_after_a_failed_run(self, tmp_path):
+        original = MockBackend._read
+
+        def run():
+            assert MockBackend._read is not original
+            raise KeyError("boom")
+
+        with pytest.raises(KeyError, match="boom"):
+            generate_fixtures(run, tmp_path / "fixtures")
+        assert MockBackend._read is original
 
 
     def test_payloads_do_not_depend_on_the_workspace_path(self, tmp_path):
