@@ -16,7 +16,6 @@ from dataclasses import replace
 
 from .errors import MissingSidecar
 from .model import AugmentationStrategy, Net, Page, Schematic, SourceFormat, resolve_node
-from .pstxnet import parse_pstxnet
 from .wiretrace import infer_nets
 
 log = logging.getLogger(__name__)
@@ -39,6 +38,7 @@ def augment_netlist(schematic: Schematic) -> Schematic:
                 if text is None:
                     raise MissingSidecar(
                         f"DE-HDL schematic has no {PSTXNET_SIDECAR_KIND!r} sidecar")
+                from .pstxnet import parse_pstxnet  # imported here: only DE-HDL uses it
                 sidecar_nets = parse_pstxnet(text)
             pages.append(_from_sidecar(page, sidecar_nets))
         else:

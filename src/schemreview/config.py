@@ -56,6 +56,7 @@ class Mode(enum.Enum):
 
 @dataclass
 class RunConfig:
+    """One run's settings, as read from the config file and CLI overrides."""
     mode: Mode = Mode.FULL_ANALYSIS
     k: int = 3
     critic_threshold: float = 7.0

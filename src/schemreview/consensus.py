@@ -25,6 +25,7 @@ import enum
 import json
 import logging
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .gateway import AgentKind, AgentRequest, Gateway
 from .review import (
@@ -83,6 +84,7 @@ class ConsensusFinding:
 
 @dataclass(frozen=True)
 class ConsensusAnalysis:
+    """The consensus findings on one component, no pin in two findings."""
     designator: str
     findings: tuple[ConsensusFinding, ...]
 
@@ -101,8 +103,7 @@ class ConsensusAnalysis:
 _Key = tuple[str, frozenset, VerdictStatus]
 
 
-@dataclass(frozen=True)
-class _Cluster:
+class _Cluster(NamedTuple):
     designator: str
     pins: frozenset
     verdicts: tuple[tuple[int, PinVerdict], ...]  # (run_index, verdict)

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING, NamedTuple
 from urllib.parse import urlparse, unquote
 
 from . import httpreq
@@ -33,8 +33,10 @@ from .dsmodel import (
 from .errors import AllAttemptsFailed, FetchFailed, NotADatasheet, SchemReviewError
 from .gateway import AgentKind, AgentRequest, Gateway
 from .libraries import LibrarySource, PartRef, locate
-from .singleflight import SingleFlight
 from .tracing import UNTRACED, TraceContext
+
+if TYPE_CHECKING:
+    from .singleflight import SingleFlight
 
 log = logging.getLogger(__name__)
 
@@ -52,14 +54,12 @@ _CRITIC_PROMPT = ("Score this datasheet extraction from 0 to 10 on feature "
                   "and typical application circuits.")
 
 
-@dataclass(frozen=True)
-class RetrievalConfig:
+class RetrievalConfig(NamedTuple):
     threshold: float = 7.0
     max_attempts: int = 5
 
 
-@dataclass(frozen=True)
-class RetrievalResult:
+class RetrievalResult(NamedTuple):
     spec: DatasheetSpec
     score: CriticScore
     cache_hit: bool

@@ -23,8 +23,8 @@ import os
 import threading
 import time
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .dsmodel import CriticScore, DatasheetSpec
 from .errors import StoreIo
@@ -36,8 +36,7 @@ TTL_S = 604800  # 7 days
 CacheKey = tuple[str, str]  # (part number, source URL)
 
 
-@dataclass(frozen=True)
-class CacheEntry:
+class CacheEntry(NamedTuple):
     key: CacheKey
     spec: DatasheetSpec
     score: CriticScore

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .libraries import PartRef
 from .xmlutil import DECLARATION, compact, esc
@@ -47,6 +48,7 @@ class CriticScore:
 
 @dataclass(frozen=True)
 class DatasheetDocument:
+    """A fetched datasheet's page texts and table of contents."""
     source_url: str
     pages: tuple[str, ...]
     toc: tuple[tuple[str, int], ...] | None = None
@@ -59,22 +61,19 @@ class DatasheetDocument:
             raise ValueError("a datasheet document needs at least one page")
 
 
-@dataclass(frozen=True)
-class PinFunction:
+class PinFunction(NamedTuple):
     designator: str
     function: str
     metadata: tuple[tuple[str, str], ...] = ()
 
 
-@dataclass(frozen=True)
-class Rating:
+class Rating(NamedTuple):
     parameter: str
     limit: str
     unit: str
 
 
-@dataclass(frozen=True)
-class OperatingRange:
+class OperatingRange(NamedTuple):
     parameter: str
     unit: str
     min: str | None = None
@@ -84,6 +83,7 @@ class OperatingRange:
 
 @dataclass(frozen=True)
 class DatasheetSpec:
+    """The compact specification extracted from one part's datasheet."""
     part: PartRef
     source_url: str
     pins: tuple[PinFunction, ...] = ()

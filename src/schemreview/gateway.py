@@ -31,6 +31,7 @@ import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from . import httpreq
 from .errors import (
@@ -87,8 +88,7 @@ def route_tier(agent_kind: AgentKind) -> ModelTier:
     return _TIERS[agent_kind]
 
 
-@dataclass(frozen=True)
-class TokenUsage:
+class TokenUsage(NamedTuple):
     tokens_in: int = 0
     tokens_out: int = 0
 
@@ -97,8 +97,7 @@ class TokenUsage:
                           self.tokens_out + other.tokens_out)
 
 
-@dataclass(frozen=True)
-class AgentRequest:
+class AgentRequest(NamedTuple):
     """``n`` None asks for one completion, repaired until it validates;
     ``n`` = k asks for k choices, choice i standing in for seed
     ``seed + i``, each validated alone (``AgentResponse.choices``)."""
@@ -109,16 +108,14 @@ class AgentRequest:
     n: int | None = None
 
 
-@dataclass(frozen=True)
-class Choice:
+class Choice(NamedTuple):
     """One choice of an n-choice response: its validated value, or why
     it failed its schema (``failure``)."""
     value: object = None
     failure: str | None = None
 
 
-@dataclass(frozen=True)
-class AgentResponse:
+class AgentResponse(NamedTuple):
     value: object
     usage: TokenUsage
     attempts: int = 1
@@ -128,6 +125,7 @@ class AgentResponse:
 
 @dataclass
 class BackendConfig:
+    """Which backend serves the agents, its models, and how calls are bounded."""
     kind: str = "mock"  # "mock" | "live-http"
     endpoint: str | None = None
     strong_model: str = "strong-default"

@@ -13,7 +13,7 @@ referenced nets) triples. Input order can never change it.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .consensus import ConsensusAnalysis, ConsensusFinding
 from .model import Net
@@ -23,8 +23,7 @@ from .unionfind import UnionFind
 GROUPABLE = (VerdictStatus.INCORRECT, VerdictStatus.WARNING)
 
 
-@dataclass(frozen=True)
-class ErrorGroup:
+class ErrorGroup(NamedTuple):
     group_id: str
     findings: tuple[tuple[str, ConsensusFinding], ...]
     root_cause_summary: str

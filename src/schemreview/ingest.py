@@ -24,7 +24,6 @@ import marshal
 import math
 
 from .errors import MalformedInput, UnknownFormat
-from .kicad import parse_kicad_page
 from .model import (
     BBox,
     Component,
@@ -104,6 +103,7 @@ def ingest_schematic(raw: bytes, format_hint: str | SourceFormat | None = None, 
             raise UnknownFormat(f"unknown format hint {format_hint!r}") from None
 
     if fmt is SourceFormat.KICAD_SUBSET:
+        from .kicad import parse_kicad_page  # imported here: only KiCad input uses it
         page = parse_kicad_page(text)
         return Schematic(format=fmt, pages=(page,))
     return _ingest_structured(_loads(text) if doc is None else doc, fmt, reuse)
@@ -201,8 +201,10 @@ def _decode_page(doc: dict) -> Page:
         Net(n["name"], tuple((c, p) for c, p in n["nodes"]))
         for n in doc.get("nets", [])
     )
-    annotations = tuple(
-        GraphicalAnnotation(a["text"], _decode_bbox(a["bbox"]), a.get("kind", "label"))
-        for a in doc.get("annotations", [])
-    )
+    annotations = []
+    for i, a in enumerate(doc.get("annotations", [])):
+        kind = a.get("kind", "label")
+        if kind == "label" and not a["text"]:
+            raise MalformedInput(f"page {doc['id']!r}: annotation {i} is a label without text")
+        annotations.append(GraphicalAnnotation(a["text"], _decode_bbox(a["bbox"]), kind))
     return Page(id=doc["id"], components=components, nets=nets, annotations=annotations)

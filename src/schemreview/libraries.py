@@ -21,7 +21,6 @@ datasheet URL, when present, always first.
 
 from __future__ import annotations
 
-import csv
 import enum
 import logging
 import threading
@@ -39,6 +38,7 @@ LOOKUP_TIMEOUT_S = 10
 
 @dataclass(frozen=True)
 class PartRef:
+    """A part as a library looks it up: manufacturer and/or internal part number."""
     mpn: str | None = None
     ipn: str | None = None
 
@@ -61,6 +61,7 @@ class LibraryKind(enum.Enum):
 
 @dataclass(frozen=True)
 class LibrarySource:
+    """One part library of the lookup chain, tried in ``priority`` order."""
     kind: LibraryKind
     priority: int
     base_url: str | None = None
@@ -88,6 +89,7 @@ class LibrarySource:
     def _lookup_csv(self, part: PartRef) -> list[str]:
         with self._table_lock:
             if self._table is None:
+                import csv  # imported here: only csv-table libraries use it
                 table: dict[str, list[str]] = {}
                 with open(self.path, newline="", encoding="utf-8") as fh:
                     for row in csv.DictReader(fh):

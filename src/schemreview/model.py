@@ -109,6 +109,7 @@ class Pin:
 
 @dataclass(frozen=True)
 class Component:
+    """A placed part: designator, part numbers, pins and bounding box."""
     designator: str
     mpn: str | None = None
     ipn: str | None = None
@@ -155,6 +156,7 @@ class Net:
 
 @dataclass(frozen=True)
 class Page:
+    """One schematic page: components, nets, annotations, how its nets were derived."""
     id: str
     components: tuple[Component, ...] = ()
     nets: tuple[Net, ...] = ()

@@ -42,7 +42,7 @@ import logging
 import time
 from contextlib import ExitStack
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .augment import augment_netlist
@@ -57,7 +57,7 @@ from .grouping import group_errors
 from .ingest import ingest_schematic
 from .libraries import PartRef
 from .model import Page, Schematic
-from .reporting import DeliveryReport, post_comments, render_comment
+from .reporting import DeliveryRecord, post_comments, render_comment
 from .review import GroupReviewContext, checklist_loader, fan_out_reviews, select_groups
 from .tracing import TraceContext, Tracer, emit_traces
 from .workfirst import map_on_pool
@@ -71,6 +71,7 @@ class RunStatus:
 
 @dataclass
 class RunReport:
+    """What a run analyzed, emitted and spent, and how delivery went."""
     status: str
     pages_analyzed: list[str]
     pages_skipped: list[str]
@@ -79,7 +80,7 @@ class RunReport:
     cache_hits: int
     cache_misses: int
     wall_time_s: float
-    delivery: DeliveryReport | None = None
+    delivery: tuple[DeliveryRecord, ...] = ()
 
     def to_doc(self) -> dict:
         return {
@@ -90,7 +91,7 @@ class RunReport:
             "usage": self.usage,
             "cache": {"hits": self.cache_hits, "misses": self.cache_misses},
             "wall_time_s": round(self.wall_time_s, 3),
-            "delivery": [asdict(r) for r in (self.delivery.records if self.delivery else ())],
+            "delivery": [r._asdict() for r in self.delivery],
         }
 
 

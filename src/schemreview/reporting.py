@@ -19,6 +19,7 @@ import json
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from . import httpreq
 from .consensus import ConsensusFinding
@@ -38,6 +39,7 @@ DEFAULT_PAGE_EXTENT = BBox(0, 0, 100, 100)
 
 @dataclass(frozen=True)
 class ReviewComment:
+    """One rendered review comment for one error group on one page."""
     page_id: str
     markdown: str
     error_group_id: str
@@ -50,21 +52,11 @@ class ReviewComment:
             raise ValueError("comment markdown must be non-empty")
 
 
-@dataclass(frozen=True)
-class DeliveryRecord:
+class DeliveryRecord(NamedTuple):
     group_id: str
     ok: bool
     attempts: int
     error: str | None = None
-
-
-@dataclass(frozen=True)
-class DeliveryReport:
-    records: tuple[DeliveryRecord, ...]
-
-    @property
-    def delivered(self) -> int:
-        return sum(1 for r in self.records if r.ok)
 
 
 def _md_escape(text: str) -> str:
@@ -162,11 +154,13 @@ def render_overlay(page: Page, bbox: BBox) -> str:
 
 @dataclass(frozen=True)
 class FileSink:
+    """Delivers comments as files under ``out_dir``."""
     out_dir: str
 
 
 @dataclass(frozen=True)
 class HttpSink:
+    """Posts comments to ``base_url`` with a bearer token from ``token_env``."""
     base_url: str
     token_env: str = "SCHEMREVIEW_SINK_TOKEN"
 
@@ -189,8 +183,8 @@ def comment_doc(comment: ReviewComment) -> dict:
 
 
 def post_comments(sink, comments: list[ReviewComment],
-                  sleep=time.sleep) -> DeliveryReport:
-    """Deliver comments to the sink. Partial delivery is valid and reported
+                  sleep=time.sleep) -> tuple[DeliveryRecord, ...]:
+    """Deliver comments to the sink. Partial delivery is valid and recorded
     per comment; SinkUnreachable is raised only when nothing could be
     delivered at all."""
     if isinstance(sink, FileSink):
@@ -200,7 +194,7 @@ def post_comments(sink, comments: list[ReviewComment],
     raise ConfigError(f"unknown sink type {type(sink).__name__}")
 
 
-def _post_to_files(sink: FileSink, comments) -> DeliveryReport:
+def _post_to_files(sink: FileSink, comments) -> tuple[DeliveryRecord, ...]:
     out = Path(sink.out_dir)
     (out / "comments").mkdir(parents=True, exist_ok=True)
     (out / "overlays").mkdir(parents=True, exist_ok=True)
@@ -217,18 +211,16 @@ def _post_to_files(sink: FileSink, comments) -> DeliveryReport:
     (out / "manifest.json").write_text(
         json.dumps({"version": 1, "comments": entries}, indent=2, sort_keys=True) + "\n",
         encoding="utf-8")
-    return DeliveryReport(tuple(DeliveryRecord(c.error_group_id, True, 1) for c in comments))
+    return tuple(DeliveryRecord(c.error_group_id, True, 1) for c in comments)
 
 
-def _post_to_http(sink: HttpSink, comments, sleep) -> DeliveryReport:
+def _post_to_http(sink: HttpSink, comments, sleep) -> tuple[DeliveryRecord, ...]:
     url = f"{sink.base_url.rstrip('/')}/comments"
-    report = DeliveryReport(tuple(_post_one(url, sink.token_env, comment, sleep)
-                                  for comment in comments))
-    if comments and report.delivered == 0:
+    records = tuple(_post_one(url, sink.token_env, comment, sleep) for comment in comments)
+    if comments and not any(r.ok for r in records):
         raise SinkUnreachable(
-            f"no comment could be delivered to {sink.base_url}: "
-            f"{report.records[0].error}")
-    return report
+            f"no comment could be delivered to {sink.base_url}: {records[0].error}")
+    return records
 
 
 def _post_one(url: str, token_env: str, comment: ReviewComment, sleep) -> DeliveryRecord:

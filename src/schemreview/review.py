@@ -20,6 +20,7 @@ from concurrent.futures import Executor
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 from .canonical import serialize_page_xml
 from .dsmodel import DatasheetSpec
@@ -83,6 +84,7 @@ class PinVerdict:
 
 @dataclass(frozen=True)
 class ComponentAnalysis:
+    """One run's verdicts on one component, no pin in two pin keys."""
     designator: str
     verdicts: tuple[PinVerdict, ...]
 
@@ -99,6 +101,7 @@ class ComponentAnalysis:
 
 @dataclass(frozen=True)
 class RunResult:
+    """The component analyses of one review run."""
     run_index: int
     analyses: tuple[ComponentAnalysis, ...]
 
@@ -106,14 +109,14 @@ class RunResult:
         object.__setattr__(self, "analyses", tuple(self.analyses))
 
 
-@dataclass(frozen=True)
-class RunFailure:
+class RunFailure(NamedTuple):
     run_index: int
     error: str
 
 
 @dataclass(frozen=True)
 class FunctionalGroup:
+    """A named, non-empty set of designators reviewed together."""
     name: str
     designators: tuple[str, ...]
 
@@ -123,8 +126,7 @@ class FunctionalGroup:
             raise ValueError(f"group {self.name!r} has no members")
 
 
-@dataclass(frozen=True)
-class GroupReviewContext:
+class GroupReviewContext(NamedTuple):
     """Everything one group review needs: the group, its slice of the page
     netlist in the payload layout (``serialize_page_xml(page, members,
     payload=True)``: the members with their pins and every net touching a

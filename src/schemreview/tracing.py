@@ -23,6 +23,7 @@ from .errors import StoreIo
 
 @dataclass(frozen=True)
 class TraceEvent:
+    """One finished span: its name, path, start, duration and attributes."""
     span_name: str
     path: str
     start: float

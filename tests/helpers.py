@@ -33,6 +33,16 @@ BASE_SPEC_VALUE = {
 }
 
 
+# a wire between R1's pins and a label without text on it; the page's
+# nets come from wire tracing
+WIRE_AND_EMPTY_LABEL = {"version": 1, "pages": [{
+    "id": "P1",
+    "components": [{"designator": "R1", "pins": [{"designator": "1", "x": 0, "y": 0},
+                                                 {"designator": "2", "x": 10, "y": 0}]}],
+    "annotations": [{"kind": "wire", "text": "", "bbox": {"x": 0, "y": 0, "w": 10, "h": 0}},
+                    {"kind": "label", "text": "", "bbox": {"x": 0, "y": 0, "w": 0, "h": 0}}]}]}
+
+
 def write_fixture(fixture_root, kind: AgentKind, payload: str, seed: int, text: str):
     path = Path(fixture_root) / fixture_relpath(kind, payload, seed)
     path.parent.mkdir(parents=True, exist_ok=True)

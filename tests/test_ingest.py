@@ -7,6 +7,7 @@ import jsonschema
 import pytest
 
 import schemreview
+from helpers import WIRE_AND_EMPTY_LABEL
 from schemreview.augment import augment_netlist
 from schemreview.errors import MalformedInput, UnknownFormat
 from schemreview.ingest import ingest_schematic
@@ -159,6 +160,13 @@ def test_non_finite_wire_coordinate_is_malformed_input():
         '"bbox": {"x": Infinity, "y": 0, "w": 10, "h": 0}}], "nets": ['))
     with pytest.raises(MalformedInput, match="non-finite number Infinity"):
         augment_netlist(ingest_schematic(doc.encode()))
+
+
+def test_label_without_text_is_malformed_input():
+    # was a bare ValueError from augment_netlist: "net name must be non-empty"
+    with pytest.raises(MalformedInput) as exc:
+        augment_netlist(ingest_schematic(doc_bytes(WIRE_AND_EMPTY_LABEL)))
+    assert str(exc.value) == "page 'P1': annotation 1 is a label without text"
 
 
 def test_integer_past_the_digit_limit_is_malformed_input():

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import WIRE_AND_EMPTY_LABEL
 from schemreview import libraries, pipeline
 from schemreview.cli import main
 from schemreview.config import Mode, RunConfig, apply_cli_overrides, load_config
@@ -305,6 +306,18 @@ class TestTraces:
             parent = span["path"].rsplit("/", 1)[0]
             if parent != span["path"]:
                 assert any(s["path"] == parent for s in spans)
+
+    def test_trace_attributes_and_cache_entries_hold_no_arrays(self, demo):
+        # a NamedTuple record that reached json.dumps would come out as an array
+        work, paths = demo
+        clean_run_dirs(work)
+        run_pipeline(fresh_cfg(work), paths["schematic"])
+        for span in read_spans(work / "trace.jsonl"):
+            assert not any(isinstance(v, (list, dict)) for v in span["attributes"].values())
+        entries = [json.loads(p.read_text()) for p in (work / "cache").glob("*.json")]
+        assert len(entries) == 8
+        for entry in entries:
+            assert not any(isinstance(v, list) for v in [*entry.values(), *entry["score"].values()])
 
     def test_cache_hit_rate_derivable(self, demo):
         work, paths = demo
@@ -950,6 +963,15 @@ class TestCli:
                      "--config", str(paths["config"])])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_label_without_text_exits_one_with_an_error_line(self, demo, tmp_path, capsys):
+        work, paths = demo
+        schematic = tmp_path / "empty_label.json"
+        schematic.write_text(json.dumps(WIRE_AND_EMPTY_LABEL), encoding="utf-8")
+        code = main(["--schematic", str(schematic), "--config", str(paths["config"])])
+        assert code == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line == "error: page 'P1': annotation 1 is a label without text"
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_time_limit_exits_one(self, demo, capsys, value):

@@ -124,8 +124,8 @@ class TestFileSink:
     def test_layout_and_manifest(self, tmp_path):
         page = demo_page()
         comment = render_comment(one_group(page), specs_for(page), page)
-        report = post_comments(FileSink(str(tmp_path / "out")), [comment])
-        assert [r.ok for r in report.records] == [True]
+        records = post_comments(FileSink(str(tmp_path / "out")), [comment])
+        assert [r.ok for r in records] == [True]
         gid = comment.error_group_id
         assert (tmp_path / "out" / "comments" / f"{gid}.md").is_file()
         assert (tmp_path / "out" / "overlays" / f"{gid}.svg").is_file()
@@ -137,8 +137,8 @@ class TestFileSink:
             "comments", "manifest.json", "overlays"]
 
     def test_zero_comments_still_writes_manifest(self, tmp_path):
-        report = post_comments(FileSink(str(tmp_path / "out")), [])
-        assert report.records == ()
+        records = post_comments(FileSink(str(tmp_path / "out")), [])
+        assert records == ()
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["comments"] == []
 
@@ -183,9 +183,9 @@ class TestHttpSink:
     def test_retry_then_success_records_attempts(self, server):
         page = demo_page()
         comment = render_comment(one_group(page), specs_for(page), page)
-        report = post_comments(HttpSink(server), [comment], sleep=lambda s: None)
-        assert [r.ok for r in report.records] == [True]
-        assert report.records[0].attempts == 2
+        records = post_comments(HttpSink(server), [comment], sleep=lambda s: None)
+        assert [r.ok for r in records] == [True]
+        assert records[0].attempts == 2
         assert [p for p, _ in _FlakyHandler.bodies] == ["/comments"]
 
     @pytest.mark.parametrize("status, attempts", [(401, 1), (404, 1), (408, 2), (429, 2),
@@ -196,12 +196,12 @@ class TestHttpSink:
         first = render_comment(one_group(page), specs_for(page), page)
         second = replace(first, error_group_id="G2")
         slept = []
-        report = post_comments(HttpSink(server), [first, second], sleep=slept.append)
-        assert [(r.ok, r.attempts) for r in report.records] == [(attempts > 1, attempts),
-                                                                (True, 1)]
+        records = post_comments(HttpSink(server), [first, second], sleep=slept.append)
+        assert [(r.ok, r.attempts) for r in records] == [(attempts > 1, attempts),
+                                                         (True, 1)]
         assert len(slept) == attempts - 1
         if attempts == 1:
-            assert report.records[0].error == f"HTTP {status}"
+            assert records[0].error == f"HTTP {status}"
 
     def test_unreachable_sink_raises_after_retries(self):
         page = demo_page()
