@@ -12,7 +12,6 @@ no-op.
 from __future__ import annotations
 
 import logging
-from dataclasses import replace
 
 from .errors import MissingSidecar
 from .model import AugmentationStrategy, Net, Page, Schematic, SourceFormat, resolve_node
@@ -43,10 +42,8 @@ def augment_netlist(schematic: Schematic) -> Schematic:
             pages.append(_from_sidecar(page, sidecar_nets))
         else:
             nets = infer_nets(page)
-            pages.append(replace(
-                page, nets=tuple(nets),
-                strategy=AugmentationStrategy.WIRE_TRACE_INFERENCE,
-            ))
+            pages.append(page._replace(
+                nets=tuple(nets), strategy=AugmentationStrategy.WIRE_TRACE_INFERENCE))
     return schematic.with_pages(pages)
 
 
@@ -58,9 +55,8 @@ def _with_embedded(page: Page) -> Page:
         for node in sorted(dropped):
             log.warning("page %s net %s: dropping unresolved node %s.%s",
                         page.id, net.name, node[0], node[1])
-        kept.append(net if not dropped else replace(net, nodes=resolved))
-    return replace(page, nets=tuple(kept),
-                   strategy=AugmentationStrategy.EMBEDDED_NETS)
+        kept.append(net if not dropped else net._replace(nodes=resolved))
+    return page._replace(nets=tuple(kept), strategy=AugmentationStrategy.EMBEDDED_NETS)
 
 
 def _from_sidecar(page: Page, nets: list[Net]) -> Page:
@@ -70,5 +66,4 @@ def _from_sidecar(page: Page, nets: list[Net]) -> Page:
         nodes = tuple(n for n in net.nodes if resolve_node(page, n))
         if nodes:
             page_nets.append(Net(net.name, nodes))
-    return replace(page, nets=tuple(page_nets),
-                   strategy=AugmentationStrategy.PSTXNET_SIDECAR)
+    return page._replace(nets=tuple(page_nets), strategy=AugmentationStrategy.PSTXNET_SIDECAR)

@@ -94,7 +94,7 @@ def _page_blocks(page: Page, payload: bool = False) -> tuple:
     if blocks is None:
         blocks = (_compact_blocks(_render_page(page, "", geometry=False)) if payload
                   else _render_page(page, ""))
-        object.__setattr__(page, name, blocks)
+        page.__dict__[name] = blocks
     return blocks
 
 
@@ -152,25 +152,26 @@ def _join_page(blocks: tuple, members: Iterable[str] | None, lines: list[str]) -
 
 
 def _component_xml(comp: Component, pad: str, geometry: bool = True) -> str:
+    designator, mpn, ipn, datasheet_url, pins, bbox = comp
     head = f"{pad}<component"
-    if comp.datasheet_url:
-        head += f' datasheet_url="{esc(comp.datasheet_url)}"'
-    head += f' designator="{esc(comp.designator)}"'
-    if comp.ipn:
-        head += f' ipn="{esc(comp.ipn)}"'
-    if comp.mpn:
-        head += f' mpn="{esc(comp.mpn)}"'
+    if datasheet_url:
+        head += f' datasheet_url="{esc(datasheet_url)}"'
+    head += f' designator="{esc(designator)}"'
+    if ipn:
+        head += f' ipn="{esc(ipn)}"'
+    if mpn:
+        head += f' mpn="{esc(mpn)}"'
     lines = [head + ">"]
-    if geometry and comp.bbox:
-        lines.append(_bbox_xml(comp.bbox, pad + "  "))
-    for pin in sorted(comp.pins, key=lambda p: p.designator):
-        line = f'{pad}  <pin designator="{esc(pin.designator)}"'
-        if pin.name:
-            line += f' name="{esc(pin.name)}"'
-        if geometry and pin.x is not None:
-            line += f' x="{fmt_num(pin.x)}"'
-        if geometry and pin.y is not None:
-            line += f' y="{fmt_num(pin.y)}"'
+    if geometry and bbox:
+        lines.append(_bbox_xml(bbox, pad + "  "))
+    for pin_designator, name, x, y in sorted(pins, key=lambda p: p.designator):
+        line = f'{pad}  <pin designator="{esc(pin_designator)}"'
+        if name:
+            line += f' name="{esc(name)}"'
+        if geometry and x is not None:
+            line += f' x="{fmt_num(x)}"'
+        if geometry and y is not None:
+            line += f' y="{fmt_num(y)}"'
         lines.append(line + "/>")
     if len(lines) == 1:
         return head + "/>"
@@ -186,16 +187,18 @@ def _net_xml(net: Net, pad: str) -> str:
 
 
 def _bbox_xml(bbox: BBox, pad: str) -> str:
-    return (f'{pad}<bbox h="{fmt_num(bbox.h)}" w="{fmt_num(bbox.w)}" '
-            f'x="{fmt_num(bbox.x)}" y="{fmt_num(bbox.y)}"/>')
+    x, y, w, h = bbox
+    return f'{pad}<bbox h="{fmt_num(h)}" w="{fmt_num(w)}" x="{fmt_num(x)}" y="{fmt_num(y)}"/>'
 
 
 def _annotation_key(ann: GraphicalAnnotation):
-    return (ann.kind, ann.text, ann.bbox.x, ann.bbox.y, ann.bbox.w, ann.bbox.h)
+    text, (x, y, w, h), kind = ann
+    return (kind, text, x, y, w, h)
 
 
 def _annotation_xml(ann: GraphicalAnnotation, pad: str, geometry: bool = True) -> str:
-    head = f'{pad}<annotation kind="{esc(ann.kind)}" text="{esc(ann.text)}"'
+    text, bbox, kind = ann
+    head = f'{pad}<annotation kind="{esc(kind)}" text="{esc(text)}"'
     if not geometry:
         return head + "/>"
-    return f'{head}>\n{_bbox_xml(ann.bbox, pad + "  ")}\n{pad}</annotation>'
+    return f'{head}>\n{_bbox_xml(bbox, pad + "  ")}\n{pad}</annotation>'

@@ -40,12 +40,12 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError
 from .gateway import BackendConfig
 from .libraries import LibraryKind, LibrarySource
+from .records import Settings
 from .reporting import FileSink, HttpSink
 
 
@@ -54,22 +54,18 @@ class Mode(enum.Enum):
     FULL_ANALYSIS = "full-analysis"
 
 
-@dataclass
-class RunConfig:
+class RunConfig(Settings):
     """One run's settings, as read from the config file and CLI overrides."""
-    mode: Mode = Mode.FULL_ANALYSIS
-    k: int = 3
-    critic_threshold: float = 7.0
-    time_budget_s: float | None = None
-    backend: BackendConfig = field(default_factory=BackendConfig)
-    libraries: list[LibrarySource] = field(default_factory=list)
-    sink: object = field(default_factory=lambda: FileSink("out"))
-    cache_dir: str = ".schemreview-cache"
-    base_schematic: str | None = None
-    pages_override: list[str] | None = None
-    trace_out: str | None = None
-    checklist_dir: str | None = None
-    max_attempts: int = 5
+
+    _defaults = {"mode": Mode.FULL_ANALYSIS, "k": 3, "critic_threshold": 7.0,
+                 "time_budget_s": None, "cache_dir": ".schemreview-cache",
+                 "base_schematic": None, "pages_override": None, "trace_out": None,
+                 "checklist_dir": None, "max_attempts": 5}
+    _fields = (*_defaults, "backend", "libraries", "sink")
+
+    def __init__(self, **fields):
+        super().__init__(**{"backend": BackendConfig(), "libraries": [],
+                            "sink": FileSink("out"), **fields})
 
     def validate(self) -> None:
         if self.k < 1:

@@ -24,7 +24,6 @@ from __future__ import annotations
 import enum
 import json
 import logging
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .gateway import AgentKind, AgentRequest, Gateway
@@ -37,6 +36,7 @@ from .review import (
     payload_specs,
     split_pin_key,
 )
+from .records import checked
 from .tracing import UNTRACED, TraceContext
 from .unionfind import UnionFind
 
@@ -60,43 +60,39 @@ class Provenance(enum.Enum):
     CONTRADICTION_RESOLVED = "contradiction-resolved"
 
 
-@dataclass(frozen=True)
-class ConsensusFinding:
-    """``pins`` (in key order) is derived from ``pin_key``."""
+class ConsensusFinding(checked("ConsensusFinding", "pin_key status reasoning referenced_nets "
+                                                    "support_count confidence provenance")):
+    """``pins`` (in key order) is derived from ``pin_key``, and kept in the
+    instance ``__dict__``."""
 
-    pin_key: str
-    status: VerdictStatus
-    reasoning: str
-    referenced_nets: tuple[str, ...]
-    support_count: int
-    confidence: Confidence
-    provenance: Provenance
-
-    def __post_init__(self):
-        object.__setattr__(self, "referenced_nets", tuple(self.referenced_nets))
-        if self.support_count >= 2 and self.provenance is not Provenance.MULTI_RUN:
+    def __new__(cls, pin_key: str, status: VerdictStatus, reasoning: str,
+                referenced_nets: tuple[str, ...], support_count: int,
+                confidence: Confidence, provenance: Provenance):
+        self = tuple.__new__(cls, (pin_key, status, reasoning, tuple(referenced_nets),
+                                   support_count, confidence, provenance))
+        if support_count >= 2 and provenance is not Provenance.MULTI_RUN:
             raise ValueError("support from multiple runs implies multi-run provenance")
-        if self.support_count < 1:
+        if support_count < 1:
             raise ValueError("support_count must be at least 1")
-        # derived from pin_key, so outside the fields (eq, hash, repr)
-        object.__setattr__(self, "pins", split_pin_key(self.pin_key))
+        self.pins = split_pin_key(pin_key)
+        return self
 
 
-@dataclass(frozen=True)
-class ConsensusAnalysis:
+class ConsensusAnalysis(checked("ConsensusAnalysis", "designator findings")):
     """The consensus findings on one component, no pin in two findings."""
-    designator: str
-    findings: tuple[ConsensusFinding, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "findings", tuple(self.findings))
+    __slots__ = ()
+
+    def __new__(cls, designator: str, findings: tuple[ConsensusFinding, ...]):
+        findings = tuple(findings)
         seen: set[str] = set()
-        for finding in self.findings:
+        for finding in findings:
             overlap = seen & set(finding.pins)
             if overlap:
                 raise ValueError(
-                    f"{self.designator}: duplicate findings for pin(s) {sorted(overlap)}")
+                    f"{designator}: duplicate findings for pin(s) {sorted(overlap)}")
             seen |= set(finding.pins)
+        return tuple.__new__(cls, (designator, findings))
 
 
 # matching key across runs

@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .libraries import PartRef
+from .records import checked
 from .xmlutil import DECLARATION, compact, esc
 
 # Critic dimension weights; they sum to 1.
@@ -18,24 +18,24 @@ CRITIC_WEIGHTS = {
 }
 
 
-@dataclass(frozen=True)
-class CriticScore:
+class CriticScore(checked("CriticScore", "feature_completeness pin_function_coverage "
+                                          "application_information typical_application_circuits")):
     """Four quality sub-scores on a 10-point scale plus their weighted total.
 
     ``weighted`` is always computed here from the sub-scores; an agent's own
     arithmetic is never trusted.
     """
 
-    feature_completeness: float
-    pin_function_coverage: float
-    application_information: float
-    typical_application_circuits: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in CRITIC_WEIGHTS:
-            v = getattr(self, name)
+    def __new__(cls, feature_completeness: float, pin_function_coverage: float,
+                application_information: float, typical_application_circuits: float):
+        self = tuple.__new__(cls, (feature_completeness, pin_function_coverage,
+                                   application_information, typical_application_circuits))
+        for name, v in zip(self._fields, self):
             if not 0 <= v <= 10:
                 raise ValueError(f"{name} must be within [0, 10], got {v}")
+        return self
 
     @property
     def weighted(self) -> float:
@@ -46,19 +46,19 @@ class CriticScore:
                 + 15 * self.typical_application_circuits) / 100
 
 
-@dataclass(frozen=True)
-class DatasheetDocument:
+class DatasheetDocument(checked("DatasheetDocument", "source_url pages toc")):
     """A fetched datasheet's page texts and table of contents."""
-    source_url: str
-    pages: tuple[str, ...]
-    toc: tuple[tuple[str, int], ...] | None = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "pages", tuple(self.pages))
-        if self.toc is not None:
-            object.__setattr__(self, "toc", tuple((t, int(i)) for t, i in self.toc))
-        if not self.pages:
+    __slots__ = ()
+
+    def __new__(cls, source_url: str, pages: tuple[str, ...],
+                toc: tuple[tuple[str, int], ...] | None = None):
+        pages = tuple(pages)
+        if toc is not None:
+            toc = tuple((t, int(i)) for t, i in toc)
+        if not pages:
             raise ValueError("a datasheet document needs at least one page")
+        return tuple.__new__(cls, (source_url, pages, toc))
 
 
 class PinFunction(NamedTuple):
@@ -81,30 +81,29 @@ class OperatingRange(NamedTuple):
     max: str | None = None
 
 
-@dataclass(frozen=True)
-class DatasheetSpec:
-    """The compact specification extracted from one part's datasheet."""
-    part: PartRef
-    source_url: str
-    pins: tuple[PinFunction, ...] = ()
-    abs_max_ratings: tuple[Rating, ...] = ()
-    rec_operating: tuple[OperatingRange, ...] = ()
-    blocks: tuple[str, ...] = ()
-    app_circuits: tuple[str, ...] = ()
+class DatasheetSpec(checked("DatasheetSpec", "part source_url pins abs_max_ratings "
+                                              "rec_operating blocks app_circuits")):
+    """The compact specification extracted from one part's datasheet. Its
+    renderings are kept in the instance ``__dict__``."""
 
-    def __post_init__(self):
+    def __new__(cls, part: PartRef, source_url: str, pins: tuple[PinFunction, ...] = (),
+                abs_max_ratings: tuple[Rating, ...] = (),
+                rec_operating: tuple[OperatingRange, ...] = (),
+                blocks: tuple[str, ...] = (), app_circuits: tuple[str, ...] = ()):
         seen = set()
-        for pin in self.pins:
+        for pin in pins:
             if pin.designator in seen:
                 raise ValueError(f"duplicate pin designator {pin.designator!r}")
             seen.add(pin.designator)
+        return tuple.__new__(cls, (part, source_url, pins, abs_max_ratings, rec_operating,
+                                   blocks, app_circuits))
 
     def to_xml(self) -> str:
         """Compact canonical XML; byte-stable for equal specs. Rendered on
         the first call and kept on the (immutable) spec for later ones."""
         if "_xml" not in self.__dict__:
-            object.__setattr__(self, "_xml", self._render())
-        return self.__dict__["_xml"]
+            self._xml = self._render()
+        return self._xml
 
     def payload_xml(self) -> str:
         """The spec in the payload layout agents are sent: ``to_xml``
@@ -113,9 +112,8 @@ class DatasheetSpec:
         content does not; comments still link it. Made on the first call
         and kept on the spec for later ones."""
         if "_payload_xml" not in self.__dict__:
-            object.__setattr__(self, "_payload_xml", compact(
-                self._render(source_url=False)[len(DECLARATION) + 1:]))
-        return self.__dict__["_payload_xml"]
+            self._payload_xml = compact(self._render(source_url=False)[len(DECLARATION) + 1:])
+        return self._payload_xml
 
     def _render(self, source_url: bool = True) -> str:
         """``to_xml``'s document; without ``source_url`` the datasheet

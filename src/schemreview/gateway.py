@@ -29,7 +29,6 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -40,6 +39,7 @@ from .errors import (
     ConfigError,
     SchemaViolationAfterRetries,
 )
+from .records import Settings
 from .schemacheck import error_path, shipped
 from .tracing import UNTRACED, TraceContext, TraceEvent
 from .workfirst import before_wait
@@ -123,19 +123,15 @@ class AgentResponse(NamedTuple):
     choices: tuple[Choice | None, ...] = ()
 
 
-@dataclass
-class BackendConfig:
+class BackendConfig(Settings):
     """Which backend serves the agents, its models, and how calls are bounded."""
-    kind: str = "mock"  # "mock" | "live-http"
-    endpoint: str | None = None
-    strong_model: str = "strong-default"
-    weak_model: str = "weak-default"
-    consensus_model: str | None = None
-    fixture_path: str | None = None
-    api_key_env: str = "SCHEMREVIEW_API_KEY"
-    timeout_s: float = 60.0
-    max_in_flight: int = 8
-    mock_delay_s: float = 0.0
+
+    _defaults = {"kind": "mock",  # "mock" | "live-http"
+                 "endpoint": None, "strong_model": "strong-default",
+                 "weak_model": "weak-default", "consensus_model": None, "fixture_path": None,
+                 "api_key_env": "SCHEMREVIEW_API_KEY", "timeout_s": 60.0,
+                 "max_in_flight": 8, "mock_delay_s": 0.0}
+    _fields = tuple(_defaults)
 
     def validate(self) -> None:
         if self.kind not in ("mock", "live-http"):

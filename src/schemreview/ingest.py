@@ -206,5 +206,8 @@ def _decode_page(doc: dict) -> Page:
         kind = a.get("kind", "label")
         if kind == "label" and not a["text"]:
             raise MalformedInput(f"page {doc['id']!r}: annotation {i} is a label without text")
-        annotations.append(GraphicalAnnotation(a["text"], _decode_bbox(a["bbox"]), kind))
+        try:
+            annotations.append(GraphicalAnnotation(a["text"], _decode_bbox(a["bbox"]), kind))
+        except ValueError as exc:  # a diagonal wire, or a negative extent
+            raise MalformedInput(f"page {doc['id']!r}: annotation {i}: {exc}") from exc
     return Page(id=doc["id"], components=components, nets=nets, annotations=annotations)

@@ -24,27 +24,27 @@ from __future__ import annotations
 import enum
 import logging
 import threading
-from dataclasses import dataclass, field
 from pathlib import Path
 from urllib.parse import quote
 
 from . import httpreq
 from .errors import NoCandidates
+from .records import checked
 
 log = logging.getLogger(__name__)
 
 LOOKUP_TIMEOUT_S = 10
 
 
-@dataclass(frozen=True)
-class PartRef:
+class PartRef(checked("PartRef", "mpn ipn")):
     """A part as a library looks it up: manufacturer and/or internal part number."""
-    mpn: str | None = None
-    ipn: str | None = None
 
-    def __post_init__(self):
-        if not (self.mpn or self.ipn):
+    __slots__ = ()
+
+    def __new__(cls, mpn: str | None = None, ipn: str | None = None):
+        if not (mpn or ipn):
             raise ValueError("part reference needs an mpn or an ipn")
+        return tuple.__new__(cls, (mpn, ipn))
 
     @property
     def key(self) -> str:
@@ -59,20 +59,21 @@ class LibraryKind(enum.Enum):
     LOCAL_DIRECTORY = "local-directory"
 
 
-@dataclass(frozen=True)
-class LibrarySource:
-    """One part library of the lookup chain, tried in ``priority`` order."""
-    kind: LibraryKind
-    priority: int
-    base_url: str | None = None
-    url_template: str | None = None
-    path: str | None = None
-    directory: str | None = None
-    api_key_env: str | None = None
-    # a csv-table's part number -> datasheet URLs, filled by its first lookup
-    _table: dict | None = field(default=None, init=False, repr=False, compare=False)
-    _table_lock: threading.Lock = field(default_factory=threading.Lock, init=False,
-                                        repr=False, compare=False)
+class LibrarySource(checked("LibrarySource",
+                           "kind priority base_url url_template path directory api_key_env")):
+    """One part library of the lookup chain, tried in ``priority`` order. A
+    csv-table's part number -> datasheet URLs is read by its first lookup
+    and kept in the instance ``__dict__`` (``_table``), which a copy
+    (``_replace``) starts without."""
+
+    def __new__(cls, kind: LibraryKind, priority: int, base_url: str | None = None,
+                url_template: str | None = None, path: str | None = None,
+                directory: str | None = None, api_key_env: str | None = None):
+        self = tuple.__new__(cls, (kind, priority, base_url, url_template, path,
+                                   directory, api_key_env))
+        self._table = None
+        self._table_lock = threading.Lock()
+        return self
 
     def lookup(self, part: PartRef) -> list[str]:
         try:
@@ -96,7 +97,7 @@ class LibrarySource:
                         if row.get("datasheet_url"):
                             table.setdefault(row.get("part_number"), []).append(
                                 row["datasheet_url"])
-                object.__setattr__(self, "_table", table)
+                self._table = table
         return list(self._table.get(part.key, ()))
 
     def _lookup_directory(self, part: PartRef) -> list[str]:

@@ -9,7 +9,8 @@ ValueError on violation.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+
+from .records import checked
 
 
 class SourceFormat(enum.Enum):
@@ -24,18 +25,16 @@ class AugmentationStrategy(enum.Enum):
     WIRE_TRACE_INFERENCE = "wire-trace-inference"
 
 
-@dataclass(frozen=True)
-class BBox:
+class BBox(checked("BBox", "x y w h")):
     """Axis-aligned bounding box in page coordinate units."""
 
-    x: float
-    y: float
-    w: float
-    h: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.w < 0 or self.h < 0:
+    def __new__(cls, x: float, y: float, w: float, h: float):
+        self = tuple.__new__(cls, (x, y, w, h))
+        if w < 0 or h < 0:
             raise ValueError(f"bbox with negative extent: {self}")
+        return self
 
     @property
     def x2(self) -> float:
@@ -65,8 +64,7 @@ def union_bboxes(boxes: list[BBox]) -> BBox | None:
     return out
 
 
-@dataclass(frozen=True)
-class GraphicalAnnotation:
+class GraphicalAnnotation(checked("GraphicalAnnotation", "text bbox kind")):
     """Page graphics relevant to connectivity inference.
 
     kind "label" carries a net name in ``text``; "wire" is a horizontal or
@@ -76,58 +74,50 @@ class GraphicalAnnotation:
     annotation.
     """
 
-    text: str
-    bbox: BBox
-    kind: str = "label"
-
+    __slots__ = ()
     _KINDS = ("label", "wire", "junction", "text")
 
-    def __post_init__(self):
-        if self.kind not in self._KINDS:
-            raise ValueError(f"unknown annotation kind {self.kind!r}")
-        if self.kind == "wire" and self.bbox.w > 0 and self.bbox.h > 0:
-            raise ValueError(f"wire {self.bbox} is neither horizontal nor vertical")
+    def __new__(cls, text: str, bbox: BBox, kind: str = "label"):
+        if kind not in cls._KINDS:
+            raise ValueError(f"unknown annotation kind {kind!r}")
+        if kind == "wire" and bbox.w > 0 and bbox.h > 0:
+            raise ValueError(f"wire {bbox} is neither horizontal nor vertical")
+        return tuple.__new__(cls, (text, bbox, kind))
 
 
-@dataclass(frozen=True)
-class Pin:
+class Pin(checked("Pin", "designator name x y")):
     """A physical terminal of a component.
 
     ``x``/``y`` are optional page coordinates, used only by wire-trace
     inference; connectivity-bearing formats omit them.
     """
 
-    designator: str
-    name: str | None = None
-    x: float | None = None
-    y: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.designator:
+    def __new__(cls, designator: str, name: str | None = None,
+                x: float | None = None, y: float | None = None):
+        if not designator:
             raise ValueError("pin designator must be non-empty")
+        return tuple.__new__(cls, (designator, name, x, y))
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(checked("Component", "designator mpn ipn datasheet_url pins bbox")):
     """A placed part: designator, part numbers, pins and bounding box."""
-    designator: str
-    mpn: str | None = None
-    ipn: str | None = None
-    datasheet_url: str | None = None
-    pins: tuple[Pin, ...] = ()
-    bbox: BBox | None = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "pins", tuple(self.pins))
-        if not (self.designator or self.mpn or self.ipn):
+    __slots__ = ()
+
+    def __new__(cls, designator: str, mpn: str | None = None, ipn: str | None = None,
+                datasheet_url: str | None = None, pins: tuple[Pin, ...] = (),
+                bbox: BBox | None = None):
+        pins = tuple(pins)
+        if not (designator or mpn or ipn):
             raise ValueError("component needs at least one of designator/mpn/ipn")
         seen = set()
-        for p in self.pins:
+        for p in pins:
             if p.designator in seen:
-                raise ValueError(
-                    f"component {self.designator}: duplicate pin {p.designator!r}"
-                )
+                raise ValueError(f"component {designator}: duplicate pin {p.designator!r}")
             seen.add(p.designator)
+        return tuple.__new__(cls, (designator, mpn, ipn, datasheet_url, pins, bbox))
 
     def pin(self, designator: str) -> Pin | None:
         for p in self.pins:
@@ -140,64 +130,57 @@ class Component:
 NetNode = tuple[str, str]
 
 
-@dataclass(frozen=True)
-class Net:
+class Net(checked("Net", "name nodes")):
     """A named electrical connection; nodes kept in canonical sorted order."""
 
-    name: str
-    nodes: tuple[NetNode, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        canon = tuple(sorted({(str(c), str(p)) for c, p in self.nodes}))
-        object.__setattr__(self, "nodes", canon)
-        if not self.name:
+    def __new__(cls, name: str, nodes: tuple[NetNode, ...] = ()):
+        nodes = tuple(sorted({(str(c), str(p)) for c, p in nodes}))
+        if not name:
             raise ValueError("net name must be non-empty")
+        return tuple.__new__(cls, (name, nodes))
 
 
-@dataclass(frozen=True)
-class Page:
-    """One schematic page: components, nets, annotations, how its nets were derived."""
-    id: str
-    components: tuple[Component, ...] = ()
-    nets: tuple[Net, ...] = ()
-    annotations: tuple[GraphicalAnnotation, ...] = ()
-    strategy: AugmentationStrategy | None = None
+class Page(checked("Page", "id components nets annotations strategy")):
+    """One schematic page: components, nets, annotations, how its nets were
+    derived. What is derived from the fields (the designator index, rendered
+    blocks) is kept in the instance ``__dict__``."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "components", tuple(self.components))
-        object.__setattr__(self, "nets", tuple(self.nets))
-        object.__setattr__(self, "annotations", tuple(self.annotations))
+    def __new__(cls, id: str, components: tuple[Component, ...] = (),
+                nets: tuple[Net, ...] = (), annotations: tuple[GraphicalAnnotation, ...] = (),
+                strategy: AugmentationStrategy | None = None):
+        components = tuple(components)
+        self = tuple.__new__(cls, (id, components, tuple(nets), tuple(annotations), strategy))
         by_designator: dict[str, Component] = {}
-        for c in self.components:
+        for c in components:
             if c.designator in by_designator:
-                raise ValueError(f"page {self.id}: duplicate designator {c.designator!r}")
+                raise ValueError(f"page {id}: duplicate designator {c.designator!r}")
             by_designator[c.designator] = c
-        # derived from components, so outside the fields (eq, hash, repr)
-        object.__setattr__(self, "_by_designator", by_designator)
+        self._by_designator = by_designator
+        return self
 
     def component(self, designator: str) -> Component | None:
         return self._by_designator.get(designator)
 
 
-@dataclass(frozen=True)
-class Schematic:
+class Schematic(checked("Schematic", "format pages sidecars")):
     """``source`` is the decoded structured document the schematic was
     ingested from (None for KiCad text or a schematic built in code). It
     takes no part in equality; ``ingest`` reads a second document against
     it, reusing this schematic's pages for equal pages of that document."""
 
-    format: SourceFormat
-    pages: tuple[Page, ...] = ()
-    sidecars: dict[str, str] = field(default_factory=dict)
-    source: dict | None = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "pages", tuple(self.pages))
+    def __new__(cls, format: SourceFormat, pages: tuple[Page, ...] = (),
+                sidecars: dict[str, str] | None = None, source: dict | None = None):
+        pages = tuple(pages)
         seen = set()
-        for p in self.pages:
+        for p in pages:
             if p.id in seen:
                 raise ValueError(f"duplicate page id {p.id!r}")
             seen.add(p.id)
+        self = tuple.__new__(cls, (format, pages, {} if sidecars is None else sidecars))
+        self.source = source
+        return self
 
     def page(self, page_id: str) -> Page | None:
         for p in self.pages:
@@ -206,7 +189,7 @@ class Schematic:
         return None
 
     def with_pages(self, pages: list[Page]) -> "Schematic":
-        return replace(self, pages=tuple(pages))
+        return Schematic(self.format, pages, self.sidecars, self.source)
 
 
 def resolve_node(page: Page, node: NetNode) -> bool:

@@ -38,12 +38,13 @@ them, and the trace file is written even when the run fails.
 
 from __future__ import annotations
 
+import copy
 import logging
 import time
 from contextlib import ExitStack
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 from .augment import augment_netlist
 from .canonical import diff_pages, serialize_page_xml
@@ -69,8 +70,7 @@ class RunStatus:
     PARTIAL = "partial"
 
 
-@dataclass
-class RunReport:
+class RunReport(NamedTuple):
     """What a run analyzed, emitted and spent, and how delivery went."""
     status: str
     pages_analyzed: list[str]
@@ -230,7 +230,8 @@ def _analyze_pages(pages: list[tuple[Page, TraceContext]], cfg: RunConfig,
 def run_pipeline(cfg: RunConfig, schematic_path) -> RunReport:
     cfg.validate()
     # fresh sources hold no csv-table read by an earlier run
-    cfg = replace(cfg, libraries=[replace(lib) for lib in cfg.libraries])
+    cfg = copy.copy(cfg)
+    cfg.libraries = [lib._replace() for lib in cfg.libraries]
     t0 = time.perf_counter()
     deadline = t0 + cfg.time_budget_s if cfg.time_budget_s is not None else None
 

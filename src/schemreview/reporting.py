@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -27,6 +26,7 @@ from .dsmodel import DatasheetSpec
 from .errors import ConfigError, SinkUnreachable
 from .grouping import ErrorGroup
 from .model import BBox, Page, union_bboxes
+from .records import checked
 from .xmlutil import fmt_num
 
 HTTP_ATTEMPTS = 3
@@ -37,19 +37,19 @@ OVERLAY_MARGIN = 10.0
 DEFAULT_PAGE_EXTENT = BBox(0, 0, 100, 100)
 
 
-@dataclass(frozen=True)
-class ReviewComment:
+class ReviewComment(checked("ReviewComment", "page_id markdown error_group_id "
+                                              "datasheet_links anchor_bbox overlay_svg")):
     """One rendered review comment for one error group on one page."""
-    page_id: str
-    markdown: str
-    error_group_id: str
-    datasheet_links: tuple[str, ...] = ()
-    anchor_bbox: BBox | None = None
-    overlay_svg: str | None = None
 
-    def __post_init__(self):
-        if not self.markdown:
+    __slots__ = ()
+
+    def __new__(cls, page_id: str, markdown: str, error_group_id: str,
+                datasheet_links: tuple[str, ...] = (), anchor_bbox: BBox | None = None,
+                overlay_svg: str | None = None):
+        if not markdown:
             raise ValueError("comment markdown must be non-empty")
+        return tuple.__new__(cls, (page_id, markdown, error_group_id, datasheet_links,
+                                   anchor_bbox, overlay_svg))
 
 
 class DeliveryRecord(NamedTuple):
@@ -118,7 +118,7 @@ def page_extents(page: Page) -> BBox:
         extents = DEFAULT_PAGE_EXTENT if union is None else BBox(
             union.x - OVERLAY_MARGIN, union.y - OVERLAY_MARGIN,
             union.w + 2 * OVERLAY_MARGIN, union.h + 2 * OVERLAY_MARGIN)
-        object.__setattr__(page, "_extents", extents)
+        page._extents = extents
     return extents
 
 
@@ -152,14 +152,12 @@ def render_overlay(page: Page, bbox: BBox) -> str:
 
 # --- sinks ---------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FileSink:
+class FileSink(NamedTuple):
     """Delivers comments as files under ``out_dir``."""
     out_dir: str
 
 
-@dataclass(frozen=True)
-class HttpSink:
+class HttpSink(NamedTuple):
     """Posts comments to ``base_url`` with a bearer token from ``token_env``."""
     base_url: str
     token_env: str = "SCHEMREVIEW_SINK_TOKEN"

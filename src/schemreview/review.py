@@ -17,7 +17,6 @@ import functools
 import json
 import logging
 from concurrent.futures import Executor
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
@@ -27,6 +26,7 @@ from .dsmodel import DatasheetSpec
 from .errors import AllRunsFailed, SchemReviewError
 from .gateway import AgentKind, AgentRequest, Gateway
 from .model import Page
+from .records import checked
 from .tracing import UNTRACED, TraceContext
 from .workfirst import map_on_pool
 
@@ -62,51 +62,46 @@ def canonical_pin_key(pins) -> str:
     return ", ".join(sorted(pins))
 
 
-@dataclass(frozen=True)
-class PinVerdict:
+class PinVerdict(checked("PinVerdict", "pin_key status reasoning referenced_nets")):
     """A verdict on the pins ``pin_key`` names; ``pins`` (in key order)
-    and ``pin_set`` are derived from it."""
+    and ``pin_set`` are derived from it, and kept in the instance
+    ``__dict__``."""
 
-    pin_key: str
-    status: VerdictStatus
-    reasoning: str
-    referenced_nets: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "referenced_nets", tuple(self.referenced_nets))
-        # derived from pin_key, so outside the fields (eq, hash, repr)
-        pins = split_pin_key(self.pin_key)
+    def __new__(cls, pin_key: str, status: VerdictStatus, reasoning: str,
+                referenced_nets: tuple[str, ...] = ()):
+        self = tuple.__new__(cls, (pin_key, status, reasoning, tuple(referenced_nets)))
+        pins = split_pin_key(pin_key)
         if not pins:
-            raise ValueError(f"pin key {self.pin_key!r} names no pins")
-        object.__setattr__(self, "pins", pins)
-        object.__setattr__(self, "pin_set", frozenset(pins))
+            raise ValueError(f"pin key {pin_key!r} names no pins")
+        self.pins = pins
+        self.pin_set = frozenset(pins)
+        return self
 
 
-@dataclass(frozen=True)
-class ComponentAnalysis:
+class ComponentAnalysis(checked("ComponentAnalysis", "designator verdicts")):
     """One run's verdicts on one component, no pin in two pin keys."""
-    designator: str
-    verdicts: tuple[PinVerdict, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "verdicts", tuple(self.verdicts))
+    __slots__ = ()
+
+    def __new__(cls, designator: str, verdicts: tuple[PinVerdict, ...]):
+        verdicts = tuple(verdicts)
         seen: set[str] = set()
-        for verdict in self.verdicts:
+        for verdict in verdicts:
             overlap = seen & verdict.pin_set
             if overlap:
                 raise ValueError(
-                    f"{self.designator}: pin(s) {sorted(overlap)} appear in two pin keys")
+                    f"{designator}: pin(s) {sorted(overlap)} appear in two pin keys")
             seen |= verdict.pin_set
+        return tuple.__new__(cls, (designator, verdicts))
 
 
-@dataclass(frozen=True)
-class RunResult:
+class RunResult(checked("RunResult", "run_index analyses")):
     """The component analyses of one review run."""
-    run_index: int
-    analyses: tuple[ComponentAnalysis, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "analyses", tuple(self.analyses))
+    __slots__ = ()
+
+    def __new__(cls, run_index: int, analyses: tuple[ComponentAnalysis, ...]):
+        return tuple.__new__(cls, (run_index, tuple(analyses)))
 
 
 class RunFailure(NamedTuple):
@@ -114,16 +109,16 @@ class RunFailure(NamedTuple):
     error: str
 
 
-@dataclass(frozen=True)
-class FunctionalGroup:
+class FunctionalGroup(checked("FunctionalGroup", "name designators")):
     """A named, non-empty set of designators reviewed together."""
-    name: str
-    designators: tuple[str, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "designators", tuple(self.designators))
-        if not self.designators:
-            raise ValueError(f"group {self.name!r} has no members")
+    __slots__ = ()
+
+    def __new__(cls, name: str, designators: tuple[str, ...]):
+        designators = tuple(designators)
+        if not designators:
+            raise ValueError(f"group {name!r} has no members")
+        return tuple.__new__(cls, (name, designators))
 
 
 class GroupReviewContext(NamedTuple):

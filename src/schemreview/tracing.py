@@ -16,23 +16,21 @@ import json
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 
 from .errors import StoreIo
+from .records import checked
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(checked("TraceEvent", "span_name path start duration attributes")):
     """One finished span: its name, path, start, duration and attributes."""
-    span_name: str
-    path: str
-    start: float
-    duration: float
-    attributes: dict
 
-    def __post_init__(self):
-        if self.duration < 0:
+    __slots__ = ()
+
+    def __new__(cls, span_name: str, path: str, start: float, duration: float,
+                attributes: dict):
+        if duration < 0:
             raise ValueError("span duration must be nonnegative")
+        return tuple.__new__(cls, (span_name, path, start, duration, attributes))
 
 
 class Tracer:
@@ -53,13 +51,13 @@ class Tracer:
             return sorted(self._events, key=lambda e: (e.path, e.span_name))
 
 
-@dataclass
-class TraceContext:
+class TraceContext(checked("TraceContext", "tracer path attrs")):
     """A tracer plus the path and attributes inherited by child spans."""
 
-    tracer: Tracer
-    path: str = "run"
-    attrs: dict = field(default_factory=dict)
+    __slots__ = ()
+
+    def __new__(cls, tracer: Tracer, path: str = "run", attrs: dict | None = None):
+        return tuple.__new__(cls, (tracer, path, {} if attrs is None else attrs))
 
     def child(self, segment: str, **attrs) -> "TraceContext":
         """The context one ``segment`` below this one (below the empty path, at ``segment``)."""

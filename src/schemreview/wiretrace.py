@@ -69,20 +69,19 @@ def trace_nets(page_id: str, components: tuple[Component, ...],
     segments: list[tuple[Point, Point]] = []
     junctions: set[Point] = set()
     labels: list[tuple[str, Point]] = []
-    for ann in annotations:
-        b = ann.bbox
-        if ann.kind == "wire":
-            segments.append((_key(b.x, b.y), _key(b.x2, b.y2)))
-        elif ann.kind == "junction":
-            junctions.add(_key(b.x, b.y))
-        elif ann.kind == "label":
-            labels.append((ann.text, _key(b.x, b.y)))
+    for text, (x, y, w, h), kind in annotations:
+        if kind == "wire":
+            segments.append((_key(x, y), _key(x + w, y + h)))
+        elif kind == "junction":
+            junctions.add(_key(x, y))
+        elif kind == "label":
+            labels.append((text, _key(x, y)))
 
     pins: list[tuple[str, str, Point]] = []
     for comp in components:
-        for pin in comp.pins:
-            if pin.x is not None and pin.y is not None:
-                pins.append((comp.designator, pin.designator, _key(pin.x, pin.y)))
+        for pin_designator, _name, x, y in comp.pins:
+            if x is not None and y is not None:
+                pins.append((comp.designator, pin_designator, _key(x, y)))
 
     if not segments:
         return []

@@ -9,7 +9,6 @@ same, whatever order a page's documents are asked for in.
 import hashlib
 import json
 import xml.etree.ElementTree as ET
-from dataclasses import replace
 
 from hypothesis import given, settings, strategies as st
 
@@ -231,7 +230,7 @@ def test_spec_payload_is_the_canonical_tree_without_layout(spec):
     expected = ET.fromstring(spec.to_xml())
     del expected.attrib["source_url"]  # payloads leave the fetch address out
     assert_payload_layout(payload, expected)
-    assert DatasheetSpec.from_xml(payload) == replace(spec, source_url=None)
+    assert DatasheetSpec.from_xml(payload) == spec._replace(source_url=None)
     assert spec.payload_xml() is payload  # made once per spec object
 
 

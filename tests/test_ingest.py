@@ -144,6 +144,18 @@ def test_diagonal_wire_is_malformed_input():
         ingest_schematic(doc_bytes(doc))
 
 
+def test_diagonal_wire_names_its_page_and_annotation():
+    doc = json.loads(json.dumps(BASIC_DOC))
+    doc["pages"][0]["id"] = "P7"
+    doc["pages"][0]["annotations"] = [
+        {"kind": "text", "text": "note", "bbox": {"x": 0, "y": 0, "w": 5, "h": 5}},
+        {"kind": "wire", "text": "", "bbox": {"x": 0, "y": 0, "w": 10, "h": 10}}]
+    with pytest.raises(MalformedInput) as exc:
+        ingest_schematic(doc_bytes(doc))
+    assert str(exc.value) == ("page 'P7': annotation 1: wire BBox(x=0, y=0, w=10, h=10) "
+                              "is neither horizontal nor vertical")
+
+
 @pytest.mark.parametrize("hint", [None, "structured-pages"])
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400", "-1e400"])
 def test_non_finite_number_is_malformed_input(token, hint):

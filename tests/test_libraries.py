@@ -4,7 +4,6 @@ import json
 import logging
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 from http.server import BaseHTTPRequestHandler
 
 import pytest
@@ -51,12 +50,12 @@ def test_csv_lookup_matches_part_key(tmp_path):
 
 def test_csv_table_is_read_once_per_run(tmp_path):
     lib = csv_library(tmp_path, [("LM317", "http://x/u1.pdf")])
-    first = replace(lib)  # as run_pipeline copies its sources
+    first = lib._replace()  # as run_pipeline copies its sources
     assert first == lib and first is not lib
     assert first.lookup(PartRef(mpn="LM317")) == ["http://x/u1.pdf"]
     csv_library(tmp_path, [("LM317", "http://x/u2.pdf")])
     assert first.lookup(PartRef(mpn="LM317")) == ["http://x/u1.pdf"]
-    assert replace(lib).lookup(PartRef(mpn="LM317")) == ["http://x/u2.pdf"]
+    assert lib._replace().lookup(PartRef(mpn="LM317")) == ["http://x/u2.pdf"]
 
 
 def test_local_directory_matches_stem(tmp_path):

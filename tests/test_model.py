@@ -1,7 +1,5 @@
 """Domain type invariants."""
 
-from dataclasses import replace
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -89,8 +87,8 @@ _DESIGNATORS = st.sampled_from(["U1", "U2", "R1", "C10", "", "u1", "U1 "])
        asked=st.lists(_DESIGNATORS, min_size=1))
 def test_component_lookup_matches_a_scan(designators, replacement, asked):
     page = Page("P1", components=[Component(d, mpn="M") for d in designators])
-    rebuilt = replace(page, components=[Component(d, ipn="I") for d in replacement])
-    for p in (page, rebuilt, replace(rebuilt, id="P2")):
+    rebuilt = page._replace(components=[Component(d, ipn="I") for d in replacement])
+    for p in (page, rebuilt, rebuilt._replace(id="P2")):
         for designator in asked:  # absent designators included
             assert p.component(designator) is _scanned_component(p, designator)
     assert page == Page("P1", components=page.components)

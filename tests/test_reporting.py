@@ -1,7 +1,6 @@
 """Comment rendering, overlays, and sink delivery."""
 
 import json
-from dataclasses import replace
 from http.server import BaseHTTPRequestHandler
 from pathlib import Path
 
@@ -194,7 +193,7 @@ class TestHttpSink:
         _FlakyHandler.failure_status = status
         page = demo_page()
         first = render_comment(one_group(page), specs_for(page), page)
-        second = replace(first, error_group_id="G2")
+        second = first._replace(error_group_id="G2")
         slept = []
         records = post_comments(HttpSink(server), [first, second], sleep=slept.append)
         assert [(r.ok, r.attempts) for r in records] == [(attempts > 1, attempts),

@@ -6,7 +6,6 @@ spec's ``source_url`` aside: payloads leave the URL out."""
 
 import json
 import xml.etree.ElementTree as ET
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -85,7 +84,7 @@ def resolved(doc: dict) -> dict:
 def without_url(spec: DatasheetSpec) -> DatasheetSpec:
     """``spec`` as a payload carries it: ``from_xml`` of XML without a
     ``source_url`` gives None there."""
-    return replace(spec, source_url=None)
+    return spec._replace(source_url=None)
 
 
 def assert_lossless(payload: str, oracle: str, ctx: GroupReviewContext):
