@@ -1,0 +1,150 @@
+#!/usr/bin/env python3
+"""Time ``run_pipeline`` of this checkout against a ``--before`` checkout
+in one process, in alternating rounds on one workspace, and write the
+per-round medians and wins as JSON.
+
+A shared host's speed drifts over minutes, so two benchmark runs made
+apart can show drift as a change. Here both checkouts' packages are
+loaded side by side (``--before``'s ``src/schemreview`` under the name
+``schemreview_before``), and each round runs ``--runs`` invocations of
+one checkout, then of the other, the order reversed every other round,
+so that a slow stretch of the host falls on both.
+
+The workspace is one of the benchmark's workloads, laid out and its mock
+fixtures generated with the benchmark's own set-up
+(``perfbench/measure.py``, imported read-only). Every invocation starts
+with the run's output directory removed (and the datasheet cache, where
+the workload empties it); both checkouts must give the same usage and
+the same delivered bytes, and neither may miss a mock fixture.
+
+    python scripts/bench_ab.py --before OLD_CHECKOUT --workload board-warm \\
+        [--rounds 20] [--runs 5] [--seed 5] [--out BENCH_io.json]
+"""
+
+import argparse
+import importlib
+import importlib.util
+import json
+import os
+import platform
+import shutil
+import statistics
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import checks  # noqa: E402
+import measure  # noqa: E402  (puts this checkout's src/ on sys.path)
+
+SIDES = ("before", "after")
+
+
+def load_package(src: Path, name: str):
+    """The ``schemreview`` package under ``src``, imported as ``name``."""
+    package = src / "schemreview"
+    spec = importlib.util.spec_from_file_location(
+        name, package / "__init__.py", submodule_search_locations=[str(package)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def side_runner(package: str, ws: dict, work: Path, cold_cache: bool):
+    """A function that runs one invocation with ``package``'s code and
+    returns its wall time, usage and delivered bytes' digest."""
+    config = importlib.import_module(f"{package}.config")
+    pipeline = importlib.import_module(f"{package}.pipeline")
+    cfg = config.load_config(ws["config"])
+
+    def run():
+        if cold_cache:
+            shutil.rmtree(work / "cache", ignore_errors=True)
+        shutil.rmtree(ws["out"], ignore_errors=True)
+        t0 = time.perf_counter()
+        report = pipeline.run_pipeline(cfg, ws["schematic"])
+        wall = time.perf_counter() - t0
+        return wall, measure.usage_of(report), checks.output_digest(ws["out"])
+
+    return run
+
+
+def quartiles(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": round(median * 1000, 3), "q1": round(q1 * 1000, 3),
+            "q3": round(q3 * 1000, 3)}
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--before", required=True, help="checkout of the old code")
+    parser.add_argument("--workload", required=True, choices=sorted(measure.SPEC["workloads"]))
+    parser.add_argument("--rounds", type=int, default=20)
+    parser.add_argument("--runs", type=int, default=5, help="invocations per side and round")
+    parser.add_argument("--seed", type=int, default=5)
+    parser.add_argument("--out", default=str(ROOT / "BENCH_io.json"))
+    args = parser.parse_args()
+
+    before = Path(args.before).resolve() / "src"
+    if not (before / "schemreview" / "__init__.py").is_file():
+        raise SystemExit(f"no schemreview package under {before}")
+    load_package(before, "schemreview_before")
+    packages = dict(zip(SIDES, ("schemreview_before", "schemreview")))
+
+    workload = measure.SPEC["workloads"][args.workload]
+    cold = workload["cold_cache"]
+    rounds = []
+    with tempfile.TemporaryDirectory(prefix="bench_ab_") as tmp:
+        work = Path(tmp)
+        ws = measure.prepare(workload, args.seed, work)
+        measure.generate(ws, cold, work)
+        runners = {side: side_runner(packages[side], ws, work, cold) for side in SIDES}
+        reference = None
+        for i in range(args.rounds):
+            walls = {}
+            for side in SIDES[::1 if i % 2 == 0 else -1]:
+                times = []
+                for _ in range(args.runs):
+                    wall, usage, digest = runners[side]()
+                    if reference is None:
+                        reference = (usage, digest)
+                    if (usage, digest) != reference:
+                        raise SystemExit(f"round {i}: {side}'s usage or delivered bytes differ")
+                    times.append(wall)
+                walls[side] = statistics.median(times)
+            rounds.append(walls)
+            print(f"round {i}: " + " ".join(f"{s} {walls[s] * 1000:.2f} ms" for s in SIDES),
+                  flush=True)
+        misses = checks.missing_fixtures(ws["fixtures"])
+        if misses:
+            raise SystemExit(f"{len(misses)} mock miss(es), e.g. {misses[0]}")
+
+    medians = {side: [r[side] for r in rounds] for side in SIDES}
+    old, new = (statistics.median(medians[side]) for side in SIDES)
+    report = {
+        "what": f"wall time of one run_pipeline invocation on the {args.workload} workload, "
+                "this checkout (after) against --before, both loaded in one process",
+        "command": f"python scripts/bench_ab.py --before OLD --workload {args.workload} "
+                   f"--rounds {args.rounds} --runs {args.runs} --seed {args.seed}",
+        "statistic": f"per round, the median of {args.runs} invocations per side, "
+                     "milliseconds; summary: median and quartiles over rounds",
+        "host": {"machine": platform.machine(), "cpus": os.cpu_count(),
+                 "python": platform.python_version()},
+        "rounds_ms": [{side: round(r[side] * 1000, 3) for side in SIDES} for r in rounds],
+        "summary": {"before_ms": quartiles(medians["before"]),
+                    "after_ms": quartiles(medians["after"]),
+                    "change": f"{new / old - 1:+.1%}",
+                    "after_faster_rounds": f"{sum(r['after'] < r['before'] for r in rounds)}"
+                                           f"/{len(rounds)}"},
+    }
+    print(json.dumps(report["summary"]))
+    Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

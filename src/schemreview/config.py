@@ -40,9 +40,9 @@ from __future__ import annotations
 import enum
 import json
 import math
-from pathlib import Path
 
 from .errors import ConfigError
+from .fileio import read_text
 from .gateway import BackendConfig
 from .libraries import LibraryKind, LibrarySource
 from .records import Settings
@@ -166,9 +166,11 @@ def sink_from_config(doc: dict):
 
 def load_config(path) -> RunConfig:
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = json.loads(read_text(path))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc.msg}") from exc
     fields = _read(doc, _CONFIG_FIELDS, f"config {path}")

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import logging
-from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 from urllib.parse import urlparse, unquote
 
@@ -31,6 +30,7 @@ from .dsmodel import (
     spec_from_agent_value,
 )
 from .errors import AllAttemptsFailed, FetchFailed, NotADatasheet, SchemReviewError
+from .fileio import read_bytes
 from .gateway import AgentKind, AgentRequest, Gateway
 from .libraries import LibrarySource, PartRef, locate
 from .tracing import UNTRACED, TraceContext
@@ -82,7 +82,7 @@ def local_file_fetcher(url: str) -> bytes:
     else:
         raise FetchFailed(f"local fetcher cannot handle scheme {parsed.scheme!r}")
     try:
-        return Path(path).read_bytes()
+        return read_bytes(path)
     except OSError as exc:
         raise FetchFailed(f"{url}: {exc}") from exc
 

@@ -23,6 +23,7 @@ import xml.etree.ElementTree as ET
 from importlib import resources
 from pathlib import Path
 
+from .fileio import write_text
 from .gateway import MockBackend
 
 POWER_NET = re.compile(r"^(GND|VCC.*|VDD.*|[+-]?[0-9]+V.*)$")
@@ -44,7 +45,7 @@ DEMO_PART_PINS = {
 
 
 def demo_schematic_text() -> str:
-    return resources.files("schemreview.data").joinpath("demo_schematic.json").read_text()
+    return resources.files(f"{__package__}.data").joinpath("demo_schematic.json").read_text()
 
 
 def demo_base_text() -> str:
@@ -314,10 +315,9 @@ def generate_fixtures(run_fn, fixture_root, responder=demo_responder):
         with lock:
             raw = original(backend, rel, payload)
             if raw is None:
-                path = Path(rel)
-                seed = int(path.stem.rsplit("-", 1)[1])
-                (backend.root / rel).write_text(
-                    responder(path.parent.name, payload, seed), encoding="utf-8")
+                kind, name = rel.split("/")
+                seed = int(name.removesuffix(".resp").rsplit("-", 1)[1])
+                write_text(backend.root + rel, responder(kind, payload, seed))
                 raw = original(backend, rel, payload)
             return raw
 

@@ -28,6 +28,7 @@ from typing import NamedTuple
 
 from .dsmodel import CriticScore, DatasheetSpec
 from .errors import StoreIo
+from .fileio import decode, read_bytes, write_text
 
 log = logging.getLogger(__name__)
 
@@ -45,17 +46,17 @@ class CacheEntry(NamedTuple):
 
 class CacheStore:
     def __init__(self, root, now=time.time):
-        self.root = Path(root)
         self.now = now
         try:
-            self.root.mkdir(parents=True, exist_ok=True)
+            os.makedirs(root, exist_ok=True)
         except OSError as exc:
             raise StoreIo(f"cannot create cache dir {root}: {exc}") from exc
+        self._root = os.path.join(root, "")  # ends in a separator
         self._kept: dict[CacheKey, CacheEntry] = {}
 
-    def _path(self, key: CacheKey) -> Path:
+    def _path(self, key: CacheKey) -> str:
         digest = hashlib.sha256(f"{key[0]}\n{key[1]}".encode("utf-8")).hexdigest()
-        return self.root / f"{digest}.json"
+        return f"{self._root}{digest}.json"
 
     def lookup(self, key: CacheKey) -> tuple[DatasheetSpec, CriticScore] | None:
         kept = self._kept.get(key)
@@ -65,22 +66,24 @@ class CacheStore:
             self._kept.pop(key, None)
         path = self._path(key)
         try:
-            text = path.read_text(encoding="utf-8")
+            raw = read_bytes(path)
         except FileNotFoundError:
             return None
         except OSError as exc:
             raise StoreIo(f"cannot read cache entry {path}: {exc}") from exc
         try:
-            doc = json.loads(text)
+            # UnicodeDecodeError and JSONDecodeError are ValueErrors; a
+            # TypeError is a field of the wrong JSON type
+            doc = json.loads(decode(raw))
             stored_at = float(doc["stored_at"])
             if self.now() - stored_at >= TTL_S:
-                path.unlink(missing_ok=True)
+                Path(path).unlink(missing_ok=True)
                 return None
             spec = DatasheetSpec.from_xml(doc["spec_xml"])
             score = CriticScore(**doc["score"])
-        except (KeyError, ValueError, json.JSONDecodeError, ET.ParseError) as exc:
+        except (KeyError, ValueError, TypeError, ET.ParseError) as exc:
             log.warning("dropping corrupt cache entry %s: %s", path, exc)
-            path.unlink(missing_ok=True)
+            Path(path).unlink(missing_ok=True)
             return None
         self._kept[key] = CacheEntry(key, spec, score, stored_at)
         return spec, score
@@ -97,9 +100,9 @@ class CacheStore:
                 "application_information", "typical_application_circuits")},
             "spec_xml": entry.spec.to_xml(),
         }
-        tmp = path.with_suffix(f".tmp{os.getpid()}.{threading.get_ident()}")
+        tmp = f"{path.removesuffix('.json')}.tmp{os.getpid()}.{threading.get_ident()}"
         try:
-            tmp.write_text(json.dumps(doc, sort_keys=True, indent=1), encoding="utf-8")
+            write_text(tmp, json.dumps(doc, sort_keys=True, indent=1))
             os.replace(tmp, path)
         except OSError as exc:
             raise StoreIo(f"cannot write cache entry {path}: {exc}") from exc

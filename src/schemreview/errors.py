@@ -88,7 +88,8 @@ class AllAttemptsFailed(SchemReviewError):
         self.causes = causes
 
 class StoreIo(SchemReviewError):
-    """The cache store hit an IO error."""
+    """A file store (the datasheet cache, the file sink, the trace file)
+    hit an IO error."""
 
 
 # --- review engine ---------------------------------------------------------
@@ -104,6 +105,9 @@ class SinkUnreachable(SchemReviewError):
 
 class ConfigError(SchemReviewError):
     """The run configuration is invalid."""
+
+class BadChecklist(ConfigError):
+    """A checklist file, or its directory, cannot be read or is not UTF-8."""
 
 class InputError(SchemReviewError):
     """A run input (schematic path, page override, ...) is invalid."""

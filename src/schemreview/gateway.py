@@ -28,8 +28,8 @@ import enum
 import hashlib
 import json
 import math
+import os
 import time
-from pathlib import Path
 from typing import NamedTuple
 
 from . import httpreq
@@ -39,6 +39,7 @@ from .errors import (
     ConfigError,
     SchemaViolationAfterRetries,
 )
+from .fileio import read_text, write_text
 from .records import Settings
 from .schemacheck import error_path, shipped
 from .tracing import UNTRACED, TraceContext, TraceEvent
@@ -189,9 +190,10 @@ def fixture_relpath(agent_kind: AgentKind, payload: str, seed: int) -> str:
 
 
 def fixture_relpaths(req: AgentRequest, payload: str) -> list[str]:
-    """The fixture of each choice ``req`` asks for, when sent ``payload``."""
-    return [fixture_relpath(req.agent_kind, payload, req.seed + i)
-            for i in range(req.n or 1)]
+    """The fixture of each choice ``req`` asks for, when sent ``payload``;
+    the payload is hashed once for all of them."""
+    stem = f"{req.agent_kind.value}/{payload_digest(payload)}-"
+    return [f"{stem}{req.seed + i}.resp" for i in range(req.n or 1)]
 
 
 # --- backends -----------------------------------------------------------------
@@ -200,25 +202,28 @@ class MockBackend:
     """Reads canned responses from the fixture directory; contention-free.
 
     Choice i is read from the fixture of seed ``req.seed + i``. A missing
-    fixture leaves its choice out (None) and drops the offending payload
-    next to it as ``<digest>-<seed>.req``, so a fixture author can script
-    the response without re-deriving the payload; a request none of whose
-    choices exists raises BackendUnavailable naming the missing keys. A
-    request is one round trip: it waits ``mock_delay_s`` once, however
-    many choices it asks for.
+    fixture (no file, a directory in its place, or no directory for its
+    agent kind) leaves its choice out (None) and drops the offending
+    payload next to it as ``<digest>-<seed>.req``, so a fixture author can
+    script the response without re-deriving the payload; a request none
+    of whose choices exists raises BackendUnavailable naming the missing
+    keys. A request is one round trip: it waits ``mock_delay_s`` once,
+    however many choices it asks for.
     """
 
     def __init__(self, cfg: BackendConfig):
-        self.root = Path(cfg.fixture_path)
+        self.root = os.path.join(cfg.fixture_path, "")  # ends in a separator
         self.delay_s = cfg.mock_delay_s
 
     def _read(self, rel: str, payload: str) -> str | None:
-        path = self.root / rel
-        if path.is_file():
-            return path.read_text(encoding="utf-8")
+        path = self.root + rel
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.with_suffix(".req").write_text(payload, encoding="utf-8")
+            return read_text(path)
+        except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
+            pass
+        try:
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            write_text(path.removesuffix(".resp") + ".req", payload)
         except OSError:
             pass
         return None

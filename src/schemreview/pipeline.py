@@ -43,7 +43,6 @@ import logging
 import time
 from contextlib import ExitStack
 from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
 from typing import NamedTuple
 
 from .augment import augment_netlist
@@ -53,6 +52,7 @@ from .consensus import combine_consensus
 from .datasheets import RetrievalConfig, default_fetcher, retrieve_spec
 from .dscache import CacheStore
 from .errors import InputError, SchemReviewError
+from .fileio import read_bytes
 from .gateway import Gateway, usage_by_kind
 from .grouping import group_errors
 from .ingest import ingest_schematic
@@ -99,7 +99,7 @@ def _read_schematic(path, reuse: Schematic | None = None) -> Schematic:
     """The augmented schematic at ``path``; its pages equal to pages of
     ``reuse`` are ``reuse``'s Page objects (``ingest_schematic``)."""
     try:
-        raw = Path(path).read_bytes()
+        raw = read_bytes(path)
     except OSError as exc:
         raise InputError(f"cannot read schematic {path}: {exc}") from exc
     return augment_netlist(ingest_schematic(raw, reuse=reuse))

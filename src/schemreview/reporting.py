@@ -16,14 +16,15 @@ answer other than 408 and 429 is final.
 from __future__ import annotations
 
 import json
+import os
 import time
-from pathlib import Path
 from typing import NamedTuple
 
 from . import httpreq
 from .consensus import ConsensusFinding
 from .dsmodel import DatasheetSpec
-from .errors import ConfigError, SinkUnreachable
+from .errors import ConfigError, SinkUnreachable, StoreIo
+from .fileio import write_text
 from .grouping import ErrorGroup
 from .model import BBox, Page, union_bboxes
 from .records import checked
@@ -193,22 +194,25 @@ def post_comments(sink, comments: list[ReviewComment],
 
 
 def _post_to_files(sink: FileSink, comments) -> tuple[DeliveryRecord, ...]:
-    out = Path(sink.out_dir)
-    (out / "comments").mkdir(parents=True, exist_ok=True)
-    (out / "overlays").mkdir(parents=True, exist_ok=True)
-    entries = []
-    for comment in comments:
-        entry = comment_doc(comment)
-        entry["markdown_path"] = f"comments/{comment.error_group_id}.md"
-        (out / entry["markdown_path"]).write_text(entry.pop("markdown"), encoding="utf-8")
-        entry["overlay_path"] = None
-        if comment.overlay_svg is not None:
-            entry["overlay_path"] = f"overlays/{comment.error_group_id}.svg"
-            (out / entry["overlay_path"]).write_text(comment.overlay_svg, encoding="utf-8")
-        entries.append(entry)
-    (out / "manifest.json").write_text(
-        json.dumps({"version": 1, "comments": entries}, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8")
+    """Writes every file; a ``StoreIo`` names the path that could not be."""
+    out = os.path.join(sink.out_dir, "")  # ends in a separator
+    try:
+        os.makedirs(f"{out}comments", exist_ok=True)
+        os.makedirs(f"{out}overlays", exist_ok=True)
+        entries = []
+        for comment in comments:
+            entry = comment_doc(comment)
+            entry["markdown_path"] = f"comments/{comment.error_group_id}.md"
+            write_text(out + entry["markdown_path"], entry.pop("markdown"))
+            entry["overlay_path"] = None
+            if comment.overlay_svg is not None:
+                entry["overlay_path"] = f"overlays/{comment.error_group_id}.svg"
+                write_text(out + entry["overlay_path"], comment.overlay_svg)
+            entries.append(entry)
+        write_text(f"{out}manifest.json", json.dumps(
+            {"version": 1, "comments": entries}, indent=2, sort_keys=True) + "\n")
+    except OSError as exc:
+        raise StoreIo(f"file sink cannot write under {sink.out_dir}: {exc}") from exc
     return tuple(DeliveryRecord(c.error_group_id, True, 1) for c in comments)
 
 

@@ -16,14 +16,15 @@ import enum
 import functools
 import json
 import logging
+import os
 from concurrent.futures import Executor
 from importlib import resources
-from pathlib import Path
 from typing import NamedTuple
 
 from .canonical import serialize_page_xml
 from .dsmodel import DatasheetSpec
-from .errors import AllRunsFailed, SchemReviewError
+from .errors import AllRunsFailed, BadChecklist, SchemReviewError
+from .fileio import read_text
 from .gateway import AgentKind, AgentRequest, Gateway
 from .model import Page
 from .records import checked
@@ -328,20 +329,33 @@ def fan_out_reviews(ctx: GroupReviewContext, page: Page, k: int, gateway: Gatewa
 def checklist_loader(directory: str | None = None):
     """The checklists for one run: group name -> checklist, which is
     <slug>.txt in ``directory`` (the bundled set when None), else its
-    default.txt, else empty. Each file is read at most once. Content is
+    default.txt, else empty. The directory is listed once, and each file
+    present is read at most once, when a group first needs it; a file that
+    cannot be read or is not UTF-8 is a ``BadChecklist``. Content is
     configuration, not code."""
-    root = Path(directory) if directory is not None else resources.files(
-        "schemreview.checklists")
+    if directory is None:
+        root = resources.files(f"{__package__}.checklists")
+        files = {entry.name: entry for entry in root.iterdir() if entry.is_file()}
+    else:
+        try:
+            with os.scandir(directory) as listing:
+                files = {entry.name: entry.path for entry in listing if entry.is_file()}
+        except (FileNotFoundError, NotADirectoryError):
+            files = {}
+        except OSError as exc:
+            raise BadChecklist(f"cannot list checklist directory {directory}: {exc}") from exc
 
     @functools.cache
-    def read(name: str) -> str | None:
-        path = root.joinpath(name)
-        return path.read_text(encoding="utf-8") if path.is_file() else None
+    def read(name: str) -> str:
+        try:
+            return read_text(files[name])
+        except (OSError, UnicodeDecodeError) as exc:
+            raise BadChecklist(f"checklist {files[name]}: {exc}") from exc
 
     def load(group_name: str) -> str:
         slug = "".join(ch if ch.isalnum() else "_" for ch in group_name.lower())
         for name in (f"{slug}.txt", "default.txt"):
-            if read(name) is not None:
+            if name in files:
                 return read(name)
         return ""
     return load

@@ -242,7 +242,7 @@ class ShippedSchema:
     def __init__(self, filename: str):
         self.filename = filename
         self.schema = json.loads(
-            resources.files("schemreview.schemas").joinpath(filename).read_text())
+            resources.files(f"{__package__}.schemas").joinpath(filename).read_text())
         self.check = compile_schema(self.schema)
 
     def errors(self, value) -> list:

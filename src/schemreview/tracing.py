@@ -18,6 +18,7 @@ import time
 from contextlib import contextmanager
 
 from .errors import StoreIo
+from .fileio import write_text
 from .records import checked
 
 
@@ -100,7 +101,6 @@ def emit_traces(events: list[TraceEvent], path) -> None:
         "attributes": dict(sorted(e.attributes.items())),
     }) + "\n" for e in events)
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        write_text(path, text)
     except OSError as exc:
         raise StoreIo(f"cannot write trace file {path}: {exc}") from exc

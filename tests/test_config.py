@@ -142,3 +142,16 @@ def test_load_config_reads_every_top_level_field(tmp_path):
     cfg, default = load(tmp_path, EVERY_FIELD), RunConfig()
     assert [name for name in RunConfig._fields
             if getattr(cfg, name) == getattr(default, name)] == []
+
+
+def test_a_config_file_that_is_not_utf8_is_a_config_error(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(b'{"version": 1, "cache_dir": "\xff"}')
+    with pytest.raises(ConfigError, match=f"config {path} is not UTF-8: "):
+        load_config(path)
+
+
+def test_a_config_file_with_crlf_newlines_loads(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(b'{\r\n "version": 1,\r\n "k": 5\r\n}\r\n')
+    assert load_config(path).k == 5

@@ -2,8 +2,11 @@
 
 import json
 
+import pytest
+
 from schemreview.dscache import TTL_S, CacheEntry, CacheStore
 from schemreview.dsmodel import CriticScore, DatasheetSpec, PinFunction
+from schemreview.errors import StoreIo
 from schemreview.libraries import PartRef
 
 
@@ -159,3 +162,28 @@ def test_a_write_replaces_the_kept_entry(tmp_path):
     assert store.lookup(KEY)[1].weighted == sample_score().weighted
     store.put(CacheEntry(KEY, sample_spec(), CriticScore(10, 10, 10, 10), stored_at=clock.t))
     assert store.lookup(KEY)[1].weighted == 10.0
+
+
+@pytest.mark.parametrize("raw", [b"\xff\xfe", b"[]", b'{"stored_at": "soon"}',
+                                 b'{"stored_at": 1000000, "spec_xml": 5}'],
+                         ids=["not-utf8", "not-an-object", "bad-stored-at", "bad-spec-xml"])
+def test_a_corrupt_entry_is_logged_dropped_and_missed(tmp_path, caplog, raw):
+    clock = FakeClock()
+    store = CacheStore(tmp_path / "cache", now=clock)
+    put_entry(store, clock)
+    path = next((tmp_path / "cache").glob("*.json"))
+    path.write_bytes(raw)
+    assert store.lookup(("LM317", "http://x/u1.pdf")) is None
+    assert not path.exists()
+    assert f"dropping corrupt cache entry {path}" in caplog.text
+
+
+def test_an_entry_that_cannot_be_read_is_a_store_error(tmp_path):
+    clock = FakeClock()
+    store = CacheStore(tmp_path / "cache", now=clock)
+    put_entry(store, clock)
+    path = next((tmp_path / "cache").glob("*.json"))
+    path.unlink()
+    path.mkdir()
+    with pytest.raises(StoreIo, match=f"cannot read cache entry {path}: "):
+        store.lookup(("LM317", "http://x/u1.pdf"))

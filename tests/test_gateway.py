@@ -65,6 +65,52 @@ class TestMockBackend:
         assert gw.complete(head_request("p", seed=0)).value == {"pages": [0]}
         assert gw.complete(head_request("p", seed=1)).value == {"pages": [1]}
 
+    @pytest.mark.parametrize("miss", ["no-file", "directory", "no-kind-directory",
+                                      "kind-is-a-file"])
+    def test_a_miss_is_captured_and_names_the_key(self, tmp_path, miss):
+        root = tmp_path / "fixtures"
+        rel = fixture_relpath(AgentKind.HEAD_ANALYSIS, "absent", 0)
+        (root / "head_analysis").mkdir(parents=True)
+        if miss == "directory":
+            (root / rel).mkdir()
+        elif miss == "no-kind-directory":
+            (root / "head_analysis").rmdir()
+        elif miss == "kind-is-a-file":
+            (root / "head_analysis").rmdir()
+            (root / "head_analysis").write_text("")
+        with pytest.raises(BackendUnavailable, match=f"no mock fixture for key {rel}$"):
+            Gateway(mock_cfg(tmp_path)).complete(head_request("absent"))
+        capture = (root / rel).with_suffix(".req")
+        if miss == "kind-is-a-file":  # nowhere to put the capture
+            assert not capture.exists()
+        else:
+            assert capture.read_text(encoding="utf-8") == "absent"
+
+    def test_a_crlf_fixture_reads_as_text_mode_did(self, tmp_path):
+        root = tmp_path / "fixtures"
+        raw = b'{"pages":\r\n  [1, 2]}\r\n'
+        path = root / fixture_relpath(AgentKind.HEAD_ANALYSIS, "crlf", 0)
+        path.parent.mkdir(parents=True)
+        path.write_bytes(raw)
+        resp = Gateway(mock_cfg(tmp_path)).complete(head_request("crlf"))
+        assert resp.value == {"pages": [1, 2]}
+        text = path.read_text(encoding="utf-8")  # newlines translated
+        assert len(text) == len(raw) - 2
+        assert resp.usage == TokenUsage(len("crlf") // 4, len(text) // 4)
+
+    def test_an_n_choice_request_hashes_its_payload_once(self, tmp_path, monkeypatch):
+        for seed in range(3):
+            write_fixture(tmp_path / "fixtures", AgentKind.GROUP_REVIEW, "group", seed,
+                          REVIEW)
+        digests = []
+        digest = gateway.payload_digest
+        monkeypatch.setattr(gateway, "payload_digest",
+                            lambda payload: digests.append(payload) or digest(payload))
+        resp = Gateway(mock_cfg(tmp_path)).complete(review_request("group", 3))
+        assert resp.choices == (Choice({"analyses": []}),) * 3
+        assert digests == ["group"]
+
+
 
 def review_request(payload: str, n: int) -> AgentRequest:
     return AgentRequest(AgentKind.GROUP_REVIEW, "review", payload, n=n)

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from helpers import WIRE_AND_EMPTY_LABEL
-from schemreview import libraries, pipeline
+from schemreview import libraries, pipeline, review
 from schemreview.cli import main
 from schemreview.config import Mode, RunConfig, apply_cli_overrides, load_config
 from schemreview.demo import demo_responder, generate_fixtures, write_demo_workspace
@@ -608,12 +608,12 @@ class TestReviewPayloads:
         (checklists / "default.txt").write_text("default checklist", encoding="utf-8")
         (checklists / "power_stage.txt").write_text("power checklist", encoding="utf-8")
         reads, payloads = [], []
-        read_text = Path.read_text
+        read_text = review.read_text
 
-        def counted(self, *args, **kwargs):
-            if self.parent == checklists:
-                reads.append(self.name)
-            return read_text(self, *args, **kwargs)
+        def counted(path):
+            if Path(path).parent == checklists:
+                reads.append(Path(path).name)
+            return read_text(path)
 
         def recorded(self, req, payload):
             if req.agent_kind.value == "group_review":
@@ -623,12 +623,12 @@ class TestReviewPayloads:
             return choices, TokenUsage(len(payload) // 4,
                                        sum(len(raw) // 4 for raw in choices))
 
-        monkeypatch.setattr(Path, "read_text", counted)
+        monkeypatch.setattr(review, "read_text", counted)
         monkeypatch.setattr(MockBackend, "complete", recorded)
         clean_run_dirs(work)
         run_pipeline(fresh_cfg(work, checklist_dir=str(checklists)), paths["schematic"])
         groups = {doc["group"]["name"] for doc in payloads}
-        assert len(groups) > len(set(reads)) == len(reads)
+        assert len(groups) > len(set(reads)) == len(reads) > 0
         checklist = checklist_loader(str(checklists))
         for doc in payloads:
             assert doc["checklist"] == checklist(doc["group"]["name"])
@@ -1000,6 +1000,32 @@ class TestCli:
         [line] = capsys.readouterr().err.splitlines()
         assert line == f"error: {expected.value}"
         assert list(fixtures.rglob("*.req")) == []
+
+    def test_a_checklist_that_is_not_utf8_exits_one_with_an_error_line(self, demo, tmp_path,
+                                                                       capsys):
+        work, paths = demo
+        clean_run_dirs(work)
+        (tmp_path / "checklists").mkdir()
+        default = tmp_path / "checklists" / "default.txt"
+        default.write_bytes(b"\xff\xfe")
+        config = write_malformed_config(work, tmp_path, lambda doc: {
+            **doc, "checklist_dir": str(tmp_path / "checklists")})
+        code = main(["--schematic", str(paths["schematic"]), "--config", str(config)])
+        assert code == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: checklist {default}: 'utf-8' codec can't decode")
+
+    def test_a_file_sink_that_cannot_write_exits_one_with_an_error_line(self, demo,
+                                                                       tmp_path, capsys):
+        work, paths = demo
+        clean_run_dirs(work)
+        out = tmp_path / "out"
+        out.write_text("a file, not a directory")
+        code = main(["--schematic", str(paths["schematic"]),
+                     "--config", str(paths["config"]), "--out", str(out)])
+        assert code == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: file sink cannot write under {out}: ")
 
     def test_design_review_flags(self, demo, capsys):
         work, paths = demo

@@ -10,7 +10,7 @@ from helpers import BASE_SPEC_VALUE, loopback_server
 from schemreview.config import sink_from_config
 from schemreview.consensus import Confidence, ConsensusAnalysis, ConsensusFinding, Provenance
 from schemreview.dsmodel import spec_from_agent_value
-from schemreview.errors import SinkUnreachable
+from schemreview.errors import SinkUnreachable, StoreIo
 from schemreview.grouping import group_errors
 from schemreview.libraries import PartRef
 from schemreview.model import BBox, Component, Page, Pin
@@ -146,6 +146,33 @@ class TestFileSink:
         comment = render_comment(one_group(page), specs_for(page), page)
         post_comments(FileSink(str(tmp_path / "out")), [comment])
         assert list((tmp_path / "out" / "overlays").iterdir()) == []
+
+    def test_an_out_dir_that_is_a_file_is_a_store_error_naming_it(self, tmp_path):
+        out = tmp_path / "out"
+        out.write_text("not a directory")
+        with pytest.raises(StoreIo) as exc:
+            post_comments(FileSink(str(out)), [])
+        assert str(exc.value).startswith(f"file sink cannot write under {out}: ")
+        assert str(out / "comments") in str(exc.value)
+
+    def test_a_file_that_cannot_be_written_is_a_store_error_naming_it(self, tmp_path):
+        page = demo_page()
+        comment = render_comment(one_group(page), specs_for(page), page)
+        blocked = tmp_path / "out" / "comments" / f"{comment.error_group_id}.md"
+        blocked.mkdir(parents=True)
+        with pytest.raises(StoreIo) as exc:
+            post_comments(FileSink(str(tmp_path / "out")), [comment])
+        assert f"Is a directory: '{blocked}'" in str(exc.value)
+
+    def test_the_files_are_what_text_mode_wrote(self, tmp_path):
+        page = demo_page()
+        comment = render_comment(one_group(page), specs_for(page), page)
+        post_comments(FileSink(str(tmp_path / "out")), [comment])
+        gid = comment.error_group_id
+        assert (tmp_path / "out" / "comments" / f"{gid}.md").read_bytes() \
+            == comment.markdown.encode()
+        assert (tmp_path / "out" / "overlays" / f"{gid}.svg").read_bytes() \
+            == comment.overlay_svg.encode()
 
 
 class _FlakyHandler(BaseHTTPRequestHandler):

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -95,3 +96,24 @@ def test_startup_does_not_import_the_http_stack():
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def test_a_renamed_copy_of_the_package_reads_its_own_files(tmp_path):
+    # a copy imported under another name (as a before/after benchmark loads
+    # an old checkout beside this one) finds its schemas, checklists and
+    # demo data in its own package, not in ``schemreview``
+    copy = tmp_path / "schemreview_copy"
+    shutil.copytree(Path(schemreview.__file__).parent, copy,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    (copy / "checklists" / "default.txt").write_text("copied checklist")
+    critic = json.loads((copy / "schemas" / "critic.json").read_text())
+    (copy / "schemas" / "critic.json").write_text(json.dumps({**critic, "title": "copied"}))
+    (copy / "data" / "demo_schematic.json").write_text('{"copied": true}')
+    code = ("from schemreview_copy import demo, review, schemacheck\n"
+            "print(review.checklist_loader()('any group'))\n"
+            "print(schemacheck.shipped('critic.json').schema['title'])\n"
+            "print(demo.demo_schematic_text())\n")
+    env = {**os.environ, "PYTHONPATH": str(tmp_path)}  # no schemreview to fall back on
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout.splitlines() == ["copied checklist", "copied", '{"copied": true}']
