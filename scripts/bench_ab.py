@@ -18,7 +18,7 @@ the workload empties it); both checkouts must give the same usage and
 the same delivered bytes, and neither may miss a mock fixture.
 
     python scripts/bench_ab.py --before OLD_CHECKOUT --workload board-warm \\
-        [--rounds 20] [--runs 5] [--seed 5] [--out BENCH_io.json]
+        --out BENCH_name.json [--rounds 20] [--runs 5] [--seed 5]
 """
 
 import argparse
@@ -86,7 +86,8 @@ def main() -> int:
     parser.add_argument("--rounds", type=int, default=20)
     parser.add_argument("--runs", type=int, default=5, help="invocations per side and round")
     parser.add_argument("--seed", type=int, default=5)
-    parser.add_argument("--out", default=str(ROOT / "BENCH_io.json"))
+    parser.add_argument("--out", required=True,
+                        help="where to write the JSON record; an existing file is replaced")
     args = parser.parse_args()
 
     before = Path(args.before).resolve() / "src"
@@ -129,7 +130,8 @@ def main() -> int:
         "what": f"wall time of one run_pipeline invocation on the {args.workload} workload, "
                 "this checkout (after) against --before, both loaded in one process",
         "command": f"python scripts/bench_ab.py --before OLD --workload {args.workload} "
-                   f"--rounds {args.rounds} --runs {args.runs} --seed {args.seed}",
+                   f"--rounds {args.rounds} --runs {args.runs} --seed {args.seed} "
+                   f"--out {Path(args.out).name}",
         "statistic": f"per round, the median of {args.runs} invocations per side, "
                      "milliseconds; summary: median and quartiles over rounds",
         "host": {"machine": platform.machine(), "cpus": os.cpu_count(),

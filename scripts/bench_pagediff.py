@@ -3,17 +3,22 @@
 write the result as JSON.
 
 Each board is the benchmark's board-wired-diff style (``perfbench/boardgen.py``,
-imported read-only): three pages of wire geometry with 6, 12 and 24
-blocks, base and head differing on one page. Both documents are decoded
-from bytes in memory and read two ways:
+imported read-only): pages of wire geometry, base and head differing on
+one page. Two axes: three pages with 6, 12 and 24 blocks a page, and 12
+and 48 pages with 6 blocks a page. Both documents are decoded from bytes
+in memory and read two ways:
 
 * before: head and base each ingested and augmented in full, then every
   page of both hashed (the diff as it was when nothing was shared);
 * after: head read in full, base read against it
-  (``ingest_schematic(..., reuse=head)``), then ``canonical.diff_pages``.
+  (``ingest_schematic(..., reuse=head)``: page items with head's text are
+  head's pages), then ``canonical.diff_pages`` (the changed pair compared
+  block by block).
 
-The two must select the same pages. Before and after alternate within
-each repetition; each time is the median of ``--repeat`` runs.
+The two must select the same pages. ``after_base_ms`` is the part of
+"after" that follows the head read: the base read against a head read
+once, plus the diff. The three alternate within each repetition; each
+time is the median of ``--repeat`` runs.
 
     PYTHONPATH=src python scripts/bench_pagediff.py [--repeat 15] [--seed 21] \
         [--out BENCH_pagediff.json]
@@ -37,7 +42,8 @@ from schemreview.augment import augment_netlist  # noqa: E402
 from schemreview.canonical import diff_pages, page_hash  # noqa: E402
 from schemreview.ingest import ingest_schematic  # noqa: E402
 
-BLOCKS = (6, 12, 24)
+# (pages, blocks a page)
+BOARDS = ((3, 6), (3, 12), (3, 24), (12, 6), (48, 6))
 
 
 def before(head_raw: bytes, base_raw: bytes) -> set[str]:
@@ -48,7 +54,10 @@ def before(head_raw: bytes, base_raw: bytes) -> set[str]:
 
 
 def after(head_raw: bytes, base_raw: bytes) -> set[str]:
-    head = augment_netlist(ingest_schematic(head_raw))
+    return base_and_diff(augment_netlist(ingest_schematic(head_raw)), base_raw)
+
+
+def base_and_diff(head, base_raw: bytes) -> set[str]:
     base = augment_netlist(ingest_schematic(base_raw, reuse=head))
     return diff_pages(base, head)
 
@@ -67,37 +76,43 @@ def main() -> int:
     args = parser.parse_args()
 
     rows = []
-    for blocks in BLOCKS:
-        board = boardgen.generate_board(args.seed, pages=3, blocks=blocks,
+    for pages, blocks in BOARDS:
+        board = boardgen.generate_board(args.seed, pages=pages, blocks=blocks,
                                         wires=True, diff=True)
         head_raw, base_raw = boardgen.dumps(board["head"]), boardgen.dumps(board["base"])
-        times = {"before": [], "after": []}
+        after_head = augment_netlist(ingest_schematic(head_raw))
+        times = {"before": [], "after": [], "after_base": []}
         for _ in range(args.repeat):
-            for name, fn in (("before", before), ("after", after)):
-                seconds, changed = timed(fn, head_raw, base_raw)
+            for name, fn, first in (("before", before, head_raw), ("after", after, head_raw),
+                                    ("after_base", base_and_diff, after_head)):
+                seconds, changed = timed(fn, first, base_raw)
                 times[name].append(seconds)
                 if changed != {board["manifest"]["changed_page"]}:
-                    raise SystemExit(f"{blocks} blocks, {name}: selected {sorted(changed)}")
-        old_ms, new_ms = (round(statistics.median(times[k]) * 1000, 2)
-                          for k in ("before", "after"))
+                    raise SystemExit(f"{pages} pages x {blocks} blocks, {name}: "
+                                     f"selected {sorted(changed)}")
+        old_ms, new_ms, base_ms = (round(statistics.median(times[k]) * 1000, 2)
+                                   for k in ("before", "after", "after_base"))
         rows.append({
+            "pages": pages,
             "blocks": blocks,
             "document_bytes": len(head_raw),
             "segments_per_page": round(sum(
                 a["kind"] == "wire" for page in board["head"]["pages"]
-                for a in page["annotations"]) / 3),
+                for a in page["annotations"]) / pages),
             "changed_page": board["manifest"]["changed_page"],
             "before_ms": old_ms,
             "after_ms": new_ms,
+            "after_base_ms": base_ms,
             "saved": f"{1 - new_ms / old_ms:.1%}",
         })
         print(json.dumps(rows[-1]), flush=True)
 
     report = {
-        "what": "read head and base and diff their pages, one board-wired-diff board "
-                "(3 pages, one changed): both documents read in full and every page "
-                "hashed (before), and base read against head with only the changed "
-                "pair hashed (after)",
+        "what": "read head and base and diff their pages, board-wired-diff boards "
+                "(one page changed): both documents read in full and every page "
+                "hashed (before), and base read against head, its page items with "
+                "head's text taken as head's pages, and only the changed pair compared "
+                "block by block (after)",
         "command": "PYTHONPATH=src python scripts/bench_pagediff.py "
                    f"--repeat {args.repeat} --seed {args.seed}",
         "statistic": f"median of {args.repeat} alternated runs, milliseconds",

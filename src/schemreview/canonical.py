@@ -16,9 +16,12 @@ its nodes, the annotations) is rendered to text once per page object and
 layout, the first time the page is serialized or hashed, and kept on the
 page; its hash, its full document and every group's slice only join those
 blocks.
-A page diff hashes only pairs of distinct page objects, so the unchanged
-pages of a design review, read once and shared by base and head, are not
-rendered for the diff.
+The page hash defines canonical equality. A page diff decides it without
+hashing: the unchanged pages of a design review, read once and shared by
+base and head, are not rendered at all, and any other pair is compared
+block by block (the open tag, each component, each net, then the
+annotations), each block rendered only when the comparison reaches it,
+up to the first block that differs.
 
 Agents are sent a page, or a group's slice of it, in the payload layout
 (``serialize_page_xml(..., payload=True)``): connectivity without
@@ -75,14 +78,34 @@ def page_hash(page: Page) -> str:
 def diff_pages(base: Schematic, head: Schematic) -> set[str]:
     """Page ids whose canonical content differs, plus pages new in head. A
     base page that is head's page object (a base read against its head
-    reuses head's equal pages) is unchanged without being hashed."""
+    reuses head's unchanged pages) is unchanged without being rendered."""
     base_pages = {p.id: p for p in base.pages}
     changed = set()
     for page in head.pages:
         old = base_pages.get(page.id)
-        if old is not page and (old is None or page_hash(old) != page_hash(page)):
+        if old is not page and (old is None or not _same_document(old, page)):
             changed.add(page.id)
     return changed
+
+
+def _same_document(a: Page, b: Page) -> bool:
+    """``page_hash(a) == page_hash(b)``, decided in document order and
+    rendered only up to the first block that differs. ``esc`` escapes
+    every ``<`` in a value, so the document's elements are delimited by
+    their tags, and two documents are equal exactly when their sequences
+    of blocks are. ``zip`` stops at the shorter sequence, but its last
+    block, the annotations, is no component or net, so it differs from
+    the longer sequence's block at the same place."""
+    return all(x == y for x, y in zip(_document_blocks(a), _document_blocks(b)))
+
+
+def _document_blocks(page: Page):
+    """The blocks of the page's canonical document in order, rendered one
+    by one as they are reached."""
+    yield _open_tag(page, "")
+    yield from (_component_xml(c, "    ") for c in _sorted_components(page))
+    yield from (_net_xml(n, "    ") for n in _sorted_nets(page))
+    yield _annotations_xml(page, "")
 
 
 def _page_blocks(page: Page, payload: bool = False) -> tuple:
@@ -112,20 +135,38 @@ def _render_page(page: Page, pad: str, geometry: bool = True) -> tuple:
     net element) pairs in canonical order, the annotations element ("" when
     there are none), and its close tag. Without ``geometry``, bboxes, pin
     coordinates and every annotation but free text are left out."""
+    inner = pad + "    "
+    components = tuple((c.designator, _component_xml(c, inner, geometry))
+                       for c in _sorted_components(page))
+    nets = tuple((n, _net_xml(n, inner)) for n in _sorted_nets(page))
+    return (pad + "  ", _open_tag(page, pad), components, nets,
+            _annotations_xml(page, pad, geometry), f"{pad}</page>")
+
+
+def _open_tag(page: Page, pad: str) -> str:
     open_tag = f'{pad}<page id="{esc(page.id)}"'
     if page.strategy is not None:
         open_tag += f' strategy="{esc(page.strategy.value)}"'
-    inner = pad + "    "
-    components = tuple((c.designator, _component_xml(c, inner, geometry))
-                       for c in sorted(page.components, key=lambda c: c.designator))
-    nets = tuple((n, _net_xml(n, inner)) for n in sorted(page.nets, key=lambda n: n.name))
+    return open_tag + ">"
+
+
+def _sorted_components(page: Page) -> list[Component]:
+    return sorted(page.components, key=lambda c: c.designator)
+
+
+def _sorted_nets(page: Page) -> list[Net]:
+    return sorted(page.nets, key=lambda n: n.name)
+
+
+def _annotations_xml(page: Page, pad: str, geometry: bool = True) -> str:
+    """The annotations element, "" when no annotation is kept."""
     kept = sorted((a for a in page.annotations if geometry or a.kind == "text"),
                   key=_annotation_key)
-    annotations = "\n".join((
-        f"{pad}  <annotations>",
-        *(_annotation_xml(a, inner, geometry) for a in kept),
-        f"{pad}  </annotations>")) if kept else ""
-    return pad + "  ", open_tag + ">", components, nets, annotations, f"{pad}</page>"
+    if not kept:
+        return ""
+    return "\n".join((f"{pad}  <annotations>",
+                      *(_annotation_xml(a, pad + "    ", geometry) for a in kept),
+                      f"{pad}  </annotations>"))
 
 
 def _join_page(blocks: tuple, members: Iterable[str] | None, lines: list[str]) -> None:

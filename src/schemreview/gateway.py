@@ -207,8 +207,10 @@ class MockBackend:
     payload next to it as ``<digest>-<seed>.req``, so a fixture author can
     script the response without re-deriving the payload; a request none
     of whose choices exists raises BackendUnavailable naming the missing
-    keys. A request is one round trip: it waits ``mock_delay_s`` once,
-    however many choices it asks for.
+    keys. A fixture that is not UTF-8 fails the whole request with
+    BackendUnavailable naming it, as ``LiveHttpBackend`` fails a reply it
+    cannot decode. A request is one round trip: it waits ``mock_delay_s``
+    once, however many choices it asks for.
     """
 
     def __init__(self, cfg: BackendConfig):
@@ -221,6 +223,8 @@ class MockBackend:
             return read_text(path)
         except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
             pass
+        except UnicodeDecodeError as exc:  # as a live reply that cannot be decoded
+            raise BackendUnavailable(f"mock fixture {path} is not UTF-8: {exc}") from exc
         try:
             os.makedirs(os.path.dirname(path), exist_ok=True)
             write_text(path.removesuffix(".resp") + ".req", payload)

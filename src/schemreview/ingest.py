@@ -9,12 +9,20 @@ Accepted inputs:
 
 Format is detected from the content signature unless a hint is given.
 
+A structured document is read by one walker (``_read_json``) built on
+``json``'s own scanner: the top-level object key by key, and its ``pages``
+array item by item, keeping the span of each page item's text in the
+document text. Whatever the walker does not accept is read again by
+``_loads``, so every error is json's own.
+
 A structured document can be read against a schematic already read from
 another one (a design review reads its base against its head): each page
-equal to one of that schematic's pages, in a document whose other
-top-level keys (``version``, ``format``, ``sidecars``) are equal too, is
-that schematic's checked, decoded and augmented ``Page`` object, and only
-the remaining pages are checked and decoded.
+item whose text equals one of that schematic's page items (tried at the
+same position first) is not decoded; in a document whose other top-level
+keys (``version``, ``format``, ``sidecars``) are equal too, it is that
+schematic's checked, decoded and augmented ``Page`` object, and only the
+remaining pages are decoded, checked and traced. A page equal as JSON but
+written differently is read in full.
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ from __future__ import annotations
 import json
 import marshal
 import math
+from json.decoder import WHITESPACE, scanstring
 
 from .errors import MalformedInput, UnknownFormat
 from .model import (
@@ -64,36 +73,146 @@ def _loads(text: str):
         raise MalformedInput.at(f"invalid JSON: {exc.msg}", text, exc.pos) from exc
     except ValueError as exc:  # an integer past the interpreter's digit limit
         raise MalformedInput(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise MalformedInput("invalid JSON: nested too deeply") from exc
 
 
-def detect_format(text: str) -> tuple[SourceFormat, object]:
-    """The format of ``text`` and, for a structured document, the decoded
-    JSON (None for KiCad text), so that it is decoded only once."""
+_DECODER = json.JSONDecoder(parse_constant=_finite, parse_float=_finite)
+_SPACE = WHITESPACE.match
+
+
+_NOTHING_KNOWN = ("", (), ())
+
+
+def _read_json(text: str, known=_NOTHING_KNOWN
+               ) -> tuple[object, list[tuple[int, int]] | None, dict[int, int]]:
+    """``(_loads(text), page item spans, matched)``. ``known`` is another
+    document's (text, page item spans, page item values). For a top-level
+    object whose ``pages`` is an array, the spans are the (start, end) of
+    each of its items in ``text``, and ``matched`` maps the index of each
+    item whose text equals a known item's text to that item's index: such
+    an item is not decoded, and its value is the known one. Otherwise the
+    spans are None and nothing is matched."""
+    try:
+        return _walk(text, known)
+    except (ValueError, MalformedInput, RecursionError):  # json's errors and _finite's
+        return _loads(text), None, {}
+
+
+def _walk(text: str, known) -> tuple[dict, list[tuple[int, int]] | None, dict[int, int]]:
+    """``_read_json`` on the text of one object, decoding each value with
+    ``_DECODER`` as ``_loads`` does; ValueError for anything else."""
+    pos = _SPACE(text).end()
+    if not text.startswith("{", pos):
+        raise ValueError("not an object")
+    doc: dict = {}
+    spans, matched = None, {}
+    pos = _SPACE(text, pos + 1).end()
+    if text.startswith("}", pos):
+        pos += 1
+    else:
+        while True:
+            if not text.startswith('"', pos):
+                raise ValueError("expected a key")
+            key, pos = scanstring(text, pos + 1)
+            pos = _SPACE(text, pos).end()
+            if not text.startswith(":", pos):
+                raise ValueError("expected ':'")
+            pos = _SPACE(text, pos + 1).end()
+            if key != "pages":
+                doc[key], pos = _DECODER.raw_decode(text, pos)
+            elif spans is None and text.startswith("[", pos):
+                doc[key], spans, pos = _walk_pages(text, pos, known, matched)
+            else:  # a repeated key is json's last value; pages not an array
+                raise ValueError("pages is not one array")
+            pos = _SPACE(text, pos).end()
+            if text.startswith("}", pos):
+                pos += 1
+                break
+            if not text.startswith(",", pos):
+                raise ValueError("expected ',' or '}'")
+            pos = _SPACE(text, pos + 1).end()
+    if _SPACE(text, pos).end() != len(text):
+        raise ValueError("extra data")
+    return doc, spans, matched
+
+
+def _walk_pages(text: str, pos: int, known, matched: dict[int, int]
+                ) -> tuple[list, list[tuple[int, int]], int]:
+    """The array at ``pos``: its items, their spans, and the position after
+    it; ``matched`` gets the items found in ``known``."""
+    items, spans = [], []
+    pos = _SPACE(text, pos + 1).end()
+    if text.startswith("]", pos):
+        return items, spans, pos + 1
+    while True:
+        index = _match(text, pos, len(items), known)
+        if index is None:
+            item, end = _DECODER.raw_decode(text, pos)
+        else:
+            matched[len(items)] = index
+            _known_text, known_spans, values = known
+            start, stop = known_spans[index]
+            item, end = values[index], pos + stop - start
+        spans.append((pos, end))
+        items.append(item)
+        pos = _SPACE(text, end).end()
+        if text.startswith("]", pos):
+            return items, spans, pos + 1
+        if not text.startswith(",", pos):
+            raise ValueError("expected ',' or ']'")
+        pos = _SPACE(text, pos + 1).end()
+
+
+def _match(text: str, pos: int, i: int, known) -> int | None:
+    """The index of the ``known`` item whose text starts at ``pos``, trying
+    item ``i`` first. A known text is a whole JSON value, so when a ``,``
+    or ``]`` follows it (the caller checks), the item at ``pos`` is that
+    text exactly."""
+    known_text, spans, _values = known
+    if i < len(spans):
+        start, end = spans[i]
+        if text.startswith(known_text[start:end], pos):
+            return i
+    for j, (start, end) in enumerate(spans):
+        if j != i and text.startswith(known_text[start:end], pos):
+            return j
+    return None
+
+
+def detect_format(text: str, known=_NOTHING_KNOWN) -> tuple[SourceFormat, tuple | None]:
+    """The format of ``text`` and, for a structured document, what
+    ``_read_json(text, known)`` read (None for KiCad text), so that it is
+    read only once."""
     stripped = text.lstrip()
     if stripped.startswith("(kicad_sch"):
         return SourceFormat.KICAD_SUBSET, None
     if stripped.startswith("{"):
-        doc = _loads(text)
+        read = _read_json(text, known)
+        doc = read[0]
         if isinstance(doc, dict) and doc.get("version") == 1 and "pages" in doc:
             if doc.get("format") == "de-hdl":
-                return SourceFormat.DE_HDL, doc
-            return SourceFormat.STRUCTURED_PAGES, doc
+                return SourceFormat.DE_HDL, read
+            return SourceFormat.STRUCTURED_PAGES, read
     raise UnknownFormat("no format hint given and no format signature matched")
 
 
 def ingest_schematic(raw: bytes, format_hint: str | SourceFormat | None = None, *,
                      reuse: Schematic | None = None) -> Schematic:
     """Decode raw schematic bytes into a Schematic. Nets may be empty for
-    DE-HDL input; run augmentation to populate them. Pages equal to pages
-    of ``reuse`` (see the module docstring) are ``reuse``'s Page objects."""
+    DE-HDL input; run augmentation to populate them. Page items whose text
+    equals a page item of ``reuse`` (see the module docstring) are
+    ``reuse``'s Page objects."""
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise MalformedInput("input is not valid UTF-8", exc.start) from exc
 
-    doc = None
+    known = _NOTHING_KNOWN if reuse is None or reuse.page_spans is None else (
+        reuse.source_text, reuse.page_spans, reuse.source["pages"])
+    read = None
     if format_hint is None:
-        fmt, doc = detect_format(text)
+        fmt, read = detect_format(text, known)
     elif isinstance(format_hint, SourceFormat):
         fmt = format_hint
     else:
@@ -106,13 +225,16 @@ def ingest_schematic(raw: bytes, format_hint: str | SourceFormat | None = None, 
         from .kicad import parse_kicad_page  # imported here: only KiCad input uses it
         page = parse_kicad_page(text)
         return Schematic(format=fmt, pages=(page,))
-    return _ingest_structured(_loads(text) if doc is None else doc, fmt, reuse)
+    doc, spans, matched = _read_json(text, known) if read is None else read
+    return _ingest_structured(text, doc, spans, matched, fmt, reuse)
 
 
-def _ingest_structured(doc, fmt: SourceFormat, reuse: Schematic | None) -> Schematic:
+def _ingest_structured(text: str, doc, spans: list[tuple[int, int]] | None,
+                       matched: dict[int, int], fmt: SourceFormat,
+                       reuse: Schematic | None) -> Schematic:
     if isinstance(doc, dict) and doc.get("format") == "de-hdl":
         fmt = SourceFormat.DE_HDL
-    reused = _reused_pages(doc, fmt, reuse)
+    reused = _reused_pages(doc, matched, fmt, reuse)
     # each page item is checked on its own, and a reused page equals one
     # that passed, so checking the rest decides the whole document
     checked = doc if not reused else {
@@ -128,35 +250,28 @@ def _ingest_structured(doc, fmt: SourceFormat, reuse: Schematic | None) -> Schem
             pages=tuple(pages),
             sidecars=dict(doc.get("sidecars", {})),
             source=doc,
+            source_text=None if spans is None else text,
+            page_spans=spans,
         )
     except ValueError as exc:
         raise MalformedInput(str(exc)) from exc
     return schematic
 
 
-def _reused_pages(doc, fmt: SourceFormat, reuse: Schematic | None) -> dict[int, Page]:
+def _reused_pages(doc, matched: dict[int, int], fmt: SourceFormat,
+                  reuse: Schematic | None) -> dict[int, Page]:
     """Index in ``doc["pages"]`` -> the page of ``reuse`` that stands in for
-    that item: same id and an equal document, in a document whose format
-    and other top-level keys equal those ``reuse`` was read from. ``doc``
-    may still be invalid."""
-    source = reuse.source if reuse is not None else None
-    if (source is None or reuse.format is not fmt or not isinstance(doc, dict)
-            or not isinstance(doc.get("pages"), list)):
+    that item: the item's text is ``reuse``'s item ``matched[index]``, in a
+    document whose format and other top-level keys equal those ``reuse``
+    was read from. ``doc`` may still be invalid."""
+    if not matched or reuse.format is not fmt:
         return {}
+    source = reuse.source
     keys = doc.keys() - {"pages"}
     if keys != source.keys() - {"pages"} or not all(
             _same_json(doc[key], source[key]) for key in keys):
         return {}
-    known = {page.id: (page_doc, page)
-             for page_doc, page in zip(source["pages"], reuse.pages)
-             if page_doc["id"] == page.id}
-    reused = {}
-    for i, page_doc in enumerate(doc["pages"]):
-        page_id = page_doc.get("id") if isinstance(page_doc, dict) else None
-        if type(page_id) is str and page_id in known and _same_json(
-                page_doc, known[page_id][0]):
-            reused[i] = known[page_id][1]
-    return reused
+    return {i: reuse.pages[j] for i, j in matched.items()}
 
 
 def _same_json(a, b) -> bool:

@@ -166,12 +166,18 @@ class Page(checked("Page", "id components nets annotations strategy")):
 
 class Schematic(checked("Schematic", "format pages sidecars")):
     """``source`` is the decoded structured document the schematic was
-    ingested from (None for KiCad text or a schematic built in code). It
-    takes no part in equality; ``ingest`` reads a second document against
-    it, reusing this schematic's pages for equal pages of that document."""
+    ingested from, ``source_text`` its text and ``page_spans`` the
+    (start, end) of each item of its ``pages`` in that text (all None for
+    KiCad text or a schematic built in code). ``pages[i]`` is read from
+    ``source["pages"][i]``. None of them takes part in equality;
+    ``ingest`` reads a second document against them, reusing this
+    schematic's pages for page items of that document with the same
+    text."""
 
     def __new__(cls, format: SourceFormat, pages: tuple[Page, ...] = (),
-                sidecars: dict[str, str] | None = None, source: dict | None = None):
+                sidecars: dict[str, str] | None = None, source: dict | None = None,
+                source_text: str | None = None,
+                page_spans: list[tuple[int, int]] | None = None):
         pages = tuple(pages)
         seen = set()
         for p in pages:
@@ -180,6 +186,8 @@ class Schematic(checked("Schematic", "format pages sidecars")):
             seen.add(p.id)
         self = tuple.__new__(cls, (format, pages, {} if sidecars is None else sidecars))
         self.source = source
+        self.source_text = source_text
+        self.page_spans = page_spans
         return self
 
     def page(self, page_id: str) -> Page | None:
@@ -189,7 +197,10 @@ class Schematic(checked("Schematic", "format pages sidecars")):
         return None
 
     def with_pages(self, pages: list[Page]) -> "Schematic":
-        return Schematic(self.format, pages, self.sidecars, self.source)
+        """The schematic with ``pages``, which stand for its own pages in the
+        same order (augmentation keeps order and count)."""
+        return Schematic(self.format, pages, self.sidecars, self.source, self.source_text,
+                         self.page_spans)
 
 
 def resolve_node(page: Page, node: NetNode) -> bool:

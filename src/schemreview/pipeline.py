@@ -1,10 +1,12 @@
 """The pipeline over a run's pages under a time budget.
 
 Page set: full-analysis mode takes every page; design-review mode takes
-the pages whose canonical hash differs from the base plus any explicit
-page override. The head is read in full first and the base against it,
-so each unchanged page (its JSON equal in both, with equal format and
-sidecars) is read once, as head's page, and is not hashed. Admission:
+the pages whose canonical content differs from the base plus any
+explicit page override. The head is read in full first and the base
+against it, so each unchanged page (its page item's text equal in both,
+with equal format and sidecars) is read once, as head's page, and is not
+compared; a changed pair is compared block by block up to the first
+block that differs (``canonical.diff_pages``). Admission:
 with no time budget every page of the set forms one batch; with a
 budget each page is its own batch, admitted once the page before it has
 finished and only if the deadline has not passed, so pages not started
@@ -249,7 +251,7 @@ def run_pipeline(cfg: RunConfig, schematic_path) -> RunReport:
     try:
         head = _read_schematic(schematic_path)
         pages = [head.page(pid) for pid in select_page_set(cfg, head)]
-        del head  # and its decoded JSON (``source``), needed only to read the base
+        del head  # and its decoded JSON and text, needed only to read the base
         # with a budget each page is admitted on its own, once the page
         # before it has finished and only while the deadline has not passed
         if deadline is not None:

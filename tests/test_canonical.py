@@ -4,10 +4,22 @@ import json
 import random
 from pathlib import Path
 
+from hypothesis import given, settings, strategies as st
+
 from schemreview.augment import augment_netlist
 from schemreview.canonical import diff_pages, page_hash, serialize_xml
 from schemreview.ingest import ingest_schematic
-from schemreview.model import Schematic, SourceFormat
+from schemreview.model import (
+    AugmentationStrategy,
+    BBox,
+    Component,
+    GraphicalAnnotation,
+    Net,
+    Page,
+    Pin,
+    Schematic,
+    SourceFormat,
+)
 
 GOLDEN = Path(__file__).parent / "data" / "golden_schematic.xml"
 
@@ -105,3 +117,67 @@ def test_page_hash_is_hex_sha256():
     h = page_hash(fixture_schematic().pages[0])
     assert len(h) == 64
     int(h, 16)
+
+
+# --- the page diff's block comparison against page_hash equality -----------------
+
+# small pools, so that independently drawn pages are often canonically equal;
+# None and "" render alike, and so do 1 and 1.0
+TEXTS = st.sampled_from([None, "", "LM317", "a<b"])
+NUMBERS = st.sampled_from([0, 0.0, 1, 1.0, 2.5])
+PINS = st.lists(st.builds(Pin, st.sampled_from(["1", "2"]), TEXTS, NUMBERS | st.none(),
+                          NUMBERS | st.none()), max_size=2, unique_by=lambda p: p.designator)
+BBOXES = st.builds(BBox, NUMBERS, NUMBERS, NUMBERS, NUMBERS)
+COMPONENTS = st.lists(st.builds(Component, st.sampled_from(["R1", "U1", "C1"]), TEXTS, TEXTS,
+                                TEXTS, PINS, BBOXES | st.none()),
+                      max_size=3, unique_by=lambda c: c.designator)
+NODES = st.lists(st.tuples(st.sampled_from(["R1", "U1"]), st.sampled_from(["1", "2"])),
+                 max_size=2)
+NETS = st.lists(st.builds(Net, st.sampled_from(["GND", "VIN"]), NODES), max_size=2)
+ANNOTATIONS = st.lists(st.builds(
+    GraphicalAnnotation, st.sampled_from(["", "VIN"]),
+    st.builds(BBox, NUMBERS, NUMBERS, st.just(0), NUMBERS),
+    st.sampled_from(["label", "wire", "junction", "text"])), max_size=2)
+PAGES = st.builds(Page, st.just("P1"), COMPONENTS, NETS, ANNOTATIONS,
+                  st.sampled_from([None, AugmentationStrategy.EMBEDDED_NETS]))
+
+
+def _respelled(draw, value):
+    """``value`` with None and "" swapped and whole numbers retyped, at random."""
+    if value is None or value == "":
+        return draw(st.sampled_from([None, ""]))
+    if type(value) in (int, float) and value == int(value):
+        return draw(st.sampled_from([int(value), float(value)]))
+    return value
+
+
+@st.composite
+def page_pairs(draw):
+    """Two pages drawn apart, or a page and a variant of it: elements
+    reordered, None and "" swapped, ints and whole floats swapped, and
+    perhaps one net or one annotation changed."""
+    page = draw(PAGES)
+    if draw(st.booleans()):
+        return page, draw(PAGES)
+    components = [c._replace(
+        mpn=_respelled(draw, c.mpn), ipn=_respelled(draw, c.ipn),
+        datasheet_url=_respelled(draw, c.datasheet_url),
+        pins=draw(st.permutations([p._replace(name=_respelled(draw, p.name),
+                                              x=_respelled(draw, p.x)) for p in c.pins])))
+        for c in page.components]
+    nets, annotations = list(page.nets), list(page.annotations)
+    change = draw(st.sampled_from(["none", "net", "annotation"]))
+    if change == "net":
+        nets.append(Net("SPARE", (("R1", "1"),)))
+    elif change == "annotation" and annotations:
+        annotations[0] = annotations[0]._replace(text="SPARE")
+    return page, Page(page.id, draw(st.permutations(components)), draw(st.permutations(nets)),
+                      draw(st.permutations(annotations)), page.strategy)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(pair=page_pairs())
+def test_page_diff_agrees_with_page_hash(pair):
+    equal = page_hash(pair[0]) == page_hash(pair[1])
+    base, head = (Schematic(SourceFormat.STRUCTURED_PAGES, (page,)) for page in pair)
+    assert diff_pages(base, head) == (set() if equal else {head.pages[0].id})

@@ -7,6 +7,7 @@ import time
 from http.server import BaseHTTPRequestHandler
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import loopback_server
 from schemreview import datasheets
@@ -21,7 +22,9 @@ from schemreview.datasheets import (
     fetch,
     http_fetcher,
 )
-from schemreview.errors import FetchFailed, NotADatasheet
+from schemreview.demo import DEMO_PART_PINS, datasheet_text
+from schemreview.dsmodel import DatasheetDocument
+from schemreview.errors import FetchFailed, NotADatasheet, SchemReviewError
 from schemreview.gateway import AgentKind, BackendConfig, Gateway, fixture_relpath
 from schemreview.libraries import PartRef
 from schemreview.singleflight import SingleFlight
@@ -274,3 +277,31 @@ class TestCriticScore:
             CriticScore(11, 0, 0, 0)
         with pytest.raises(ValueError):
             CriticScore(0, -1, 0, 0)
+
+
+# edits of a demo datasheet: its own markers, separators and numbers, and bytes
+# that are not UTF-8
+DATASHEET_EDITS = st.sampled_from([b"%TOC%\n", b"%END%\n", b"\f", b"\n", b" | ", b"|", b"0",
+                                   b"-1", b"99", b"\xff", b"\xc3", b"\x00", b"", b" "])
+
+
+@st.composite
+def datasheet_bytes(draw):
+    raw = draw(st.sampled_from(sorted(DEMO_PART_PINS)).map(
+        lambda mpn: datasheet_text(mpn).encode()) | st.binary(max_size=40))
+    if draw(st.booleans()):
+        raw = b"%TOC%\nPins | 1\nRatings | 2\n%END%\n" + raw
+    for _ in range(draw(st.integers(0, 4))):
+        at = draw(st.integers(0, len(raw)))
+        raw = raw[:at] + draw(DATASHEET_EDITS) + raw[at + draw(st.integers(0, 4)):]
+    return raw
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(raw=datasheet_bytes())
+def test_a_datasheet_decodes_or_raises_a_typed_error(raw):
+    try:
+        doc = decode_document("file:///sheet.txt", raw)
+    except SchemReviewError:
+        return
+    assert isinstance(doc, DatasheetDocument)

@@ -98,6 +98,24 @@ class TestMockBackend:
         assert len(text) == len(raw) - 2
         assert resp.usage == TokenUsage(len("crlf") // 4, len(text) // 4)
 
+    @pytest.mark.parametrize("n", [None, 2])
+    def test_a_fixture_that_is_not_utf8_fails_the_request_naming_it(self, tmp_path, n):
+        # was a bare UnicodeDecodeError, and a span without "error"
+        root = tmp_path / "fixtures"
+        kind = AgentKind.HEAD_ANALYSIS if n is None else AgentKind.GROUP_REVIEW
+        if n is not None:
+            write_fixture(root, kind, "latin", 0, REVIEW)
+        path = root / fixture_relpath(kind, "latin", 0 if n is None else 1)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(b"\xff")
+        gw, tracer, trace = traced_gateway(mock_cfg(tmp_path))
+        req = head_request("latin") if n is None else review_request("latin", n)
+        with pytest.raises(BackendUnavailable) as exc:
+            gw.complete(req, trace=trace)
+        assert str(exc.value).startswith(f"mock fixture {path} is not UTF-8: ")
+        [event] = tracer.events()
+        assert event.attributes["error"] == "backend_unavailable"
+
     def test_an_n_choice_request_hashes_its_payload_once(self, tmp_path, monkeypatch):
         for seed in range(3):
             write_fixture(tmp_path / "fixtures", AgentKind.GROUP_REVIEW, "group", seed,

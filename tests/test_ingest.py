@@ -5,9 +5,11 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import schemreview
 from helpers import WIRE_AND_EMPTY_LABEL
+from schemreview import ingest
 from schemreview.augment import augment_netlist
 from schemreview.errors import MalformedInput, UnknownFormat
 from schemreview.ingest import ingest_schematic
@@ -82,18 +84,25 @@ def test_bad_hint_rejected():
 @pytest.mark.parametrize("hint", [None, "structured-pages"])
 @pytest.mark.parametrize("doc", [BASIC_DOC, {**BASIC_DOC, "format": "de-hdl"}])
 def test_document_is_decoded_once(monkeypatch, hint, doc):
-    text = json.dumps(doc)
-    loads = json.loads
+    """Each top-level value and each page item is decoded once, on its own,
+    and the document is never decoded whole."""
+    raw_decode = ingest._DECODER.raw_decode
     decoded = []
 
-    def counting_loads(s, *args, **kwargs):
-        if s.strip() == text:
-            decoded.append(s)
-        return loads(s, *args, **kwargs)
+    def counting_raw_decode(s, idx=0):
+        value, end = raw_decode(s, idx)
+        decoded.append(s[idx:end])
+        return value, end
 
-    monkeypatch.setattr(json, "loads", counting_loads)
-    ingest_schematic(("  \n" + text).encode(), format_hint=hint)
-    assert len(decoded) == 1
+    def whole_loads(s, *args, **kwargs):
+        raise AssertionError("the document was decoded whole")
+
+    monkeypatch.setattr(ingest._DECODER, "raw_decode", counting_raw_decode)
+    monkeypatch.setattr(json, "loads", whole_loads)
+    ingest_schematic(("  \n" + json.dumps(doc)).encode(), format_hint=hint)
+    expected = [json.dumps(value) for key, value in doc.items() if key != "pages"]
+    expected += [json.dumps(page) for page in doc["pages"]]
+    assert sorted(decoded) == sorted(expected)
 
 
 def test_explicit_hint_accepted():
@@ -187,6 +196,12 @@ def test_integer_past_the_digit_limit_is_malformed_input():
         ingest_schematic(text.encode())
 
 
+def test_json_nested_past_the_recursion_limit_is_malformed_input():
+    text = '{"version": 1, "pages": [' + "[" * 100_000 + "]" * 100_000 + "]}"
+    with pytest.raises(MalformedInput, match="nested too deeply"):  # was a RecursionError
+        ingest_schematic(text.encode())
+
+
 def test_duplicate_designator_is_malformed_input():
     bad = json.loads(json.dumps(BASIC_DOC))
     bad["pages"][0]["components"][1]["designator"] = "U1"
@@ -197,3 +212,103 @@ def test_duplicate_designator_is_malformed_input():
 def test_non_utf8_input_rejected():
     with pytest.raises(MalformedInput):
         ingest_schematic(b"\xff\xfe\x00\x01")
+
+
+# --- the document walker against json's own decoder -------------------------------
+
+SCALARS = st.none() | st.booleans() | st.integers(-100, 100) | st.sampled_from(
+    [0.0, 1.0, -2.5, 1e-7, 1e300]) | st.text(max_size=4)
+JSON_TREES = st.recursive(SCALARS, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+    st.sampled_from(["id", "pages", "x", "\u00e9", ""]), inner, max_size=3), max_leaves=6)
+# page items are objects, as in a schematic
+PAGE_ITEMS = st.dictionaries(st.sampled_from(["id", "components", "x"]), JSON_TREES, max_size=3)
+# text edits: JSON punctuation and tokens, including those _loads rejects
+EDITS = st.sampled_from(["{", "}", "[", "]", ",", ":", '"', "\\", " ", "\n", "1", "-", ".",
+                         "e", "x", "NaN", "Infinity", "1e400", "\ufeff", '"pages": []',
+                         '"pages": 1', '{"id": "P1"}'])
+
+
+def _layout(draw) -> dict:
+    return {"indent": draw(st.sampled_from([None, 0, 1, 2])),
+            "sort_keys": draw(st.booleans()), "ensure_ascii": draw(st.booleans())}
+
+
+@st.composite
+def head_and_base(draw):
+    """A head document's text and a base's: the base keeps, drops,
+    reorders and replaces the head's page items, in the same layout, and
+    may repeat its ``pages`` key."""
+    pages = draw(st.lists(PAGE_ITEMS, max_size=4))
+    head = {**draw(st.dictionaries(st.sampled_from(["version", "format", "x"]), JSON_TREES,
+                                   max_size=2)), "pages": pages}
+    base_pages = draw(st.permutations(pages))[:draw(st.integers(0, len(pages)))]
+    for _ in range(draw(st.integers(0, 2))):
+        base_pages.insert(draw(st.integers(0, len(base_pages))), draw(PAGE_ITEMS))
+    base = {**head, "pages": base_pages}
+    layout = _layout(draw)
+    base_text = json.dumps(base, **layout)
+    if draw(st.booleans()):
+        base_text = base_text[:-1] + ', "pages": ' + json.dumps(pages) + "}"
+    return json.dumps(head, **layout), base_text
+
+
+def _outcome(fn):
+    try:
+        return "value", json.dumps(fn())  # equal as JSON, with types and key order
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "offset", None)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(texts=head_and_base())
+def test_walker_reads_what_loads_reads_and_matches_every_known_item(texts):
+    head_text, base_text = texts
+    head, head_spans, matched = ingest._read_json(head_text)
+    assert not matched and _outcome(lambda: head) == _outcome(lambda: ingest._loads(head_text))
+    head_texts = [head_text[start:end] for start, end in head_spans]
+    assert [json.dumps(ingest._loads(text)) for text in head_texts] == \
+        [json.dumps(item) for item in head["pages"]]
+    base, base_spans, matched = ingest._read_json(base_text,
+                                                  (head_text, head_spans, head["pages"]))
+    assert _outcome(lambda: base) == _outcome(lambda: ingest._loads(base_text))
+    if base_spans is None:  # a repeated key: json keeps its last value
+        assert not matched and base_text.count('"pages"') > 1
+        return
+    base_texts = [base_text[start:end] for start, end in base_spans]
+    assert [json.dumps(ingest._loads(text)) for text in base_texts] == \
+        [json.dumps(item) for item in base["pages"]]
+    # an item whose text is known is matched, to the same position when it can be
+    assert matched == {i: i if head_texts[i:i + 1] == [text] else head_texts.index(text)
+                       for i, text in enumerate(base_texts) if text in head_texts}
+
+
+@pytest.mark.parametrize("text", [
+    '{"version": 1, "pages": [{"id": "P1"} {"id": "P2"}]}',
+    '{"version": 1, "pages": [{"id": "P1"}, {"id": "P2"},]}',
+    '{"version": 1, "pages": [{"id": "P1"}; {"id": "P2"}]}',
+    '{"version": 1 "pages": []}',
+    '{"version": 1, "pages": [], }',
+    '{"version": 1, "pages": []} {}',
+    '{"version": 1, "pages": [{"id": "P1"}]',
+    '{"version": 1, "pages": [{"id": "P1"}], "pages": []}',
+])
+def test_walker_gives_loads_own_outcome_on_malformed_separators(text):
+    known = ('{"id": "P1"}{"id": "P2"}', [(0, 12), (12, 24)], [{"id": "P1"}, {"id": "P2"}])
+    assert _outcome(lambda: ingest._read_json(text, known)[0]) == \
+        _outcome(lambda: ingest._loads(text))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(texts=head_and_base(), data=st.data())
+def test_walker_raises_loads_own_error_on_an_edited_document(texts, data):
+    head_text, text = texts
+    for _ in range(data.draw(st.integers(1, 3))):
+        # anywhere, and more often at the ends and at the punctuation
+        marks = [0, len(text)] + [i for i, ch in enumerate(text) if ch in '{}[],:"']
+        at = data.draw(st.sampled_from(marks) | st.integers(0, len(text)))
+        cut = data.draw(st.integers(0, 3))
+        text = text[:at] + data.draw(st.sampled_from(["", data.draw(EDITS)])) + text[at + cut:]
+    head, head_spans, _ = ingest._read_json(head_text)
+    known = (head_text, head_spans, head["pages"])
+    assert _outcome(lambda: ingest._read_json(text, known)[0]) == \
+        _outcome(lambda: ingest._loads(text))

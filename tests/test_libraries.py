@@ -7,6 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import loopback_server
 from schemreview.config import RunConfig, library_from_config
@@ -46,6 +47,26 @@ def test_csv_lookup_matches_part_key(tmp_path):
     lib = csv_library(tmp_path, [("LM317", "http://x/u1.pdf"), ("NE555", "http://x/u2.pdf")])
     assert lib.lookup(PartRef(mpn="LM317")) == ["http://x/u1.pdf"]
     assert lib.lookup(PartRef(mpn="UNKNOWN")) == []
+
+
+@pytest.fixture(scope="module")
+def csv_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv")
+
+
+CSV_PIECES = st.sampled_from([b"part_number", b"datasheet_url", b"LM317", b"http://x/u1.pdf",
+                              b",", b"\n", b"\r\n", b'"', b"\xff", b"\x00", b" ", b"", b"a"])
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(raw=st.lists(CSV_PIECES, max_size=16).map(b"".join) | st.binary(max_size=24),
+       header=st.booleans())
+def test_a_csv_table_lookup_gives_a_list_of_strings_for_any_bytes(csv_dir, raw, header):
+    path = csv_dir / "parts.csv"
+    path.write_bytes(b"part_number,datasheet_url\n" + raw if header else raw)
+    lib = LibrarySource(LibraryKind.CSV_TABLE, priority=1, path=str(path))
+    urls = lib.lookup(PartRef(mpn="LM317"))
+    assert isinstance(urls, list) and all(isinstance(url, str) for url in urls)
 
 
 def test_csv_table_is_read_once_per_run(tmp_path):

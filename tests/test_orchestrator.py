@@ -1015,6 +1015,24 @@ class TestCli:
         [line] = capsys.readouterr().err.splitlines()
         assert line.startswith(f"error: checklist {default}: 'utf-8' codec can't decode")
 
+    def test_a_mock_fixture_that_is_not_utf8_exits_one_with_an_error_line(self, demo,
+                                                                         tmp_path, capsys):
+        work, paths = demo
+        clean_run_dirs(work)
+        fixtures = tmp_path / "fixtures"
+        shutil.copytree(paths["fixtures"], fixtures)
+        selection = sorted((fixtures / "selection").glob("*.resp"))
+        for path in selection:
+            path.write_bytes(b"\xff")
+        config = write_malformed_config(work, tmp_path, lambda doc: {
+            **doc, "backend": {**doc["backend"], "fixture_path": str(fixtures)}})
+        code = main(["--schematic", str(paths["schematic"]), "--config", str(config)])
+        assert code == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: mock fixture ")
+        assert any(line.startswith(f"error: mock fixture {path} is not UTF-8: ")
+                   for path in selection)
+
     def test_a_file_sink_that_cannot_write_exits_one_with_an_error_line(self, demo,
                                                                        tmp_path, capsys):
         work, paths = demo

@@ -1,10 +1,12 @@
 """Reading a design review's base against its head.
 
-Base pages equal to head's (in documents with equal version, format and
-sidecars) are head's checked, decoded and augmented Page objects, and the
-page diff hashes only the other pairs. The oracle is the old path: both
-documents ingested and augmented in full, then every page hashed. The
-page set, and every failure's type and text, must equal it.
+Base page items whose text equals a head page item's (in documents with
+equal version, format and sidecars) are head's checked, decoded and
+augmented Page objects, never decoded again, and the page diff compares
+only the other pairs, block by block up to the first block that differs.
+The oracle is the old path: both documents ingested and augmented in
+full, then every page hashed. The page set, and every failure's type and
+text, must equal it.
 """
 
 import copy
@@ -253,13 +255,21 @@ def test_reused_pages_are_heads_and_only_the_changed_pair_is_hashed(tmp_path, mo
     assert base.pages[1:] == head.pages[1:]
     assert all(b is h for b, h in zip(base.pages[1:], head.pages[1:]))
 
-    hashed = []
-    original = canonical.page_hash
-    monkeypatch.setattr(canonical, "page_hash",
-                        lambda page: hashed.append(page) or original(page))
+    rendered = []
+
+    def recording(name):
+        render = getattr(canonical, name)
+        return lambda item, *args: rendered.append((name, item)) or render(item, *args)
+
+    for name in ("_open_tag", "_component_xml", "_net_xml", "_annotations_xml"):
+        monkeypatch.setattr(canonical, name, recording(name))
+    monkeypatch.setattr(canonical, "page_hash", None)  # the diff hashes nothing
     assert diff_pages(base, head) == {"P1"}
-    assert hashed == [base.pages[0], head.pages[0]]
-    assert all("_canonical_blocks" not in p.__dict__ for p in head.pages[1:])
+    # the open tags are equal and R1, the first component, differs
+    assert rendered == [("_open_tag", base.pages[0]), ("_open_tag", head.pages[0]),
+                        ("_component_xml", base.pages[0].components[0]),
+                        ("_component_xml", head.pages[0].components[0])]
+    assert all("_canonical_blocks" not in p.__dict__ for p in head.pages)
 
 
 def test_reordered_base_pages_are_reused_by_id(tmp_path):
