@@ -46,16 +46,6 @@ from .model import BBox, Component, GraphicalAnnotation, Net, Page, Schematic
 from .xmlutil import DECLARATION, compact, esc, fmt_num
 
 
-def serialize_xml(schematic: Schematic) -> str:
-    fmt = esc(schematic.format.value)
-    if not schematic.pages:
-        return f'{DECLARATION}\n<schematic format="{fmt}"/>\n'
-    lines = [DECLARATION, f'<schematic format="{fmt}">']
-    for page in schematic.pages:
-        _join_page(_render_page(page, "  "), None, lines)
-    return "\n".join(lines) + "\n</schematic>\n"
-
-
 def serialize_page_xml(page: Page, members: Iterable[str] | None = None, *,
                        payload: bool = False) -> str:
     """One page as a standalone canonical document (used for hashing), or,
@@ -102,10 +92,10 @@ def _same_document(a: Page, b: Page) -> bool:
 def _document_blocks(page: Page):
     """The blocks of the page's canonical document in order, rendered one
     by one as they are reached."""
-    yield _open_tag(page, "")
-    yield from (_component_xml(c, "    ") for c in _sorted_components(page))
-    yield from (_net_xml(n, "    ") for n in _sorted_nets(page))
-    yield _annotations_xml(page, "")
+    yield _open_tag(page)
+    yield from map(_component_xml, _sorted_components(page))
+    yield from map(_net_xml, _sorted_nets(page))
+    yield _annotations_xml(page)
 
 
 def _page_blocks(page: Page, payload: bool = False) -> tuple:
@@ -115,8 +105,8 @@ def _page_blocks(page: Page, payload: bool = False) -> tuple:
     name = "_payload_blocks" if payload else "_canonical_blocks"
     blocks = page.__dict__.get(name)
     if blocks is None:
-        blocks = (_compact_blocks(_render_page(page, "", geometry=False)) if payload
-                  else _render_page(page, ""))
+        blocks = (_compact_blocks(_render_page(page, geometry=False)) if payload
+                  else _render_page(page))
         page.__dict__[name] = blocks
     return blocks
 
@@ -129,22 +119,21 @@ def _compact_blocks(blocks: tuple) -> tuple:
             compact(close_tag))
 
 
-def _render_page(page: Page, pad: str, geometry: bool = True) -> tuple:
-    """The blocks of a page element indented by ``pad``: the indentation of
-    its container elements, its open tag, (designator, component) and (net,
-    net element) pairs in canonical order, the annotations element ("" when
-    there are none), and its close tag. Without ``geometry``, bboxes, pin
+def _render_page(page: Page, geometry: bool = True) -> tuple:
+    """The blocks of a page element: the indentation of its container
+    elements, its open tag, (designator, component) and (net, net element)
+    pairs in canonical order, the annotations element ("" when there are
+    none), and its close tag. Without ``geometry``, bboxes, pin
     coordinates and every annotation but free text are left out."""
-    inner = pad + "    "
-    components = tuple((c.designator, _component_xml(c, inner, geometry))
+    components = tuple((c.designator, _component_xml(c, geometry))
                        for c in _sorted_components(page))
-    nets = tuple((n, _net_xml(n, inner)) for n in _sorted_nets(page))
-    return (pad + "  ", _open_tag(page, pad), components, nets,
-            _annotations_xml(page, pad, geometry), f"{pad}</page>")
+    nets = tuple((n, _net_xml(n)) for n in _sorted_nets(page))
+    return ("  ", _open_tag(page), components, nets,
+            _annotations_xml(page, geometry), "</page>")
 
 
-def _open_tag(page: Page, pad: str) -> str:
-    open_tag = f'{pad}<page id="{esc(page.id)}"'
+def _open_tag(page: Page) -> str:
+    open_tag = f'<page id="{esc(page.id)}"'
     if page.strategy is not None:
         open_tag += f' strategy="{esc(page.strategy.value)}"'
     return open_tag + ">"
@@ -158,15 +147,15 @@ def _sorted_nets(page: Page) -> list[Net]:
     return sorted(page.nets, key=lambda n: n.name)
 
 
-def _annotations_xml(page: Page, pad: str, geometry: bool = True) -> str:
+def _annotations_xml(page: Page, geometry: bool = True) -> str:
     """The annotations element, "" when no annotation is kept."""
     kept = sorted((a for a in page.annotations if geometry or a.kind == "text"),
                   key=_annotation_key)
     if not kept:
         return ""
-    return "\n".join((f"{pad}  <annotations>",
-                      *(_annotation_xml(a, pad + "    ", geometry) for a in kept),
-                      f"{pad}  </annotations>"))
+    return "\n".join(("  <annotations>",
+                      *(_annotation_xml(a, geometry) for a in kept),
+                      "  </annotations>"))
 
 
 def _join_page(blocks: tuple, members: Iterable[str] | None, lines: list[str]) -> None:
@@ -192,9 +181,9 @@ def _join_page(blocks: tuple, members: Iterable[str] | None, lines: list[str]) -
     lines.append(close_tag)
 
 
-def _component_xml(comp: Component, pad: str, geometry: bool = True) -> str:
+def _component_xml(comp: Component, geometry: bool = True) -> str:
     designator, mpn, ipn, datasheet_url, pins, bbox = comp
-    head = f"{pad}<component"
+    head = "    <component"
     if datasheet_url:
         head += f' datasheet_url="{esc(datasheet_url)}"'
     head += f' designator="{esc(designator)}"'
@@ -204,9 +193,9 @@ def _component_xml(comp: Component, pad: str, geometry: bool = True) -> str:
         head += f' mpn="{esc(mpn)}"'
     lines = [head + ">"]
     if geometry and bbox:
-        lines.append(_bbox_xml(bbox, pad + "  "))
+        lines.append(_bbox_xml(bbox))
     for pin_designator, name, x, y in sorted(pins, key=lambda p: p.designator):
-        line = f'{pad}  <pin designator="{esc(pin_designator)}"'
+        line = f'      <pin designator="{esc(pin_designator)}"'
         if name:
             line += f' name="{esc(name)}"'
         if geometry and x is not None:
@@ -216,20 +205,20 @@ def _component_xml(comp: Component, pad: str, geometry: bool = True) -> str:
         lines.append(line + "/>")
     if len(lines) == 1:
         return head + "/>"
-    return "\n".join(lines) + f"\n{pad}</component>"
+    return "\n".join(lines) + "\n    </component>"
 
 
-def _net_xml(net: Net, pad: str) -> str:
-    head = f'{pad}<net name="{esc(net.name)}"'
+def _net_xml(net: Net) -> str:
+    head = f'    <net name="{esc(net.name)}"'
     if not net.nodes:
         return head + "/>"
-    return "\n".join((head + ">", *(f'{pad}  <node component="{esc(comp)}" pin="{esc(pin)}"/>'
-                                    for comp, pin in net.nodes), f"{pad}</net>"))
+    return "\n".join((head + ">", *(f'      <node component="{esc(comp)}" pin="{esc(pin)}"/>'
+                                    for comp, pin in net.nodes), "    </net>"))
 
 
-def _bbox_xml(bbox: BBox, pad: str) -> str:
+def _bbox_xml(bbox: BBox) -> str:
     x, y, w, h = bbox
-    return f'{pad}<bbox h="{fmt_num(h)}" w="{fmt_num(w)}" x="{fmt_num(x)}" y="{fmt_num(y)}"/>'
+    return f'      <bbox h="{fmt_num(h)}" w="{fmt_num(w)}" x="{fmt_num(x)}" y="{fmt_num(y)}"/>'
 
 
 def _annotation_key(ann: GraphicalAnnotation):
@@ -237,9 +226,9 @@ def _annotation_key(ann: GraphicalAnnotation):
     return (kind, text, x, y, w, h)
 
 
-def _annotation_xml(ann: GraphicalAnnotation, pad: str, geometry: bool = True) -> str:
+def _annotation_xml(ann: GraphicalAnnotation, geometry: bool = True) -> str:
     text, bbox, kind = ann
-    head = f'{pad}<annotation kind="{esc(kind)}" text="{esc(text)}"'
+    head = f'    <annotation kind="{esc(kind)}" text="{esc(text)}"'
     if not geometry:
         return head + "/>"
-    return f'{head}>\n{_bbox_xml(bbox, pad + "  ")}\n{pad}</annotation>'
+    return f"{head}>\n{_bbox_xml(bbox)}\n    </annotation>"

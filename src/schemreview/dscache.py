@@ -3,8 +3,9 @@
 One JSON file per entry under the store root, named by the SHA-256 of the
 (part number, source URL) key. An entry is fresh iff its age is strictly
 less than ``TTL_S`` (7 days); expired entries are deleted lazily on
-lookup. Writes go through a temp file + rename so concurrent readers
-never see a torn entry.
+lookup, and so, with a warning, are corrupt ones, such as an entry whose
+``stored_at`` is not finite (it would never expire). Writes go through a
+temp file + rename so concurrent readers never see a torn entry.
 
 A store keeps each entry a lookup has read, for its lifetime (one run),
 and serves that key's later lookups from memory; each still applies the
@@ -19,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import os
 import threading
 import time
@@ -76,6 +78,8 @@ class CacheStore:
             # TypeError is a field of the wrong JSON type
             doc = json.loads(decode(raw))
             stored_at = float(doc["stored_at"])
+            if not math.isfinite(stored_at):  # json reads NaN and Infinity
+                raise ValueError(f"stored_at is not finite: {stored_at}")
             if self.now() - stored_at >= TTL_S:
                 Path(path).unlink(missing_ok=True)
                 return None

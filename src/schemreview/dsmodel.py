@@ -9,14 +9,6 @@ from .libraries import PartRef
 from .records import checked
 from .xmlutil import DECLARATION, compact, esc
 
-# Critic dimension weights; they sum to 1.
-CRITIC_WEIGHTS = {
-    "feature_completeness": 0.25,
-    "pin_function_coverage": 0.40,
-    "application_information": 0.20,
-    "typical_application_circuits": 0.15,
-}
-
 
 class CriticScore(checked("CriticScore", "feature_completeness pin_function_coverage "
                                           "application_information typical_application_circuits")):

@@ -27,7 +27,7 @@ class MalformedInput(SchemReviewError):
         return cls(message, len(text[:pos].encode()))
 
 class UnknownFormat(SchemReviewError):
-    """No format hint was given and no format signature matched."""
+    """No format signature matched the input's content."""
 
 class MalformedNetBlock(SchemReviewError):
     """A pstxnet net block violates the subset grammar."""

@@ -69,24 +69,8 @@ class AgentKind(enum.Enum):
     CONSENSUS = "consensus"
 
 
-class ModelTier(enum.Enum):
-    STRONG = "strong"
-    WEAK = "weak"
-
-
-_TIERS = {
-    AgentKind.SELECTION: ModelTier.STRONG,
-    AgentKind.GROUP_REVIEW: ModelTier.STRONG,
-    AgentKind.CONSENSUS: ModelTier.STRONG,
-    AgentKind.HEAD_ANALYSIS: ModelTier.WEAK,
-    AgentKind.EXTRACTION: ModelTier.WEAK,
-    AgentKind.CRITIC: ModelTier.WEAK,
-}
-
-
-def route_tier(agent_kind: AgentKind) -> ModelTier:
-    """Reviewing/combining agents get the strong model; mechanical ones the weak."""
-    return _TIERS[agent_kind]
+# reviewing and combining agents get the strong model; mechanical ones the weak
+_STRONG_KINDS = frozenset({AgentKind.SELECTION, AgentKind.GROUP_REVIEW, AgentKind.CONSENSUS})
 
 
 class TokenUsage(NamedTuple):
@@ -154,7 +138,7 @@ def resolve_model(cfg: BackendConfig, agent_kind: AgentKind) -> str:
     """Model name for an agent; the consensus agent may use a dedicated one."""
     if agent_kind is AgentKind.CONSENSUS and cfg.consensus_model:
         return cfg.consensus_model
-    if route_tier(agent_kind) is ModelTier.STRONG:
+    if agent_kind in _STRONG_KINDS:
         return cfg.strong_model
     return cfg.weak_model
 
@@ -183,10 +167,6 @@ def payload_digest(payload: str) -> str:
 def repair_payload(payload: str, error: str) -> str:
     """The re-prompt sent after a schema failure (error appended verbatim)."""
     return f"{payload}\n\n[schema-error]\n{error}"
-
-
-def fixture_relpath(agent_kind: AgentKind, payload: str, seed: int) -> str:
-    return f"{agent_kind.value}/{payload_digest(payload)}-{seed}.resp"
 
 
 def fixture_relpaths(req: AgentRequest, payload: str) -> list[str]:

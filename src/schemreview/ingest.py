@@ -1,13 +1,16 @@
-"""Schematic ingestion: format detection and decoding.
+"""Schematic ingestion: the input's format, read from its content, and
+its decoding.
 
 Accepted inputs:
 
-* structured-pages document — versioned JSON, schema shipped in
-  ``schemas/structured_pages.schema.json``. A ``format`` of ``de-hdl``
-  marks a DE-HDL page set; its pstxnet text rides along in ``sidecars``.
-* KiCad-subset s-expression text (see ``kicad``).
+* KiCad-subset s-expression text (see ``kicad``): text whose first form
+  opens with ``(kicad_sch``.
+* structured-pages document — a JSON object with ``version`` 1 and
+  ``pages``, schema shipped in ``schemas/structured_pages.schema.json``.
+  A ``format`` of ``de-hdl`` marks a DE-HDL page set; its pstxnet text
+  rides along in ``sidecars``.
 
-Format is detected from the content signature unless a hint is given.
+Anything else is ``UnknownFormat``.
 
 A structured document is read by one walker (``_read_json``) built on
 ``json``'s own scanner: the top-level object key by key, and its ``pages``
@@ -44,14 +47,6 @@ from .model import (
     SourceFormat,
 )
 from .schemacheck import error_path, shipped
-
-_HINTS = {
-    "structured-pages": SourceFormat.STRUCTURED_PAGES,
-    "kicad": SourceFormat.KICAD_SUBSET,
-    "kicad-subset": SourceFormat.KICAD_SUBSET,
-    "de-hdl": SourceFormat.DE_HDL,
-}
-
 
 _DOCUMENT_SCHEMA = "structured_pages.schema.json"
 
@@ -180,61 +175,36 @@ def _match(text: str, pos: int, i: int, known) -> int | None:
     return None
 
 
-def detect_format(text: str, known=_NOTHING_KNOWN) -> tuple[SourceFormat, tuple | None]:
-    """The format of ``text`` and, for a structured document, what
-    ``_read_json(text, known)`` read (None for KiCad text), so that it is
-    read only once."""
-    stripped = text.lstrip()
-    if stripped.startswith("(kicad_sch"):
-        return SourceFormat.KICAD_SUBSET, None
-    if stripped.startswith("{"):
-        read = _read_json(text, known)
-        doc = read[0]
-        if isinstance(doc, dict) and doc.get("version") == 1 and "pages" in doc:
-            if doc.get("format") == "de-hdl":
-                return SourceFormat.DE_HDL, read
-            return SourceFormat.STRUCTURED_PAGES, read
-    raise UnknownFormat("no format hint given and no format signature matched")
-
-
-def ingest_schematic(raw: bytes, format_hint: str | SourceFormat | None = None, *,
-                     reuse: Schematic | None = None) -> Schematic:
-    """Decode raw schematic bytes into a Schematic. Nets may be empty for
-    DE-HDL input; run augmentation to populate them. Page items whose text
-    equals a page item of ``reuse`` (see the module docstring) are
-    ``reuse``'s Page objects."""
+def ingest_schematic(raw: bytes, *, reuse: Schematic | None = None) -> Schematic:
+    """Decode raw schematic bytes into a Schematic, in the format read from
+    its content. Nets may be empty for DE-HDL input; run augmentation to
+    populate them. Page items whose text equals a page item of ``reuse``
+    (see the module docstring) are ``reuse``'s Page objects."""
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise MalformedInput("input is not valid UTF-8", exc.start) from exc
 
-    known = _NOTHING_KNOWN if reuse is None or reuse.page_spans is None else (
-        reuse.source_text, reuse.page_spans, reuse.source["pages"])
-    read = None
-    if format_hint is None:
-        fmt, read = detect_format(text, known)
-    elif isinstance(format_hint, SourceFormat):
-        fmt = format_hint
-    else:
-        try:
-            fmt = _HINTS[format_hint]
-        except KeyError:
-            raise UnknownFormat(f"unknown format hint {format_hint!r}") from None
-
-    if fmt is SourceFormat.KICAD_SUBSET:
+    stripped = text.lstrip()
+    if stripped.startswith("(kicad_sch"):
         from .kicad import parse_kicad_page  # imported here: only KiCad input uses it
         page = parse_kicad_page(text)
-        return Schematic(format=fmt, pages=(page,))
-    doc, spans, matched = _read_json(text, known) if read is None else read
-    return _ingest_structured(text, doc, spans, matched, fmt, reuse)
+        return Schematic(format=SourceFormat.KICAD_SUBSET, pages=(page,))
+    if stripped.startswith("{"):
+        known = _NOTHING_KNOWN if reuse is None or reuse.page_spans is None else (
+            reuse.source_text, reuse.page_spans, reuse.source["pages"])
+        doc, spans, matched = _read_json(text, known)
+        if isinstance(doc, dict) and doc.get("version") == 1 and "pages" in doc:
+            return _ingest_structured(text, doc, spans, matched, reuse)
+    raise UnknownFormat("no format signature matched")
 
 
-def _ingest_structured(text: str, doc, spans: list[tuple[int, int]] | None,
-                       matched: dict[int, int], fmt: SourceFormat,
-                       reuse: Schematic | None) -> Schematic:
-    if isinstance(doc, dict) and doc.get("format") == "de-hdl":
+def _ingest_structured(text: str, doc: dict, spans: list[tuple[int, int]] | None,
+                       matched: dict[int, int], reuse: Schematic | None) -> Schematic:
+    fmt = SourceFormat.STRUCTURED_PAGES
+    if doc.get("format") == "de-hdl":
         fmt = SourceFormat.DE_HDL
-    reused = _reused_pages(doc, matched, fmt, reuse)
+    reused = _reused_pages(doc, matched, reuse)
     # each page item is checked on its own, and a reused page equals one
     # that passed, so checking the rest decides the whole document
     checked = doc if not reused else {
@@ -258,13 +228,13 @@ def _ingest_structured(text: str, doc, spans: list[tuple[int, int]] | None,
     return schematic
 
 
-def _reused_pages(doc, matched: dict[int, int], fmt: SourceFormat,
+def _reused_pages(doc: dict, matched: dict[int, int],
                   reuse: Schematic | None) -> dict[int, Page]:
     """Index in ``doc["pages"]`` -> the page of ``reuse`` that stands in for
     that item: the item's text is ``reuse``'s item ``matched[index]``, in a
-    document whose format and other top-level keys equal those ``reuse``
-    was read from. ``doc`` may still be invalid."""
-    if not matched or reuse.format is not fmt:
+    document whose other top-level keys, and so its format, equal those
+    ``reuse`` was read from. ``doc`` may still be invalid."""
+    if not matched:
         return {}
     source = reuse.source
     keys = doc.keys() - {"pages"}

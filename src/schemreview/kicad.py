@@ -186,7 +186,7 @@ def parse_kicad_page(text: str) -> Page:
         raise MalformedInput("not a kicad_sch document", 0)
 
     page_form = _first(root, "page")
-    page_id = page_form[1] if page_form and len(page_form) >= 2 else "1"
+    page_id = _name(page_form[1], "page name") if page_form and len(page_form) >= 2 else "1"
 
     components = tuple(_parse_symbol(f) for f in _forms(root, "symbol"))
 

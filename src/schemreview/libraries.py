@@ -8,6 +8,9 @@ Four source kinds are supported:
   ``datasheet_urls`` than an array of strings is a failed lookup.
 * ``json-template-api`` — GET the ``url_template`` with ``{part}``
   substituted; answers ``{"datasheet_url": ...}``.
+
+For both API kinds, a ``datasheet_url`` that is neither a string nor
+null is a failed lookup too.
 * ``csv-table``       — file with header ``part_number,datasheet_url``,
   read on a source's first lookup and kept for its later ones; a run
   looks up through its own copies of the config's sources, so it reads
@@ -120,11 +123,15 @@ class LibrarySource(checked("LibrarySource",
         resp.raise_for_status()
         doc = resp.json()
         urls = doc.get("datasheet_urls") if self.kind is LibraryKind.HTTP_PART_API else None
-        if urls:
+        if urls is not None:
             if not isinstance(urls, list) or not all(isinstance(u, str) for u in urls):
                 raise ValueError(f"datasheet_urls is not an array of strings: {urls!r}")
-            return urls
-        return [doc["datasheet_url"]] if doc.get("datasheet_url") else []
+            if urls:
+                return urls
+        url = doc.get("datasheet_url")
+        if url is not None and not isinstance(url, str):
+            raise ValueError(f"datasheet_url is not a string: {url!r}")
+        return [url] if url else []
 
 
 def locate(part: PartRef, libraries: list[LibrarySource],

@@ -18,7 +18,6 @@ import json
 import logging
 import os
 from concurrent.futures import Executor
-from importlib import resources
 from typing import NamedTuple
 
 from .canonical import serialize_page_xml
@@ -334,16 +333,14 @@ def checklist_loader(directory: str | None = None):
     cannot be read or is not UTF-8 is a ``BadChecklist``. Content is
     configuration, not code."""
     if directory is None:
-        root = resources.files(f"{__package__}.checklists")
-        files = {entry.name: entry for entry in root.iterdir() if entry.is_file()}
-    else:
-        try:
-            with os.scandir(directory) as listing:
-                files = {entry.name: entry.path for entry in listing if entry.is_file()}
-        except (FileNotFoundError, NotADirectoryError):
-            files = {}
-        except OSError as exc:
-            raise BadChecklist(f"cannot list checklist directory {directory}: {exc}") from exc
+        directory = os.path.join(os.path.dirname(__file__), "checklists")
+    try:
+        with os.scandir(directory) as listing:
+            files = {entry.name: entry.path for entry in listing if entry.is_file()}
+    except (FileNotFoundError, NotADirectoryError):
+        files = {}
+    except OSError as exc:
+        raise BadChecklist(f"cannot list checklist directory {directory}: {exc}") from exc
 
     @functools.cache
     def read(name: str) -> str:

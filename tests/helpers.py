@@ -1,5 +1,6 @@
-"""Shared test scaffolding: mock fixture scripting for pipeline stages
-and a loopback HTTP server."""
+"""Shared test scaffolding: mock fixture paths and scripting for pipeline
+stages, the whole-schematic canonical document, and a loopback HTTP
+server."""
 
 import contextlib
 import itertools
@@ -10,15 +11,17 @@ from http.server import ThreadingHTTPServer
 from pathlib import Path
 
 from schemreview import demo
+from schemreview.canonical import serialize_page_xml
 from schemreview.datasheets import (
     build_extract_payload,
     build_head_payload,
     decode_document,
 )
 from schemreview.dsmodel import spec_from_agent_value
-from schemreview.gateway import AgentKind, fixture_relpath
+from schemreview.gateway import AgentKind, AgentRequest, fixture_relpaths
 from schemreview.libraries import PartRef
-from schemreview.model import Component, Net, Page, Pin
+from schemreview.model import Component, Net, Page, Pin, Schematic
+from schemreview.xmlutil import DECLARATION, esc
 
 BASE_SPEC_VALUE = {
     "pins": [
@@ -41,6 +44,27 @@ WIRE_AND_EMPTY_LABEL = {"version": 1, "pages": [{
                                                  {"designator": "2", "x": 10, "y": 0}]}],
     "annotations": [{"kind": "wire", "text": "", "bbox": {"x": 0, "y": 0, "w": 10, "h": 0}},
                     {"kind": "label", "text": "", "bbox": {"x": 0, "y": 0, "w": 0, "h": 0}}]}]}
+
+
+def fixture_relpath(kind: AgentKind, payload: str, seed: int) -> str:
+    """The mock fixture a one-completion request of ``kind`` seeded
+    ``seed`` reads when sent ``payload``."""
+    [rel] = fixture_relpaths(AgentRequest(kind, "", payload, seed), payload)
+    return rel
+
+
+def serialize_xml(schematic: Schematic) -> str:
+    """The whole schematic as one canonical document: each page's
+    standalone document, without its declaration, indented two spaces
+    under a ``<schematic>`` root. Every raw line break in a page document
+    is layout (``xmlutil.esc``), so indenting its lines changes no value."""
+    fmt = esc(schematic.format.value)
+    if not schematic.pages:
+        return f'{DECLARATION}\n<schematic format="{fmt}"/>\n'
+    lines = [DECLARATION, f'<schematic format="{fmt}">']
+    for page in schematic.pages:
+        lines += ["  " + line for line in serialize_page_xml(page).splitlines()[1:]]
+    return "\n".join(lines) + "\n</schematic>\n"
 
 
 def write_fixture(fixture_root, kind: AgentKind, payload: str, seed: int, text: str):

@@ -22,9 +22,9 @@ from helpers import (
     make_candidate_files,
     quad_for,
     script_retrieval_attempt,
+    serialize_xml,
 )
 from schemreview.augment import augment_netlist
-from schemreview.canonical import serialize_xml
 from schemreview.config import Mode, load_config
 from schemreview.consensus import Provenance, combine_consensus
 from schemreview.datasheets import RetrievalConfig, local_file_fetcher, retrieve_spec

@@ -7,7 +7,8 @@ from pathlib import Path
 from hypothesis import given, settings, strategies as st
 
 from schemreview.augment import augment_netlist
-from schemreview.canonical import diff_pages, page_hash, serialize_xml
+from helpers import serialize_xml
+from schemreview.canonical import diff_pages, page_hash
 from schemreview.ingest import ingest_schematic
 from schemreview.model import (
     AugmentationStrategy,

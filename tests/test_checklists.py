@@ -29,7 +29,7 @@ def counted_reads(monkeypatch) -> list:
 
 
 def test_a_group_checklist_wins_over_the_default_in_the_bundled_set():
-    # a namespace package: listed through its Traversable, not a directory path
+    # the package's own checklists directory, listed as a custom one is
     load = checklist_loader()
     power = BUNDLED.joinpath("power_stage.txt").read_text(encoding="utf-8")
     default = BUNDLED.joinpath("default.txt").read_text(encoding="utf-8")

@@ -9,7 +9,7 @@ from http.server import BaseHTTPRequestHandler
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import loopback_server
+from helpers import fixture_relpath, loopback_server
 from schemreview import datasheets
 from schemreview.dsmodel import CriticScore, DatasheetSpec, spec_from_agent_value
 from schemreview.datasheets import (
@@ -25,7 +25,7 @@ from schemreview.datasheets import (
 from schemreview.demo import DEMO_PART_PINS, datasheet_text
 from schemreview.dsmodel import DatasheetDocument
 from schemreview.errors import FetchFailed, NotADatasheet, SchemReviewError
-from schemreview.gateway import AgentKind, BackendConfig, Gateway, fixture_relpath
+from schemreview.gateway import AgentKind, BackendConfig, Gateway
 from schemreview.libraries import PartRef
 from schemreview.singleflight import SingleFlight
 

@@ -178,6 +178,23 @@ def test_a_corrupt_entry_is_logged_dropped_and_missed(tmp_path, caplog, raw):
     assert f"dropping corrupt cache entry {path}" in caplog.text
 
 
+@pytest.mark.parametrize("stored_at", ["NaN", "Infinity", '"nan"', '"inf"'],
+                         ids=["NaN", "Infinity", "string-nan", "string-inf"])
+def test_an_entry_whose_stored_at_is_not_finite_is_corrupt(tmp_path, caplog, stored_at):
+    # json reads NaN and Infinity, and float() keeps them: such an entry
+    # would be served however old it is
+    clock = FakeClock()
+    store = CacheStore(tmp_path / "cache", now=clock)
+    put_entry(store, clock)
+    path = next((tmp_path / "cache").glob("*.json"))
+    doc = json.loads(path.read_text())
+    path.write_text(json.dumps(doc).replace(json.dumps(doc["stored_at"]), stored_at))
+    clock.t += 10 * TTL_S
+    assert store.lookup(("LM317", "http://x/u1.pdf")) is None
+    assert not path.exists()
+    assert f"dropping corrupt cache entry {path}" in caplog.text
+
+
 def test_an_entry_that_cannot_be_read_is_a_store_error(tmp_path):
     clock = FakeClock()
     store = CacheStore(tmp_path / "cache", now=clock)

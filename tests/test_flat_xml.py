@@ -12,9 +12,10 @@ import xml.etree.ElementTree as ET
 
 from hypothesis import given, settings, strategies as st
 
+from helpers import serialize_xml
 from schemreview import canonical
 from schemreview.augment import augment_netlist
-from schemreview.canonical import page_hash, serialize_page_xml, serialize_xml
+from schemreview.canonical import page_hash, serialize_page_xml
 from schemreview.dsmodel import DatasheetSpec, OperatingRange, PinFunction, Rating
 from schemreview.ingest import ingest_schematic
 from schemreview.libraries import PartRef

@@ -5,7 +5,7 @@ from http.server import BaseHTTPRequestHandler
 
 import pytest
 
-from helpers import loopback_server
+from helpers import fixture_relpath, loopback_server
 from schemreview import gateway
 from schemreview.errors import BackendUnavailable, ConfigError, SchemaViolationAfterRetries
 from schemreview.gateway import (
@@ -14,13 +14,10 @@ from schemreview.gateway import (
     BackendConfig,
     Choice,
     Gateway,
-    ModelTier,
     SchemaRegistry,
     TokenUsage,
-    fixture_relpath,
     repair_payload,
     resolve_model,
-    route_tier,
     usage_by_kind,
 )
 from schemreview.tracing import UNTRACED, TraceContext, TraceEvent, Tracer
@@ -252,12 +249,14 @@ class TestRepairLoop:
 
 class TestTierRouting:
     def test_review_and_combination_agents_are_strong(self):
+        cfg = BackendConfig(strong_model="big", weak_model="small", fixture_path="x")
         for kind in (AgentKind.GROUP_REVIEW, AgentKind.CONSENSUS, AgentKind.SELECTION):
-            assert route_tier(kind) is ModelTier.STRONG
+            assert resolve_model(cfg, kind) == "big"
 
     def test_mechanical_agents_are_weak(self):
+        cfg = BackendConfig(strong_model="big", weak_model="small", fixture_path="x")
         for kind in (AgentKind.EXTRACTION, AgentKind.HEAD_ANALYSIS, AgentKind.CRITIC):
-            assert route_tier(kind) is ModelTier.WEAK
+            assert resolve_model(cfg, kind) == "small"
 
     def test_consensus_model_override(self):
         cfg = BackendConfig(strong_model="big", weak_model="small",

@@ -1,4 +1,5 @@
-"""Ingestion: format detection and structured-document decoding."""
+"""Ingestion: the format read from the content, and structured-document
+decoding."""
 
 import json
 from pathlib import Path
@@ -76,16 +77,39 @@ def test_unknown_format_without_hint():
         ingest_schematic(b"PCB NETLIST v9 PROPRIETARY")
 
 
-def test_bad_hint_rejected():
+@pytest.mark.parametrize("raw", [
+    b"",
+    b"[]",
+    b'"kicad_sch"',
+    b'{"pages": []}',
+    b'{"version": 2, "pages": []}',
+    b'{"version": "1", "pages": []}',
+    b'{"version": 1}',
+    b'{"version": 1, "format": "de-hdl"}',
+    b"(symbol (kicad_sch))",
+])
+def test_anything_but_kicad_text_or_a_version_1_document_is_an_unknown_format(raw):
     with pytest.raises(UnknownFormat):
-        ingest_schematic(doc_bytes(BASIC_DOC), format_hint="altium")
+        ingest_schematic(raw)
 
 
-@pytest.mark.parametrize("hint", [None, "structured-pages"])
-@pytest.mark.parametrize("doc", [BASIC_DOC, {**BASIC_DOC, "format": "de-hdl"}])
-def test_document_is_decoded_once(monkeypatch, hint, doc):
+def test_bad_hint_rejected():
+    # the document's own format is the only hint there is
+    with pytest.raises(MalformedInput, match="document schema violation at format"):
+        ingest_schematic(doc_bytes({**BASIC_DOC, "format": "altium"}))
+
+
+def with_format(doc: dict, fmt: str | None) -> dict:
+    """``doc`` declaring ``fmt`` as its format; None declares none."""
+    return doc if fmt is None else {"format": fmt, **doc}
+
+
+@pytest.mark.parametrize("fmt", [None, "structured-pages", "de-hdl"])
+@pytest.mark.parametrize("doc", [BASIC_DOC, {**BASIC_DOC, "sidecars": {"pstxnet": ""}}])
+def test_document_is_decoded_once(monkeypatch, fmt, doc):
     """Each top-level value and each page item is decoded once, on its own,
-    and the document is never decoded whole."""
+    and the document is never decoded whole, whatever format it declares."""
+    doc = with_format(doc, fmt)
     raw_decode = ingest._DECODER.raw_decode
     decoded = []
 
@@ -99,26 +123,29 @@ def test_document_is_decoded_once(monkeypatch, hint, doc):
 
     monkeypatch.setattr(ingest._DECODER, "raw_decode", counting_raw_decode)
     monkeypatch.setattr(json, "loads", whole_loads)
-    ingest_schematic(("  \n" + json.dumps(doc)).encode(), format_hint=hint)
+    ingest_schematic(("  \n" + json.dumps(doc)).encode())
     expected = [json.dumps(value) for key, value in doc.items() if key != "pages"]
     expected += [json.dumps(page) for page in doc["pages"]]
     assert sorted(decoded) == sorted(expected)
 
 
 def test_explicit_hint_accepted():
-    s = ingest_schematic(doc_bytes(BASIC_DOC), format_hint="structured-pages")
+    # a document that declares its format
+    s = ingest_schematic(doc_bytes(with_format(BASIC_DOC, "structured-pages")))
     assert s.format is SourceFormat.STRUCTURED_PAGES
 
 
-@pytest.mark.parametrize("hint", [None, "structured-pages"])
+@pytest.mark.parametrize("fmt", [None, "structured-pages"])
 @pytest.mark.parametrize("raw", [
     b'{"version": 1, "pages": [}',
     b'  \n{"version": 1, "pages": [}',
     '{"version": 1, "note": "\u00e9", "pages": [}'.encode(),
 ], ids=["plain", "leading-whitespace", "non-ascii"])
-def test_invalid_json_reports_byte_offset(raw, hint):
+def test_invalid_json_reports_byte_offset(raw, fmt):
+    if fmt is not None:
+        raw = raw.replace(b"{", b'{"format": "%s", ' % fmt.encode(), 1)
     with pytest.raises(MalformedInput) as exc:
-        ingest_schematic(raw, format_hint=hint)
+        ingest_schematic(raw)
     at = raw.rindex(b"}")  # the stray brace, counted in bytes of the input
     assert exc.value.offset == at
     assert str(exc.value).endswith(f"(byte {at})")
@@ -133,7 +160,7 @@ def test_schema_violation_is_malformed_input():
 def test_schema_violation_message_is_the_best_match():
     # several violations at once: the message must name the error that
     # jsonschema.validate itself would raise
-    bad = {"version": 2, "pages": [{"id": 7, "components": [{"pins": "x"}]}],
+    bad = {"version": 1, "pages": [{"id": 7, "components": [{"pins": "x"}]}],
            "extra": True}
     schema = json.loads((Path(schemreview.__file__).parent / "schemas"
                          / "structured_pages.schema.json").read_text())
@@ -141,7 +168,7 @@ def test_schema_violation_message_is_the_best_match():
         jsonschema.validate(bad, schema)
     path = "/".join(str(p) for p in expected.value.absolute_path) or "<root>"
     with pytest.raises(MalformedInput) as exc:
-        ingest_schematic(doc_bytes(bad), format_hint="structured-pages")
+        ingest_schematic(doc_bytes(bad))
     assert str(exc.value) == f"document schema violation at {path}: {expected.value.message}"
 
 
@@ -165,13 +192,14 @@ def test_diagonal_wire_names_its_page_and_annotation():
                               "is neither horizontal nor vertical")
 
 
-@pytest.mark.parametrize("hint", [None, "structured-pages"])
+@pytest.mark.parametrize("fmt", [None, "structured-pages"])
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400", "-1e400"])
-def test_non_finite_number_is_malformed_input(token, hint):
+def test_non_finite_number_is_malformed_input(token, fmt):
     # json.loads accepts these; no document may carry them to the model
-    text = json.dumps(BASIC_DOC).replace('"version": 1', f'"version": 1, "x": {token}')
+    text = json.dumps(with_format(BASIC_DOC, fmt)).replace(
+        '"version": 1', f'"version": 1, "x": {token}')
     with pytest.raises(MalformedInput) as exc:
-        ingest_schematic(text.encode(), format_hint=hint)
+        ingest_schematic(text.encode())
     assert str(exc.value) == f"invalid JSON: non-finite number {token}"
 
 

@@ -172,7 +172,10 @@ def test_non_finite_coordinate_is_malformed_input(token, where):
      "pin number of U1 must be a non-empty string, got ['x']"),
     ('(pin (number "2") (name "VOUT") (at 10 30))', '(pin (number "1") (at 10 30))',
      "symbol U1: duplicate pin '1'"),
-], ids=["label-form", "label-empty", "pin-number-form", "duplicate-pin"])
+    ('(page "P1")', "(page (x))", "page name must be a non-empty string, got ['x']"),
+    ('(page "P1")', '(page "")', "page name must be a non-empty string, got ''"),
+], ids=["label-form", "label-empty", "pin-number-form", "duplicate-pin", "page-form",
+        "page-empty"])
 def test_unkeyable_name_is_malformed_input_at_read(old, new, message):
     # each would otherwise escape as a bare TypeError or ValueError from
     # wire tracing or the model

@@ -5,11 +5,14 @@ import logging
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler
+from unittest import mock
 
 import pytest
+import requests
 from hypothesis import given, settings, strategies as st
 
 from helpers import loopback_server
+from schemreview import httpreq
 from schemreview.config import RunConfig, library_from_config
 from schemreview.errors import ConfigError, NoCandidates
 from schemreview.gateway import BackendConfig
@@ -164,7 +167,8 @@ def test_http_part_api(part_api_server):
     assert lib.lookup(PartRef(mpn="NOPE")) == []
 
 
-@pytest.mark.parametrize("urls", ["http://x/a.pdf", [1]], ids=["string", "number"])
+@pytest.mark.parametrize("urls", ["http://x/a.pdf", [1], {}, 0, ""],
+                         ids=["string", "number", "empty-object", "zero", "empty-string"])
 def test_http_part_api_malformed_urls_give_no_candidates(urls, caplog):
     # a string would otherwise give one candidate per character
     class Handler(BaseHTTPRequestHandler):
@@ -183,6 +187,62 @@ def test_http_part_api_malformed_urls_give_no_candidates(urls, caplog):
         with caplog.at_level(logging.WARNING, logger="schemreview.libraries"):
             assert lib.lookup(PartRef(mpn="LM317")) == []
     assert "datasheet_urls" in caplog.text
+
+
+API_KINDS = [LibraryKind.HTTP_PART_API, LibraryKind.JSON_TEMPLATE_API]
+
+
+def api_library(kind: LibraryKind) -> LibrarySource:
+    return LibrarySource(kind, priority=1, base_url="http://lib",
+                         url_template="http://lib/{part}")
+
+
+def replying(body: bytes):
+    """``httpreq.send`` stubbed to answer every request 200 with ``body``."""
+    reply = requests.Response()
+    reply.status_code = 200
+    reply._content = body
+    return mock.patch.object(httpreq, "send", lambda *args, **kwargs: reply)
+
+
+@pytest.mark.parametrize("url", [5, {"a": 1}, ["http://x/a.pdf"], True],
+                         ids=["number", "object", "array", "boolean"])
+@pytest.mark.parametrize("kind", API_KINDS, ids=lambda kind: kind.value)
+def test_a_part_api_url_that_is_not_a_string_gives_no_candidates(kind, url, caplog):
+    # a number escaped retrieval as an AttributeError, an object as a
+    # TypeError from locate's dedup
+    with replying(json.dumps({"datasheet_url": url}).encode()):
+        with caplog.at_level(logging.WARNING, logger="schemreview.libraries"):
+            assert api_library(kind).lookup(PartRef(mpn="LM317")) == []
+        with pytest.raises(NoCandidates):
+            locate(PartRef(mpn="LM317"), [api_library(kind)])
+    assert "datasheet_url is not a string" in caplog.text
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(["datasheet_url", "datasheet_urls", "x"]) | st.text(max_size=3),
+        inner, max_size=3),
+    max_leaves=8)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(kind=st.sampled_from(API_KINDS),
+       body=JSON_VALUES.map(lambda value: json.dumps(value).encode()) | st.binary(max_size=16))
+def test_a_part_api_lookup_gives_a_list_of_strings_for_any_reply(kind, body):
+    warnings = []
+    handler = logging.Handler(logging.WARNING)
+    handler.emit = warnings.append
+    logger = logging.getLogger("schemreview.libraries")
+    logger.addHandler(handler)
+    try:
+        with replying(body):
+            urls = api_library(kind).lookup(PartRef(mpn="LM317"))
+    finally:
+        logger.removeHandler(handler)
+    assert isinstance(urls, list) and all(isinstance(url, str) for url in urls)
+    assert not (warnings and urls)
 
 
 def test_json_template_api(part_api_server):

@@ -308,9 +308,11 @@ def test_missing_base_is_input_error(tmp_path):
 
 
 def test_base_read_as_another_format_reuses_no_page():
+    # the same page items, in a base document that declares DE-HDL
     doc = dumps(make_doc("de-hdl", [0]) | {"format": "structured-pages"})
     head = augment_netlist(ingest_schematic(doc))
-    base = ingest_schematic(doc, format_hint="de-hdl", reuse=head)
+    base = ingest_schematic(dumps(make_doc("de-hdl", [0])), reuse=head)
+    assert base.format is not head.format
     assert base.pages[0] is not head.pages[0]
     assert ingest_schematic(doc, reuse=head).pages[0] is head.pages[0]
 

@@ -25,7 +25,7 @@ from hypothesis import given, settings, strategies as st
 from schemreview import schemacheck
 from schemreview.config import load_config
 from schemreview.demo import demo_schematic_text, generate_fixtures, write_demo_workspace
-from schemreview.errors import MalformedInput
+from schemreview.errors import MalformedInput, UnknownFormat
 from schemreview.gateway import AgentKind, SchemaRegistry
 from schemreview.ingest import ingest_schematic
 from schemreview.pipeline import run_pipeline
@@ -236,8 +236,13 @@ def assert_document_agrees(doc):
     assert DOCUMENT_CHECK(doc) == (expected is None), doc
     if has_non_finite(doc):
         return  # ingest rejects it as invalid JSON before the schema is consulted
+    raw = json.dumps(doc).encode()
+    if not (isinstance(doc, dict) and doc.get("version") == 1 and "pages" in doc):
+        with pytest.raises(UnknownFormat):  # no structured document's signature
+            ingest_schematic(raw)
+        return
     try:
-        ingest_schematic(json.dumps(doc).encode(), format_hint="structured-pages")
+        ingest_schematic(raw)
     except MalformedInput as exc:
         if expected is not None or str(exc).startswith("document schema violation"):
             assert str(exc) == expected
