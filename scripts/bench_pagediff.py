@@ -5,20 +5,17 @@ write the result as JSON.
 Each board is the benchmark's board-wired-diff style (``perfbench/boardgen.py``,
 imported read-only): pages of wire geometry, base and head differing on
 one page. Two axes: three pages with 6, 12 and 24 blocks a page, and 12
-and 48 pages with 6 blocks a page. Both documents are decoded from bytes
-in memory and read two ways:
+and 48 pages with 6 blocks a page. Both documents are read two ways:
 
-* before: head and base each ingested and augmented in full, then every
-  page of both hashed (the diff as it was when nothing was shared);
-* after: head read in full, base read against it
-  (``ingest_schematic(..., reuse=head)``: page items with head's text are
-  head's pages), then ``canonical.diff_pages`` (the changed pair compared
-  block by block).
+* before: decoded from bytes in memory, head and base each ingested and
+  augmented in full, then every page of both hashed;
+* after: the pipeline's own design-review read,
+  ``pipeline.select_pages`` on the two files (written once to a
+  temporary directory): only the head pages whose page item text differs
+  from the base's, and their base pages, are read, traced and compared.
 
-The two must select the same pages. ``after_base_ms`` is the part of
-"after" that follows the head read: the base read against a head read
-once, plus the diff. The three alternate within each repetition; each
-time is the median of ``--repeat`` runs.
+The two must select the same pages. They alternate within each
+repetition; each time is the median of ``--repeat`` runs.
 
     PYTHONPATH=src python scripts/bench_pagediff.py [--repeat 15] [--seed 21] \
         [--out BENCH_pagediff.json]
@@ -28,8 +25,10 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -39,8 +38,10 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import boardgen  # noqa: E402
 
 from schemreview.augment import augment_netlist  # noqa: E402
-from schemreview.canonical import diff_pages, page_hash  # noqa: E402
+from schemreview.canonical import page_hash  # noqa: E402
+from schemreview.config import Mode, RunConfig  # noqa: E402
 from schemreview.ingest import ingest_schematic  # noqa: E402
+from schemreview.pipeline import select_pages  # noqa: E402
 
 # (pages, blocks a page)
 BOARDS = ((3, 6), (3, 12), (3, 24), (12, 6), (48, 6))
@@ -53,13 +54,8 @@ def before(head_raw: bytes, base_raw: bytes) -> set[str]:
     return {p.id for p in head.pages if base_hashes.get(p.id) != page_hash(p)}
 
 
-def after(head_raw: bytes, base_raw: bytes) -> set[str]:
-    return base_and_diff(augment_netlist(ingest_schematic(head_raw)), base_raw)
-
-
-def base_and_diff(head, base_raw: bytes) -> set[str]:
-    base = augment_netlist(ingest_schematic(base_raw, reuse=head))
-    return diff_pages(base, head)
+def after(cfg: RunConfig, head_path: Path) -> set[str]:
+    return {page.id for page in select_pages(cfg, head_path)}
 
 
 def timed(fn, *args):
@@ -76,22 +72,26 @@ def main() -> int:
     args = parser.parse_args()
 
     rows = []
+    work = Path(tempfile.mkdtemp(prefix="bench_pagediff-"))
     for pages, blocks in BOARDS:
         board = boardgen.generate_board(args.seed, pages=pages, blocks=blocks,
                                         wires=True, diff=True)
         head_raw, base_raw = boardgen.dumps(board["head"]), boardgen.dumps(board["base"])
-        after_head = augment_netlist(ingest_schematic(head_raw))
-        times = {"before": [], "after": [], "after_base": []}
+        head_path, base_path = work / "schematic.json", work / "base_schematic.json"
+        head_path.write_bytes(head_raw)
+        base_path.write_bytes(base_raw)
+        cfg = RunConfig(mode=Mode.DESIGN_REVIEW, base_schematic=str(base_path))
+        times = {"before": [], "after": []}
         for _ in range(args.repeat):
-            for name, fn, first in (("before", before, head_raw), ("after", after, head_raw),
-                                    ("after_base", base_and_diff, after_head)):
-                seconds, changed = timed(fn, first, base_raw)
+            for name, fn, first, second in (("before", before, head_raw, base_raw),
+                                            ("after", after, cfg, head_path)):
+                seconds, changed = timed(fn, first, second)
                 times[name].append(seconds)
                 if changed != {board["manifest"]["changed_page"]}:
                     raise SystemExit(f"{pages} pages x {blocks} blocks, {name}: "
                                      f"selected {sorted(changed)}")
-        old_ms, new_ms, base_ms = (round(statistics.median(times[k]) * 1000, 2)
-                                   for k in ("before", "after", "after_base"))
+        old_ms, new_ms = (round(statistics.median(times[k]) * 1000, 2)
+                          for k in ("before", "after"))
         rows.append({
             "pages": pages,
             "blocks": blocks,
@@ -102,17 +102,17 @@ def main() -> int:
             "changed_page": board["manifest"]["changed_page"],
             "before_ms": old_ms,
             "after_ms": new_ms,
-            "after_base_ms": base_ms,
             "saved": f"{1 - new_ms / old_ms:.1%}",
         })
         print(json.dumps(rows[-1]), flush=True)
+    shutil.rmtree(work)
 
     report = {
         "what": "read head and base and diff their pages, board-wired-diff boards "
                 "(one page changed): both documents read in full and every page "
-                "hashed (before), and base read against head, its page items with "
-                "head's text taken as head's pages, and only the changed pair compared "
-                "block by block (after)",
+                "hashed (before), and the pipeline's design-review read "
+                "(pipeline.select_pages), which reads, traces and compares only the "
+                "pages whose item text differs between head and base (after)",
         "command": "PYTHONPATH=src python scripts/bench_pagediff.py "
                    f"--repeat {args.repeat} --seed {args.seed}",
         "statistic": f"median of {args.repeat} alternated runs, milliseconds",

@@ -44,7 +44,7 @@ def augment_netlist(schematic: Schematic) -> Schematic:
             nets = infer_nets(page)
             pages.append(page._replace(
                 nets=tuple(nets), strategy=AugmentationStrategy.WIRE_TRACE_INFERENCE))
-    return schematic.with_pages(pages)
+    return schematic._replace(pages=pages)
 
 
 def _with_embedded(page: Page) -> Page:

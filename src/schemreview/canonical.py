@@ -17,11 +17,11 @@ layout, the first time the page is serialized or hashed, and kept on the
 page; its hash, its full document and every group's slice only join those
 blocks.
 The page hash defines canonical equality. A page diff decides it without
-hashing: the unchanged pages of a design review, read once and shared by
-base and head, are not rendered at all, and any other pair is compared
-block by block (the open tag, each component, each net, then the
-annotations), each block rendered only when the comparison reaches it,
-up to the first block that differs.
+hashing. It is given only the pages a design review read (a page item
+with the same text in head and base is never read, see ``ingest``), and
+it compares each pair block by block (the open tag, each component, each
+net, then the annotations), each block rendered only when the comparison
+reaches it, up to the first block that differs.
 
 Agents are sent a page, or a group's slice of it, in the payload layout
 (``serialize_page_xml(..., payload=True)``): connectivity without
@@ -66,16 +66,11 @@ def page_hash(page: Page) -> str:
 
 
 def diff_pages(base: Schematic, head: Schematic) -> set[str]:
-    """Page ids whose canonical content differs, plus pages new in head. A
-    base page that is head's page object (a base read against its head
-    reuses head's unchanged pages) is unchanged without being rendered."""
+    """Ids of head's pages whose canonical content differs from base's page
+    of the same id, or that base lacks."""
     base_pages = {p.id: p for p in base.pages}
-    changed = set()
-    for page in head.pages:
-        old = base_pages.get(page.id)
-        if old is not page and (old is None or not _same_document(old, page)):
-            changed.add(page.id)
-    return changed
+    return {page.id for page in head.pages
+            if page.id not in base_pages or not _same_document(base_pages[page.id], page)}
 
 
 def _same_document(a: Page, b: Page) -> bool:

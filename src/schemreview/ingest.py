@@ -18,14 +18,16 @@ array item by item, keeping the span of each page item's text in the
 document text. Whatever the walker does not accept is read again by
 ``_loads``, so every error is json's own.
 
-A structured document can be read against a schematic already read from
-another one (a design review reads its base against its head): each page
-item whose text equals one of that schematic's page items (tried at the
-same position first) is not decoded; in a document whose other top-level
-keys (``version``, ``format``, ``sidecars``) are equal too, it is that
-schematic's checked, decoded and augmented ``Page`` object, and only the
-remaining pages are decoded, checked and traced. A page equal as JSON but
-written differently is read in full.
+A design review (``read_design_review``) reads only the pages it reviews. Its
+base is walked against its head, and a base page item whose text equals
+a head page item's is not decoded again. In documents with equal other
+top-level members (``version``, ``format``, ``sidecars``) such a head
+item is unchanged: neither it nor its base item is checked, decoded or
+traced, and their defects are not reported. The other head items, those
+the page override names and their base items are read as a full read
+reads them, with its errors (a schema error never names an unread item).
+Both documents are still checked whole for their top-level members, page
+items that are objects with a string ``id``, and unique page ids.
 """
 
 from __future__ import annotations
@@ -33,9 +35,11 @@ from __future__ import annotations
 import json
 import marshal
 import math
+from collections.abc import Callable, Collection
 from json.decoder import WHITESPACE, scanstring
+from typing import NamedTuple
 
-from .errors import MalformedInput, UnknownFormat
+from .errors import MalformedInput, SchemReviewError, UnknownFormat
 from .model import (
     BBox,
     Component,
@@ -175,11 +179,18 @@ def _match(text: str, pos: int, i: int, known) -> int | None:
     return None
 
 
-def ingest_schematic(raw: bytes, *, reuse: Schematic | None = None) -> Schematic:
-    """Decode raw schematic bytes into a Schematic, in the format read from
-    its content. Nets may be empty for DE-HDL input; run augmentation to
-    populate them. Page items whose text equals a page item of ``reuse``
-    (see the module docstring) are ``reuse``'s Page objects."""
+class _Document(NamedTuple):
+    """A structured document as ``_read_json`` walked it."""
+    text: str
+    doc: dict
+    spans: list[tuple[int, int]] | None
+    matched: dict[int, int]
+
+
+def _parse(raw: bytes, known: _Document | Schematic | None = None) -> Schematic | _Document:
+    """KiCad text read into its schematic, or a structured document walked,
+    its page items matched against ``known``'s; anything else is
+    UnknownFormat."""
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -188,77 +199,115 @@ def ingest_schematic(raw: bytes, *, reuse: Schematic | None = None) -> Schematic
     stripped = text.lstrip()
     if stripped.startswith("(kicad_sch"):
         from .kicad import parse_kicad_page  # imported here: only KiCad input uses it
-        page = parse_kicad_page(text)
-        return Schematic(format=SourceFormat.KICAD_SUBSET, pages=(page,))
+        return Schematic(SourceFormat.KICAD_SUBSET, (parse_kicad_page(text),))
     if stripped.startswith("{"):
-        known = _NOTHING_KNOWN if reuse is None or reuse.page_spans is None else (
-            reuse.source_text, reuse.page_spans, reuse.source["pages"])
-        doc, spans, matched = _read_json(text, known)
+        against = (known.text, known.spans, known.doc["pages"]) if isinstance(
+            known, _Document) and known.spans is not None else _NOTHING_KNOWN
+        doc, spans, matched = _read_json(text, against)
         if isinstance(doc, dict) and doc.get("version") == 1 and "pages" in doc:
-            return _ingest_structured(text, doc, spans, matched, reuse)
+            return _Document(text, doc, spans, matched)
     raise UnknownFormat("no format signature matched")
 
 
-def _ingest_structured(text: str, doc: dict, spans: list[tuple[int, int]] | None,
-                       matched: dict[int, int], reuse: Schematic | None) -> Schematic:
-    fmt = SourceFormat.STRUCTURED_PAGES
-    if doc.get("format") == "de-hdl":
-        fmt = SourceFormat.DE_HDL
-    reused = _reused_pages(doc, matched, reuse)
-    # each page item is checked on its own, and a reused page equals one
-    # that passed, so checking the rest decides the whole document
-    checked = doc if not reused else {
-        **doc, "pages": [p for i, p in enumerate(doc["pages"]) if i not in reused]}
+def ingest_schematic(raw: bytes) -> Schematic:
+    """Decode raw schematic bytes into a Schematic, in the format read from
+    its content. Nets may be empty for DE-HDL input; run augmentation to
+    populate them."""
+    read = _parse(raw)
+    return read if isinstance(read, Schematic) else _read_pages(read.doc)
+
+
+def read_design_review(raw: bytes, read_base: Callable[[], bytes] | None,
+                       wanted: Collection[str]
+                       ) -> tuple[Schematic, list[str], Callable[[], Schematic]]:
+    """A design review's read of its head against its base (see the module
+    docstring): the head pages that have no text-equal base page item or
+    that ``wanted`` names, every head page id in document order, and a
+    function that reads the base pages with the ids of the first kind.
+    ``read_base`` returns the base's bytes (None: there is no base); a
+    failure to read or walk the base is raised by that function."""
+    head = _parse(raw)
+    base = changed = None  # indices of head items with no text-equal base item; None: all
+    if read_base is None:
+        changed = set()
+    else:
+        try:
+            base = _parse(read_base(), head)
+        except SchemReviewError as exc:
+            base = exc
+        else:
+            if isinstance(base, _Document) and base.matched and _same_members(head.doc, base.doc):
+                changed = set(range(len(head.spans))).difference(base.matched.values())
+    if isinstance(head, Schematic):
+        schematic, ids = head, [page.id for page in head.pages]
+    else:
+        schematic = _read_pages(head.doc, None if changed is None else
+                                lambda i, item: i in changed or _page_id(item) in wanted)
+        ids = [item["id"] for item in head.doc["pages"]]
+    read_ids = set(ids) if changed is None else {ids[i] for i in changed}
+
+    def read_base_pages() -> Schematic:
+        if isinstance(base, SchemReviewError):
+            raise base
+        if isinstance(base, Schematic):
+            return base
+        return _read_pages(base.doc, lambda i, item: _page_id(item) in read_ids)
+
+    return schematic, ids, read_base_pages
+
+
+def _same_members(a: dict, b: dict) -> bool:
+    """Equal top-level members but ``pages``: decoded JSON values equal with
+    the same types and key order. ``==`` alone takes ``true`` for ``1`` and
+    ``1`` for ``1.0``; their marshal dumps differ. Format 2 marks neither
+    interned nor shared objects, so equal values of equal types dump
+    alike."""
+    keys = a.keys() - {"pages"}
+    return keys == b.keys() - {"pages"} and all(
+        a[k] == b[k] and marshal.dumps(a[k], 2) == marshal.dumps(b[k], 2) for k in keys)
+
+
+# a valid page that stands in for each unread page item in the document
+# checked against the schema, so that every error keeps its item's index
+_UNREAD = {"id": "-", "components": []}
+
+
+def _page_id(item) -> str | None:
+    """The id of a page item that is an object with a string ``id``."""
+    if type(item) is dict and type(item.get("id")) is str:
+        return item["id"]
+    return None
+
+
+def _read_pages(doc: dict, read: Callable[[int, object], bool] | None = None) -> Schematic:
+    """The schematic of ``doc``'s page items for which ``read(index, item)``
+    holds (every item when ``read`` is None). Of an unread item only its
+    string ``id`` is checked, unique in the document; an unread item without
+    one is checked against the schema like a read one."""
+    fmt = SourceFormat.DE_HDL if doc.get("format") == "de-hdl" else SourceFormat.STRUCTURED_PAGES
+    items, keep, checked = doc["pages"], None, doc
+    if read is not None and type(items) is list:
+        keep = [read(i, item) for i, item in enumerate(items)]
+        checked = {**doc, "pages": [item if k or _page_id(item) is None else _UNREAD
+                                    for item, k in zip(items, keep)]}
     if not shipped(_DOCUMENT_SCHEMA).check(checked):
-        _raise_schema_violation(doc)
+        # the error jsonschema.validate raises
+        from jsonschema.exceptions import best_match
+
+        error = best_match(shipped(_DOCUMENT_SCHEMA).errors(checked))
+        raise MalformedInput(f"document schema violation at {error_path(error)}: "
+                             f"{error.message}") from error
 
     try:
-        pages = [reused[i] if i in reused else _decode_page(page_doc)
-                 for i, page_doc in enumerate(doc["pages"])]
-        schematic = Schematic(
-            format=fmt,
-            pages=tuple(pages),
-            sidecars=dict(doc.get("sidecars", {})),
-            source=doc,
-            source_text=None if spans is None else text,
-            page_spans=spans,
-        )
+        pages = [_decode_page(item) for i, item in enumerate(items) if keep is None or keep[i]]
+        seen = set()  # over every item: ``pages`` may hold only some
+        for item in items:
+            if item["id"] in seen:
+                raise ValueError(f"duplicate page id {item['id']!r}")
+            seen.add(item["id"])
+        return Schematic(fmt, pages, dict(doc.get("sidecars", {})))
     except ValueError as exc:
         raise MalformedInput(str(exc)) from exc
-    return schematic
-
-
-def _reused_pages(doc: dict, matched: dict[int, int],
-                  reuse: Schematic | None) -> dict[int, Page]:
-    """Index in ``doc["pages"]`` -> the page of ``reuse`` that stands in for
-    that item: the item's text is ``reuse``'s item ``matched[index]``, in a
-    document whose other top-level keys, and so its format, equal those
-    ``reuse`` was read from. ``doc`` may still be invalid."""
-    if not matched:
-        return {}
-    source = reuse.source
-    keys = doc.keys() - {"pages"}
-    if keys != source.keys() - {"pages"} or not all(
-            _same_json(doc[key], source[key]) for key in keys):
-        return {}
-    return {i: reuse.pages[j] for i, j in matched.items()}
-
-
-def _same_json(a, b) -> bool:
-    """Decoded JSON values equal with the same types and key order. ``==``
-    alone takes ``true`` for ``1`` and ``1`` for ``1.0``; their marshal
-    dumps differ. Format 2 marks neither interned nor shared objects, so
-    equal values of equal types dump alike."""
-    return a == b and marshal.dumps(a, 2) == marshal.dumps(b, 2)
-
-
-def _raise_schema_violation(doc) -> None:
-    """Raise the error ``jsonschema.validate`` would raise for ``doc``."""
-    from jsonschema.exceptions import best_match
-
-    error = best_match(shipped(_DOCUMENT_SCHEMA).errors(doc))
-    raise MalformedInput(f"document schema violation at {error_path(error)}: "
-                         f"{error.message}") from error
 
 
 def _decode_bbox(doc: dict | None) -> BBox | None:

@@ -165,42 +165,26 @@ class Page(checked("Page", "id components nets annotations strategy")):
 
 
 class Schematic(checked("Schematic", "format pages sidecars")):
-    """``source`` is the decoded structured document the schematic was
-    ingested from, ``source_text`` its text and ``page_spans`` the
-    (start, end) of each item of its ``pages`` in that text (all None for
-    KiCad text or a schematic built in code). ``pages[i]`` is read from
-    ``source["pages"][i]``. None of them takes part in equality;
-    ``ingest`` reads a second document against them, reusing this
-    schematic's pages for page items of that document with the same
-    text."""
+    """Pages in document order, with unique ids, and the sidecar texts
+    that came with them."""
+
+    __slots__ = ()
 
     def __new__(cls, format: SourceFormat, pages: tuple[Page, ...] = (),
-                sidecars: dict[str, str] | None = None, source: dict | None = None,
-                source_text: str | None = None,
-                page_spans: list[tuple[int, int]] | None = None):
+                sidecars: dict[str, str] | None = None):
         pages = tuple(pages)
         seen = set()
         for p in pages:
             if p.id in seen:
                 raise ValueError(f"duplicate page id {p.id!r}")
             seen.add(p.id)
-        self = tuple.__new__(cls, (format, pages, {} if sidecars is None else sidecars))
-        self.source = source
-        self.source_text = source_text
-        self.page_spans = page_spans
-        return self
+        return tuple.__new__(cls, (format, pages, {} if sidecars is None else sidecars))
 
     def page(self, page_id: str) -> Page | None:
         for p in self.pages:
             if p.id == page_id:
                 return p
         return None
-
-    def with_pages(self, pages: list[Page]) -> "Schematic":
-        """The schematic with ``pages``, which stand for its own pages in the
-        same order (augmentation keeps order and count)."""
-        return Schematic(self.format, pages, self.sidecars, self.source, self.source_text,
-                         self.page_spans)
 
 
 def resolve_node(page: Page, node: NetNode) -> bool:

@@ -1,12 +1,11 @@
 """The pipeline over a run's pages under a time budget.
 
-Page set: full-analysis mode takes every page; design-review mode takes
-the pages whose canonical content differs from the base plus any
-explicit page override. The head is read in full first and the base
-against it, so each unchanged page (its page item's text equal in both,
-with equal format and sidecars) is read once, as head's page, and is not
-compared; a changed pair is compared block by block up to the first
-block that differs (``canonical.diff_pages``). Admission:
+Page set: full-analysis mode reads and takes every page. Design-review
+mode takes the pages whose canonical content differs from the base plus
+any explicit page override, and reads only those (``ingest.read_design_review``):
+a head page whose item text is the base's is not read, and its defects
+are not reported. Each other pair is compared block by block up to the
+first block that differs (``canonical.diff_pages``). Admission:
 with no time budget every page of the set forms one batch; with a
 budget each page is its own batch, admitted once the page before it has
 finished and only if the deadline has not passed, so pages not started
@@ -57,9 +56,9 @@ from .errors import InputError, SchemReviewError
 from .fileio import read_bytes
 from .gateway import Gateway, usage_by_kind
 from .grouping import group_errors
-from .ingest import ingest_schematic
+from .ingest import ingest_schematic, read_design_review
 from .libraries import PartRef
-from .model import Page, Schematic
+from .model import Page
 from .reporting import DeliveryRecord, post_comments, render_comment
 from .review import GroupReviewContext, checklist_loader, fan_out_reviews, select_groups
 from .tracing import TraceContext, Tracer, emit_traces
@@ -97,29 +96,29 @@ class RunReport(NamedTuple):
         }
 
 
-def _read_schematic(path, reuse: Schematic | None = None) -> Schematic:
-    """The augmented schematic at ``path``; its pages equal to pages of
-    ``reuse`` are ``reuse``'s Page objects (``ingest_schematic``)."""
+def _read_schematic_bytes(path) -> bytes:
     try:
-        raw = read_bytes(path)
+        return read_bytes(path)
     except OSError as exc:
         raise InputError(f"cannot read schematic {path}: {exc}") from exc
-    return augment_netlist(ingest_schematic(raw, reuse=reuse))
 
 
-def select_page_set(cfg: RunConfig, head: Schematic) -> list[str]:
-    """Page ids to analyze, in document order."""
-    all_ids = [p.id for p in head.pages]
+def select_pages(cfg: RunConfig, schematic_path) -> list[Page]:
+    """The head's pages to analyze, read and augmented, in document order."""
+    raw = _read_schematic_bytes(schematic_path)
     if cfg.mode is Mode.FULL_ANALYSIS:
-        return all_ids
+        return list(augment_netlist(ingest_schematic(raw)).pages)
     wanted = set(cfg.pages_override or ())
-    unknown = wanted - set(all_ids)
-    if unknown:  # before the base is read: a bad override fails fast
+    base_path = cfg.base_schematic
+    head, page_ids, read_base_pages = read_design_review(
+        raw, (lambda: _read_schematic_bytes(base_path)) if base_path else None, wanted)
+    head = augment_netlist(head)
+    unknown = wanted - set(page_ids)
+    if unknown:  # before any base page is read: a bad override fails fast
         raise InputError(f"pages_override names unknown pages: {sorted(unknown)}")
-    if cfg.base_schematic:
-        base = _read_schematic(cfg.base_schematic, reuse=head)
-        wanted |= diff_pages(base, head)
-    return [pid for pid in all_ids if pid in wanted]
+    if base_path:
+        wanted |= diff_pages(augment_netlist(read_base_pages()), head)
+    return [page for page in head.pages if page.id in wanted]
 
 
 def _retrieve_all_specs(pages: list[tuple[Page, TraceContext]], groups: list,
@@ -249,9 +248,7 @@ def run_pipeline(cfg: RunConfig, schematic_path) -> RunReport:
     skipped: list[str] = []
 
     try:
-        head = _read_schematic(schematic_path)
-        pages = [head.page(pid) for pid in select_page_set(cfg, head)]
-        del head  # and its decoded JSON and text, needed only to read the base
+        pages = select_pages(cfg, schematic_path)
         # with a budget each page is admitted on its own, once the page
         # before it has finished and only while the deadline has not passed
         if deadline is not None:

@@ -1,9 +1,11 @@
 """Reading an untrusted schematic fails with one typed error.
 
 Whatever bytes arrive as a schematic or its base, reading them as the
-pipeline does (``ingest_schematic``, then ``augment_netlist``) returns a
-schematic or raises a ``SchemReviewError``, never a bare ``ValueError``,
-``TypeError`` or ``KeyError`` from a record's checks or the decoders.
+pipeline does (``ingest_schematic``, or a design review's
+``read_design_review`` against a seed as base or head, then ``augment_netlist``)
+returns a schematic or raises a ``SchemReviewError``, never a bare
+``ValueError``, ``TypeError`` or ``KeyError`` from a record's checks or
+the decoders.
 The inputs are mutations of the demo schematic, a wired structured page
 and a one-symbol KiCad page: edits of the decoded JSON tree, and edits of
 the text itself.
@@ -17,16 +19,14 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from schemreview.augment import augment_netlist
 from schemreview.demo import demo_schematic_text
 from schemreview.errors import SchemReviewError
-from schemreview.ingest import ingest_schematic
+from schemreview.ingest import ingest_schematic, read_design_review
 from test_kicad import ONE_SYMBOL_ONE_WIRE
 from test_page_reuse import wired_page
 
 DEMO = json.loads(demo_schematic_text())
 WIRED = {"version": 1, "pages": [wired_page("P1"), wired_page("P2", 40)]}
 SEEDS = {"demo": DEMO, "wired": WIRED}
-# each seed read once, as the head a base is read against
-HEADS = {name: augment_netlist(ingest_schematic(json.dumps(doc).encode()))
-         for name, doc in SEEDS.items()}
+SEED_TEXTS = {name: json.dumps(doc).encode() for name, doc in SEEDS.items()}
 
 LEAVES = st.sampled_from([None, True, False, 0, 1, -1, 2.5, -0.5, 1e6, "", " ", "x", "1",
                           "P1", "R1", "U1", "wire", "label", "junction", "text", "de-hdl"])
@@ -43,12 +43,23 @@ SETTINGS = settings(max_examples=150, deadline=None, database=None,
                     suppress_health_check=[HealthCheck.too_slow])
 
 
-def read(raw: bytes, reuse=None) -> None:
-    """Read ``raw`` as the pipeline does; a typed error is a valid outcome."""
-    try:
-        augment_netlist(ingest_schematic(raw, reuse=reuse))
-    except SchemReviewError:
-        pass
+def read(raw: bytes, seed: bytes | None = None) -> None:
+    """Read ``raw`` as the pipeline does, and with a ``seed`` also as a
+    design review's base against it and as its head (every page wanted)
+    against it; a typed error is a valid outcome."""
+    def review(head: bytes, base: bytes) -> None:
+        head, _, read_base = read_design_review(head, lambda: base, {"P1", "P2"})
+        augment_netlist(head)
+        augment_netlist(read_base())
+
+    reads = [lambda: augment_netlist(ingest_schematic(raw))]
+    if seed is not None:
+        reads += [lambda: review(seed, raw), lambda: review(raw, seed)]
+    for one in reads:
+        try:
+            one()
+        except SchemReviewError:
+            pass
 
 
 def _slots(value):
@@ -97,14 +108,14 @@ def edited_text(draw, text: str):
 @given(mutated_documents(), st.booleans())
 def test_a_mutated_document_reads_or_fails_typed(mutated, reuse):
     name, doc = mutated
-    read(json.dumps(doc).encode(), HEADS[name] if reuse else None)
+    read(json.dumps(doc).encode(), SEED_TEXTS[name] if reuse else None)
 
 
 @SETTINGS
 @given(st.sampled_from(sorted(SEEDS)), st.data(), st.booleans())
 def test_an_edited_document_text_reads_or_fails_typed(name, data, reuse):
     text = data.draw(edited_text(json.dumps(SEEDS[name])))
-    read(text.encode(), HEADS[name] if reuse else None)
+    read(text.encode(), SEED_TEXTS[name] if reuse else None)
 
 
 @SETTINGS

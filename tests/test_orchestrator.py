@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from helpers import WIRE_AND_EMPTY_LABEL
-from schemreview import libraries, pipeline, review
+from schemreview import ingest, libraries, pipeline, review
 from schemreview.cli import main
 from schemreview.config import Mode, RunConfig, apply_cli_overrides, load_config
 from schemreview.demo import demo_responder, generate_fixtures, write_demo_workspace
@@ -255,19 +255,19 @@ class TestPageSets:
     def test_unknown_override_page_fails_before_the_base_is_read(self, demo, tmp_path,
                                                                  monkeypatch):
         work, paths = demo
-        reads = []
-        ingest = pipeline.ingest_schematic
-
-        def counted(raw, reuse=None):
-            reads.append(reuse)
-            return ingest(raw, reuse=reuse)
-
-        monkeypatch.setattr(pipeline, "ingest_schematic", counted)
-        cfg = fresh_cfg(work, mode=Mode.DESIGN_REVIEW, pages_override=["P9"],
-                        base_schematic=str(tmp_path / "missing.json"))
-        with pytest.raises(InputError, match=r"pages_override names unknown pages: \['P9'\]"):
-            run_pipeline(cfg, paths["schematic"])
-        assert reads == [None]  # the head only
+        decoded = []
+        decode = ingest._decode_page
+        monkeypatch.setattr(ingest, "_decode_page",
+                            lambda doc: decoded.append(doc["id"]) or decode(doc))
+        for base in (paths["base"], tmp_path / "missing.json"):
+            cfg = fresh_cfg(work, mode=Mode.DESIGN_REVIEW, pages_override=["P9"],
+                            base_schematic=str(base))
+            with pytest.raises(InputError,
+                               match=r"pages_override names unknown pages: \['P9'\]"):
+                run_pipeline(cfg, paths["schematic"])
+        # the demo base writes its items with other whitespace, so every
+        # head page is read, in each run; no base page is
+        assert decoded == ["P1", "P2", "P3"] * 2
 
 
 class TestTimeBudget:

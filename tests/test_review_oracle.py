@@ -158,7 +158,7 @@ def reviews(draw):
 # --- the runs ---------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
-def workspace(tmp_path_factory):
+def work(tmp_path_factory):
     """The demo workspace: datasheets and part library for every part a
     board uses, config, and a datasheet cache the runs share."""
     work = tmp_path_factory.mktemp("oracle")
@@ -204,9 +204,8 @@ def entries_and_files(files: dict, pages) -> tuple[list, dict]:
 @settings(max_examples=30, deadline=None, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(review=reviews())
-def test_design_review_posts_what_a_full_analysis_posts_for_its_pages(workspace, review):
+def test_design_review_posts_what_a_full_analysis_posts_for_its_pages(work, review):
     manifest, head_raw, base_raw, override = review
-    work = workspace
     (work / "head.json").write_bytes(head_raw)
     (work / "base.json").write_bytes(base_raw)
     fixtures = work / "fixtures"
@@ -220,9 +219,9 @@ def test_design_review_posts_what_a_full_analysis_posts_for_its_pages(workspace,
                      "pages_override": override}
     outcomes = []
     for max_in_flight, delay in ((1, 0.0), (2, 0.001), (8, 0.001)):
-        cfg_backend = load_config(work / "config.json").backend
-        cfg_backend.max_in_flight, cfg_backend.mock_delay_s = max_in_flight, delay
-        report = run(work, backend=cfg_backend, **design_review)
+        backend = load_config(work / "config.json").backend
+        backend.max_in_flight, backend.mock_delay_s = max_in_flight, delay
+        report = run(work, backend=backend, **design_review)
         assert report.pages_analyzed == [pid for pid in head_order if pid in selected]
         outcomes.append((out_files(work), usage(report)))
 
