@@ -12,10 +12,10 @@ member components, every net with a node on a member (all of its nodes
 kept), and no annotations.
 
 Each element of a page (a component with its bbox and pins, a net with
-its nodes, the annotations) is rendered to text once per page object and
-layout, the first time the page is serialized or hashed, and kept on the
-page; its hash, its full document and every group's slice only join those
-blocks.
+its nodes, the annotations) is rendered to a block of text, and a page's
+document or a group's slice joins those blocks. The canonical layout is
+rendered on each call, since a run never hashes a page; only scripts and
+tests do.
 The page hash defines canonical equality. A page diff decides it without
 hashing. It is given only the pages a design review read (a page item
 with the same text in head and base is never read, see ``ingest``), and
@@ -33,8 +33,8 @@ has no ``<annotations>``. Wire tracing has already turned the geometry
 into the ``<nets>`` the payload carries, a label only repeats a net's
 name, and comments are placed from the ``Page``, never from a reply. The
 payload blocks are rendered the first time a page goes into a payload,
-and kept on the page too, so a page that is only hashed never pays for
-them.
+and kept on the page for its group slices, so a page that is only
+hashed never pays for them.
 """
 
 from __future__ import annotations
@@ -53,10 +53,10 @@ def serialize_page_xml(page: Page, members: Iterable[str] | None = None, *,
     ``payload``, the same elements in the payload layout."""
     if payload:
         lines: list[str] = []
-        _join_page(_page_blocks(page, payload=True), members, lines)
+        _join_page(_payload_blocks(page), members, lines)
         return "".join(lines)
     lines = [DECLARATION]
-    _join_page(_page_blocks(page), members, lines)
+    _join_page(_render_page(page), members, lines)
     return "\n".join(lines) + "\n"
 
 
@@ -93,16 +93,13 @@ def _document_blocks(page: Page):
     yield _annotations_xml(page)
 
 
-def _page_blocks(page: Page, payload: bool = False) -> tuple:
-    """The page element's blocks in the canonical or the payload layout,
-    made on first use and kept on the (immutable) page for its later
-    documents."""
-    name = "_payload_blocks" if payload else "_canonical_blocks"
-    blocks = page.__dict__.get(name)
+def _payload_blocks(page: Page) -> tuple:
+    """The page element's blocks in the payload layout, made on first use
+    and kept on the (immutable) page for its later payloads."""
+    blocks = page.__dict__.get("_payload_blocks")
     if blocks is None:
-        blocks = (_compact_blocks(_render_page(page, geometry=False)) if payload
-                  else _render_page(page))
-        page.__dict__[name] = blocks
+        blocks = page.__dict__["_payload_blocks"] = _compact_blocks(
+            _render_page(page, geometry=False))
     return blocks
 
 

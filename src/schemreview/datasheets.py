@@ -255,10 +255,6 @@ def retrieve_spec(part: PartRef, libraries: list[LibrarySource],
         return RetrievalResult(spec, score, cache_hit=False, attempts=attempts)
 
     with trace.span("retrieve", part=part.key) as span:
-        try:
-            result = _run() if flights is None else flights.run(part.key, _run)
-        except SchemReviewError as exc:
-            span.attrs["error"] = type(exc).__name__
-            raise
+        result = _run() if flights is None else flights.run(part.key, _run)
         span.attrs.update(cache_hit=result.cache_hit, attempt=result.attempts)
         return result

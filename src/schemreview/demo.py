@@ -25,6 +25,7 @@ from pathlib import Path
 
 from .fileio import write_text
 from .gateway import MockBackend
+from .unionfind import UnionFind
 
 POWER_NET = re.compile(r"^(GND|VCC.*|VDD.*|[+-]?[0-9]+V.*)$")
 
@@ -48,16 +49,16 @@ def demo_schematic_text() -> str:
     return resources.files(f"{__package__}.data").joinpath("demo_schematic.json").read_text()
 
 
+_BUS_B = '{"name": "BUS_B", "nodes": [["U2", "2"], ["R7", "2"]]}'
+
+
 def demo_base_text() -> str:
-    """The base variant: identical except page P2, where the termination
-    resistor is not yet on BUS_B."""
-    doc = json.loads(demo_schematic_text())
-    for page in doc["pages"]:
-        if page["id"] == "P2":
-            for net in page["nets"]:
-                if net["name"] == "BUS_B":
-                    net["nodes"] = [n for n in net["nodes"] if n[0] != "R7"]
-    return json.dumps(doc, indent=2)
+    """The base variant: the bundled text except on page P2, where the
+    termination resistor is not yet on BUS_B. Pages P1 and P3 keep the
+    head's text, so a design review reads only P2."""
+    text = demo_schematic_text()
+    assert text.count(_BUS_B) == 1
+    return text.replace(_BUS_B, '{"name": "BUS_B", "nodes": [["U2", "2"]]}')
 
 
 def datasheet_text(mpn: str) -> str:
@@ -130,30 +131,19 @@ def _respond_selection(payload: str) -> str:
     """Connected components over non-power nets, named after their lead
     component (the first U-designator when one exists)."""
     page = ET.fromstring(payload)
-    designators = [c.get("designator") for c in page.iter("component")]
-    adjacency = {d: set() for d in designators}
+    designators = sorted({c.get("designator") for c in page.iter("component")})
+    index = {d: i for i, d in enumerate(designators)}
+    components = UnionFind(len(designators))
     for net in page.iter("net"):
-        if POWER_NET.match(net.get("name")):
-            continue
-        members = sorted({node.get("component") for node in net.iter("node")})
-        for a in members:
-            for b in members:
-                if a != b:
-                    adjacency[a].add(b)
-    seen: set[str] = set()
+        if not POWER_NET.match(net.get("name")):
+            members = sorted({node.get("component") for node in net.iter("node")})
+            for a, b in zip(members, members[1:]):
+                components.union(index[a], index[b])
+    clusters: dict[int, list[str]] = {}
+    for i, designator in enumerate(designators):
+        clusters.setdefault(components.find(i), []).append(designator)
     groups = []
-    for start in sorted(adjacency):
-        if start in seen:
-            continue
-        stack, cluster = [start], []
-        while stack:
-            node = stack.pop()
-            if node in seen:
-                continue
-            seen.add(node)
-            cluster.append(node)
-            stack.extend(adjacency[node] - seen)
-        cluster.sort()
+    for cluster in clusters.values():
         lead = next((d for d in cluster if d.startswith("U")), cluster[0])
         groups.append({"name": f"{lead} network", "designators": cluster})
     groups.sort(key=lambda g: g["name"])

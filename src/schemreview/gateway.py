@@ -53,13 +53,6 @@ choices must differ for the multi-run consensus to compare independent
 reviews; every other agent kind is sent at 0.0. How diverse the choices
 are at this temperature on a hosted model cannot be measured offline."""
 
-_FAILURE_NAMES = {  # a failed call's span ``error`` attribute
-    SchemaViolationAfterRetries: "schema_violation",
-    BackendUnavailable: "backend_unavailable",
-    BackendTimeout: "backend_timeout",
-}
-
-
 class AgentKind(enum.Enum):
     SELECTION = "selection"
     HEAD_ANALYSIS = "head_analysis"
@@ -297,8 +290,10 @@ class Gateway:
     on every backend, by running them on its pool of ``max_in_flight``
     workers. Every invocation, failed or not, records exactly one span
     under ``trace`` with its ``tokens_in``, ``tokens_out``, ``attempt``
-    and ``seed``, plus ``choices`` (n) for an n-choice request and
-    ``error`` when it failed.
+    and ``seed``, plus ``choices`` (n) for an n-choice request. A failed
+    call's span also carries the ``error`` that ``TraceContext.span``
+    records: ``SchemaViolationAfterRetries``, ``BackendUnavailable`` or
+    ``BackendTimeout``.
     """
 
     def __init__(self, cfg: BackendConfig):
@@ -359,9 +354,6 @@ class Gateway:
                     f"{req.agent_kind.value}: output failed schema "
                     f"{req.agent_kind.value!r} after {attempts} attempts: {failure}",
                     last_raw=last_raw)
-            except tuple(_FAILURE_NAMES) as exc:
-                span.attrs["error"] = _FAILURE_NAMES[type(exc)]
-                raise
             finally:
                 # the spent tokens count even when the call failed
                 span.attrs.update(tokens_in=usage.tokens_in,

@@ -31,10 +31,14 @@ batches, submitting each to the pool and waiting for its result; every
 wait inside a batch goes through ``workfirst.map_on_pool``. Its items
 run on the thread that reaches them and spill to the pool only when
 that thread is about to wait (``workfirst.before_wait``), so a run whose
-calls never block uses one worker thread. Each page records its own
+calls never block uses one worker thread. A stage's items all run to
+their end even when one fails; the first failure in item order then
+fails the batch, and with it the run. Each page records its own
 ``page:<id>`` span. The run's spans are its one record: the report's
 usage and cache counts and the root span's token totals are sums over
-them, and the trace file is written even when the run fails.
+them, the trace file is written even when the run fails, and every span
+an exception left (the root, each page of the failed batch, a group, a
+part, an agent call) names it in its ``error``.
 """
 
 from __future__ import annotations
@@ -170,23 +174,6 @@ def _retrieve_all_specs(pages: list[tuple[Page, TraceContext]], groups: list,
             for index, keys in enumerate(part_keys)]
 
 
-def _map_settled(pool: ThreadPoolExecutor, fn, items) -> list:
-    """``map_on_pool`` for one stage of a batch: every item runs to its end
-    even when another fails, so a failed run's trace holds the stage for
-    every admitted page; the first failure in item order is then raised."""
-    def settled(item):
-        try:
-            return fn(item), None
-        except Exception as exc:
-            return None, exc
-
-    outcomes = map_on_pool(pool, settled, items)
-    for _, exc in outcomes:
-        if exc is not None:
-            raise exc
-    return [value for value, _ in outcomes]
-
-
 def _analyze_pages(pages: list[tuple[Page, TraceContext]], cfg: RunConfig,
                    gateway: Gateway, cache: CacheStore, pool: ThreadPoolExecutor,
                    checklist) -> list:
@@ -196,8 +183,8 @@ def _analyze_pages(pages: list[tuple[Page, TraceContext]], cfg: RunConfig,
     retrieval (``_retrieve_all_specs``), then every page's group reviews
     and consensus; grouping and rendering follow per page. ``checklist``
     is the run's ``review.checklist_loader``."""
-    groups = _map_settled(pool, lambda pc: select_groups(pc[0], gateway, trace=pc[1]),
-                          pages)
+    groups = map_on_pool(pool, lambda pc: select_groups(pc[0], gateway, trace=pc[1]),
+                         pages)
     specs = _retrieve_all_specs(pages, groups, cfg, gateway, cache, pool)
     checklists = {group.name: checklist(group.name)
                   for page_groups in groups for group in page_groups}
@@ -220,7 +207,7 @@ def _analyze_pages(pages: list[tuple[Page, TraceContext]], cfg: RunConfig,
     jobs = [(index, group) for index, page_groups in enumerate(groups)
             for group in page_groups]
     analyses: list[list] = [[] for _ in pages]
-    for (index, _), group_analyses in zip(jobs, _map_settled(pool, _review_group, jobs)):
+    for (index, _), group_analyses in zip(jobs, map_on_pool(pool, _review_group, jobs)):
         analyses[index] += group_analyses
 
     return [render_comment(error_group, specs[index], page)
@@ -240,44 +227,41 @@ def run_pipeline(cfg: RunConfig, schematic_path) -> RunReport:
     cache = CacheStore(cfg.cache_dir)
     checklist = checklist_loader(cfg.checklist_dir)
     tracer = Tracer()
-    run_span = ExitStack()  # closed once the root span's attributes are set
-    root = run_span.enter_context(TraceContext(tracer, "").span("run"))
 
     analyzed: list[str] = []
     comments: list = []
     skipped: list[str] = []
 
     try:
-        pages = select_pages(cfg, schematic_path)
-        # with a budget each page is admitted on its own, once the page
-        # before it has finished and only while the deadline has not passed
-        if deadline is not None:
-            batches = [[page] for page in pages]
-        else:
-            batches = [pages] if pages else []
-        with ThreadPoolExecutor(max_workers=cfg.backend.max_in_flight) as pool:
-            for batch in batches:
-                if deadline is not None and time.perf_counter() >= deadline:
-                    skipped += [page.id for page in batch]
-                    continue
-                with ExitStack() as stack:
-                    traced = [(page, stack.enter_context(
-                                  root.span(f"page:{page.id}", page_id=page.id)))
-                              for page in batch]
-                    comments += pool.submit(_analyze_pages, traced, cfg, gateway,
-                                            cache, pool, checklist).result()
-                analyzed += [page.id for page in batch]
+        with TraceContext(tracer, "").span("run") as root:
+            try:
+                pages = select_pages(cfg, schematic_path)
+                # with a budget each page is admitted on its own, once the page
+                # before it has finished and only while the deadline has not passed
+                if deadline is not None:
+                    batches = [[page] for page in pages]
+                else:
+                    batches = [pages] if pages else []
+                with ThreadPoolExecutor(max_workers=cfg.backend.max_in_flight) as pool:
+                    for batch in batches:
+                        if deadline is not None and time.perf_counter() >= deadline:
+                            skipped += [page.id for page in batch]
+                            continue
+                        with ExitStack() as stack:
+                            traced = [(page, stack.enter_context(
+                                          root.span(f"page:{page.id}", page_id=page.id)))
+                                      for page in batch]
+                            comments += pool.submit(_analyze_pages, traced, cfg, gateway,
+                                                    cache, pool, checklist).result()
+                        analyzed += [page.id for page in batch]
 
-        delivery = post_comments(cfg.sink, comments)
-    except BaseException as exc:
-        root.attrs["error"] = type(exc).__name__
-        raise
+                delivery = post_comments(cfg.sink, comments)
+            finally:
+                usage = usage_by_kind(tracer.events())
+                root.attrs.update(pages_analyzed=len(analyzed), pages_skipped=len(skipped),
+                                  tokens_in=sum(u["tokens_in"] for u in usage.values()),
+                                  tokens_out=sum(u["tokens_out"] for u in usage.values()))
     finally:
-        usage = usage_by_kind(tracer.events())
-        root.attrs.update(pages_analyzed=len(analyzed), pages_skipped=len(skipped),
-                          tokens_in=sum(u["tokens_in"] for u in usage.values()),
-                          tokens_out=sum(u["tokens_out"] for u in usage.values()))
-        run_span.close()
         events = tracer.events()
         if cfg.trace_out:
             emit_traces(events, cfg.trace_out)

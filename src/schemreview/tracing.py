@@ -1,7 +1,9 @@
 """Span collection and trace emission.
 
 A run's spans are its one record: the report's usage and cache counts
-are sums over them. Every span is opened with ``TraceContext.span``.
+are sums over them. Every span is opened with ``TraceContext.span``,
+and a span that an exception leaves records the exception's class name
+as its ``error``; no other code names a failure.
 A span's position in the tree is its slash-separated ``path``; the parent
 is the path minus its last segment. ``Tracer.events`` sorts spans by
 path so two runs over the same inputs produce the same record sequence
@@ -70,12 +72,16 @@ class TraceContext(checked("TraceContext", "tracer path attrs")):
         """Time the block as span ``name``; yields the child context that
         spans opened inside the block record under. Attributes the block
         sets on the child's ``attrs`` are recorded with the span, which is
-        recorded even when the block raises."""
+        recorded even when the block raises; then its ``error`` is the
+        name of the exception's class."""
         child = self.child(name, **attrs)
         start = time.time()
         t0 = time.perf_counter()
         try:
             yield child
+        except BaseException as exc:
+            child.attrs["error"] = type(exc).__name__
+            raise
         finally:
             self.tracer.record(name, child.path, start,
                                time.perf_counter() - t0, child.attrs)

@@ -17,6 +17,10 @@ as the pool's threads allow. This is the work-first principle of Cilk-5
 runs it, and other threads get work only when that thread would
 otherwise sit idle.
 
+Every item of a map runs to its end, even when another fails, and only
+then does the map raise the first failure in item order; no item is
+cancelled.
+
 A thread blocks only on an item that another thread has started. A task
 waits only for the items of its own maps and for the tasks it helps
 while it waits, all started after it, so the waits cannot form a cycle
@@ -95,8 +99,8 @@ def _queue_of(pool: Executor) -> _RunQueue:
 
 def _work(queue: _RunQueue) -> None:
     """A worker's share of the run: the oldest queued task, if any is left.
-    It holds the queue, not a task, so a task taken back or cancelled while
-    the worker waits in the pool's queue does not keep ``fn`` alive."""
+    It holds the queue, not a task, so a task that its map took back while
+    the worker waited in the pool's queue does not keep ``fn`` alive."""
     task = queue.pop(newest=False)
     if task is not None:
         task.run()
@@ -137,11 +141,6 @@ class _Map:
                 other.run()
         return task.result()
 
-    def cancel_queued(self) -> None:
-        for task in self.tasks:
-            if self.queue.remove(task):
-                task.cancel()
-
 
 def before_wait() -> None:
     """Called just before a blocking wait: hands every item not yet
@@ -158,31 +157,25 @@ def map_on_pool(pool: Executor, fn, items) -> list:
     the results are collected in order. A run whose calls never block
     uses no thread but the caller's; the pool's size still bounds the
     threads, and so the concurrent calls, of a run that waits.
-    Exceptions surface in item order: on the first one the items still
-    queued are cancelled and it is re-raised."""
+    Every item runs to its end, even when another fails; then the first
+    exception in item order is raised."""
     current = _Map(pool, fn, list(items))
     maps = _local.maps
     maps.append(current)
+    results = []
+    failure = None
     try:
-        results = []
         for index, item in enumerate(current.items):
-            if index < current.spilled_at:
-                current.started = index + 1
-                results.append(fn(item))
-            else:
-                results.append(current.collect(current.tasks[index - current.spilled_at]))
-        return results
-    except BaseException:
-        current.cancel_queued()
-        raise
+            try:
+                if index < current.spilled_at:
+                    current.started = index + 1
+                    results.append(fn(item))
+                else:
+                    results.append(current.collect(current.tasks[index - current.spilled_at]))
+            except Exception as exc:
+                failure = failure or exc
     finally:
         maps.pop()
-
-
-def cancel_queued(pool: Executor) -> None:
-    """Cancel every task waiting in ``pool``'s run queue; a map waiting on
-    one raises ``CancelledError``. With ``pool.shutdown(cancel_futures=True)``
-    this frees a run's threads, for example to fail a deadlocked run."""
-    queue = _queue_of(pool)
-    while (task := queue.pop(newest=True)) is not None:
-        task.cancel()
+    if failure is not None:
+        raise failure
+    return results

@@ -1,16 +1,19 @@
 """Shared test scaffolding: mock fixture paths and scripting for pipeline
-stages, the whole-schematic canonical document, and a loopback HTTP
-server."""
+stages, the whole-schematic canonical document, a loopback HTTP server,
+and a pipeline run that fails instead of hanging."""
 
 import contextlib
 import itertools
 import json
 import re
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from http.server import ThreadingHTTPServer
 from pathlib import Path
 
-from schemreview import demo
+import pytest
+
+from schemreview import demo, pipeline, workfirst
 from schemreview.canonical import serialize_page_xml
 from schemreview.datasheets import (
     build_extract_payload,
@@ -214,3 +217,40 @@ def loopback_server(handler):
     finally:
         server.shutdown()
         server.server_close()
+
+
+def run_or_fail(cfg, schematic, monkeypatch, timeout_s=60.0):
+    """run_pipeline in a daemon thread, so that a deadlocked pool fails
+    the test instead of hanging the suite. On a timeout the run's pool is
+    shut down with its queued work cancelled, both the executor's and the
+    run queue's, which frees workers blocked on that work and lets the
+    interpreter exit."""
+    pools = []
+
+    class RecordedPool(ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            pools.append(self)
+
+    monkeypatch.setattr(pipeline, "ThreadPoolExecutor", RecordedPool)
+    box = {}
+
+    def target():
+        try:
+            box["report"] = pipeline.run_pipeline(cfg, schematic)
+        except BaseException as exc:
+            box["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout_s)
+    if thread.is_alive():
+        for pool in pools:
+            pool.shutdown(wait=False, cancel_futures=True)
+            queue = workfirst._queue_of(pool)
+            while (task := queue.pop(newest=True)) is not None:
+                task.cancel()
+        pytest.fail(f"run did not finish within {timeout_s} s")
+    if "error" in box:
+        raise box["error"]
+    return box["report"]

@@ -115,19 +115,23 @@ def test_schematic_document_matches_the_tree_renderer(page_list, fmt, hashed_fir
     assert serialize_xml(schematic) == tree_serialize_xml(schematic)
 
 
-def test_blocks_are_rendered_once_per_page(monkeypatch):
+def test_payload_blocks_are_kept_per_page_and_canonical_blocks_are_not(monkeypatch):
     page = Page("P1", (Component("U1", pins=(Pin("1"),)),), (Net("N", (("U1", "1"),)),))
     calls = []
     original = canonical._render_page
     monkeypatch.setattr(canonical, "_render_page",
-                        lambda *args: calls.append(args) or original(*args))
+                        lambda *args, **kwargs: calls.append(args) or original(*args, **kwargs))
+    # the canonical layout is rendered on each call: only scripts and tests hash
     page_hash(page)
     serialize_page_xml(page)
     serialize_page_xml(page, ["U1"])
-    assert len(calls) == 1
+    assert len(calls) == 3
+    serialize_page_xml(page, payload=True)
+    serialize_page_xml(page, ["U1"], payload=True)
+    assert len(calls) == 4
     # a page built anew, even an equal one, renders its own
-    serialize_page_xml(Page("P1", page.components, page.nets))
-    assert len(calls) == 2
+    serialize_page_xml(Page("P1", page.components, page.nets), payload=True)
+    assert len(calls) == 5
 
 
 # --- datasheet specs -----------------------------------------------------------------

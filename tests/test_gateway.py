@@ -111,7 +111,7 @@ class TestMockBackend:
             gw.complete(req, trace=trace)
         assert str(exc.value).startswith(f"mock fixture {path} is not UTF-8: ")
         [event] = tracer.events()
-        assert event.attributes["error"] == "backend_unavailable"
+        assert event.attributes["error"] == "BackendUnavailable"
 
     def test_an_n_choice_request_hashes_its_payload_once(self, tmp_path, monkeypatch):
         for seed in range(3):
@@ -170,7 +170,7 @@ class TestChoices:
         for seed in (0, 1):
             assert fixture_relpath(AgentKind.GROUP_REVIEW, "absent", seed) in str(exc.value)
         [event] = tracer.events()
-        assert event.attributes["error"] == "backend_unavailable"
+        assert event.attributes["error"] == "BackendUnavailable"
         assert (event.attributes["tokens_in"], event.attributes["tokens_out"]) == (0, 0)
 
     def test_the_mock_waits_once_per_request(self, tmp_path, monkeypatch):
@@ -198,6 +198,7 @@ class TestChoices:
         assert event.attributes["attempt"] == 3
         assert event.attributes["tokens_in"] == (
             len(repair) // 4 + len(repair_payload(repair, failure)) // 4)
+        assert event.attributes["error"] == "SchemaViolationAfterRetries"
 
 
 class TestRepairLoop:
@@ -371,7 +372,7 @@ class TestTracing:
         assert (entry["tokens_in"], entry["tokens_out"]) == (0, 0)
         [event] = tracer.events()
         assert event.span_name == "head_analysis"
-        assert event.attributes["error"] == "backend_unavailable"
+        assert event.attributes["error"] == "BackendUnavailable"
 
     def test_miss_after_repair_keeps_earlier_tokens(self, tmp_path):
         payload = "doc-pages"
@@ -386,7 +387,7 @@ class TestTracing:
         [event] = tracer.events()
         assert event.attributes["attempt"] == 2
         assert event.attributes["tokens_in"] == entry["tokens_in"]
-        assert event.attributes["error"] == "backend_unavailable"
+        assert event.attributes["error"] == "BackendUnavailable"
 
 
 class TestTimeout:
@@ -411,7 +412,7 @@ class TestTimeout:
                 gw.complete(head_request("p"), trace=trace)
         assert usage_by_kind(tracer.events())["head_analysis"]["calls"] == 1
         [event] = tracer.events()
-        assert event.attributes["error"] == "backend_timeout"
+        assert event.attributes["error"] == "BackendTimeout"
 
 
 class _CannedHandler(BaseHTTPRequestHandler):
@@ -490,5 +491,5 @@ def test_malformed_live_reply_is_backend_unavailable(body):
             gw.complete(head_request("p"), trace=trace)
     [event] = tracer.events()
     assert event.span_name == "head_analysis"
-    assert event.attributes["error"] == "backend_unavailable"
+    assert event.attributes["error"] == "BackendUnavailable"
     assert (event.attributes["tokens_in"], event.attributes["tokens_out"]) == (0, 0)

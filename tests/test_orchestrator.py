@@ -6,13 +6,12 @@ import shutil
 import threading
 import time
 import xml.etree.ElementTree as ET
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 
-from helpers import WIRE_AND_EMPTY_LABEL
-from schemreview import ingest, libraries, pipeline, review
+from helpers import WIRE_AND_EMPTY_LABEL, run_or_fail
+from schemreview import ingest, libraries, review
 from schemreview.cli import main
 from schemreview.config import Mode, RunConfig, apply_cli_overrides, load_config
 from schemreview.demo import demo_responder, generate_fixtures, write_demo_workspace
@@ -22,7 +21,6 @@ from schemreview.ingest import ingest_schematic
 from schemreview.pipeline import RunStatus, run_pipeline
 from schemreview.reporting import FileSink
 from schemreview.review import checklist_loader
-from schemreview.workfirst import cancel_queued
 
 
 @pytest.fixture(scope="module")
@@ -265,9 +263,9 @@ class TestPageSets:
             with pytest.raises(InputError,
                                match=r"pages_override names unknown pages: \['P9'\]"):
                 run_pipeline(cfg, paths["schematic"])
-        # the demo base writes its items with other whitespace, so every
-        # head page is read, in each run; no base page is
-        assert decoded == ["P1", "P2", "P3"] * 2
+        # with the demo base only P2, whose text differs, is read from the
+        # head; with no base every head page is; no base page is read
+        assert decoded == ["P2", "P1", "P2", "P3"]
 
 
 class TestTimeBudget:
@@ -354,8 +352,10 @@ class TestTraces:
         assert report.status == RunStatus.COMPLETE
         spans = read_spans(tmp_path / "trace.jsonl")
         failed = [s for s in spans if "error" in s["attributes"]]
+        # the remade run's call, and the review:1 span it left
         assert [(s["span"], s["attributes"]["error"], s["attributes"]["run_index"])
-                for s in failed] == [("group_review", "backend_unavailable", 1)]
+                for s in failed] == [("review:1", "BackendUnavailable", 1),
+                                     ("group_review", "BackendUnavailable", 1)]
         assert_ledger_matches_trace(report, spans)
 
     def test_failed_run_still_writes_trace(self, demo, tmp_path):
@@ -374,8 +374,12 @@ class TestTraces:
         # the admitted pages are selected together, so each one's selection fails
         assert [(s["path"], s["attributes"]["error"])
                 for s in spans if s["span"] == "selection"] == [
-            (f"run/page:{pid}/selection", "backend_unavailable")
+            (f"run/page:{pid}/selection", "BackendUnavailable")
             for pid in ("P1", "P2", "P3")]
+        # the batch failed as a whole, so every page span it held names the error
+        assert [(s["path"], s["attributes"]["error"])
+                for s in spans if s["span"].startswith("page:")] == [
+            (f"run/page:{pid}", "BackendUnavailable") for pid in ("P1", "P2", "P3")]
 
     def test_failed_retrieval_records_one_span(self, tmp_path):
         paths = write_demo_workspace(tmp_path)
@@ -394,11 +398,12 @@ class TestTraces:
         assert report.status == RunStatus.COMPLETE
         spans = read_spans(tmp_path / "trace.jsonl")
         failed = [s for s in spans if "error" in s["attributes"]]
-        assert {s["span"] for s in failed} == {"head_analysis", "retrieve"}
-        [retrieve] = [s for s in failed if s["span"] == "retrieve"]
+        assert {s["span"] for s in failed} == {"head_analysis", "part:CAP-100N", "retrieve"}
+        [part, retrieve] = [s for s in failed if s["span"] != "head_analysis"]
+        assert part["path"] == "run/page:P2/part:CAP-100N"
         assert retrieve["path"] == "run/page:P2/part:CAP-100N/retrieve"
-        assert retrieve["attributes"] == {"error": "AllAttemptsFailed", "page_id": "P2",
-                                          "part": "CAP-100N"}
+        assert part["attributes"] == retrieve["attributes"] == {
+            "error": "AllAttemptsFailed", "page_id": "P2", "part": "CAP-100N"}
         assert_ledger_matches_trace(report, spans)
 
     def test_malformed_datasheet_toc_fails_only_that_parts_retrieval(self, tmp_path):
@@ -416,6 +421,7 @@ class TestTraces:
         spans = read_spans(tmp_path / "trace.jsonl")
         assert [(s["span"], s["path"], s["attributes"]["error"]) for s in spans
                 if "error" in s["attributes"]] == [
+            ("part:CAP-100N", "run/page:P2/part:CAP-100N", "AllAttemptsFailed"),
             ("retrieve", "run/page:P2/part:CAP-100N/retrieve", "AllAttemptsFailed")]
         # the part's members are reviewed with a None spec: no payload sends one
         reviews = [json.loads(p.read_text(encoding="utf-8"))
@@ -488,41 +494,6 @@ def out_bytes(work) -> dict:
 
 def span_sequence(path) -> list:
     return [(s["span"], s["path"], s["attributes"]) for s in read_spans(path)]
-
-
-def run_or_fail(cfg, schematic, monkeypatch, timeout_s=60.0):
-    """run_pipeline in a daemon thread, so that a deadlocked pool fails
-    the test instead of hanging the suite. On a timeout the run's pool is
-    shut down with its queued work cancelled, both the executor's and the
-    run queue's, which frees workers blocked on that work and lets the
-    interpreter exit."""
-    pools = []
-
-    class RecordedPool(ThreadPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            pools.append(self)
-
-    monkeypatch.setattr(pipeline, "ThreadPoolExecutor", RecordedPool)
-    box = {}
-
-    def target():
-        try:
-            box["report"] = run_pipeline(cfg, schematic)
-        except BaseException as exc:
-            box["error"] = exc
-
-    thread = threading.Thread(target=target, daemon=True)
-    thread.start()
-    thread.join(timeout_s)
-    if thread.is_alive():
-        for pool in pools:
-            pool.shutdown(wait=False, cancel_futures=True)
-            cancel_queued(pool)
-        pytest.fail(f"run did not finish within {timeout_s} s")
-    if "error" in box:
-        raise box["error"]
-    return box["report"]
 
 
 class TestReviewPayloads:

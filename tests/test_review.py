@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import BASE_SPEC_VALUE, loopback_server, regulator_page, write_fixture
+from schemreview import workfirst
 from schemreview.canonical import serialize_page_xml
 from schemreview.dsmodel import spec_from_agent_value
 from schemreview.errors import AllRunsFailed, BackendUnavailable, SchemReviewError
@@ -469,26 +470,31 @@ class TestMapOnPool:
             single.shutdown(wait=False, cancel_futures=True)
         assert results == [(i, True) for i in range(4)]
 
-    def test_first_exception_cancels_items_not_started(self):
+    def test_every_item_runs_and_the_first_failure_is_raised(self):
+        # item 0 hands items 1-4 to the pool, whose one worker is busy, so
+        # the map takes each back and runs it; items 2 and 3 fail, and the
+        # failures stop nothing
         ran = []
 
-        def fail_on_two(i):
+        def item(i):
             ran.append(i)
-            if i == 2:
-                raise ValueError("item 2")
+            if i == 0:
+                before_wait()
+            if i in (2, 3):
+                raise ValueError(f"item {i}")
             return i
 
         gate = threading.Event()
         single = ThreadPoolExecutor(max_workers=1)
         try:
-            single.submit(gate.wait)  # the worker stays busy: every item queues
+            single.submit(gate.wait)
             with pytest.raises(ValueError, match="item 2"):
-                map_on_pool(single, fail_on_two, range(5))
-            assert ran == [0, 1, 2]
+                map_on_pool(single, item, range(5))
+            assert ran == [0, 1, 2, 3, 4]
+            assert workfirst._queue_of(single).pop(newest=False) is None
         finally:
             gate.set()
             single.shutdown(wait=True)
-        assert ran == [0, 1, 2]  # items 3 and 4 were cancelled, not run
 
     @pytest.mark.parametrize("failing", [(), (2, 4)])
     def test_waiting_task_runs_later_queued_items_itself(self, failing):
@@ -529,8 +535,8 @@ class TestMapOnPool:
 
     def test_taken_over_items_do_not_keep_fn_alive(self):
         # the one worker is held until map_on_pool has returned, so each
-        # item that item 0 hands over is taken back (or, once item 2 has
-        # failed, cancelled) while the worker's call for it is still queued
+        # item that item 0 hands over is taken back, also after item 2 has
+        # failed, while the worker's call for it is still queued
         class Payload:
             pass
 

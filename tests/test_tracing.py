@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from schemreview.errors import BackendUnavailable
 from schemreview.tracing import UNTRACED, TraceContext, TraceEvent, Tracer, emit_traces
 
 
@@ -29,7 +30,7 @@ def test_span_is_recorded_when_the_block_raises():
             raise RuntimeError("run failed")
     (event,) = tracer.events()
     assert (event.span_name, event.path) == ("review:0", "run/review:0")
-    assert event.attributes == {"run_index": 0}
+    assert event.attributes == {"run_index": 0, "error": "RuntimeError"}
     assert event.duration >= 0
 
 
@@ -37,14 +38,41 @@ def test_attributes_set_on_the_child_are_recorded():
     tracer = Tracer()
     with TraceContext(tracer).span("retrieve", part="LM317") as child:
         child.attrs["cache_hit"] = True
-    with pytest.raises(RuntimeError):
+    with pytest.raises(BackendUnavailable):
         with TraceContext(tracer).span("critic", seed=1) as child:
-            child.attrs.update(tokens_in=3, error="backend_unavailable")
-            raise RuntimeError("call failed")
+            child.attrs["tokens_in"] = 3
+            raise BackendUnavailable("call failed")
     critic, retrieve = tracer.events()
     assert retrieve.attributes == {"part": "LM317", "cache_hit": True}
-    assert critic.attributes == {"seed": 1, "tokens_in": 3,
-                                 "error": "backend_unavailable"}
+    assert critic.attributes == {"seed": 1, "tokens_in": 3, "error": "BackendUnavailable"}
+
+
+def test_every_span_an_exception_leaves_names_it():
+    # a bug, not a SchemReviewError: each span it leaves records its
+    # class with the attributes set before the raise; the span whose
+    # block catches it, and a sibling that finished, record no error
+    tracer = Tracer()
+    with TraceContext(tracer, "").span("run") as root:
+        with root.span("page:P1", page_id="P1") as page:
+            with page.span("group:g", group="g"):
+                pass
+        try:
+            with root.span("page:P2", page_id="P2") as page:
+                with page.span("group:h", group="h") as group:
+                    with group.span("review:1", run_index=1) as run:
+                        run.attrs["tokens_in"] = 7
+                        {}["missing"]
+        except KeyError:
+            root.attrs["caught"] = True
+    assert {e.path: e.attributes for e in tracer.events()} == {
+        "run": {"caught": True},
+        "run/page:P1": {"page_id": "P1"},
+        "run/page:P1/group:g": {"page_id": "P1", "group": "g"},
+        "run/page:P2": {"page_id": "P2", "error": "KeyError"},
+        "run/page:P2/group:h": {"page_id": "P2", "group": "h", "error": "KeyError"},
+        "run/page:P2/group:h/review:1": {"page_id": "P2", "group": "h", "run_index": 1,
+                                         "tokens_in": 7, "error": "KeyError"},
+    }
 
 
 def test_untraced_spans_are_discarded():
