@@ -14,8 +14,10 @@ The workspace is one of the benchmark's workloads, laid out and its mock
 fixtures generated with the benchmark's own set-up
 (``perfbench/measure.py``, imported read-only). Every invocation starts
 with the run's output directory removed (and the datasheet cache, where
-the workload empties it); both checkouts must give the same usage and
-the same delivered bytes, and neither may miss a mock fixture.
+the workload empties it); every invocation of both checkouts must give
+the first invocation's usage, delivered bytes and (span, path,
+attributes) sequence in ``trace.jsonl`` (the comparison of acceptance
+criterion 07), and neither checkout may miss a mock fixture.
 
     python scripts/bench_ab.py --before OLD_CHECKOUT --workload board-warm \\
         --out BENCH_name.json [--rounds 20] [--runs 5] [--seed 5]
@@ -54,21 +56,32 @@ def load_package(src: Path, name: str):
     return module
 
 
+def span_sequence(trace: Path) -> list:
+    """The (span, path, attributes) sequence of a ``trace.jsonl``."""
+    return [(span["span"], span["path"], json.dumps(span["attributes"], sort_keys=True))
+            for span in map(json.loads, trace.read_text(encoding="utf-8").splitlines())]
+
+
 def side_runner(package: str, ws: dict, work: Path, cold_cache: bool):
     """A function that runs one invocation with ``package``'s code and
-    returns its wall time, usage and delivered bytes' digest."""
+    returns its wall time and what it must share with every other
+    invocation: usage, delivered bytes' digest and span sequence."""
     config = importlib.import_module(f"{package}.config")
     pipeline = importlib.import_module(f"{package}.pipeline")
     cfg = config.load_config(ws["config"])
+    cfg.trace_out = cfg.trace_out or str(work / "trace.jsonl")
+    trace = Path(cfg.trace_out)
 
     def run():
         if cold_cache:
             shutil.rmtree(work / "cache", ignore_errors=True)
         shutil.rmtree(ws["out"], ignore_errors=True)
+        trace.unlink(missing_ok=True)
         t0 = time.perf_counter()
         report = pipeline.run_pipeline(cfg, ws["schematic"])
         wall = time.perf_counter() - t0
-        return wall, measure.usage_of(report), checks.output_digest(ws["out"])
+        return wall, (measure.usage_of(report), checks.output_digest(ws["out"]),
+                      span_sequence(trace))
 
     return run
 
@@ -110,11 +123,12 @@ def main() -> int:
             for side in SIDES[::1 if i % 2 == 0 else -1]:
                 times = []
                 for _ in range(args.runs):
-                    wall, usage, digest = runners[side]()
+                    wall, shared = runners[side]()
                     if reference is None:
-                        reference = (usage, digest)
-                    if (usage, digest) != reference:
-                        raise SystemExit(f"round {i}: {side}'s usage or delivered bytes differ")
+                        reference = shared
+                    if shared != reference:
+                        raise SystemExit(f"round {i}: {side}'s usage, delivered bytes or "
+                                         "span sequence differ from the first invocation's")
                     times.append(wall)
                 walls[side] = statistics.median(times)
             rounds.append(walls)

@@ -4,8 +4,10 @@ Page set: full-analysis mode reads and takes every page. Design-review
 mode takes the pages whose canonical content differs from the base plus
 any explicit page override, and reads only those (``ingest.read_design_review``):
 a head page whose item text is the base's is not read, and its defects
-are not reported. Each other pair is compared block by block up to the
-first block that differs (``canonical.diff_pages``). Admission:
+are not reported. The head is read and traced before the base, so a
+base page takes the head page's records, and its wiring, for each
+member whose text it shares. Each other pair is compared block by block
+up to the first block that differs (``canonical.diff_pages``). Admission:
 with no time budget every page of the set forms one batch; with a
 budget each page is its own batch, admitted once the page before it has
 finished and only if the deadline has not passed, so pages not started

@@ -19,11 +19,20 @@ derives unions, label and pin attachment and dangling endpoints from the
 resulting point -> wires incidence map. With S wires and P points that
 costs O((S + P) log P + I), where I is the number of (point, wire)
 incidences found, instead of testing every point against every wire.
+
+Tracing is two steps. ``wire_geometry`` depends only on the annotations
+and the set of pin points: the incidence map, the clusters, their label
+names, the dangling-endpoint check and the clusters' scan order.
+``attach_pins`` then makes each cluster that pins lie on a net. A design
+review's base page that took a head page's annotation records and has
+the same pin points (a pin swap, a part change) attaches its own pins to
+the head page's geometry (``infer_nets``).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from typing import NamedTuple
 
 from .errors import InferenceFailed
 from .model import GraphicalAnnotation, Component, Net, Page
@@ -63,9 +72,26 @@ def _incidence(segments: list[tuple[Point, Point]],
     return on
 
 
-def trace_nets(page_id: str, components: tuple[Component, ...],
-               annotations: tuple[GraphicalAnnotation, ...]) -> list[Net]:
-    """Infer nets for one page; raises InferenceFailed on dangling endpoints."""
+class Wiring(NamedTuple):
+    """A page's wire geometry for one set of pin points: the cluster (its
+    root segment) that each pin point lies on, the name of each named
+    cluster, and every cluster in scan order."""
+    pin_points: set[Point]
+    cluster_of: dict[Point, int]
+    names: dict[int, str]
+    order: list[int]
+
+
+def _pins(components: tuple[Component, ...]) -> list[tuple[str, str, Point]]:
+    return [(comp.designator, pin_designator, _key(x, y))
+            for comp in components for pin_designator, _name, x, y in comp.pins
+            if x is not None and y is not None]
+
+
+def wire_geometry(page_id: str, annotations: tuple[GraphicalAnnotation, ...],
+                  pin_points: set[Point]) -> Wiring:
+    """The wiring of ``annotations`` around ``pin_points``; raises
+    InferenceFailed on dangling endpoints."""
     segments: list[tuple[Point, Point]] = []
     junctions: set[Point] = set()
     labels: list[tuple[str, Point]] = []
@@ -77,18 +103,11 @@ def trace_nets(page_id: str, components: tuple[Component, ...],
         elif kind == "label":
             labels.append((text, _key(x, y)))
 
-    pins: list[tuple[str, str, Point]] = []
-    for comp in components:
-        for pin_designator, _name, x, y in comp.pins:
-            if x is not None and y is not None:
-                pins.append((comp.designator, pin_designator, _key(x, y)))
-
     if not segments:
-        return []
+        return Wiring(pin_points, {}, {}, [])
 
     endpoints = {pt for seg in segments for pt in seg}
     label_points = {pt for _, pt in labels}
-    pin_points = {pt for _, _, pt in pins}
     on = _incidence(segments, endpoints | junctions | label_points | pin_points)
 
     # Wires connect where an endpoint of one lies anywhere on another
@@ -106,11 +125,7 @@ def trace_nets(page_id: str, components: tuple[Component, ...],
     for name, pt in labels:
         if pt in on:
             cluster_names.setdefault(uf.find(on[pt][0]), set()).add(name)
-
-    cluster_nodes: dict[int, set[tuple[str, str]]] = {}
-    for comp_des, pin_des, pt in pins:
-        if pt in on:
-            cluster_nodes.setdefault(uf.find(on[pt][0]), set()).add((comp_des, pin_des))
+    cluster_of = {pt: uf.find(on[pt][0]) for pt in pin_points if pt in on}
 
     terminals = pin_points | label_points | junctions
     dangling = sorted((x / _GRID, y / _GRID) for x, y in endpoints
@@ -125,22 +140,51 @@ def trace_nets(page_id: str, components: tuple[Component, ...],
         low = min(seg)
         if root not in cluster_min or low < cluster_min[root]:
             cluster_min[root] = low
+    return Wiring(pin_points, cluster_of,
+                  {root: min(names) for root, names in cluster_names.items()},
+                  sorted(cluster_min, key=lambda r: cluster_min[r]))
+
+
+def attach_pins(wiring: Wiring, pins: list[tuple[str, str, Point]]) -> list[Net]:
+    """The nets of the clusters that ``pins`` (designator, pin, point)
+    attach to, in scan order; unnamed ones are ``N$<counter>``."""
+    cluster_nodes: dict[int, set[tuple[str, str]]] = {}
+    for comp_des, pin_des, pt in pins:
+        root = wiring.cluster_of.get(pt)
+        if root is not None:
+            cluster_nodes.setdefault(root, set()).add((comp_des, pin_des))
 
     nets: list[Net] = []
     counter = 0
-    for root in sorted(cluster_min, key=lambda r: cluster_min[r]):
-        nodes = cluster_nodes.get(root, set())
+    for root in wiring.order:
+        nodes = cluster_nodes.get(root)
         if not nodes:
             continue
-        names = cluster_names.get(root)
-        if names:
-            name = min(names)
-        else:
+        name = wiring.names.get(root)
+        if name is None:
             counter += 1
             name = f"N${counter}"
         nets.append(Net(name, tuple(sorted(nodes))))
     return nets
 
 
+def trace_nets(page_id: str, components: tuple[Component, ...],
+               annotations: tuple[GraphicalAnnotation, ...]) -> list[Net]:
+    """Infer nets for one page; raises InferenceFailed on dangling endpoints."""
+    pins = _pins(components)
+    return attach_pins(wire_geometry(page_id, annotations, {pt for *_, pt in pins}), pins)
+
+
 def infer_nets(page: Page) -> list[Net]:
-    return trace_nets(page.id, page.components, page.annotations)
+    """``trace_nets`` for a page, keeping its wiring as ``_wiring``. A page
+    whose annotations are the records of its ``_annotations_of`` page (a
+    design review's base page that took a head page's), and whose pin
+    points are that page's, attaches its pins to that page's wiring."""
+    pins = _pins(page.components)
+    points = {pt for *_, pt in pins}
+    like = page.__dict__.get("_annotations_of")
+    wiring = like.__dict__.get("_wiring") if like is not None \
+        and like.annotations is page.annotations else None
+    if wiring is None or wiring.pin_points != points:
+        wiring = page.__dict__["_wiring"] = wire_geometry(page.id, page.annotations, points)
+    return attach_pins(wiring, pins)

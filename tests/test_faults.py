@@ -1,6 +1,7 @@
 """Fault injection over the demo: wherever one fault lands, the run
-returns or raises a SchemReviewError in time, and its trace accounts for
-every call that failed.
+returns or raises a SchemReviewError in time, with no more threads than
+its pool and the caller's, and its trace accounts for every call that
+failed.
 
 The mock answers every call from the demo's scripted responder, except
 the calls a drawn fault lands on: those of one agent kind on one page
@@ -12,12 +13,14 @@ import json
 import re
 import shutil
 import threading
+import time
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from helpers import run_or_fail
-from schemreview import demo
+from schemreview import demo, gateway
 from schemreview.config import load_config
 from schemreview.errors import SchemReviewError
 from schemreview.gateway import AgentKind, Gateway, MockBackend
@@ -75,12 +78,28 @@ def scripted_read(fault, kind, page):
 def run_with(work, read, max_in_flight, delay):
     """Run the demo with ``read`` as the mock's reader. Returns (report or
     None, the SchemReviewError raised or None, the agent kinds whose calls
-    raised, the trace's spans)."""
+    raised, the trace's spans, the most threads alive beyond those before
+    the run). Threads are counted in each mock call, and again inside its
+    delay."""
     shutil.rmtree(work / "cache", ignore_errors=True)
     shutil.rmtree(work / "out", ignore_errors=True)
     (work / "trace.jsonl").unlink(missing_ok=True)
     failed_calls = []
     complete = Gateway.complete
+    threads_before = threading.active_count()
+    peak = [0]
+
+    def count_threads():
+        peak[0] = max(peak[0], threading.active_count() - threads_before)
+
+    def counting_read(backend, rel, payload):
+        count_threads()
+        return read(backend, rel, payload)
+
+    def counting_sleep(seconds):
+        count_threads()
+        time.sleep(seconds)
+        count_threads()
 
     def spied(self, req, *args, **kwargs):
         try:
@@ -93,20 +112,21 @@ def run_with(work, read, max_in_flight, delay):
     cfg.backend.max_in_flight, cfg.backend.mock_delay_s = max_in_flight, delay
     report = raised = None
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(MockBackend, "_read", read)
+        mp.setattr(MockBackend, "_read", counting_read)
         mp.setattr(Gateway, "complete", spied)
+        mp.setattr(gateway, "time", SimpleNamespace(sleep=counting_sleep))
         try:
             report = run_or_fail(cfg, work / "schematic.json", mp, JOIN_TIMEOUT_S)
         except SchemReviewError as exc:
             raised = exc
     assert (work / "trace.jsonl").exists(), "no trace written"
     spans = [json.loads(line) for line in (work / "trace.jsonl").read_text().splitlines()]
-    return report, raised, failed_calls, spans
+    return report, raised, failed_calls, spans, peak[0]
 
 
 @functools.cache
 def fault_free_group_paths(work) -> frozenset:
-    _, _, _, spans = run_with(work, scripted_read(None, None, None), 1, 0.0)
+    _, _, _, spans, _ = run_with(work, scripted_read(None, None, None), 1, 0.0)
     return frozenset(s["path"] for s in spans if s["span"].startswith("group:"))
 
 
@@ -114,7 +134,7 @@ def fault_free_group_paths(work) -> frozenset:
           suppress_health_check=[HealthCheck.too_slow,
                                  HealthCheck.function_scoped_fixture])
 @given(fault=st.sampled_from(FAULTS), kind=st.sampled_from(KINDS),
-       page=st.sampled_from(PAGES), max_in_flight=st.sampled_from([1, 8]),
+       page=st.sampled_from(PAGES), max_in_flight=st.sampled_from([1, 2, 8]),
        delay=st.sampled_from([0.0, 0.01]))
 def test_a_fault_fails_or_degrades_the_run_and_its_trace_names_it(
         work, fault, kind, page, max_in_flight, delay):
@@ -126,8 +146,11 @@ def test_a_fault_fails_or_degrades_the_run_and_its_trace_names_it(
         else:
             sheet.write_text(demo.datasheet_text(mpn), encoding="utf-8")
 
-    report, raised, failed_calls, spans = run_with(
+    report, raised, failed_calls, spans, threads = run_with(
         work, scripted_read(fault, kind, page), max_in_flight, delay)
+
+    # the pool's workers and the thread that called run_pipeline
+    assert threads <= max_in_flight + 1
 
     [root] = [s for s in spans if s["path"] == "run"]
     assert root["attributes"].get("error") == (raised and type(raised).__name__)

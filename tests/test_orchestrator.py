@@ -256,7 +256,7 @@ class TestPageSets:
         decoded = []
         decode = ingest._decode_page
         monkeypatch.setattr(ingest, "_decode_page",
-                            lambda doc: decoded.append(doc["id"]) or decode(doc))
+                            lambda doc, shared: decoded.append(doc["id"]) or decode(doc, shared))
         for base in (paths["base"], tmp_path / "missing.json"):
             cfg = fresh_cfg(work, mode=Mode.DESIGN_REVIEW, pages_override=["P9"],
                             base_schematic=str(base))

@@ -9,6 +9,13 @@ block that differs. The whole of both documents is still checked for
 what decides it: its top-level members, each page item an object with a
 string id, unique page ids.
 
+Within a changed pair, a base member (``components``, ``nets`` or
+``annotations``) whose text is the same member of a head item that the
+review reads takes that head page's records: it is not decoded again,
+it stands in as ``[]`` where the base is checked, and when it is the
+annotations, a base page with the same pin points attaches its pins to
+the head page's wiring instead of being traced again.
+
 The oracle is a full read: both documents ingested and augmented in
 full, then every page hashed. When it succeeds, the design review selects
 the same pages. When the review fails, the full read fails too, with the
@@ -22,7 +29,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from schemreview import augment, canonical, ingest, pipeline
+from schemreview import augment, canonical, ingest, pipeline, wiretrace
 from schemreview.augment import augment_netlist
 from schemreview.canonical import diff_pages, page_hash
 from schemreview.config import Mode, RunConfig
@@ -195,6 +202,28 @@ BASE_OPS = (reorder, move_pin, shift_wires, dangle, add_page, remove_page, dupli
 SHARED_OPS = (dangle, retype_number, move_pin, invalidate)
 
 
+def swap_pins(draw, doc):
+    """Two pins of one component trade places: their coordinates where they
+    have them, else their designators. The page's wiring keeps its text."""
+    page = _some_page(draw, doc)
+    components = [c for c in page["components"] if isinstance(c.get("pins"), list)
+                  and len(c["pins"]) > 1] if page else []
+    if components:
+        a, b = draw(st.permutations(draw(st.sampled_from(components))["pins"]))[:2]
+        if "x" in a and "x" in b:
+            a["x"], b["x"] = b["x"], a["x"]
+        else:
+            a["designator"], b["designator"] = b["designator"], a["designator"]
+
+
+def change_part(draw, doc):
+    """A component's part number (and with it its value) changed."""
+    page = _some_page(draw, doc)
+    if page:
+        draw(st.sampled_from(page["components"]))["mpn"] = draw(
+            st.sampled_from(["RES-2K", "LDO-7", "CAP-1U"]))
+
+
 @st.composite
 def doc_pairs(draw):
     style = draw(st.sampled_from(["wires", "nets", "de-hdl"]))
@@ -209,6 +238,31 @@ def doc_pairs(draw):
 
 def dumps(doc) -> bytes:
     return json.dumps(doc, indent=1).encode()
+
+
+def item_dumps(doc, restyled: dict[int, str] | None = None) -> bytes:
+    """The document's text, one page item after another, each as
+    ``json.dumps(item, indent=1)`` writes it, but the item at each index
+    of ``restyled`` written compactly: the whole item with its keys
+    reversed (``"item"``), or only the member that ``restyled`` names."""
+    restyled = restyled or {}
+    def write(value, compact):
+        return json.dumps(value, separators=(",", ":")) if compact else json.dumps(value,
+                                                                                   indent=1)
+
+    items = []
+    for i, page in enumerate(doc["pages"]):
+        style = restyled.get(i)
+        if style is None:
+            items.append(write(page, False))
+        elif style == "item":
+            items.append(write(dict(reversed(page.items())), True))
+        else:
+            items.append("{" + ", ".join(f"{json.dumps(key)}: {write(value, key == style)}"
+                                         for key, value in page.items()) + "}")
+    members = json.dumps({key: value for key, value in doc.items() if key != "pages"})
+    return (members[:-1] + (", " if len(members) > 2 else "") + '"pages": ['
+            + ",\n".join(items) + "]}").encode()
 
 
 def outcome(fn):
@@ -271,13 +325,9 @@ def scratch(tmp_path_factory):
     return tmp_path_factory.mktemp("page_reuse")
 
 
-@settings(max_examples=300, deadline=None)
-@given(pair=doc_pairs())
-def test_page_set_and_failures_match_full_read_of_both(scratch, pair):
-    head, base = pair
-    head_raw, base_raw = dumps(head), dumps(base)
-    new = outcome(lambda: new_page_set(scratch, head_raw, base_raw))
-    old = outcome(lambda: old_page_set(head_raw, base_raw))
+def assert_fails_as_full_read(head, base, new, old):
+    """The design review's outcome ``new`` is the full read's, ``old``, or
+    differs only where an item that the review does not read fails."""
     if isinstance(old, set):
         assert new == old
         return
@@ -289,10 +339,130 @@ def test_page_set_and_failures_match_full_read_of_both(scratch, pair):
         assert failing_unread, old
 
 
-def read_pair(head_doc, base_doc, wanted=()):
+@settings(max_examples=300, deadline=None)
+@given(pair=doc_pairs())
+def test_page_set_and_failures_match_full_read_of_both(scratch, pair):
+    head, base = pair
+    head_raw, base_raw = dumps(head), dumps(base)
+    new = outcome(lambda: new_page_set(scratch, head_raw, base_raw))
+    old = outcome(lambda: old_page_set(head_raw, base_raw))
+    assert_fails_as_full_read(head, base, new, old)
+
+
+@st.composite
+def member_pairs(draw):
+    """(head, base, restyled): a base whose edits mostly keep a changed
+    page's wiring text (pins swapped, a part changed, a component made
+    invalid), with some items or single members written in another layout
+    (``item_dumps``)."""
+    style = draw(st.sampled_from(["wires", "nets", "de-hdl"]))
+    head = make_doc(style, draw(st.lists(st.integers(0, 2), min_size=1, max_size=4)))
+    for op in draw(st.lists(st.sampled_from(SHARED_OPS), max_size=1)):
+        op(draw, head)
+    base = copy.deepcopy(head)
+    for op in draw(st.lists(st.sampled_from((swap_pins, change_part, invalidate) * 3 + BASE_OPS),
+                            min_size=1, max_size=3)):
+        op(draw, base)
+    restyled = {}
+    for i in draw(st.lists(st.integers(0, len(base["pages"]) - 1), max_size=2)) \
+            if base["pages"] else ():
+        restyled[i] = draw(st.sampled_from(
+            ["item", *(key for key in base["pages"][i] if key in ingest._MEMBERS)]))
+    return head, base, restyled
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair=member_pairs())
+def test_members_taken_from_head_change_no_page_set_failure_or_base_page(scratch, pair):
+    head, base, restyled = pair
+    head_raw, base_raw = item_dumps(head), item_dumps(base, restyled)
+    new = outcome(lambda: new_page_set(scratch, head_raw, base_raw))
+    old = outcome(lambda: old_page_set(head_raw, base_raw))
+    assert_fails_as_full_read(head, base, new, old)
+    try:
+        _, base_read = read_raw_pair(head_raw, base_raw)
+        full_base = full_read(base_raw)
+    except Exception:  # the page set's outcome above decides
+        return
+    # the base pages read, nets included, are the full read's
+    ids = {page.id for page in base_read.pages}
+    assert list(base_read.pages) == [page for page in full_base.pages if page.id in ids]
+
+
+def read_raw_pair(head_raw: bytes, base_raw: bytes, wanted=()):
     """The head and base schematics a design review reads, augmented."""
-    head, _, read_base = read_design_review(dumps(head_doc), lambda: dumps(base_doc), wanted)
+    head, _, read_base = read_design_review(head_raw, lambda: base_raw, wanted)
     return augment_netlist(head), augment_netlist(read_base())
+
+
+def read_pair(head_doc, base_doc, wanted=()):
+    return read_raw_pair(dumps(head_doc), dumps(base_doc), wanted)
+
+
+def recording_geometry(monkeypatch) -> list[str]:
+    """The ids of the pages whose wire geometry is computed from here on."""
+    traced = []
+    geometry = wiretrace.wire_geometry
+    monkeypatch.setattr(wiretrace, "wire_geometry", lambda page_id, *args: traced.append(
+        page_id) or geometry(page_id, *args))
+    return traced
+
+
+def test_a_shared_member_is_not_decoded_checked_or_traced_for_the_base(monkeypatch):
+    head_doc = make_doc("wires", [0, 1, 2])
+    base_doc = copy.deepcopy(head_doc)
+    base_doc["pages"][1]["components"][1]["mpn"] = "RES-2K"  # the wiring's text is kept
+    annotations = head_doc["pages"][1]["annotations"]
+    decoded, checked, made = [], [], []
+    raw_decode = ingest._DECODER.raw_decode
+    schema = shipped(_DOCUMENT_SCHEMA)
+    check, annotation = schema.check, ingest.GraphicalAnnotation
+
+    def recording_raw_decode(s, idx=0):
+        value, end = raw_decode(s, idx)
+        decoded.append(value)
+        return value, end
+
+    monkeypatch.setattr(ingest._DECODER, "raw_decode", recording_raw_decode)
+    monkeypatch.setattr(schema, "check", lambda doc: checked.extend(doc["pages"]) or check(doc))
+    monkeypatch.setattr(ingest, "GraphicalAnnotation",
+                        lambda *args: made.append(args) or annotation(*args))
+    traced = recording_geometry(monkeypatch)
+    head, base = read_pair(head_doc, base_doc)
+    assert [p.id for p in head.pages] == [p.id for p in base.pages] == ["P2"]
+    # the head's annotations are decoded, checked, made records and traced, the base's not
+    assert decoded.count(annotations) == 1
+    assert [item["annotations"] for item in checked if item["id"] == "P2"] == [annotations, []]
+    assert len(made) == len(annotations)
+    assert traced == ["P2"]
+    assert base.pages[0].annotations is head.pages[0].annotations
+    assert base.pages[0] == full_read(dumps(base_doc)).page("P2")
+
+
+@pytest.mark.parametrize("edit, traced", [("move", ["P2", "P2"]), ("swap", ["P2"])])
+def test_a_base_page_whose_pins_moved_is_traced_again(monkeypatch, edit, traced):
+    head_doc = make_doc("wires", [0, 1])
+    base_doc = copy.deepcopy(head_doc)
+    pins = base_doc["pages"][1]["components"][0]["pins"]
+    if edit == "move":  # R1.1 onto the MID wire: another set of pin points
+        pins[0]["x"] += 15
+    else:  # R1's pins trade places: the same set of pin points
+        pins[0]["x"], pins[1]["x"] = pins[1]["x"], pins[0]["x"]
+    recorded = recording_geometry(monkeypatch)
+    head, base = read_pair(head_doc, base_doc)
+    assert recorded == traced
+    assert base.pages[0].annotations is head.pages[0].annotations
+    assert base.pages == (full_read(dumps(base_doc)).page("P2"),)
+    assert base.pages[0].nets != head.pages[0].nets
+
+
+def test_a_member_checked_as_empty_decides_nothing_else():
+    # true only while no page member's schema depends on another member
+    page = shipped(_DOCUMENT_SCHEMA).schema["$defs"]["page"]
+    assert set(page) == {"type", "required", "properties", "additionalProperties"}
+    for key in ingest._MEMBERS:
+        assert set(page["properties"][key]) == {"type", "items"}
+        assert page["properties"][key]["type"] == "array"
 
 
 def test_unchanged_pages_are_not_read_and_only_the_changed_pair_is_compared(monkeypatch):
@@ -329,17 +499,21 @@ def test_unchanged_items_never_reach_decoding_checking_or_tracing(tmp_path, monk
     decode, infer = ingest._decode_page, augment.infer_nets
     schema = shipped(_DOCUMENT_SCHEMA)
     check = schema.check
-    monkeypatch.setattr(ingest, "_decode_page", lambda doc: decoded.append(doc) or decode(doc))
+    monkeypatch.setattr(ingest, "_decode_page", lambda doc, shared: decoded.append(
+        (doc, sorted(shared))) or decode(doc, shared))
     monkeypatch.setattr(schema, "check", lambda doc: checked.extend(doc["pages"]) or check(doc))
     monkeypatch.setattr(augment, "infer_nets", lambda page: traced.append(page.id) or infer(page))
     (tmp_path / "head.json").write_bytes(dumps(head_doc))
     (tmp_path / "base.json").write_bytes(dumps(base_doc))
     pages = pipeline.select_pages(review_cfg(tmp_path), tmp_path / "head.json")
     assert [p.id for p in pages] == ["P2"]
-    assert decoded == [head_doc["pages"][1], base_doc["pages"][1]]
+    # the base P2's annotations are the head's text: head's records, checked as []
+    assert decoded == [(head_doc["pages"][1], []), (base_doc["pages"][1], ["annotations"])]
     assert traced == ["P2", "P2"]
-    assert head_doc["pages"][1] in checked and base_doc["pages"][1] in checked
-    assert not any(item == page for item in checked + decoded for page in unchanged)
+    assert head_doc["pages"][1] in checked
+    assert {**base_doc["pages"][1], "annotations": []} in checked
+    assert not any(item == page for item in checked + [doc for doc, _ in decoded]
+                   for page in unchanged)
 
 
 def test_reordered_base_pages_are_not_read():

@@ -20,7 +20,8 @@ design review's read:
   base's (both documents read in full), plus the override;
 * for those pages, the comment files and manifest entries equal the full
   analysis's;
-* ``out/`` and the usage are identical at ``max_in_flight`` 1, 2 and 8.
+* ``out/``, the usage and the trace's (span, path, attributes) sequence
+  are identical at ``max_in_flight`` 1, 2 and 8.
 """
 
 import copy
@@ -172,6 +173,13 @@ def out_files(work) -> dict:
             for p in sorted(out.rglob("*")) if p.is_file()}
 
 
+def span_sequence(work) -> list:
+    """The run's (span, path, attributes) sequence, as criterion 07
+    compares it: ``trace.jsonl`` without its times."""
+    return [(span["span"], span["path"], json.dumps(span["attributes"], sort_keys=True))
+            for span in map(json.loads, (work / "trace.jsonl").read_text().splitlines())]
+
+
 def usage(report) -> dict:
     return {kind: {k: v for k, v in entry.items() if k != "latency_s"}
             for kind, entry in report.usage.items()}
@@ -182,6 +190,7 @@ def run(work, **fields):
     for key, value in fields.items():
         setattr(cfg, key, value)
     shutil.rmtree(work / "out", ignore_errors=True)
+    (work / "trace.jsonl").unlink(missing_ok=True)
     return run_pipeline(cfg, work / "head.json")
 
 
@@ -223,9 +232,9 @@ def test_design_review_posts_what_a_full_analysis_posts_for_its_pages(work, revi
         backend.max_in_flight, backend.mock_delay_s = max_in_flight, delay
         report = run(work, backend=backend, **design_review)
         assert report.pages_analyzed == [pid for pid in head_order if pid in selected]
-        outcomes.append((out_files(work), usage(report)))
+        outcomes.append((out_files(work), usage(report), span_sequence(work)))
 
-    files, _ = outcomes[0]
+    files, _, _ = outcomes[0]
     assert entries_and_files(files, selected) == entries_and_files(full, selected)
     assert set(files) == set(entries_and_files(files, selected)[1]) | {"manifest.json"}
     assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
