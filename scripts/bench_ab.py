@@ -19,8 +19,13 @@ the first invocation's usage, delivered bytes and (span, path,
 attributes) sequence in ``trace.jsonl`` (the comparison of acceptance
 criterion 07), and neither checkout may miss a mock fixture.
 
+``--split-wire`` (design-review boards) draws one wire of the base's
+changed page as two collinear halves before the fixtures are generated:
+that page's annotations then differ from the head's while its nets do
+not, so nothing of the changed pair's wiring is shared.
+
     python scripts/bench_ab.py --before OLD_CHECKOUT --workload board-warm \\
-        --out BENCH_name.json [--rounds 20] [--runs 5] [--seed 5]
+        --out BENCH_name.json [--rounds 20] [--runs 5] [--seed 5] [--split-wire]
 """
 
 import argparse
@@ -41,6 +46,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import checks  # noqa: E402
 import measure  # noqa: E402  (puts this checkout's src/ on sys.path)
+import boardgen  # noqa: E402  (imports schemreview)
 
 SIDES = ("before", "after")
 
@@ -60,6 +66,40 @@ def span_sequence(trace: Path) -> list:
     """The (span, path, attributes) sequence of a ``trace.jsonl``."""
     return [(span["span"], span["path"], json.dumps(span["attributes"], sort_keys=True))
             for span in map(json.loads, trace.read_text(encoding="utf-8").splitlines())]
+
+
+def split_wire(path: Path, page_id: str) -> None:
+    """Draw one wire of page ``page_id`` of the document at ``path`` as two
+    collinear halves: the last wire for which that keeps the page's traced
+    nets."""
+    from schemreview.augment import augment_netlist
+    from schemreview.errors import SchemReviewError
+    from schemreview.ingest import ingest_schematic
+
+    def nets(doc):
+        try:
+            return augment_netlist(ingest_schematic(boardgen.dumps(doc))).page(page_id).nets
+        except SchemReviewError:
+            return None
+
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    before = nets(doc)
+    annotations = next(page for page in doc["pages"] if page["id"] == page_id)["annotations"]
+    for i in reversed(range(len(annotations))):
+        wire = annotations[i]
+        box = wire["bbox"]
+        if wire["kind"] != "wire" or box["w"] + box["h"] < 2:
+            continue
+        dx, dy = box["w"] // 2, box["h"] // 2
+        annotations[i:i + 1] = [
+            {**wire, "bbox": {**box, "w": dx or box["w"], "h": dy or box["h"]}},
+            {**wire, "bbox": {"x": box["x"] + dx, "y": box["y"] + dy,
+                              "w": box["w"] - dx, "h": box["h"] - dy}}]
+        if nets(doc) == before:
+            path.write_bytes(boardgen.dumps(doc))
+            return
+        annotations[i:i + 2] = [wire]
+    raise SystemExit(f"no wire of {page_id} splits without changing its nets")
 
 
 def side_runner(package: str, ws: dict, work: Path, cold_cache: bool):
@@ -99,6 +139,8 @@ def main() -> int:
     parser.add_argument("--rounds", type=int, default=20)
     parser.add_argument("--runs", type=int, default=5, help="invocations per side and round")
     parser.add_argument("--seed", type=int, default=5)
+    parser.add_argument("--split-wire", action="store_true",
+                        help="draw a wire of the base's changed page as two halves")
     parser.add_argument("--out", required=True,
                         help="where to write the JSON record; an existing file is replaced")
     args = parser.parse_args()
@@ -115,6 +157,11 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="bench_ab_") as tmp:
         work = Path(tmp)
         ws = measure.prepare(workload, args.seed, work)
+        if args.split_wire:
+            changed = (ws["manifest"] or {}).get("changed_page")
+            if changed is None:
+                raise SystemExit(f"{args.workload} has no base with a changed page")
+            split_wire(work / "base_schematic.json", changed)
         measure.generate(ws, cold, work)
         runners = {side: side_runner(packages[side], ws, work, cold) for side in SIDES}
         reference = None
@@ -144,8 +191,9 @@ def main() -> int:
         "what": f"wall time of one run_pipeline invocation on the {args.workload} workload, "
                 "this checkout (after) against --before, both loaded in one process",
         "command": f"python scripts/bench_ab.py --before OLD --workload {args.workload} "
-                   f"--rounds {args.rounds} --runs {args.runs} --seed {args.seed} "
-                   f"--out {Path(args.out).name}",
+                   f"--rounds {args.rounds} --runs {args.runs} --seed {args.seed}"
+                   + (" --split-wire" if args.split_wire else "")
+                   + f" --out {Path(args.out).name}",
         "statistic": f"per round, the median of {args.runs} invocations per side, "
                      "milliseconds; summary: median and quartiles over rounds",
         "host": {"machine": platform.machine(), "cpus": os.cpu_count(),

@@ -19,27 +19,24 @@ document text. Whatever the walker does not accept is read again by
 ``_loads``, so every error is json's own.
 
 A design review (``read_design_review``) reads only the pages it reviews. Its
-head's page items are walked member by member, and its base is walked
-against its head: a base page item whose text equals a head page item's
-is not decoded again. In documents with equal other top-level members
-(``version``, ``format``, ``sidecars``) such a head item is unchanged:
-neither it nor its base item is checked, decoded or traced, and their
-defects are not reported. The other head items, those the page override
-names and their base items are read as a full read reads them, with its
-errors (a schema error never names an unread item). Both documents are
-still checked whole for their top-level members, page items that are
-objects with a string ``id``, and unique page ids.
+base is walked against its head, and a base page item whose text equals
+a head page item's is not decoded again. In documents with equal other
+top-level members (``version``, ``format``, ``sidecars``) such a head
+item is unchanged: neither it nor its base item is checked, decoded or
+traced, and their defects are not reported. The other head items, those
+the page override names and their base items are read as a full read
+reads them, with its errors (a schema error never names an unread item).
+Both documents are still checked whole for their top-level members, page
+items that are objects with a string ``id``, and unique page ids.
 
-Within a changed pair the base is walked member by member too. A base
-member (``components``, ``nets``, ``annotations``) whose text is the same
-member of a head item that the review reads is what the head's read has
-already checked, decoded and traced: it is not decoded again, it stands
-in as ``[]`` where the base is checked (no page member's schema depends
-on another's), it takes the head page's records, and a base page with
-the head's annotation records and pin points attaches its pins to the
-head page's wiring (``wiretrace.infer_nets``). Every error a full read
-of the base item gives is still raised, with its text. Full reads decode
-each page item whole.
+Within a changed pair, a base item's ``annotations`` that equal those of
+the head item with its id, as decoded JSON values of the same types and
+key order, are what the head's read has already checked, decoded and
+traced. Where the base is checked they stand in as ``[]`` (no page
+member's schema depends on another's); the base page takes the head
+page's annotation records, and that head page keeps its wiring for it
+(``wiretrace.infer_nets``). Every error a full read of the base item
+gives is still raised, with its text.
 """
 
 from __future__ import annotations
@@ -91,171 +88,84 @@ def _loads(text: str):
 _DECODER = json.JSONDecoder(parse_constant=_finite, parse_float=_finite)
 _SPACE = WHITESPACE.match
 
-# the page members a design review's base may take from head page items
-_MEMBERS = ("components", "nets", "annotations")
+
+_NOTHING_KNOWN = ("", (), ())
 # the characters of a known text that index it, and that it is compared
 # by at a time (``_Texts``)
 _PREFIX = 32
 _CHUNK = 4096
 
 
-class _Texts:
-    """The texts of ``spans`` (None: no text) in ``text``, found again in
-    another text. A known text is a whole JSON value, so when a delimiter
-    follows it (the caller checks), the value there is that text exactly.
-    The texts are indexed by their first ``_PREFIX`` characters, and a
-    text with the prefix found is compared ``_CHUNK`` characters at a
-    time: a comparison copies no more than its equal part and one chunk,
-    so finding a document's items costs no more than the known texts they
-    share a start with, however they differ."""
-
-    def __init__(self, text: str, spans: list[tuple[int, int] | None]):
-        self._text, self._spans = text, spans
-        self._index: dict[str, list[int]] = {}
-        for j, span in enumerate(spans):
-            if span is not None:  # a text shorter than the prefix is indexed by ""
-                start, end = span
-                key = text[start:start + _PREFIX] if end - start >= _PREFIX else ""
-                self._index.setdefault(key, []).append(j)
-
-    def find(self, text: str, pos: int, i: int) -> tuple[int, int] | None:
-        """(index, end) of a known text that starts at ``pos`` in ``text``,
-        trying index ``i`` first; None when there is none."""
-        candidates = (*self._index.get(text[pos:pos + _PREFIX], ()), *self._index.get("", ()))
-        for j in (i, *candidates) if i in candidates else candidates:
-            start, end = self._spans[j]
-            if all(text.startswith(self._text[at:min(at + _CHUNK, end)], pos + at - start)
-                   for at in range(start, end, _CHUNK)):
-                return j, pos + end - start
-        return None
-
-
-class _Walk:
-    """How ``_read_json`` reads each page item, and what it found.
-
-    * By default an item is decoded whole (a full read).
-    * ``by_member``: an object item is walked member by member, and
-      ``members`` gets each one's member spans (a design review's head).
-    * ``known``, a document walked by member: an item whose text is a known
-      item's is not decoded but takes that item's value, and ``matched``
-      maps its index to the known item's. Any other object item is walked
-      member by member, and an array member in ``_MEMBERS`` whose text is
-      the same member of a known item takes that member's value: ``shared``
-      maps the item's index to {member: known item index} (a design
-      review's base). An array ends where its text does, so a known array
-      text found at a member is that member.
-    """
-
-    def __init__(self, by_member: bool = False, known: _Document | None = None):
-        self.matched: dict[int, int] = {}
-        self.members: dict[int, dict[str, tuple[int, int]]] = {}
-        self.shared: dict[int, dict[str, int]] = {}
-        self._by_member = by_member or known is not None
-        self._known = known
-        if known is not None:
-            self._items = _Texts(known.text, known.spans)
-            self._member_texts = {key: _Texts(known.text, [
-                known.walk.members.get(j, {}).get(key) for j in range(len(known.spans))])
-                for key in _MEMBERS}
-
-    def item(self, text: str, pos: int, i: int) -> tuple[object, int]:
-        """Item ``i``, at ``pos``, and the position after it."""
-        known = self._known
-        if known is not None:
-            found = self._items.find(text, pos, i)
-            if found is not None:
-                self.matched[i] = found[0]
-                return known.doc["pages"][found[0]], found[1]
-        if not self._by_member or not text.startswith("{", pos):
-            return _DECODER.raw_decode(text, pos)
-        spans = self.members[i] = {}
-        shared: dict[str, int] = {}
-
-        def member(key: str, pos: int) -> tuple[object, int]:
-            texts = self._member_texts.get(key) if known is not None else None
-            found = texts and text.startswith("[", pos) and texts.find(text, pos, i)
-            if found:
-                shared[key] = found[0]
-                value, end = known.doc["pages"][found[0]][key], found[1]
-            else:  # json keeps a repeated key's last value
-                shared.pop(key, None)
-                value, end = _DECODER.raw_decode(text, pos)
-            spans[key] = (pos, end)
-            return value, end
-
-        item, end = _walk_object(text, pos, member)
-        if shared:
-            self.shared[i] = shared
-        return item, end
-
-
-def _read_json(text: str, walk: _Walk) -> tuple[object, list[tuple[int, int]] | None, _Walk]:
-    """``(_loads(text), page item spans, walk)``. For a top-level object
-    whose ``pages`` is an array, the spans are the (start, end) of each of
-    its items in ``text``, each item read as ``walk`` reads it (see
-    ``_Walk``). Otherwise the spans are None and the walk found nothing."""
+def _read_json(text: str, known=_NOTHING_KNOWN
+               ) -> tuple[object, list[tuple[int, int]] | None, dict[int, int]]:
+    """``(_loads(text), page item spans, matched)``. ``known`` is another
+    document's (text, page item spans, page item values). For a top-level
+    object whose ``pages`` is an array, the spans are the (start, end) of
+    each of its items in ``text``, and ``matched`` maps the index of each
+    item whose text equals a known item's text to that item's index: such
+    an item is not decoded, and its value is the known one. Otherwise the
+    spans are None and nothing is matched."""
     try:
-        return (*_walk(text, walk), walk)
+        return _walk(text, known)
     except (ValueError, MalformedInput, RecursionError):  # json's errors and _finite's
-        return _loads(text), None, _Walk()
+        return _loads(text), None, {}
 
 
-def _walk(text: str, walk: _Walk) -> tuple[dict, list[tuple[int, int]] | None]:
+def _walk(text: str, known) -> tuple[dict, list[tuple[int, int]] | None, dict[int, int]]:
     """``_read_json`` on the text of one object, decoding each value with
     ``_DECODER`` as ``_loads`` does; ValueError for anything else."""
     pos = _SPACE(text).end()
     if not text.startswith("{", pos):
         raise ValueError("not an object")
-    spans = None
-
-    def member(key: str, pos: int) -> tuple[object, int]:
-        nonlocal spans
-        if key != "pages":
-            return _DECODER.raw_decode(text, pos)
-        if spans is None and text.startswith("[", pos):
-            items, spans, end = _walk_pages(text, pos, walk)
-            return items, end
-        raise ValueError("pages is not one array")  # a repeated key is json's last value
-
-    doc, pos = _walk_object(text, pos, member)
-    if _SPACE(text, pos).end() != len(text):
-        raise ValueError("extra data")
-    return doc, spans
-
-
-def _walk_object(text: str, pos: int, member: Callable[[str, int], tuple[object, int]]
-                 ) -> tuple[dict, int]:
-    """The object at ``pos`` and the position after it, each member's
-    value and end read by ``member(key, position)``."""
-    obj: dict = {}
+    doc: dict = {}
+    spans, matched = None, {}
     pos = _SPACE(text, pos + 1).end()
     if text.startswith("}", pos):
-        return obj, pos + 1
-    while True:
-        if not text.startswith('"', pos):
-            raise ValueError("expected a key")
-        key, pos = scanstring(text, pos + 1)
-        pos = _SPACE(text, pos).end()
-        if not text.startswith(":", pos):
-            raise ValueError("expected ':'")
-        obj[key], pos = member(key, _SPACE(text, pos + 1).end())
-        pos = _SPACE(text, pos).end()
-        if text.startswith("}", pos):
-            return obj, pos + 1
-        if not text.startswith(",", pos):
-            raise ValueError("expected ',' or '}'")
-        pos = _SPACE(text, pos + 1).end()
+        pos += 1
+    else:
+        while True:
+            if not text.startswith('"', pos):
+                raise ValueError("expected a key")
+            key, pos = scanstring(text, pos + 1)
+            pos = _SPACE(text, pos).end()
+            if not text.startswith(":", pos):
+                raise ValueError("expected ':'")
+            pos = _SPACE(text, pos + 1).end()
+            if key != "pages":
+                doc[key], pos = _DECODER.raw_decode(text, pos)
+            elif spans is None and text.startswith("[", pos):
+                doc[key], spans, pos = _walk_pages(text, pos, known, matched)
+            else:  # a repeated key is json's last value; pages not an array
+                raise ValueError("pages is not one array")
+            pos = _SPACE(text, pos).end()
+            if text.startswith("}", pos):
+                pos += 1
+                break
+            if not text.startswith(",", pos):
+                raise ValueError("expected ',' or '}'")
+            pos = _SPACE(text, pos + 1).end()
+    if _SPACE(text, pos).end() != len(text):
+        raise ValueError("extra data")
+    return doc, spans, matched
 
 
-def _walk_pages(text: str, pos: int, walk: _Walk) -> tuple[list, list[tuple[int, int]], int]:
+def _walk_pages(text: str, pos: int, known, matched: dict[int, int]
+                ) -> tuple[list, list[tuple[int, int]], int]:
     """The array at ``pos``: its items, their spans, and the position after
-    it."""
+    it; ``matched`` gets the items found in ``known``."""
+    known_text, known_spans, values = known
+    texts = _Texts(known_text, known_spans)
     items, spans = [], []
     pos = _SPACE(text, pos + 1).end()
     if text.startswith("]", pos):
         return items, spans, pos + 1
     while True:
-        item, end = walk.item(text, pos, len(items))
+        found = texts.find(text, pos, len(items))
+        if found is None:
+            item, end = _DECODER.raw_decode(text, pos)
+        else:
+            matched[len(items)], end = found
+            item = values[found[0]]
         spans.append((pos, end))
         items.append(item)
         pos = _SPACE(text, end).end()
@@ -266,19 +176,46 @@ def _walk_pages(text: str, pos: int, walk: _Walk) -> tuple[list, list[tuple[int,
         pos = _SPACE(text, pos + 1).end()
 
 
+class _Texts:
+    """The texts of ``spans`` in ``text``, found again in another text. A
+    known text is a whole JSON value, so when a ``,`` or ``]`` follows it
+    (the caller checks), the item there is that text exactly. The texts
+    are indexed by their first ``_PREFIX`` characters, and a text with the
+    prefix found is compared ``_CHUNK`` characters at a time: a comparison
+    copies no more than its equal part and one chunk, so finding a
+    document's items costs no more than the known texts they share a
+    start with, however they differ."""
+
+    def __init__(self, text: str, spans):
+        self._text, self._spans = text, spans
+        self._index: dict[str, list[int]] = {}
+        for j, (start, end) in enumerate(spans):  # a text shorter than the prefix: ""
+            key = text[start:start + _PREFIX] if end - start >= _PREFIX else ""
+            self._index.setdefault(key, []).append(j)
+
+    def find(self, text: str, pos: int, i: int) -> tuple[int, int] | None:
+        """(index, end) of a known text that starts at ``pos`` in ``text``,
+        trying index ``i`` first; None when there is none."""
+        candidates = [*self._index.get(text[pos:pos + _PREFIX], ()), *self._index.get("", ())]
+        for j in sorted(candidates, key=lambda j: j != i):
+            start, end = self._spans[j]
+            if all(text.startswith(self._text[at:min(at + _CHUNK, end)], pos + at - start)
+                   for at in range(start, end, _CHUNK)):
+                return j, pos + end - start
+        return None
+
+
 class _Document(NamedTuple):
     """A structured document as ``_read_json`` walked it."""
     text: str
     doc: dict
     spans: list[tuple[int, int]] | None
-    walk: _Walk
+    matched: dict[int, int]
 
 
-def _parse(raw: bytes, known: _Document | Schematic | None = None,
-           by_member: bool = False) -> Schematic | _Document:
-    """KiCad text read into its schematic, or a structured document walked
-    (see ``_Walk``): against ``known`` when that is a walked document,
-    else member by member when ``by_member``; anything else is
+def _parse(raw: bytes, known: _Document | Schematic | None = None) -> Schematic | _Document:
+    """KiCad text read into its schematic, or a structured document walked,
+    its page items matched against ``known``'s; anything else is
     UnknownFormat."""
     try:
         text = raw.decode("utf-8")
@@ -290,11 +227,11 @@ def _parse(raw: bytes, known: _Document | Schematic | None = None,
         from .kicad import parse_kicad_page  # imported here: only KiCad input uses it
         return Schematic(SourceFormat.KICAD_SUBSET, (parse_kicad_page(text),))
     if stripped.startswith("{"):
-        walk = _Walk(known=known) if isinstance(known, _Document) and known.spans is not None \
-            else _Walk(by_member)
-        doc, spans, walk = _read_json(text, walk)
+        against = (known.text, known.spans, known.doc["pages"]) if isinstance(
+            known, _Document) and known.spans is not None else _NOTHING_KNOWN
+        doc, spans, matched = _read_json(text, against)
         if isinstance(doc, dict) and doc.get("version") == 1 and "pages" in doc:
-            return _Document(text, doc, spans, walk)
+            return _Document(text, doc, spans, matched)
     raise UnknownFormat("no format signature matched")
 
 
@@ -313,10 +250,10 @@ def read_design_review(raw: bytes, read_base: Callable[[], bytes] | None,
     docstring): the head pages that have no text-equal base page item or
     that ``wanted`` names, every head page id in document order, and a
     function that reads the base pages with the ids of the first kind,
-    taking the head pages' records for the members they share.
+    taking the head pages' annotation records where they are equal.
     ``read_base`` returns the base's bytes (None: there is no base); a
     failure to read or walk the base is raised by that function."""
-    head = _parse(raw, by_member=True)
+    head = _parse(raw)
     base = changed = None  # indices of head items with no text-equal base item; None: all
     if read_base is None:
         changed = set()
@@ -326,15 +263,20 @@ def read_design_review(raw: bytes, read_base: Callable[[], bytes] | None,
         except SchemReviewError as exc:
             base = exc
         else:
-            matched = isinstance(base, _Document) and base.walk.matched
-            if matched and _same_members(head.doc, base.doc):
-                changed = set(range(len(head.spans))).difference(matched.values())
+            if isinstance(base, _Document) and base.matched and _same_members(head.doc, base.doc):
+                changed = set(range(len(head.spans))).difference(base.matched.values())
     if isinstance(head, Schematic):
-        schematic, ids = head, [page.id for page in head.pages]
+        schematic, ids, shared = head, [page.id for page in head.pages], {}
     else:
+        pairs = _annotation_pairs(head, base, changed)  # before the head's read (``_same``)
         schematic = _read_pages(head.doc, None if changed is None else
                                 lambda i, item: i in changed or _page_id(item) in wanted)
         ids = [item["id"] for item in head.doc["pages"]]
+        # base item index -> the head page whose annotation records it takes
+        pages = {page.id: page for page in schematic.pages}
+        shared = {i: pages[page_id] for i, page_id in pairs.items()}
+        for page in shared.values():
+            page.__dict__["_wiring"] = None  # kept for the base (``wiretrace.infer_nets``)
     read_ids = set(ids) if changed is None else {ids[i] for i in changed}
 
     def read_base_pages() -> Schematic:
@@ -342,24 +284,44 @@ def read_design_review(raw: bytes, read_base: Callable[[], bytes] | None,
             raise base
         if isinstance(base, Schematic):
             return base
-        # a member shared with a head item that was read takes that page's records
-        pages = {page.id: page for page in schematic.pages}
-        shared = {i: {key: pages[ids[j]] for key, j in members.items() if ids[j] in pages}
-                  for i, members in base.walk.shared.items()}
         return _read_pages(base.doc, lambda i, item: _page_id(item) in read_ids, shared)
 
     return schematic, ids, read_base_pages
 
 
+def _same(a, b) -> bool:
+    """Decoded JSON values that are the same, types and key order included.
+    ``==`` alone takes ``true`` for ``1`` and ``1`` for ``1.0``; their
+    marshal dumps differ, and equal dumps load back to the same value. A
+    dump also marks each object that is referred to more than once, so the
+    values are compared before anything but the decoder refers to them:
+    then equal values decoded alike dump alike."""
+    return a is b or a == b and marshal.dumps(a, 4) == marshal.dumps(b, 4)
+
+
 def _same_members(a: dict, b: dict) -> bool:
-    """Equal top-level members but ``pages``: decoded JSON values equal with
-    the same types and key order. ``==`` alone takes ``true`` for ``1`` and
-    ``1`` for ``1.0``; their marshal dumps differ. Format 2 marks neither
-    interned nor shared objects, so equal values of equal types dump
-    alike."""
+    """Equal top-level members but ``pages`` (``_same``)."""
     keys = a.keys() - {"pages"}
-    return keys == b.keys() - {"pages"} and all(
-        a[k] == b[k] and marshal.dumps(a[k], 2) == marshal.dumps(b[k], 2) for k in keys)
+    return keys == b.keys() - {"pages"} and all(_same(a[k], b[k]) for k in keys)
+
+
+def _annotation_pairs(head: _Document, base, changed: set[int] | None) -> dict[int, str]:
+    """Base item index -> the id of the head item with the same non-empty
+    ``annotations`` (``_same``), of the head items in ``changed`` (None:
+    all of them)."""
+    items = head.doc["pages"]
+    if not isinstance(base, _Document) or type(items) is not list \
+            or type(base.doc["pages"]) is not list:
+        return {}
+    annotations = {}
+    for j, item in enumerate(items):
+        page_id = _page_id(item)
+        if page_id is not None and (changed is None or j in changed) \
+                and type(item.get("annotations")) is list and item["annotations"]:
+            annotations[page_id] = item["annotations"]
+    return {i: page_id for i, item in enumerate(base.doc["pages"])
+            if (page_id := _page_id(item)) in annotations
+            and _same(item.get("annotations"), annotations[page_id])}
 
 
 # a valid page that stands in for each unread page item in the document
@@ -375,14 +337,14 @@ def _page_id(item) -> str | None:
 
 
 def _read_pages(doc: dict, read: Callable[[int, object], bool] | None = None,
-                shared: dict[int, dict[str, Page]] | None = None) -> Schematic:
+                shared: dict[int, Page] | None = None) -> Schematic:
     """The schematic of ``doc``'s page items for which ``read(index, item)``
     holds (every item when ``read`` is None). Of an unread item only its
     string ``id`` is checked, unique in the document; an unread item without
     one is checked against the schema like a read one. ``shared`` maps a
-    read item's index to {member: the page read from that member's text}:
-    such a member stands in as ``[]`` where the document is checked, and
-    takes that page's records."""
+    read item's index to a page read from equal annotations: they stand in
+    as ``[]`` where the item is checked and decoded, and the item's page
+    takes that page's records and keeps it as ``_annotations_of``."""
     fmt = SourceFormat.DE_HDL if doc.get("format") == "de-hdl" else SourceFormat.STRUCTURED_PAGES
     shared = shared or {}
     items, keep, checked = doc["pages"], None, doc
@@ -390,7 +352,7 @@ def _read_pages(doc: dict, read: Callable[[int, object], bool] | None = None,
         keep = [read(i, item) for i, item in enumerate(items)]
         checked = {**doc, "pages": [
             _UNREAD if not k and _page_id(item) is not None
-            else {**item, **dict.fromkeys(shared[i], [])} if k and i in shared else item
+            else {**item, "annotations": []} if k and i in shared else item
             for i, (item, k) in enumerate(zip(items, keep))]}
     if not shipped(_DOCUMENT_SCHEMA).check(checked):
         # the error jsonschema.validate raises
@@ -401,8 +363,8 @@ def _read_pages(doc: dict, read: Callable[[int, object], bool] | None = None,
                              f"{error.message}") from error
 
     try:
-        pages = [_decode_page(item, shared.get(i, {}))
-                 for i, item in enumerate(items) if keep is None or keep[i]]
+        pages = [_decode_page(item) if i not in shared else _sharing(item, shared[i])
+                 for i, item in enumerate(checked["pages"]) if keep is None or keep[i]]
         seen = set()  # over every item: ``pages`` may hold only some
         for item in items:
             if item["id"] in seen:
@@ -413,55 +375,46 @@ def _read_pages(doc: dict, read: Callable[[int, object], bool] | None = None,
         raise MalformedInput(str(exc)) from exc
 
 
+def _sharing(item: dict, like: Page) -> Page:
+    """The page of an item checked with ``[]`` for annotations equal to
+    ``like``'s, with ``like``'s annotation records."""
+    page = _decode_page(item)._replace(annotations=like.annotations)
+    page.__dict__["_annotations_of"] = like
+    return page
+
+
 def _decode_bbox(doc: dict | None) -> BBox | None:
     if doc is None:
         return None
     return BBox(doc["x"], doc["y"], doc["w"], doc["h"])
 
 
-def _decode_page(doc: dict, shared: dict[str, Page]) -> Page:
-    """The page of a checked page item. A member named in ``shared`` is not
-    decoded: it takes the records of the page read from its text, and a
-    page that takes its annotations keeps that page as ``_annotations_of``
-    for wire tracing (``wiretrace.infer_nets``)."""
-    if "components" in shared:
-        components = shared["components"].components
-    else:
-        components = tuple(
-            Component(
-                designator=c["designator"],
-                mpn=c.get("mpn"),
-                ipn=c.get("ipn"),
-                datasheet_url=c.get("datasheet_url"),
-                pins=tuple(
-                    Pin(p["designator"], p.get("name"), p.get("x"), p.get("y"))
-                    for p in c["pins"]
-                ),
-                bbox=_decode_bbox(c.get("bbox")),
-            )
-            for c in doc["components"]
+def _decode_page(doc: dict) -> Page:
+    components = tuple(
+        Component(
+            designator=c["designator"],
+            mpn=c.get("mpn"),
+            ipn=c.get("ipn"),
+            datasheet_url=c.get("datasheet_url"),
+            pins=tuple(
+                Pin(p["designator"], p.get("name"), p.get("x"), p.get("y"))
+                for p in c["pins"]
+            ),
+            bbox=_decode_bbox(c.get("bbox")),
         )
-    if "nets" in shared:
-        nets = shared["nets"].nets
-    else:
-        nets = tuple(
-            Net(n["name"], tuple((c, p) for c, p in n["nodes"]))
-            for n in doc.get("nets", [])
-        )
-    if "annotations" in shared:
-        annotations = shared["annotations"].annotations
-    else:
-        annotations = []
-        for i, a in enumerate(doc.get("annotations", [])):
-            kind = a.get("kind", "label")
-            if kind == "label" and not a["text"]:
-                raise MalformedInput(
-                    f"page {doc['id']!r}: annotation {i} is a label without text")
-            try:
-                annotations.append(GraphicalAnnotation(a["text"], _decode_bbox(a["bbox"]), kind))
-            except ValueError as exc:  # a diagonal wire, or a negative extent
-                raise MalformedInput(f"page {doc['id']!r}: annotation {i}: {exc}") from exc
-    page = Page(id=doc["id"], components=components, nets=nets, annotations=annotations)
-    if "annotations" in shared:
-        page.__dict__["_annotations_of"] = shared["annotations"]
-    return page
+        for c in doc["components"]
+    )
+    nets = tuple(
+        Net(n["name"], tuple((c, p) for c, p in n["nodes"]))
+        for n in doc.get("nets", [])
+    )
+    annotations = []
+    for i, a in enumerate(doc.get("annotations", [])):
+        kind = a.get("kind", "label")
+        if kind == "label" and not a["text"]:
+            raise MalformedInput(f"page {doc['id']!r}: annotation {i} is a label without text")
+        try:
+            annotations.append(GraphicalAnnotation(a["text"], _decode_bbox(a["bbox"]), kind))
+        except ValueError as exc:  # a diagonal wire, or a negative extent
+            raise MalformedInput(f"page {doc['id']!r}: annotation {i}: {exc}") from exc
+    return Page(id=doc["id"], components=components, nets=nets, annotations=annotations)

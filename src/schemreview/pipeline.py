@@ -5,9 +5,10 @@ mode takes the pages whose canonical content differs from the base plus
 any explicit page override, and reads only those (``ingest.read_design_review``):
 a head page whose item text is the base's is not read, and its defects
 are not reported. The head is read and traced before the base, so a
-base page takes the head page's records, and its wiring, for each
-member whose text it shares. Each other pair is compared block by block
-up to the first block that differs (``canonical.diff_pages``). Admission:
+base page whose annotations equal the head page's takes its annotation
+records, and with the same pin points its wiring. Each changed pair is
+compared block by block up to the first block that differs
+(``canonical.diff_pages``). Admission:
 with no time budget every page of the set forms one batch; with a
 budget each page is its own batch, admitted once the page before it has
 finished and only if the deadline has not passed, so pages not started

@@ -254,3 +254,10 @@ def run_or_fail(cfg, schematic, monkeypatch, timeout_s=60.0):
     if "error" in box:
         raise box["error"]
     return box["report"]
+
+
+def span_sequence(trace: Path) -> list:
+    """The (span, path, attributes) sequence of a ``trace.jsonl``: the run's
+    trace without its times, as criterion 07 compares it."""
+    return [(span["span"], span["path"], span["attributes"])
+            for span in map(json.loads, trace.read_text(encoding="utf-8").splitlines())]

@@ -107,10 +107,9 @@ def with_format(doc: dict, fmt: str | None) -> dict:
 @pytest.mark.parametrize("fmt", [None, "structured-pages", "de-hdl"])
 @pytest.mark.parametrize("doc", [BASIC_DOC, {**BASIC_DOC, "sidecars": {"pstxnet": ""}}])
 def test_document_is_decoded_once(monkeypatch, fmt, doc):
-    """Each top-level value is decoded once, on its own, and the document
-    is never decoded whole, whatever format it declares. A full read
-    decodes each page item once; a design review's head, each member of
-    each page item once."""
+    """Each top-level value and each page item is decoded once, on its own,
+    and the document is never decoded whole, whatever format it declares:
+    in a full read and in a design review's read of its head."""
     doc = with_format(doc, fmt)
     raw_decode = ingest._DECODER.raw_decode
     decoded = []
@@ -126,13 +125,13 @@ def test_document_is_decoded_once(monkeypatch, fmt, doc):
     monkeypatch.setattr(ingest._DECODER, "raw_decode", counting_raw_decode)
     monkeypatch.setattr(json, "loads", whole_loads)
     raw = ("  \n" + json.dumps(doc)).encode()
-    values = [json.dumps(value) for key, value in doc.items() if key != "pages"]
+    expected = [json.dumps(value) for key, value in doc.items() if key != "pages"]
+    expected += [json.dumps(page) for page in doc["pages"]]
     ingest_schematic(raw)
-    assert sorted(decoded) == sorted(values + [json.dumps(page) for page in doc["pages"]])
+    assert sorted(decoded) == sorted(expected)
     decoded.clear()
     read_design_review(raw, None, ())
-    assert sorted(decoded) == sorted(values + [json.dumps(value) for page in doc["pages"]
-                                               for value in page.values()])
+    assert sorted(decoded) == sorted(expected)
 
 
 def test_explicit_hint_accepted():
@@ -270,8 +269,7 @@ def _layout(draw) -> dict:
 @st.composite
 def head_and_base(draw):
     """A head document's text and a base's: the base keeps, drops,
-    reorders and replaces the head's page items, and copies some with
-    their ``components`` kept and another ``x``, in the same layout, and
+    reorders and replaces the head's page items, in the same layout, and
     may repeat its ``pages`` key."""
     pages = draw(st.lists(PAGE_ITEMS, max_size=4))
     head = {**draw(st.dictionaries(st.sampled_from(["version", "format", "x"]), JSON_TREES,
@@ -279,9 +277,6 @@ def head_and_base(draw):
     base_pages = draw(st.permutations(pages))[:draw(st.integers(0, len(pages)))]
     for _ in range(draw(st.integers(0, 2))):
         base_pages.insert(draw(st.integers(0, len(base_pages))), draw(PAGE_ITEMS))
-    for _ in range(draw(st.integers(0, 2)) if pages else 0):
-        base_pages.insert(draw(st.integers(0, len(base_pages))),
-                          {**draw(st.sampled_from(pages)), "x": draw(JSON_TREES)})
     base = {**head, "pages": base_pages}
     layout = _layout(draw)
     base_text = json.dumps(base, **layout)
@@ -297,63 +292,27 @@ def _outcome(fn):
         return type(exc), str(exc), getattr(exc, "offset", None)
 
 
-def _head(text: str):
-    """``text`` walked as a design review's head: member by member."""
-    doc, spans, walk = ingest._read_json(text, ingest._Walk(by_member=True))
-    return ingest._Document(text, doc, spans, walk)
-
-
-def _member_texts(text: str, walk) -> dict[int, dict[str, str]]:
-    return {i: {key: text[start:end] for key, (start, end) in spans.items()}
-            for i, spans in walk.members.items()}
-
-
 @settings(max_examples=150, deadline=None, database=None)
 @given(texts=head_and_base())
 def test_walker_reads_what_loads_reads_and_matches_every_known_item(texts):
     head_text, base_text = texts
-    doc, spans, walk = ingest._read_json(head_text, ingest._Walk())  # items decoded whole
-    assert _outcome(lambda: doc) == _outcome(lambda: ingest._loads(head_text))
-    assert not walk.matched and not walk.members and not walk.shared
-    head = _head(head_text)
-    assert json.dumps(head.doc) == json.dumps(doc) and head.spans == spans
-    head_texts = [head_text[start:end] for start, end in spans]
+    head, head_spans, matched = ingest._read_json(head_text)
+    assert not matched and _outcome(lambda: head) == _outcome(lambda: ingest._loads(head_text))
+    head_texts = [head_text[start:end] for start, end in head_spans]
     assert [json.dumps(ingest._loads(text)) for text in head_texts] == \
-        [json.dumps(item) for item in doc["pages"]]
-    # every object item is walked member by member, and each member's text is its value's
-    head_members = _member_texts(head_text, head.walk)
-    assert set(head_members) == {i for i, text in enumerate(head_texts) if text[0] == "{"}
-    for i, members in head_members.items():
-        assert {k: json.dumps(ingest._loads(t)) for k, t in members.items()} == \
-            {k: json.dumps(v) for k, v in doc["pages"][i].items()}
-
-    base, base_spans, walk = ingest._read_json(base_text, ingest._Walk(known=head))
+        [json.dumps(item) for item in head["pages"]]
+    base, base_spans, matched = ingest._read_json(base_text,
+                                                  (head_text, head_spans, head["pages"]))
     assert _outcome(lambda: base) == _outcome(lambda: ingest._loads(base_text))
     if base_spans is None:  # a repeated key: json keeps its last value
-        assert not walk.matched and not walk.shared and base_text.count('"pages"') > 1
+        assert not matched and base_text.count('"pages"') > 1
         return
     base_texts = [base_text[start:end] for start, end in base_spans]
     assert [json.dumps(ingest._loads(text)) for text in base_texts] == \
         [json.dumps(item) for item in base["pages"]]
     # an item whose text is known is matched, to the same position when it can be
-    assert walk.matched == {i: i if head_texts[i:i + 1] == [text] else head_texts.index(text)
-                            for i, text in enumerate(base_texts) if text in head_texts}
-    # every other object item is walked member by member, and an array
-    # member whose text is the same member of a known item is shared with
-    # it, the item at the same position when it can be
-    base_members = _member_texts(base_text, walk)
-    assert set(base_members) == {i for i, text in enumerate(base_texts)
-                                 if text[0] == "{" and i not in walk.matched}
-    shared = {}
-    for i, members in base_members.items():
-        assert {k: json.dumps(ingest._loads(t)) for k, t in members.items()} == \
-            {k: json.dumps(v) for k, v in base["pages"][i].items()}
-        for key, text in members.items():
-            known = [head_members.get(j, {}).get(key) for j in range(len(head_texts))]
-            if key in ingest._MEMBERS and text[0] == "[" and text in known:
-                shared.setdefault(i, {})[key] = i if known[i:i + 1] == [text] \
-                    else known.index(text)
-    assert walk.shared == shared
+    assert matched == {i: i if head_texts[i:i + 1] == [text] else head_texts.index(text)
+                       for i, text in enumerate(base_texts) if text in head_texts}
 
 
 @pytest.mark.parametrize("text", [
@@ -365,14 +324,11 @@ def test_walker_reads_what_loads_reads_and_matches_every_known_item(texts):
     '{"version": 1, "pages": []} {}',
     '{"version": 1, "pages": [{"id": "P1"}]',
     '{"version": 1, "pages": [{"id": "P1"}], "pages": []}',
-    '{"version": 1, "pages": [{"id": "P3", "components": [] "x": 1}]}',
-    '{"version": 1, "pages": [{"id": "P3", "components": []]}',
 ])
 def test_walker_gives_loads_own_outcome_on_malformed_separators(text):
-    known = _head('{"pages": [{"id": "P1"}, {"id": "P2", "components": []}]}')
-    for walk in (ingest._Walk(), ingest._Walk(by_member=True), ingest._Walk(known=known)):
-        assert _outcome(lambda: ingest._read_json(text, walk)[0]) == \
-            _outcome(lambda: ingest._loads(text))
+    known = ('{"id": "P1"}{"id": "P2"}', [(0, 12), (12, 24)], [{"id": "P1"}, {"id": "P2"}])
+    assert _outcome(lambda: ingest._read_json(text, known)[0]) == \
+        _outcome(lambda: ingest._loads(text))
 
 
 @settings(max_examples=200, deadline=None, database=None)
@@ -385,7 +341,7 @@ def test_walker_raises_loads_own_error_on_an_edited_document(texts, data):
         at = data.draw(st.sampled_from(marks) | st.integers(0, len(text)))
         cut = data.draw(st.integers(0, 3))
         text = text[:at] + data.draw(st.sampled_from(["", data.draw(EDITS)])) + text[at + cut:]
-    walk = data.draw(st.sampled_from([ingest._Walk(), ingest._Walk(by_member=True),
-                                      ingest._Walk(known=_head(head_text))]))
-    assert _outcome(lambda: ingest._read_json(text, walk)[0]) == \
+    head, head_spans, _ = ingest._read_json(head_text)
+    known = (head_text, head_spans, head["pages"])
+    assert _outcome(lambda: ingest._read_json(text, known)[0]) == \
         _outcome(lambda: ingest._loads(text))

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import WIRE_AND_EMPTY_LABEL, run_or_fail
+from helpers import WIRE_AND_EMPTY_LABEL, run_or_fail, span_sequence
 from schemreview import ingest, libraries, review
 from schemreview.cli import main
 from schemreview.config import Mode, RunConfig, apply_cli_overrides, load_config
@@ -256,7 +256,7 @@ class TestPageSets:
         decoded = []
         decode = ingest._decode_page
         monkeypatch.setattr(ingest, "_decode_page",
-                            lambda doc, shared: decoded.append(doc["id"]) or decode(doc, shared))
+                            lambda doc: decoded.append(doc["id"]) or decode(doc))
         for base in (paths["base"], tmp_path / "missing.json"):
             cfg = fresh_cfg(work, mode=Mode.DESIGN_REVIEW, pages_override=["P9"],
                             base_schematic=str(base))
@@ -490,10 +490,6 @@ def out_bytes(work) -> dict:
     out = work / "out"
     return {str(p.relative_to(out)): p.read_bytes()
             for p in sorted(out.rglob("*")) if p.is_file()}
-
-
-def span_sequence(path) -> list:
-    return [(s["span"], s["path"], s["attributes"]) for s in read_spans(path)]
 
 
 class TestReviewPayloads:

@@ -9,12 +9,12 @@ block that differs. The whole of both documents is still checked for
 what decides it: its top-level members, each page item an object with a
 string id, unique page ids.
 
-Within a changed pair, a base member (``components``, ``nets`` or
-``annotations``) whose text is the same member of a head item that the
-review reads takes that head page's records: it is not decoded again,
-it stands in as ``[]`` where the base is checked, and when it is the
-annotations, a base page with the same pin points attaches its pins to
-the head page's wiring instead of being traced again.
+Within a changed pair, a base item whose ``annotations`` equal those of
+the head item with its id, as decoded values of the same types, takes
+that head page's annotation records: they are not made records again,
+they stand in as ``[]`` where the base is checked, and a base page with
+the same pin points attaches its pins to the head page's wiring instead
+of being traced again.
 
 The oracle is a full read: both documents ingested and augmented in
 full, then every page hashed. When it succeeds, the design review selects
@@ -224,6 +224,18 @@ def change_part(draw, doc):
             st.sampled_from(["RES-2K", "LDO-7", "CAP-1U"]))
 
 
+def retype_annotation(draw, doc):
+    """An annotation's bbox number replaced by one equal under ``==`` but of
+    another JSON type, as ``retype_number`` does to a component's: ``true``
+    or ``false`` (invalid) where it can, else a float (valid)."""
+    page = _some_page(draw, doc)
+    if page and page.get("annotations"):
+        bbox = draw(st.sampled_from(page["annotations"]))["bbox"]
+        key = draw(st.sampled_from([k for k in "xywh" if bbox[k] in (0, 1)] or list("xywh")))
+        bbox[key] = draw(st.sampled_from(([bool(bbox[key])] if bbox[key] in (0, 1) else [])
+                                         + [float(bbox[key])]))
+
+
 @st.composite
 def doc_pairs(draw):
     style = draw(st.sampled_from(["wires", "nets", "de-hdl"]))
@@ -350,30 +362,29 @@ def test_page_set_and_failures_match_full_read_of_both(scratch, pair):
 
 
 @st.composite
-def member_pairs(draw):
-    """(head, base, restyled): a base whose edits mostly keep a changed
-    page's wiring text (pins swapped, a part changed, a component made
-    invalid), with some items or single members written in another layout
-    (``item_dumps``)."""
-    style = draw(st.sampled_from(["wires", "nets", "de-hdl"]))
-    head = make_doc(style, draw(st.lists(st.integers(0, 2), min_size=1, max_size=4)))
+def annotation_pairs(draw):
+    """(head, base, restyled): wired pages, and a base whose edits mostly
+    keep a changed page's annotations (pins swapped, a part changed, a
+    component made invalid) or retype one of their numbers, with some
+    items or single members written in another layout (``item_dumps``)."""
+    head = make_doc("wires", draw(st.lists(st.integers(0, 2), min_size=1, max_size=4)))
     for op in draw(st.lists(st.sampled_from(SHARED_OPS), max_size=1)):
         op(draw, head)
     base = copy.deepcopy(head)
-    for op in draw(st.lists(st.sampled_from((swap_pins, change_part, invalidate) * 3 + BASE_OPS),
-                            min_size=1, max_size=3)):
+    edits = (swap_pins, change_part, invalidate, retype_annotation)
+    draw(st.sampled_from(edits))(draw, base)
+    for op in draw(st.lists(st.sampled_from(edits + BASE_OPS), max_size=2)):
         op(draw, base)
     restyled = {}
     for i in draw(st.lists(st.integers(0, len(base["pages"]) - 1), max_size=2)) \
             if base["pages"] else ():
-        restyled[i] = draw(st.sampled_from(
-            ["item", *(key for key in base["pages"][i] if key in ingest._MEMBERS)]))
+        restyled[i] = draw(st.sampled_from(["item", *base["pages"][i]]))
     return head, base, restyled
 
 
 @settings(max_examples=200, deadline=None)
-@given(pair=member_pairs())
-def test_members_taken_from_head_change_no_page_set_failure_or_base_page(scratch, pair):
+@given(pair=annotation_pairs())
+def test_annotations_taken_from_head_change_no_page_set_failure_or_base_page(scratch, pair):
     head, base, restyled = pair
     head_raw, base_raw = item_dumps(head), item_dumps(base, restyled)
     new = outcome(lambda: new_page_set(scratch, head_raw, base_raw))
@@ -408,35 +419,61 @@ def recording_geometry(monkeypatch) -> list[str]:
     return traced
 
 
-def test_a_shared_member_is_not_decoded_checked_or_traced_for_the_base(monkeypatch):
+def test_shared_annotations_are_not_checked_made_records_or_traced_for_the_base(monkeypatch):
     head_doc = make_doc("wires", [0, 1, 2])
     base_doc = copy.deepcopy(head_doc)
-    base_doc["pages"][1]["components"][1]["mpn"] = "RES-2K"  # the wiring's text is kept
+    base_doc["pages"][1]["components"][1]["mpn"] = "RES-2K"  # the annotations are kept
     annotations = head_doc["pages"][1]["annotations"]
-    decoded, checked, made = [], [], []
-    raw_decode = ingest._DECODER.raw_decode
+    checked, made = [], []
     schema = shipped(_DOCUMENT_SCHEMA)
     check, annotation = schema.check, ingest.GraphicalAnnotation
-
-    def recording_raw_decode(s, idx=0):
-        value, end = raw_decode(s, idx)
-        decoded.append(value)
-        return value, end
-
-    monkeypatch.setattr(ingest._DECODER, "raw_decode", recording_raw_decode)
     monkeypatch.setattr(schema, "check", lambda doc: checked.extend(doc["pages"]) or check(doc))
     monkeypatch.setattr(ingest, "GraphicalAnnotation",
                         lambda *args: made.append(args) or annotation(*args))
     traced = recording_geometry(monkeypatch)
-    head, base = read_pair(head_doc, base_doc)
+    # the base's P2 annotations written in another layout
+    head, base = read_raw_pair(item_dumps(head_doc), item_dumps(base_doc, {1: "annotations"}))
     assert [p.id for p in head.pages] == [p.id for p in base.pages] == ["P2"]
-    # the head's annotations are decoded, checked, made records and traced, the base's not
-    assert decoded.count(annotations) == 1
+    # the head's annotations are checked, made records and traced, the base's not
     assert [item["annotations"] for item in checked if item["id"] == "P2"] == [annotations, []]
     assert len(made) == len(annotations)
     assert traced == ["P2"]
     assert base.pages[0].annotations is head.pages[0].annotations
     assert base.pages[0] == full_read(dumps(base_doc)).page("P2")
+
+
+@pytest.mark.parametrize("value", [1.0, True])
+def test_annotations_equal_only_under_eq_are_read_for_the_base(monkeypatch, value):
+    head_doc = make_doc("wires", [0, 1])
+    base_doc = copy.deepcopy(head_doc)
+    base_doc["pages"][1]["components"][1]["mpn"] = "RES-2K"
+    base_doc["pages"][1]["annotations"][1]["bbox"]["h"] = value  # a label's h: 1 in the head
+    head_doc["pages"][1]["annotations"][1]["bbox"]["h"] = 1
+    traced = recording_geometry(monkeypatch)
+    outcome_ = outcome(lambda: read_pair(head_doc, base_doc))
+    if value is True:  # not a number: the base's schema error
+        assert outcome_ == outcome(lambda: full_read(dumps(base_doc)))
+        return
+    head, base = outcome_
+    assert traced == ["P2", "P2"]
+    assert base.pages[0].annotations is not head.pages[0].annotations
+    assert base.pages == (full_read(dumps(base_doc)).page("P2"),)
+
+
+def test_only_a_head_page_whose_annotations_a_base_page_takes_keeps_its_wiring():
+    head_doc = make_doc("wires", [0, 1, 2])
+    base_doc = copy.deepcopy(head_doc)
+    for page in base_doc["pages"][:2]:
+        page["components"][1]["mpn"] = "RES-2K"
+    base_doc["pages"][0]["annotations"].reverse()  # P1's annotations differ
+    head, _, _ = read_design_review(dumps(head_doc), lambda: dumps(base_doc), ())
+    for page in head.pages:
+        augment.infer_nets(page)
+    assert {page.id: "_wiring" in vars(page) for page in head.pages} == {"P1": False,
+                                                                         "P2": True}
+    for page in ingest_schematic(dumps(head_doc)).pages:
+        augment.infer_nets(page)
+        assert "_wiring" not in vars(page)
 
 
 @pytest.mark.parametrize("edit, traced", [("move", ["P2", "P2"]), ("swap", ["P2"])])
@@ -456,13 +493,12 @@ def test_a_base_page_whose_pins_moved_is_traced_again(monkeypatch, edit, traced)
     assert base.pages[0].nets != head.pages[0].nets
 
 
-def test_a_member_checked_as_empty_decides_nothing_else():
+def test_annotations_checked_as_empty_decide_nothing_else():
     # true only while no page member's schema depends on another member
     page = shipped(_DOCUMENT_SCHEMA).schema["$defs"]["page"]
     assert set(page) == {"type", "required", "properties", "additionalProperties"}
-    for key in ingest._MEMBERS:
-        assert set(page["properties"][key]) == {"type", "items"}
-        assert page["properties"][key]["type"] == "array"
+    assert set(page["properties"]["annotations"]) == {"type", "items"}
+    assert page["properties"]["annotations"]["type"] == "array"
 
 
 def test_unchanged_pages_are_not_read_and_only_the_changed_pair_is_compared(monkeypatch):
@@ -499,21 +535,19 @@ def test_unchanged_items_never_reach_decoding_checking_or_tracing(tmp_path, monk
     decode, infer = ingest._decode_page, augment.infer_nets
     schema = shipped(_DOCUMENT_SCHEMA)
     check = schema.check
-    monkeypatch.setattr(ingest, "_decode_page", lambda doc, shared: decoded.append(
-        (doc, sorted(shared))) or decode(doc, shared))
+    monkeypatch.setattr(ingest, "_decode_page", lambda doc: decoded.append(doc) or decode(doc))
     monkeypatch.setattr(schema, "check", lambda doc: checked.extend(doc["pages"]) or check(doc))
     monkeypatch.setattr(augment, "infer_nets", lambda page: traced.append(page.id) or infer(page))
     (tmp_path / "head.json").write_bytes(dumps(head_doc))
     (tmp_path / "base.json").write_bytes(dumps(base_doc))
     pages = pipeline.select_pages(review_cfg(tmp_path), tmp_path / "head.json")
     assert [p.id for p in pages] == ["P2"]
-    # the base P2's annotations are the head's text: head's records, checked as []
-    assert decoded == [(head_doc["pages"][1], []), (base_doc["pages"][1], ["annotations"])]
+    # the base P2's annotations are the head's: checked and decoded as []
+    shared = {**base_doc["pages"][1], "annotations": []}
+    assert decoded == [head_doc["pages"][1], shared]
     assert traced == ["P2", "P2"]
-    assert head_doc["pages"][1] in checked
-    assert {**base_doc["pages"][1], "annotations": []} in checked
-    assert not any(item == page for item in checked + [doc for doc, _ in decoded]
-                   for page in unchanged)
+    assert head_doc["pages"][1] in checked and shared in checked
+    assert not any(item == page for item in checked + decoded for page in unchanged)
 
 
 def test_reordered_base_pages_are_not_read():

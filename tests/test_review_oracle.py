@@ -37,6 +37,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import boardgen  # noqa: E402
+from helpers import span_sequence  # noqa: E402
 from responder import make_responder  # noqa: E402
 
 from schemreview.augment import augment_netlist  # noqa: E402
@@ -173,13 +174,6 @@ def out_files(work) -> dict:
             for p in sorted(out.rglob("*")) if p.is_file()}
 
 
-def span_sequence(work) -> list:
-    """The run's (span, path, attributes) sequence, as criterion 07
-    compares it: ``trace.jsonl`` without its times."""
-    return [(span["span"], span["path"], json.dumps(span["attributes"], sort_keys=True))
-            for span in map(json.loads, (work / "trace.jsonl").read_text().splitlines())]
-
-
 def usage(report) -> dict:
     return {kind: {k: v for k, v in entry.items() if k != "latency_s"}
             for kind, entry in report.usage.items()}
@@ -232,7 +226,7 @@ def test_design_review_posts_what_a_full_analysis_posts_for_its_pages(work, revi
         backend.max_in_flight, backend.mock_delay_s = max_in_flight, delay
         report = run(work, backend=backend, **design_review)
         assert report.pages_analyzed == [pid for pid in head_order if pid in selected]
-        outcomes.append((out_files(work), usage(report), span_sequence(work)))
+        outcomes.append((out_files(work), usage(report), span_sequence(work / "trace.jsonl")))
 
     files, _, _ = outcomes[0]
     assert entries_and_files(files, selected) == entries_and_files(full, selected)
