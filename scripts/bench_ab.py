@@ -24,8 +24,13 @@ changed page as two collinear halves before the fixtures are generated:
 that page's annotations then differ from the head's while its nets do
 not, so nothing of the changed pair's wiring is shared.
 
+``--distinct-choices`` scripts each ``group_review`` answer followed by as
+many blanks as its seed: the k choices of one request are then equal in
+value but never in text, so no choice is read for another.
+
     python scripts/bench_ab.py --before OLD_CHECKOUT --workload board-warm \\
-        --out BENCH_name.json [--rounds 20] [--runs 5] [--seed 5] [--split-wire]
+        --out BENCH_name.json [--rounds 20] [--runs 5] [--seed 5] [--split-wire] \\
+        [--distinct-choices]
 """
 
 import argparse
@@ -102,6 +107,19 @@ def split_wire(path: Path, page_id: str) -> None:
     raise SystemExit(f"no wire of {page_id} splits without changing its nets")
 
 
+def distinct_choices(make_responder):
+    """``make_responder`` whose ``group_review`` answers end in as many
+    blanks as the seed they answer."""
+    def make(manifest):
+        respond = make_responder(manifest)
+
+        def distinct(kind_name: str, payload: str, seed: int = 0) -> str:
+            text = respond(kind_name, payload, seed)
+            return text + " " * seed if kind_name == "group_review" else text
+        return distinct
+    return make
+
+
 def side_runner(package: str, ws: dict, work: Path, cold_cache: bool):
     """A function that runs one invocation with ``package``'s code and
     returns its wall time and what it must share with every other
@@ -141,6 +159,8 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=5)
     parser.add_argument("--split-wire", action="store_true",
                         help="draw a wire of the base's changed page as two halves")
+    parser.add_argument("--distinct-choices", action="store_true",
+                        help="make the choices of every group review differ in text")
     parser.add_argument("--out", required=True,
                         help="where to write the JSON record; an existing file is replaced")
     args = parser.parse_args()
@@ -162,6 +182,8 @@ def main() -> int:
             if changed is None:
                 raise SystemExit(f"{args.workload} has no base with a changed page")
             split_wire(work / "base_schematic.json", changed)
+        if args.distinct_choices:
+            measure.make_responder = distinct_choices(measure.make_responder)
         measure.generate(ws, cold, work)
         runners = {side: side_runner(packages[side], ws, work, cold) for side in SIDES}
         reference = None
@@ -193,6 +215,7 @@ def main() -> int:
         "command": f"python scripts/bench_ab.py --before OLD --workload {args.workload} "
                    f"--rounds {args.rounds} --runs {args.runs} --seed {args.seed}"
                    + (" --split-wire" if args.split_wire else "")
+                   + (" --distinct-choices" if args.distinct_choices else "")
                    + f" --out {Path(args.out).name}",
         "statistic": f"per round, the median of {args.runs} invocations per side, "
                      "milliseconds; summary: median and quartiles over rounds",

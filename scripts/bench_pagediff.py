@@ -15,13 +15,16 @@ and 48 pages with 6 blocks a page. Both documents are read two ways:
   from the base's, and their base pages, are read, traced and compared.
 
 The two must select the same pages. They alternate within each
-repetition; each time is the median of ``--repeat`` runs.
+repetition, and each is timed after a full garbage collection, so that
+neither pays for collecting what the other left; each time is the median
+of ``--repeat`` runs.
 
     PYTHONPATH=src python scripts/bench_pagediff.py [--repeat 15] [--seed 21] \
         [--out BENCH_pagediff.json]
 """
 
 import argparse
+import gc
 import json
 import os
 import platform
@@ -59,6 +62,7 @@ def after(cfg: RunConfig, head_path: Path) -> set[str]:
 
 
 def timed(fn, *args):
+    gc.collect()
     start = time.perf_counter()
     result = fn(*args)
     return time.perf_counter() - start, result
@@ -115,7 +119,8 @@ def main() -> int:
                 "pages whose item text differs between head and base (after)",
         "command": "PYTHONPATH=src python scripts/bench_pagediff.py "
                    f"--repeat {args.repeat} --seed {args.seed}",
-        "statistic": f"median of {args.repeat} alternated runs, milliseconds",
+        "statistic": f"median of {args.repeat} alternated runs, each after "
+                     "gc.collect(), milliseconds",
         "host": {"machine": platform.machine(), "cpus": os.cpu_count(),
                  "python": platform.python_version()},
         "boards": rows,

@@ -9,9 +9,10 @@ times.
 
 A request may ask for n completions of one payload (``AgentRequest.n``,
 the chat-completions ``n``): the k runs of a group review are the k
-choices of one request, sampled at ``REVIEW_TEMPERATURE``. Each choice
-is validated alone and returned unrepaired; the caller remakes a choice
-that is missing or fails its schema as a one-completion call.
+choices of one request, sampled at ``REVIEW_TEMPERATURE``. Each distinct
+answer text is validated once, and the choices with that text share one
+``Choice``; none is repaired. The caller remakes a choice that is
+missing or fails its schema as a one-completion call.
 
 Mock fixtures live under ``<fixture_path>/<agent_kind>/<digest>-<seed>.resp``
 where ``digest`` is the first 16 hex chars of the SHA-256 of the user
@@ -78,7 +79,8 @@ class TokenUsage(NamedTuple):
 class AgentRequest(NamedTuple):
     """``n`` None asks for one completion, repaired until it validates;
     ``n`` = k asks for k choices, choice i standing in for seed
-    ``seed + i``, each validated alone (``AgentResponse.choices``)."""
+    ``seed + i``, each distinct answer validated once
+    (``AgentResponse.choices``)."""
     agent_kind: AgentKind
     system_prompt: str
     user_payload: str
@@ -97,7 +99,8 @@ class AgentResponse(NamedTuple):
     value: object
     usage: TokenUsage
     attempts: int = 1
-    # an n-choice request's choices in index order; None where missing
+    # an n-choice request's choices in index order; None where missing,
+    # and one Choice object for all choices with equal text
     choices: tuple[Choice | None, ...] = ()
 
 
@@ -320,7 +323,9 @@ class Gateway:
                  trace: TraceContext = UNTRACED, failure: str | None = None
                  ) -> AgentResponse:
         """One call of ``req``. With ``req.n`` set: one request for n
-        choices, each validated alone and none repaired. Otherwise one
+        choices, none repaired. Each distinct answer text is validated
+        once, and the choices with that text share its ``Choice``: what
+        validating each of them alone gives. Otherwise one
         completion, re-prompted with the validation error appended at
         most ``MAX_REPAIRS`` times; ``failure`` says that the payload's
         first answer, got elsewhere (a choice of an n-choice call), failed
@@ -336,10 +341,10 @@ class Gateway:
                 if req.n is not None:
                     attempts = 1
                     texts, usage = self._backend.complete(req, payload)
+                    read = {raw: Choice(*self._check(req.agent_kind, raw, post_validate))
+                            for raw in dict.fromkeys(texts) if raw is not None}
                     return AgentResponse(None, usage, attempts, tuple(
-                        None if raw is None else Choice(*self._check(
-                            req.agent_kind, raw, post_validate))
-                        for raw in texts))
+                        None if raw is None else read[raw] for raw in texts))
                 while attempts <= MAX_REPAIRS:
                     if failure is not None:
                         payload = repair_payload(payload, failure)

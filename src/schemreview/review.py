@@ -214,27 +214,29 @@ def review_group_once(ctx: GroupReviewContext, payload: str, page: Page,
     one-completion call seeded ``run_index``; with ``failure``, the run's
     first answer (a choice) failed its schema so, and the call starts with
     its repair (``Gateway.complete``). The answer is read by
-    ``_run_result``."""
+    ``_read_answer``."""
     req = AgentRequest(AgentKind.GROUP_REVIEW, REVIEW_PROMPT, payload, seed=run_index)
     resp = gateway.complete(req, trace=trace, failure=failure)
-    return _run_result(ctx, page, run_index, resp.value)
+    return _run_result(run_index, *_read_answer(ctx, page, resp.value))
 
 
-def _run_result(ctx: GroupReviewContext, page: Page, run_index: int,
-                value) -> RunResult:
-    """Run ``run_index``'s validated answer as a RunResult: analyses for
-    components outside the group and verdicts naming pins the component
-    does not have are dropped with a warning; components with no
-    datasheet spec and no agent verdicts default to a single Unverifiable
-    verdict."""
+def _read_answer(ctx: GroupReviewContext, page: Page, value
+                 ) -> tuple[tuple[ComponentAnalysis, ...], list[tuple]]:
+    """A validated answer's analyses, and a note on each part of it that
+    was dropped, as (format, args) of the warning ``_run_result`` logs
+    for each run that gave the answer. Analyses for components outside
+    the group, and verdicts naming pins the component does not have, are
+    dropped; components with no datasheet spec and no agent verdicts
+    default to a single Unverifiable verdict."""
     members = set(ctx.group.designators)
     verdicts_by_designator: dict[str, list[PinVerdict]] = {}
     claimed_pins: dict[str, set[str]] = {}
+    notes: list[tuple] = []
     for analysis_doc in value["analyses"]:
         designator = analysis_doc["designator"]
         if designator not in members:
-            log.warning("run %d: analysis for %s outside group %r; dropped",
-                        run_index, designator, ctx.group.name)
+            notes.append(("analysis for %s outside group %r; dropped",
+                          (designator, ctx.group.name)))
             continue
         comp = page.component(designator)
         valid_pins = {p.designator for p in comp.pins}
@@ -250,13 +252,13 @@ def _run_result(ctx: GroupReviewContext, page: Page, run_index: int,
                 verdict = None
             unknown = [p for p in verdict.pins if p not in valid_pins] if verdict else []
             if unknown or verdict is None:
-                log.warning("run %d: %s verdict names pin(s) %s not on the component; dropped",
-                            run_index, designator, unknown or "<none>")
+                notes.append(("%s verdict names pin(s) %s not on the component; dropped",
+                              (designator, unknown or "<none>")))
                 continue
             already = claimed_pins.setdefault(designator, set())
             if not already.isdisjoint(verdict.pin_set):
-                log.warning("run %d: %s pins %s appear in two pin keys; later verdict dropped",
-                            run_index, designator, sorted(already & verdict.pin_set))
+                notes.append(("%s pins %s appear in two pin keys; later verdict dropped",
+                              (designator, sorted(already & verdict.pin_set))))
                 continue
             already |= verdict.pin_set
             verdicts_by_designator.setdefault(designator, []).append(verdict)
@@ -275,6 +277,15 @@ def _run_result(ctx: GroupReviewContext, page: Page, run_index: int,
         ComponentAnalysis(designator, tuple(verdicts))
         for designator, verdicts in sorted(verdicts_by_designator.items())
     )
+    return analyses, notes
+
+
+def _run_result(run_index: int, analyses: tuple[ComponentAnalysis, ...],
+                notes: list[tuple]) -> RunResult:
+    """Run ``run_index`` of an answer read by ``_read_answer``: its drop
+    notes are logged as this run's warnings."""
+    for message, args in notes:
+        log.warning("run %d: " + message, run_index, *args)
     return RunResult(run_index, analyses)
 
 
@@ -289,8 +300,11 @@ def fan_out_reviews(ctx: GroupReviewContext, page: Page, k: int, gateway: Gatewa
     ``review:<i>`` and are tasks on ``pool`` next to the run's pages,
     parts and groups (``map_on_pool``): they run in order on this
     thread, and those not yet started spill to the pool when a call is
-    about to wait. Failed runs are recorded; consensus proceeds over the
-    successes."""
+    about to wait. Each distinct valid choice (the gateway gives equal
+    answer texts one ``Choice``) is read once, before the runs: its runs
+    share one ``analyses`` tuple, and each logs the answer's warnings
+    with its own index. Failed runs are recorded; consensus proceeds over
+    the successes."""
     if k < 1:
         raise ValueError("k must be >= 1")
     payload = build_review_payload(ctx)
@@ -300,12 +314,16 @@ def fan_out_reviews(ctx: GroupReviewContext, page: Page, k: int, gateway: Gatewa
     except SchemReviewError as exc:
         log.warning("review request for group %r failed: %s", ctx.group.name, exc)
         choices = (None,) * k
+    answers: dict[int, tuple] = {}  # id(choice) -> its _read_answer
+    for choice in choices:
+        if choice is not None and choice.failure is None and id(choice) not in answers:
+            answers[id(choice)] = _read_answer(ctx, page, choice.value)
 
     def _one_run(run_index: int) -> RunResult | RunFailure:
         choice = choices[run_index]
         try:
-            if choice is not None and choice.failure is None:
-                return _run_result(ctx, page, run_index, choice.value)
+            if id(choice) in answers:
+                return _run_result(run_index, *answers[id(choice)])
             with trace.span(f"review:{run_index}", run_index=run_index) as run_trace:
                 return review_group_once(ctx, payload, page, run_index, gateway, run_trace,
                                          failure=None if choice is None else choice.failure)

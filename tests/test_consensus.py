@@ -1,6 +1,10 @@
 """Consensus: multi-run retention, single-run verification, contradictions."""
 
+import copy
+import itertools
+import json
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -222,6 +226,41 @@ def test_contested_clusters_match_fixpoint_oracle(results):
     contradicted = {pin for pin, statuses in pin_statuses.items() if len(statuses) > 1}
     assert (_contested_clusters(occurrences, contradicted)
             == fixpoint_clusters(occurrences, contradicted))
+
+
+class RecordingGateway:
+    """Answers consensus calls as ``consensus_responder()`` does and keeps
+    each payload it was sent."""
+
+    def __init__(self):
+        self.payloads = []
+
+    def complete(self, req, trace=None):
+        self.payloads.append(req.user_payload)
+        return SimpleNamespace(value=json.loads(
+            consensus_responder()("consensus", req.user_payload)))
+
+
+@st.composite
+def shared_runs(draw) -> list[RunResult]:
+    """``review_runs()``, each run after the first holding its own
+    analyses or the very object an earlier run holds, as the runs of equal
+    review answers do."""
+    runs = draw(review_runs())
+    return [RunResult(run.run_index,
+                      runs[draw(st.integers(0, position))].analyses)
+            for position, run in enumerate(runs)]
+
+
+@given(shared_runs())
+def test_shared_analyses_combine_as_unshared_copies(results):
+    copies = [copy.deepcopy(run) for run in results]  # one at a time: nothing shared
+    assert all(a.analyses is not b.analyses or not a.analyses
+               for a, b in itertools.combinations(copies, 2))
+    shared, unshared = RecordingGateway(), RecordingGateway()
+    assert (combine_consensus(results, make_ctx(), shared)
+            == combine_consensus(copies, make_ctx(), unshared))
+    assert shared.payloads == unshared.payloads
 
 
 def test_chained_keys_form_one_cluster():

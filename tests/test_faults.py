@@ -36,8 +36,11 @@ JOIN_TIMEOUT_S = 30.0
 
 # removed: the fixture is missing; not-json: the first answer is not JSON
 # and its repair is answered; schema: every answer fails its schema;
-# not-a-datasheet: the page's parts' datasheets are images
-FAULTS = ("removed", "not-json", "schema", "not-a-datasheet")
+# not-a-datasheet: the page's parts' datasheets are images; lacks-choice:
+# the page's group reviews have no seed-1 fixture, so their k-choice
+# replies lack choice 1 and its remake fails; cache-io: the datasheet
+# cache entries of the page's parts are directories (StoreIo on lookup)
+FAULTS = ("removed", "not-json", "schema", "not-a-datasheet", "lacks-choice", "cache-io")
 
 
 @pytest.fixture(scope="module")
@@ -52,8 +55,11 @@ def scripted_read(fault, kind, page):
     ``fault`` on the calls of ``kind`` on ``page``."""
     lock = threading.Lock()
 
-    def lands(call_kind, payload):
-        if fault == "not-a-datasheet" or call_kind != kind:
+    def lands(call_kind, name, payload):
+        if fault == "lacks-choice":
+            return (call_kind == "group_review" and name.endswith("-1.resp")
+                    and PAGE_ID.search(payload).group(1) == page)
+        if fault in ("not-a-datasheet", "cache-io") or call_kind != kind:
             return False
         if kind in RETRIEVAL_KINDS:
             return any(mpn in payload for mpn in PARTS[page])
@@ -61,8 +67,8 @@ def scripted_read(fault, kind, page):
 
     def read(backend, rel, payload):
         call_kind, name = rel.split("/")
-        if lands(call_kind, payload):
-            if fault == "removed":
+        if lands(call_kind, name, payload):
+            if fault in ("removed", "lacks-choice"):
                 return None
             if fault == "schema":
                 return '{"unexpected": true}'
@@ -75,13 +81,16 @@ def scripted_read(fault, kind, page):
     return read
 
 
-def run_with(work, read, max_in_flight, delay):
-    """Run the demo with ``read`` as the mock's reader. Returns (report or
-    None, the SchemReviewError raised or None, the agent kinds whose calls
-    raised, the trace's spans, the most threads alive beyond those before
-    the run). Threads are counted in each mock call, and again inside its
-    delay."""
+def run_with(work, read, max_in_flight, delay, blocked=()):
+    """Run the demo with ``read`` as the mock's reader, on an emptied
+    datasheet cache holding a directory under each name in ``blocked``.
+    Returns (report or None, the SchemReviewError raised or None, the
+    agent kinds whose calls raised, the trace's spans, the most threads
+    alive beyond those before the run). Threads are counted in each mock
+    call, and again inside its delay."""
     shutil.rmtree(work / "cache", ignore_errors=True)
+    for name in blocked:
+        (work / "cache" / name).mkdir(parents=True)
     shutil.rmtree(work / "out", ignore_errors=True)
     (work / "trace.jsonl").unlink(missing_ok=True)
     failed_calls = []
@@ -125,9 +134,13 @@ def run_with(work, read, max_in_flight, delay):
 
 
 @functools.cache
-def fault_free_group_paths(work) -> frozenset:
+def fault_free_run(work) -> tuple[frozenset, dict]:
+    """The group span paths of a run without a fault, and the name of the
+    datasheet cache entry it wrote for each part."""
     _, _, _, spans, _ = run_with(work, scripted_read(None, None, None), 1, 0.0)
-    return frozenset(s["path"] for s in spans if s["span"].startswith("group:"))
+    entries = {json.loads(entry.read_text())["part_number"]: entry.name
+               for entry in (work / "cache").glob("*.json")}
+    return frozenset(s["path"] for s in spans if s["span"].startswith("group:")), entries
 
 
 @settings(max_examples=40, deadline=None, database=None,
@@ -138,7 +151,8 @@ def fault_free_group_paths(work) -> frozenset:
        delay=st.sampled_from([0.0, 0.01]))
 def test_a_fault_fails_or_degrades_the_run_and_its_trace_names_it(
         work, fault, kind, page, max_in_flight, delay):
-    groups = fault_free_group_paths(work)
+    groups, entries = fault_free_run(work)
+    blocked = [entries[mpn] for mpn in sorted(PARTS[page])] if fault == "cache-io" else []
     for mpn in demo.DEMO_PART_PINS:
         sheet = work / "datasheets" / f"{mpn}.txt"
         if fault == "not-a-datasheet" and mpn in PARTS[page]:
@@ -147,8 +161,15 @@ def test_a_fault_fails_or_degrades_the_run_and_its_trace_names_it(
             sheet.write_text(demo.datasheet_text(mpn), encoding="utf-8")
 
     report, raised, failed_calls, spans, threads = run_with(
-        work, scripted_read(fault, kind, page), max_in_flight, delay)
+        work, scripted_read(fault, kind, page), max_in_flight, delay, blocked)
 
+    # the faults land: a lacking choice fails only its run's remake, and a
+    # blocked cache entry fails its part's retrieval
+    if fault == "lacks-choice":
+        assert failed_calls and set(failed_calls) == {"group_review"}
+    if fault == "cache-io":
+        assert "StoreIo" in {s["attributes"].get("error") for s in spans
+                             if s["span"] == "retrieve"}
     # the pool's workers and the thread that called run_pipeline
     assert threads <= max_in_flight + 1
 

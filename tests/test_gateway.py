@@ -163,6 +163,31 @@ class TestChoices:
                                 Choice({"analyses": []}))
         assert resp.attempts == 1
 
+    @pytest.mark.parametrize("text, failure", [
+        (REVIEW, None),
+        ('{"analyses": 1}', "analyses: 1 is not of type 'array'"),
+        ("not json", "invalid JSON: Expecting value at char 0")])
+    def test_equal_choice_texts_are_checked_once_and_share_one_choice(
+            self, tmp_path, monkeypatch, text, failure):
+        root = tmp_path / "fixtures"
+        for seed in (0, 1, 3):
+            write_fixture(root, AgentKind.GROUP_REVIEW, "group", seed, text)
+        write_fixture(root, AgentKind.GROUP_REVIEW, "group", 4, text + " ")
+        gw = Gateway(mock_cfg(tmp_path))
+        checked, validated = [], []
+        check = gw._check
+        monkeypatch.setattr(gw, "_check", lambda kind, raw, post: (
+            checked.append(raw) or check(kind, raw, post)))
+        resp = gw.complete(review_request("group", 5), post_validate=validated.append)
+        # the text with a trailing blank is another text, checked apart
+        assert checked == [text, text + " "]
+        assert validated == ([] if failure else [{"analyses": []}] * 2)
+        first, second, missing, third, other = resp.choices
+        assert first is second is third and missing is None
+        # what checking each choice alone gives
+        assert first == other == Choice(None if failure else {"analyses": []}, failure)
+        assert first is not other
+
     def test_a_request_with_no_choice_fails_naming_every_key(self, tmp_path):
         gw, tracer, trace = traced_gateway(mock_cfg(tmp_path))
         with pytest.raises(BackendUnavailable) as exc:

@@ -207,6 +207,31 @@ class TestFanOut:
         assert sorted(r.run_index for r in results) == [0, 1, 2]
         assert failures == []
 
+    def test_equal_choices_share_one_reading_and_each_run_logs_its_drops(
+            self, tmp_path, pool, caplog):
+        page = regulator_page()
+        ctx = make_ctx(page, with_spec_for=("U1", "R1"))
+        unknown_pin = json.dumps({"analyses": [{"designator": "U1", "verdicts": [
+            {"pins": "99", "status": "incorrect", "reasoning": "bogus"},
+            {"pins": "2", "status": "correct", "reasoning": "fine"}]}]})
+        outside = json.dumps({"analyses": [{"designator": "C9", "verdicts": []}]})
+        for seed, answer in enumerate((unknown_pin, outside, unknown_pin, unknown_pin)):
+            script_review(tmp_path, ctx, seed, answer)
+        gateway = make_gateway(tmp_path)
+        with caplog.at_level(logging.WARNING, logger="schemreview.review"):
+            expected, _ = per_seed_fan_out(ctx, page, 4, gateway, TraceContext(Tracer(), ""))
+            expected_log = [r.getMessage() for r in caplog.records]
+            caplog.clear()
+            results, failures = fan_out_reviews(ctx, page, 4, gateway, pool)
+        assert results == expected and failures == []
+        first, second, third, fourth = (r.analyses for r in results)
+        assert first is third is fourth and first is not second
+        assert [r.getMessage() for r in caplog.records] == expected_log == [
+            "run 0: U1 verdict names pin(s) ['99'] not on the component; dropped",
+            "run 1: analysis for C9 outside group 'power stage'; dropped",
+            "run 2: U1 verdict names pin(s) ['99'] not on the component; dropped",
+            "run 3: U1 verdict names pin(s) ['99'] not on the component; dropped"]
+
 
 def per_seed_fan_out(ctx, page, k, gateway, trace):
     """The fan-out before one request asked for k choices: k one-completion
@@ -254,8 +279,8 @@ def schema_failure(raw: str) -> str:
 # then valid) its repair; "invalid" (never JSON) its two repairs; "missing"
 # (no fixture) a one-completion call, which misses at no cost; "dropped"
 # (left out of the k-choice reply, served to a one-completion call) the
-# payload again
-ANSWERS = ("valid", "repaired", "invalid", "missing", "dropped")
+# payload again; "repeated" (run 0's valid answer, word for word) none
+ANSWERS = ("valid", "repaired", "invalid", "missing", "dropped", "repeated")
 
 
 def script_answers(root: Path, payload: str, answers) -> int:
@@ -263,8 +288,9 @@ def script_answers(root: Path, payload: str, answers) -> int:
     on prompts beyond the k-choice request's one."""
     extra = 0
     for seed, answer in enumerate(answers):
-        if answer in ("valid", "dropped"):
-            write_fixture(root, AgentKind.GROUP_REVIEW, payload, seed, seed_answer(seed))
+        if answer in ("valid", "dropped", "repeated"):
+            write_fixture(root, AgentKind.GROUP_REVIEW, payload, seed,
+                          seed_answer(0 if answer == "repeated" else seed))
             extra += len(payload) // 4 if answer == "dropped" else 0
         elif answer == "repaired":
             write_fixture(root, AgentKind.GROUP_REVIEW, payload, seed, OFF_SCHEMA)
@@ -338,7 +364,7 @@ def test_one_k_choice_request_matches_the_per_seed_fan_out(answers):
     # the request records directly under the group; remade runs under review:<i>
     assert [e.path for e in events if e.span_name.startswith("review:")] == [
         f"group:power stage/review:{i}" for i, answer in enumerate(answers)
-        if answer != "valid"]
+        if answer not in ("valid", "repeated")]
 
 
 def chat_server(reply):
