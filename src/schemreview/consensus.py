@@ -13,9 +13,6 @@ Findings are matched across runs by (designator, pin set, status).
   consensus agent re-examines, emitting exactly one ContradictionResolved
   finding per cluster.
 
-Runs that share one ``analyses`` object (equal answers to one review
-request, ``review.fan_out_reviews``) are walked once and each credited.
-
 Singles and contradictions for a group travel in one batched agent call;
 when neither exists the stage is purely local. Output never contains two
 findings for the same (designator, pin): resolutions take precedence,
@@ -109,27 +106,13 @@ class _Cluster(NamedTuple):
 
 
 def _collect(results: list[RunResult]):
-    """Each key's hits, (run_index, verdict) in run order, and the
-    statuses given to each (designator, pin). An ``analyses`` object
-    that several runs share is walked once: a later run that holds it
-    appends its hit to the lists the first walk recorded, in the same
-    order."""
     occurrences: dict[_Key, list[tuple[int, PinVerdict]]] = {}
     pin_statuses: dict[tuple[str, str], set[VerdictStatus]] = {}
-    walked: dict[int, list[tuple[list, PinVerdict]]] = {}  # id(analyses) -> its hits
     for run in results:
-        hits = walked.get(id(run.analyses))
-        if hits is not None:
-            for key_hits, verdict in hits:
-                key_hits.append((run.run_index, verdict))
-            continue
-        hits = walked[id(run.analyses)] = []
         for analysis in run.analyses:
             for verdict in analysis.verdicts:
                 key = (analysis.designator, verdict.pin_set, verdict.status)
-                key_hits = occurrences.setdefault(key, [])
-                key_hits.append((run.run_index, verdict))
-                hits.append((key_hits, verdict))
+                occurrences.setdefault(key, []).append((run.run_index, verdict))
                 for pin in verdict.pins:
                     pin_statuses.setdefault((analysis.designator, pin), set()).add(
                         verdict.status)

@@ -341,10 +341,16 @@ class Gateway:
                 if req.n is not None:
                     attempts = 1
                     texts, usage = self._backend.complete(req, payload)
-                    read = {raw: Choice(*self._check(req.agent_kind, raw, post_validate))
-                            for raw in dict.fromkeys(texts) if raw is not None}
-                    return AgentResponse(None, usage, attempts, tuple(
-                        None if raw is None else read[raw] for raw in texts))
+                    choices: list[Choice | None] = []
+                    for i, raw in enumerate(texts):
+                        # the first choice with this text, found by comparing
+                        # (a length check, for most texts that differ), not by
+                        # hashing every text
+                        first = texts.index(raw)
+                        choices.append(choices[first] if first < i else None if raw is None
+                                       else Choice(*self._check(req.agent_kind, raw,
+                                                                post_validate)))
+                    return AgentResponse(None, usage, attempts, tuple(choices))
                 while attempts <= MAX_REPAIRS:
                     if failure is not None:
                         payload = repair_payload(payload, failure)

@@ -90,8 +90,8 @@ _SPACE = WHITESPACE.match
 
 
 _NOTHING_KNOWN = ("", (), ())
-# the characters of a known text that index it (and that are compared
-# first at its end), and that it is compared by at a time (``_Texts``)
+# the characters of a known text that index it, and that it is compared
+# by at a time (``_Texts``)
 _PREFIX = 32
 _CHUNK = 4096
 
@@ -180,14 +180,11 @@ class _Texts:
     """The texts of ``spans`` in ``text``, found again in another text. A
     known text is a whole JSON value, so when a ``,`` or ``]`` follows it
     (the caller checks), the item there is that text exactly. The texts
-    are indexed by their first ``_PREFIX`` characters. A text with the
-    prefix found is compared by its last ``_PREFIX`` characters, where
-    they would fall, and then ``_CHUNK`` characters at a time: a
-    comparison copies no more than its equal part and one chunk, so
-    finding a document's items costs no more than the known texts they
-    share a start and an end with, however they differ. Documents written
-    with sorted keys begin every page item alike; its last characters
-    hold the page id."""
+    are indexed by their first ``_PREFIX`` characters, and a text with the
+    prefix found is compared ``_CHUNK`` characters at a time: a comparison
+    copies no more than its equal part and one chunk, so finding a
+    document's items costs no more than the known texts they share a
+    start with, however they differ."""
 
     def __init__(self, text: str, spans):
         self._text, self._spans = text, spans
@@ -195,7 +192,6 @@ class _Texts:
         for j, (start, end) in enumerate(spans):  # a text shorter than the prefix: ""
             key = text[start:start + _PREFIX] if end - start >= _PREFIX else ""
             self._index.setdefault(key, []).append(j)
-        self._ends = [text[max(start, end - _PREFIX):end] for start, end in spans]
 
     def find(self, text: str, pos: int, i: int) -> tuple[int, int] | None:
         """(index, end) of a known text that starts at ``pos`` in ``text``,
@@ -203,10 +199,8 @@ class _Texts:
         candidates = [*self._index.get(text[pos:pos + _PREFIX], ()), *self._index.get("", ())]
         for j in sorted(candidates, key=lambda j: j != i):
             start, end = self._spans[j]
-            last = self._ends[j]
-            if text.startswith(last, pos + end - start - len(last)) and all(
-                    text.startswith(self._text[at:min(at + _CHUNK, end)], pos + at - start)
-                    for at in range(start, end, _CHUNK)):
+            if all(text.startswith(self._text[at:min(at + _CHUNK, end)], pos + at - start)
+                   for at in range(start, end, _CHUNK)):
                 return j, pos + end - start
         return None
 

@@ -301,10 +301,10 @@ def fan_out_reviews(ctx: GroupReviewContext, page: Page, k: int, gateway: Gatewa
     parts and groups (``map_on_pool``): they run in order on this
     thread, and those not yet started spill to the pool when a call is
     about to wait. Each distinct valid choice (the gateway gives equal
-    answer texts one ``Choice``) is read once, before the runs: its runs
-    share one ``analyses`` tuple, and each logs the answer's warnings
-    with its own index. Failed runs are recorded; consensus proceeds over
-    the successes."""
+    answer texts one ``Choice``) is read by the first run that holds it,
+    and a later run that starts after that read shares its ``analyses``
+    tuple; each run logs the answer's warnings with its own index. Failed
+    runs are recorded; consensus proceeds over the successes."""
     if k < 1:
         raise ValueError("k must be >= 1")
     payload = build_review_payload(ctx)
@@ -315,15 +315,15 @@ def fan_out_reviews(ctx: GroupReviewContext, page: Page, k: int, gateway: Gatewa
         log.warning("review request for group %r failed: %s", ctx.group.name, exc)
         choices = (None,) * k
     answers: dict[int, tuple] = {}  # id(choice) -> its _read_answer
-    for choice in choices:
-        if choice is not None and choice.failure is None and id(choice) not in answers:
-            answers[id(choice)] = _read_answer(ctx, page, choice.value)
 
     def _one_run(run_index: int) -> RunResult | RunFailure:
         choice = choices[run_index]
         try:
-            if id(choice) in answers:
-                return _run_result(run_index, *answers[id(choice)])
+            if choice is not None and choice.failure is None:
+                answer = answers.get(id(choice))
+                if answer is None:
+                    answer = answers[id(choice)] = _read_answer(ctx, page, choice.value)
+                return _run_result(run_index, *answer)
             with trace.span(f"review:{run_index}", run_index=run_index) as run_trace:
                 return review_group_once(ctx, payload, page, run_index, gateway, run_trace,
                                          failure=None if choice is None else choice.failure)

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import BASE_SPEC_VALUE, loopback_server, regulator_page, write_fixture
-from schemreview import workfirst
+from schemreview import review, workfirst
 from schemreview.canonical import serialize_page_xml
 from schemreview.dsmodel import spec_from_agent_value
 from schemreview.errors import AllRunsFailed, BackendUnavailable, SchemReviewError
@@ -231,6 +231,23 @@ class TestFanOut:
             "run 1: analysis for C9 outside group 'power stage'; dropped",
             "run 2: U1 verdict names pin(s) ['99'] not on the component; dropped",
             "run 3: U1 verdict names pin(s) ['99'] not on the component; dropped"]
+
+    def test_a_choice_that_fails_to_read_leaves_the_other_runs_made(
+            self, tmp_path, pool, monkeypatch):
+        # reading choice 0 raises an error no run records; choice 1 is
+        # missing, and its remake is still made before that error leaves
+        page = regulator_page()
+        ctx = make_ctx(page, with_spec_for=("U1", "R1"))
+        script_review(tmp_path, ctx, 0, swapped_pin_response())
+        gateway = make_gateway(tmp_path)
+        seeds = []
+        complete = gateway.complete
+        monkeypatch.setattr(gateway, "complete", lambda req, **kw: (
+            seeds.append(req.seed) or complete(req, **kw)))
+        monkeypatch.setattr(review, "_read_answer", mock.Mock(side_effect=Boom))
+        with pytest.raises(Boom):
+            fan_out_reviews(ctx, page, 2, gateway, pool)
+        assert seeds == [0, 1]  # the request, then run 1's remake
 
 
 def per_seed_fan_out(ctx, page, k, gateway, trace):
