@@ -24,13 +24,18 @@ changed page as two collinear halves before the fixtures are generated:
 that page's annotations then differ from the head's while its nets do
 not, so nothing of the changed pair's wiring is shared.
 
+``--budget SECS`` gives the after side's runs that time budget
+(``time_budget_s``); the before side runs without one. With a budget that
+never binds, the equality check above shows that the budget changes no
+output.
+
 ``--distinct-choices`` scripts each ``group_review`` answer followed by as
 many blanks as its seed: the k choices of one request are then equal in
 value but never in text, so no choice is read for another.
 
     python scripts/bench_ab.py --before OLD_CHECKOUT --workload board-warm \\
         --out BENCH_name.json [--rounds 20] [--runs 5] [--seed 5] [--split-wire] \\
-        [--distinct-choices]
+        [--distinct-choices] [--budget SECS]
 """
 
 import argparse
@@ -120,13 +125,17 @@ def distinct_choices(make_responder):
     return make
 
 
-def side_runner(package: str, ws: dict, work: Path, cold_cache: bool):
-    """A function that runs one invocation with ``package``'s code and
-    returns its wall time and what it must share with every other
-    invocation: usage, delivered bytes' digest and span sequence."""
+def side_runner(package: str, ws: dict, work: Path, cold_cache: bool,
+                budget: float | None):
+    """A function that runs one invocation with ``package``'s code, under
+    time budget ``budget`` if given, and returns its wall time and what it
+    must share with every other invocation: usage, delivered bytes' digest
+    and span sequence."""
     config = importlib.import_module(f"{package}.config")
     pipeline = importlib.import_module(f"{package}.pipeline")
     cfg = config.load_config(ws["config"])
+    if budget is not None:
+        cfg.time_budget_s = budget
     cfg.trace_out = cfg.trace_out or str(work / "trace.jsonl")
     trace = Path(cfg.trace_out)
 
@@ -161,6 +170,8 @@ def main() -> int:
                         help="draw a wire of the base's changed page as two halves")
     parser.add_argument("--distinct-choices", action="store_true",
                         help="make the choices of every group review differ in text")
+    parser.add_argument("--budget", type=float, metavar="SECS",
+                        help="time budget of the after side's runs (default: none)")
     parser.add_argument("--out", required=True,
                         help="where to write the JSON record; an existing file is replaced")
     args = parser.parse_args()
@@ -185,7 +196,9 @@ def main() -> int:
         if args.distinct_choices:
             measure.make_responder = distinct_choices(measure.make_responder)
         measure.generate(ws, cold, work)
-        runners = {side: side_runner(packages[side], ws, work, cold) for side in SIDES}
+        runners = {side: side_runner(packages[side], ws, work, cold,
+                                     args.budget if side == "after" else None)
+                   for side in SIDES}
         reference = None
         for i in range(args.rounds):
             walls = {}
@@ -216,6 +229,7 @@ def main() -> int:
                    f"--rounds {args.rounds} --runs {args.runs} --seed {args.seed}"
                    + (" --split-wire" if args.split_wire else "")
                    + (" --distinct-choices" if args.distinct_choices else "")
+                   + (f" --budget {args.budget:g}" if args.budget is not None else "")
                    + f" --out {Path(args.out).name}",
         "statistic": f"per round, the median of {args.runs} invocations per side, "
                      "milliseconds; summary: median and quartiles over rounds",

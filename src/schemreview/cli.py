@@ -1,8 +1,8 @@
 """Command line entry point.
 
-Exit codes: 0 when the run completed, 3 when a time budget forced
-partial results, 1 on failure. The run report is printed to stdout as
-JSON; errors go to stderr.
+Exit codes: 0 when the run completed, 3 when a time budget skipped
+pages (partial results), 1 on failure. The run report is printed to
+stdout as JSON; errors go to stderr.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--mode", choices=["design-review", "full-analysis"],
                         help="operational mode")
     parser.add_argument("--time-limit-secs", type=float, dest="time_limit_secs",
-                        help="time budget; pages not started in time are skipped")
+                        help="time budget; past it a page refused new work is skipped")
     parser.add_argument("--runs", type=int, help="review runs per group (k)")
     parser.add_argument("--threshold", type=float,
                         help="critic score threshold for datasheet retries")

@@ -8,13 +8,12 @@ are not reported. The head is read and traced before the base, so a
 base page whose annotations equal the head page's takes its annotation
 records, and with the same pin points its wiring. Each changed pair is
 compared block by block up to the first block that differs
-(``canonical.diff_pages``). Admission:
-with no time budget every page of the set forms one batch; with a
-budget each page is its own batch, admitted once the page before it has
-finished and only if the deadline has not passed, so pages not started
-by the deadline are skipped and the completed pages' comments are still
-posted. Within a batch each stage runs for all its pages together
-before the next starts:
+(``canonical.diff_pages``). Every page of the set is admitted at once,
+with or without a time budget. Past a budget's deadline no page but the
+first in document order starts new work (a selection, a part listing or
+a group review); a page refused any work is skipped, neither rendered
+nor posted, and work already started runs to its end. Each stage runs
+for all pages together before the next starts:
 
 1. select groups on every page;
 2. retrieve each part under every page that lists it, one page after
@@ -27,21 +26,21 @@ before the next starts:
    one-completion call of its own;
 4. cluster errors and render comments page by page, in document order.
 
-Batches, parts, groups and remade review runs are all tasks on the
-run's one pool of ``backend.max_in_flight`` threads, which bounds its
-threads and its concurrent agent calls. The calling thread only admits
-batches, submitting each to the pool and waiting for its result; every
-wait inside a batch goes through ``workfirst.map_on_pool``. Its items
-run on the thread that reaches them and spill to the pool only when
-that thread is about to wait (``workfirst.before_wait``), so a run whose
-calls never block uses one worker thread. A stage's items all run to
-their end even when one fails; the first failure in item order then
-fails the batch, and with it the run. Each page records its own
-``page:<id>`` span. The run's spans are its one record: the report's
+The pages' analysis, parts, groups and remade review runs are all tasks
+on the run's one pool of ``backend.max_in_flight`` threads, which bounds
+its threads and its concurrent agent calls. The calling thread only
+submits the analysis to the pool and waits for its result; every wait
+inside it goes through ``workfirst.map_on_pool``. Its items run on the
+thread that reaches them and spill to the pool only when that thread is
+about to wait (``workfirst.before_wait``), so a run whose calls never
+block uses one worker thread. A stage's items all run to their end even
+when one fails; the first failure in item order then fails the run.
+Each page records its own ``page:<id>`` span, which carries ``skipped``
+for a skipped page. The run's spans are its one record: the report's
 usage and cache counts and the root span's token totals are sums over
 them, the trace file is written even when the run fails, and every span
-an exception left (the root, each page of the failed batch, a group, a
-part, an agent call) names it in its ``error``.
+an exception left (the root, every page, a group, a part, an agent
+call) names it in its ``error``.
 """
 
 from __future__ import annotations
@@ -128,15 +127,32 @@ def select_pages(cfg: RunConfig, schematic_path) -> list[Page]:
     return [page for page in head.pages if page.id in wanted]
 
 
+class _Refusals:
+    """The run's deadline and the pages refused work: once it has passed,
+    no page but the first in document order starts new work, and a page
+    refused any work is skipped."""
+
+    def __init__(self, deadline: float | None):
+        self.deadline, self.pages = deadline, set()  # pages: the refused indices
+
+    def refuse(self, index: int) -> bool:
+        """Whether page ``index`` may not start new work (it is then skipped)."""
+        if self.deadline is None or not index or time.perf_counter() < self.deadline:
+            return False
+        self.pages.add(index)
+        return True
+
+
 def _retrieve_all_specs(pages: list[tuple[Page, TraceContext]], groups: list,
                         cfg: RunConfig, gateway: Gateway, cache: CacheStore,
-                        pool: ThreadPoolExecutor) -> list[dict]:
+                        pool: ThreadPoolExecutor, refusals: _Refusals) -> list[dict]:
     """Per page, designator -> DatasheetSpec | None. Each part key is one
     task (ordered by the first page that lists it, then by key) that
     retrieves the part under every page that lists it, one page after
     another in document order: the first listing fetches the datasheet or
     hits the cache, each later one hits the cache as it would after the
-    earlier page ran (or retries a retrieval that failed)."""
+    earlier page ran (or retries a retrieval that failed). A listing
+    ``refusals`` refuses retrieves nothing."""
     retrieval_cfg = RetrievalConfig(threshold=cfg.critic_threshold,
                                     max_attempts=cfg.max_attempts)
     part_keys: list[dict[str, str | None]] = []  # per page: designator -> part key
@@ -167,7 +183,7 @@ def _retrieve_all_specs(pages: list[tuple[Page, TraceContext]], groups: list,
             return None
 
     def _part(key):
-        return [((index, key), _one(ctx, key, *listing))
+        return [((index, key), None if refusals.refuse(index) else _one(ctx, key, *listing))
                 for index, ctx, listing in listings[key]]
 
     # (page index, part key) -> spec
@@ -179,21 +195,23 @@ def _retrieve_all_specs(pages: list[tuple[Page, TraceContext]], groups: list,
 
 def _analyze_pages(pages: list[tuple[Page, TraceContext]], cfg: RunConfig,
                    gateway: Gateway, cache: CacheStore, pool: ThreadPoolExecutor,
-                   checklist) -> list:
-    """The batch's rendered comments, page by page in document order; each
-    page's spans record under its own context. Each stage runs for every
-    page of the batch together before the next starts: selection,
+                   checklist, refusals: _Refusals) -> list:
+    """The rendered comments of the pages ``refusals`` did not refuse, in
+    document order; each page's spans record under its own context. Each
+    stage runs for every page together before the next starts: selection,
     retrieval (``_retrieve_all_specs``), then every page's group reviews
     and consensus; grouping and rendering follow per page. ``checklist``
     is the run's ``review.checklist_loader``."""
-    groups = map_on_pool(pool, lambda pc: select_groups(pc[0], gateway, trace=pc[1]),
-                         pages)
-    specs = _retrieve_all_specs(pages, groups, cfg, gateway, cache, pool)
+    groups = map_on_pool(pool, lambda i: [] if refusals.refuse(i) else select_groups(
+        pages[i][0], gateway, trace=pages[i][1]), range(len(pages)))
+    specs = _retrieve_all_specs(pages, groups, cfg, gateway, cache, pool, refusals)
     checklists = {group.name: checklist(group.name)
                   for page_groups in groups for group in page_groups}
 
     def _review_group(job):
         index, group = job
+        if refusals.refuse(index):
+            return []
         page, ctx = pages[index]
         review_ctx = GroupReviewContext(
             group, serialize_page_xml(page, group.designators, payload=True),
@@ -214,7 +232,7 @@ def _analyze_pages(pages: list[tuple[Page, TraceContext]], cfg: RunConfig,
         analyses[index] += group_analyses
 
     return [render_comment(error_group, specs[index], page)
-            for index, (page, _) in enumerate(pages)
+            for index, (page, _) in enumerate(pages) if index not in refusals.pages
             for error_group in group_errors(analyses[index], page.nets)]
 
 
@@ -232,32 +250,24 @@ def run_pipeline(cfg: RunConfig, schematic_path) -> RunReport:
     tracer = Tracer()
 
     analyzed: list[str] = []
-    comments: list = []
     skipped: list[str] = []
+    refusals = _Refusals(deadline)
 
     try:
         with TraceContext(tracer, "").span("run") as root:
             try:
                 pages = select_pages(cfg, schematic_path)
-                # with a budget each page is admitted on its own, once the page
-                # before it has finished and only while the deadline has not passed
-                if deadline is not None:
-                    batches = [[page] for page in pages]
-                else:
-                    batches = [pages] if pages else []
-                with ThreadPoolExecutor(max_workers=cfg.backend.max_in_flight) as pool:
-                    for batch in batches:
-                        if deadline is not None and time.perf_counter() >= deadline:
-                            skipped += [page.id for page in batch]
-                            continue
-                        with ExitStack() as stack:
-                            traced = [(page, stack.enter_context(
-                                          root.span(f"page:{page.id}", page_id=page.id)))
-                                      for page in batch]
-                            comments += pool.submit(_analyze_pages, traced, cfg, gateway,
-                                                    cache, pool, checklist).result()
-                        analyzed += [page.id for page in batch]
-
+                with ThreadPoolExecutor(max_workers=cfg.backend.max_in_flight) as pool, \
+                        ExitStack() as stack:
+                    traced = [(page, stack.enter_context(
+                                  root.span(f"page:{page.id}", page_id=page.id)))
+                              for page in pages]
+                    comments = pool.submit(_analyze_pages, traced, cfg, gateway, cache,
+                                           pool, checklist, refusals).result()
+                    for index in refusals.pages:
+                        traced[index][1].attrs["skipped"] = True
+                for index, page in enumerate(pages):
+                    (skipped if index in refusals.pages else analyzed).append(page.id)
                 delivery = post_comments(cfg.sink, comments)
             finally:
                 usage = usage_by_kind(tracer.events())

@@ -16,7 +16,8 @@ from schemreview.cli import main
 from schemreview.config import Mode, RunConfig, apply_cli_overrides, load_config
 from schemreview.demo import demo_responder, generate_fixtures, write_demo_workspace
 from schemreview.errors import BackendUnavailable, ConfigError, InputError
-from schemreview.gateway import BackendConfig, MockBackend, TokenUsage, fixture_relpaths
+from schemreview.gateway import (AgentKind, BackendConfig, MockBackend, TokenUsage,
+                                 fixture_relpaths)
 from schemreview.ingest import ingest_schematic
 from schemreview.pipeline import RunStatus, run_pipeline
 from schemreview.reporting import FileSink
@@ -282,6 +283,29 @@ class TestTimeBudget:
         pages_in_manifest = {c["page_id"] for c in manifest["comments"]}
         assert pages_in_manifest == {"P1"}
 
+    def test_spent_budget_posts_only_the_first_page(self, demo):
+        # the deadline passes before the first page starts: the first page
+        # in document order still runs to its end, the others start nothing
+        work, paths = demo
+        clean_run_dirs(work)
+        report = run_pipeline(fresh_cfg(work, time_budget_s=1e-4), paths["schematic"])
+        assert report.status == RunStatus.PARTIAL
+        assert report.pages_analyzed == ["P1"]
+        assert report.pages_skipped == ["P2", "P3"]
+        manifest = json.loads((work / "out" / "manifest.json").read_text())
+        assert manifest["comments"]
+        assert {c["page_id"] for c in manifest["comments"]} == {"P1"}
+        spans = read_spans(work / "trace.jsonl")
+        agent_spans = [s for s in spans if s["span"] in {k.value for k in AgentKind}]
+        assert agent_spans
+        assert all(s["path"].startswith("run/page:P1/") for s in agent_spans)
+        pages = {s["path"]: s["attributes"] for s in spans if s["span"].startswith("page:")}
+        assert pages == {"run/page:P1": {"page_id": "P1"},
+                         "run/page:P2": {"page_id": "P2", "skipped": True},
+                         "run/page:P3": {"page_id": "P3", "skipped": True}}
+        assert set(report.usage) == {s["span"] for s in agent_spans}
+        assert_ledger_matches_trace(report, spans)
+
     def test_no_budget_never_partial(self, demo):
         work, paths = demo
         clean_run_dirs(work)
@@ -376,7 +400,7 @@ class TestTraces:
                 for s in spans if s["span"] == "selection"] == [
             (f"run/page:{pid}/selection", "BackendUnavailable")
             for pid in ("P1", "P2", "P3")]
-        # the batch failed as a whole, so every page span it held names the error
+        # the run failed as a whole, so every page span names the error
         assert [(s["path"], s["attributes"]["error"])
                 for s in spans if s["span"].startswith("page:")] == [
             (f"run/page:{pid}", "BackendUnavailable") for pid in ("P1", "P2", "P3")]

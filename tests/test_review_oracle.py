@@ -21,7 +21,8 @@ design review's read:
 * for those pages, the comment files and manifest entries equal the full
   analysis's;
 * ``out/``, the usage and the trace's (span, path, attributes) sequence
-  are identical at ``max_in_flight`` 1, 2 and 8.
+  are identical at ``max_in_flight`` 1, 2 and 8, and at 8 with a time
+  budget that never binds.
 """
 
 import copy
@@ -221,14 +222,15 @@ def test_design_review_posts_what_a_full_analysis_posts_for_its_pages(work, revi
     design_review = {"mode": Mode.DESIGN_REVIEW, "base_schematic": str(work / "base.json"),
                      "pages_override": override}
     outcomes = []
-    for max_in_flight, delay in ((1, 0.0), (2, 0.001), (8, 0.001)):
+    for max_in_flight, delay, budget in ((1, 0.0, None), (2, 0.001, None), (8, 0.001, None),
+                                         (8, 0.001, 600)):
         backend = load_config(work / "config.json").backend
         backend.max_in_flight, backend.mock_delay_s = max_in_flight, delay
-        report = run(work, backend=backend, **design_review)
+        report = run(work, backend=backend, time_budget_s=budget, **design_review)
         assert report.pages_analyzed == [pid for pid in head_order if pid in selected]
         outcomes.append((out_files(work), usage(report), span_sequence(work / "trace.jsonl")))
 
     files, _, _ = outcomes[0]
     assert entries_and_files(files, selected) == entries_and_files(full, selected)
     assert set(files) == set(entries_and_files(files, selected)[1]) | {"manifest.json"}
-    assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
+    assert outcomes[1:] == [outcomes[0]] * 3
