@@ -20,23 +20,24 @@ document text. Whatever the walker does not accept is read again by
 
 A design review (``read_design_review``) reads only the pages it reviews. Its
 base is walked against its head, and a base page item whose text equals
-a head page item's is not decoded again. In documents with equal other
-top-level members (``version``, ``format``, ``sidecars``) such a head
-item is unchanged: neither it nor its base item is checked, decoded or
-traced, and their defects are not reported. The other head items, those
-the page override names and their base items are read as a full read
-reads them, with its errors (a schema error never names an unread item).
-Both documents are still checked whole for their top-level members, page
-items that are objects with a string ``id``, and unique page ids.
+a head page item's (``_find`` tries the one at its index first) is not
+decoded again. In documents with equal other top-level members (``version``,
+``format``, ``sidecars``) such a head item is unchanged: neither it nor
+its base item is checked, decoded or traced, and their defects are not
+reported. The other head items, those the page override names and their
+base items are read as a full read reads them, with its errors (a schema
+error never names an unread item). Both documents are still checked
+whole for their top-level members, page items that are objects with a
+string ``id``, and unique page ids.
 
 Within a changed pair, a base item's ``annotations`` that equal those of
 the head item with its id, as decoded JSON values of the same types and
 key order, are what the head's read has already checked, decoded and
 traced. Where the base is checked they stand in as ``[]`` (no page
 member's schema depends on another's); the base page takes the head
-page's annotation records, and that head page keeps its wiring for it
-(``wiretrace.infer_nets``). Every error a full read of the base item
-gives is still raised, with its text.
+page's annotation records and names that page as ``_annotations_of``,
+so that ``wiretrace.infer_nets`` need not trace them again. Every error
+a full read of the base item gives is still raised, with its text.
 """
 
 from __future__ import annotations
@@ -90,10 +91,7 @@ _SPACE = WHITESPACE.match
 
 
 _NOTHING_KNOWN = ("", (), ())
-# the characters of a known text that index it, and that it is compared
-# by at a time (``_Texts``)
-_PREFIX = 32
-_CHUNK = 4096
+_CHUNK = 4096  # the characters of a known text compared at a time (``_find``)
 
 
 def _read_json(text: str, known=_NOTHING_KNOWN
@@ -153,14 +151,13 @@ def _walk_pages(text: str, pos: int, known, matched: dict[int, int]
                 ) -> tuple[list, list[tuple[int, int]], int]:
     """The array at ``pos``: its items, their spans, and the position after
     it; ``matched`` gets the items found in ``known``."""
-    known_text, known_spans, values = known
-    texts = _Texts(known_text, known_spans)
+    values = known[2]
     items, spans = [], []
     pos = _SPACE(text, pos + 1).end()
     if text.startswith("]", pos):
         return items, spans, pos + 1
     while True:
-        found = texts.find(text, pos, len(items))
+        found = _find(known, text, pos, len(items))
         if found is None:
             item, end = _DECODER.raw_decode(text, pos)
         else:
@@ -176,33 +173,21 @@ def _walk_pages(text: str, pos: int, known, matched: dict[int, int]
         pos = _SPACE(text, pos + 1).end()
 
 
-class _Texts:
-    """The texts of ``spans`` in ``text``, found again in another text. A
-    known text is a whole JSON value, so when a ``,`` or ``]`` follows it
-    (the caller checks), the item there is that text exactly. The texts
-    are indexed by their first ``_PREFIX`` characters, and a text with the
-    prefix found is compared ``_CHUNK`` characters at a time: a comparison
-    copies no more than its equal part and one chunk, so finding a
-    document's items costs no more than the known texts they share a
-    start with, however they differ."""
-
-    def __init__(self, text: str, spans):
-        self._text, self._spans = text, spans
-        self._index: dict[str, list[int]] = {}
-        for j, (start, end) in enumerate(spans):  # a text shorter than the prefix: ""
-            key = text[start:start + _PREFIX] if end - start >= _PREFIX else ""
-            self._index.setdefault(key, []).append(j)
-
-    def find(self, text: str, pos: int, i: int) -> tuple[int, int] | None:
-        """(index, end) of a known text that starts at ``pos`` in ``text``,
-        trying index ``i`` first; None when there is none."""
-        candidates = [*self._index.get(text[pos:pos + _PREFIX], ()), *self._index.get("", ())]
-        for j in sorted(candidates, key=lambda j: j != i):
-            start, end = self._spans[j]
-            if all(text.startswith(self._text[at:min(at + _CHUNK, end)], pos + at - start)
-                   for at in range(start, end, _CHUNK)):
-                return j, pos + end - start
-        return None
+def _find(known, text: str, pos: int, i: int) -> tuple[int, int] | None:
+    """(index, end) of a ``known`` (text, spans, values) page item whose
+    text starts at ``pos`` in ``text``, trying item ``i`` first and then
+    every other in order; None when there is none. A known text is a whole
+    JSON value, so when a ``,`` or ``]`` follows it (the caller checks),
+    the item there is that text exactly. A text is compared ``_CHUNK``
+    characters at a time: a comparison copies no more than its equal part
+    and one chunk, however the texts differ."""
+    known_text, spans, _ = known
+    for j in sorted(range(len(spans)), key=lambda j: j != i):
+        start, end = spans[j]
+        if all(text.startswith(known_text[at:min(at + _CHUNK, end)], pos + at - start)
+               for at in range(start, end, _CHUNK)):
+            return j, pos + end - start
+    return None
 
 
 class _Document(NamedTuple):
@@ -275,8 +260,6 @@ def read_design_review(raw: bytes, read_base: Callable[[], bytes] | None,
         # base item index -> the head page whose annotation records it takes
         pages = {page.id: page for page in schematic.pages}
         shared = {i: pages[page_id] for i, page_id in pairs.items()}
-        for page in shared.values():
-            page.__dict__["_wiring"] = None  # kept for the base (``wiretrace.infer_nets``)
     read_ids = set(ids) if changed is None else {ids[i] for i in changed}
 
     def read_base_pages() -> Schematic:

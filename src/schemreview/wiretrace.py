@@ -26,8 +26,7 @@ names, the dangling-endpoint check and the clusters' scan order.
 ``attach_pins`` then makes each cluster that pins lie on a net. A design
 review's base page that took a head page's annotation records and has
 the same pin points (a pin swap, a part change) attaches its own pins to
-the head page's geometry, which only such a head page keeps
-(``infer_nets``).
+the head page's geometry, which every traced page keeps (``infer_nets``).
 """
 
 from __future__ import annotations
@@ -177,18 +176,16 @@ def trace_nets(page_id: str, components: tuple[Component, ...],
 
 
 def infer_nets(page: Page) -> list[Net]:
-    """``trace_nets`` for a page. A page whose ``__dict__`` has a
-    ``_wiring`` entry (a design review's head page whose annotations a
-    base page takes) keeps its wiring there. A page whose annotations are
-    the records of its ``_annotations_of`` page, and whose pin points are
-    that page's, attaches its pins to that page's wiring."""
+    """``trace_nets`` for a page, which keeps the wiring it traces as
+    ``_wiring``. A page whose annotations are the records of its
+    ``_annotations_of`` page (a design review's base page, ``ingest``),
+    and whose pin points are that page's, attaches its pins to that page's
+    wiring."""
     pins = _pins(page.components)
     points = {pt for *_, pt in pins}
     like = page.__dict__.get("_annotations_of")
     wiring = like.__dict__.get("_wiring") if like is not None \
         and like.annotations is page.annotations else None
     if wiring is None or wiring.pin_points != points:
-        wiring = wire_geometry(page.id, page.annotations, points)
-        if "_wiring" in page.__dict__:
-            page.__dict__["_wiring"] = wiring
+        wiring = page.__dict__["_wiring"] = wire_geometry(page.id, page.annotations, points)
     return attach_pins(wiring, pins)

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from schemreview import config
+from schemreview.cli import EXIT_FAILED, main
 from schemreview.config import RunConfig, load_config
 from schemreview.errors import ConfigError
 from schemreview.gateway import BackendConfig
@@ -155,3 +156,23 @@ def test_a_config_file_with_crlf_newlines_loads(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_bytes(b'{\r\n "version": 1,\r\n "k": 5\r\n}\r\n')
     assert load_config(path).k == 5
+
+
+@pytest.mark.parametrize("write, message", [
+    (None, "cannot read config "),  # the path names a directory
+    ("{version: 1}", "is not valid JSON: Expecting property name"),
+    ('{"version": 1, "mode": "half-analysis"}', "unknown mode 'half-analysis'"),
+])
+def test_a_config_that_cannot_be_read_is_a_config_error_and_the_cli_exits_1(
+        tmp_path, capsys, write, message):
+    path = tmp_path / "cfg.json"
+    if write is None:
+        path.mkdir()
+    else:
+        path.write_text(write)
+    with pytest.raises(ConfigError, match=message):
+        load_config(path)
+    schematic = tmp_path / "schematic.json"
+    schematic.write_text('{"version": 1, "pages": []}')
+    assert main(["--schematic", str(schematic), "--config", str(path)]) == EXIT_FAILED
+    assert message in capsys.readouterr().err

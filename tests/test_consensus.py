@@ -151,6 +151,19 @@ class TestContradictions:
         assert any(f.provenance is Provenance.CONTRADICTION_RESOLVED for _, f in found)
 
 
+def test_a_single_and_a_contradiction_the_reply_leaves_out_are_dropped(tmp_path, caplog):
+    results = [
+        run_result(0, {"R1": [("1", "warning", ("GND",))], "U1": [("2", "correct", ())]}),
+        run_result(1, {"U1": [("2", "incorrect", ())]}),
+        run_result(2, {}),
+    ]
+    analyses = combine(tmp_path, results,
+                       lambda *_: json.dumps({"verifications": [], "resolutions": []}))
+    assert all_findings(analyses) == []
+    assert "consensus gave no verdict for single-run finding R1 1; dropped" in caplog.text
+    assert "consensus left contradiction U1 2 unresolved; dropped" in caplog.text
+
+
 def fixpoint_clusters(occurrences, contradicted) -> list[_Cluster]:
     """Reference: the quadratic fixpoint union that clustering used before
     it moved onto the shared union-find."""

@@ -3,10 +3,12 @@
 import pytest
 
 from schemreview.canonical import serialize_page_xml
+from schemreview.config import Mode, RunConfig
 from schemreview.errors import InferenceFailed, MalformedInput
 from schemreview.ingest import ingest_schematic
 from schemreview.kicad import parse_kicad_page, parse_sexpr
 from schemreview.model import AugmentationStrategy, Net
+from schemreview.pipeline import select_pages
 
 ONE_SYMBOL_ONE_WIRE = """
 (kicad_sch
@@ -193,3 +195,16 @@ def test_symbol_without_reference_rejected():
 def test_not_kicad_document_rejected():
     with pytest.raises(MalformedInput):
         parse_kicad_page("(something_else)")
+
+
+@pytest.mark.parametrize("base, selected", [
+    (ONE_SYMBOL_ONE_WIRE, []),
+    # U1's VIN and VOUT pins trade places: each lands on the other's net
+    (ONE_SYMBOL_ONE_WIRE.replace('"VIN") (at 10 20)', '"VIN") (at 10 30)')
+     .replace('"VOUT") (at 10 30)', '"VOUT") (at 10 20)'), ["P1"]),
+])
+def test_design_review_of_a_kicad_head_against_a_kicad_base(tmp_path, base, selected):
+    (tmp_path / "head.sch").write_text(ONE_SYMBOL_ONE_WIRE)
+    (tmp_path / "base.sch").write_text(base)
+    cfg = RunConfig(mode=Mode.DESIGN_REVIEW, base_schematic=str(tmp_path / "base.sch"))
+    assert [page.id for page in select_pages(cfg, tmp_path / "head.sch")] == selected

@@ -460,22 +460,6 @@ def test_annotations_equal_only_under_eq_are_read_for_the_base(monkeypatch, valu
     assert base.pages == (full_read(dumps(base_doc)).page("P2"),)
 
 
-def test_only_a_head_page_whose_annotations_a_base_page_takes_keeps_its_wiring():
-    head_doc = make_doc("wires", [0, 1, 2])
-    base_doc = copy.deepcopy(head_doc)
-    for page in base_doc["pages"][:2]:
-        page["components"][1]["mpn"] = "RES-2K"
-    base_doc["pages"][0]["annotations"].reverse()  # P1's annotations differ
-    head, _, _ = read_design_review(dumps(head_doc), lambda: dumps(base_doc), ())
-    for page in head.pages:
-        augment.infer_nets(page)
-    assert {page.id: "_wiring" in vars(page) for page in head.pages} == {"P1": False,
-                                                                         "P2": True}
-    for page in ingest_schematic(dumps(head_doc)).pages:
-        augment.infer_nets(page)
-        assert "_wiring" not in vars(page)
-
-
 @pytest.mark.parametrize("edit, traced", [("move", ["P2", "P2"]), ("swap", ["P2"])])
 def test_a_base_page_whose_pins_moved_is_traced_again(monkeypatch, edit, traced):
     head_doc = make_doc("wires", [0, 1])

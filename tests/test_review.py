@@ -126,6 +126,23 @@ class TestReviewGroupOnce:
         u1 = next(a for a in result.analyses if a.designator == "U1")
         assert [v.pin_key for v in u1.verdicts] == ["2"]
 
+    def test_verdict_whose_pin_key_names_no_pins_dropped_with_warning(self, tmp_path, caplog):
+        page = regulator_page()
+        ctx = make_ctx(page, with_spec_for=("U1", "R1"))
+        response = json.dumps({"analyses": [
+            {"designator": "U1", "verdicts": [
+                {"pins": " , ", "status": "incorrect", "reasoning": "no pins"},
+                {"pins": "2", "status": "correct", "reasoning": "fine"},
+            ]},
+        ]})
+        script_review(tmp_path, ctx, 0, response)
+        with caplog.at_level(logging.WARNING):
+            result = review_group_once(ctx, build_review_payload(ctx), page, 0,
+                                       make_gateway(tmp_path))
+        assert "U1 verdict names pin(s) <none> not on the component; dropped" in caplog.text
+        u1 = next(a for a in result.analyses if a.designator == "U1")
+        assert [v.pin_key for v in u1.verdicts] == ["2"]
+
     def test_analysis_outside_group_dropped(self, tmp_path, caplog):
         page = regulator_page()
         ctx = make_ctx(page, with_spec_for=("U1", "R1"))

@@ -117,6 +117,18 @@ def test_duplicate_membership_first_group_wins(tmp_path, caplog):
     assert groups[1].designators == ("R2",)
 
 
+def test_group_of_only_unknown_or_claimed_members_dropped(tmp_path, caplog):
+    page = regulator_page()
+    script_selection(tmp_path, page, [
+        {"name": "a", "designators": ["U1", "R1"]},
+        {"name": "ghosts", "designators": ["U9", "R1"]},
+    ])
+    with caplog.at_level(logging.WARNING):
+        groups = select_groups(page, make_gateway(tmp_path))
+    assert [g.name for g in groups] == ["a", UNGROUPED]
+    assert "group 'ghosts' had no valid members; dropped" in caplog.text
+
+
 def test_repeated_group_name_merged_into_first_group(tmp_path, caplog):
     page = regulator_page()
     script_selection(tmp_path, page, [
