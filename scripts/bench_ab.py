@@ -8,7 +8,9 @@ apart can show drift as a change. Here both checkouts' packages are
 loaded side by side (``--before``'s ``src/schemreview`` under the name
 ``schemreview_before``), and each round runs ``--runs`` invocations of
 one checkout, then of the other, the order reversed every other round,
-so that a slow stretch of the host falls on both.
+so that a slow stretch of the host falls on both. The summary's
+``change`` is the median and quartiles of the per-round after/before
+ratios (``summarize``).
 
 The workspace is one of the benchmark's workloads, laid out and its mock
 fixtures generated with the benchmark's own set-up
@@ -153,10 +155,26 @@ def side_runner(package: str, ws: dict, work: Path, cold_cache: bool,
     return run
 
 
-def quartiles(values: list[float]) -> dict:
+def quartiles(values: list[float], scale: float = 1000, digits: int = 3) -> dict:
+    """The median and quartiles of ``values`` (at least two), each times
+    ``scale``, rounded to ``digits``."""
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return {"median": round(median * 1000, 3), "q1": round(q1 * 1000, 3),
-            "q3": round(q3 * 1000, 3)}
+    return {"median": round(median * scale, digits), "q1": round(q1 * scale, digits),
+            "q3": round(q3 * scale, digits)}
+
+
+def summarize(rounds: list[dict]) -> dict:
+    """The summary of per-round side medians (seconds, keyed by side):
+    each side's median and quartiles over rounds in milliseconds; as
+    ``change``, the median and quartiles of the per-round after/before
+    ratios, so that host drift from round to round, which both sides of a
+    round share, does not read as a change; and the rounds in which the
+    after side was faster."""
+    return {"before_ms": quartiles([r["before"] for r in rounds]),
+            "after_ms": quartiles([r["after"] for r in rounds]),
+            "change": quartiles([r["after"] / r["before"] for r in rounds], 1, 4),
+            "after_faster_rounds": f"{sum(r['after'] < r['before'] for r in rounds)}"
+                                   f"/{len(rounds)}"}
 
 
 def main() -> int:
@@ -175,6 +193,8 @@ def main() -> int:
     parser.add_argument("--out", required=True,
                         help="where to write the JSON record; an existing file is replaced")
     args = parser.parse_args()
+    if args.rounds < 2:
+        parser.error("--rounds must be at least 2, for the quartiles")
 
     before = Path(args.before).resolve() / "src"
     if not (before / "schemreview" / "__init__.py").is_file():
@@ -220,8 +240,6 @@ def main() -> int:
         if misses:
             raise SystemExit(f"{len(misses)} mock miss(es), e.g. {misses[0]}")
 
-    medians = {side: [r[side] for r in rounds] for side in SIDES}
-    old, new = (statistics.median(medians[side]) for side in SIDES)
     report = {
         "what": f"wall time of one run_pipeline invocation on the {args.workload} workload, "
                 "this checkout (after) against --before, both loaded in one process",
@@ -232,15 +250,13 @@ def main() -> int:
                    + (f" --budget {args.budget:g}" if args.budget is not None else "")
                    + f" --out {Path(args.out).name}",
         "statistic": f"per round, the median of {args.runs} invocations per side, "
-                     "milliseconds; summary: median and quartiles over rounds",
+                     "milliseconds; summary: each side's median and quartiles over rounds, "
+                     "and as change the median and quartiles of the per-round "
+                     "after/before ratios",
         "host": {"machine": platform.machine(), "cpus": os.cpu_count(),
                  "python": platform.python_version()},
         "rounds_ms": [{side: round(r[side] * 1000, 3) for side in SIDES} for r in rounds],
-        "summary": {"before_ms": quartiles(medians["before"]),
-                    "after_ms": quartiles(medians["after"]),
-                    "change": f"{new / old - 1:+.1%}",
-                    "after_faster_rounds": f"{sum(r['after'] < r['before'] for r in rounds)}"
-                                           f"/{len(rounds)}"},
+        "summary": summarize(rounds),
     }
     print(json.dumps(report["summary"]))
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n")

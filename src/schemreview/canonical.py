@@ -19,9 +19,10 @@ tests do.
 The page hash defines canonical equality. A page diff decides it without
 hashing. It is given only the pages a design review read (a page item
 with the same text in head and base is never read, see ``ingest``), and
-it compares each pair block by block (the open tag, each component, each
-net, then the annotations), each block rendered only when the comparison
-reaches it, up to the first block that differs.
+it compares each pair's records first (the id and strategy, each
+component, each net, then the annotations), in canonical order; a block
+is rendered, and the two compared as text, only for a pair of records
+that differ, up to the first pair of blocks that differs.
 
 Agents are sent a page, or a group's slice of it, in the payload layout
 (``serialize_page_xml(..., payload=True)``): connectivity without
@@ -74,23 +75,32 @@ def diff_pages(base: Schematic, head: Schematic) -> set[str]:
 
 
 def _same_document(a: Page, b: Page) -> bool:
-    """``page_hash(a) == page_hash(b)``, decided in document order and
-    rendered only up to the first block that differs. ``esc`` escapes
-    every ``<`` in a value, so the document's elements are delimited by
-    their tags, and two documents are equal exactly when their sequences
-    of blocks are. ``zip`` stops at the shorter sequence, but its last
-    block, the annotations, is no component or net, so it differs from
-    the longer sequence's block at the same place."""
-    return all(x == y for x, y in zip(_document_blocks(a), _document_blocks(b)))
-
-
-def _document_blocks(page: Page):
-    """The blocks of the page's canonical document in order, rendered one
-    by one as they are reached."""
-    yield _open_tag(page)
-    yield from map(_component_xml, _sorted_components(page))
-    yield from map(_net_xml, _sorted_nets(page))
-    yield _annotations_xml(page)
+    """``page_hash(a) == page_hash(b)``, decided on the records first: the
+    pages' id and strategy, each pair of components in designator order,
+    each pair of nets in name order, then the annotations in their
+    canonical order (the same tuple when the base took the head's
+    records). A pair of blocks is rendered and compared only when its
+    records differ, since records that differ may still render alike
+    (None and "", pin order, 1 and 1.0), while equal ones always do: a
+    read page holds only strings, None, ints and floats, and equal
+    numbers format alike. ``esc`` escapes every ``<`` in a value, so the
+    document's elements are delimited by their tags: two documents are
+    equal exactly when their sequences of blocks are, and a different
+    count of components or of nets is a difference."""
+    if (a.id, a.strategy) != (b.id, b.strategy) and _open_tag(a) != _open_tag(b):
+        return False
+    components_a, components_b = _sorted_components(a), _sorted_components(b)
+    nets_a, nets_b = _sorted_nets(a), _sorted_nets(b)
+    if len(components_a) != len(components_b) or len(nets_a) != len(nets_b):
+        return False
+    for render, pairs in ((_component_xml, zip(components_a, components_b)),
+                          (_net_xml, zip(nets_a, nets_b))):
+        if not all(x == y or render(x) == render(y) for x, y in pairs):
+            return False
+    return (a.annotations is b.annotations
+            or sorted(a.annotations, key=_annotation_key)
+            == sorted(b.annotations, key=_annotation_key)
+            or _annotations_xml(a) == _annotations_xml(b))
 
 
 def _payload_blocks(page: Page) -> tuple:

@@ -141,27 +141,29 @@ class DatasheetSpec(checked("DatasheetSpec", "part source_url pins abs_max_ratin
 
     @classmethod
     def from_xml(cls, xml_text: str) -> "DatasheetSpec":
+        """The spec of a ``to_xml`` document, read in one walk over the
+        root's children (each list element's own children in order)."""
         root = ET.fromstring(xml_text)
-        part = PartRef(mpn=root.get("mpn"), ipn=root.get("ipn"))
-        pins = tuple(
-            PinFunction(
-                p.get("designator"), p.get("function", ""),
-                tuple(sorted((m.get("key"), m.get("value")) for m in p.findall("meta"))),
-            )
-            for p in root.findall("./pins/pin")
-        )
-        ratings = tuple(
-            Rating(r.get("parameter"), r.get("limit"), r.get("unit"))
-            for r in root.findall("./abs_max_ratings/rating")
-        )
-        ranges = tuple(
-            OperatingRange(r.get("parameter"), r.get("unit"),
-                           r.get("min"), r.get("typ"), r.get("max"))
-            for r in root.findall("./rec_operating/range")
-        )
-        blocks = tuple(b.text or "" for b in root.findall("./blocks/block"))
-        circuits = tuple(c.text or "" for c in root.findall("./app_circuits/circuit"))
-        return cls(part, root.get("source_url"), pins, ratings, ranges, blocks, circuits)
+        pins, ratings, ranges, blocks, circuits = [], [], [], [], []
+        for child in root:
+            tag = child.tag
+            if tag == "pins":
+                pins += (PinFunction(p.get("designator"), p.get("function", ""), tuple(sorted(
+                    (m.get("key"), m.get("value")) for m in p.findall("meta"))))
+                    for p in child if p.tag == "pin")
+            elif tag == "abs_max_ratings":
+                ratings += (Rating(r.get("parameter"), r.get("limit"), r.get("unit"))
+                            for r in child if r.tag == "rating")
+            elif tag == "rec_operating":
+                ranges += (OperatingRange(r.get("parameter"), r.get("unit"), r.get("min"),
+                                          r.get("typ"), r.get("max"))
+                           for r in child if r.tag == "range")
+            elif tag == "blocks":
+                blocks += (b.text or "" for b in child if b.tag == "block")
+            elif tag == "app_circuits":
+                circuits += (c.text or "" for c in child if c.tag == "circuit")
+        return cls(PartRef(mpn=root.get("mpn"), ipn=root.get("ipn")), root.get("source_url"),
+                   tuple(pins), tuple(ratings), tuple(ranges), tuple(blocks), tuple(circuits))
 
 
 def spec_from_agent_value(value: dict, part: PartRef, source_url: str) -> DatasheetSpec:

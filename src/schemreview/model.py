@@ -44,11 +44,6 @@ class BBox(checked("BBox", "x y w h")):
     def y2(self) -> float:
         return self.y + self.h
 
-    def union(self, other: "BBox") -> "BBox":
-        x = min(self.x, other.x)
-        y = min(self.y, other.y)
-        return BBox(x, y, max(self.x2, other.x2) - x, max(self.y2, other.y2) - y)
-
     def clamp_to(self, outer: "BBox") -> "BBox":
         x = min(max(self.x, outer.x), outer.x2)
         y = min(max(self.y, outer.y), outer.y2)
@@ -58,10 +53,29 @@ class BBox(checked("BBox", "x y w h")):
 
 
 def union_bboxes(boxes: list[BBox]) -> BBox | None:
-    out: BBox | None = None
-    for b in boxes:
-        out = b if out is None else out.union(b)
-    return out
+    """The smallest box holding every box of ``boxes``, None for none. The
+    boxes are folded in order on plain numbers, each step the pairwise
+    union: the larger far edge (``x + w``) less the smaller corner. Each
+    comparison keeps the value so far unless the new one is strictly
+    beyond it, as ``min(so_far, new)`` and ``max(so_far, new)`` do, so
+    ties such as ``0`` and ``-0.0`` resolve alike. One ``BBox`` is built
+    at the end."""
+    if not boxes:
+        return None
+    x, y, w, h = boxes[0]
+    for bx, by, bw, bh in boxes[1:]:
+        x2, far = x + w, bx + bw
+        if far > x2:
+            x2 = far
+        y2, far = y + h, by + bh
+        if far > y2:
+            y2 = far
+        if bx < x:
+            x = bx
+        if by < y:
+            y = by
+        w, h = x2 - x, y2 - y
+    return BBox(x, y, w, h)
 
 
 class GraphicalAnnotation(checked("GraphicalAnnotation", "text bbox kind")):

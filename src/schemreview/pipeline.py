@@ -7,13 +7,14 @@ a head page whose item text is the base's is not read, and its defects
 are not reported. The head is read and traced before the base, so a
 base page whose annotations equal the head page's takes its annotation
 records, and with the same pin points its wiring. Each changed pair is
-compared block by block up to the first block that differs
-(``canonical.diff_pages``). Every page of the set is admitted at once,
-with or without a time budget. Past a budget's deadline no page but the
-first in document order starts new work (a selection, a part listing or
-a group review); a page refused any work is skipped, neither rendered
-nor posted, and work already started runs to its end. Each stage runs
-for all pages together before the next starts:
+compared record by record, a block rendered only for records that
+differ, up to the first block that differs (``canonical.diff_pages``).
+Every page of the set is admitted at once, with or without a time
+budget. Past a budget's deadline no page but the first in document order
+starts new work (a selection, a part listing or a group review); a page
+refused any work is skipped, neither rendered nor posted, and work
+already started runs to its end. Each stage runs for all pages together
+before the next starts:
 
 1. select groups on every page;
 2. retrieve each part under every page that lists it, one page after

@@ -7,6 +7,13 @@ that has a spec, and an SVG overlay highlighting the affected region
 function of its inputs; delivery is sequential per sink so comment order
 is preserved.
 
+What an overlay takes from its page alone is made once per page and kept
+on the (immutable) page: ``page_extents``, one fold of the page's
+component and annotation boxes on plain numbers (``union_bboxes``), and
+the overlay's frame, its ``<svg>`` head, style, page outline and
+component outlines. A comment adds only its highlight and the closing
+tag.
+
 FileSink layout: ``comments/<group_id>.md``, ``overlays/<group_id>.svg``
 and ``manifest.json``. HttpSink POSTs one JSON body per comment to
 ``{base_url}/comments`` with 3 attempts and exponential backoff; a 4xx
@@ -131,24 +138,32 @@ def _rect(b: BBox, cls: str) -> str:
 def render_overlay(page: Page, bbox: BBox) -> str:
     """Page outline, component outlines, and a highlight rectangle for the
     given bbox (clamped to the page extents). Deterministic output."""
-    extents = page_extents(page)
-    highlight = bbox.clamp_to(extents)
-    lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{fmt_num(extents.x)} '
-        f'{fmt_num(extents.y)} {fmt_num(extents.w)} {fmt_num(extents.h)}">',
-        "  <style>",
-        "    .page { fill: none; stroke: #888; stroke-width: 0.5; }",
-        "    .component { fill: none; stroke: #333; stroke-width: 0.5; }",
-        "    .highlight { fill: #ffcc00; fill-opacity: 0.35; stroke: #cc3300; }",
-        "  </style>",
-        _rect(extents, "page"),
-    ]
-    for comp in sorted(page.components, key=lambda c: c.designator):
-        if comp.bbox is not None:
-            lines.append(_rect(comp.bbox, "component"))
-    lines.append(_rect(highlight, "highlight"))
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+    highlight = bbox.clamp_to(page_extents(page))
+    return f"{_overlay_frame(page)}{_rect(highlight, 'highlight')}\n</svg>\n"
+
+
+def _overlay_frame(page: Page) -> str:
+    """The lines every overlay of the page starts with: the ``<svg>`` head
+    and style, the page outline and the component outlines in designator
+    order. Made on first use and kept on the page, as ``page_extents`` is."""
+    frame = page.__dict__.get("_overlay_frame")
+    if frame is None:
+        extents = page_extents(page)
+        lines = [
+            f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{fmt_num(extents.x)} '
+            f'{fmt_num(extents.y)} {fmt_num(extents.w)} {fmt_num(extents.h)}">',
+            "  <style>",
+            "    .page { fill: none; stroke: #888; stroke-width: 0.5; }",
+            "    .component { fill: none; stroke: #333; stroke-width: 0.5; }",
+            "    .highlight { fill: #ffcc00; fill-opacity: 0.35; stroke: #cc3300; }",
+            "  </style>",
+            _rect(extents, "page"),
+        ]
+        for comp in sorted(page.components, key=lambda c: c.designator):
+            if comp.bbox is not None:
+                lines.append(_rect(comp.bbox, "component"))
+        frame = page._overlay_frame = "\n".join(lines) + "\n"
+    return frame
 
 
 # --- sinks ---------------------------------------------------------------------

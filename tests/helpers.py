@@ -23,7 +23,7 @@ from schemreview.datasheets import (
 from schemreview.dsmodel import spec_from_agent_value
 from schemreview.gateway import AgentKind, AgentRequest, fixture_relpaths
 from schemreview.libraries import PartRef
-from schemreview.model import Component, Net, Page, Pin, Schematic
+from schemreview.model import BBox, Component, Net, Page, Pin, Schematic
 from schemreview.xmlutil import DECLARATION, esc
 
 BASE_SPEC_VALUE = {
@@ -68,6 +68,19 @@ def serialize_xml(schematic: Schematic) -> str:
     for page in schematic.pages:
         lines += ["  " + line for line in serialize_page_xml(page).splitlines()[1:]]
     return "\n".join(lines) + "\n</schematic>\n"
+
+
+def pairwise_union(boxes) -> BBox | None:
+    """The union of ``boxes`` as ``BBox.union`` folded it, one checked
+    ``BBox`` a step: the reference for ``model.union_bboxes``."""
+    out = None
+    for b in boxes:
+        if out is None:
+            out = b
+            continue
+        x, y = min(out.x, b.x), min(out.y, b.y)
+        out = BBox(x, y, max(out.x2, b.x2) - x, max(out.y2, b.y2) - y)
+    return out
 
 
 def write_fixture(fixture_root, kind: AgentKind, payload: str, seed: int, text: str):

@@ -123,9 +123,10 @@ def test_page_hash_is_hex_sha256():
 # --- the page diff's block comparison against page_hash equality -----------------
 
 # small pools, so that independently drawn pages are often canonically equal;
-# None and "" render alike, and so do 1 and 1.0
+# None and "" render alike, and so do 1 and 1.0, 0 and -0.0, and a whole
+# float above 2**53 and its int
 TEXTS = st.sampled_from([None, "", "LM317", "a<b"])
-NUMBERS = st.sampled_from([0, 0.0, 1, 1.0, 2.5])
+NUMBERS = st.sampled_from([0, 0.0, -0.0, 1, 1.0, 2.5, 2**53 + 2, float(2**53 + 2)])
 PINS = st.lists(st.builds(Pin, st.sampled_from(["1", "2"]), TEXTS, NUMBERS | st.none(),
                           NUMBERS | st.none()), max_size=2, unique_by=lambda p: p.designator)
 BBOXES = st.builds(BBox, NUMBERS, NUMBERS, NUMBERS, NUMBERS)
@@ -144,11 +145,12 @@ PAGES = st.builds(Page, st.just("P1"), COMPONENTS, NETS, ANNOTATIONS,
 
 
 def _respelled(draw, value):
-    """``value`` with None and "" swapped and whole numbers retyped, at random."""
+    """``value`` with None and "" swapped and whole numbers retyped (zero
+    also as -0.0), at random."""
     if value is None or value == "":
         return draw(st.sampled_from([None, ""]))
     if type(value) in (int, float) and value == int(value):
-        return draw(st.sampled_from([int(value), float(value)]))
+        return draw(st.sampled_from([int(value), float(value)] + ([-0.0] if value == 0 else [])))
     return value
 
 

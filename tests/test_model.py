@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import pairwise_union
 from schemreview.model import (
     BBox,
     Component,
@@ -44,10 +45,29 @@ def test_net_nodes_stored_sorted_and_deduped():
 def test_bbox_union_and_clamp():
     a = BBox(0, 0, 10, 10)
     b = BBox(5, 5, 10, 10)
-    assert a.union(b) == BBox(0, 0, 15, 15)
     assert union_bboxes([a, b]) == BBox(0, 0, 15, 15)
+    assert union_bboxes([b, a]) == BBox(0, 0, 15, 15)
+    assert union_bboxes([a]) == a
     assert union_bboxes([]) is None
     assert BBox(-5, 2, 30, 4).clamp_to(a) == BBox(0, 2, 10, 4)
+
+
+# finite floats of every size, negative coordinates, zero extents, ints
+# beside whole floats, and both zeros
+COORDS = (st.floats(allow_nan=False, allow_infinity=False) | st.integers(-10**6, 10**6)
+          | st.sampled_from([0, 0.0, -0.0, 1, 1.0, -2.5, 0.1, 2**53 + 2, float(2**53 + 2)]))
+EXTENTS = (st.floats(0, 1e300) | st.integers(0, 10**6)
+           | st.sampled_from([0, 0.0, -0.0, 1, 1.0, 0.1]))
+
+
+def _bits(box):
+    return None if box is None else tuple((type(v), float(v).hex()) for v in box)
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(boxes=st.lists(st.builds(BBox, COORDS, COORDS, EXTENTS, EXTENTS), max_size=6))
+def test_union_bboxes_is_the_pairwise_union_fold_bit_for_bit(boxes):
+    assert _bits(union_bboxes(boxes)) == _bits(pairwise_union(boxes))
 
 
 def test_annotation_kind_checked():

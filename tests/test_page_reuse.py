@@ -4,10 +4,11 @@ A head page item whose text equals a base page item's (in documents with
 equal version, format and sidecars) is unchanged: neither it nor that
 base item is checked, decoded or traced. The other head items, the ones
 the page override names and the base items with their ids are read, and
-the page diff compares only those pairs, block by block up to the first
-block that differs. The whole of both documents is still checked for
-what decides it: its top-level members, each page item an object with a
-string id, unique page ids.
+the page diff compares only those pairs, record by record, rendering a
+block only for records that differ, up to the first block that differs.
+The whole of both documents is still checked for what decides it: its
+top-level members, each page item an object with a string id, unique
+page ids.
 
 Within a changed pair, a base item whose ``annotations`` equal those of
 the head item with its id, as decoded values of the same types, takes
@@ -485,14 +486,9 @@ def test_annotations_checked_as_empty_decide_nothing_else():
     assert page["properties"]["annotations"]["type"] == "array"
 
 
-def test_unchanged_pages_are_not_read_and_only_the_changed_pair_is_compared(monkeypatch):
-    head_doc = make_doc("wires", [0, 1, 2])
-    base_doc = copy.deepcopy(head_doc)
-    base_doc["pages"][0]["components"][0]["pins"][0]["x"] = -5
-    head, base = read_pair(head_doc, base_doc)
-    assert [p.id for p in head.pages] == [p.id for p in base.pages] == ["P1"]
-    assert head.pages[0] != base.pages[0]
-
+def rendered_by_diff(monkeypatch, base, head) -> list:
+    """The (renderer, record) pairs ``diff_pages(base, head)`` renders, after
+    checking that it finds P1 changed without hashing."""
     rendered = []
 
     def recording(name):
@@ -503,10 +499,32 @@ def test_unchanged_pages_are_not_read_and_only_the_changed_pair_is_compared(monk
         monkeypatch.setattr(canonical, name, recording(name))
     monkeypatch.setattr(canonical, "page_hash", None)  # the diff hashes nothing
     assert diff_pages(base, head) == {"P1"}
-    # the open tags are equal and R1, the first component, differs
-    assert rendered == [("_open_tag", base.pages[0]), ("_open_tag", head.pages[0]),
-                        ("_component_xml", base.pages[0].components[0]),
-                        ("_component_xml", head.pages[0].components[0])]
+    return rendered
+
+
+def test_unchanged_pages_are_not_read_and_only_the_changed_pair_is_compared(monkeypatch):
+    head_doc = make_doc("wires", [0, 1, 2])
+    base_doc = copy.deepcopy(head_doc)
+    base_doc["pages"][0]["components"][0]["pins"][0]["x"] = -5
+    head, base = read_pair(head_doc, base_doc)
+    assert [p.id for p in head.pages] == [p.id for p in base.pages] == ["P1"]
+    assert head.pages[0] != base.pages[0]
+    # the ids and strategies are equal and R1, the first component, differs
+    assert rendered_by_diff(monkeypatch, base, head) == [
+        ("_component_xml", base.pages[0].components[0]),
+        ("_component_xml", head.pages[0].components[0])]
+
+
+def test_equal_leading_components_render_nothing(monkeypatch):
+    head_doc = make_doc("wires", [0, 1, 2])
+    base_doc = copy.deepcopy(head_doc)
+    base_doc["pages"][0]["components"][1]["mpn"] = "RES-2K"
+    head, base = read_pair(head_doc, base_doc)
+    assert head.pages[0].components[0] == base.pages[0].components[0]
+    # R1's records are equal, so only R2's pair is rendered
+    assert rendered_by_diff(monkeypatch, base, head) == [
+        ("_component_xml", base.pages[0].components[1]),
+        ("_component_xml", head.pages[0].components[1])]
 
 
 def test_unchanged_items_never_reach_decoding_checking_or_tracing(tmp_path, monkeypatch):

@@ -5,16 +5,19 @@ from http.server import BaseHTTPRequestHandler
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import BASE_SPEC_VALUE, loopback_server
+from helpers import BASE_SPEC_VALUE, loopback_server, pairwise_union
 from schemreview.config import sink_from_config
 from schemreview.consensus import Confidence, ConsensusAnalysis, ConsensusFinding, Provenance
 from schemreview.dsmodel import spec_from_agent_value
 from schemreview.errors import SinkUnreachable, StoreIo
 from schemreview.grouping import group_errors
 from schemreview.libraries import PartRef
-from schemreview.model import BBox, Component, Page, Pin
+from schemreview.model import BBox, Component, GraphicalAnnotation, Page, Pin
 from schemreview.reporting import (
+    DEFAULT_PAGE_EXTENT,
+    OVERLAY_MARGIN,
     FileSink,
     HttpSink,
     post_comments,
@@ -22,6 +25,7 @@ from schemreview.reporting import (
     render_overlay,
 )
 from schemreview.review import VerdictStatus
+from schemreview.xmlutil import fmt_num
 
 GOLDEN_SVG = Path(__file__).parent / "data" / "golden_overlay.svg"
 
@@ -117,6 +121,57 @@ class TestRenderOverlay:
         page = demo_page()
         svg = render_overlay(page, BBox(20, 20, 60, 20))
         assert svg == GOLDEN_SVG.read_text()
+
+
+def reference_overlay(page: Page, bbox: BBox) -> str:
+    """``render_overlay`` as it was before a page kept its overlay frame:
+    the extents and every line made anew for each overlay."""
+    boxes = [c.bbox for c in page.components if c.bbox is not None]
+    boxes.extend(a.bbox for a in page.annotations)
+    union = pairwise_union(boxes)
+    extents = DEFAULT_PAGE_EXTENT if union is None else BBox(
+        union.x - OVERLAY_MARGIN, union.y - OVERLAY_MARGIN,
+        union.w + 2 * OVERLAY_MARGIN, union.h + 2 * OVERLAY_MARGIN)
+
+    def rect(b, cls):
+        return (f'  <rect class="{cls}" x="{fmt_num(b.x)}" y="{fmt_num(b.y)}"'
+                f' width="{fmt_num(b.w)}" height="{fmt_num(b.h)}"/>')
+
+    lines = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{fmt_num(extents.x)} '
+        f'{fmt_num(extents.y)} {fmt_num(extents.w)} {fmt_num(extents.h)}">',
+        "  <style>",
+        "    .page { fill: none; stroke: #888; stroke-width: 0.5; }",
+        "    .component { fill: none; stroke: #333; stroke-width: 0.5; }",
+        "    .highlight { fill: #ffcc00; fill-opacity: 0.35; stroke: #cc3300; }",
+        "  </style>",
+        rect(extents, "page"),
+    ]
+    for comp in sorted(page.components, key=lambda c: c.designator):
+        if comp.bbox is not None:
+            lines.append(rect(comp.bbox, "component"))
+    lines.append(rect(bbox.clamp_to(extents), "highlight"))
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"
+
+
+COORDS = st.integers(-50, 150) | st.floats(-1e4, 1e4) | st.sampled_from([-0.0, 0.5, 2**53 + 2])
+EXTENTS = st.integers(0, 60) | st.floats(0, 1e3) | st.sampled_from([-0.0, 0.0])
+BOXES = st.builds(BBox, COORDS, COORDS, EXTENTS, EXTENTS)
+OVERLAY_PAGES = st.builds(
+    Page, st.just("P1"),
+    st.lists(st.builds(Component, st.sampled_from(["U1", "R5", "C2", "D1"]),
+                       bbox=st.none() | BOXES), max_size=4, unique_by=lambda c: c.designator),
+    annotations=st.lists(st.builds(GraphicalAnnotation, st.just("N"), BOXES,
+                                   st.sampled_from(["label", "text"])), max_size=4))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(page=OVERLAY_PAGES, first=BOXES, second=BOXES)
+def test_two_overlays_on_one_page_are_the_reference_overlays(page, first, second):
+    # the second overlay is made from the frame the first kept on the page
+    assert render_overlay(page, first) == reference_overlay(page, first)
+    assert render_overlay(page, second) == reference_overlay(page, second)
 
 
 class TestFileSink:
