@@ -6,16 +6,18 @@ designator, nets by name, nodes by (component, pin), annotations by
 their full value) regardless of input order. Page order itself is
 meaningful and preserved. The schema ships as ``schemas/schematic.xsd``.
 
-A page serialized for a set of member designators is that page's slice
-for one functional group: the same ``<page>`` root holding only the
-member components, every net with a node on a member (all of its nodes
-kept), and no annotations.
+A page's canonical document is its ``<page>`` element, with geometry,
+written in the one layout of ``xmlutil``: no declaration, indentation or
+line breaks. A page serialized for a set of member designators is that
+page's slice for one functional group: the same ``<page>`` root holding
+only the member components, every net with a node on a member (all of
+its nodes kept), and no annotations.
 
 Each element of a page (a component with its bbox and pins, a net with
 its nodes, the annotations) is rendered to a block of text, and a page's
-document or a group's slice joins those blocks. The canonical layout is
-rendered on each call, since a run never hashes a page; only scripts and
-tests do.
+document or a group's slice joins those blocks. The document with
+geometry is rendered on each call, since a run never hashes a page; only
+scripts and tests do.
 The page hash defines canonical equality. A page diff decides it without
 hashing. It is given only the pages a design review read (a page item
 with the same text in head and base is never read, see ``ingest``), and
@@ -24,18 +26,17 @@ component, each net, then the annotations), in canonical order; a block
 is rendered, and the two compared as text, only for a pair of records
 that differ, up to the first pair of blocks that differs.
 
-Agents are sent a page, or a group's slice of it, in the payload layout
-(``serialize_page_xml(..., payload=True)``): connectivity without
-geometry, and without the declaration, indentation and line breaks. It
-has the canonical elements and attributes except every ``<bbox>``, each
-pin's ``x`` and ``y``, and every wire, junction and label annotation;
-free ``text`` notes are kept without their bbox, and a page without any
-has no ``<annotations>``. Wire tracing has already turned the geometry
-into the ``<nets>`` the payload carries, a label only repeats a net's
-name, and comments are placed from the ``Page``, never from a reply. The
-payload blocks are rendered the first time a page goes into a payload,
-and kept on the page for its group slices, so a page that is only
-hashed never pays for them.
+Agents are sent a page, or a group's slice of it, as its payload
+(``serialize_page_xml(..., payload=True)``): the document without
+geometry. It has the canonical elements and attributes except every
+``<bbox>``, each pin's ``x`` and ``y``, and every wire, junction and
+label annotation; free ``text`` notes are kept without their bbox, and a
+page without any has no ``<annotations>``. Wire tracing has already
+turned the geometry into the ``<nets>`` the payload carries, a label
+only repeats a net's name, and comments are placed from the ``Page``,
+never from a reply. The payload blocks are rendered the first time a
+page goes into a payload, and kept on the page for its group slices, so
+a page that is only hashed never pays for them.
 """
 
 from __future__ import annotations
@@ -44,21 +45,15 @@ import hashlib
 from collections.abc import Iterable
 
 from .model import BBox, Component, GraphicalAnnotation, Net, Page, Schematic
-from .xmlutil import DECLARATION, compact, esc, fmt_num
+from .xmlutil import esc, fmt_num
 
 
 def serialize_page_xml(page: Page, members: Iterable[str] | None = None, *,
                        payload: bool = False) -> str:
-    """One page as a standalone canonical document (used for hashing), or,
-    given ``members``, the slice of it those designators see; with
-    ``payload``, the same elements in the payload layout."""
-    if payload:
-        lines: list[str] = []
-        _join_page(_payload_blocks(page), members, lines)
-        return "".join(lines)
-    lines = [DECLARATION]
-    _join_page(_render_page(page), members, lines)
-    return "\n".join(lines) + "\n"
+    """One page's canonical document, its page element (used for
+    hashing), or, given ``members``, the slice of it those designators
+    see; with ``payload``, the same without geometry."""
+    return _join_page(_payload_blocks(page) if payload else _render_page(page), members)
 
 
 def page_hash(page: Page) -> str:
@@ -104,34 +99,23 @@ def _same_document(a: Page, b: Page) -> bool:
 
 
 def _payload_blocks(page: Page) -> tuple:
-    """The page element's blocks in the payload layout, made on first use
-    and kept on the (immutable) page for its later payloads."""
+    """The page element's blocks without geometry, made on first use and
+    kept on the (immutable) page for its later payloads."""
     blocks = page.__dict__.get("_payload_blocks")
     if blocks is None:
-        blocks = page.__dict__["_payload_blocks"] = _compact_blocks(
-            _render_page(page, geometry=False))
+        blocks = page.__dict__["_payload_blocks"] = _render_page(page, geometry=False)
     return blocks
 
 
-def _compact_blocks(blocks: tuple) -> tuple:
-    """Rendered page blocks in the payload layout."""
-    _inner, open_tag, components, nets, annotations, close_tag = blocks
-    return ("", compact(open_tag), tuple((d, compact(block)) for d, block in components),
-            tuple((net, compact(block)) for net, block in nets), compact(annotations),
-            compact(close_tag))
-
-
 def _render_page(page: Page, geometry: bool = True) -> tuple:
-    """The blocks of a page element: the indentation of its container
-    elements, its open tag, (designator, component) and (net, net element)
-    pairs in canonical order, the annotations element ("" when there are
-    none), and its close tag. Without ``geometry``, bboxes, pin
+    """The blocks of a page element: its open tag, (designator, component)
+    and (net, net element) pairs in canonical order, and the annotations
+    element ("" when there are none). Without ``geometry``, bboxes, pin
     coordinates and every annotation but free text are left out."""
     components = tuple((c.designator, _component_xml(c, geometry))
                        for c in _sorted_components(page))
     nets = tuple((n, _net_xml(n)) for n in _sorted_nets(page))
-    return ("  ", _open_tag(page), components, nets,
-            _annotations_xml(page, geometry), "</page>")
+    return _open_tag(page), components, nets, _annotations_xml(page, geometry)
 
 
 def _open_tag(page: Page) -> str:
@@ -155,37 +139,31 @@ def _annotations_xml(page: Page, geometry: bool = True) -> str:
                   key=_annotation_key)
     if not kept:
         return ""
-    return "\n".join(("  <annotations>",
-                      *(_annotation_xml(a, geometry) for a in kept),
-                      "  </annotations>"))
+    return f"<annotations>{''.join(_annotation_xml(a, geometry) for a in kept)}</annotations>"
 
 
-def _join_page(blocks: tuple, members: Iterable[str] | None, lines: list[str]) -> None:
-    """Append the page element's lines: the whole page, or its slice for
-    ``members``."""
-    inner, open_tag, components, nets, annotations, close_tag = blocks
+def _join_page(blocks: tuple, members: Iterable[str] | None) -> str:
+    """The page element: the whole page, or its slice for ``members``."""
+    open_tag, components, nets, annotations = blocks
     if members is not None:
         members = set(members)
         components = [(d, block) for d, block in components if d in members]
         nets = [(net, block) for net, block in nets
                 if any(comp in members for comp, _pin in net.nodes)]
         annotations = ""
-    lines.append(open_tag)
+    parts = [open_tag]
     for tag, children in (("components", components), ("nets", nets)):
         if children:
-            lines.append(f"{inner}<{tag}>")
-            lines += [block for _, block in children]
-            lines.append(f"{inner}</{tag}>")
+            parts += (f"<{tag}>", *(block for _, block in children), f"</{tag}>")
         else:
-            lines.append(f"{inner}<{tag}/>")
-    if annotations:
-        lines.append(annotations)
-    lines.append(close_tag)
+            parts.append(f"<{tag}/>")
+    parts += (annotations, "</page>")
+    return "".join(parts)
 
 
 def _component_xml(comp: Component, geometry: bool = True) -> str:
     designator, mpn, ipn, datasheet_url, pins, bbox = comp
-    head = "    <component"
+    head = "<component"
     if datasheet_url:
         head += f' datasheet_url="{esc(datasheet_url)}"'
     head += f' designator="{esc(designator)}"'
@@ -193,34 +171,34 @@ def _component_xml(comp: Component, geometry: bool = True) -> str:
         head += f' ipn="{esc(ipn)}"'
     if mpn:
         head += f' mpn="{esc(mpn)}"'
-    lines = [head + ">"]
+    parts = [head + ">"]
     if geometry and bbox:
-        lines.append(_bbox_xml(bbox))
+        parts.append(_bbox_xml(bbox))
     for pin_designator, name, x, y in sorted(pins, key=lambda p: p.designator):
-        line = f'      <pin designator="{esc(pin_designator)}"'
+        pin = f'<pin designator="{esc(pin_designator)}"'
         if name:
-            line += f' name="{esc(name)}"'
+            pin += f' name="{esc(name)}"'
         if geometry and x is not None:
-            line += f' x="{fmt_num(x)}"'
+            pin += f' x="{fmt_num(x)}"'
         if geometry and y is not None:
-            line += f' y="{fmt_num(y)}"'
-        lines.append(line + "/>")
-    if len(lines) == 1:
+            pin += f' y="{fmt_num(y)}"'
+        parts.append(pin + "/>")
+    if len(parts) == 1:
         return head + "/>"
-    return "\n".join(lines) + "\n    </component>"
+    return "".join(parts) + "</component>"
 
 
 def _net_xml(net: Net) -> str:
-    head = f'    <net name="{esc(net.name)}"'
+    head = f'<net name="{esc(net.name)}"'
     if not net.nodes:
         return head + "/>"
-    return "\n".join((head + ">", *(f'      <node component="{esc(comp)}" pin="{esc(pin)}"/>'
-                                    for comp, pin in net.nodes), "    </net>"))
+    return "".join((head + ">", *(f'<node component="{esc(comp)}" pin="{esc(pin)}"/>'
+                                  for comp, pin in net.nodes), "</net>"))
 
 
 def _bbox_xml(bbox: BBox) -> str:
     x, y, w, h = bbox
-    return f'      <bbox h="{fmt_num(h)}" w="{fmt_num(w)}" x="{fmt_num(x)}" y="{fmt_num(y)}"/>'
+    return f'<bbox h="{fmt_num(h)}" w="{fmt_num(w)}" x="{fmt_num(x)}" y="{fmt_num(y)}"/>'
 
 
 def _annotation_key(ann: GraphicalAnnotation):
@@ -230,7 +208,7 @@ def _annotation_key(ann: GraphicalAnnotation):
 
 def _annotation_xml(ann: GraphicalAnnotation, geometry: bool = True) -> str:
     text, bbox, kind = ann
-    head = f'    <annotation kind="{esc(kind)}" text="{esc(text)}"'
+    head = f'<annotation kind="{esc(kind)}" text="{esc(text)}"'
     if not geometry:
         return head + "/>"
-    return f"{head}>\n{_bbox_xml(bbox)}\n    </annotation>"
+    return f"{head}>{_bbox_xml(bbox)}</annotation>"

@@ -7,7 +7,7 @@ from typing import NamedTuple
 
 from .libraries import PartRef
 from .records import checked
-from .xmlutil import DECLARATION, compact, esc
+from .xmlutil import NOT_XML_CHAR, esc
 
 
 class CriticScore(checked("CriticScore", "feature_completeness pin_function_coverage "
@@ -91,20 +91,20 @@ class DatasheetSpec(checked("DatasheetSpec", "part source_url pins abs_max_ratin
                                    blocks, app_circuits))
 
     def to_xml(self) -> str:
-        """Compact canonical XML; byte-stable for equal specs. Rendered on
-        the first call and kept on the (immutable) spec for later ones."""
+        """Canonical XML in the one layout of ``xmlutil``; byte-stable for
+        equal specs. Rendered on the first call and kept on the
+        (immutable) spec for later ones."""
         if "_xml" not in self.__dict__:
             self._xml = self._render()
         return self._xml
 
     def payload_xml(self) -> str:
-        """The spec in the payload layout agents are sent: ``to_xml``
-        without ``source_url``, declaration, indentation or line breaks.
-        The URL is where the document was fetched from and says nothing its
-        content does not; comments still link it. Made on the first call
-        and kept on the spec for later ones."""
+        """The spec as agents are sent it: ``to_xml`` without
+        ``source_url``. The URL is where the document was fetched from and
+        says nothing its content does not; comments still link it. Made on
+        the first call and kept on the spec for later ones."""
         if "_payload_xml" not in self.__dict__:
-            self._payload_xml = compact(self._render(source_url=False)[len(DECLARATION) + 1:])
+            self._payload_xml = self._render(source_url=False)
         return self._payload_xml
 
     def _render(self, source_url: bool = True) -> str:
@@ -113,31 +113,32 @@ class DatasheetSpec(checked("DatasheetSpec", "part source_url pins abs_max_ratin
         part = self.part
         pins = []
         for pin in sorted(self.pins, key=lambda p: p.designator):
-            line = f'    <pin designator="{esc(pin.designator)}" function="{esc(pin.function)}"'
-            meta = [f'      <meta key="{esc(key)}" value="{esc(value)}"/>'
-                    for key, value in sorted(pin.metadata)]
-            pins += [line + ">", *meta, "    </pin>"] if meta else [line + "/>"]
-        ranges = ["    <range" + "".join(
+            head = f'<pin designator="{esc(pin.designator)}" function="{esc(pin.function)}"'
+            meta = "".join(f'<meta key="{esc(key)}" value="{esc(value)}"/>'
+                           for key, value in sorted(pin.metadata))
+            pins.append(f"{head}>{meta}</pin>" if meta else head + "/>")
+        ranges = ["<range" + "".join(
             f' {name}="{esc(value)}"' for name, value in (
                 ("max", r.max), ("min", r.min), ("parameter", r.parameter),
                 ("typ", r.typ), ("unit", r.unit)) if value is not None) + "/>"
             for r in self.rec_operating]
-        lines = [DECLARATION, "<datasheet"
+        parts = ["<datasheet"
                  + (f' ipn="{esc(part.ipn)}"' if part.ipn else "")
                  + (f' mpn="{esc(part.mpn)}"' if part.mpn else "")
                  + (f' source_url="{esc(self.source_url)}"' if source_url else "")
                  + ">"]
         for tag, children in (
                 ("pins", pins),
-                ("abs_max_ratings", [f'    <rating limit="{esc(r.limit)}" parameter='
+                ("abs_max_ratings", [f'<rating limit="{esc(r.limit)}" parameter='
                                      f'"{esc(r.parameter)}" unit="{esc(r.unit)}"/>'
                                      for r in self.abs_max_ratings]),
                 ("rec_operating", ranges),
-                ("blocks", [f"    <block>{esc(text)}</block>" for text in self.blocks]),
+                ("blocks", [f"<block>{esc(text)}</block>" for text in self.blocks]),
                 ("app_circuits",
-                 [f"    <circuit>{esc(text)}</circuit>" for text in self.app_circuits])):
-            lines += [f"  <{tag}>", *children, f"  </{tag}>"] if children else [f"  <{tag}/>"]
-        return "\n".join(lines) + "\n</datasheet>\n"
+                 [f"<circuit>{esc(text)}</circuit>" for text in self.app_circuits])):
+            parts += (f"<{tag}>", *children, f"</{tag}>") if children else (f"<{tag}/>",)
+        parts.append("</datasheet>")
+        return "".join(parts)
 
     @classmethod
     def from_xml(cls, xml_text: str) -> "DatasheetSpec":
@@ -170,8 +171,10 @@ def spec_from_agent_value(value: dict, part: PartRef, source_url: str) -> Datash
     """Build a spec from schema-validated agent output.
 
     Raises ValueError on domain violations the JSON schema cannot express
-    (duplicate pin designators), which feeds the gateway repair loop.
+    (a character XML 1.0 cannot carry, named by its field; duplicate pin
+    designators), which feeds the gateway repair loop.
     """
+    _check_xml_chars(value, "")
     pins = tuple(
         PinFunction(p["designator"], p.get("function", ""),
                     tuple(sorted(p.get("metadata", {}).items())))
@@ -186,3 +189,18 @@ def spec_from_agent_value(value: dict, part: PartRef, source_url: str) -> Datash
     )
     return DatasheetSpec(part, source_url, pins, ratings, ranges,
                          tuple(value["blocks"]), tuple(value["app_circuits"]))
+
+
+def _check_xml_chars(value, path: str) -> None:
+    """Raise ValueError for the first string in the JSON ``value``, keys
+    included, that holds a character XML 1.0 cannot carry, naming its
+    field by its ``/``-joined path as a schema error does. Every string of
+    an extraction answer goes into the spec's XML."""
+    if isinstance(value, str):
+        bad = NOT_XML_CHAR.search(value)
+        if bad:
+            raise ValueError(f"{path}: {bad.group()!r} is not a character XML 1.0 can carry")
+    elif isinstance(value, (dict, list)):
+        for key, item in value.items() if isinstance(value, dict) else enumerate(value):
+            _check_xml_chars(key, f"{path or '<root>'} (a key)")
+            _check_xml_chars(item, f"{path}/{key}".lstrip("/"))

@@ -123,7 +123,7 @@ class FunctionalGroup(checked("FunctionalGroup", "name designators")):
 
 class GroupReviewContext(NamedTuple):
     """Everything one group review needs: the group, its slice of the page
-    netlist in the payload layout (``serialize_page_xml(page, members,
+    netlist as agents are sent it (``serialize_page_xml(page, members,
     payload=True)``: the members with their pins and every net touching a
     member; connectivity only, without bboxes, pin coordinates or
     annotations), per-designator specs (None where retrieval failed; sent

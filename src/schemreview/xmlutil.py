@@ -1,18 +1,21 @@
-"""Escaping, number formatting and layouts for the canonical XML emitters
-(``canonical`` for pages, ``DatasheetSpec.to_xml`` for specs).
+"""Escaping, number formatting and the one layout of the canonical XML
+emitters (``canonical`` for pages, ``DatasheetSpec.to_xml`` for specs).
 
-Those emitters write attributes in lexicographic order, indent by two
-spaces, and escape attribute values and text with ``esc``. Numbers are
-formatted with ``fmt_num``. ``esc`` writes line breaks and tabs as
-character references, so every raw line break in emitted XML is layout:
-``compact`` drops it, with the indentation after it, for the payload
-layout agents are sent (pages are also rendered without geometry there,
-and specs without ``source_url``).
+Those emitters write no declaration, indentation or line breaks: a
+document is its root element, the layout agents are sent (pages are
+sent without geometry, and specs without ``source_url``). Attributes are
+written in lexicographic order, attribute values and text are escaped
+with ``esc``, which writes line breaks and tabs as character references,
+and numbers are formatted with ``fmt_num``. ``NOT_XML_CHAR`` finds the
+characters XML 1.0 cannot carry even as a reference.
 """
 
 from __future__ import annotations
 
-DECLARATION = '<?xml version="1.0" encoding="UTF-8"?>'
+import re
+
+# C0 controls other than tab, LF and CR; lone surrogates; U+FFFE; U+FFFF
+NOT_XML_CHAR = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
 def esc(text: str) -> str:
@@ -25,13 +28,6 @@ def esc(text: str) -> str:
         .replace("\r", "&#13;")
         .replace("\t", "&#9;")
     )
-
-
-def compact(xml: str) -> str:
-    """Emitted XML (without its declaration) in the payload layout: every
-    line break and the indentation after it dropped. Each emitted line
-    starts with its indentation and then a tag, so nothing else goes."""
-    return "".join(map(str.lstrip, xml.split("\n")))
 
 
 def fmt_num(value: float | int) -> str:

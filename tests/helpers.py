@@ -24,7 +24,7 @@ from schemreview.dsmodel import spec_from_agent_value
 from schemreview.gateway import AgentKind, AgentRequest, fixture_relpaths
 from schemreview.libraries import PartRef
 from schemreview.model import BBox, Component, Net, Page, Pin, Schematic
-from schemreview.xmlutil import DECLARATION, esc
+from schemreview.xmlutil import esc
 
 BASE_SPEC_VALUE = {
     "pins": [
@@ -58,16 +58,12 @@ def fixture_relpath(kind: AgentKind, payload: str, seed: int) -> str:
 
 def serialize_xml(schematic: Schematic) -> str:
     """The whole schematic as one canonical document: each page's
-    standalone document, without its declaration, indented two spaces
-    under a ``<schematic>`` root. Every raw line break in a page document
-    is layout (``xmlutil.esc``), so indenting its lines changes no value."""
+    document, its page element, under a ``<schematic>`` root."""
     fmt = esc(schematic.format.value)
     if not schematic.pages:
-        return f'{DECLARATION}\n<schematic format="{fmt}"/>\n'
-    lines = [DECLARATION, f'<schematic format="{fmt}">']
-    for page in schematic.pages:
-        lines += ["  " + line for line in serialize_page_xml(page).splitlines()[1:]]
-    return "\n".join(lines) + "\n</schematic>\n"
+        return f'<schematic format="{fmt}"/>'
+    pages = "".join(serialize_page_xml(page) for page in schematic.pages)
+    return f'<schematic format="{fmt}">{pages}</schematic>'
 
 
 def pairwise_union(boxes) -> BBox | None:

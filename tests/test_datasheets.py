@@ -224,6 +224,35 @@ class TestExtractAndCritic:
         spec = extract_spec(doc, [0], PartRef(mpn="LM317"), make_gateway(tmp_path))
         assert [p.designator for p in spec.pins] == ["1", "2", "3"]
 
+    @pytest.mark.parametrize("bad", ["\x01", "\x0b", "\x1f", "\ud800", "\udfff",
+                                     "\ufffe", "\uffff"])
+    def test_text_xml_cannot_carry_takes_repair_path(self, tmp_path, bad):
+        from schemreview.gateway import repair_payload
+
+        doc = doc_with_pages(1)
+        bad_answer = json.loads(json.dumps(SPEC_VALUE))
+        bad_answer["pins"][1]["function"] = f"out{bad}put"
+        payload = build_extract_payload(doc, [0])
+        root = tmp_path / "fixtures"
+        write_fixture(root, AgentKind.EXTRACTION, payload, 0, json.dumps(bad_answer))
+        why = f"pins/1/function: {bad!r} is not a character XML 1.0 can carry"
+        write_fixture(root, AgentKind.EXTRACTION, repair_payload(payload, why), 0,
+                      json.dumps(SPEC_VALUE))
+        spec = extract_spec(doc, [0], PartRef(mpn="LM317"), make_gateway(tmp_path))
+        assert spec == spec_from_agent_value(SPEC_VALUE, PartRef(mpn="LM317"), doc.source_url)
+
+    def test_a_metadata_key_xml_cannot_carry_is_named(self):
+        answer = json.loads(json.dumps(SPEC_VALUE))
+        answer["pins"][0]["metadata"] = {"ty\x00pe": "power"}
+        with pytest.raises(ValueError, match=r"^pins/0/metadata \(a key\): '\\x00' "):
+            spec_from_agent_value(answer, PartRef(mpn="LM317"), "u")
+
+    def test_tabs_line_breaks_and_astral_characters_are_kept(self):
+        answer = json.loads(json.dumps(SPEC_VALUE))
+        answer["blocks"] = ["a\tb\nc\rd \U0001f600 \ufffd \U0010ffff"]
+        spec = spec_from_agent_value(answer, PartRef(mpn="LM317"), "u")
+        assert DatasheetSpec.from_xml(spec.to_xml()) == spec
+
     def test_spec_xml_is_byte_stable(self):
         spec1 = spec_from_agent_value(SPEC_VALUE, PartRef(mpn="LM317"), "u")
         spec2 = spec_from_agent_value(json.loads(json.dumps(SPEC_VALUE)),

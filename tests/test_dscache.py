@@ -5,7 +5,8 @@ import json
 import pytest
 
 from schemreview.dscache import TTL_S, CacheEntry, CacheStore
-from schemreview.dsmodel import CriticScore, DatasheetSpec, PinFunction
+from schemreview.dsmodel import (CriticScore, DatasheetSpec, OperatingRange, PinFunction,
+                                 Rating)
 from schemreview.errors import StoreIo
 from schemreview.libraries import PartRef
 
@@ -123,7 +124,59 @@ def test_entry_file_schema(tmp_path):
     assert doc["stored_at"] == clock.t
     assert set(doc["score"]) == {"feature_completeness", "pin_function_coverage",
                                  "application_information", "typical_application_circuits"}
-    assert doc["spec_xml"].startswith("<?xml")
+    assert doc["spec_xml"] == sample_spec().to_xml()
+    assert doc["spec_xml"].startswith("<datasheet ")
+
+
+# an entry written before specs were stored in the payload layout: with the
+# XML declaration, two-space indentation and a line break after each element
+INDENTED_SPEC_XML = (
+    '<?xml version="1.0" encoding="UTF-8"?>\n'
+    '<datasheet ipn="IPN-7" mpn="LM317" source_url="http://x/u1.pdf">\n'
+    '  <pins>\n'
+    '    <pin designator="1" function="adjust">\n'
+    '      <meta key="type" value="analog"/>\n'
+    '    </pin>\n'
+    '    <pin designator="2" function="output"/>\n'
+    '  </pins>\n'
+    '  <abs_max_ratings>\n'
+    '    <rating limit="40" parameter="Vin-Vout" unit="V"/>\n'
+    '  </abs_max_ratings>\n'
+    '  <rec_operating>\n'
+    '    <range max="1.5" min="0.01" parameter="Iout" unit="A"/>\n'
+    '  </rec_operating>\n'
+    '  <blocks>\n'
+    '    <block>bandgap &amp;amp; reference</block>\n'
+    '  </blocks>\n'
+    '  <app_circuits>\n'
+    '    <circuit>adjustable&#10;regulator</circuit>\n'
+    '  </app_circuits>\n'
+    '</datasheet>\n')
+
+
+def test_an_entry_in_the_indented_layout_reads_back_as_an_equal_spec(tmp_path):
+    clock, key = FakeClock(), ("LM317", "http://x/u1.pdf")
+    spec = DatasheetSpec(
+        PartRef(mpn="LM317", ipn="IPN-7"), "http://x/u1.pdf",
+        (PinFunction("1", "adjust", (("type", "analog"),)), PinFunction("2", "output")),
+        (Rating("Vin-Vout", "40", "V"),), (OperatingRange("Iout", "A", "0.01", None, "1.5"),),
+        ("bandgap &amp; reference",), ("adjustable\nregulator",))
+    CacheStore(tmp_path / "cache", now=clock).put(
+        CacheEntry(key, spec, sample_score(), stored_at=clock.t))
+    [path] = (tmp_path / "cache").glob("*.json")
+    doc = json.loads(path.read_text())
+    path.write_text(json.dumps({**doc, "spec_xml": INDENTED_SPEC_XML}))
+    read, _score = CacheStore(tmp_path / "cache", now=clock).lookup(key)
+    assert read == spec
+    assert read.to_xml() == spec.to_xml()
+    assert read.payload_xml() == spec.payload_xml() == (
+        '<datasheet ipn="IPN-7" mpn="LM317"><pins><pin designator="1" function="adjust">'
+        '<meta key="type" value="analog"/></pin><pin designator="2" function="output"/>'
+        '</pins><abs_max_ratings><rating limit="40" parameter="Vin-Vout" unit="V"/>'
+        '</abs_max_ratings><rec_operating><range max="1.5" min="0.01" parameter="Iout" '
+        'unit="A"/></rec_operating><blocks><block>bandgap &amp;amp; reference</block>'
+        '</blocks><app_circuits><circuit>adjustable&#10;regulator</circuit></app_circuits>'
+        '</datasheet>')
 
 
 # --- entries kept for the store's lifetime ------------------------------------------

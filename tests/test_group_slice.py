@@ -201,19 +201,18 @@ def test_slice_of_a_wired_page_drops_the_geometry():
         GraphicalAnnotation("N1", BBox(15, 0, 0, 0), "label"),
     ), AugmentationStrategy.WIRE_TRACE_INFERENCE)
     assert serialize_page_xml(page, ("U1",)) == (
-        '<?xml version="1.0" encoding="UTF-8"?>\n'
-        '<page id="P1" strategy="wire-trace-inference">\n'
-        '  <components>\n'
-        '    <component designator="U1">\n'
-        '      <pin designator="1" x="0" y="0"/>\n'
-        '      <pin designator="2" x="10" y="0"/>\n'
-        '    </component>\n'
-        '  </components>\n'
-        '  <nets>\n'
-        '    <net name="N1">\n'
-        '      <node component="R1" pin="1"/>\n'
-        '      <node component="U1" pin="2"/>\n'
-        '    </net>\n'
-        '  </nets>\n'
-        '</page>\n')
+        '<page id="P1" strategy="wire-trace-inference">'
+        '<components>'
+        '<component designator="U1">'
+        '<pin designator="1" x="0" y="0"/>'
+        '<pin designator="2" x="10" y="0"/>'
+        '</component>'
+        '</components>'
+        '<nets>'
+        '<net name="N1">'
+        '<node component="R1" pin="1"/>'
+        '<node component="U1" pin="2"/>'
+        '</net>'
+        '</nets>'
+        '</page>')
 
