@@ -35,9 +35,13 @@ output.
 many blanks as its seed: the k choices of one request are then equal in
 value but never in text, so no choice is read for another.
 
+``--mock-delay SECS`` and ``--max-in-flight N`` replace the workload's mock
+backend delay and pool size in both sides' runs (fixture generation keeps
+its own), to time the scheduling of a run that waits.
+
     python scripts/bench_ab.py --before OLD_CHECKOUT --workload board-warm \\
         --out BENCH_name.json [--rounds 20] [--runs 5] [--seed 5] [--split-wire] \\
-        [--distinct-choices] [--budget SECS]
+        [--distinct-choices] [--budget SECS] [--mock-delay SECS] [--max-in-flight N]
 """
 
 import argparse
@@ -128,9 +132,10 @@ def distinct_choices(make_responder):
 
 
 def side_runner(package: str, ws: dict, work: Path, cold_cache: bool,
-                budget: float | None):
+                budget: float | None, backend: dict):
     """A function that runs one invocation with ``package``'s code, under
-    time budget ``budget`` if given, and returns its wall time and what it
+    time budget ``budget`` if given and with the backend settings of
+    ``backend`` (field -> value), and returns its wall time and what it
     must share with every other invocation: usage, delivered bytes' digest
     and span sequence."""
     config = importlib.import_module(f"{package}.config")
@@ -138,6 +143,8 @@ def side_runner(package: str, ws: dict, work: Path, cold_cache: bool,
     cfg = config.load_config(ws["config"])
     if budget is not None:
         cfg.time_budget_s = budget
+    for field, value in backend.items():
+        setattr(cfg.backend, field, value)
     cfg.trace_out = cfg.trace_out or str(work / "trace.jsonl")
     trace = Path(cfg.trace_out)
 
@@ -190,6 +197,10 @@ def main() -> int:
                         help="make the choices of every group review differ in text")
     parser.add_argument("--budget", type=float, metavar="SECS",
                         help="time budget of the after side's runs (default: none)")
+    parser.add_argument("--mock-delay", type=float, metavar="SECS",
+                        help="mock backend delay of both sides' runs (default: the workload's)")
+    parser.add_argument("--max-in-flight", type=int, metavar="N",
+                        help="pool size of both sides' runs (default: the config's)")
     parser.add_argument("--out", required=True,
                         help="where to write the JSON record; an existing file is replaced")
     args = parser.parse_args()
@@ -202,6 +213,9 @@ def main() -> int:
     load_package(before, "schemreview_before")
     packages = dict(zip(SIDES, ("schemreview_before", "schemreview")))
 
+    backend = {field: value for field, value in (("mock_delay_s", args.mock_delay),
+                                                 ("max_in_flight", args.max_in_flight))
+               if value is not None}
     workload = measure.SPEC["workloads"][args.workload]
     cold = workload["cold_cache"]
     rounds = []
@@ -217,7 +231,7 @@ def main() -> int:
             measure.make_responder = distinct_choices(measure.make_responder)
         measure.generate(ws, cold, work)
         runners = {side: side_runner(packages[side], ws, work, cold,
-                                     args.budget if side == "after" else None)
+                                     args.budget if side == "after" else None, backend)
                    for side in SIDES}
         reference = None
         for i in range(args.rounds):
@@ -248,6 +262,10 @@ def main() -> int:
                    + (" --split-wire" if args.split_wire else "")
                    + (" --distinct-choices" if args.distinct_choices else "")
                    + (f" --budget {args.budget:g}" if args.budget is not None else "")
+                   + (f" --mock-delay {args.mock_delay:g}" if args.mock_delay is not None
+                      else "")
+                   + (f" --max-in-flight {args.max_in_flight}"
+                      if args.max_in_flight is not None else "")
                    + f" --out {Path(args.out).name}",
         "statistic": f"per round, the median of {args.runs} invocations per side, "
                      "milliseconds; summary: each side's median and quartiles over rounds, "

@@ -59,7 +59,7 @@ from .config import Mode, RunConfig
 from .consensus import combine_consensus
 from .datasheets import RetrievalConfig, default_fetcher, retrieve_spec
 from .dscache import CacheStore
-from .errors import InputError, SchemReviewError
+from .errors import InputError, MalformedInput, SchemReviewError
 from .fileio import read_bytes
 from .gateway import Gateway, usage_by_kind
 from .grouping import group_errors
@@ -70,6 +70,7 @@ from .reporting import DeliveryRecord, post_comments, render_comment
 from .review import GroupReviewContext, checklist_loader, fan_out_reviews, select_groups
 from .tracing import TraceContext, Tracer, emit_traces
 from .workfirst import map_on_pool
+from .xmlutil import NOT_XML_CHAR
 
 log = logging.getLogger(__name__)
 
@@ -110,22 +111,50 @@ def _read_schematic_bytes(path) -> bytes:
         raise InputError(f"cannot read schematic {path}: {exc}") from exc
 
 
+def _check_xml_text(page: Page) -> None:
+    """Reject ``page`` if a string that its XML carries holds a character
+    XML 1.0 cannot carry: its payload would be XML no parser accepts, or,
+    for a lone surrogate, text that cannot be encoded at all."""
+    components, nets = page.components, page.nets
+    pins = [pin for c in components for pin in c.pins]
+    for field, texts in (
+            ("id", [page.id]),
+            ("component designator", [c.designator for c in components]),
+            ("component mpn", [c.mpn or "" for c in components]),
+            ("component ipn", [c.ipn or "" for c in components]),
+            ("component datasheet_url", [c.datasheet_url or "" for c in components]),
+            ("pin designator", [pin.designator for pin in pins]),
+            ("pin name", [pin.name or "" for pin in pins]),
+            ("net name", [net.name for net in nets]),
+            ("net node", [part for net in nets for node in net.nodes for part in node]),
+            ("annotation text", [annotation.text for annotation in page.annotations])):
+        if NOT_XML_CHAR.search("".join(texts)):
+            bad = next(text for text in texts if NOT_XML_CHAR.search(text))
+            raise MalformedInput(f"page {page.id!a}: {field} {bad!a} holds a character "
+                                 "XML 1.0 cannot carry")
+
+
 def select_pages(cfg: RunConfig, schematic_path) -> list[Page]:
-    """The head's pages to analyze, read and augmented, in document order."""
+    """The head's pages to analyze, read and augmented, in document order;
+    each is checked to hold only text XML 1.0 can carry."""
     raw = _read_schematic_bytes(schematic_path)
     if cfg.mode is Mode.FULL_ANALYSIS:
-        return list(augment_netlist(ingest_schematic(raw)).pages)
-    wanted = set(cfg.pages_override or ())
-    base_path = cfg.base_schematic
-    head, page_ids, read_base_pages = read_design_review(
-        raw, (lambda: _read_schematic_bytes(base_path)) if base_path else None, wanted)
-    head = augment_netlist(head)
-    unknown = wanted - set(page_ids)
-    if unknown:  # before any base page is read: a bad override fails fast
-        raise InputError(f"pages_override names unknown pages: {sorted(unknown)}")
-    if base_path:
-        wanted |= diff_pages(augment_netlist(read_base_pages()), head)
-    return [page for page in head.pages if page.id in wanted]
+        pages = list(augment_netlist(ingest_schematic(raw)).pages)
+    else:
+        wanted = set(cfg.pages_override or ())
+        base_path = cfg.base_schematic
+        head, page_ids, read_base_pages = read_design_review(
+            raw, (lambda: _read_schematic_bytes(base_path)) if base_path else None, wanted)
+        head = augment_netlist(head)
+        unknown = wanted - set(page_ids)
+        if unknown:  # before any base page is read: a bad override fails fast
+            raise InputError(f"pages_override names unknown pages: {sorted(unknown)}")
+        if base_path:
+            wanted |= diff_pages(augment_netlist(read_base_pages()), head)
+        pages = [page for page in head.pages if page.id in wanted]
+    for page in pages:
+        _check_xml_text(page)
+    return pages
 
 
 class _Refusals:

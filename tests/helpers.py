@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from schemreview import demo, pipeline, workfirst
+from schemreview import demo, pipeline
 from schemreview.canonical import serialize_page_xml
 from schemreview.datasheets import (
     build_extract_payload,
@@ -231,9 +231,8 @@ def loopback_server(handler):
 def run_or_fail(cfg, schematic, monkeypatch, timeout_s=60.0):
     """run_pipeline in a daemon thread, so that a deadlocked pool fails
     the test instead of hanging the suite. On a timeout the run's pool is
-    shut down with its queued work cancelled, both the executor's and the
-    run queue's, which frees workers blocked on that work and lets the
-    interpreter exit."""
+    shut down with its queued work cancelled, which frees workers blocked
+    on that work and lets the interpreter exit."""
     pools = []
 
     class RecordedPool(ThreadPoolExecutor):
@@ -256,9 +255,6 @@ def run_or_fail(cfg, schematic, monkeypatch, timeout_s=60.0):
     if thread.is_alive():
         for pool in pools:
             pool.shutdown(wait=False, cancel_futures=True)
-            queue = workfirst._queue_of(pool)
-            while (task := queue.pop(newest=True)) is not None:
-                task.cancel()
         pytest.fail(f"run did not finish within {timeout_s} s")
     if "error" in box:
         raise box["error"]

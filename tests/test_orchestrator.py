@@ -14,7 +14,8 @@ from helpers import WIRE_AND_EMPTY_LABEL, run_or_fail, span_sequence
 from schemreview import ingest, libraries, review
 from schemreview.cli import main
 from schemreview.config import Mode, RunConfig, apply_cli_overrides, load_config
-from schemreview.demo import demo_responder, generate_fixtures, write_demo_workspace
+from schemreview.demo import (demo_responder, demo_schematic_text, generate_fixtures,
+                              write_demo_workspace)
 from schemreview.errors import BackendUnavailable, ConfigError, InputError
 from schemreview.gateway import (AgentKind, BackendConfig, MockBackend, TokenUsage,
                                  fixture_relpaths)
@@ -963,6 +964,35 @@ class TestCli:
         assert code == 1
         [line] = capsys.readouterr().err.splitlines()
         assert line == "error: page 'P1': annotation 1 is a label without text"
+
+    @pytest.mark.parametrize("name, text, message", [
+        # a lone surrogate, which no payload could even encode
+        ("schematic.json", demo_schematic_text().replace('"U1"', '"U1\\ud800"'),
+         "page 'P1': component designator 'U1\\ud800'"),
+        ("schematic.json", demo_schematic_text().replace('"REG_OUT"', '"REG\\u0001OUT"'),
+         "page 'P1': net name 'REG\\x01OUT'"),
+        # the label names the net that wire tracing finds
+        ("page.kicad_sch", '(kicad_sch (page "P1")'
+                           ' (symbol (property "Reference" "R1") (pin (number "1") (at 0 0)))'
+                           ' (symbol (property "Reference" "R2") (pin (number "1") (at 20 0)))'
+                           ' (wire (pts (xy 0 0) (xy 20 0))) (label "VCC\x1b3V3" (at 10 0)))',
+         "page 'P1': net name 'VCC\\x1b3V3'"),
+    ], ids=["surrogate-designator", "control-in-net-name", "kicad-label"])
+    def test_text_xml_cannot_carry_exits_one_with_an_error_line(self, demo, tmp_path, capsys,
+                                                                name, text, message):
+        # rejected before any agent call: the mock backend reads an empty
+        # fixture directory, where any call leaves a .req capture
+        work, paths = demo
+        fixtures = tmp_path / "fixtures"
+        config = write_malformed_config(work, tmp_path, lambda doc: {
+            **doc, "backend": {**doc["backend"], "fixture_path": str(fixtures)}})
+        schematic = tmp_path / name
+        schematic.write_text(text, encoding="utf-8")
+        code = main(["--schematic", str(schematic), "--config", str(config)])
+        assert code == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line == f"error: {message} holds a character XML 1.0 cannot carry"
+        assert list(fixtures.rglob("*.req")) == []
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_time_limit_exits_one(self, demo, capsys, value):

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import BASE_SPEC_VALUE, loopback_server, regulator_page, write_fixture
-from schemreview import review, workfirst
+from schemreview import review
 from schemreview.canonical import serialize_page_xml
 from schemreview.dsmodel import spec_from_agent_value
 from schemreview.errors import AllRunsFailed, BackendUnavailable, SchemReviewError
@@ -507,6 +507,19 @@ class TestLiveChoices:
             ("group:g/review:2/group_review", None)]
 
 
+class RecordingPool(ThreadPoolExecutor):
+    """A thread pool that keeps the future of every call submitted to it."""
+
+    def __init__(self, max_workers):
+        super().__init__(max_workers=max_workers)
+        self.futures = []
+
+    def submit(self, fn, /, *args, **kwargs):
+        future = super().submit(fn, *args, **kwargs)
+        self.futures.append(future)
+        return future
+
+
 class TestMapOnPool:
     def test_results_come_back_in_order(self, pool):
         # later items finish first
@@ -545,13 +558,13 @@ class TestMapOnPool:
             return i
 
         gate = threading.Event()
-        single = ThreadPoolExecutor(max_workers=1)
+        single = RecordingPool(max_workers=1)
         try:
             single.submit(gate.wait)
             with pytest.raises(ValueError, match="item 2"):
                 map_on_pool(single, item, range(5))
             assert ran == [0, 1, 2, 3, 4]
-            assert workfirst._queue_of(single).pop(newest=False) is None
+            assert [future.cancelled() for future in single.futures[1:]] == [True] * 4
         finally:
             gate.set()
             single.shutdown(wait=True)
@@ -642,11 +655,14 @@ class Boom(Exception):
     pass
 
 
-def _nested(depth: int, fanout: int, fails: frozenset):
+def _nested(depth: int, fanout: int, fails: frozenset, ran: list):
     """An item function over index paths: a path longer than ``depth`` is
     a leaf, a shorter one maps the function over its ``fanout`` sub-paths
-    (on ``pool`` when given); every path in ``fails`` raises Boom."""
+    (on ``pool`` when given); every path in ``fails`` raises Boom. Each
+    path called with a pool is appended to ``ran``."""
     def fn(path, pool=None):
+        if pool is not None:
+            ran.append(path)
         if path in fails:
             raise Boom(path)
         if len(path) > depth:
@@ -675,11 +691,14 @@ def _outcome(call):
 def test_map_on_pool_matches_the_sequential_oracle(items, fanout, depth, workers,
                                                     on_pool, fails):
     # nesting 1-3 deep, called from a task on the pool or from outside it;
-    # the first failure in item order is the one raised
-    fn = _nested(depth, fanout, fails)
+    # the first failure in item order is the one raised, no item runs
+    # twice, and once the outermost map is over no call it handed to the
+    # pool is left queued or running
+    ran = []
+    fn = _nested(depth, fanout, fails, ran)
     top = [(i,) for i in range(items)]
     expected = _outcome(lambda: [fn(item) for item in top])
-    pool = ThreadPoolExecutor(max_workers=workers)
+    pool = RecordingPool(max_workers=workers)
     got = []
 
     def call():
@@ -687,14 +706,19 @@ def test_map_on_pool_matches_the_sequential_oracle(items, fanout, depth, workers
             return pool.submit(map_on_pool, pool, lambda x: fn(x, pool), top).result()
         return map_on_pool(pool, lambda x: fn(x, pool), top)
 
-    caller = threading.Thread(target=lambda: got.append(_outcome(call)), daemon=True)
+    def outermost():
+        got.append(_outcome(call))
+        got.append(all(future.done() for future in pool.futures))
+
+    caller = threading.Thread(target=outermost, daemon=True)
     try:
         caller.start()
         caller.join(timeout=20)
         assert not caller.is_alive(), "map_on_pool deadlocked"
     finally:
         pool.shutdown(wait=not caller.is_alive(), cancel_futures=True)
-    assert got == [expected]
+    assert got == [expected, True]
+    assert len(ran) == len(set(ran))
 
 
 def test_map_on_pool_runs_each_item_once_under_contention():
