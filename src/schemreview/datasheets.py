@@ -9,6 +9,20 @@ first score meeting the threshold; failing that, the best-scoring
 attempt wins (earliest on ties). The winner is cached under
 (part number, winning URL).
 
+A retrieval given a ``released`` dict releases a spec as soon as it is
+final: its attempt succeeded, no earlier attempt was scored, and no later
+one can follow (it was the last candidate, or ``max_attempts`` is
+reached), so it wins whatever the critic says. Its critic call and cache
+write are then owed, not made: ``released`` keeps the spec under its
+cache key with the owed call (``_settle``) for the caller to run later,
+and a later retrieval given the same dict takes the spec from there as a
+cache hit. The owed call records its ``critic`` span under the
+retrieval's trace context. If the critic call or the cache write fails,
+the spec stays in use, a warning is logged and nothing is cached, so the
+next run retries. Without ``released`` every attempt is scored as it
+goes, and a failed critic call leaves its attempt unscored: on the only
+candidate, the part goes without a spec.
+
 Concurrent retrievals of the same part number given one ``flights``
 share a single in-flight computation, so the underlying fetch happens
 once; a retrieval without ``flights`` runs on its own.
@@ -18,11 +32,12 @@ from __future__ import annotations
 
 import json
 import logging
+from functools import partial
 from typing import TYPE_CHECKING, NamedTuple
 from urllib.parse import urlparse, unquote
 
 from . import httpreq
-from .dscache import CacheEntry, CacheStore
+from .dscache import CacheEntry, CacheKey, CacheStore
 from .dsmodel import (
     CriticScore,
     DatasheetDocument,
@@ -61,7 +76,7 @@ class RetrievalConfig(NamedTuple):
 
 class RetrievalResult(NamedTuple):
     spec: DatasheetSpec
-    score: CriticScore
+    score: CriticScore | None  # None for a released spec: its critic call is owed
     cache_hit: bool
     attempts: int = 0
 
@@ -83,7 +98,7 @@ def local_file_fetcher(url: str) -> bytes:
         raise FetchFailed(f"local fetcher cannot handle scheme {parsed.scheme!r}")
     try:
         return read_bytes(path)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a path open() cannot take
         raise FetchFailed(f"{url}: {exc}") from exc
 
 
@@ -211,15 +226,31 @@ def critique(spec: DatasheetSpec, gateway: Gateway,
 
 # --- scored retry loop -----------------------------------------------------------
 
+def _settle(key: CacheKey, spec: DatasheetSpec, gateway: Gateway, cache: CacheStore,
+            trace: TraceContext) -> None:
+    """The step owed for a released spec: critique it and cache it. A
+    failure leaves the spec in use and caches nothing."""
+    try:
+        score = critique(spec, gateway, trace)
+        cache.put(CacheEntry(key, spec, score, stored_at=cache.now()))
+    except SchemReviewError as exc:
+        log.warning("released spec of %s via %s is not cached: %s", key[0], key[1], exc)
+
+
 def retrieve_spec(part: PartRef, libraries: list[LibrarySource],
                   cfg: RetrievalConfig, *, gateway: Gateway, cache: CacheStore,
                   fetcher=default_fetcher, schematic_url: str | None = None,
                   flights: SingleFlight | None = None,
-                  trace: TraceContext = UNTRACED) -> RetrievalResult:
+                  trace: TraceContext = UNTRACED,
+                  released: dict | None = None) -> RetrievalResult:
+    """``released``, when given, maps the cache key of each spec released
+    so far to (spec, its owed ``settle`` call)."""
     def _run() -> RetrievalResult:
         candidates = locate(part, libraries, schematic_url)
 
         for url in candidates:
+            if released is not None and (part.key, url) in released:
+                return RetrievalResult(released[part.key, url][0], None, cache_hit=True)
             hit = cache.lookup((part.key, url))
             if hit is not None:
                 return RetrievalResult(hit[0], hit[1], cache_hit=True)
@@ -227,6 +258,7 @@ def retrieve_spec(part: PartRef, libraries: list[LibrarySource],
         scored: list[tuple[str, DatasheetSpec, CriticScore]] = []
         causes: list[tuple[str, Exception]] = []
         attempts = 0
+        last = min(len(candidates), cfg.max_attempts)
         winner: tuple[str, DatasheetSpec, CriticScore] | None = None
         for url in candidates:
             if attempts >= cfg.max_attempts:
@@ -236,6 +268,10 @@ def retrieve_spec(part: PartRef, libraries: list[LibrarySource],
                 doc = fetch(url, fetcher)
                 pages = analyze_head(doc, gateway, trace)
                 spec = extract_spec(doc, pages, part, gateway, trace)
+                if released is not None and attempts == last and not scored:
+                    key = (part.key, url)
+                    released[key] = (spec, partial(_settle, key, spec, gateway, cache, trace))
+                    return RetrievalResult(spec, None, cache_hit=False, attempts=attempts)
                 score = critique(spec, gateway, trace)
             except SchemReviewError as exc:
                 log.warning("retrieval attempt %d for %s via %s failed: %s",

@@ -143,20 +143,22 @@ class DatasheetSpec(checked("DatasheetSpec", "part source_url pins abs_max_ratin
     @classmethod
     def from_xml(cls, xml_text: str) -> "DatasheetSpec":
         """The spec of a ``to_xml`` document, read in one walk over the
-        root's children (each list element's own children in order)."""
+        root's children (each list element's own children in order). An
+        attribute ``to_xml`` always writes and the element lacks raises
+        ``ValueError``."""
         root = ET.fromstring(xml_text)
         pins, ratings, ranges, blocks, circuits = [], [], [], [], []
         for child in root:
             tag = child.tag
             if tag == "pins":
-                pins += (PinFunction(p.get("designator"), p.get("function", ""), tuple(sorted(
-                    (m.get("key"), m.get("value")) for m in p.findall("meta"))))
+                pins += (PinFunction(*_attrs(p, "designator", "function"), tuple(sorted(
+                    _attrs(m, "key", "value") for m in p.findall("meta"))))
                     for p in child if p.tag == "pin")
             elif tag == "abs_max_ratings":
-                ratings += (Rating(r.get("parameter"), r.get("limit"), r.get("unit"))
+                ratings += (Rating(*_attrs(r, "parameter", "limit", "unit"))
                             for r in child if r.tag == "rating")
             elif tag == "rec_operating":
-                ranges += (OperatingRange(r.get("parameter"), r.get("unit"), r.get("min"),
+                ranges += (OperatingRange(*_attrs(r, "parameter", "unit"), r.get("min"),
                                           r.get("typ"), r.get("max"))
                            for r in child if r.tag == "range")
             elif tag == "blocks":
@@ -165,6 +167,16 @@ class DatasheetSpec(checked("DatasheetSpec", "part source_url pins abs_max_ratin
                 circuits += (c.text or "" for c in child if c.tag == "circuit")
         return cls(PartRef(mpn=root.get("mpn"), ipn=root.get("ipn")), root.get("source_url"),
                    tuple(pins), tuple(ratings), tuple(ranges), tuple(blocks), tuple(circuits))
+
+
+def _attrs(element: ET.Element, *names: str) -> tuple[str, ...]:
+    """The values of ``element``'s attributes ``names``; one it lacks
+    raises ``ValueError``."""
+    values = tuple(element.get(name) for name in names)
+    if None in values:
+        missing = names[values.index(None)]
+        raise ValueError(f"<{element.tag}> lacks its {missing!r} attribute")
+    return values
 
 
 def spec_from_agent_value(value: dict, part: PartRef, source_url: str) -> DatasheetSpec:

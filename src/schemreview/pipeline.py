@@ -20,11 +20,17 @@ before the next starts:
 2. retrieve each part under every page that lists it, one page after
    another in document order (parallel across parts): the first listing
    fetches the datasheet or hits the cache, each later one hits the
-   cache (or retries a retrieval that failed);
+   cache (or retries a retrieval that failed). A spec that is final,
+   which no critic score can displace, is released to its groups at
+   once (``datasheets.retrieve_spec``); a later listing of its part
+   takes it from memory as a cache hit;
 3. review every group of every page and combine consensus: one
    ``group_review`` request asks for the group's k runs as k choices,
    and only a choice that is missing or fails its schema costs a
-   one-completion call of its own;
+   one-completion call of its own. The critic calls and cache writes
+   owed for released specs are queued behind every group review, so
+   the reviews take the pool's threads first; a critic call or cache
+   write that fails there leaves its spec in use and caches nothing;
 4. cluster errors and render comments page by page, in document order.
 
 The pages' analysis, parts, groups and remade review runs are all tasks
@@ -175,16 +181,19 @@ class _Refusals:
 
 def _retrieve_all_specs(pages: list[tuple[Page, TraceContext]], groups: list,
                         cfg: RunConfig, gateway: Gateway, cache: CacheStore,
-                        pool: ThreadPoolExecutor, refusals: _Refusals) -> list[dict]:
-    """Per page, designator -> DatasheetSpec | None. Each part key is one
-    task (ordered by the first page that lists it, then by key) that
-    retrieves the part under every page that lists it, one page after
-    another in document order: the first listing fetches the datasheet or
-    hits the cache, each later one hits the cache as it would after the
-    earlier page ran (or retries a retrieval that failed). A listing
-    ``refusals`` refuses retrieves nothing."""
+                        pool: ThreadPoolExecutor, refusals: _Refusals
+                        ) -> tuple[list[dict], list]:
+    """Per page, designator -> DatasheetSpec | None, and the calls owed
+    for released specs, in cache-key order. Each part key is one task
+    (ordered by the first page that lists it, then by key) that retrieves
+    the part under every page that lists it, one page after another in
+    document order: the first listing fetches the datasheet or hits the
+    cache, each later one hits the cache as it would after the earlier
+    page ran (a released spec from memory), or retries a retrieval that
+    failed. A listing ``refusals`` refuses retrieves nothing."""
     retrieval_cfg = RetrievalConfig(threshold=cfg.critic_threshold,
                                     max_attempts=cfg.max_attempts)
+    released: dict = {}  # cache key -> (released spec, its owed call)
     part_keys: list[dict[str, str | None]] = []  # per page: designator -> part key
     # part key -> its listings: (page index, context, (PartRef, schematic_url))
     listings: dict[str, list[tuple]] = {}
@@ -207,7 +216,8 @@ def _retrieve_all_specs(pages: list[tuple[Page, TraceContext]], groups: list,
                 return retrieve_spec(
                     part, cfg.libraries, retrieval_cfg, gateway=gateway,
                     cache=cache, fetcher=default_fetcher,
-                    schematic_url=schematic_url, trace=part_ctx).spec
+                    schematic_url=schematic_url, trace=part_ctx,
+                    released=released).spec
         except SchemReviewError as exc:
             log.warning("datasheet retrieval failed for %s: %s", key, exc)
             return None
@@ -219,8 +229,9 @@ def _retrieve_all_specs(pages: list[tuple[Page, TraceContext]], groups: list,
     # (page index, part key) -> spec
     specs = dict(pair for pairs in map_on_pool(pool, _part, list(listings))
                  for pair in pairs)
-    return [{designator: specs.get((index, key)) for designator, key in keys.items()}
-            for index, keys in enumerate(part_keys)]
+    return ([{designator: specs.get((index, key)) for designator, key in keys.items()}
+             for index, keys in enumerate(part_keys)],
+            [released[key][1] for key in sorted(released)])
 
 
 def _analyze_pages(pages: list[tuple[Page, TraceContext]], cfg: RunConfig,
@@ -230,11 +241,12 @@ def _analyze_pages(pages: list[tuple[Page, TraceContext]], cfg: RunConfig,
     document order; each page's spans record under its own context. Each
     stage runs for every page together before the next starts: selection,
     retrieval (``_retrieve_all_specs``), then every page's group reviews
-    and consensus; grouping and rendering follow per page. ``checklist``
-    is the run's ``review.checklist_loader``."""
+    and consensus, followed by the calls owed for released specs;
+    grouping and rendering follow per page. ``checklist`` is the run's
+    ``review.checklist_loader``."""
     groups = map_on_pool(pool, lambda i: [] if refusals.refuse(i) else select_groups(
         pages[i][0], gateway, trace=pages[i][1]), range(len(pages)))
-    specs = _retrieve_all_specs(pages, groups, cfg, gateway, cache, pool, refusals)
+    specs, owed = _retrieve_all_specs(pages, groups, cfg, gateway, cache, pool, refusals)
     checklists = {group.name: checklist(group.name)
                   for page_groups in groups for group in page_groups}
 
@@ -257,8 +269,12 @@ def _analyze_pages(pages: list[tuple[Page, TraceContext]], cfg: RunConfig,
 
     jobs = [(index, group) for index, page_groups in enumerate(groups)
             for group in page_groups]
+    # the calls owed for released specs queue behind every group review, so
+    # that the reviews take the pool's threads first; no budget refuses them
+    done = map_on_pool(pool, lambda job: job() if callable(job) else _review_group(job),
+                       jobs + owed)
     analyses: list[list] = [[] for _ in pages]
-    for (index, _), group_analyses in zip(jobs, map_on_pool(pool, _review_group, jobs)):
+    for (index, _), group_analyses in zip(jobs, done):
         analyses[index] += group_analyses
 
     return [render_comment(error_group, specs[index], page)

@@ -454,9 +454,11 @@ def test_criterion_07_end_to_end_determinism(demo_workspace):
                                       base_schematic=str(paths["base"]))
     assert report_dr.pages_analyzed == ["P2"]
 
-    # one-page time budget on the three-page fixture
+    # one-page time budget on the three-page fixture: at 0.05 s a call, the
+    # part listings start after one call (selection) and the group reviews
+    # after three (head analysis, extraction); the deadline falls between
     cfg = load_config(paths["config"])
-    cfg.time_budget_s = 0.2
+    cfg.time_budget_s = 0.1
     cfg.backend.mock_delay_s = 0.05
     shutil.rmtree(work / "cache", ignore_errors=True)
     shutil.rmtree(work / "out", ignore_errors=True)

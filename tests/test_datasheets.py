@@ -21,6 +21,7 @@ from schemreview.datasheets import (
     extract_spec,
     fetch,
     http_fetcher,
+    local_file_fetcher,
 )
 from schemreview.demo import DEMO_PART_PINS, datasheet_text
 from schemreview.dsmodel import DatasheetDocument
@@ -126,6 +127,13 @@ class TestFetchDedup:
         path.write_text("alpha\fbeta")
         doc = fetch(path.resolve().as_uri())
         assert doc.pages == ("alpha", "beta")
+
+    @pytest.mark.parametrize("url", ["file:///tmp/sheet%00.txt", "/tmp/sheet%00.txt"],
+                             ids=["file-url", "plain-path"])
+    def test_a_path_open_cannot_take_is_a_failed_fetch(self, url):
+        # a NUL reaches open() as ValueError, not OSError
+        with pytest.raises(FetchFailed, match="embedded null byte"):
+            local_file_fetcher(url)
 
 
 class _SheetHandler(BaseHTTPRequestHandler):

@@ -106,6 +106,27 @@ def test_entry_with_malformed_spec_xml_dropped(tmp_path):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("drop", ['designator="1" ', 'function="adjust"',
+                                  'parameter="Vin-Vout" ', 'limit="40" ', ' unit="V"',
+                                  'parameter="Iout" ', ' unit="A"', 'key="name" ',
+                                  ' value="ADJ"'])
+def test_an_entry_lacking_an_attribute_to_xml_writes_is_corrupt(tmp_path, caplog, drop):
+    clock = FakeClock()
+    store = CacheStore(tmp_path / "cache", now=clock)
+    spec = sample_spec()._replace(
+        pins=(PinFunction("1", "adjust", (("name", "ADJ"),)), PinFunction("2", "output")),
+        abs_max_ratings=(Rating("Vin-Vout", "40", "V"),),
+        rec_operating=(OperatingRange("Iout", "A", max="1.5"),))
+    store.put(CacheEntry(("LM317", "http://x/u1.pdf"), spec, sample_score(), clock.t))
+    path = next((tmp_path / "cache").glob("*.json"))
+    doc = json.loads(path.read_text())
+    assert drop in doc["spec_xml"]
+    path.write_text(json.dumps({**doc, "spec_xml": doc["spec_xml"].replace(drop, "", 1)}))
+    assert store.lookup(("LM317", "http://x/u1.pdf")) is None
+    assert not path.exists()
+    assert f"dropping corrupt cache entry {path}" in caplog.text
+
+
 def test_distinct_urls_are_distinct_keys(tmp_path):
     clock = FakeClock()
     store = CacheStore(tmp_path / "cache", now=clock)

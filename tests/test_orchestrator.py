@@ -274,8 +274,11 @@ class TestTimeBudget:
     def test_budget_yields_partial_with_completed_pages_posted(self, demo):
         work, paths = demo
         clean_run_dirs(work)
-        cfg = fresh_cfg(work, time_budget_s=0.2)
-        cfg.backend.mock_delay_s = 0.05  # page 1 alone blows the budget
+        # at 0.05 s a call the part listings start after one call and the
+        # group reviews after three: the deadline falls between, so page 1
+        # alone blows the budget
+        cfg = fresh_cfg(work, time_budget_s=0.1)
+        cfg.backend.mock_delay_s = 0.05
         report = run_pipeline(cfg, paths["schematic"])
         assert report.status == RunStatus.PARTIAL
         assert report.pages_analyzed == ["P1"]
@@ -313,6 +316,52 @@ class TestTimeBudget:
         report = run_pipeline(fresh_cfg(work), paths["schematic"])
         assert report.status == RunStatus.COMPLETE
         assert report.pages_skipped == []
+
+
+class TestReleasedSpecs:
+    """Every demo part has one candidate URL, so each spec is final once
+    extracted: it is released to its groups, and its critic call and cache
+    write are owed to the review stage."""
+
+    def test_group_reviews_start_before_the_last_critic_call_ends(self, demo):
+        work, paths = demo
+        clean_run_dirs(work)
+        cfg = fresh_cfg(work)
+        cfg.backend.mock_delay_s = 0.05
+        report = run_pipeline(cfg, paths["schematic"])
+        assert (report.cache_hits, report.cache_misses) == (1, 8)
+        spans = read_spans(work / "trace.jsonl")
+        critics = [s for s in spans if s["span"] == "critic"]
+        assert len(critics) == len(list((work / "cache").glob("*.json"))) == 8
+        assert min(s["start"] for s in spans if s["span"] == "group_review") < max(
+            s["start"] + s["duration"] for s in critics)
+
+    def test_a_failed_critic_call_leaves_the_released_spec_in_use(self, demo, tmp_path,
+                                                                  caplog):
+        work, paths = demo
+        clean_run_dirs(work)
+        run_pipeline(fresh_cfg(work), paths["schematic"])
+        fixtures = copy_fixtures(paths, tmp_path)
+        shutil.rmtree(fixtures / "critic")
+        cfg = fresh_cfg(work, cache_dir=str(tmp_path / "cache"),
+                        sink=FileSink(str(tmp_path / "out")),
+                        trace_out=str(tmp_path / "trace.jsonl"))
+        cfg.backend.fixture_path = str(fixtures)
+        report = run_pipeline(cfg, paths["schematic"])
+        assert report.status == RunStatus.COMPLETE
+        spans = read_spans(tmp_path / "trace.jsonl")
+        assert {s["span"] for s in spans if "error" in s["attributes"]} == {"critic"}
+        # nothing is cached, so the next run retries; the comments are the
+        # fault-free run's, each part reviewed with its spec
+        assert not list((tmp_path / "cache").glob("*.json"))
+        assert "is not cached" in caplog.text
+        written = sorted(p.relative_to(work / "out") for p in (work / "out").rglob("*"))
+        assert written == sorted(p.relative_to(tmp_path / "out")
+                                 for p in (tmp_path / "out").rglob("*"))
+        for rel in written:
+            if rel.suffix in (".md", ".svg"):
+                assert (tmp_path / "out" / rel).read_bytes() == (
+                    work / "out" / rel).read_bytes()
 
 
 class TestTraces:
